@@ -124,8 +124,9 @@ func accuracyBench(b *testing.B, name string) {
 		}
 		last = r
 	}
-	b.ReportMetric(last.TBPointErr*100, "err%")
-	b.ReportMetric(last.TBPoint.SampleSize*100, "size%")
+	tb, _ := last.Outcome("tbpoint")
+	b.ReportMetric(tb.Err*100, "err%")
+	b.ReportMetric(tb.Estimate.SampleSize*100, "size%")
 }
 
 // BenchmarkFig9AccuracyRegular / Irregular regenerate the Fig. 9 accuracy
@@ -151,7 +152,8 @@ func BenchmarkFig11Breakdown(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		inter = r.TBPoint.InterFraction()
+		tb, _ := r.Outcome("tbpoint")
+		inter = tb.Estimate.InterFraction()
 	}
 	b.ReportMetric(inter*100, "inter%")
 }

@@ -82,12 +82,6 @@ func InterLaunch(profiles []*funcsim.LaunchProfile, sigma float64) *InterResult 
 // accuracy at the cost of sample size), since launches with equal Eq. 2
 // features but different code paths no longer merge.
 func InterLaunchBBV(profiles []*funcsim.LaunchProfile, sigma float64) *InterResult {
-	return interLaunch(interFeaturesBBV(profiles), sigma)
-}
-
-// interFeaturesBBV builds the footnote-2 feature matrix: the Eq. 2 vectors
-// with each launch's normalised basic-block vector appended.
-func interFeaturesBBV(profiles []*funcsim.LaunchProfile) [][]float64 {
 	feats := InterFeatures(profiles)
 	dim := 0
 	for _, lp := range profiles {
@@ -106,7 +100,7 @@ func interFeaturesBBV(profiles []*funcsim.LaunchProfile) [][]float64 {
 		}
 		out[i] = append(append([]float64(nil), feats[i]...), bbv...)
 	}
-	return out
+	return interLaunch(out, sigma)
 }
 
 func interLaunch(feats [][]float64, sigma float64) *InterResult {

@@ -62,13 +62,6 @@ type Options struct {
 	// and Run/Retarget return Ctx's error instead of a Result. A nil (or
 	// never-cancelled) Ctx leaves the pipeline bit-identical.
 	Ctx context.Context
-	// Artifacts, when non-nil, serves the pipeline's expensive
-	// intermediates (inter-launch feature matrix, cluster assignment) from
-	// the sub-cell artifact cache and publishes fresh computations back to
-	// it; see Artifacts. Like Ctx and Metrics it never changes results —
-	// only whether they are recomputed — so checkpoint key hashing must
-	// zero it alongside them.
-	Artifacts *Artifacts
 	// Metrics, when non-nil, receives the pipeline's observability data:
 	// per-phase wall time (core.inter_cluster, core.region_sampling,
 	// core.predict), pipeline counters (launches, clusters, regions,
@@ -137,7 +130,11 @@ func runWithInter(sim *gpusim.Simulator, prof *AppProfile, inter *InterResult, o
 	mc := opts.Metrics
 	if inter == nil {
 		sw := mc.StartPhase("core.inter_cluster")
-		inter = InterLaunchArtifacts(opts.Artifacts, prof.Profiles, opts.SigmaInter, opts.InterBBV)
+		if opts.InterBBV {
+			inter = InterLaunchBBV(prof.Profiles, opts.SigmaInter)
+		} else {
+			inter = InterLaunch(prof.Profiles, opts.SigmaInter)
+		}
 		sw.Stop()
 	}
 	res := &Result{

@@ -17,10 +17,6 @@ type AblationResult struct {
 	Bench      string
 	Err        float64
 	SampleSize float64
-	// Samplers carries every selected strategy's outcome for the cell
-	// under non-default -samplers selections, so ablation sweeps can
-	// compare how each strategy reacts to the variant. Nil by default.
-	Samplers map[string]sampler.Outcome `json:"samplers,omitempty"`
 }
 
 // warmingVariants are the warming-criterion ablation points: the paper's
@@ -93,23 +89,26 @@ func RunAblations(opts Options) ([]AblationResult, error) {
 		if err != nil {
 			return err
 		}
+		// The variants only change TBPoint options, so TBPoint is the one
+		// strategy a cell runs, whatever the harness selection.
 		o := opts
 		co := c.co
 		o.TBPoint = &co
+		o.Samplers = []string{sampler.NameTBPoint}
 		r, err := RunBenchmark(spec, gpusim.DefaultConfig(), o)
 		if err != nil {
 			return err
 		}
+		tb := r.Samplers[sampler.NameTBPoint]
 		out[i] = AblationResult{
 			Study:      c.study,
 			Variant:    c.variant,
 			Bench:      c.bench,
-			Err:        r.TBPointErr,
-			SampleSize: r.TBPoint.SampleSize,
-			Samplers:   r.Samplers,
+			Err:        tb.Err,
+			SampleSize: tb.Estimate.SampleSize,
 		}
 		opts.progress("# %-12s %-22s %-8s err %.2f%% size %.1f%%",
-			c.study, c.variant, c.bench, r.TBPointErr*100, r.TBPoint.SampleSize*100)
+			c.study, c.variant, c.bench, tb.Err*100, tb.Estimate.SampleSize*100)
 		return nil
 	})
 	if err != nil {
@@ -118,44 +117,12 @@ func RunAblations(opts Options) ([]AblationResult, error) {
 	return out, nil
 }
 
-// PrintAblations renders the ablation table. For extended strategy
-// selections it grows one err(X) column per non-TBPoint strategy (the Err
-// column is TBPoint's, as ever); the default layout is unchanged.
+// PrintAblations renders the ablation table (Err and sample are TBPoint's).
 func PrintAblations(w io.Writer, results []AblationResult) {
-	var extras []sampler.Sampler
-	if len(results) > 0 && len(results[0].Samplers) > 0 {
-		keys := make([]string, 0, len(results[0].Samplers))
-		for k := range results[0].Samplers {
-			keys = append(keys, k)
-		}
-		if names, err := sampler.Normalize(keys); err == nil {
-			for _, n := range names {
-				if n == sampler.NameTBPoint {
-					continue
-				}
-				if s, ok := sampler.Get(n); ok {
-					extras = append(extras, s)
-				}
-			}
-		}
-	}
 	fmt.Fprintln(w, "Ablations: warming criterion and intra-launch threshold")
-	header := []string{"study", "variant", "bench", "err", "sample"}
-	for _, s := range extras {
-		header = append(header, "err("+s.Abbrev()+")")
-	}
-	t := &table{header: header}
+	t := &table{header: []string{"study", "variant", "bench", "err", "sample"}}
 	for _, r := range results {
-		row := []string{r.Study, r.Variant, r.Bench, pct(r.Err), pct(r.SampleSize)}
-		for _, s := range extras {
-			o, ok := r.Samplers[s.Name()]
-			if !ok {
-				row = append(row, "-")
-				continue
-			}
-			row = append(row, pct(o.Err))
-		}
-		t.addRow(row...)
+		t.addRow(r.Study, r.Variant, r.Bench, pct(r.Err), pct(r.SampleSize))
 	}
 	t.write(w)
 	fmt.Fprintln(w)

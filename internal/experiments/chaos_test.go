@@ -45,7 +45,7 @@ func TestChaosCancelMidGridRun(t *testing.T) {
 	opts.Out = &cancelOnFirstWrite{cancel: cancel}
 
 	start := time.Now()
-	results, cellErrs, err := RunAccuracyParallel(opts)
+	results, cellErrs, err := RunAccuracy(opts)
 	elapsed := time.Since(start)
 
 	if err == nil || !errors.Is(err, context.Canceled) {
@@ -93,7 +93,7 @@ func TestChaosPanicCellDegrades(t *testing.T) {
 
 	opts := fastOpts()
 	opts.Benchmarks = []string{"stream", "black", "hotspot"}
-	results, cellErrs, err := RunAccuracyParallel(opts)
+	results, cellErrs, err := RunAccuracy(opts)
 	if err != nil {
 		t.Fatalf("grid with one faulty cell must still complete, got %v", err)
 	}
@@ -130,7 +130,7 @@ func TestChaosErrorCellDegrades(t *testing.T) {
 
 	opts := fastOpts()
 	opts.Benchmarks = []string{"stream", "black"}
-	results, cellErrs, err := RunAccuracyParallel(opts)
+	results, cellErrs, err := RunAccuracy(opts)
 	if err != nil {
 		t.Fatalf("grid with one faulty cell must still complete, got %v", err)
 	}
@@ -159,7 +159,7 @@ func TestChaosSensitivityPanicCell(t *testing.T) {
 
 	opts := fastOpts()
 	opts.Benchmarks = []string{"stream"}
-	results, cellErrs, err := RunSensitivityParallel(opts)
+	results, cellErrs, err := RunSensitivity(opts)
 	if err != nil {
 		t.Fatalf("grid with one faulty cell must still complete, got %v", err)
 	}
@@ -194,7 +194,7 @@ func TestChaosSensitivityCancelMidRun(t *testing.T) {
 	opts.Verbose = true
 	opts.Out = &cancelOnFirstWrite{cancel: cancel}
 
-	results, cellErrs, err := RunSensitivityParallel(opts)
+	results, cellErrs, err := RunSensitivity(opts)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned err = %v, want context.Canceled", err)
 	}

@@ -9,6 +9,12 @@ import (
 	"tbpoint/internal/metrics"
 )
 
+// cellSchema names the shape of the journaled cell payloads (BenchResult,
+// SensResult: per-strategy outcomes in one map). It is folded into every
+// cell key, so a journal written under another shape misses and recomputes
+// instead of decoding into results that carry no strategies.
+const cellSchema = "cell/v2"
+
 // cellKey names one grid cell in the checkpoint journal:
 // grid/cell/config-hash, where the hash folds in every Options field (and
 // any extra strings, e.g. the sensitivity hardware config) that determines
@@ -17,17 +23,15 @@ import (
 // into fresh results.
 func (o Options) cellKey(grid, cell string, extra ...string) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "scale=%g seed=%d randfrac=%g unitdiv=%d min=%d max=%d simworkers=%d simquantum=%d",
-		o.Scale, o.Seed, o.RandomFrac, o.UnitDivisor, o.MinUnitInsts, o.MaxUnitInsts,
+	fmt.Fprintf(h, "%s scale=%g seed=%d randfrac=%g unitdiv=%d min=%d max=%d simworkers=%d simquantum=%d",
+		cellSchema, o.Scale, o.Seed, o.RandomFrac, o.UnitDivisor, o.MinUnitInsts, o.MaxUnitInsts,
 		o.SimWorkers, o.SimQuantum)
-	// The TBPoint options carry a context, a metrics collector and the
-	// sub-cell artifact cache; zero them so only result-determining fields
-	// reach the hash (pointer values would also make the key differ across
-	// processes).
+	// The TBPoint options carry a context and a metrics collector; zero
+	// them so only result-determining fields reach the hash (pointer values
+	// would also make the key differ across processes).
 	tb := o.tbpointOptions()
 	tb.Ctx = nil
 	tb.Metrics = nil
-	tb.Artifacts = nil
 	fmt.Fprintf(h, " tb=%+v", tb)
 	// The active strategy selection determines every cell's result shape,
 	// so it is part of the key: a resume with a different -samplers set

@@ -54,7 +54,7 @@ func TestChaosCrashResumeAccuracyGrid(t *testing.T) {
 	// Uninterrupted golden run.
 	golden := fastOpts()
 	golden.Benchmarks = benches
-	goldenResults, goldenErrs, err := RunAccuracyParallel(golden)
+	goldenResults, goldenErrs, err := RunAccuracy(golden)
 	if err != nil || len(goldenErrs) != 0 {
 		t.Fatalf("golden run: err %v, cell errors %+v", err, goldenErrs)
 	}
@@ -68,7 +68,7 @@ func TestChaosCrashResumeAccuracyGrid(t *testing.T) {
 	crashed := fastOpts()
 	crashed.Benchmarks = benches
 	crashed.Checkpoint = store
-	if _, _, err := RunAccuracyParallel(crashed); !errors.Is(err, faultcheck.ErrInjected) {
+	if _, _, err := RunAccuracy(crashed); !errors.Is(err, faultcheck.ErrInjected) {
 		t.Fatalf("crashed run: err = %v, want the injected journal fault", err)
 	}
 	if store.Writes() != 2 {
@@ -87,7 +87,7 @@ func TestChaosCrashResumeAccuracyGrid(t *testing.T) {
 	resumeOpts.Checkpoint = store2
 	resumeOpts.Resume = true
 	resumeOpts.Metrics = mc
-	resumedResults, resumedErrs, err := RunAccuracyParallel(resumeOpts)
+	resumedResults, resumedErrs, err := RunAccuracy(resumeOpts)
 	if err != nil || len(resumedErrs) != 0 {
 		t.Fatalf("resumed run: err %v, cell errors %+v", err, resumedErrs)
 	}
@@ -125,7 +125,7 @@ func TestChaosSensitivityResumeSkipsFinishedGrid(t *testing.T) {
 	first := fastOpts()
 	first.Benchmarks = []string{"stream"}
 	first.Checkpoint = openStore(t, dir)
-	firstResults, firstErrs, err := RunSensitivityParallel(first)
+	firstResults, firstErrs, err := RunSensitivity(first)
 	if err != nil || len(firstErrs) != 0 {
 		t.Fatalf("first run: err %v, cell errors %+v", err, firstErrs)
 	}
@@ -139,7 +139,7 @@ func TestChaosSensitivityResumeSkipsFinishedGrid(t *testing.T) {
 	second.Checkpoint = openStore(t, dir)
 	second.Resume = true
 	second.Metrics = mc
-	secondResults, secondErrs, err := RunSensitivityParallel(second)
+	secondResults, secondErrs, err := RunSensitivity(second)
 	if err != nil || len(secondErrs) != 0 {
 		t.Fatalf("resumed run: err %v, cell errors %+v", err, secondErrs)
 	}
@@ -171,7 +171,7 @@ func TestChaosCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 	first := fastOpts()
 	first.Benchmarks = benches
 	first.Checkpoint = openStore(t, dir)
-	goldenResults, _, err := RunAccuracyParallel(first)
+	goldenResults, _, err := RunAccuracy(first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestChaosCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 	resume.Checkpoint = store
 	resume.Resume = true
 	resume.Metrics = mc
-	results, cellErrs, err := RunAccuracyParallel(resume)
+	results, cellErrs, err := RunAccuracy(resume)
 	if err != nil || len(cellErrs) != 0 {
 		t.Fatalf("resumed run: err %v, cell errors %+v", err, cellErrs)
 	}
@@ -229,7 +229,7 @@ func TestChaosRetryTransientCellRecovers(t *testing.T) {
 	opts.Benchmarks = []string{"stream", "black"}
 	opts.Retry = RetryPolicy{Attempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 	opts.Metrics = mc
-	results, cellErrs, err := RunAccuracyParallel(opts)
+	results, cellErrs, err := RunAccuracy(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestChaosRetryExhaustionRecordsMetadata(t *testing.T) {
 	opts.Benchmarks = []string{"stream"}
 	opts.Retry = RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, Seed: 7}
 	opts.Metrics = mc
-	results, cellErrs, err := RunAccuracyParallel(opts)
+	results, cellErrs, err := RunAccuracy(opts)
 	if err != nil {
 		t.Fatalf("an exhausted cell must degrade, not abort the grid: %v", err)
 	}
@@ -326,7 +326,7 @@ func TestChaosCellDeadlineDegradesNotCancels(t *testing.T) {
 	opts := fastOpts()
 	opts.Benchmarks = []string{"stream", "black"}
 	opts.CellDeadline = time.Nanosecond
-	results, cellErrs, err := RunAccuracyParallel(opts)
+	results, cellErrs, err := RunAccuracy(opts)
 	if err != nil {
 		t.Fatalf("blown cell deadlines must not abort the grid: %v", err)
 	}
@@ -354,7 +354,7 @@ func TestChaosStaleCheckpointIgnoredOnOptionChange(t *testing.T) {
 	first := fastOpts()
 	first.Benchmarks = []string{"stream"}
 	first.Checkpoint = openStore(t, dir)
-	if _, _, err := RunAccuracyParallel(first); err != nil {
+	if _, _, err := RunAccuracy(first); err != nil {
 		t.Fatal(err)
 	}
 
@@ -365,7 +365,7 @@ func TestChaosStaleCheckpointIgnoredOnOptionChange(t *testing.T) {
 	second.Checkpoint = openStore(t, dir)
 	second.Resume = true
 	second.Metrics = mc
-	if _, _, err := RunAccuracyParallel(second); err != nil {
+	if _, _, err := RunAccuracy(second); err != nil {
 		t.Fatal(err)
 	}
 	if got := mc.Count(metrics.ExpCellsResumed); got != 0 {
@@ -414,5 +414,67 @@ func TestResultsFileDamageDetected(t *testing.T) {
 	}
 	if _, err := ReadResultsFile(path); !errors.Is(err, durable.ErrTruncated) {
 		t.Errorf("truncated results file: err = %v, want ErrTruncated", err)
+	}
+}
+
+// TestChaosOldSchemaJournalIgnored resumes over a journal written before
+// the per-strategy map became the only result shape: parentKey and its
+// payload are what that build computed and stored for this exact cell. The
+// schema marker in cellKey makes the lookup miss, so the cell is recomputed
+// instead of being restored with no strategies in it.
+func TestChaosOldSchemaJournalIgnored(t *testing.T) {
+	const parentKey = "accuracy/stream/a3010712a8e4e23b"
+	parentPayload, err := os.ReadFile(filepath.Join("testdata", "cell_v1_stream.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := openStore(t, t.TempDir())
+	if err := store.Put(parentKey, parentPayload); err != nil {
+		t.Fatal(err)
+	}
+	mc := metrics.New()
+	opts := DefaultOptions(0.02)
+	opts.Seed = 7
+	opts.Benchmarks = []string{"stream"}
+	opts.Checkpoint = store
+	opts.Resume = true
+	opts.Metrics = mc
+	if key := opts.cellKey("accuracy", "stream"); key == parentKey {
+		t.Fatalf("cell key %s is the pre-change build's: its journal would be trusted", key)
+	}
+	results, cellErrs, err := RunAccuracy(opts)
+	if err != nil || len(cellErrs) != 0 {
+		t.Fatalf("err=%v cellErrs=%v", err, cellErrs)
+	}
+	if got := mc.Count(metrics.ExpCellsResumed); got != 0 {
+		t.Errorf("exp.cells_resumed = %d, want 0: an old-schema journal must not be restored", got)
+	}
+	if got := mc.Count(metrics.ExpCellsExecuted); got != 1 {
+		t.Errorf("exp.cells_executed = %d, want 1", got)
+	}
+	if len(results) != 1 || len(results[0].Samplers) != 3 {
+		t.Fatalf("recomputed cell carries no strategy outcomes: %+v", results)
+	}
+}
+
+// TestResultsFileOldKindRejected: an intact results.json written before the
+// schema change (envelope kind "results", fixed Random/SimPoint/TBPoint
+// fields) fails the envelope's kind check instead of loading as results
+// whose every strategy column would render "-".
+func TestResultsFileOldKindRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.json")
+	old, err := os.ReadFile(filepath.Join("testdata", "results_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.WriteEnvelopeFile(path, "results", old); err != nil {
+		t.Fatal(err)
+	}
+	res, err := ReadResultsFile(path)
+	if err == nil {
+		t.Fatalf("old-schema results file loaded: %+v", res.Accuracy[0])
+	}
+	if !strings.Contains(err.Error(), `"results"`) || !strings.Contains(err.Error(), resultsKind) {
+		t.Errorf("error %q does not name the kind mismatch", err)
 	}
 }

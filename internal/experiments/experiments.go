@@ -50,14 +50,10 @@ type Options struct {
 	// for threshold sweeps and ablations.
 	TBPoint *core.Options
 	// Samplers selects the estimation strategies each benchmark runs, by
-	// registry name (internal/sampler). Empty (or exactly the default
-	// random/simpoint/tbpoint trio) keeps the harness byte-identical to
-	// its pre-registry output; any other set switches the accuracy grids
-	// to the extended N-way shape: per-strategy outcomes (error, sample
-	// size, 95% CI) in results.json, registry-sized report columns, and
-	// the error-vs-speedup Pareto section. The set is folded into the
-	// checkpoint cell keys so -resume and cache-served jobs never mix
-	// estimator configurations.
+	// registry name (internal/sampler); empty selects sampler.DefaultSet.
+	// Results, report columns and the Pareto section are sized from the
+	// selection. The canonical set is folded into the checkpoint cell keys
+	// so -resume and cache-served jobs never mix estimator configurations.
 	Samplers []string
 	// SimWorkers selects the simulator's epoch-parallel event loop for the
 	// harness's simulations (full references and, unless the TBPoint
@@ -82,16 +78,14 @@ type Options struct {
 	// with any changed input recomputes rather than trusting stale state.
 	Checkpoint *durable.Store
 	Resume     bool
-	// Subcell additionally shares the expensive intra-cell intermediates —
-	// one-time profile, inter-launch features and clustering, the full
-	// reference run — through Checkpoint at their own keys (see
-	// core.Artifacts), so runs whose grids overlap without being
-	// cell-identical still reuse the profiling phase. Lookups obey Resume;
-	// fresh computations are always published. Off by default: the one-shot
-	// CLI keeps its historical checkpoint-write counts (and the
-	// crash-injection accounting built on them) unless -subcell opts in,
-	// while the job server always enables it. Never changes results — a
-	// cached artifact round-trips byte-identically.
+	// Subcell additionally shares each benchmark's full reference run
+	// through Checkpoint at its own key (see fullReference), so runs whose
+	// grids overlap without being cell-identical still reuse the dominant
+	// simulation. Lookups obey Resume; fresh computations are always
+	// published. Off by default: the one-shot CLI keeps its historical
+	// checkpoint-write counts (and the crash-injection accounting built on
+	// them) unless -subcell opts in, while the job server always enables
+	// it. Never changes results — a cached run round-trips byte-identically.
 	Subcell bool
 	// Retry governs per-cell retries before a failure degrades to a
 	// CellError; the zero value means a single attempt (no retries).
@@ -246,14 +240,6 @@ func fullAppCtx(ctx context.Context, sim *gpusim.Simulator, app *kernel.App, uni
 
 // BenchResult is one benchmark's accuracy outcome under one configuration
 // (the data behind Fig. 9, 10 and 11).
-//
-// The Random/SimPoint/TBPoint fields are the historical result shape and
-// stay populated whenever those strategies are selected, so default-set
-// results.json output is byte-identical to the pre-registry harness. A
-// non-default strategy selection additionally records every outcome in
-// Samplers (keyed by registry name) and the selection itself in
-// SamplerNames, which is what the report renderers size their columns
-// from.
 type BenchResult struct {
 	Name string
 	Type workloads.Type
@@ -263,44 +249,17 @@ type BenchResult struct {
 	FullIPC        float64
 	FullOverallIPC float64
 
-	Random   sampling.Estimate
-	SimPoint sampling.Estimate
-	TBPoint  sampling.Estimate
-
-	RandomErr, SimPointErr, TBPointErr float64
-
-	// SamplerNames is the canonical strategy selection when it differs
-	// from the default trio (omitted otherwise, keeping legacy output
-	// byte-identical).
-	SamplerNames []string `json:"sampler_names,omitempty"`
-	// Samplers maps strategy name -> full outcome (estimate, error, 95%
-	// CI, stratified accounting) for non-default selections.
-	Samplers map[string]sampler.Outcome `json:"samplers,omitempty"`
+	// Samplers maps strategy registry name -> full outcome (estimate,
+	// error, 95% CI, stratified accounting) for every selected strategy.
+	// Reports order their columns by the registry, not by this map.
+	Samplers map[string]sampler.Outcome `json:"samplers"`
 }
 
-// Outcome returns the named strategy's outcome for this result, whether it
-// was recorded in the extended Samplers map or the legacy fields (where
-// Err/CI metadata is reconstructed). The boolean reports whether the
-// strategy ran for this result at all.
+// Outcome returns the named strategy's outcome; the boolean reports whether
+// the strategy ran for this result at all.
 func (r *BenchResult) Outcome(name string) (sampler.Outcome, bool) {
-	if o, ok := r.Samplers[name]; ok {
-		return o, true
-	}
-	switch name {
-	case sampler.NameRandom:
-		if r.Random.Technique != "" {
-			return sampler.Outcome{Estimate: r.Random, Err: r.RandomErr}, true
-		}
-	case sampler.NameSimPoint:
-		if r.SimPoint.Technique != "" {
-			return sampler.Outcome{Estimate: r.SimPoint, Err: r.SimPointErr}, true
-		}
-	case sampler.NameTBPoint:
-		if r.TBPoint.Technique != "" {
-			return sampler.Outcome{Estimate: r.TBPoint, Err: r.TBPointErr}, true
-		}
-	}
-	return sampler.Outcome{}, false
+	o, ok := r.Samplers[name]
+	return o, ok
 }
 
 // samplerNames is the canonical form of the run's strategy selection
@@ -355,11 +314,10 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 		defer opts.Metrics.Merge(mc)
 	}
 	app := spec.Build(workloads.Config{Scale: opts.Scale, Seed: opts.Seed})
-	arts := opts.artifacts(spec.Name, mc)
-	prof := core.ProfileAppArtifacts(arts, app, mc)
+	prof := core.ProfileAppMetrics(app, mc)
 	unit := opts.unitSize(app.TotalWarpInsts())
 
-	full := opts.fullReference(arts, sim, app, unit, mc, cfg)
+	full := opts.fullReference(spec.Name, sim, app, unit, mc, cfg)
 	if full.Aborted {
 		if err := ctxErr(opts.Ctx); err != nil {
 			return nil, err
@@ -371,16 +329,12 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 		Type:           spec.Type,
 		FullIPC:        full.IPC(),
 		FullOverallIPC: full.OverallIPC(),
-	}
-	if !sampler.IsDefault(names) {
-		r.SamplerNames = names
-		r.Samplers = make(map[string]sampler.Outcome, len(set))
+		Samplers:       make(map[string]sampler.Outcome, len(set)),
 	}
 
 	tbopts := opts.tbpointOptions()
 	tbopts.Metrics = mc
 	tbopts.Ctx = opts.Ctx
-	tbopts.Artifacts = arts
 	in := sampler.Input{
 		Ctx:     opts.Ctx,
 		Sim:     sim,
@@ -401,48 +355,7 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 		mc.Add(metrics.SamplerStrata, uint64(out.Strata))
 		mc.Add(metrics.SamplerPilotUnits, uint64(out.PilotUnits))
 		mc.Add(metrics.SamplerPhase2Units, uint64(out.Phase2Units))
-		switch s.Name() {
-		case sampler.NameRandom:
-			r.Random, r.RandomErr = out.Estimate, out.Err
-		case sampler.NameSimPoint:
-			r.SimPoint, r.SimPointErr = out.Estimate, out.Err
-		case sampler.NameTBPoint:
-			r.TBPoint, r.TBPointErr = out.Estimate, out.Err
-		}
-		if r.Samplers != nil {
-			r.Samplers[s.Name()] = out
-		}
+		r.Samplers[s.Name()] = out
 	}
 	return r, nil
-}
-
-// RunAccuracy runs the comparison across the selected benchmarks at the
-// default (Table V) configuration.
-func RunAccuracy(opts Options) ([]*BenchResult, error) {
-	specs, err := opts.specs()
-	if err != nil {
-		return nil, err
-	}
-	var out []*BenchResult
-	for _, s := range specs {
-		r, err := RunBenchmark(s, gpusim.DefaultConfig(), opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", s.Name, err)
-		}
-		if r.SamplerNames == nil {
-			opts.progress("# %-8s full IPC %.3f | err%%: random %.2f simpoint %.2f tbpoint %.2f | size%%: %.1f %.1f %.1f",
-				r.Name, r.FullIPC, r.RandomErr*100, r.SimPointErr*100, r.TBPointErr*100,
-				r.Random.SampleSize*100, r.SimPoint.SampleSize*100, r.TBPoint.SampleSize*100)
-		} else {
-			var errs, sizes string
-			for _, n := range r.SamplerNames {
-				o := r.Samplers[n]
-				errs += fmt.Sprintf(" %s %.2f", n, o.Err*100)
-				sizes += fmt.Sprintf(" %.1f", o.Estimate.SampleSize*100)
-			}
-			opts.progress("# %-8s full IPC %.3f | err%%:%s | size%%:%s", r.Name, r.FullIPC, errs, sizes)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

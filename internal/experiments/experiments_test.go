@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tbpoint/internal/gpusim"
+	"tbpoint/internal/sampler"
 )
 
 func fastOpts() Options {
@@ -30,20 +31,17 @@ func TestRunBenchmarkSmall(t *testing.T) {
 		if r.FullIPC <= 0 {
 			t.Errorf("%s: no full IPC", name)
 		}
-		for _, est := range []struct {
-			n string
-			v float64
-		}{
-			{"random", r.Random.PredictedIPC},
-			{"simpoint", r.SimPoint.PredictedIPC},
-			{"tbpoint", r.TBPoint.PredictedIPC},
-		} {
-			if est.v <= 0 {
-				t.Errorf("%s: %s predicted nothing", name, est.n)
+		if len(r.Samplers) != len(sampler.DefaultSet()) {
+			t.Errorf("%s: %d outcomes, want the default trio", name, len(r.Samplers))
+		}
+		for _, n := range sampler.DefaultSet() {
+			if o, ok := r.Outcome(n); !ok || o.Estimate.PredictedIPC <= 0 {
+				t.Errorf("%s: %s predicted nothing", name, n)
 			}
 		}
-		if r.TBPoint.SampleSize <= 0 || r.TBPoint.SampleSize > 1 {
-			t.Errorf("%s: sample size %v", name, r.TBPoint.SampleSize)
+		tb := r.Samplers[sampler.NameTBPoint].Estimate
+		if tb.SampleSize <= 0 || tb.SampleSize > 1 {
+			t.Errorf("%s: sample size %v", name, tb.SampleSize)
 		}
 	}
 }
@@ -60,7 +58,7 @@ func runByName(name string, cfg gpusim.Config, opts Options) (*BenchResult, erro
 func TestRunAccuracySubset(t *testing.T) {
 	opts := fastOpts()
 	opts.Benchmarks = []string{"stream", "black"}
-	results, err := RunAccuracy(opts)
+	results, _, err := RunAccuracy(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +80,7 @@ func TestRunAccuracySubset(t *testing.T) {
 func TestRunAccuracyUnknownBenchmark(t *testing.T) {
 	opts := fastOpts()
 	opts.Benchmarks = []string{"nope"}
-	if _, err := RunAccuracy(opts); err == nil {
+	if _, _, err := RunAccuracy(opts); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
@@ -203,7 +201,7 @@ func TestHumanDuration(t *testing.T) {
 func TestRunSensitivitySmall(t *testing.T) {
 	opts := fastOpts()
 	opts.Benchmarks = []string{"stream"}
-	results, err := RunSensitivity(opts)
+	results, _, err := RunSensitivity(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,6 +209,15 @@ func TestRunSensitivitySmall(t *testing.T) {
 		t.Fatalf("got %d results", len(results))
 	}
 	for _, r := range results {
+		// Fig. 12's columns and the per-strategy map are the same TBPoint
+		// estimate, and the map covers the whole (default) selection.
+		if tb, ok := r.Samplers[sampler.NameTBPoint]; !ok || tb.Err != r.Err || tb.Estimate.SampleSize != r.SampleSize {
+			t.Errorf("%s %s: tbpoint outcome %+v disagrees with err %v size %v",
+				r.Bench, r.Config.Name(), tb, r.Err, r.SampleSize)
+		}
+		if len(r.Samplers) != len(sampler.DefaultSet()) {
+			t.Errorf("%s %s: %d outcomes, want the default trio", r.Bench, r.Config.Name(), len(r.Samplers))
+		}
 		if r.SampleSize <= 0 || r.SampleSize > 1 {
 			t.Errorf("%s %s: sample %v", r.Bench, r.Config.Name(), r.SampleSize)
 		}
@@ -253,32 +260,43 @@ func TestTableWriter(t *testing.T) {
 // durationSeconds converts seconds to a time.Duration for tests.
 func durationSeconds(s float64) time.Duration { return time.Duration(s * 1e9) }
 
+// withParallelism runs f under the given harness worker budget.
+func withParallelism(workers int, f func()) {
+	old := Parallelism
+	Parallelism = workers
+	defer func() { Parallelism = old }()
+	f()
+}
+
+// TestParallelMatchesSequential: Parallelism = 1 is the sequential path of
+// the one grid runner, and a fanned-out run must reproduce it exactly.
 func TestParallelMatchesSequential(t *testing.T) {
 	opts := fastOpts()
 	opts.Benchmarks = []string{"stream", "black", "hotspot"}
-	seq, err := RunAccuracy(opts)
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) (results []*BenchResult) {
+		withParallelism(workers, func() {
+			var cellErrs []CellError
+			var err error
+			results, cellErrs, err = RunAccuracy(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cellErrs) != 0 {
+				t.Fatalf("fault-free run reported cell errors: %+v", cellErrs)
+			}
+		})
+		return results
 	}
-	old := Parallelism
-	Parallelism = 3
-	defer func() { Parallelism = old }()
-	par, cellErrs, err := RunAccuracyParallel(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cellErrs) != 0 {
-		t.Fatalf("fault-free run reported cell errors: %+v", cellErrs)
-	}
-	if len(par) != len(seq) {
+	seq, par := run(1), run(4)
+	if len(par) != len(seq) || len(seq) != len(opts.Benchmarks) {
 		t.Fatalf("length mismatch %d vs %d", len(par), len(seq))
 	}
 	for i := range seq {
 		if par[i].Name != seq[i].Name {
 			t.Fatalf("order differs: %s vs %s", par[i].Name, seq[i].Name)
 		}
-		if par[i].FullIPC != seq[i].FullIPC || par[i].TBPointErr != seq[i].TBPointErr {
-			t.Errorf("%s: parallel run differs from sequential", seq[i].Name)
+		if !reflect.DeepEqual(par[i], seq[i]) {
+			t.Errorf("%s: parallel run differs from sequential\n got: %+v\nwant: %+v", seq[i].Name, par[i], seq[i])
 		}
 	}
 }
@@ -286,19 +304,23 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestSensitivityParallelMatches(t *testing.T) {
 	opts := fastOpts()
 	opts.Benchmarks = []string{"stream"}
-	seq, err := RunSensitivity(opts)
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) (results []SensResult) {
+		withParallelism(workers, func() {
+			var cellErrs []CellError
+			var err error
+			results, cellErrs, err = RunSensitivity(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cellErrs) != 0 {
+				t.Fatalf("fault-free run reported cell errors: %+v", cellErrs)
+			}
+		})
+		return results
 	}
-	par, cellErrs, err := RunSensitivityParallel(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cellErrs) != 0 {
-		t.Fatalf("fault-free run reported cell errors: %+v", cellErrs)
-	}
-	if len(par) != len(seq) {
-		t.Fatalf("length mismatch")
+	seq, par := run(1), run(4)
+	if len(par) != len(seq) || len(seq) != len(HWConfigs()) {
+		t.Fatalf("length mismatch %d vs %d", len(par), len(seq))
 	}
 	for i := range seq {
 		if !reflect.DeepEqual(par[i], seq[i]) {
@@ -331,7 +353,7 @@ var errBoom = fmt.Errorf("boom")
 func TestResultsJSONRoundTrip(t *testing.T) {
 	opts := fastOpts()
 	opts.Benchmarks = []string{"stream"}
-	acc, err := RunAccuracy(opts)
+	acc, _, err := RunAccuracy(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +374,8 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 	if back.Scale != bundle.Scale || len(back.Accuracy) != 1 || len(back.Fig5) != len(bundle.Fig5) {
 		t.Error("round trip lost data")
 	}
-	if back.Accuracy[0].TBPointErr != acc[0].TBPointErr {
-		t.Error("accuracy values mangled")
+	if !reflect.DeepEqual(back.Accuracy[0], acc[0]) {
+		t.Errorf("accuracy values mangled:\n got %+v\nwant %+v", back.Accuracy[0], acc[0])
 	}
 	if back.Table1.Slowdown != bundle.Table1.Slowdown {
 		t.Error("table1 mangled")

@@ -24,8 +24,7 @@ type Results struct {
 	Accuracy    []*BenchResult     `json:"accuracy,omitempty"`
 	Sensitivity []SensResult       `json:"sensitivity,omitempty"`
 	// Pareto is the per-workload error-vs-speedup frontier over the
-	// selected strategies; present only for non-default -samplers
-	// selections (the default trio keeps the legacy bundle shape).
+	// selected strategies (accuracy target).
 	Pareto []ParetoEntry `json:"pareto,omitempty"`
 	// ParallelSM / ParallelQuantum record the simulator event-loop mode the
 	// run used (-parallel-sm): 0 is the serial loop, >1 the epoch-parallel
@@ -66,8 +65,12 @@ func ReadResults(r io.Reader) (*Results, error) {
 	return &out, nil
 }
 
-// resultsKind is the durable-envelope kind of results files.
-const resultsKind = "results"
+// resultsKind is the durable-envelope kind of results files. The version
+// names the bundle schema (v2: per-strategy outcomes live only in each
+// result's samplers map), so a file written under another schema is
+// rejected by the envelope's kind check instead of decoding into results
+// with no strategies.
+const resultsKind = "results/v2"
 
 // WriteResultsFile writes the bundle to path atomically, wrapped in the
 // durable envelope (versioned, CRC-checksummed; `jq .payload` recovers the

@@ -36,20 +36,21 @@ func gridCancelled(opts Options, cellErr error) bool {
 	return isCancellation(cellErr) && ctxErr(opts.Ctx) != nil
 }
 
-// RunAccuracyParallel is RunAccuracy with the per-benchmark work fanned out
-// over a worker pool, and with per-cell failure isolation: a benchmark that
-// errors or panics becomes a CellError while the others complete, so one
-// rotten cell no longer takes down the grid. Failed cells are retried under
-// opts.Retry before they degrade, and completed cells are journaled to
-// opts.Checkpoint (and skipped on opts.Resume) so a crashed grid never
-// redoes finished work. Results are returned compacted in benchmark (table)
-// order and — on a fault-free run — are identical to the sequential run:
-// every stochastic component is seeded per benchmark, never shared. The
-// returned error is non-nil only for setup failures, checkpoint-write
-// failures, or cancellation (opts.Ctx); even then, results completed before
-// the cut-off and the cell errors recorded so far are returned alongside
-// it.
-func RunAccuracyParallel(opts Options) ([]*BenchResult, []CellError, error) {
+// RunAccuracy runs the §V-B comparison across the selected benchmarks at the
+// default (Table V) configuration, with the per-benchmark work fanned out
+// over the Parallelism worker budget and per-cell failure isolation: a
+// benchmark that errors or panics becomes a CellError while the others
+// complete, so one rotten cell does not take down the grid. Failed cells are
+// retried under opts.Retry before they degrade, and completed cells are
+// journaled to opts.Checkpoint (and skipped on opts.Resume) so a crashed
+// grid never redoes finished work. Results are returned compacted in
+// benchmark (table) order and — on a fault-free run — do not depend on the
+// worker count: every stochastic component is seeded per benchmark, never
+// shared. The returned error is non-nil only for setup failures,
+// checkpoint-write failures, or cancellation (opts.Ctx); even then, results
+// completed before the cut-off and the cell errors recorded so far are
+// returned alongside it.
+func RunAccuracy(opts Options) ([]*BenchResult, []CellError, error) {
 	specs, err := opts.specs()
 	if err != nil {
 		return nil, nil, err
@@ -71,8 +72,7 @@ func RunAccuracyParallel(opts Options) ([]*BenchResult, []CellError, error) {
 			if err != nil {
 				return err
 			}
-			opts.progress("# %-8s done (tbpoint err %.2f%%, size %.1f%%)",
-				r.Name, r.TBPointErr*100, r.TBPoint.SampleSize*100)
+			opts.progress("# %-8s full IPC %.3f | err%% / size%%:%s", r.Name, r.FullIPC, r.summary())
 			out[i] = r
 			return nil
 		})
@@ -96,13 +96,14 @@ func RunAccuracyParallel(opts Options) ([]*BenchResult, []CellError, error) {
 	return results, rec.sorted(), err
 }
 
-// RunSensitivityParallel fans the (benchmark x configuration) grid out over
-// a worker pool with the same per-cell failure isolation, retry policy, and
-// checkpoint/resume behaviour as RunAccuracyParallel; each cell is
-// independent. Results follow the same ordering as RunSensitivity
-// (benchmarks in table order, configurations in sweep order), with failed
-// cells compacted out and reported as CellErrors.
-func RunSensitivityParallel(opts Options) ([]SensResult, []CellError, error) {
+// RunSensitivity evaluates the selected strategies across the hardware sweep
+// (TBPoint with one-time profiling, §V-C), fanning the (benchmark x
+// configuration) grid out over the worker budget with the same per-cell
+// failure isolation, retry policy, and checkpoint/resume behaviour as
+// RunAccuracy; each cell is independent. Results are ordered benchmarks in
+// table order, configurations in sweep order, with failed cells compacted
+// out and reported as CellErrors.
+func RunSensitivity(opts Options) ([]SensResult, []CellError, error) {
 	specs, err := opts.specs()
 	if err != nil {
 		return nil, nil, err
@@ -151,14 +152,11 @@ func RunSensitivityParallel(opts Options) ([]SensResult, []CellError, error) {
 		if !needProfile[s.Name] {
 			continue
 		}
-		// The prep loop is sequential and owns opts.Metrics for its
-		// duration, so the artifact counters land on the grid collector.
-		arts := opts.artifacts(s.Name, opts.Metrics)
 		app := s.Build(workloads.Config{Scale: opts.Scale, Seed: opts.Seed})
-		prof := core.ProfileAppArtifacts(arts, app, nil)
+		prof := core.ProfileApp(app)
 		preps[s.Name] = &prep{
 			prof:  prof,
-			inter: core.InterLaunchArtifacts(arts, prof.Profiles, opts.tbpointOptions().SigmaInter, false),
+			inter: core.InterLaunch(prof.Profiles, opts.tbpointOptions().SigmaInter),
 		}
 	}
 	rec := &cellRecorder{grid: "sensitivity"}

@@ -70,8 +70,7 @@ func TestRetargetParallelDeterministic(t *testing.T) {
 	ref := run(1)
 	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
 		got := run(workers)
-		if got.FullIPC != ref.FullIPC || got.TBPointErr != ref.TBPointErr ||
-			got.TBPoint != ref.TBPoint {
+		if !reflect.DeepEqual(got, ref) {
 			t.Errorf("workers=%d: result differs from sequential\n got: %+v\nwant: %+v",
 				workers, got, ref)
 		}

@@ -64,26 +64,44 @@ func geo(vs []float64) float64 {
 	return stats.GeoMean(floored)
 }
 
-// reportSamplers resolves the strategy columns for a result set: the
-// selection recorded on the first result, or the default trio for legacy
-// results. The figure tables below size themselves from this, so adding a
-// registered strategy to a run grows every table consistently.
-func reportSamplers(results []*BenchResult) []sampler.Sampler {
-	names := sampler.DefaultSet()
-	if len(results) > 0 && results[0].SamplerNames != nil {
-		names = results[0].SamplerNames
-	}
-	set, err := sampler.Resolve(names)
-	if err != nil {
-		// Results decoded from a newer/foreign bundle may name strategies
-		// this binary lacks; render the ones it knows rather than nothing.
-		for _, n := range names {
-			if s, ok := sampler.Get(n); ok {
-				set = append(set, s)
-			}
+// samplersWhere returns the registered strategies, in registry order, for
+// which has reports true. Every renderer sizes its columns through this, so
+// column order is the registry's and a name this binary does not know (a
+// bundle from a newer build) is skipped rather than rendered blank.
+func samplersWhere(has func(name string) bool) []sampler.Sampler {
+	var set []sampler.Sampler
+	for _, name := range sampler.Names() {
+		if s, ok := sampler.Get(name); ok && has(name) {
+			set = append(set, s)
 		}
 	}
 	return set
+}
+
+// reportSamplers resolves the strategy columns for a result set: every
+// strategy any result carries an outcome for. The figure tables below size
+// themselves from this, so adding a registered strategy to a run grows
+// every table consistently.
+func reportSamplers(results []*BenchResult) []sampler.Sampler {
+	return samplersWhere(func(name string) bool {
+		for _, r := range results {
+			if _, ok := r.Samplers[name]; ok {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// summary is the one-line per-strategy digest of the progress output:
+// " <name> <err%>/<size%>" for each strategy that ran.
+func (r *BenchResult) summary() string {
+	var b strings.Builder
+	for _, s := range reportSamplers([]*BenchResult{r}) {
+		o := r.Samplers[s.Name()]
+		fmt.Fprintf(&b, " %s %.2f/%.1f", s.Name(), o.Err*100, o.Estimate.SampleSize*100)
+	}
+	return b.String()
 }
 
 // emptyCells returns n empty cells (summary-row padding).
@@ -210,9 +228,8 @@ func PrintFig11(w io.Writer, results []*BenchResult) {
 	fmt.Fprintln(w)
 }
 
-// PrintSamplerDetail renders the extended per-strategy table (only shown
-// for non-default selections): error, sample size, 95% confidence interval
-// and the stratified backend's two-phase accounting.
+// PrintSamplerDetail renders the per-strategy table: error, sample size,
+// 95% confidence interval and the stratified backend's two-phase accounting.
 func PrintSamplerDetail(w io.Writer, results []*BenchResult) {
 	set := reportSamplers(results)
 	fmt.Fprintln(w, "Sampler detail: per-strategy error, sample size and 95% CI")

@@ -215,22 +215,17 @@ func RunTargets(opts Options, spec RunSpec, w io.Writer) (*Results, error) {
 	})
 	run("accuracy", func() {
 		sw := mc.StartPhase("target.accuracy")
-		results, cellErrs, err := RunAccuracyParallel(opts)
+		results, cellErrs, err := RunAccuracy(opts)
 		sw.Stop()
 		bundle.Errors = append(bundle.Errors, cellErrs...)
 		if handle(err) || len(results) > 0 {
 			PrintFig9(w, results)
 			PrintFig10(w, results)
 			PrintFig11(w, results)
+			PrintSamplerDetail(w, results)
 			bundle.Accuracy = results
-			// The extended sections only render for non-default strategy
-			// selections — the default trio keeps the report byte-identical
-			// to the pre-registry harness.
-			if len(results) > 0 && results[0].SamplerNames != nil {
-				PrintSamplerDetail(w, results)
-				bundle.Pareto = ComputePareto(results)
-				PrintPareto(w, bundle.Pareto)
-			}
+			bundle.Pareto = ComputePareto(results)
+			PrintPareto(w, bundle.Pareto)
 		}
 	})
 	run("agreement", func() {
@@ -259,7 +254,7 @@ func RunTargets(opts Options, spec RunSpec, w io.Writer) (*Results, error) {
 	})
 	run("sensitivity", func() {
 		sw := mc.StartPhase("target.sensitivity")
-		results, cellErrs, err := RunSensitivityParallel(opts)
+		results, cellErrs, err := RunSensitivity(opts)
 		sw.Stop()
 		bundle.Errors = append(bundle.Errors, cellErrs...)
 		if handle(err) || len(results) > 0 {

@@ -44,13 +44,13 @@ func TestExpandTargetsUnknown(t *testing.T) {
 }
 
 // TestRunTargetsMatchesGridRun pins the extraction: RunTargets("accuracy")
-// must produce exactly the bundle a direct RunAccuracyParallel call yields.
+// must produce exactly the bundle a direct RunAccuracy call yields.
 func TestRunTargetsMatchesGridRun(t *testing.T) {
 	opts := DefaultOptions(0.02)
 	opts.Seed = 7
 	opts.Benchmarks = []string{"stream"}
 
-	direct, cellErrs, err := RunAccuracyParallel(opts)
+	direct, cellErrs, err := RunAccuracy(opts)
 	if err != nil || len(cellErrs) != 0 {
 		t.Fatalf("direct run: err=%v cellErrs=%v", err, cellErrs)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/sampler"
-	"tbpoint/internal/sampling"
 	"tbpoint/internal/workloads"
 )
 
@@ -28,35 +27,9 @@ func TestCellKeyFoldsSamplers(t *testing.T) {
 	}
 }
 
-func TestBenchResultOutcomeLegacy(t *testing.T) {
-	r := &BenchResult{
-		Random:      sampling.Estimate{Technique: "Random", PredictedIPC: 2},
-		SimPoint:    sampling.Estimate{Technique: "Ideal-Simpoint", PredictedIPC: 3},
-		TBPoint:     sampling.Estimate{Technique: "TBPoint", PredictedIPC: 4},
-		RandomErr:   0.1,
-		SimPointErr: 0.2,
-		TBPointErr:  0.3,
-	}
-	o, ok := r.Outcome(sampler.NameTBPoint)
-	if !ok || o.Estimate.PredictedIPC != 4 || o.Err != 0.3 {
-		t.Errorf("legacy tbpoint outcome: %+v ok=%v", o, ok)
-	}
-	if _, ok := r.Outcome(sampler.NameStratified); ok {
-		t.Error("stratified outcome present on a legacy result")
-	}
-	// The extended map wins over legacy fields when present.
-	r.Samplers = map[string]sampler.Outcome{
-		sampler.NameTBPoint: {Estimate: sampling.Estimate{PredictedIPC: 9}, Err: 0.9},
-	}
-	if o, _ := r.Outcome(sampler.NameTBPoint); o.Err != 0.9 {
-		t.Errorf("map did not take precedence: %+v", o)
-	}
-}
-
-// TestRunBenchmarkExtended runs the full N-way path on one small benchmark:
-// the extended result must carry every selected strategy, agree with the
-// legacy fields for the default trio, and render the extended report
-// sections.
+// TestRunBenchmarkExtended runs the full registry on one small benchmark:
+// the result must carry exactly the selected strategies and every report
+// section must render them.
 func TestRunBenchmarkExtended(t *testing.T) {
 	opts := fastOpts()
 	opts.Samplers = []string{"all"}
@@ -68,8 +41,8 @@ func TestRunBenchmarkExtended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.SamplerNames) != len(sampler.Names()) {
-		t.Fatalf("SamplerNames = %v", r.SamplerNames)
+	if len(r.Samplers) != len(sampler.Names()) {
+		t.Fatalf("%d outcomes for %d selected strategies: %+v", len(r.Samplers), len(sampler.Names()), r.Samplers)
 	}
 	for _, n := range sampler.Names() {
 		o, ok := r.Outcome(n)
@@ -80,9 +53,8 @@ func TestRunBenchmarkExtended(t *testing.T) {
 			t.Errorf("%s: non-positive predicted IPC %g", n, o.Estimate.PredictedIPC)
 		}
 	}
-	// Legacy fields mirror the map for the trio.
-	if o := r.Samplers[sampler.NameTBPoint]; o.Err != r.TBPointErr {
-		t.Errorf("legacy TBPointErr %g != map %g", r.TBPointErr, o.Err)
+	if _, ok := (&BenchResult{}).Outcome(sampler.NameTBPoint); ok {
+		t.Error("outcome reported for a strategy that did not run")
 	}
 	strat := r.Samplers[sampler.NameStratified]
 	if strat.Strata < 1 || strat.PilotUnits < 1 {
@@ -116,29 +88,72 @@ func TestRunBenchmarkExtended(t *testing.T) {
 	}
 }
 
-// TestDefaultReportShapeUnchanged pins the legacy column layout for the
-// default trio — the byte-identity contract's report half.
-func TestDefaultReportShapeUnchanged(t *testing.T) {
-	r := &BenchResult{
-		Name: "x", Type: 0,
-		FullIPC: 1, FullOverallIPC: 2,
-		Random:   sampling.Estimate{Technique: "Random", PredictedIPC: 1},
-		SimPoint: sampling.Estimate{Technique: "Ideal-Simpoint", PredictedIPC: 1},
-		TBPoint:  sampling.Estimate{Technique: "TBPoint", PredictedIPC: 1},
+// defaultTablesGolden is the Fig. 9/10/11 text the commit before the
+// single result shape printed for `-scale 0.02 -seed 7 -bench
+// mst,stream,black accuracy` with no -samplers.
+const defaultTablesGolden = `Figure 9: Overall IPC (whole-GPU) and sampling error
+bench    type  full IPC  overall(per-SM)  Random  Ideal-Simpoint  TBPoint  err(Rand)  err(SP)  err(TBP)
+-------  ----  --------  ---------------  ------  --------------  -------  ---------  -------  --------
+mst      I     0.200     0.501            0.193   0.234           0.201    3.68%      16.99%   0.35%
+stream   II    0.433     0.446            0.432   0.423           0.423    0.17%      2.28%    2.27%
+black    II    12.539    12.708           12.867  12.835          12.366   2.61%      2.36%    1.38%
+geomean                                                                    1.18%      4.50%    1.03%
+mean                                                                       2.16%      7.21%    1.33%
+max                                                                        3.68%      16.99%   2.27%
+paper geomeans: Random 7.95%, Ideal-Simpoint 1.74%, TBPoint 0.47%
+
+Figure 10: Total sample size (simulated / total warp instructions)
+bench    type  Random  Ideal-Simpoint  TBPoint
+-------  ----  ------  --------------  -------
+mst      I     9.34%   58.08%          76.32%
+stream   II    9.81%   0.46%           0.46%
+black    II    10.05%  10.78%          42.16%
+geomean        9.73%   6.61%           11.40%
+paper geomeans: Random 10%, Ideal-Simpoint 5.4%, TBPoint 2.6%
+
+Figure 11: Breakdown of skipped instructions (inter vs intra launch)
+bench   type  TBP inter%  TBP intra%  SP inter%  SP intra%
+------  ----  ----------  ----------  ---------  ---------
+mst     I     100.00%     0.00%       100.00%    0.00%
+stream  II    100.00%     0.00%       100.00%    0.00%
+black   II    0.00%       100.00%     0.00%      100.00%
+
+`
+
+// TestDefaultReportGolden pins the default selection's report: the three
+// paper tables are what they were before the result shapes merged, the
+// sections that follow them are present, and naming the default trio
+// explicitly (in any order) is the same run — identical JSON, identical
+// report.
+func TestDefaultReportGolden(t *testing.T) {
+	run := func(samplers []string) (report string, bundle []byte) {
+		opts := DefaultOptions(0.02)
+		opts.Seed = 7
+		opts.Benchmarks = []string{"mst", "stream", "black"}
+		opts.Samplers = samplers
+		var rep, js bytes.Buffer
+		res, err := RunTargets(opts, RunSpec{Targets: []string{"accuracy"}}, &rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		return rep.String(), js.Bytes()
 	}
-	var buf bytes.Buffer
-	PrintFig9(&buf, []*BenchResult{r})
-	head := strings.SplitN(buf.String(), "\n", 3)[1]
-	// "bench" pads to the "geomean" summary label's width, as it always has.
-	want := "bench    type  full IPC  overall(per-SM)  Random  Ideal-Simpoint  TBPoint  err(Rand)  err(SP)  err(TBP)"
-	if head != want {
-		t.Errorf("Fig9 header changed:\n got %q\nwant %q", head, want)
+	report, bundle := run(nil)
+	if !strings.HasPrefix(report, defaultTablesGolden) {
+		t.Errorf("default Fig. 9/10/11 text changed:\n got:\n%s\nwant prefix:\n%s", report, defaultTablesGolden)
 	}
-	buf.Reset()
-	PrintFig11(&buf, []*BenchResult{r})
-	head = strings.SplitN(buf.String(), "\n", 3)[1]
-	want = "bench  type  TBP inter%  TBP intra%  SP inter%  SP intra%"
-	if head != want {
-		t.Errorf("Fig11 header changed:\n got %q\nwant %q", head, want)
+	rest := strings.TrimPrefix(report, defaultTablesGolden)
+	if !strings.HasPrefix(rest, "Sampler detail:") || !strings.Contains(rest, "\nPareto:") {
+		t.Errorf("sections after Fig. 11 = %q, want Sampler detail then Pareto", rest)
+	}
+	explicitReport, explicitBundle := run([]string{"tbpoint", "simpoint", "random"})
+	if explicitReport != report {
+		t.Errorf("explicit trio report differs from the empty selection:\n%s\nvs\n%s", explicitReport, report)
+	}
+	if !bytes.Equal(explicitBundle, bundle) {
+		t.Errorf("explicit trio JSON differs from the empty selection:\n%s\nvs\n%s", explicitBundle, bundle)
 	}
 }

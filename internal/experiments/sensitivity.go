@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"tbpoint/internal/core"
 	"tbpoint/internal/gpusim"
@@ -31,9 +30,11 @@ func HWConfigs() []HWConfig {
 	}
 }
 
-// SensResult is one (benchmark, configuration) sensitivity outcome for
-// TBPoint with one-time profiling: the profile and inter-launch clustering
-// are computed once and reused across configurations (§V-C).
+// SensResult is one (benchmark, configuration) sensitivity outcome. Err and
+// SampleSize are TBPoint's with one-time profiling — the profile and
+// inter-launch clustering are computed once and reused across
+// configurations (§V-C) — and are what Fig. 12/13 plot whatever the
+// strategy selection.
 type SensResult struct {
 	Bench      string
 	Type       workloads.Type
@@ -41,23 +42,18 @@ type SensResult struct {
 	Err        float64
 	SampleSize float64
 	// Samplers holds every selected strategy's outcome at this hardware
-	// point for non-default -samplers selections (TBPoint reuses the
-	// one-time-profiling Retarget result; the others re-estimate against
-	// this configuration's full run). Nil for the default selection.
-	Samplers map[string]sampler.Outcome `json:"samplers,omitempty"`
+	// point (TBPoint reuses the one-time-profiling Retarget result; the
+	// others re-estimate against this configuration's full run).
+	Samplers map[string]sampler.Outcome `json:"samplers"`
 }
 
-// sensSamplers computes the extended per-strategy outcomes for one
-// sensitivity cell, or nil for the default selection. The TBPoint entry
-// reuses the Retarget result (tbEst/inter) so the extended run keeps the
-// §V-C one-time-profiling semantics instead of re-profiling per point.
+// sensSamplers computes the per-strategy outcomes for one sensitivity cell.
+// The TBPoint entry reuses the Retarget result (tbEst/inter) so the cell
+// keeps the §V-C one-time-profiling semantics instead of re-profiling per
+// point.
 func (o Options) sensSamplers(sim *gpusim.Simulator, prof *core.AppProfile,
 	inter *core.InterResult, full *sampling.AppRun, tbEst sampling.Estimate) map[string]sampler.Outcome {
-	names := o.samplerNames()
-	if sampler.IsDefault(names) {
-		return nil
-	}
-	set, err := sampler.Resolve(names)
+	set, err := sampler.Resolve(o.samplerNames())
 	if err != nil {
 		return nil
 	}
@@ -86,47 +82,6 @@ func (o Options) sensSamplers(sim *gpusim.Simulator, prof *core.AppProfile,
 	return m
 }
 
-// RunSensitivity evaluates TBPoint across the hardware sweep.
-func RunSensitivity(opts Options) ([]SensResult, error) {
-	specs, err := opts.specs()
-	if err != nil {
-		return nil, err
-	}
-	var out []SensResult
-	for _, spec := range specs {
-		app := spec.Build(workloads.Config{Scale: opts.Scale, Seed: opts.Seed})
-		// One-time profiling + inter-launch clustering, shared by every
-		// hardware configuration.
-		prof := core.ProfileApp(app)
-		inter := core.InterLaunch(prof.Profiles, opts.tbpointOptions().SigmaInter)
-
-		for _, hc := range HWConfigs() {
-			cfg := gpusim.DefaultConfig().WithOccupancy(hc.Warps, hc.SMs)
-			sim, err := gpusim.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			full := FullApp(sim, app, opts.unitSize(app.TotalWarpInsts()))
-			res, err := core.Retarget(sim, prof, inter, opts.tbpointOptions())
-			if err != nil {
-				return nil, err
-			}
-			sr := SensResult{
-				Bench:      spec.Name,
-				Type:       spec.Type,
-				Config:     hc,
-				Err:        res.Estimate.Error(full),
-				SampleSize: res.Estimate.SampleSize,
-				Samplers:   opts.sensSamplers(sim, prof, inter, full, res.Estimate),
-			}
-			opts.progress("# %-8s %-7s err %.2f%% size %.1f%%",
-				sr.Bench, hc.Name(), sr.Err*100, sr.SampleSize*100)
-			out = append(out, sr)
-		}
-	}
-	return out, nil
-}
-
 // PrintFig12 renders sampling errors per hardware configuration.
 func PrintFig12(w io.Writer, results []SensResult) {
 	fmt.Fprintln(w, "Figure 12: TBPoint sampling error across hardware configurations")
@@ -142,31 +97,23 @@ func PrintFig13(w io.Writer, results []SensResult) {
 	fmt.Fprintln(w)
 }
 
-// PrintSensSamplers renders one error table per additional strategy for
-// extended selections (TBPoint already owns Fig. 12). A no-op for legacy
-// results, so the default report is untouched.
+// PrintSensSamplers renders one error table per selected strategy other
+// than TBPoint (which owns Fig. 12).
 func PrintSensSamplers(w io.Writer, results []SensResult) {
-	if len(results) == 0 || len(results[0].Samplers) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(results[0].Samplers))
-	for k := range results[0].Samplers {
-		keys = append(keys, k)
-	}
-	names, err := sampler.Normalize(keys)
-	if err != nil {
-		sort.Strings(keys)
-		names = keys
-	}
-	for _, name := range names {
+	set := samplersWhere(func(name string) bool {
 		if name == sampler.NameTBPoint {
-			continue
+			return false
 		}
-		display := name
-		if s, ok := sampler.Get(name); ok {
-			display = s.Display()
+		for _, r := range results {
+			if _, ok := r.Samplers[name]; ok {
+				return true
+			}
 		}
-		fmt.Fprintf(w, "Sensitivity: %s sampling error across hardware configurations\n", display)
+		return false
+	})
+	for _, s := range set {
+		name := s.Name()
+		fmt.Fprintf(w, "Sensitivity: %s sampling error across hardware configurations\n", s.Display())
 		printSensTable(w, results, func(r SensResult) string {
 			o, ok := r.Samplers[name]
 			if !ok {

@@ -36,10 +36,10 @@ func benchJSON(t *testing.T, r *BenchResult) []byte {
 }
 
 // TestSubcellCacheByteIdenticalReuse is the sub-cell cache's core contract:
-// a warm run over the same workload serves the profile, the clustering and
-// the full reference from the cache (nonzero subcell hits, no full-ref
-// simulation) and still produces a byte-identical BenchResult — both to its
-// own cold run and to a run with no cache at all.
+// a warm run over the same workload serves the full reference — the one
+// cached artifact — from the store (one hit, no miss, no experiments.full_ref
+// phase, no full-ref simulation) and still produces a byte-identical
+// BenchResult — both to its own cold run and to a run with no cache at all.
 func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 	spec, err := workloads.ByName("stream")
 	if err != nil {
@@ -65,8 +65,11 @@ func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 	if hits := coldMC.Count(metrics.SubcellHits); hits != 0 {
 		t.Fatalf("cold run had %d subcell hits", hits)
 	}
-	if misses := coldMC.Count(metrics.SubcellMisses); misses == 0 {
-		t.Fatal("cold run recorded no subcell misses")
+	if misses := coldMC.Count(metrics.SubcellMisses); misses != 1 {
+		t.Fatalf("cold run recorded %d subcell misses, want 1 (the full reference)", misses)
+	}
+	if !hasPhase(coldMC, "experiments.full_ref") {
+		t.Fatal("cold run has no experiments.full_ref phase")
 	}
 
 	warmMC := metrics.New()
@@ -74,11 +77,14 @@ func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := warmMC.Count(metrics.SubcellHits); hits == 0 {
-		t.Fatal("warm run recorded no subcell hits")
+	if hits := warmMC.Count(metrics.SubcellHits); hits != 1 {
+		t.Fatalf("warm run recorded %d subcell hits, want 1 (the full reference)", hits)
 	}
 	if misses := warmMC.Count(metrics.SubcellMisses); misses != 0 {
 		t.Fatalf("warm run missed %d artifacts", misses)
+	}
+	if hasPhase(warmMC, "experiments.full_ref") {
+		t.Fatal("warm run still ran the experiments.full_ref phase")
 	}
 	// The warm run must not have simulated the full reference: its only
 	// simulator work is the TBPoint representatives.
@@ -95,16 +101,21 @@ func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 		t.Error("warm cached run differs from cold run")
 	}
 
-	// Artifacts live under the subcell/ namespace of the shared store.
-	var subcellKeys int
-	for _, k := range store.Keys() {
-		if strings.HasPrefix(k, "subcell/v1/") {
-			subcellKeys++
+	// The one artifact lives under the subcell/ namespace of the shared
+	// store; RunBenchmark journals no cell, so it is the only key.
+	keys := store.Keys()
+	if len(keys) != 1 || !strings.HasPrefix(keys[0], "subcell/v1/fullref/stream/") {
+		t.Fatalf("store keys = %v, want exactly one subcell/v1/fullref/stream/ artifact", keys)
+	}
+}
+
+func hasPhase(mc *metrics.Collector, name string) bool {
+	for _, p := range mc.Snapshot().Phases {
+		if p.Name == name {
+			return true
 		}
 	}
-	if subcellKeys == 0 {
-		t.Fatal("no subcell/v1 keys published")
-	}
+	return false
 }
 
 // TestSubcellDisabledPublishesNothing pins the opt-in: a checkpointing run

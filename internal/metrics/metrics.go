@@ -121,13 +121,11 @@ const (
 	ExpCellRetries     // retry attempts beyond each cell's first
 	ExpCheckpointsSave // successful checkpoint journal writes
 
-	// Sub-cell artifact cache (internal/core + internal/experiments): the
-	// expensive per-benchmark intermediates — functional profile, inter-launch
-	// feature matrix, cluster assignment, full reference run — are each keyed
-	// by their own result-determining option hash and shared through the same
-	// durable store as the cell checkpoints, so two jobs whose grids overlap
-	// without being cell-identical still reuse the profiling phase. One
-	// hit/miss is counted per artifact lookup.
+	// Sub-cell artifact cache (internal/experiments): each benchmark's full
+	// reference run is keyed by its own result-determining option hash and
+	// shared through the same durable store as the cell checkpoints, so two
+	// jobs whose grids overlap without being cell-identical still reuse the
+	// dominant simulation. One hit/miss is counted per artifact lookup.
 	SubcellHits
 	SubcellMisses
 

@@ -20,18 +20,17 @@
 // and every Params-determining option, and a hit must be byte-identical to
 // a recompute.
 //
-// # Backward compatibility
+// # Default selection
 //
-// The default set (see DefaultSet) is the harness's historical
-// Random/Ideal-Simpoint/TBPoint trio, with the exact seeds the pre-registry
-// harness used — selecting it (or selecting nothing) reproduces the old
-// results byte for byte.
+// The default set (see DefaultSet) is the paper's Random/Ideal-Simpoint/
+// TBPoint comparison. An empty selection normalizes to it, so selecting
+// nothing and naming the trio explicitly are the same run: same cell keys,
+// same results, same report.
 package sampler
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"tbpoint/internal/core"
@@ -170,8 +169,7 @@ func Names() []string {
 	return out
 }
 
-// DefaultSet is the historical harness trio; selecting it (or selecting
-// nothing) keeps results byte-identical to the pre-registry harness.
+// DefaultSet is the paper's comparison trio, what an empty selection runs.
 func DefaultSet() []string {
 	return []string{NameRandom, NameSimPoint, NameTBPoint}
 }
@@ -238,24 +236,4 @@ func Resolve(names []string) ([]Sampler, error) {
 		out = append(out, s)
 	}
 	return out, nil
-}
-
-// IsDefault reports whether names is exactly the default trio (in any
-// order). The harness uses it to decide between the byte-identical legacy
-// output shape and the extended per-strategy shape.
-func IsDefault(names []string) bool {
-	def := DefaultSet()
-	if len(names) != len(def) {
-		return false
-	}
-	a := append([]string(nil), names...)
-	b := append([]string(nil), def...)
-	sort.Strings(a)
-	sort.Strings(b)
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

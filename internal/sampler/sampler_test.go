@@ -91,22 +91,6 @@ func TestParseListAndResolve(t *testing.T) {
 	}
 }
 
-func TestIsDefault(t *testing.T) {
-	if !IsDefault(DefaultSet()) {
-		t.Error("IsDefault(DefaultSet()) = false")
-	}
-	// Order-insensitive.
-	if !IsDefault([]string{NameTBPoint, NameRandom, NameSimPoint}) {
-		t.Error("IsDefault is order-sensitive")
-	}
-	if IsDefault([]string{NameRandom, NameSimPoint}) {
-		t.Error("IsDefault on a subset")
-	}
-	if IsDefault(Names()) {
-		t.Error("IsDefault on the full registry")
-	}
-}
-
 type fakeSampler struct{ name string }
 
 func (f fakeSampler) Name() string                    { return f.name }

@@ -108,6 +108,39 @@ func (c *Client) Health(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
 }
 
+// backoff is the sleep between retries that Submit and Wait share: the
+// nominal delay doubles from base up to 16x base, each sleep is drawn from
+// [3/4, 5/4] of it so many clients on a loaded daemon spread out instead of
+// retrying in lockstep, and the sleep is abandoned the moment ctx dies.
+type backoff struct {
+	delay, max time.Duration
+	rng        *rand.Rand
+}
+
+func newBackoff(base time.Duration) *backoff {
+	return &backoff{delay: base, max: 16 * base, rng: rand.New(rand.NewSource(time.Now().UnixNano()))}
+}
+
+// sleep waits out the next interval — stretched to atLeast when a server
+// hint asks for longer — and returns ctx's error if it dies first.
+func (b *backoff) sleep(ctx context.Context, atLeast time.Duration) error {
+	d := 3*b.delay/4 + time.Duration(b.rng.Int63n(int64(b.delay/2)+1))
+	if atLeast > d {
+		d = atLeast
+	}
+	if b.delay *= 2; b.delay > b.max {
+		b.delay = b.max
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-timer.C:
+		return nil
+	}
+}
+
 // submitBackoffBase seeds Submit's retry backoff when the daemon sheds load.
 const submitBackoffBase = 250 * time.Millisecond
 
@@ -117,9 +150,7 @@ const submitBackoffBase = 250 * time.Millisecond
 // the jittered exponential backoff, whichever is longer — and retries until
 // the job is accepted or ctx dies. Every other error returns immediately.
 func (c *Client) Submit(ctx context.Context, spec server.JobSpec) (server.JobStatus, error) {
-	delay := submitBackoffBase
-	maxDelay := 16 * submitBackoffBase
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	bo := newBackoff(submitBackoffBase)
 	for {
 		var st server.JobStatus
 		err := c.do(ctx, http.MethodPost, "/jobs", spec, &st)
@@ -127,21 +158,8 @@ func (c *Client) Submit(ctx context.Context, spec server.JobSpec) (server.JobSta
 		if err == nil || !errors.As(err, &ae) || !ae.Overloaded() {
 			return st, err
 		}
-		// Jitter into [3/4, 5/4] of the nominal delay, then honor the
-		// server's hint if it asks for longer.
-		sleep := 3*delay/4 + time.Duration(rng.Int63n(int64(delay/2)+1))
-		if ae.RetryAfter > sleep {
-			sleep = ae.RetryAfter
-		}
-		timer := time.NewTimer(sleep)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return st, fmt.Errorf("%w (last rejection: %w)", ctx.Err(), ae)
-		case <-timer.C:
-		}
-		if delay *= 2; delay > maxDelay {
-			delay = maxDelay
+		if err := bo.sleep(ctx, ae.RetryAfter); err != nil {
+			return st, fmt.Errorf("%w (last rejection: %w)", err, ae)
 		}
 	}
 }
@@ -276,13 +294,10 @@ func (c *Client) Events(ctx context.Context, id string, fn func(server.JobStatus
 // polls instead of hammering it in lockstep. Cancellation is prompt: the
 // sleep is abandoned the moment ctx dies.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (server.JobStatus, error) {
-	base := poll
-	if base <= 0 {
-		base = 200 * time.Millisecond
+	if poll <= 0 {
+		poll = 200 * time.Millisecond
 	}
-	maxDelay := 16 * base
-	delay := base
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	bo := newBackoff(poll)
 	for {
 		st, err := c.Status(ctx, id)
 		if err != nil {
@@ -291,17 +306,8 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (serve
 		if st.State.Terminal() {
 			return st, nil
 		}
-		// Jitter the sleep into [3/4, 5/4] of the nominal delay.
-		sleep := 3*delay/4 + time.Duration(rng.Int63n(int64(delay/2)+1))
-		timer := time.NewTimer(sleep)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return st, ctx.Err()
-		case <-timer.C:
-		}
-		if delay *= 2; delay > maxDelay {
-			delay = maxDelay
+		if err := bo.sleep(ctx, 0); err != nil {
+			return st, err
 		}
 	}
 }

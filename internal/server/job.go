@@ -76,9 +76,9 @@ type JobSpec struct {
 	// Benchmarks restricts the run to the named benchmarks (nil = all 12).
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Samplers selects the estimation strategies by registry name
-	// (internal/sampler; "default"/"all" expand). Nil keeps the default
-	// random/simpoint/tbpoint trio and the legacy bundle shape. Validated
-	// and canonicalized at submission.
+	// (internal/sampler; "default"/"all" expand). Nil selects the default
+	// random/simpoint/tbpoint trio. Validated and canonicalized at
+	// submission.
 	Samplers []string `json:"samplers,omitempty"`
 	// Samples is the fig5 Monte-Carlo sample count (0 = 10000).
 	Samples int `json:"samples,omitempty"`
@@ -289,9 +289,9 @@ type JobStatus struct {
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
 	// SubcellHits / SubcellMisses count the finer-grained artifact lookups
-	// (functional profile, feature matrix, clustering, full reference) —
-	// these hit even when whole cells differ, e.g. two jobs over the same
-	// workload with different sampler sets.
+	// (each benchmark's full reference run) — these hit even when whole
+	// cells differ, e.g. two jobs over the same workload with different
+	// sampler sets.
 	SubcellHits   uint64 `json:"subcell_hits,omitempty"`
 	SubcellMisses uint64 `json:"subcell_misses,omitempty"`
 	// CellsFailed counts cells that degraded to CellError entries.

@@ -80,7 +80,7 @@ func diskCkptBytes(t *testing.T, dir string) int64 {
 // multi-client queue.
 func TestServeLoadFairnessAndBoundedCache(t *testing.T) {
 	dir := t.TempDir()
-	const budget = 256 << 10 // one job publishes ~240KB of artifacts, so 4 distinct jobs must evict
+	const budget = 256 << 10 // one job publishes ~180KB of artifacts, so 4 distinct jobs must evict
 
 	// Phase 1: two clients submit concurrently to a paused daemon.
 	d1 := openDriver(t, server.Config{StateDir: dir, Paused: true, Logf: t.Logf})
@@ -212,9 +212,8 @@ func TestServeLoadFairnessAndBoundedCache(t *testing.T) {
 // TestSubcellReuseAcrossJobs pins the tentpole cache contract end-to-end:
 // a second job over the same workload but a different sampler set misses
 // the whole-cell cache (the sampler set is part of the cell key) yet reuses
-// the profiling, clustering and full-reference artifacts — nonzero subcell
-// hits, less wall time than the same spec computed cold, byte-identical
-// results.
+// the full-reference artifacts — nonzero subcell hits, less wall time than
+// the same spec computed cold, byte-identical results.
 func TestSubcellReuseAcrossJobs(t *testing.T) {
 	mc := metrics.New()
 	d := openDriver(t, server.Config{StateDir: t.TempDir(), Dispatchers: 1, Metrics: mc, Logf: t.Logf})
@@ -257,7 +256,7 @@ func TestSubcellReuseAcrossJobs(t *testing.T) {
 		t.Fatalf("job B resumed %d whole cells; its cell key should differ", b.CacheHits)
 	}
 	if b.SubcellHits == 0 {
-		t.Fatal("job B recorded no subcell hits — profiling phase not reused")
+		t.Fatal("job B recorded no subcell hits — full reference not reused")
 	}
 	if b.SubcellMisses != 0 {
 		t.Fatalf("job B missed %d artifacts, want full reuse", b.SubcellMisses)

@@ -9,6 +9,8 @@
 package simpoint
 
 import (
+	"sort"
+
 	"tbpoint/internal/cluster"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/sampling"
@@ -90,12 +92,21 @@ func Run(full *sampling.AppRun, opts Options) Result {
 	reps := cluster.Representatives(points, km.Assign)
 
 	// Eq. 1: Total_CPI = sum over phases of representative CPI * weight.
+	// Clusters are visited in ascending id order: float addition is not
+	// associative, so summing in map order would make the prediction's last
+	// bits (and the order of Points) differ from run to run.
 	members := cluster.Members(km.Assign)
+	cids := make([]int, 0, len(members))
+	for cid := range members {
+		cids = append(cids, cid)
+	}
+	sort.Ints(cids)
 	totalInsts := full.TotalInsts()
 	var predCycles float64
 	var selInsts int64
 	selectedUnit := map[int]bool{}
-	for cid, idxs := range members {
+	for _, cid := range cids {
+		idxs := members[cid]
 		rep := reps[cid]
 		res.Points = append(res.Points, rep)
 		selectedUnit[rep] = true

@@ -1,6 +1,8 @@
 package simpoint
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"tbpoint/internal/gpusim"
@@ -124,5 +126,28 @@ func TestDefaultOptions(t *testing.T) {
 	o := DefaultOptions()
 	if o.MaxK != 30 || o.BICFrac != 0.9 {
 		t.Errorf("DefaultOptions = %+v", o)
+	}
+}
+
+// TestRunRepeatable pins the prediction's bits: cluster cycles are summed
+// (and Points appended) in ascending cluster id, so repeated calls on one
+// AppRun agree exactly. Float addition is not associative, so with three or
+// more clusters a map-order sum differs in the last digit run to run.
+func TestRunRepeatable(t *testing.T) {
+	run := fullRun(t, twoPhaseApp(4, 150), 2000)
+	opts := DefaultOptions()
+	opts.BICFrac = 1 // the best-scoring k, so there are enough clusters to reorder
+	ref := Run(run, opts)
+	if ref.K < 3 {
+		t.Fatalf("K = %d, need >= 3 clusters for summation order to matter", ref.K)
+	}
+	for i := 0; i < 50; i++ {
+		got := Run(run, opts)
+		if math.Float64bits(got.Estimate.PredictedCycles) != math.Float64bits(ref.Estimate.PredictedCycles) {
+			t.Fatalf("call %d: PredictedCycles %v, first call %v", i, got.Estimate.PredictedCycles, ref.Estimate.PredictedCycles)
+		}
+		if !reflect.DeepEqual(got.Points, ref.Points) {
+			t.Fatalf("call %d: Points %v, first call %v", i, got.Points, ref.Points)
+		}
 	}
 }

@@ -4,6 +4,10 @@
 #   fmt     gofmt -l must report nothing
 #   vet     go vet over every package
 #   build   go build over every package
+#   benchbuild go vet + go test inside bench/, the separate tbpoint/bench
+#           module behind BENCHMARK.json (root ./... never sees it), so an
+#           internal/ API move that breaks the benchmark fails CI instead
+#           of the next benchmark run
 #   test    the full unit/integration suite
 #   race    race-detector pass over the packages that run simulations
 #           concurrently (the shared worker budget fans launches and
@@ -23,8 +27,8 @@
 #   samplers the pluggable estimation-strategy registry: the
 #           internal/sampler test suite (registry round-trip, Neyman
 #           allocation edge cases, stratified estimator properties), an
-#           N-way -samplers grid smoke on two workloads (extended result
-#           shape, Pareto section, CI columns, sampler.* counters), and
+#           N-way -samplers grid smoke on two workloads (per-strategy
+#           outcomes, Pareto section, CI columns, sampler.* counters), and
 #           the byte-identity invariant that an explicitly selected
 #           default trio equals an unflagged run
 #   parsm   the -parallel-sm event loop: race-detector pass over the
@@ -55,7 +59,7 @@
 #           the cache directory must stay under its budget with
 #           server.cache_evictions counted, and an overlapping-but-non-
 #           identical job (same workload, wider sampler set) must reuse the
-#           profiling phase (subcell_hits > 0, less wall time than a
+#           full reference (subcell_hits > 0, less wall time than a
 #           -no-cache run) while its results.json stays byte-identical to
 #           the one-shot CLI
 #   bench   cmd/benchgate re-measures throughput against BENCH_gpusim.json
@@ -75,7 +79,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt vet build test race chaos fuzz golden samplers parsm serve serveload bench)
+ALL_STAGES=(fmt vet build benchbuild test race chaos fuzz golden samplers parsm serve serveload bench)
 
 stage() {
   local name="$1"
@@ -627,7 +631,7 @@ run_serveload() {
   # fair-share dispatch (the flooding tenant cannot starve the small one),
   # the bounded artifact cache (directory under -cache-max-bytes, evictions
   # counted, results still correct), and sub-cell reuse (an overlapping but
-  # non-identical job skips the profiling phase). The in-process half —
+  # non-identical job skips the full reference). The in-process half —
   # concurrent HTTP clients, the deterministic DRR properties, the
   # cancel-at-pickup race — runs first under the race detector.
   (
@@ -644,10 +648,10 @@ run_serveload() {
   go build -o "$tmp/tbpointctl" ./cmd/tbpointctl
   go build -o "$tmp/experiments" ./cmd/experiments
   local args=(-scale 0.02 -bench stream)
-  # One job's artifacts weigh ~250KB; a 768KB budget holds ~3 of the 4
+  # One job's artifacts weigh ~180KB; a 576KB budget holds ~3 of the 4
   # submitted jobs, forcing evictions while keeping the newest artifacts
   # resident for the sub-cell reuse phase.
-  local budget=$((768 * 1024))
+  local budget=$((576 * 1024))
 
   # Phase 1 — fair share + bounded cache. Submissions land on a paused
   # daemon so the whole multi-tenant queue exists before dispatch begins
@@ -713,7 +717,7 @@ run_serveload() {
 
   # Phase 2 — sub-cell reuse: same workload as the small tenant's job but a
   # wider sampler set. The cell key differs (no whole-cell hit) yet the
-  # profiling/clustering/full-reference artifacts must hit, beating the
+  # full-reference artifact must hit, beating the
   # same spec computed cold with -no-cache — and the bytes must equal the
   # one-shot CLI's.
   local warm cold wline cline
@@ -755,9 +759,9 @@ run_serveload() {
 run_samplers() {
   # The sampler registry end to end: the package's own suite first, then
   # cmd/experiments driving the registry — the byte-identity contract
-  # (explicit default trio == unflagged run, no extended fields leaked)
-  # and the extended N-way shape (per-strategy outcomes, CI columns,
-  # Pareto section, sampler.* counters) on two workloads.
+  # (explicit default trio == unflagged run) and the N-way run
+  # (per-strategy outcomes, CI columns, Pareto section, sampler.*
+  # counters) on two workloads.
   (
   local tmp
   tmp=$(mktemp -d)
@@ -778,17 +782,13 @@ run_samplers() {
     echo "samplers: explicit default trio changed the report text" >&2
     return 1
   }
-  if grep -q '"sampler_names"' "$tmp/default.json"; then
-    echo "samplers: default run leaked the extended result shape" >&2
-    return 1
-  fi
 
   "$bin" "${args[@]}" -samplers all -json "$tmp/nway.json" \
     -metrics-json "$tmp/nway_metrics.json" accuracy >"$tmp/nway.txt"
   artifact "$tmp/nway.json" samplers_nway.json
   artifact "$tmp/nway_metrics.json" samplers_nway_metrics.json
   local want
-  for want in '"sampler_names"' '"samplers"' '"pareto"' '"ci95_half"' '"pilot_units"'; do
+  for want in '"samplers"' '"pareto"' '"ci95_half"' '"pilot_units"'; do
     grep -q "$want" "$tmp/nway.json" || {
       echo "samplers: N-way results.json missing $want" >&2
       return 1
@@ -819,6 +819,10 @@ run_samplers() {
   )
 }
 
+run_benchbuild() {
+  go vet -C bench . && go test -C bench .
+}
+
 run_bench() {
   local args=()
   if [[ "${BENCH_HARD:-0}" == "1" ]]; then
@@ -832,6 +836,7 @@ run_stage() {
     fmt)    stage fmt check_fmt ;;
     vet)    stage vet go vet ./... ;;
     build)  stage build go build ./... ;;
+    benchbuild) stage benchbuild run_benchbuild ;;
     test)   stage test go test ./... ;;
     race)   stage race go test -race ./internal/gpusim/ ./internal/experiments/ \
               ./internal/core/ ./internal/par/ ./internal/durable/ \
