@@ -10,6 +10,7 @@
 package tbpoint_test
 
 import (
+	"fmt"
 	"testing"
 
 	"tbpoint"
@@ -322,15 +323,49 @@ func BenchmarkTraceExpansion(b *testing.B) {
 	}
 }
 
+// BenchmarkFunctionalProfile measures the one-time profiling pass: a small
+// application, and conv at scale 2, whose launches are large enough that the
+// per-thread-block cost is all that shows.
 func BenchmarkFunctionalProfile(b *testing.B) {
-	app := tbpoint.MustBenchmark("spmv", 0.05)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prof := tbpoint.Profile(app)
-		if len(prof.Profiles) == 0 {
-			b.Fatal("no profiles")
-		}
+	for _, c := range []struct {
+		bench string
+		scale float64
+	}{{"spmv", benchScale}, {"conv", 2}} {
+		b.Run(fmt.Sprintf("%s-%g", c.bench, c.scale), func(b *testing.B) {
+			app := tbpoint.MustBenchmark(c.bench, c.scale)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				prof := tbpoint.Profile(app)
+				if len(prof.Profiles) == 0 {
+					b.Fatal("no profiles")
+				}
+			}
+			b.ReportMetric(float64(app.TotalBlocks())*float64(b.N)/b.Elapsed().Seconds(), "tbs/s")
+		})
 	}
+}
+
+// BenchmarkRegionIdentification runs homogeneous region identification on
+// black at scale 8 — thousands of epochs per launch, the size at which
+// clustering the epoch vector through a distance matrix dominated memory.
+func BenchmarkRegionIdentification(b *testing.B) {
+	app := tbpoint.MustBenchmark("black", 8)
+	prof := tbpoint.Profile(app)
+	cfg := gpusim.DefaultConfig()
+	occ := cfg.Limits.SystemOccupancy(app.Launches[0].Kernel, cfg.NumSMs)
+	opts := core.DefaultOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	epochs := 0
+	for i := 0; i < b.N; i++ {
+		rt := core.IdentifyRegions(prof.Profiles[0], occ, opts.SigmaIntra, opts.VarFactor)
+		if rt.NumRegions == 0 {
+			b.Fatal("no regions")
+		}
+		epochs = len(rt.Epochs)
+	}
+	b.ReportMetric(float64(epochs), "epochs")
 }
 
 func BenchmarkHierarchicalClustering(b *testing.B) {

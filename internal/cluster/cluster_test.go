@@ -375,3 +375,58 @@ func TestNNChainMatchesNaiveProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: on scalar inputs the interval path Hierarchical selects and the
+// generic matrix path build the same dendrogram — every merge (A, B, Height)
+// bit for bit — and so the same cut at any threshold. The inputs are the
+// shapes that stress the tie-break: duplicates, evenly spaced values,
+// all-equal vectors, values around 1 (mean-normalised stall probabilities),
+// a wide dynamic range, and gaps small enough that their square underflows.
+func TestScalarPathMatchesMatrixPath(t *testing.T) {
+	rng := stats.NewRNG(7)
+	gens := []struct {
+		name string
+		gen  func(i, n int) float64
+	}{
+		{"uniform", func(i, n int) float64 { return rng.Float64() }},
+		{"duplicates", func(i, n int) float64 { return float64(rng.Intn(5)) / 4 }},
+		{"even", func(i, n int) float64 { return float64(i) * 0.1 }},
+		{"evenShuffled", func(i, n int) float64 { return float64((i*7)%n) * 0.125 }},
+		{"allEqual", func(i, n int) float64 { return 0.75 }},
+		{"nearOne", func(i, n int) float64 { return 1 + rng.Gaussian(0, 0.05) }},
+		{"twoPhases", func(i, n int) float64 { return float64(i*2/n) + rng.Gaussian(0, 1e-3) }},
+		{"wideRange", func(i, n int) float64 { return math.Exp(rng.Gaussian(0, 20)) }},
+		{"underflow", func(i, n int) float64 { return float64(rng.Intn(4)) * 1e-170 }},
+		{"signedZero", func(i, n int) float64 { return math.Copysign(0, float64(i%2)-0.5) }},
+	}
+	for _, g := range gens {
+		name := g.name
+		for _, n := range []int{2, 3, 7, 32, 150} {
+			pts := make([][]float64, n)
+			for i := range pts {
+				pts[i] = []float64{g.gen(i, n)}
+			}
+			got := Hierarchical(pts)
+			want := nnChain(n, newMatrixLinkage(pts))
+			if got.N != want.N || len(got.Merges) != len(want.Merges) {
+				t.Fatalf("%s n=%d: %d merges over %d points, matrix path %d over %d",
+					name, n, len(got.Merges), got.N, len(want.Merges), want.N)
+			}
+			for i, m := range got.Merges {
+				w := want.Merges[i]
+				if m.A != w.A || m.B != w.B || math.Float64bits(m.Height) != math.Float64bits(w.Height) {
+					t.Fatalf("%s n=%d merge %d: %+v, matrix path %+v", name, n, i, m, w)
+				}
+			}
+			for _, sigma := range []float64{0, 1e-3, 0.1, 0.2, 1, math.Inf(1)} {
+				a, w := got.CutThreshold(sigma), want.CutThreshold(sigma)
+				for i := range a {
+					if a[i] != w[i] {
+						t.Fatalf("%s n=%d sigma=%v: point %d in cluster %d, matrix path %d",
+							name, n, sigma, i, a[i], w[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -33,44 +33,62 @@ func Euclidean(a, b []float64) float64 {
 }
 
 // Hierarchical performs agglomerative clustering with complete linkage over
-// the given points using the nearest-neighbour-chain algorithm, which runs
-// in O(n²) time and memory. Complete linkage is chosen because the paper
-// defines the distance threshold σ as "the maximum distance between any two
-// points in a cluster".
+// the given points using the nearest-neighbour-chain algorithm. Complete
+// linkage is chosen because the paper defines the distance threshold σ as
+// "the maximum distance between any two points in a cluster".
+//
+// The chain takes O(n²) time. Memory depends on the input's dimension alone:
+// one-dimensional points (the epoch vectors of region identification) are
+// clustered from per-cluster intervals in O(n) memory, any other input
+// (the inter-launch feature vectors) from an n×n distance matrix. Both
+// produce the same dendrogram for the same one-dimensional input.
 func Hierarchical(points [][]float64) *Dendrogram {
 	n := len(points)
-	d := &Dendrogram{N: n}
 	if n <= 1 {
-		return d
+		return &Dendrogram{N: n}
 	}
+	if xs, ok := scalars(points); ok {
+		return nnChain(n, newIntervalLinkage(xs))
+	}
+	return nnChain(n, newMatrixLinkage(points))
+}
 
-	// Condensed distance state: dist[i][j] for active cluster ids. Cluster
-	// ids are 0..n-1 for leaves and n+i for merge i. We keep a dense map
-	// from active slot -> cluster id and a distance matrix over slots,
-	// updating in place with the Lance-Williams rule for complete linkage:
-	// D(k, i∪j) = max(D(k,i), D(k,j)).
+// scalars returns the coordinates of points when every point is
+// one-dimensional.
+func scalars(points [][]float64) ([]float64, bool) {
+	xs := make([]float64, len(points))
+	for i, p := range points {
+		if len(p) != 1 {
+			return nil, false
+		}
+		xs[i] = p[0]
+	}
+	return xs, true
+}
+
+// linkage holds the complete-linkage distances between the live clusters of
+// an agglomeration. Clusters live in slots 0..n-1; a merge keeps the lower
+// slot.
+type linkage interface {
+	// nearest returns the live slot closest to top and its distance,
+	// scanning slots in ascending order and keeping the first on ties.
+	nearest(top int, alive []bool) (slot int, dist float64)
+	// merge folds slot j into slot i (i < j, both live).
+	merge(i, j int, alive []bool)
+}
+
+// nnChain runs the nearest-neighbour chain over n >= 2 leaves.
+func nnChain(n int, lk linkage) *Dendrogram {
+	d := &Dendrogram{N: n, Merges: make([]Merge, 0, n-1)}
+	// Cluster ids are 0..n-1 for leaves and n+i for merge i.
 	active := make([]int, n) // slot -> cluster id
+	alive := make([]bool, n)
 	for i := range active {
 		active[i] = i
-	}
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dv := Euclidean(points[i], points[j])
-			dist[i][j] = dv
-			dist[j][i] = dv
-		}
-	}
-	alive := make([]bool, n)
-	for i := range alive {
 		alive[i] = true
 	}
 	nAlive := n
 
-	// Nearest-neighbour chain.
 	chain := make([]int, 0, n)
 	for nAlive > 1 {
 		if len(chain) == 0 {
@@ -82,16 +100,7 @@ func Hierarchical(points [][]float64) *Dendrogram {
 			}
 		}
 		top := chain[len(chain)-1]
-		// Find nearest alive neighbour of top.
-		best, bestD := -1, math.Inf(1)
-		for s := 0; s < n; s++ {
-			if !alive[s] || s == top {
-				continue
-			}
-			if dv := dist[top][s]; dv < bestD {
-				best, bestD = s, dv
-			}
-		}
+		best, bestD := lk.nearest(top, alive)
 		// Reciprocal nearest neighbours? (the previous chain element)
 		if len(chain) >= 2 && chain[len(chain)-2] == best {
 			// Merge slots top and best into slot min(top,best).
@@ -101,24 +110,103 @@ func Hierarchical(points [][]float64) *Dendrogram {
 				i, j = j, i
 			}
 			d.Merges = append(d.Merges, Merge{A: active[i], B: active[j], Height: bestD})
-			newID := n + len(d.Merges) - 1
-			// Lance-Williams complete-linkage update into slot i.
-			for s := 0; s < n; s++ {
-				if !alive[s] || s == i || s == j {
-					continue
-				}
-				m := math.Max(dist[s][i], dist[s][j])
-				dist[s][i] = m
-				dist[i][s] = m
-			}
+			lk.merge(i, j, alive)
 			alive[j] = false
-			active[i] = newID
+			active[i] = n + len(d.Merges) - 1
 			nAlive--
 		} else {
 			chain = append(chain, best)
 		}
 	}
 	return d
+}
+
+// matrixLinkage keeps a dense distance matrix over slots, updated in place
+// with the Lance-Williams rule for complete linkage:
+// D(k, i∪j) = max(D(k,i), D(k,j)).
+type matrixLinkage struct {
+	dist [][]float64
+}
+
+func newMatrixLinkage(points [][]float64) *matrixLinkage {
+	n := len(points)
+	dist := make([][]float64, n)
+	for i := range dist {
+		dist[i] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			dv := Euclidean(points[i], points[j])
+			dist[i][j] = dv
+			dist[j][i] = dv
+		}
+	}
+	return &matrixLinkage{dist: dist}
+}
+
+func (m *matrixLinkage) nearest(top int, alive []bool) (int, float64) {
+	best, bestD := -1, math.Inf(1)
+	for s, dv := range m.dist[top] {
+		if !alive[s] || s == top {
+			continue
+		}
+		if dv < bestD {
+			best, bestD = s, dv
+		}
+	}
+	return best, bestD
+}
+
+func (m *matrixLinkage) merge(i, j int, alive []bool) {
+	for s := range m.dist {
+		if !alive[s] || s == i || s == j {
+			continue
+		}
+		v := math.Max(m.dist[s][i], m.dist[s][j])
+		m.dist[s][i] = v
+		m.dist[i][s] = v
+	}
+}
+
+// intervalLinkage is complete linkage over scalars without the matrix: the
+// largest pairwise distance between two clusters of reals is the larger of
+// their two end-to-end gaps, so each slot carries only its cluster's [lo, hi].
+// Rounding is monotone, so evaluating Euclidean's expression on the wider
+// gap gives bit for bit the maximum of Euclidean over all pairs, which is
+// what matrixLinkage holds.
+type intervalLinkage struct {
+	lo, hi []float64
+}
+
+func newIntervalLinkage(xs []float64) *intervalLinkage {
+	return &intervalLinkage{lo: xs, hi: append([]float64(nil), xs...)}
+}
+
+func (v *intervalLinkage) nearest(top int, alive []bool) (int, float64) {
+	lo, hi := v.lo[top], v.hi[top]
+	best, bestD := -1, math.Inf(1)
+	for s, ok := range alive {
+		if !ok || s == top {
+			continue
+		}
+		gap := math.Abs(hi - v.lo[s])
+		if g := math.Abs(v.hi[s] - lo); g > gap {
+			gap = g
+		}
+		if dv := math.Sqrt(gap * gap); dv < bestD {
+			best, bestD = s, dv
+		}
+	}
+	return best, bestD
+}
+
+func (v *intervalLinkage) merge(i, j int, _ []bool) {
+	if v.lo[j] < v.lo[i] {
+		v.lo[i] = v.lo[j]
+	}
+	if v.hi[j] > v.hi[i] {
+		v.hi[i] = v.hi[j]
+	}
 }
 
 // CutThreshold cuts the dendrogram at height sigma and returns the cluster

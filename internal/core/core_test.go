@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"tbpoint/internal/funcsim"
@@ -478,4 +479,49 @@ func distance(a, b []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
+}
+
+// SampleLaunch adds each fast-forwarded region's skipped/ipc term to
+// PredictedCycles in ascending region ID, so repeated calls agree exactly.
+// Float addition is not associative: with three or more fast-forwarded
+// regions a map-order sum differs in the last digit run to run.
+func TestSampleLaunchRepeatable(t *testing.T) {
+	sim := gpusim.MustNew(testConfig())
+	k := phasedKernel()
+	l := launchWithPhases(k, 2000, [][2]int{{16, 1}, {8, 2}, {4, 4}, {2, 8}, {1, 16}})
+	lp := funcsim.ProfileLaunch(l)
+	occ := sim.Config().Limits.SystemOccupancy(k, sim.Config().NumSMs)
+	rt := IdentifyRegions(lp, occ, 0.2, 0.3)
+	ref := SampleLaunch(sim, l, lp, rt, DefaultOptions())
+	if len(ref.SkippedByRegion) < 3 {
+		t.Fatalf("%d fast-forwarded regions, need >= 3 for summation order to matter", len(ref.SkippedByRegion))
+	}
+	for i := 0; i < 50; i++ {
+		got := SampleLaunch(sim, l, lp, rt, DefaultOptions())
+		if math.Float64bits(got.PredictedCycles) != math.Float64bits(ref.PredictedCycles) {
+			t.Fatalf("call %d: PredictedCycles %v, first call %v", i, got.PredictedCycles, ref.PredictedCycles)
+		}
+	}
+}
+
+// Region identification clusters a one-dimensional epoch vector, which needs
+// O(epochs) memory; an n×n distance matrix over these 8192 epochs would be
+// 512 MB.
+func TestIdentifyRegionsMemoryLinearInEpochs(t *testing.T) {
+	const epochs, occ = 8192, 4
+	lp := fakeProfile(epochs*occ, 100)
+	for tb := range lp.Blocks {
+		// Two phases of memory intensity with a slow drift inside each.
+		lp.Blocks[tb].MemRequests = int64(10 + 40*(tb*2/len(lp.Blocks)) + tb/occ%7)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rt := IdentifyRegions(lp, occ, 0.2, 0.3)
+	runtime.ReadMemStats(&after)
+	if len(rt.Epochs) != epochs || rt.NumRegions != 2 {
+		t.Fatalf("%d epochs in %d regions, want %d in 2", len(rt.Epochs), rt.NumRegions, epochs)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Errorf("IdentifyRegions allocated %d bytes for %d epochs, want at most 4 MB", got, epochs)
+	}
 }

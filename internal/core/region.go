@@ -26,15 +26,19 @@ func BuildEpochs(lp *funcsim.LaunchProfile, occupancy int) []Epoch {
 		occupancy = 1
 	}
 	n := lp.NumBlocks()
-	var epochs []Epoch
+	epochs := make([]Epoch, 0, n/occupancy+1)
+	// One scratch buffer per series, reused by every epoch.
+	width := min(occupancy, n)
+	probs := make([]float64, 0, width)
+	xs := make([]float64, 0, width)
+	ys := make([]float64, 0, width)
 	for start := 0; start < n; start += occupancy {
 		end := start + occupancy
 		if end > n {
 			end = n
 		}
-		var probs, xs, ys []float64
-		for tb := start; tb < end; tb++ {
-			b := lp.Blocks[tb]
+		probs, xs, ys = probs[:0], xs[:0], ys[:0]
+		for _, b := range lp.Blocks[start:end] {
 			probs = append(probs, b.StallProb())
 			xs = append(xs, float64(b.MemRequests))
 			ys = append(ys, float64(b.WarpInsts))

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"tbpoint/internal/funcsim"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/kernel"
@@ -299,8 +301,16 @@ func SampleLaunch(sim *gpusim.Simulator, l *kernel.Launch, lp *funcsim.LaunchPro
 
 	// Table IV: predicted launch cycles = simulated cycles plus the
 	// fast-forwarded instructions at each region's sampled IPC.
+	// Summed in ascending region ID: float addition is order dependent and
+	// map iteration order is not repeatable.
 	pred := float64(res.Cycles)
-	for r, skipped := range rs.skippedByRegion {
+	regions := make([]int, 0, len(rs.skippedByRegion))
+	for r := range rs.skippedByRegion {
+		regions = append(regions, r)
+	}
+	sort.Ints(regions)
+	for _, r := range regions {
+		skipped := rs.skippedByRegion[r]
 		ipc := rs.regionIPC[r]
 		if ipc <= 0 {
 			// Defensive: a region was skipped without a recorded IPC

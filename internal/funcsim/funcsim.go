@@ -12,14 +12,17 @@
 // profiling property (Table II).
 //
 // Two paths produce identical results: ProfileLaunch derives the counters
-// analytically from the kernel IR (fast; used for large launches), and
-// EmulateLaunch walks the launch's instruction streams event by event
-// (the reference implementation; also the only option for recorded traces).
-// The test suite checks they agree.
+// analytically from the kernel IR (one allocation-free walk over the kernel
+// program per thread block, so its cost is linear in thread blocks; used for
+// large launches), and EmulateLaunch walks the launch's instruction streams
+// event by event (the reference implementation; also the only option for
+// recorded traces). The test suite checks they agree. ProfileApp runs
+// ProfileLaunch for every launch, fanned out over the shared worker budget.
 package funcsim
 
 import (
 	"tbpoint/internal/kernel"
+	"tbpoint/internal/par"
 	"tbpoint/internal/stats"
 	"tbpoint/internal/trace"
 )
@@ -101,35 +104,42 @@ func (lp *LaunchProfile) TBSizeCoV() float64 {
 }
 
 // ProfileLaunch profiles a launch analytically from its IR. It is
-// equivalent to EmulateLaunch over the launch's synthetic trace.
+// equivalent to EmulateLaunch over the launch's synthetic trace. Each thread
+// block costs one walk over the kernel program and no allocation.
 func ProfileLaunch(l *kernel.Launch) *LaunchProfile {
-	nb := l.NumBlocks()
+	prog := l.Kernel.Program
 	lp := &LaunchProfile{
-		Blocks:      make([]TBProfile, nb),
-		BlockCounts: make([]int64, len(l.Kernel.Program.Blocks)),
+		Blocks:      make([]TBProfile, l.NumBlocks()),
+		BlockCounts: make([]int64, len(prog.Blocks)),
 	}
+	for tb := range lp.Blocks {
+		b := &lp.Blocks[tb]
+		b.ThreadInsts, b.WarpInsts, b.MemRequests = l.Counts(tb, lp.BlockCounts)
+	}
+	// BlockCounts now holds per-warp execution counts summed over the
+	// launch. BBV semantics follow SimPoint: a basic block's weight is the
+	// number of instructions executed within it, not the number of times it
+	// was entered.
 	warps := int64(l.Kernel.WarpsPerBlock())
-	for tb := 0; tb < nb; tb++ {
-		lp.Blocks[tb] = TBProfile{
-			ThreadInsts: l.ThreadInsts(tb),
-			WarpInsts:   l.WarpInsts(tb),
-			MemRequests: l.MemRequests(tb),
-		}
-		for bi, c := range l.Kernel.Program.BlockCounts(l.Params[tb].Trips) {
-			// BBV semantics follow SimPoint: a basic block's weight is the
-			// number of instructions executed within it, not the number of
-			// times it was entered.
-			lp.BlockCounts[bi] += c * warps * int64(len(l.Kernel.Program.Blocks[bi].Instrs))
-		}
+	for bi := range lp.BlockCounts {
+		lp.BlockCounts[bi] *= warps * int64(len(prog.Blocks[bi].Instrs))
 	}
 	return lp
 }
 
-// ProfileApp profiles every launch of an application.
+// ProfileApp profiles every launch of an application. Launches are
+// independent, so they fan out over the shared worker budget (internal/par)
+// and land by launch index.
 func ProfileApp(app *kernel.App) []*LaunchProfile {
 	out := make([]*LaunchProfile, len(app.Launches))
-	for i, l := range app.Launches {
-		out[i] = ProfileLaunch(l)
+	err := par.ForEach(len(out), func(i int) error {
+		out[i] = ProfileLaunch(app.Launches[i])
+		return nil
+	})
+	if err != nil {
+		// The tasks return no error, so this is a recovered task panic
+		// (*par.PanicError): re-raise it on the caller's goroutine.
+		panic(err)
 	}
 	return out
 }

@@ -1,11 +1,13 @@
 package funcsim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"tbpoint/internal/isa"
 	"tbpoint/internal/kernel"
+	"tbpoint/internal/par"
 	"tbpoint/internal/trace"
 )
 
@@ -114,16 +116,37 @@ func TestTBSizesAndCoV(t *testing.T) {
 	}
 }
 
+// ProfileApp fans launches out over the shared worker budget; every profile
+// must land at its launch's index and equal the launch's own ProfileLaunch.
 func TestProfileApp(t *testing.T) {
-	app := &kernel.App{Name: "a", Launches: []*kernel.Launch{
-		buildLaunch(3, 1), buildLaunch(5, 1),
-	}}
-	profs := ProfileApp(app)
-	if len(profs) != 2 {
-		t.Fatalf("got %d profiles", len(profs))
+	par.SetLimit(4)
+	t.Cleanup(func() { par.SetLimit(0) })
+	app := &kernel.App{Name: "a"}
+	for i := 0; i < 40; i++ {
+		app.Launches = append(app.Launches, buildLaunch(3+i*5, 1))
 	}
-	if profs[0].NumBlocks() != 3 || profs[1].NumBlocks() != 5 {
-		t.Error("profile shapes wrong")
+	profs := ProfileApp(app)
+	if len(profs) != len(app.Launches) {
+		t.Fatalf("got %d profiles for %d launches", len(profs), len(app.Launches))
+	}
+	for i, l := range app.Launches {
+		if !reflect.DeepEqual(profs[i], ProfileLaunch(l)) {
+			t.Errorf("launch %d: fanned-out profile differs from ProfileLaunch", i)
+		}
+	}
+}
+
+// The per-thread-block walk must not allocate: a launch's profile costs the
+// same few allocations (the profile and its two slices) at any size.
+func TestProfileLaunchAllocsIndependentOfSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	small, large := buildLaunch(1_000, 0.5), buildLaunch(100_000, 0.5)
+	a := testing.AllocsPerRun(5, func() { ProfileLaunch(small) })
+	b := testing.AllocsPerRun(5, func() { ProfileLaunch(large) })
+	if a != b || a > 3 {
+		t.Errorf("allocations per ProfileLaunch: %v at 1k blocks, %v at 100k; want the same, at most 3", a, b)
 	}
 }
 

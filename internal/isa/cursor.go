@@ -48,21 +48,9 @@ func (c *Cursor) Init(p *Program, trips []int) {
 	c.skipDeadBlocks()
 }
 
-// trip returns the effective trip count of block b: 1 outside loops, the
-// clamped trip parameter inside (matching Program.blockTrips).
+// trip returns the effective trip count of block b (Program.tripOf).
 func (c *Cursor) trip(b int) int {
-	li := c.loopOf[b]
-	if li < 0 {
-		return 1
-	}
-	t := 1
-	if tp := c.p.Loops[li].TripParam; tp < len(c.raw) {
-		t = c.raw[tp]
-	}
-	if t < 0 {
-		t = 0
-	}
-	return t
+	return c.p.tripOf(c.loopOf, c.raw, b)
 }
 
 // skipDeadBlocks advances past blocks whose trip count is zero.

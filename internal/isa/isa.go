@@ -200,61 +200,73 @@ func (p *Program) NumTripParams() int {
 	return n
 }
 
-// blockTrips returns how many times each block executes for the given trip
-// counts. Missing trip values default to 1; negative values clamp to 0.
-func (p *Program) blockTrips(trips []int) []int64 {
-	counts := make([]int64, len(p.Blocks))
-	for i := range counts {
-		counts[i] = 1
+// tripOf returns how many times block b executes for the given trip counts:
+// once outside loops, the loop's trip parameter inside. Missing trip values
+// default to 1; negative values clamp to 0. loopOf is p.loopIndex().
+func (p *Program) tripOf(loopOf []int, trips []int, b int) int {
+	li := loopOf[b]
+	if li < 0 {
+		return 1
 	}
-	for _, l := range p.Loops {
-		t := 1
-		if l.TripParam < len(trips) {
-			t = trips[l.TripParam]
+	t := 1
+	if tp := p.Loops[li].TripParam; tp < len(trips) {
+		t = trips[tp]
+	}
+	if t < 0 {
+		t = 0
+	}
+	return t
+}
+
+// Count walks the program once for one warp with the given loop trip counts
+// and returns the dynamic warp instructions it executes and the
+// global-memory requests it issues, assuming activeFrac of the 32 lanes are
+// active (control divergence reduces the requests a partially-active warp
+// can generate, but never below one per executed memory instruction). When
+// execs is non-nil it must have one entry per block, and each block's
+// execution count is added to it. Count does not allocate for programs made
+// by Builder.Build.
+func (p *Program) Count(trips []int, activeFrac float64, execs []int64) (warpInsts, memReqs int64) {
+	loopOf := p.loopIndex()
+	for bi := range p.Blocks {
+		t := int64(p.tripOf(loopOf, trips, bi))
+		if execs != nil {
+			execs[bi] += t
 		}
-		if t < 0 {
-			t = 0
+		if t == 0 {
+			continue
 		}
-		for b := l.Begin; b < l.End; b++ {
-			counts[b] = int64(t)
+		instrs := p.Blocks[bi].Instrs
+		warpInsts += t * int64(len(instrs))
+		for i := range instrs {
+			if in := &instrs[i]; in.Op.IsMem() {
+				memReqs += t * int64(RequestsPerAccess(in.Coalesce, activeFrac))
+			}
 		}
 	}
-	return counts
+	return warpInsts, memReqs
 }
 
 // BlockCounts returns the per-block dynamic execution counts for one warp
 // with the given loop trip counts. This is the basic block vector before
 // normalisation.
 func (p *Program) BlockCounts(trips []int) []int64 {
-	return p.blockTrips(trips)
+	execs := make([]int64, len(p.Blocks))
+	p.Count(trips, 1, execs)
+	return execs
 }
 
 // WarpInstCount returns the number of dynamic warp instructions one warp
 // executes with the given trip counts.
 func (p *Program) WarpInstCount(trips []int) int64 {
-	counts := p.blockTrips(trips)
-	var n int64
-	for bi, b := range p.Blocks {
-		n += counts[bi] * int64(len(b.Instrs))
-	}
+	n, _ := p.Count(trips, 1, nil)
 	return n
 }
 
 // MemRequestCount returns the number of global-memory requests one warp
-// issues with the given trip counts, assuming activeFrac of the 32 lanes are
-// active (control divergence reduces the requests a partially-active warp
-// can generate, but never below one per executed memory instruction).
+// issues with the given trip counts and active-lane fraction (see Count).
 func (p *Program) MemRequestCount(trips []int, activeFrac float64) int64 {
-	counts := p.blockTrips(trips)
-	var n int64
-	for bi, b := range p.Blocks {
-		for _, in := range b.Instrs {
-			if !in.Op.IsMem() {
-				continue
-			}
-			n += counts[bi] * int64(RequestsPerAccess(in.Coalesce, activeFrac))
-		}
-	}
+	_, n := p.Count(trips, activeFrac, nil)
 	return n
 }
 

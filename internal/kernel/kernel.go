@@ -101,31 +101,43 @@ func (l *Launch) Validate() error {
 // NumBlocks returns the number of thread blocks in the launch.
 func (l *Launch) NumBlocks() int { return len(l.Params) }
 
+// Counts returns thread block tb's thread instructions, warp instructions
+// and global/local memory requests (all warps of the block) from one walk
+// over the kernel program. A non-nil execs receives the per-warp block
+// execution counts, as in isa.Program.Count.
+func (l *Launch) Counts(tb int, execs []int64) (threadInsts, warpInsts, memReqs int64) {
+	p := &l.Params[tb]
+	warps := int64(l.Kernel.WarpsPerBlock())
+	warpInsts, memReqs = l.Kernel.Program.Count(p.Trips, p.ActiveFrac, execs)
+	warpInsts *= warps
+	memReqs *= warps
+	af := p.ActiveFrac
+	if af <= 0 || af > 1 {
+		af = 1
+	}
+	return int64(float64(warpInsts) * WarpSize * af), warpInsts, memReqs
+}
+
 // WarpInsts returns the number of warp instructions thread block tb
 // executes (all warps of the block).
 func (l *Launch) WarpInsts(tb int) int64 {
-	p := &l.Params[tb]
-	return l.Kernel.Program.WarpInstCount(p.Trips) * int64(l.Kernel.WarpsPerBlock())
+	_, n, _ := l.Counts(tb, nil)
+	return n
 }
 
 // ThreadInsts returns the number of thread instructions thread block tb
 // executes: warp instructions scaled by the active-lane count. This is the
 // "thread block size" feature of Eq. 2 and Fig. 8.
 func (l *Launch) ThreadInsts(tb int) int64 {
-	p := &l.Params[tb]
-	af := p.ActiveFrac
-	if af <= 0 || af > 1 {
-		af = 1
-	}
-	return int64(float64(l.WarpInsts(tb)) * WarpSize * af)
+	n, _, _ := l.Counts(tb, nil)
+	return n
 }
 
 // MemRequests returns the number of global/local memory requests thread
 // block tb issues (all warps).
 func (l *Launch) MemRequests(tb int) int64 {
-	p := &l.Params[tb]
-	return l.Kernel.Program.MemRequestCount(p.Trips, p.ActiveFrac) *
-		int64(l.Kernel.WarpsPerBlock())
+	_, _, n := l.Counts(tb, nil)
+	return n
 }
 
 // TotalWarpInsts returns the launch's total warp instructions.

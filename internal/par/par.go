@@ -2,11 +2,12 @@
 // fan independent simulations out over CPUs.
 //
 // Every parallel loop in the repository — benchmark grids in
-// internal/experiments, per-launch full-app simulation, the representative
-// simulations inside core.Retarget — draws extra workers from one shared
-// budget instead of each spawning its own pool. Nested fan-outs therefore
-// never multiply: a benchmark grid running B cells that each simulate L
-// launches uses at most Limit goroutines in total, not B*L.
+// internal/experiments, per-launch profiling in internal/funcsim, per-launch
+// full-app simulation, the representative simulations inside core.Retarget —
+// draws extra workers from one shared budget instead of each spawning its
+// own pool. Nested fan-outs therefore never multiply: a benchmark grid
+// running B cells that each simulate L launches uses at most Limit
+// goroutines in total, not B*L.
 //
 // The scheme is caller-runs: ForEach always executes work on the calling
 // goroutine, and only *extra* workers consume budget tokens. A caller is

@@ -11,8 +11,9 @@
 #   test    the full unit/integration suite
 #   race    race-detector pass over the packages that run simulations
 #           concurrently (the shared worker budget fans launches and
-#           benchmark cells out over goroutines; see DESIGN.md) plus the
-#           job server and the live-snapshot metrics paths
+#           benchmark cells out over goroutines; see DESIGN.md), the
+#           profiler's launch fan-out (funcsim) and the clustering it
+#           feeds, plus the job server and the live-snapshot metrics paths
 #   chaos   the cancellation/fault-injection suite (internal/faultcheck
 #           driven): mid-run cancellation, per-cell panic isolation,
 #           retry/resume/corruption handling across par, gpusim, core,
@@ -840,7 +841,8 @@ run_stage() {
     test)   stage test go test ./... ;;
     race)   stage race go test -race ./internal/gpusim/ ./internal/experiments/ \
               ./internal/core/ ./internal/par/ ./internal/durable/ \
-              ./internal/metrics/ ./internal/server/ ;;
+              ./internal/metrics/ ./internal/server/ ./internal/funcsim/ \
+              ./internal/cluster/ ;;
     chaos)  stage chaos run_chaos ;;
     fuzz)   stage fuzz run_fuzz ;;
     golden) stage golden go run ./cmd/goldencheck ;;
