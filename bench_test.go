@@ -218,9 +218,9 @@ func BenchmarkRunLaunchEventLoop(b *testing.B) {
 }
 
 // BenchmarkRunLaunchEventLoopParallel runs the same scheduler-bound workload
-// under the epoch-synchronized parallel mode (-parallel-sm) with 8 workers
-// at the default quantum — the BENCH_gpusim.json `eventloop-black-par8`
-// scaling case.
+// under gpusim's epoch-synchronized parallel engine (RunOptions.Workers)
+// with 8 workers at the default quantum; bench/ tracks the engine's scaling
+// as gpusim.parsm2.scaling.*.
 func BenchmarkRunLaunchEventLoopParallel(b *testing.B) {
 	app := tbpoint.MustBenchmark("black", 0.05)
 	sim := tbpoint.MustNewSimulator(tbpoint.DefaultSimConfig())
@@ -237,7 +237,7 @@ func BenchmarkRunLaunchEventLoopParallel(b *testing.B) {
 // live metrics collector, quantifying the enabled cost of the observability
 // layer on the scheduler-bound hot path (the disabled cost is the delta
 // between BenchmarkRunLaunchEventLoop before and after internal/metrics
-// landed; BENCH_gpusim.json records both).
+// landed; bench/ tracks the enabled cost as metrics.enabled_overhead_pct).
 func BenchmarkRunLaunchEventLoopMetrics(b *testing.B) {
 	app := tbpoint.MustBenchmark("black", 0.05)
 	sim := tbpoint.MustNewSimulator(tbpoint.DefaultSimConfig())

@@ -5,11 +5,9 @@
 //	experiments [-scale f] [-seed n] [-bench a,b,c] [-v] <target>...
 //
 // Targets: table1 table6 fig5 fig8 fig9 fig10 fig11 fig12 fig13 accuracy
-// sensitivity agreement all. "accuracy" prints fig9+fig10+fig11 from one
-// run; "sensitivity" prints fig12+fig13 from one run; "all" runs everything
-// except "agreement", which audits the -parallel-sm event loop against the
-// serial reference (per-benchmark max cycle divergence, exact instruction
-// match) and fails the run past -max-divergence.
+// sensitivity motivation ablations all. "accuracy" prints fig9+fig10+fig11
+// from one run; "sensitivity" prints fig12+fig13 from one run; "all" runs
+// everything except "ablations".
 //
 // Long grids are restartable: -checkpoint-dir journals each completed grid
 // cell atomically and -resume replays the journal instead of re-simulating,
@@ -27,14 +25,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"tbpoint/internal/durable"
 	"tbpoint/internal/experiments"
@@ -56,7 +52,6 @@ func main() {
 	metricsJSON := flag.String("metrics-json", "", "collect observability metrics and write the snapshot as JSON to this file ('-' = stdout)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	benchJSON := flag.String("bench-json", "", "measure simulator throughput and write BENCH-style JSON to this file (no target needed)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); partial results are still written")
 	checkpointDir := flag.String("checkpoint-dir", "", "journal each completed grid cell into this directory (atomic, checksummed)")
 	resume := flag.Bool("resume", false, "skip grid cells already journaled in -checkpoint-dir instead of re-running them")
@@ -64,9 +59,6 @@ func main() {
 	cacheMax := flag.Int64("cache-max-bytes", 0, "byte budget for -checkpoint-dir; LRU entries are evicted over it (0 = unbounded)")
 	retries := flag.Int("retries", 1, "attempts per grid cell before its failure is recorded (exponential backoff with seeded jitter)")
 	cellDeadline := flag.Duration("cell-deadline", 0, "wall-time budget per grid cell, all attempts together (0 = no limit)")
-	parallelSM := flag.String("parallel-sm", "off", "simulator event loop: off = serial (bit-identical reference), N>1 = epoch-parallel with N workers")
-	quantum := flag.Int64("quantum", 0, "epoch length in cycles for -parallel-sm (0 = gpusim default)")
-	maxDivergence := flag.Float64("max-divergence", 0.05, "agreement target: fail when a benchmark's serial-vs-parallel cycle divergence exceeds this fraction")
 	flag.Parse()
 	experiments.Parallelism = *parN
 
@@ -116,17 +108,6 @@ func main() {
 			}
 		}()
 	}
-	if *benchJSON != "" {
-		err := durable.WriteFile(*benchJSON, func(w io.Writer) error {
-			return experiments.WriteThroughputJSON(w, 2*time.Second)
-		})
-		if err != nil {
-			fail(err)
-		}
-		if flag.NArg() == 0 {
-			return
-		}
-	}
 
 	targets := flag.Args()
 	if len(targets) == 0 {
@@ -150,12 +131,6 @@ func main() {
 		}
 		opts.Samplers = names
 	}
-	simWorkers, err := parseParallelSM(*parallelSM)
-	if err != nil {
-		fail(err)
-	}
-	opts.SimWorkers = simWorkers
-	opts.SimQuantum = *quantum
 	var mc *metrics.Collector
 	if *metricsJSON != "" {
 		mc = metrics.New()
@@ -209,11 +184,7 @@ func main() {
 	opts.Retry = experiments.RetryPolicy{Attempts: *retries, Seed: opts.Seed}
 	opts.CellDeadline = *cellDeadline
 
-	spec := experiments.RunSpec{
-		Targets:       targets,
-		Samples:       *samples,
-		MaxDivergence: *maxDivergence,
-	}
+	spec := experiments.RunSpec{Targets: targets, Samples: *samples}
 	bundle, runErr := experiments.RunTargets(opts, spec, os.Stdout)
 
 	if bundle.Aborted {
@@ -234,7 +205,7 @@ func main() {
 
 	// Observability flushes before the exit status is decided: a run cut
 	// short by SIGINT/-timeout or killed by a fatal target error (a broken
-	// checkpoint directory, a failed agreement gate) still writes its
+	// checkpoint directory, an unknown benchmark) still writes its
 	// metrics snapshot and partial results bundle, so server-driven and
 	// scripted runs stay observable.
 	if mc != nil {
@@ -263,19 +234,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", runErr)
 		exitCode = 1
 	}
-}
-
-// parseParallelSM maps the -parallel-sm flag to a gpusim worker count:
-// "off"/"0"/"1" select the serial loop (0), anything else must be an
-// integer > 1.
-func parseParallelSM(s string) (int, error) {
-	switch s {
-	case "", "off", "0", "1":
-		return 0, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 2 {
-		return 0, fmt.Errorf("-parallel-sm: want off or an integer > 1, got %q", s)
-	}
-	return n, nil
 }

@@ -26,7 +26,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
 
 	"tbpoint"
 	"tbpoint/internal/durable"
@@ -54,8 +53,6 @@ func main() {
 	metricsJSON := flag.String("metrics-json", "", "collect observability metrics and write the snapshot as JSON to this file ('-' = stdout)")
 	showMetrics := flag.Bool("metrics", false, "collect observability metrics and print the summary table")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-	parallelSM := flag.String("parallel-sm", "off", "event loop for the representative simulations: off = serial (bit-identical reference), N>1 = epoch-parallel with N workers")
-	quantum := flag.Int64("quantum", 0, "epoch length in cycles for -parallel-sm (0 = gpusim default)")
 	flag.Parse()
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -98,17 +95,6 @@ func main() {
 	opts.SigmaInter = *sigmaInter
 	opts.SigmaIntra = *sigmaIntra
 	opts.VarFactor = *vf
-	switch *parallelSM {
-	case "", "off", "0", "1":
-		// serial loop
-	default:
-		n, err := strconv.Atoi(*parallelSM)
-		if err != nil || n < 2 {
-			log.Fatalf("-parallel-sm: want off or an integer > 1, got %q", *parallelSM)
-		}
-		opts.SimWorkers = n
-		opts.SimQuantum = *quantum
-	}
 	var mc *tbpoint.Collector
 	if *metricsJSON != "" || *showMetrics {
 		mc = tbpoint.NewCollector()
@@ -117,17 +103,6 @@ func main() {
 
 	fmt.Printf("%s @ scale %g on %s: %d launches, %d thread blocks, %d warp insts\n",
 		app.Name, *scale, cfg.Name(), len(app.Launches), app.TotalBlocks(), app.TotalWarpInsts())
-	if opts.SimWorkers > 1 {
-		// The full reference below stays on the serial loop, so the error
-		// column quantifies TBPoint-with-parallel-sampling against serial
-		// ground truth.
-		q := opts.SimQuantum
-		if q < 1 {
-			q = tbpoint.DefaultQuantum
-		}
-		fmt.Printf("representative simulations: epoch-parallel event loop, %d workers (quantum %d)\n",
-			opts.SimWorkers, q)
-	}
 
 	var prof *tbpoint.AppProfile
 	if *loadProfile != "" {

@@ -155,9 +155,6 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 	bench := fs.String("bench", "", "comma-separated benchmark subset")
 	samplers := fs.String("samplers", "", "comma-separated estimation strategies (also 'default', 'all')")
 	samples := fs.Int("samples", 0, "Monte-Carlo samples for fig5 (0 = default)")
-	parallelSM := fs.Int("parallel-sm", 0, "simulator event loop: 0 = serial, N>=2 = epoch-parallel")
-	quantum := fs.Int64("quantum", 0, "epoch length in cycles for -parallel-sm")
-	maxDivergence := fs.Float64("max-divergence", 0, "agreement gate (0 = default 0.05)")
 	retries := fs.Int("retries", 0, "attempts per grid cell (0 = default 1)")
 	cellDeadline := fs.Duration("cell-deadline", 0, "wall-time budget per grid cell")
 	deadline := fs.Duration("deadline", 0, "wall-time budget for the whole job")
@@ -171,20 +168,17 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 		return fmt.Errorf("submit: no targets given")
 	}
 	spec := server.JobSpec{
-		Targets:       fs.Args(),
-		Scale:         *scale,
-		Seed:          *seed,
-		Samples:       *samples,
-		ParallelSM:    *parallelSM,
-		Quantum:       *quantum,
-		MaxDivergence: *maxDivergence,
-		Retries:       *retries,
-		CellDeadline:  server.Duration(*cellDeadline),
-		Deadline:      server.Duration(*deadline),
-		NoCache:       *noCache,
-		Client:        *clientName,
-		Priority:      *priority,
-		Fault:         *fault,
+		Targets:      fs.Args(),
+		Scale:        *scale,
+		Seed:         *seed,
+		Samples:      *samples,
+		Retries:      *retries,
+		CellDeadline: server.Duration(*cellDeadline),
+		Deadline:     server.Duration(*deadline),
+		NoCache:      *noCache,
+		Client:       *clientName,
+		Priority:     *priority,
+		Fault:        *fault,
 	}
 	if *bench != "" {
 		spec.Benchmarks = strings.Split(*bench, ",")

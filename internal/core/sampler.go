@@ -286,8 +286,7 @@ func SampleLaunch(sim *gpusim.Simulator, l *kernel.Launch, lp *funcsim.LaunchPro
 		OnTBRetire:   func(tb, sm int, cycle int64) { rs.onRetire(tb) },
 		OnUnitClose:  rs.onUnitClose,
 	}
-	res := sim.RunLaunch(l, gpusim.RunOptions{Hooks: hooks, Metrics: opts.Metrics, Ctx: opts.Ctx,
-		Workers: opts.SimWorkers, Quantum: opts.SimQuantum})
+	res := sim.RunLaunch(l, gpusim.RunOptions{Hooks: hooks, Metrics: opts.Metrics, Ctx: opts.Ctx})
 
 	ls := &LaunchSample{
 		Result:          res,

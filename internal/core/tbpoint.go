@@ -47,15 +47,6 @@ type Options struct {
 	// drift bias barely matters); long regions are exactly where a drift
 	// bias multiplies into a large error.
 	WarmWindowMinRegion int
-	// SimWorkers selects the simulator's event loop for the representative
-	// simulations: a value above one runs gpusim's epoch-synchronized
-	// parallel loop with that many workers (see gpusim.RunOptions.Workers);
-	// zero or one keeps the serial loop, bit-identical to builds without
-	// the parallel engine.
-	SimWorkers int
-	// SimQuantum is the parallel loop's epoch length in cycles; values
-	// below one select gpusim.DefaultQuantum. Ignored when SimWorkers <= 1.
-	SimQuantum int64
 	// Ctx, when non-nil, makes the pipeline cancellable: the representative
 	// fan-out stops claiming new launches once Ctx is cancelled, in-flight
 	// representative simulations abort at their next sampling-unit boundary,

@@ -10,6 +10,9 @@ import (
 	"time"
 
 	"tbpoint/internal/faultcheck"
+	"tbpoint/internal/gpusim"
+	"tbpoint/internal/kernel"
+	"tbpoint/internal/workloads"
 )
 
 // cancelOnFirstWrite cancels a context the first time anything is written to
@@ -115,6 +118,47 @@ func TestChaosPanicCellDegrades(t *testing.T) {
 	}
 	if ce.Stack == "" {
 		t.Error("panic cell error carries no stack trace")
+	}
+}
+
+// TestChaosLaunchPanicNamesThePanic: a launch whose simulation panics on a
+// fan-out worker (here a nil Kernel, dereferenced inside RunLaunch) must
+// reach the cell's CellError as that panic with the worker's stack — not as
+// the "context canceled" RunBenchmark reports for an aborted reference run.
+// RunAccuracy only builds registry benchmarks, so the test feeds the broken
+// app to the path it runs each cell through: runCellWithRetry around
+// fullAppCtx, recorded by a cellRecorder.
+func TestChaosLaunchPanicNamesThePanic(t *testing.T) {
+	spec, err := workloads.ByName("kmeans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := spec.Build(workloads.Config{Scale: 0.02, Seed: 3})
+	app.Launches[1] = &kernel.Launch{Index: 1}
+	sim := gpusim.MustNew(gpusim.DefaultConfig())
+
+	old := Parallelism
+	defer func() { Parallelism = old }()
+	for _, workers := range []int{1, 4} {
+		Parallelism = workers
+		rec := &cellRecorder{grid: "accuracy"}
+		meta, cellErr := fastOpts().runCellWithRetry(0, func(ctx context.Context) error {
+			if fullAppCtx(ctx, sim, app, 2000, nil, 0, 0).Aborted {
+				return context.Canceled
+			}
+			return nil
+		})
+		if cellErr == nil {
+			t.Fatalf("workers=%d: a panicking launch left no cell error", workers)
+		}
+		rec.record(0, app.Name, cellErr, meta)
+		ce := rec.sorted()[0]
+		if isCancellation(cellErr) || !strings.Contains(ce.Err, "panicked") || !strings.Contains(ce.Err, "nil pointer") {
+			t.Errorf("workers=%d: cell error %q does not name the launch's panic", workers, ce.Err)
+		}
+		if !strings.Contains(ce.Stack, "RunLaunch") {
+			t.Errorf("workers=%d: cell error stack does not reach the panicking RunLaunch:\n%s", workers, ce.Stack)
+		}
 	}
 }
 

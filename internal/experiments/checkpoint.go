@@ -23,9 +23,8 @@ const cellSchema = "cell/v2"
 // into fresh results.
 func (o Options) cellKey(grid, cell string, extra ...string) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s scale=%g seed=%d randfrac=%g unitdiv=%d min=%d max=%d simworkers=%d simquantum=%d",
-		cellSchema, o.Scale, o.Seed, o.RandomFrac, o.UnitDivisor, o.MinUnitInsts, o.MaxUnitInsts,
-		o.SimWorkers, o.SimQuantum)
+	fmt.Fprintf(h, "%s scale=%g seed=%d randfrac=%g unitdiv=%d min=%d max=%d",
+		cellSchema, o.Scale, o.Seed, o.RandomFrac, o.UnitDivisor, o.MinUnitInsts, o.MaxUnitInsts)
 	// The TBPoint options carry a context and a metrics collector; zero
 	// them so only result-determining fields reach the hash (pointer values
 	// would also make the key differ across processes).

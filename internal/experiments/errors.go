@@ -46,11 +46,17 @@ var cellFault *faultcheck.Injector
 // runCell executes one grid cell with panic isolation: a panic becomes a
 // *par.PanicError return. par's own worker-level recovery would only
 // surface the lowest-index panic of a loop; recovering per cell lets every
-// faulty cell be recorded individually.
+// faulty cell be recorded individually. A *par.PanicError re-raised from a
+// nested fan-out (fullAppCtx, funcsim.ProfileApp) is kept as is: its stack
+// is the goroutine that actually panicked.
 func runCell(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &par.PanicError{Value: r, Stack: debug.Stack()}
+			pe, ok := r.(*par.PanicError)
+			if !ok {
+				pe = &par.PanicError{Value: r, Stack: debug.Stack()}
+			}
+			err = pe
 		}
 	}()
 	if err := cellFault.Fire(); err != nil {

@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -55,15 +56,6 @@ type Options struct {
 	// selection. The canonical set is folded into the checkpoint cell keys
 	// so -resume and cache-served jobs never mix estimator configurations.
 	Samplers []string
-	// SimWorkers selects the simulator's epoch-parallel event loop for the
-	// harness's simulations (full references and, unless the TBPoint
-	// override says otherwise, the representative samples): >1 runs gpusim
-	// with that many workers per launch, 0/1 keeps the bit-identical serial
-	// loop. The CLIs wire -parallel-sm here; results record the mode.
-	SimWorkers int
-	// SimQuantum is the parallel loop's epoch length in cycles (<1 =
-	// gpusim.DefaultQuantum). Ignored when SimWorkers <= 1.
-	SimQuantum int64
 	// Ctx, when non-nil, makes the harness cancellable end to end: grids
 	// stop claiming new cells, in-flight simulations abort at their next
 	// sampling-unit boundary, and the Run* functions return Ctx's error.
@@ -156,12 +148,6 @@ func (o Options) tbpointOptions() core.Options {
 	if o.TBPoint != nil {
 		tb = *o.TBPoint
 	}
-	// The harness's parallel-simulation mode flows into the pipeline's
-	// representative simulations unless an explicit TBPoint override
-	// already chose a mode.
-	if tb.SimWorkers == 0 {
-		tb.SimWorkers, tb.SimQuantum = o.SimWorkers, o.SimQuantum
-	}
 	return tb
 }
 
@@ -196,7 +182,9 @@ func FullAppMetrics(sim *gpusim.Simulator, app *kernel.App, unitInsts int64, mc 
 // claiming new launches and aborts in-flight ones at their next
 // sampling-unit boundary, returning a partial AppRun flagged Aborted (with
 // nil entries for launches never started). A nil ctx behaves exactly like
-// FullAppMetrics.
+// FullAppMetrics. workers > 1 selects gpusim's epoch-parallel engine
+// (FullAppParallel is the only caller that does). A launch whose simulation
+// panics re-raises the worker's *par.PanicError on the caller's goroutine.
 func fullAppCtx(ctx context.Context, sim *gpusim.Simulator, app *kernel.App, unitInsts int64, mc *metrics.Collector, workers int, quantum int64) *sampling.AppRun {
 	// Launches are independent simulations of the same machine
 	// configuration, so they fan out over the shared worker budget; results
@@ -212,7 +200,7 @@ func fullAppCtx(ctx context.Context, sim *gpusim.Simulator, app *kernel.App, uni
 		}
 	}
 	run := &sampling.AppRun{Launches: make([]*gpusim.LaunchResult, len(app.Launches))}
-	_ = par.ForEachCtx(ctx, len(app.Launches), func(i int) error {
+	err := par.ForEachCtx(ctx, len(app.Launches), func(i int) error {
 		ropts := gpusim.RunOptions{
 			FixedUnitInsts: unitInsts,
 			CollectBBV:     true,
@@ -226,6 +214,13 @@ func fullAppCtx(ctx context.Context, sim *gpusim.Simulator, app *kernel.App, uni
 		run.Launches[i] = sim.RunLaunch(app.Launches[i], ropts)
 		return nil
 	})
+	// The tasks return no error, so err is either ctx's (the nil entries
+	// below flag the run Aborted) or a recovered simulator panic, which
+	// must not pass for an abort.
+	var pe *par.PanicError
+	if errors.As(err, &pe) {
+		panic(pe)
+	}
 	for _, c := range mcs {
 		mc.Merge(c)
 	}

@@ -26,15 +26,6 @@ type Results struct {
 	// Pareto is the per-workload error-vs-speedup frontier over the
 	// selected strategies (accuracy target).
 	Pareto []ParetoEntry `json:"pareto,omitempty"`
-	// ParallelSM / ParallelQuantum record the simulator event-loop mode the
-	// run used (-parallel-sm): 0 is the serial loop, >1 the epoch-parallel
-	// loop with that many workers and the given epoch length.
-	ParallelSM      int   `json:"parallel_sm,omitempty"`
-	ParallelQuantum int64 `json:"parallel_quantum,omitempty"`
-	// ParallelAgreement holds the serial-vs-parallel divergence audit (the
-	// `agreement` target): per benchmark, the max relative cycle error and
-	// whether instruction counts matched exactly.
-	ParallelAgreement []AgreementResult `json:"parallel_agreement,omitempty"`
 	// Errors records grid cells that failed (error or panic) while the rest
 	// of their grid completed; see CellError. Empty on a clean run.
 	Errors []CellError `json:"errors,omitempty"`

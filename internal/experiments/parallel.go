@@ -172,8 +172,7 @@ func RunSensitivity(opts Options) ([]SensResult, []CellError, error) {
 			if err != nil {
 				return err
 			}
-			full := fullAppCtx(ctx, sim, p.prof.App, opts.unitSize(p.prof.App.TotalWarpInsts()), nil,
-				opts.SimWorkers, opts.SimQuantum)
+			full := fullAppCtx(ctx, sim, p.prof.App, opts.unitSize(p.prof.App.TotalWarpInsts()), nil, 0, 0)
 			if full.Aborted {
 				if err := ctxErr(ctx); err != nil {
 					return err

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -10,11 +11,11 @@ import (
 	"tbpoint/internal/workloads"
 )
 
-// TestFullAppParallelDeterministic pins the launch fan-out to the
+// TestFullAppFanOutDeterministic pins the launch fan-out to the
 // sequential result: the full-app reference simulation must be
 // deep-equal — every counter, unit and BBV — no matter how many workers
 // run the launches.
-func TestFullAppParallelDeterministic(t *testing.T) {
+func TestFullAppFanOutDeterministic(t *testing.T) {
 	spec, err := workloads.ByName("kmeans") // multi-launch, exercises fan-out
 	if err != nil {
 		t.Fatal(err)
@@ -40,6 +41,42 @@ func TestFullAppParallelDeterministic(t *testing.T) {
 		for i := range ref.Launches {
 			if !reflect.DeepEqual(got.Launches[i], ref.Launches[i]) {
 				t.Errorf("workers=%d: launch %d differs from sequential run", workers, i)
+			}
+		}
+	}
+}
+
+// TestFullAppParallelAgreesWithSerial bounds what gpusim's epoch-parallel
+// engine may change when reached through FullAppParallel at the default
+// quantum: per launch, the simulated work is exactly the serial loop's and
+// the cycle count drifts by at most 5%; the worker count changes nothing.
+func TestFullAppParallelAgreesWithSerial(t *testing.T) {
+	sim := gpusim.MustNew(gpusim.DefaultConfig())
+	for _, name := range []string{"stream", "black", "cfd"} {
+		spec, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app := spec.Build(workloads.Config{Scale: 0.02, Seed: 7})
+		unit := DefaultOptions(0.02).unitSize(app.TotalWarpInsts())
+		serial := FullApp(sim, app, unit)
+		par2 := FullAppParallel(sim, app, unit, 2, 0)
+		par8 := FullAppParallel(sim, app, unit, 8, 0)
+		if serial.Aborted || par2.Aborted {
+			t.Fatalf("%s: run aborted without a context", name)
+		}
+		if !reflect.DeepEqual(par2, par8) {
+			t.Errorf("%s: 2 and 8 workers give different runs", name)
+		}
+		for i, sl := range serial.Launches {
+			pl := par2.Launches[i]
+			if pl.SimulatedWarpInsts != sl.SimulatedWarpInsts || pl.SimulatedTBs != sl.SimulatedTBs {
+				t.Errorf("%s launch %d: parallel simulated %d insts / %d TBs, serial %d / %d", name, i,
+					pl.SimulatedWarpInsts, pl.SimulatedTBs, sl.SimulatedWarpInsts, sl.SimulatedTBs)
+			}
+			if div := math.Abs(float64(pl.Cycles-sl.Cycles)) / float64(sl.Cycles); div > 0.05 {
+				t.Errorf("%s launch %d: %d parallel vs %d serial cycles, divergence %.4f > 0.05",
+					name, i, pl.Cycles, sl.Cycles, div)
 			}
 		}
 	}

@@ -15,12 +15,11 @@ import (
 	"sort"
 	"strings"
 
-	"tbpoint/internal/gpusim"
 	"tbpoint/internal/metrics"
 )
 
 // allTargets is what the "all" shorthand expands to (everything except
-// "ablations" and "agreement", which are opt-in audits).
+// "ablations", which is an opt-in audit).
 var allTargets = []string{"table1", "table6", "fig5", "fig8", "motivation", "accuracy", "sensitivity"}
 
 // knownTargets is the full vocabulary accepted by ExpandTargets.
@@ -28,7 +27,6 @@ var knownTargets = map[string]bool{
 	"all": true, "table1": true, "table6": true, "fig5": true, "fig8": true,
 	"fig9": true, "fig10": true, "fig11": true, "fig12": true, "fig13": true,
 	"motivation": true, "ablations": true, "accuracy": true, "sensitivity": true,
-	"agreement": true,
 }
 
 // TargetNames returns every accepted target name, sorted — for usage and
@@ -83,11 +81,6 @@ type RunSpec struct {
 	// Samples is the fig5 Monte-Carlo sample count (<= 0 selects 10000, the
 	// CLI default).
 	Samples int
-	// MaxDivergence is the agreement gate: a benchmark whose serial-vs-
-	// parallel cycle divergence exceeds this fraction fails the run. Zero
-	// selects the default 0.05; a negative value makes the gate always fire
-	// (useful for exercising the fatal-error path deterministically).
-	MaxDivergence float64
 }
 
 // RunTargets executes the named targets under opts, writing report text to
@@ -97,8 +90,8 @@ type RunSpec struct {
 //
 // Cancellation (opts.Ctx) is not an error: remaining targets are skipped
 // and the bundle comes back with Aborted set. A fatal fault — setup
-// failure, checkpoint-write failure, a failed agreement gate — stops the
-// run and is returned alongside the partial bundle.
+// failure, checkpoint-write failure — stops the run and is returned
+// alongside the partial bundle.
 func RunTargets(opts Options, spec RunSpec, w io.Writer) (*Results, error) {
 	bundle := &Results{Scale: opts.Scale, Seed: opts.Seed}
 	want, err := ExpandTargets(spec.Targets)
@@ -112,18 +105,7 @@ func RunTargets(opts Options, spec RunSpec, w io.Writer) (*Results, error) {
 	if samples <= 0 {
 		samples = 10000
 	}
-	maxDivergence := spec.MaxDivergence
-	if maxDivergence == 0 {
-		maxDivergence = 0.05
-	}
 	mc := opts.Metrics
-	if opts.SimWorkers > 1 {
-		bundle.ParallelSM = opts.SimWorkers
-		bundle.ParallelQuantum = opts.SimQuantum
-		if bundle.ParallelQuantum < 1 {
-			bundle.ParallelQuantum = gpusim.DefaultQuantum
-		}
-	}
 
 	// aborted records a run cut short by cancellation; fatal an error that
 	// must stop the run. Either way the targets already completed stay in
@@ -226,30 +208,6 @@ func RunTargets(opts Options, spec RunSpec, w io.Writer) (*Results, error) {
 			bundle.Accuracy = results
 			bundle.Pareto = ComputePareto(results)
 			PrintPareto(w, bundle.Pareto)
-		}
-	})
-	run("agreement", func() {
-		sw := mc.StartPhase("target.agreement")
-		results, err := RunParallelAgreement(opts)
-		sw.Stop()
-		if handle(err) {
-			PrintAgreement(w, results)
-			bundle.ParallelAgreement = results
-			if len(results) > 0 {
-				bundle.ParallelSM = results[0].Workers
-				bundle.ParallelQuantum = results[0].Quantum
-			}
-			for _, r := range results {
-				if !r.WarpInstsMatch {
-					fatal = fmt.Errorf("agreement: %s: simulated warp instructions differ between serial and parallel loops", r.Name)
-					return
-				}
-				if r.MaxCycleDivergence > maxDivergence {
-					fatal = fmt.Errorf("agreement: %s: cycle divergence %.4f exceeds the %.4f limit",
-						r.Name, r.MaxCycleDivergence, maxDivergence)
-					return
-				}
-			}
 		}
 	})
 	run("sensitivity", func() {

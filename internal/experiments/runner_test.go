@@ -27,8 +27,8 @@ func TestExpandTargets(t *testing.T) {
 			t.Errorf("ExpandTargets(all): missing %q", n)
 		}
 	}
-	if want["agreement"] || want["ablations"] {
-		t.Error("ExpandTargets(all) must not include the opt-in audits")
+	if want["ablations"] {
+		t.Error("ExpandTargets(all) must not include the opt-in ablations audit")
 	}
 }
 
@@ -96,20 +96,23 @@ func TestRunTargetsCancelled(t *testing.T) {
 	}
 }
 
-// TestRunTargetsAgreementGate: a negative MaxDivergence makes the agreement
-// gate always fire, which must surface as a fatal error while the recorded
-// agreement rows stay in the bundle (the observability contract).
-func TestRunTargetsAgreementGate(t *testing.T) {
+// TestRunTargetsFatalKeepsBundle: an unknown benchmark is a setup failure
+// of the accuracy target, which must surface as a fatal error while the
+// targets completed before it stay in the bundle (the observability
+// contract).
+func TestRunTargetsFatalKeepsBundle(t *testing.T) {
 	opts := DefaultOptions(0.02)
 	opts.Seed = 7
-	opts.Benchmarks = []string{"stream"}
-	opts.SimWorkers = 2
-	bundle, err := RunTargets(opts, RunSpec{Targets: []string{"agreement"}, MaxDivergence: -1}, nil)
-	if err == nil {
-		t.Fatal("agreement gate with MaxDivergence=-1 did not fail")
+	opts.Benchmarks = []string{"nosuch"}
+	bundle, err := RunTargets(opts, RunSpec{Targets: []string{"fig5", "accuracy"}, Samples: 100}, nil)
+	if err == nil || !strings.Contains(err.Error(), "nosuch") {
+		t.Fatalf("unknown benchmark: err = %v, want a fatal error naming it", err)
 	}
-	if len(bundle.ParallelAgreement) == 0 {
-		t.Fatal("fatal agreement run dropped its recorded rows")
+	if len(bundle.Fig5) == 0 {
+		t.Fatal("fatal run dropped the target completed before the failure")
+	}
+	if bundle.Aborted || len(bundle.Accuracy) != 0 {
+		t.Fatalf("fatal run: aborted=%v, %d accuracy rows; want neither", bundle.Aborted, len(bundle.Accuracy))
 	}
 }
 

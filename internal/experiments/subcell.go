@@ -21,11 +21,11 @@ import (
 //
 // Key layout (in the cell store, so the -cache-max-bytes bound covers it):
 //
-//	subcell/v1/fullref/<bench>/<hash(scale, seed)>/<hash(unit, loop mode, hw config)>
+//	subcell/v1/fullref/<bench>/<hash(scale, seed)>/<hash(unit, hw config)>
 //
 // i.e. the built workload — benchmark name in the clear for debuggability —
 // plus everything else that changes the run's bytes: the sampling-unit
-// size, the event-loop mode, and the full simulator configuration.
+// size and the full simulator configuration.
 // LaunchResult is all integer counters, so the JSON round-trip is exact and
 // a cache hit is byte-identical to a recompute.
 //
@@ -38,11 +38,11 @@ import (
 func (o Options) fullReference(bench string, sim *gpusim.Simulator, app *kernel.App,
 	unit int64, mc *metrics.Collector, cfg gpusim.Config) *sampling.AppRun {
 	if !o.Subcell || o.Checkpoint == nil {
-		return fullAppCtx(o.Ctx, sim, app, unit, mc, o.SimWorkers, o.SimQuantum)
+		return fullAppCtx(o.Ctx, sim, app, unit, mc, 0, 0)
 	}
 	appHash, runHash := fnv.New64a(), fnv.New64a()
 	fmt.Fprintf(appHash, "scale=%g seed=%d", o.Scale, o.Seed)
-	fmt.Fprintf(runHash, "unit=%d workers=%d quantum=%d cfg=%+v", unit, o.SimWorkers, o.SimQuantum, cfg)
+	fmt.Fprintf(runHash, "unit=%d cfg=%+v", unit, cfg)
 	key := fmt.Sprintf("subcell/v1/fullref/%s/%016x/%016x", bench, appHash.Sum64(), runHash.Sum64())
 	if o.Resume {
 		var run sampling.AppRun
@@ -53,7 +53,7 @@ func (o Options) fullReference(bench string, sim *gpusim.Simulator, app *kernel.
 		}
 		mc.AtomicAdd(metrics.SubcellMisses, 1)
 	}
-	full := fullAppCtx(o.Ctx, sim, app, unit, mc, o.SimWorkers, o.SimQuantum)
+	full := fullAppCtx(o.Ctx, sim, app, unit, mc, 0, 0)
 	if !full.Aborted {
 		if data, err := json.Marshal(full); err == nil {
 			_ = o.Checkpoint.Put(key, data) // best-effort, see above

@@ -14,9 +14,8 @@
 // A nil *Collector is the disabled collector. Every method is nil-safe and
 // degrades to a single predictable branch, so instrumented code passes the
 // collector down unconditionally and never guards call sites itself. The
-// contract (pinned by BenchmarkRunLaunchEventLoop and recorded in
-// BENCH_gpusim.json) is that a disabled collector costs <5% on the
-// simulator's event-loop hot path.
+// contract (measured by BenchmarkRunLaunchEventLoop) is that a disabled
+// collector costs <5% on the simulator's event-loop hot path.
 //
 // # Concurrency
 //

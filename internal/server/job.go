@@ -66,7 +66,7 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 // a one-shot CLI invocation produces a byte-identical results bundle.
 type JobSpec struct {
 	// Targets names the experiment targets (accuracy, sensitivity, fig9,
-	// agreement, all, ...); validated at submission via
+	// all, ...); validated at submission via
 	// experiments.ExpandTargets.
 	Targets []string `json:"targets"`
 	// Scale is the workload scale factor (0 selects 1.0, the CLI default).
@@ -82,15 +82,6 @@ type JobSpec struct {
 	Samplers []string `json:"samplers,omitempty"`
 	// Samples is the fig5 Monte-Carlo sample count (0 = 10000).
 	Samples int `json:"samples,omitempty"`
-	// ParallelSM selects the simulator event loop per job: 0/1 = the serial
-	// bit-identical reference, N>1 = the epoch-parallel loop with N workers.
-	// The mode is recorded in the results bundle, as with -parallel-sm.
-	ParallelSM int `json:"parallel_sm,omitempty"`
-	// Quantum is the epoch length in cycles for ParallelSM > 1 (0 = gpusim
-	// default).
-	Quantum int64 `json:"quantum,omitempty"`
-	// MaxDivergence is the agreement-target gate (0 = the 0.05 default).
-	MaxDivergence float64 `json:"max_divergence,omitempty"`
 	// Retries is the attempts per grid cell before its failure is recorded
 	// (0 selects 1, the CLI default).
 	Retries int `json:"retries,omitempty"`
@@ -151,11 +142,6 @@ func (s *JobSpec) Validate() error {
 	if s.Scale == 0 {
 		s.Scale = 1.0
 	}
-	if s.ParallelSM < 0 || s.ParallelSM == 1 {
-		// 1 is ambiguous ("one worker" is the serial loop); insist on the
-		// same vocabulary as -parallel-sm: 0 = serial, >= 2 = parallel.
-		return fmt.Errorf("server: parallel_sm must be 0 (serial) or >= 2, got %d", s.ParallelSM)
-	}
 	if len(s.Samplers) > 0 {
 		// Canonicalize at the HTTP boundary: unknown strategies fail the
 		// submission, and the stored spec (hence the artifact-cache keys)
@@ -198,8 +184,6 @@ func (s JobSpec) options() experiments.Options {
 	opts.Seed = s.Seed
 	opts.Benchmarks = s.Benchmarks
 	opts.Samplers = s.Samplers
-	opts.SimWorkers = s.ParallelSM
-	opts.SimQuantum = s.Quantum
 	opts.Retry = experiments.RetryPolicy{Attempts: s.Retries, Seed: s.Seed}
 	opts.CellDeadline = time.Duration(s.CellDeadline)
 	return opts
@@ -207,11 +191,7 @@ func (s JobSpec) options() experiments.Options {
 
 // runSpec is the RunTargets half of the spec.
 func (s JobSpec) runSpec() experiments.RunSpec {
-	return experiments.RunSpec{
-		Targets:       s.Targets,
-		Samples:       s.Samples,
-		MaxDivergence: s.MaxDivergence,
-	}
+	return experiments.RunSpec{Targets: s.Targets, Samples: s.Samples}
 }
 
 // JobState is a job's lifecycle state.

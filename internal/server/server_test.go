@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -289,7 +290,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Targets: []string{"bogus"}},
 		{},
 		{Targets: []string{"accuracy"}, Scale: -1},
-		{Targets: []string{"accuracy"}, ParallelSM: 1},
 		{Targets: []string{"accuracy"}, Retries: -2},
 		{Targets: []string{"accuracy"}, Samplers: []string{"nope"}},
 	}
@@ -298,6 +298,20 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("spec %+v accepted, want rejection", spec)
 		} else if !strings.Contains(err.Error(), "HTTP 400") {
 			t.Errorf("spec %+v: %v, want HTTP 400", spec, err)
+		}
+	}
+
+	// The retired event-loop fields are unknown fields now: a client still
+	// sending them is told so instead of silently getting a serial run.
+	for _, field := range []string{`"parallel_sm":2`, `"quantum":128`, `"max_divergence":0.1`} {
+		body := `{"targets":["accuracy"],` + field + `}`
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %s: HTTP %d, want 400", body, resp.StatusCode)
 		}
 	}
 

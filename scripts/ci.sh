@@ -32,11 +32,12 @@
 #           outcomes, Pareto section, CI columns, sampler.* counters), and
 #           the byte-identity invariant that an explicitly selected
 #           default trio equals an unflagged run
-#   parsm   the -parallel-sm event loop: race-detector pass over the
+#   parsm   gpusim's epoch-parallel engine (a library option, reached via
+#           experiments.FullAppParallel): race-detector pass over the
 #           TestParallel* suite (barrier hammer, determinism, worker-count
-#           invariance, chaos cancellation), then a serial-vs-parallel
-#           agreement run via cmd/experiments that fails on any
-#           instruction-count mismatch or cycle divergence > 5%
+#           invariance, chaos cancellation) and over the experiments test
+#           that fails on any serial-vs-parallel instruction-count mismatch
+#           or cycle divergence > 5%
 #   serve   the tbpointd job server end to end, race-instrumented: boot on
 #           an ephemeral port, submit a grid over HTTP, download the
 #           results.json and cmp it against the one-shot cmd/experiments
@@ -63,24 +64,20 @@
 #           full reference (subcell_hits > 0, less wall time than a
 #           -no-cache run) while its results.json stays byte-identical to
 #           the one-shot CLI
-#   bench   cmd/benchgate re-measures throughput against BENCH_gpusim.json
-#           (advisory by default; BENCH_HARD=1 makes drops fail; per-case
-#           thresholds come from the report's gate_thresholds section)
 #
 # Usage: scripts/ci.sh [fast | stage...]
 #   (no args)       run every stage
-#   fast            skip the fuzz and bench stages (quick pre-commit loop)
+#   fast            skip the fuzz stage (quick pre-commit loop)
 #   stage...        run exactly the named stages, in the order given
 #                   (e.g. `scripts/ci.sh race parsm serve`); unknown
 #                   stage names fail before anything runs
 #   SKIP_FUZZ=1     skip only the fuzz stage (full/fast runs)
-#   BENCH_HARD=1    make the bench stage fail (instead of warn) on >20% drops
 #   CI_ARTIFACT_DIR copy key outputs (results/metrics JSON, daemon logs)
 #                   here so the workflow can upload them on failure
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt vet build benchbuild test race chaos fuzz golden samplers parsm serve serveload bench)
+ALL_STAGES=(fmt vet build benchbuild test race chaos fuzz golden samplers parsm serve serveload)
 
 stage() {
   local name="$1"
@@ -198,8 +195,8 @@ run_crash_recovery() {
 }
 
 run_abort_flush() {
-  # A run stopped by a fatal target error (here: the agreement gate, made
-  # to always fire with -max-divergence -1) must still flush BOTH its
+  # A run stopped by a fatal target error (here: the accuracy target's
+  # setup failing on an unknown benchmark) must still flush BOTH its
   # partial results.json and its metrics JSON before reporting failure —
   # the observability files are how an aborted run is diagnosed.
   (
@@ -208,13 +205,18 @@ run_abort_flush() {
   trap 'rm -rf "$tmp"' EXIT
   bin="$tmp/experiments"
   go build -o "$bin" ./cmd/experiments
-  if "$bin" -par 1 -scale 0.02 -seed 7 -bench stream -parallel-sm 2 \
-      -max-divergence -1 -json "$tmp/aborted.json" \
-      -metrics-json "$tmp/aborted_metrics.json" agreement \
+  if "$bin" -par 1 -scale 0.02 -seed 7 -bench nosuch \
+      -json "$tmp/aborted.json" \
+      -metrics-json "$tmp/aborted_metrics.json" accuracy \
       >/dev/null 2>"$tmp/abort.log"; then
-    echo "abort-flush: the always-fire agreement gate did not fail the run" >&2
+    echo "abort-flush: an unknown benchmark did not fail the run" >&2
     return 1
   fi
+  grep -q 'unknown benchmark "nosuch"' "$tmp/abort.log" || {
+    echo "abort-flush: run failed, but not on the unknown benchmark:" >&2
+    cat "$tmp/abort.log" >&2
+    return 1
+  }
   artifact "$tmp/aborted.json"
   artifact "$tmp/aborted_metrics.json"
   [[ -s "$tmp/aborted.json" ]] || {
@@ -226,22 +228,18 @@ run_abort_flush() {
     echo "abort-flush: fatally failed run wrote no metrics JSON" >&2
     return 1
   }
-  grep -q '"parallel_agreement"' "$tmp/aborted.json" || {
-    echo "abort-flush: flushed results.json lost the recorded agreement rows" >&2
-    return 1
-  }
   )
 }
 
 run_parsm() {
   # The parallel event loop's own gates: the race detector over its test
-  # suite (epoch barriers, pool shutdown, mid-epoch cancellation), then an
-  # end-to-end audit that the parallel loop simulates exactly the serial
-  # loop's instructions with bounded cycle divergence. -count=1 because
-  # these tests exist to exercise real goroutine interleavings.
+  # suite (epoch barriers, pool shutdown, mid-epoch cancellation), then
+  # over the audit that the loop, reached the way its one caller reaches
+  # it, simulates exactly the serial loop's instructions with bounded
+  # cycle divergence. -count=1 because these tests exist to exercise real
+  # goroutine interleavings.
   go test -race -count=1 -run 'TestParallel' ./internal/gpusim/
-  go run ./cmd/experiments -par 1 -scale 0.02 -bench stream,black,cfd \
-    -parallel-sm 8 -max-divergence 0.05 agreement >/dev/null
+  go test -race -count=1 -run 'TestFullAppParallelAgreesWithSerial' ./internal/experiments/
 }
 
 # wait_file FILE — poll until FILE is non-empty (daemon address files).
@@ -824,14 +822,6 @@ run_benchbuild() {
   go vet -C bench . && go test -C bench .
 }
 
-run_bench() {
-  local args=()
-  if [[ "${BENCH_HARD:-0}" == "1" ]]; then
-    args+=(-hard)
-  fi
-  go run ./cmd/benchgate "${args[@]}"
-}
-
 run_stage() {
   case "$1" in
     fmt)    stage fmt check_fmt ;;
@@ -850,21 +840,20 @@ run_stage() {
     parsm)  stage parsm run_parsm ;;
     serve)  stage serve run_serve ;;
     serveload) stage serveload run_serveload ;;
-    bench)  stage bench run_bench ;;
     *)      echo "ci.sh: unknown stage '$1' (known: ${ALL_STAGES[*]})" >&2
             return 2 ;;
   esac
 }
 
-# Stage selection: no args = everything, `fast` = everything minus
-# fuzz/bench, otherwise exactly the named stages in the order given.
+# Stage selection: no args = everything, `fast` = everything minus fuzz,
+# otherwise exactly the named stages in the order given.
 # Unknown names fail before any stage runs.
 STAGES=()
 if [[ $# -eq 0 ]]; then
   STAGES=("${ALL_STAGES[@]}")
 elif [[ $# -eq 1 && "$1" == "fast" ]]; then
   for s in "${ALL_STAGES[@]}"; do
-    [[ "$s" == "fuzz" || "$s" == "bench" ]] && continue
+    [[ "$s" == "fuzz" ]] && continue
     STAGES+=("$s")
   done
 else

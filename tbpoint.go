@@ -95,7 +95,7 @@ type (
 )
 
 // DefaultQuantum is the epoch length (in cycles) the parallel event loop
-// uses when RunOptions.Quantum / Options.SimQuantum is zero.
+// (RunOptions.Workers > 1) uses when RunOptions.Quantum is zero.
 const DefaultQuantum = gpusim.DefaultQuantum
 
 // Observability types (see internal/metrics).
