@@ -55,7 +55,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); partial results are still written")
 	checkpointDir := flag.String("checkpoint-dir", "", "journal each completed grid cell into this directory (atomic, checksummed)")
 	resume := flag.Bool("resume", false, "skip grid cells already journaled in -checkpoint-dir instead of re-running them")
-	subcell := flag.Bool("subcell", false, "also cache each benchmark's full reference run in -checkpoint-dir, so overlapping-but-non-identical runs share the dominant simulation")
+	subcell := flag.Bool("subcell", false, "also cache each benchmark's full reference run and each strategy's outcome in -checkpoint-dir, so overlapping-but-non-identical runs share them")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "byte budget for -checkpoint-dir; LRU entries are evicted over it (0 = unbounded)")
 	retries := flag.Int("retries", 1, "attempts per grid cell before its failure is recorded (exponential backoff with seeded jitter)")
 	cellDeadline := flag.Duration("cell-deadline", 0, "wall-time budget per grid cell, all attempts together (0 = no limit)")

@@ -125,10 +125,10 @@ func withJob(args []string, f func(id string) error) error {
 // empty for healthy jobs and error|panic|stuck|quarantined for failed ones,
 // so scripts can tell a supervision verdict from an ordinary run error.
 func statusLine(st server.JobStatus) string {
-	return fmt.Sprintf("id=%s state=%s wall_seconds=%.3f cache_hits=%d cache_misses=%d subcell_hits=%d subcell_misses=%d cells_failed=%d requeues=%d run_requeues=%d failure_kind=%s error=%q",
+	return fmt.Sprintf("id=%s state=%s wall_seconds=%.3f cache_hits=%d cache_misses=%d subcell_hits=%d subcell_misses=%d outcome_hits=%d outcome_misses=%d cells_failed=%d requeues=%d run_requeues=%d failure_kind=%s error=%q",
 		st.ID, st.State, st.WallSeconds, st.CacheHits, st.CacheMisses,
-		st.SubcellHits, st.SubcellMisses, st.CellsFailed, st.Requeues,
-		st.RunRequeues, st.FailureKind(), st.Error)
+		st.SubcellHits, st.SubcellMisses, st.OutcomeHits, st.OutcomeMisses,
+		st.CellsFailed, st.Requeues, st.RunRequeues, st.FailureKind(), st.Error)
 }
 
 func cmdList(ctx context.Context, c *client.Client, args []string) error {
@@ -207,7 +207,7 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 
 func cmdWait(ctx context.Context, c *client.Client, args []string) error {
 	fs := flag.NewFlagSet("wait", flag.ExitOnError)
-	poll := fs.Duration("poll", 200*time.Millisecond, "status poll interval")
+	poll := fs.Duration("poll", 200*time.Millisecond, "status poll interval when the daemon's /events stream is unavailable")
 	fs.Parse(args)
 	return withJob(fs.Args(), func(id string) error {
 		final, err := c.Wait(ctx, id, *poll)

@@ -177,3 +177,38 @@ func TestStoreUnboundedNeverEvicts(t *testing.T) {
 		t.Fatalf("unbounded store evicted: evictions=%d len=%d", s.Evictions(), s.Len())
 	}
 }
+
+// The accounted size is the bytes Put wrote, not a later stat of the file:
+// through overwrites that grow and shrink entries and through evictions,
+// SizeBytes stays equal to the sum of the live files' sizes.
+func TestStoreSizeMatchesDiskAfterOverwritesAndEvictions(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if disk, acct := diskCkptBytes(t, dir), s.SizeBytes(); disk != acct {
+			t.Fatalf("%s: disk=%d accounted=%d", when, disk, acct)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		put(t, s, fmt.Sprintf("key%d", i), 50*(i+1))
+	}
+	check("after puts")
+	put(t, s, "key1", 900) // grow
+	put(t, s, "key4", 1)   // shrink
+	put(t, s, "key4", 1)   // same bytes again
+	check("after overwrites")
+	s.SetMaxBytes(s.SizeBytes() / 2)
+	if s.Evictions() == 0 {
+		t.Fatal("halving the budget evicted nothing")
+	}
+	check("after evictions")
+	put(t, s, "key0", 700) // re-publish an evicted key, evicting others
+	check("after re-publish")
+	if s.SizeBytes() > s.maxBytes {
+		t.Fatalf("store holds %d bytes, budget %d", s.SizeBytes(), s.maxBytes)
+	}
+}

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/json"
@@ -186,14 +187,17 @@ func (s *Store) Put(key string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(s.dir, fileName(key))
-	if err := WriteEnvelopeFile(path, KindCheckpoint, rec); err != nil {
+	// The entry weighs what the envelope writer produced: a stat after the
+	// rename could fail, and weighing the entry 0 would let the store
+	// outgrow its byte budget.
+	var env bytes.Buffer
+	if err := WriteEnvelope(&env, KindCheckpoint, rec); err != nil {
 		return err
 	}
-	var size int64
-	if info, err := os.Stat(path); err == nil {
-		size = info.Size()
+	if err := WriteFileBytes(filepath.Join(s.dir, fileName(key)), env.Bytes()); err != nil {
+		return err
 	}
+	size := int64(env.Len())
 	s.mu.Lock()
 	s.cells[key] = append([]byte(nil), data...)
 	s.writes++

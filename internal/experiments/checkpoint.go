@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"io"
 
+	"tbpoint/internal/core"
 	"tbpoint/internal/metrics"
 )
 
@@ -25,13 +26,7 @@ func (o Options) cellKey(grid, cell string, extra ...string) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s scale=%g seed=%d randfrac=%g unitdiv=%d min=%d max=%d",
 		cellSchema, o.Scale, o.Seed, o.RandomFrac, o.UnitDivisor, o.MinUnitInsts, o.MaxUnitInsts)
-	// The TBPoint options carry a context and a metrics collector; zero
-	// them so only result-determining fields reach the hash (pointer values
-	// would also make the key differ across processes).
-	tb := o.tbpointOptions()
-	tb.Ctx = nil
-	tb.Metrics = nil
-	fmt.Fprintf(h, " tb=%+v", tb)
+	fmt.Fprintf(h, " tb=%+v", o.tbpointKeyOptions())
 	// The active strategy selection determines every cell's result shape,
 	// so it is part of the key: a resume with a different -samplers set
 	// misses and recomputes instead of surfacing cells with missing
@@ -42,6 +37,17 @@ func (o Options) cellKey(grid, cell string, extra ...string) string {
 		io.WriteString(h, e)
 	}
 	return fmt.Sprintf("%s/%s/%016x", grid, cell, h.Sum64())
+}
+
+// tbpointKeyOptions is tbpointOptions as cache keys may see it. The options
+// carry a context and a metrics collector; zeroing them leaves only the
+// result-determining fields (pointer values would also make a key differ
+// across processes).
+func (o Options) tbpointKeyOptions() core.Options {
+	tb := o.tbpointOptions()
+	tb.Ctx = nil
+	tb.Metrics = nil
+	return tb
 }
 
 // resumeCell restores a journaled cell result into out. It only hits when

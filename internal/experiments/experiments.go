@@ -26,6 +26,7 @@ import (
 	"tbpoint/internal/par"
 	"tbpoint/internal/sampler"
 	"tbpoint/internal/sampling"
+	"tbpoint/internal/stats"
 	"tbpoint/internal/workloads"
 )
 
@@ -70,14 +71,16 @@ type Options struct {
 	// with any changed input recomputes rather than trusting stale state.
 	Checkpoint *durable.Store
 	Resume     bool
-	// Subcell additionally shares each benchmark's full reference run
-	// through Checkpoint at its own key (see fullReference), so runs whose
-	// grids overlap without being cell-identical still reuse the dominant
-	// simulation. Lookups obey Resume; fresh computations are always
-	// published. Off by default: the one-shot CLI keeps its historical
-	// checkpoint-write counts (and the crash-injection accounting built on
-	// them) unless -subcell opts in, while the job server always enables
-	// it. Never changes results — a cached run round-trips byte-identically.
+	// Subcell additionally shares what a benchmark cell is made of through
+	// Checkpoint, each at its own key (see subcell): the full reference run,
+	// its two-IPC header, and every strategy's outcome. Runs whose grids
+	// overlap without being cell-identical then compose their cells from
+	// those entries and compute only what is missing. Lookups obey Resume;
+	// fresh computations are always published. Off by default: the one-shot
+	// CLI keeps its historical checkpoint-write counts (and the
+	// crash-injection accounting built on them) unless -subcell opts in,
+	// while the job server always enables it. Never changes results — a
+	// composed cell is byte-identical to a computed one.
 	Subcell bool
 	// Retry governs per-cell retries before a failure degrades to a
 	// CellError; the zero value means a single attempt (no retries).
@@ -309,33 +312,72 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 		defer opts.Metrics.Merge(mc)
 	}
 	app := spec.Build(workloads.Config{Scale: opts.Scale, Seed: opts.Seed})
-	prof := core.ProfileAppMetrics(app, mc)
 	unit := opts.unitSize(app.TotalWarpInsts())
+	r := &BenchResult{
+		Name:     spec.Name,
+		Type:     spec.Type,
+		Samplers: make(map[string]sampler.Outcome, len(set)),
+	}
 
-	full := opts.fullReference(spec.Name, sim, app, unit, mc, cfg)
-	if full.Aborted {
-		if err := ctxErr(opts.Ctx); err != nil {
+	// The cell is composed from the sub-cell cache (see subcell): reference
+	// header, then each selected outcome. Without a store sc is nil, nothing
+	// hits and everything below runs.
+	sc := opts.subcell(spec.Name, unit, cfg)
+	var hdr refHeader
+	haveHdr := sc.load("refhdr", "", &hdr)
+	var missing []sampler.Sampler
+	for _, s := range set {
+		if out, ok := sc.loadOutcome(s.Name(), mc); ok {
+			r.Samplers[s.Name()] = out
+		} else {
+			missing = append(missing, s)
+		}
+	}
+	if haveHdr && len(missing) == 0 {
+		mc.AtomicAdd(metrics.SubcellHits, 1)
+	} else {
+		full := opts.fullReference(sc, sim, app, unit, mc)
+		if full.Aborted {
+			if err := ctxErr(opts.Ctx); err != nil {
+				return nil, err
+			}
+			return nil, context.Canceled
+		}
+		if !haveHdr {
+			hdr = refHeader{FullIPC: full.IPC(), FullOverallIPC: full.OverallIPC()}
+			sc.publish("refhdr", "", hdr)
+		}
+		if err := opts.estimate(missing, sim, app, full, sc, mc, r); err != nil {
 			return nil, err
 		}
-		return nil, context.Canceled
 	}
-	r := &BenchResult{
-		Name:           spec.Name,
-		Type:           spec.Type,
-		FullIPC:        full.IPC(),
-		FullOverallIPC: full.OverallIPC(),
-		Samplers:       make(map[string]sampler.Outcome, len(set)),
+	r.FullIPC, r.FullOverallIPC = hdr.FullIPC, hdr.FullOverallIPC
+	// Err is derived from the header on every path, so a composed result and
+	// a computed one are the same bytes.
+	for _, s := range set {
+		out := r.Samplers[s.Name()]
+		out.Err = stats.RelErr(out.Estimate.PredictedIPC, r.FullIPC)
+		r.Samplers[s.Name()] = out
 	}
+	return r, nil
+}
 
-	tbopts := opts.tbpointOptions()
+// estimate runs the given strategies against full, records their outcomes
+// in r and publishes each to sc.
+func (o Options) estimate(set []sampler.Sampler, sim *gpusim.Simulator, app *kernel.App,
+	full *sampling.AppRun, sc *subcell, mc *metrics.Collector, r *BenchResult) error {
+	if len(set) == 0 {
+		return nil
+	}
+	tbopts := o.tbpointOptions()
 	tbopts.Metrics = mc
-	tbopts.Ctx = opts.Ctx
+	tbopts.Ctx = o.Ctx
 	in := sampler.Input{
-		Ctx:     opts.Ctx,
+		Ctx:     o.Ctx,
 		Sim:     sim,
-		Prof:    prof,
+		Prof:    core.ProfileAppMetrics(app, mc),
 		Full:    full,
-		Params:  opts.samplerParams(),
+		Params:  o.samplerParams(),
 		TBPoint: tbopts,
 	}
 	for _, s := range set {
@@ -343,14 +385,14 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 		out, err := s.Estimate(in)
 		sw.Stop()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out.Err = out.Estimate.Error(full)
 		mc.Inc(metrics.SamplerEstimates)
 		mc.Add(metrics.SamplerStrata, uint64(out.Strata))
 		mc.Add(metrics.SamplerPilotUnits, uint64(out.PilotUnits))
 		mc.Add(metrics.SamplerPhase2Units, uint64(out.Phase2Units))
+		sc.publish("outcome", s.Name(), out)
 		r.Samplers[s.Name()] = out
 	}
-	return r, nil
+	return nil
 }

@@ -2,13 +2,19 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"tbpoint/internal/core"
 	"tbpoint/internal/durable"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/metrics"
+	"tbpoint/internal/sampler"
 	"tbpoint/internal/workloads"
 )
 
@@ -36,10 +42,10 @@ func benchJSON(t *testing.T, r *BenchResult) []byte {
 }
 
 // TestSubcellCacheByteIdenticalReuse is the sub-cell cache's core contract:
-// a warm run over the same workload serves the full reference — the one
-// cached artifact — from the store (one hit, no miss, no experiments.full_ref
-// phase, no full-ref simulation) and still produces a byte-identical
-// BenchResult — both to its own cold run and to a run with no cache at all.
+// a warm run over the same workload composes its result from the store — the
+// reference header and one outcome per strategy hit, nothing is simulated or
+// estimated — and still produces a byte-identical BenchResult, both to its
+// own cold run and to a run with no cache at all.
 func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 	spec, err := workloads.ByName("stream")
 	if err != nil {
@@ -78,20 +84,18 @@ func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if hits := warmMC.Count(metrics.SubcellHits); hits != 1 {
-		t.Fatalf("warm run recorded %d subcell hits, want 1 (the full reference)", hits)
+		t.Fatalf("warm run recorded %d subcell hits, want 1 (the reference header)", hits)
 	}
 	if misses := warmMC.Count(metrics.SubcellMisses); misses != 0 {
 		t.Fatalf("warm run missed %d artifacts", misses)
 	}
-	if hasPhase(warmMC, "experiments.full_ref") {
-		t.Fatal("warm run still ran the experiments.full_ref phase")
+	if hits, misses := warmMC.Count(metrics.OutcomeHits), warmMC.Count(metrics.OutcomeMisses); hits != 3 || misses != 0 {
+		t.Fatalf("warm run outcome hits=%d misses=%d, want 3 and 0", hits, misses)
 	}
-	// The warm run must not have simulated the full reference: its only
-	// simulator work is the TBPoint representatives.
-	if launches := warmMC.Count(metrics.SimLaunches); launches >= coldMC.Count(metrics.SimLaunches) {
-		t.Fatalf("warm run simulated %d launches, cold %d — full ref not reused",
-			launches, coldMC.Count(metrics.SimLaunches))
+	if misses := coldMC.Count(metrics.OutcomeMisses); misses != 3 {
+		t.Fatalf("cold run recorded %d outcome misses, want 3", misses)
 	}
+	assertComposed(t, "warm run", warmMC)
 
 	baseJSON, coldJSON, warmJSON := benchJSON(t, base), benchJSON(t, cold), benchJSON(t, warm)
 	if !bytes.Equal(coldJSON, baseJSON) {
@@ -101,11 +105,33 @@ func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 		t.Error("warm cached run differs from cold run")
 	}
 
-	// The one artifact lives under the subcell/ namespace of the shared
-	// store; RunBenchmark journals no cell, so it is the only key.
-	keys := store.Keys()
-	if len(keys) != 1 || !strings.HasPrefix(keys[0], "subcell/v1/fullref/stream/") {
-		t.Fatalf("store keys = %v, want exactly one subcell/v1/fullref/stream/ artifact", keys)
+	// The entries live under the subcell/ namespace of the shared store;
+	// RunBenchmark journals no cell, so they are the only keys: the full
+	// reference, its header, and one outcome per default strategy.
+	var kinds []string
+	for _, k := range store.Keys() {
+		parts := strings.Split(k, "/")
+		if len(parts) < 4 || parts[0] != "subcell" || parts[1] != "v1" || parts[3] != "stream" {
+			t.Fatalf("unexpected store key %s", k)
+		}
+		kinds = append(kinds, strings.Join(append(parts[2:3], parts[6:]...), "/"))
+	}
+	if got, want := strings.Join(kinds, " "), "fullref outcome/random outcome/simpoint outcome/tbpoint refhdr"; got != want {
+		t.Fatalf("store entries = %q, want %q", got, want)
+	}
+}
+
+// assertComposed fails unless mc saw a pure composition: no reference run,
+// no strategy estimate, no simulation at all.
+func assertComposed(t *testing.T, what string, mc *metrics.Collector) {
+	t.Helper()
+	for _, p := range mc.Snapshot().Phases {
+		if p.Name == "experiments.full_ref" || strings.HasPrefix(p.Name, "sampler.") {
+			t.Fatalf("%s ran phase %s", what, p.Name)
+		}
+	}
+	if n := mc.Count(metrics.SimLaunches); n != 0 {
+		t.Fatalf("%s simulated %d launches", what, n)
 	}
 }
 
@@ -138,6 +164,385 @@ func TestSubcellDisabledPublishesNothing(t *testing.T) {
 	for _, k := range store.Keys() {
 		if strings.HasPrefix(k, "subcell/") {
 			t.Fatalf("subcell key %s published with Subcell off", k)
+		}
+	}
+}
+
+// TestSubcellComposesEverySamplerSubset is the composition property: all 31
+// non-empty sampler selections, in a shuffled order against one store, each
+// give the bytes of a run with no store at all, estimate every strategy
+// exactly once per benchmark over the whole sequence, and once everything is
+// stored compose without estimating or simulating anything.
+func TestSubcellComposesEverySamplerSubset(t *testing.T) {
+	names := sampler.Names()
+	var subsets [][]string
+	for mask := 1; mask < 1<<len(names); mask++ {
+		var set []string
+		for i, n := range names {
+			if mask&(1<<i) != 0 {
+				set = append(set, n)
+			}
+		}
+		subsets = append(subsets, set)
+	}
+	rand.New(rand.NewSource(16)).Shuffle(len(subsets), func(i, j int) {
+		subsets[i], subsets[j] = subsets[j], subsets[i]
+	})
+	store, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range []string{"stream", "bfs"} {
+		spec, err := workloads.ByName(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(set []string, store *durable.Store, mc *metrics.Collector) []byte {
+			t.Helper()
+			opts := subcellOpts(t, store, mc)
+			opts.Scale = 0.01
+			opts.Samplers = set
+			r, err := RunBenchmark(spec, gpusim.DefaultConfig(), opts)
+			if err != nil {
+				t.Fatalf("%s %v: %v", bench, set, err)
+			}
+			return benchJSON(t, r)
+		}
+		want := make([][]byte, len(subsets))
+		mc := metrics.New()
+		for i, set := range subsets {
+			want[i] = run(set, nil, nil)
+			if got := run(set, store, mc); !bytes.Equal(got, want[i]) {
+				t.Fatalf("%s %v: result composed from the store differs from the run without one", bench, set)
+			}
+		}
+		if n := mc.Count(metrics.OutcomeMisses); n != uint64(len(names)) {
+			t.Errorf("%s: %d outcome misses over the sequence, want each of the %d strategies estimated once", bench, n, len(names))
+		}
+		if n := mc.Count(metrics.SamplerEstimates); n != uint64(len(names)) {
+			t.Errorf("%s: %d estimates computed, want %d", bench, n, len(names))
+		}
+		if n := mc.Count(metrics.SubcellMisses); n != 1 {
+			t.Errorf("%s: %d reference simulations, want 1", bench, n)
+		}
+		final := metrics.New()
+		for i, set := range subsets {
+			if got := run(set, store, final); !bytes.Equal(got, want[i]) {
+				t.Fatalf("%s %v: final pass differs", bench, set)
+			}
+		}
+		assertComposed(t, bench+" final pass", final)
+		if hits, misses := final.Count(metrics.SubcellHits), final.Count(metrics.SubcellMisses); hits != uint64(len(subsets)) || misses != 0 {
+			t.Errorf("%s final pass: subcell hits=%d misses=%d, want %d and 0", bench, hits, misses, len(subsets))
+		}
+	}
+}
+
+// evictEntry drops one key from store the way the byte budget would: every
+// other entry is touched, so key is the least recently used.
+func evictEntry(t *testing.T, store *durable.Store, key string) {
+	t.Helper()
+	for _, k := range store.Keys() {
+		if k != key {
+			store.Get(k)
+		}
+	}
+	store.SetMaxBytes(store.SizeBytes() - 1)
+	store.SetMaxBytes(0)
+	if _, ok := store.Get(key); ok || store.Evictions() != 1 {
+		t.Fatalf("evicting %s: still present=%v after %d evictions", key, ok, store.Evictions())
+	}
+}
+
+// TestSubcellComposesWithoutFullReference: the small entries outlive the
+// heavy artifact. With fullref evicted an all-hit cell still composes; a
+// cell that needs one more strategy simulates the reference again (and
+// republishes it) and still matches a run with no store.
+func TestSubcellComposesWithoutFullReference(t *testing.T) {
+	spec, err := workloads.ByName("stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := RunBenchmark(spec, gpusim.DefaultConfig(), subcellOpts(t, store, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fullref string
+	for _, k := range store.Keys() {
+		if strings.HasPrefix(k, "subcell/v1/fullref/") {
+			fullref = k
+		}
+	}
+	evictEntry(t, store, fullref)
+
+	warmMC := metrics.New()
+	warm, err := RunBenchmark(spec, gpusim.DefaultConfig(), subcellOpts(t, store, warmMC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertComposed(t, "all-hit cell without the artifact", warmMC)
+	if !bytes.Equal(benchJSON(t, warm), benchJSON(t, cold)) {
+		t.Error("cell composed without the artifact differs from its cold run")
+	}
+
+	wider := subcellOpts(t, store, metrics.New())
+	wider.Samplers = []string{"default", "stratified"}
+	got, err := RunBenchmark(spec, gpusim.DefaultConfig(), wider)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := wider.Metrics.Count(metrics.SubcellHits), wider.Metrics.Count(metrics.SubcellMisses); hits != 0 || misses != 1 {
+		t.Errorf("cell with a missing strategy and no artifact: subcell hits=%d misses=%d, want 0 and 1", hits, misses)
+	}
+	if hits, misses := wider.Metrics.Count(metrics.OutcomeHits), wider.Metrics.Count(metrics.OutcomeMisses); hits != 3 || misses != 1 {
+		t.Errorf("outcome hits=%d misses=%d, want 3 and 1", hits, misses)
+	}
+	if n := wider.Metrics.Count(metrics.SamplerEstimates); n != 1 {
+		t.Errorf("%d strategies estimated, want only the missing one", n)
+	}
+	plain := wider
+	plain.Checkpoint, plain.Metrics = nil, nil
+	want, err := RunBenchmark(spec, gpusim.DefaultConfig(), plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(benchJSON(t, got), benchJSON(t, want)) {
+		t.Error("re-simulated cell differs from a run with no store")
+	}
+	if _, ok := store.Get(fullref); !ok {
+		t.Error("the re-simulated reference was not republished")
+	}
+}
+
+// TestOutcomeKeyCompleteness: every input an outcome depends on moves its
+// key, and nothing else does.
+func TestOutcomeKeyCompleteness(t *testing.T) {
+	store, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const totalInsts = 3_000_000
+	key := func(o Options, cfg gpusim.Config, name string) string {
+		return o.subcell("stream", o.unitSize(totalInsts), cfg).key("outcome", name)
+	}
+	base := subcellOpts(t, store, nil)
+	baseKey := key(base, gpusim.DefaultConfig(), "tbpoint")
+
+	type variant struct {
+		name string
+		opts func(*Options)
+	}
+	variants := []variant{
+		{"scale", func(o *Options) { o.Scale *= 2 }},
+		{"seed", func(o *Options) { o.Seed++ }},
+		{"RandomFrac", func(o *Options) { o.RandomFrac = 0.2 }},
+		{"UnitDivisor", func(o *Options) { o.UnitDivisor = 100 }},
+		{"MinUnitInsts", func(o *Options) { o.MinUnitInsts = 10_000 }},
+		{"MaxUnitInsts", func(o *Options) { o.MaxUnitInsts = 5000 }},
+	}
+	// Every core.Options field, so a field added later cannot be forgotten.
+	tbType := reflect.TypeOf(core.Options{})
+	for i := 0; i < tbType.NumField(); i++ {
+		i, field := i, tbType.Field(i).Name
+		if field == "Ctx" || field == "Metrics" {
+			continue
+		}
+		variants = append(variants, variant{"TBPoint." + field, func(o *Options) {
+			tb := core.DefaultOptions()
+			switch f := reflect.ValueOf(&tb).Elem().Field(i); f.Kind() {
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 0.01)
+			case reflect.Int:
+				f.SetInt(f.Int() + 1)
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			default:
+				t.Fatalf("core.Options.%s: teach this test its kind %s", field, f.Kind())
+			}
+			o.TBPoint = &tb
+		}})
+	}
+	for _, v := range variants {
+		o := base
+		v.opts(&o)
+		if key(o, gpusim.DefaultConfig(), "tbpoint") == baseKey {
+			t.Errorf("changing %s leaves the outcome key unchanged", v.name)
+		}
+	}
+	if key(base, gpusim.DefaultConfig().WithOccupancy(32, 8), "tbpoint") == baseKey {
+		t.Error("changing the hardware config leaves the outcome key unchanged")
+	}
+	if key(base, gpusim.DefaultConfig(), "stratified") == baseKey {
+		t.Error("changing the strategy leaves the outcome key unchanged")
+	}
+
+	// What does not determine the outcome must not move the key: explicit
+	// defaults, the live context and collector, the sampler selection.
+	same := base
+	tb := core.DefaultOptions()
+	tb.Ctx, tb.Metrics = context.Background(), metrics.New()
+	same.TBPoint = &tb
+	same.Samplers = []string{"all"}
+	same.Ctx, same.Metrics, same.Resume = context.Background(), metrics.New(), false
+	if key(same, gpusim.DefaultConfig(), "tbpoint") != baseKey {
+		t.Error("an input that does not determine the outcome moved its key")
+	}
+}
+
+// TestSubcellDamagedEntriesRecompute: an entry that does not decode, an
+// entry whose embedded key material is another key's, and a run told not to
+// resume all count as misses, recompute, and republish a good entry.
+func TestSubcellDamagedEntriesRecompute(t *testing.T) {
+	spec, err := workloads.ByName("stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := RunBenchmark(spec, gpusim.DefaultConfig(), subcellOpts(t, store, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := benchJSON(t, cold)
+	var tbKey, hdrKey string
+	for _, k := range store.Keys() {
+		switch {
+		case strings.HasSuffix(k, "/tbpoint"):
+			tbKey = k
+		case strings.HasPrefix(k, "subcell/v1/refhdr/"):
+			hdrKey = k
+		}
+	}
+	good, _ := store.Get(tbKey)
+	goodHdr, _ := store.Get(hdrKey)
+
+	// A different seed's entry filed under this key: what an FNV collision
+	// would look like. Its numbers are plausible and wrong.
+	other := subcellOpts(t, store, nil)
+	other.Seed++
+	if _, err := RunBenchmark(spec, gpusim.DefaultConfig(), other); err != nil {
+		t.Fatal(err)
+	}
+	var foreign, foreignHdr []byte
+	for _, k := range store.Keys() {
+		if k != tbKey && strings.HasSuffix(k, "/tbpoint") {
+			foreign, _ = store.Get(k)
+		}
+		if k != hdrKey && strings.HasPrefix(k, "subcell/v1/refhdr/") {
+			foreignHdr, _ = store.Get(k)
+		}
+	}
+	if foreign == nil || foreignHdr == nil || bytes.Equal(foreign, good) {
+		t.Fatal("no foreign entries to plant")
+	}
+
+	for _, tc := range []struct {
+		name            string
+		key             string
+		payload         []byte
+		resume          bool
+		wantOutcomeMiss uint64
+		wantSubcellMiss uint64
+	}{
+		{"corrupt outcome", tbKey, []byte(`{"material":17}`), true, 1, 0},
+		{"unknown material", tbKey, []byte(`{"material":"x","value":"half"}`), true, 1, 0},
+		{"foreign outcome", tbKey, foreign, true, 1, 0},
+		{"corrupt header", hdrKey, []byte(`[]`), true, 0, 0},
+		{"foreign header", hdrKey, foreignHdr, true, 0, 0},
+		{"no resume", tbKey, good, false, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := store.Put(tc.key, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			writes := store.Writes()
+			mc := metrics.New()
+			opts := subcellOpts(t, store, mc)
+			opts.Resume = tc.resume
+			r, err := RunBenchmark(spec, gpusim.DefaultConfig(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(benchJSON(t, r), want) {
+				t.Error("result differs from the cold run")
+			}
+			if n := mc.Count(metrics.OutcomeMisses); n != tc.wantOutcomeMiss {
+				t.Errorf("%d outcome misses, want %d", n, tc.wantOutcomeMiss)
+			}
+			if n := mc.Count(metrics.SubcellMisses); n != tc.wantSubcellMiss {
+				t.Errorf("%d subcell misses, want %d", n, tc.wantSubcellMiss)
+			}
+			if !tc.resume {
+				if n := mc.Count(metrics.OutcomeHits) + mc.Count(metrics.SubcellHits); n != 0 {
+					t.Errorf("a run that does not resume recorded %d hits", n)
+				}
+				if n := store.Writes() - writes; n != 5 {
+					t.Errorf("a run that does not resume republished %d entries, want all 5", n)
+				}
+			} else if n := store.Writes() - writes; n != 1 {
+				t.Errorf("republished %d entries, want the damaged one", n)
+			}
+			for k, wantData := range map[string][]byte{tbKey: good, hdrKey: goodHdr} {
+				if got, _ := store.Get(k); !bytes.Equal(got, wantData) {
+					t.Errorf("%s holds %s after the run, want the good entry back", k, got)
+				}
+			}
+		})
+	}
+}
+
+// TestSubcellConcurrentCellsShareOneStore: cells of one benchmark with
+// overlapping sampler sets run at once (two dispatchers of the job server
+// do this), looking up and publishing the same keys concurrently. Every
+// result still equals the run without a store; the race stage runs this
+// under the detector.
+func TestSubcellConcurrentCellsShareOneStore(t *testing.T) {
+	spec, err := workloads.ByName("stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := [][]string{{"all"}, {"tbpoint", "stratified"}, {"all"}, nil}
+	want := make([][]byte, len(sets))
+	for i, set := range sets {
+		opts := subcellOpts(t, nil, nil)
+		opts.Samplers = set
+		r, err := RunBenchmark(spec, gpusim.DefaultConfig(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = benchJSON(t, r)
+	}
+	for round := 0; round < 2; round++ { // cold store, then warm
+		got := make([]*BenchResult, len(sets))
+		errs := make([]error, len(sets))
+		var wg sync.WaitGroup
+		for i, set := range sets {
+			wg.Add(1)
+			go func(i int, set []string) {
+				defer wg.Done()
+				opts := subcellOpts(t, store, metrics.New())
+				opts.Samplers = set
+				got[i], errs[i] = RunBenchmark(spec, gpusim.DefaultConfig(), opts)
+			}(i, set)
+		}
+		wg.Wait()
+		for i := range sets {
+			if errs[i] != nil {
+				t.Fatalf("round %d %v: %v", round, sets[i], errs[i])
+			}
+			if !bytes.Equal(benchJSON(t, got[i]), want[i]) {
+				t.Errorf("round %d %v: differs from the run without a store", round, sets[i])
+			}
 		}
 	}
 }

@@ -124,14 +124,19 @@ const (
 	// reference run is keyed by its own result-determining option hash and
 	// shared through the same durable store as the cell checkpoints, so two
 	// jobs whose grids overlap without being cell-identical still reuse the
-	// dominant simulation. One hit/miss is counted per artifact lookup.
+	// dominant simulation. One hit or miss is counted per cell: whether its
+	// reference came from the store (header or artifact) or was simulated.
+	// Outcome hits/misses count the per-strategy outcome lookups of the same
+	// cache, one per selected strategy per cell.
 	SubcellHits
 	SubcellMisses
+	OutcomeHits
+	OutcomeMisses
 
 	// Job server (internal/server). Cache hits/misses count grid cells a
 	// job satisfied from / published into the shared artifact cache, so a
 	// second client requesting an overlapping grid shows up as hits.
-	// Subcell hits/misses aggregate the per-job sub-cell artifact lookups
+	// Subcell and outcome hits/misses aggregate the per-job sub-cell lookups
 	// the same way, and evictions counts entries the bounded cache dropped
 	// to stay under its byte budget.
 	// The supervision counters (jobs_panicked/stuck/quarantined,
@@ -154,6 +159,8 @@ const (
 	ServerCacheMisses
 	ServerSubcellHits
 	ServerSubcellMisses
+	ServerOutcomeHits
+	ServerOutcomeMisses
 	ServerCacheEvictions
 
 	// Estimation-strategy subsystem (internal/sampler, recorded by the
@@ -220,6 +227,8 @@ var counterNames = [NumCounters]string{
 
 	SubcellHits:   "subcell.hits",
 	SubcellMisses: "subcell.misses",
+	OutcomeHits:   "outcome.hits",
+	OutcomeMisses: "outcome.misses",
 
 	ServerJobsSubmitted:      "server.jobs_submitted",
 	ServerJobsDone:           "server.jobs_done",
@@ -235,6 +244,8 @@ var counterNames = [NumCounters]string{
 	ServerCacheMisses:        "server.cache_misses",
 	ServerSubcellHits:        "server.subcell_hits",
 	ServerSubcellMisses:      "server.subcell_misses",
+	ServerOutcomeHits:        "server.outcome_hits",
+	ServerOutcomeMisses:      "server.outcome_misses",
 	ServerCacheEvictions:     "server.cache_evictions",
 
 	SamplerEstimates:   "sampler.estimates",

@@ -287,13 +287,27 @@ func (c *Client) Events(ctx context.Context, id string, fn func(server.JobStatus
 	return sc.Err()
 }
 
-// Wait polls the job until it reaches a terminal state (or ctx dies) and
-// returns the final status. poll <= 0 selects 200ms as the starting
-// interval; the interval then backs off exponentially to 16x the base with
-// +/-25% jitter, so many clients waiting on a loaded daemon spread their
-// polls instead of hammering it in lockstep. Cancellation is prompt: the
-// sleep is abandoned the moment ctx dies.
+// Wait blocks until the job reaches a terminal state (or ctx dies) and
+// returns the final status. It follows the job's /events stream, so it
+// returns as soon as the daemon emits the terminal status. Only when the
+// stream is unavailable or ends early (a proxy that does not stream, a
+// daemon restart) does it fall back to polling GET /jobs/{id}: poll <= 0
+// selects 200ms as the starting interval, which then backs off
+// exponentially to 16x the base with +/-25% jitter, so many clients waiting
+// on a loaded daemon spread their polls instead of hammering it in
+// lockstep. Cancellation is prompt on both paths.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (server.JobStatus, error) {
+	var st server.JobStatus
+	err := c.Events(ctx, id, func(s server.JobStatus) error {
+		st = s
+		return nil
+	})
+	if err == nil && st.State.Terminal() {
+		return st, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return st, err
+	}
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}

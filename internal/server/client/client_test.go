@@ -29,8 +29,60 @@ func fakeDaemon(t *testing.T, polls *atomic.Int64, state func(n int64) server.Jo
 	return srv
 }
 
-// TestWaitReturnsOnTerminal: Wait polls until the daemon reports a terminal
-// state and returns it.
+// TestWaitRidesEvents: Wait follows /events and returns the last status the
+// stream delivers without a single poll. A stream that is refused (404, a
+// daemon or proxy without the endpoint) or that ends before a terminal state
+// falls back to polling.
+func TestWaitRidesEvents(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		events    func(w http.ResponseWriter) // nil: 404
+		wantPolls int64
+	}{
+		{"terminal", func(w http.ResponseWriter) {
+			enc := json.NewEncoder(w)
+			enc.Encode(server.JobStatus{ID: "j1", State: server.StateRunning})
+			w.(http.Flusher).Flush()
+			enc.Encode(server.JobStatus{ID: "j1", State: server.StateDone, CacheHits: 7})
+		}, 0},
+		{"not found", nil, 1},
+		{"ends early", func(w http.ResponseWriter) {
+			json.NewEncoder(w).Encode(server.JobStatus{ID: "j1", State: server.StateRunning})
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var polls, streams atomic.Int64
+			mux := http.NewServeMux()
+			mux.HandleFunc("GET /jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+				streams.Add(1)
+				if tc.events == nil {
+					http.NotFound(w, r)
+					return
+				}
+				tc.events(w)
+			})
+			mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+				polls.Add(1)
+				json.NewEncoder(w).Encode(server.JobStatus{ID: "j1", State: server.StateDone, CacheHits: 7})
+			})
+			srv := httptest.NewServer(mux)
+			defer srv.Close()
+			st, err := client.New(srv.URL).Wait(context.Background(), "j1", time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != server.StateDone || st.CacheHits != 7 {
+				t.Fatalf("status = %+v, want the terminal one", st)
+			}
+			if streams.Load() != 1 || polls.Load() != tc.wantPolls {
+				t.Fatalf("%d streams and %d polls, want 1 and %d", streams.Load(), polls.Load(), tc.wantPolls)
+			}
+		})
+	}
+}
+
+// TestWaitReturnsOnTerminal: without /events (fakeDaemon 404s it) Wait polls
+// until the daemon reports a terminal state and returns it.
 func TestWaitReturnsOnTerminal(t *testing.T) {
 	var polls atomic.Int64
 	srv := fakeDaemon(t, &polls, func(n int64) server.JobState {

@@ -198,10 +198,14 @@ func (d *Driver) runJob(j *Job) {
 	misses := jmc.Count(metrics.ExpCellsExecuted)
 	subHits := jmc.Count(metrics.SubcellHits)
 	subMisses := jmc.Count(metrics.SubcellMisses)
+	outHits := jmc.Count(metrics.OutcomeHits)
+	outMisses := jmc.Count(metrics.OutcomeMisses)
 	d.mc.AtomicAdd(metrics.ServerCacheHits, hits)
 	d.mc.AtomicAdd(metrics.ServerCacheMisses, misses)
 	d.mc.AtomicAdd(metrics.ServerSubcellHits, subHits)
 	d.mc.AtomicAdd(metrics.ServerSubcellMisses, subMisses)
+	d.mc.AtomicAdd(metrics.ServerOutcomeHits, outHits)
+	d.mc.AtomicAdd(metrics.ServerOutcomeMisses, outMisses)
 
 	// Persist the results bundle before the state flips to done: a client
 	// that observes "done" must be able to fetch the result. The bundle is
@@ -222,6 +226,8 @@ func (d *Driver) runJob(j *Job) {
 	j.rec.CacheMisses = misses
 	j.rec.SubcellHits = subHits
 	j.rec.SubcellMisses = subMisses
+	j.rec.OutcomeHits = outHits
+	j.rec.OutcomeMisses = outMisses
 	j.rec.CellsFailed = jmc.Count(metrics.ExpCellsFailed)
 	j.rec.Aborted = bundle.Aborted
 	switch {

@@ -446,6 +446,8 @@ func (d *Driver) statusLocked(j *Job) JobStatus {
 			st.CacheMisses = j.mc.Count(metrics.ExpCellsExecuted)
 			st.SubcellHits = j.mc.Count(metrics.SubcellHits)
 			st.SubcellMisses = j.mc.Count(metrics.SubcellMisses)
+			st.OutcomeHits = j.mc.Count(metrics.OutcomeHits)
+			st.OutcomeMisses = j.mc.Count(metrics.OutcomeMisses)
 			st.CellsFailed = j.mc.Count(metrics.ExpCellsFailed)
 		}
 		st.Phases = j.mc.Snapshot().Phases

@@ -268,12 +268,16 @@ type JobStatus struct {
 	// of the job's collector).
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
-	// SubcellHits / SubcellMisses count the finer-grained artifact lookups
-	// (each benchmark's full reference run) — these hit even when whole
-	// cells differ, e.g. two jobs over the same workload with different
-	// sampler sets.
+	// SubcellHits / SubcellMisses count, per executed cell, whether its full
+	// reference came from the sub-cell cache (header or artifact) or had to
+	// be simulated — these hit even when whole cells differ, e.g. two jobs
+	// over the same workload with different sampler sets. OutcomeHits /
+	// OutcomeMisses count the per-strategy outcome lookups of those cells:
+	// a miss is one strategy estimated (and published) by this job.
 	SubcellHits   uint64 `json:"subcell_hits,omitempty"`
 	SubcellMisses uint64 `json:"subcell_misses,omitempty"`
+	OutcomeHits   uint64 `json:"outcome_hits,omitempty"`
+	OutcomeMisses uint64 `json:"outcome_misses,omitempty"`
 	// CellsFailed counts cells that degraded to CellError entries.
 	CellsFailed uint64 `json:"cells_failed,omitempty"`
 	// Aborted mirrors the results bundle's aborted flag.
@@ -319,6 +323,8 @@ type jobRecord struct {
 	CacheMisses   uint64      `json:"cache_misses,omitempty"`
 	SubcellHits   uint64      `json:"subcell_hits,omitempty"`
 	SubcellMisses uint64      `json:"subcell_misses,omitempty"`
+	OutcomeHits   uint64      `json:"outcome_hits,omitempty"`
+	OutcomeMisses uint64      `json:"outcome_misses,omitempty"`
 	CellsFailed   uint64      `json:"cells_failed,omitempty"`
 	Aborted       bool        `json:"aborted,omitempty"`
 	WallSeconds   float64     `json:"wall_seconds,omitempty"`
@@ -338,6 +344,8 @@ func (r jobRecord) status() JobStatus {
 		CacheMisses:   r.CacheMisses,
 		SubcellHits:   r.SubcellHits,
 		SubcellMisses: r.SubcellMisses,
+		OutcomeHits:   r.OutcomeHits,
+		OutcomeMisses: r.OutcomeMisses,
 		CellsFailed:   r.CellsFailed,
 		Aborted:       r.Aborted,
 		WallSeconds:   r.WallSeconds,

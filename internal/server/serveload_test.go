@@ -209,11 +209,13 @@ func TestServeLoadFairnessAndBoundedCache(t *testing.T) {
 	}
 }
 
-// TestSubcellReuseAcrossJobs pins the tentpole cache contract end-to-end:
+// TestSubcellReuseAcrossJobs pins the sub-cell cache contract end-to-end:
 // a second job over the same workload but a different sampler set misses
 // the whole-cell cache (the sampler set is part of the cell key) yet reuses
-// the full-reference artifacts — nonzero subcell hits, less wall time than
-// the same spec computed cold, byte-identical results.
+// the full reference and the base job's three outcomes, estimating only the
+// two strategies that are new — less wall time than the same spec computed
+// cold, byte-identical results. A third job whose strategies have all been
+// estimated by then composes its cells without estimating anything.
 func TestSubcellReuseAcrossJobs(t *testing.T) {
 	mc := metrics.New()
 	d := openDriver(t, server.Config{StateDir: t.TempDir(), Dispatchers: 1, Metrics: mc, Logf: t.Logf})
@@ -261,6 +263,38 @@ func TestSubcellReuseAcrossJobs(t *testing.T) {
 	if b.SubcellMisses != 0 {
 		t.Fatalf("job B missed %d artifacts, want full reuse", b.SubcellMisses)
 	}
+	benches := uint64(len(specB.Benchmarks))
+	if b.OutcomeHits != 3*benches || b.OutcomeMisses != 2*benches {
+		t.Fatalf("job B outcome hits=%d misses=%d, want %d (the base trio) and %d (systematic, stratified)",
+			b.OutcomeHits, b.OutcomeMisses, 3*benches, 2*benches)
+	}
+	for _, p := range b.Phases {
+		if p.Name == "sampler.tbpoint" || p.Name == "experiments.full_ref" {
+			t.Fatalf("job B ran phase %s; it was job A's work to reuse", p.Name)
+		}
+	}
+
+	// Job D: a subset of what A and B estimated — composed from the store.
+	specD := smallSpec()
+	specD.Samplers = []string{"tbpoint", "stratified"}
+	dj := submitWait(specD)
+	if dj.CacheHits != 0 || dj.SubcellHits != benches || dj.SubcellMisses != 0 ||
+		dj.OutcomeHits != 2*benches || dj.OutcomeMisses != 0 {
+		t.Fatalf("job D cell hits=%d subcell hits=%d misses=%d outcome hits=%d misses=%d, want 0, %d, 0, %d, 0",
+			dj.CacheHits, dj.SubcellHits, dj.SubcellMisses, dj.OutcomeHits, dj.OutcomeMisses, benches, 2*benches)
+	}
+	for _, p := range dj.Phases {
+		if strings.HasPrefix(p.Name, "sampler.") || p.Name == "experiments.full_ref" {
+			t.Fatalf("job D ran phase %s, want a pure composition", p.Name)
+		}
+	}
+	resD, err := d.Result(dj.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := refResults(t, 7, specD.Samplers); !bytes.Equal(resD, want) {
+		t.Error("composed results.json differs from one-shot engine output")
+	}
 
 	// Job C: job B's spec computed cold (NoCache bypasses all reuse) — the
 	// honest baseline for both the wall-time and the byte-identity claims.
@@ -268,8 +302,8 @@ func TestSubcellReuseAcrossJobs(t *testing.T) {
 	specC.Client = "cold-tenant"
 	specC.NoCache = true
 	c := submitWait(specC)
-	if c.SubcellHits != 0 {
-		t.Fatalf("NoCache job recorded %d subcell hits", c.SubcellHits)
+	if c.SubcellHits != 0 || c.OutcomeHits != 0 {
+		t.Fatalf("NoCache job recorded %d subcell and %d outcome hits", c.SubcellHits, c.OutcomeHits)
 	}
 	if b.WallSeconds >= c.WallSeconds {
 		t.Errorf("warm job took %.3fs, cold %.3fs — artifact reuse saved no time",
@@ -293,5 +327,9 @@ func TestSubcellReuseAcrossJobs(t *testing.T) {
 
 	if n := mc.Count(metrics.ServerSubcellHits); n == 0 {
 		t.Error("server.subcell_hits counter is zero after artifact reuse")
+	}
+	if hits, misses := mc.Count(metrics.ServerOutcomeHits), mc.Count(metrics.ServerOutcomeMisses); hits != 5*benches || misses != 5*benches {
+		t.Errorf("server.outcome_hits=%d outcome_misses=%d, want %d each (A misses 3, B hits 3 misses 2, D hits 2)",
+			hits, misses, 5*benches)
 	}
 }

@@ -61,9 +61,9 @@
 #           the cache directory must stay under its budget with
 #           server.cache_evictions counted, and an overlapping-but-non-
 #           identical job (same workload, wider sampler set) must reuse the
-#           full reference (subcell_hits > 0, less wall time than a
-#           -no-cache run) while its results.json stays byte-identical to
-#           the one-shot CLI
+#           full reference and the stored outcomes (subcell_hits > 0,
+#           outcome_hits = 3, less wall time than a -no-cache run) while
+#           its results.json stays byte-identical to the one-shot CLI
 #
 # Usage: scripts/ci.sh [fast | stage...]
 #   (no args)       run every stage
@@ -647,7 +647,8 @@ run_serveload() {
   go build -o "$tmp/tbpointctl" ./cmd/tbpointctl
   go build -o "$tmp/experiments" ./cmd/experiments
   local args=(-scale 0.02 -bench stream)
-  # One job's artifacts weigh ~180KB; a 576KB budget holds ~3 of the 4
+  # One job's artifacts weigh ~180KB (the full reference; its header, the
+  # three outcomes and the cell add ~5KB); a 576KB budget holds ~3 of the 4
   # submitted jobs, forcing evictions while keeping the newest artifacts
   # resident for the sub-cell reuse phase.
   local budget=$((576 * 1024))
@@ -730,6 +731,13 @@ run_serveload() {
     echo "serveload: overlapping job reused no sub-cell artifacts: $wline" >&2
     return 1
   }
+  # The small tenant's job left the default trio's outcomes behind (they
+  # survived phase 1's evictions with its reference); only the two
+  # strategies `all` adds are estimated.
+  [[ "$(field "$wline" outcome_hits)" -eq 3 && "$(field "$wline" outcome_misses)" -eq 2 ]] || {
+    echo "serveload: overlapping job should reuse 3 outcomes and estimate 2: $wline" >&2
+    return 1
+  }
   cold=$("$tmp/tbpointctl" submit -client other -seed 7 -samplers all -no-cache "${args[@]}" accuracy)
   cline=$("$tmp/tbpointctl" wait -poll 50ms "$cold")
   [[ "$(field "$cline" state)" == "done" ]] || {
@@ -807,6 +815,20 @@ run_samplers() {
   }
   grep -q 'sampler.stratified' "$tmp/nway_metrics.json" || {
     echo "samplers: no sampler.stratified phase recorded" >&2
+    return 1
+  }
+
+  # The same N-way run composed from a store (-subcell) the default run
+  # filled — the reference and the trio's outcomes reused, two strategies
+  # per benchmark estimated — writes the bytes of a run without a store.
+  # (nway.json carries wall-clock phases, so a plain run is the reference;
+  # the hit/miss/estimate counters are pinned by internal/experiments.)
+  "$bin" "${args[@]}" -samplers all -json "$tmp/nway_plain.json" accuracy >/dev/null
+  "$bin" "${args[@]}" -subcell -checkpoint-dir "$tmp/ckpt" accuracy >/dev/null 2>&1
+  "$bin" "${args[@]}" -samplers all -subcell -checkpoint-dir "$tmp/ckpt" -resume \
+    -json "$tmp/nway_warm.json" accuracy >/dev/null 2>&1
+  cmp "$tmp/nway_plain.json" "$tmp/nway_warm.json" || {
+    echo "samplers: N-way run composed from the sub-cell cache differs from the run without one" >&2
     return 1
   }
 
