@@ -131,8 +131,10 @@ func main() {
 		}
 		opts.Samplers = names
 	}
+	// A checkpointed run collects too: its closing line reports the grid
+	// cells the harness counted, not the store's entries.
 	var mc *metrics.Collector
-	if *metricsJSON != "" {
+	if *metricsJSON != "" || *checkpointDir != "" {
 		mc = metrics.New()
 		opts.Metrics = mc
 		par.ResetStats()
@@ -172,7 +174,7 @@ func main() {
 		opts.Subcell = *subcell
 		if *resume {
 			fmt.Fprintf(os.Stderr, "experiments: resuming from %s: %d cell(s) journaled\n",
-				*checkpointDir, store.Len())
+				*checkpointDir, experiments.JournaledCells(store))
 		}
 	} else if *resume {
 		fail(errors.New("-resume requires -checkpoint-dir"))
@@ -200,7 +202,7 @@ func main() {
 	}
 	if store != nil {
 		fmt.Fprintf(os.Stderr, "experiments: resumed %d cell(s) from checkpoint, journaled %d new\n",
-			store.Hits(), store.Writes())
+			mc.Count(metrics.ExpCellsResumed), mc.Count(metrics.ExpCheckpointsSave))
 	}
 
 	// Observability flushes before the exit status is decided: a run cut
@@ -208,7 +210,7 @@ func main() {
 	// checkpoint directory, an unknown benchmark) still writes its
 	// metrics snapshot and partial results bundle, so server-driven and
 	// scripted runs stay observable.
-	if mc != nil {
+	if *metricsJSON != "" {
 		par.StatsInto(mc)
 		snap := mc.Snapshot()
 		bundle.Phases = snap.Phases

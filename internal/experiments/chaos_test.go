@@ -12,6 +12,7 @@ import (
 	"tbpoint/internal/faultcheck"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/kernel"
+	"tbpoint/internal/sampling"
 	"tbpoint/internal/workloads"
 )
 
@@ -124,10 +125,9 @@ func TestChaosPanicCellDegrades(t *testing.T) {
 // TestChaosLaunchPanicNamesThePanic: a launch whose simulation panics on a
 // fan-out worker (here a nil Kernel, dereferenced inside RunLaunch) must
 // reach the cell's CellError as that panic with the worker's stack — not as
-// the "context canceled" RunBenchmark reports for an aborted reference run.
-// RunAccuracy only builds registry benchmarks, so the test feeds the broken
-// app to the path it runs each cell through: runCellWithRetry around
-// fullAppCtx, recorded by a cellRecorder.
+// the "context canceled" an aborted reference run reports. RunAccuracy only
+// builds registry benchmarks, so the test feeds the broken app to the path
+// every cell takes: a runGrid cell around fullReference.
 func TestChaosLaunchPanicNamesThePanic(t *testing.T) {
 	spec, err := workloads.ByName("kmeans")
 	if err != nil {
@@ -141,19 +141,17 @@ func TestChaosLaunchPanicNamesThePanic(t *testing.T) {
 	defer func() { Parallelism = old }()
 	for _, workers := range []int{1, 4} {
 		Parallelism = workers
-		rec := &cellRecorder{grid: "accuracy"}
-		meta, cellErr := fastOpts().runCellWithRetry(0, func(ctx context.Context) error {
-			if fullAppCtx(ctx, sim, app, 2000, nil, 0, 0).Aborted {
-				return context.Canceled
-			}
-			return nil
-		})
-		if cellErr == nil {
-			t.Fatalf("workers=%d: a panicking launch left no cell error", workers)
+		_, cellErrs, err := runGrid(fastOpts(), "accuracy", []gridCell[*sampling.AppRun]{{
+			name: app.Name,
+			run: func(o Options) (*sampling.AppRun, error) {
+				return o.fullReference(nil, sim, app, 2000, nil)
+			},
+		}})
+		if err != nil || len(cellErrs) != 1 {
+			t.Fatalf("workers=%d: a panicking launch gave err %v and cell errors %+v, want one cell error", workers, err, cellErrs)
 		}
-		rec.record(0, app.Name, cellErr, meta)
-		ce := rec.sorted()[0]
-		if isCancellation(cellErr) || !strings.Contains(ce.Err, "panicked") || !strings.Contains(ce.Err, "nil pointer") {
+		ce := cellErrs[0]
+		if !strings.Contains(ce.Err, "panicked") || !strings.Contains(ce.Err, "nil pointer") {
 			t.Errorf("workers=%d: cell error %q does not name the launch's panic", workers, ce.Err)
 		}
 		if !strings.Contains(ce.Stack, "RunLaunch") {
@@ -248,6 +246,31 @@ func TestChaosSensitivityCancelMidRun(t *testing.T) {
 	}
 	if len(cellErrs) != 0 {
 		t.Errorf("cancellation produced cell errors: %+v", cellErrs)
+	}
+}
+
+// TestChaosMotivationCancelMidRun: the motivation study runs on the
+// cancellable reference path, so cancelling after its first benchmark stops
+// the run with the context's error instead of simulating the rest.
+func TestChaosMotivationCancelMidRun(t *testing.T) {
+	old := Parallelism
+	Parallelism = 1
+	defer func() { Parallelism = old }()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := fastOpts()
+	opts.Benchmarks = []string{"stream", "black", "kmeans"}
+	opts.Ctx = ctx
+	opts.Verbose = true
+	opts.Out = &cancelOnFirstWrite{cancel: cancel}
+
+	results, err := RunMotivation(opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned err = %v, want context.Canceled", err)
+	}
+	if results != nil {
+		t.Errorf("cancelled run returned %d results", len(results))
 	}
 }
 

@@ -3,10 +3,10 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"io"
+	"strings"
 
 	"tbpoint/internal/core"
+	"tbpoint/internal/durable"
 	"tbpoint/internal/metrics"
 )
 
@@ -23,20 +23,17 @@ const cellSchema = "cell/v2"
 // misses the journal and recomputes, so stale checkpoints can never leak
 // into fresh results.
 func (o Options) cellKey(grid, cell string, extra ...string) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s scale=%g seed=%d randfrac=%g unitdiv=%d min=%d max=%d",
-		cellSchema, o.Scale, o.Seed, o.RandomFrac, o.UnitDivisor, o.MinUnitInsts, o.MaxUnitInsts)
-	fmt.Fprintf(h, " tb=%+v", o.tbpointKeyOptions())
 	// The active strategy selection determines every cell's result shape,
 	// so it is part of the key: a resume with a different -samplers set
 	// misses and recomputes instead of surfacing cells with missing
 	// strategies.
-	fmt.Fprintf(h, " samplers=%v", o.samplerNames())
+	mat := fmt.Sprintf("%s scale=%g seed=%d randfrac=%g unitdiv=%d min=%d max=%d tb=%+v samplers=%v",
+		cellSchema, o.Scale, o.Seed, o.RandomFrac, o.UnitDivisor, o.MinUnitInsts, o.MaxUnitInsts,
+		o.tbpointKeyOptions(), o.samplerNames())
 	for _, e := range extra {
-		io.WriteString(h, " ")
-		io.WriteString(h, e)
+		mat += " " + e
 	}
-	return fmt.Sprintf("%s/%s/%016x", grid, cell, h.Sum64())
+	return fmt.Sprintf("%s/%s/%016x", grid, cell, fnv64(mat))
 }
 
 // tbpointKeyOptions is tbpointOptions as cache keys may see it. The options
@@ -48,6 +45,18 @@ func (o Options) tbpointKeyOptions() core.Options {
 	tb.Ctx = nil
 	tb.Metrics = nil
 	return tb
+}
+
+// JournaledCells counts the grid cells journaled in s, leaving out the
+// sub-cell cache entries that share the store.
+func JournaledCells(s *durable.Store) int {
+	n := 0
+	for _, k := range s.Keys() {
+		if !strings.HasPrefix(k, subcellPrefix) {
+			n++
+		}
+	}
+	return n
 }
 
 // resumeCell restores a journaled cell result into out. It only hits when

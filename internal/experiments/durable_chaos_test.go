@@ -313,6 +313,20 @@ func TestChaosRetryDelayIsDeterministic(t *testing.T) {
 	if p.delay(0, 1) == p.delay(1, 1) && p.delay(0, 2) == p.delay(1, 2) {
 		t.Error("cells 0 and 1 share the whole backoff sequence; jitter is not decorrelating")
 	}
+	// The jitter is one stats.RNG (SplitMix64) draw; these values predate
+	// that and pin CellError.LastDelay across the change of helper.
+	q := RetryPolicy{BaseDelay: 80 * time.Millisecond, MaxDelay: time.Second, Seed: 7}
+	for _, c := range []struct {
+		cell, attempt int
+		want          time.Duration
+	}{{0, 1, 43740992}, {1, 1, 55871772}, {3, 2, 148329388}, {11, 3, 233292213}} {
+		if got := q.delay(c.cell, c.attempt); got != c.want {
+			t.Errorf("delay(%d,%d) = %d, want the recorded %d", c.cell, c.attempt, got, c.want)
+		}
+	}
+	if got := (RetryPolicy{}).delay(5, 2); got != 142128953 {
+		t.Errorf("zero-policy delay(5,2) = %d, want the recorded 142128953", got)
+	}
 }
 
 // TestChaosCellDeadlineDegradesNotCancels gives every cell an impossible

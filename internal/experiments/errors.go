@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime/debug"
-	"sort"
-	"sync"
 	"time"
 
 	"tbpoint/internal/faultcheck"
@@ -80,42 +78,13 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// cellRecorder accumulates cell failures across concurrent grid workers and
-// reports them in deterministic (cell index) order.
-type cellRecorder struct {
-	grid string
-	mu   sync.Mutex
-	errs []indexedCellError
-}
-
-type indexedCellError struct {
-	idx int
-	ce  CellError
-}
-
-func (cr *cellRecorder) record(idx int, cell string, err error, meta cellMeta) {
-	ce := CellError{
-		Grid: cr.grid, Cell: cell, Err: err.Error(),
-		Attempts:      meta.attempts,
-		LastDelay:     meta.lastDelay,
-		TotalDuration: meta.total,
-	}
+// failed completes the CellError of a cell that failed for good with err:
+// its text, and the panicking goroutine's stack when it was a panic.
+func (ce CellError) failed(grid, cell string, err error) *CellError {
+	ce.Grid, ce.Cell, ce.Err = grid, cell, err.Error()
 	var pe *par.PanicError
 	if errors.As(err, &pe) {
 		ce.Stack = string(pe.Stack)
 	}
-	cr.mu.Lock()
-	cr.errs = append(cr.errs, indexedCellError{idx, ce})
-	cr.mu.Unlock()
-}
-
-func (cr *cellRecorder) sorted() []CellError {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	sort.Slice(cr.errs, func(a, b int) bool { return cr.errs[a].idx < cr.errs[b].idx })
-	out := make([]CellError, 0, len(cr.errs))
-	for _, e := range cr.errs {
-		out = append(out, e.ce)
-	}
-	return out
+	return &ce
 }

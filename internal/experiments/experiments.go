@@ -75,7 +75,9 @@ type Options struct {
 	// Checkpoint, each at its own key (see subcell): the full reference run,
 	// its two-IPC header, and every strategy's outcome. Runs whose grids
 	// overlap without being cell-identical then compose their cells from
-	// those entries and compute only what is missing. Lookups obey Resume;
+	// those entries and compute only what is missing — accuracy, sensitivity
+	// and ablation cells alike, and the motivation study reads the accuracy
+	// cell's reference run. Lookups obey Resume;
 	// fresh computations are always published. Off by default: the one-shot
 	// CLI keeps its historical checkpoint-write counts (and the
 	// crash-injection accounting built on them) unless -subcell opts in,
@@ -336,12 +338,9 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 	if haveHdr && len(missing) == 0 {
 		mc.AtomicAdd(metrics.SubcellHits, 1)
 	} else {
-		full := opts.fullReference(sc, sim, app, unit, mc)
-		if full.Aborted {
-			if err := ctxErr(opts.Ctx); err != nil {
-				return nil, err
-			}
-			return nil, context.Canceled
+		full, err := opts.fullReference(sc, sim, app, unit, mc)
+		if err != nil {
+			return nil, err
 		}
 		if !haveHdr {
 			hdr = refHeader{FullIPC: full.IPC(), FullOverallIPC: full.OverallIPC()}

@@ -60,20 +60,31 @@ func unitBBVDistance(a, b []float64) float64 {
 
 // RunMotivation computes, for each benchmark, how well BBV distance vs
 // TBPoint feature distance predict performance difference across kernel
-// launches (the granularity inter-launch sampling works at).
+// launches (the granularity inter-launch sampling works at). The per-launch
+// CPIs come from the accuracy cell's full reference run (fullReference).
 func RunMotivation(opts Options) ([]MotivationResult, error) {
 	specs, err := opts.specs()
 	if err != nil {
 		return nil, err
 	}
-	var out []MotivationResult
-	for _, spec := range specs {
-		sim, err := gpusim.New(gpusim.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
+	cfg := gpusim.DefaultConfig()
+	sim, err := gpusim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Concurrent benchmarks share opts.Metrics: everything below records
+	// through Merge, AddPhase or AtomicAdd, which are safe on one collector.
+	mc := opts.Metrics
+	out := make([]MotivationResult, len(specs))
+	err = forEachIndexed(opts.Ctx, len(specs), func(i int) error {
+		spec := specs[i]
 		app := spec.Build(workloads.Config{Scale: opts.Scale, Seed: opts.Seed})
-		prof := core.ProfileApp(app)
+		unit := opts.unitSize(app.TotalWarpInsts())
+		full, err := opts.fullReference(opts.subcell(spec.Name, unit, cfg), sim, app, unit, mc)
+		if err != nil {
+			return err
+		}
+		prof := core.ProfileAppMetrics(app, mc)
 
 		// Per-launch BBVs (normalised), per-instruction intensity features,
 		// and measured CPIs. The intensity features are the size-invariant
@@ -83,55 +94,51 @@ func RunMotivation(opts Options) ([]MotivationResult, error) {
 		// say about *how* a launch performs rather than how big it is.
 		nLaunches := len(app.Launches)
 		feats := make([][]float64, nLaunches)
+		bbvs := make([][]float64, nLaunches)
+		cpis := make([]float64, nLaunches)
 		for li, lp := range prof.Profiles {
 			warp := float64(lp.TotalWarpInsts())
 			f := make([]float64, 3)
+			bbv := make([]float64, len(lp.BlockCounts))
 			if warp > 0 {
 				f[0] = float64(lp.TotalThreadInsts()) / (warp * 32)
 				f[1] = float64(lp.TotalMemRequests()) / warp
-			}
-			f[2] = lp.TBSizeCoV()
-			feats[li] = f
-		}
-		bbvs := make([][]float64, nLaunches)
-		cpis := make([]float64, nLaunches)
-		for li, l := range app.Launches {
-			lp := prof.Profiles[li]
-			total := lp.TotalWarpInsts()
-			bbv := make([]float64, len(lp.BlockCounts))
-			for b, c := range lp.BlockCounts {
-				if total > 0 {
-					bbv[b] = float64(c) / float64(total)
+				for b, c := range lp.BlockCounts {
+					bbv[b] = float64(c) / warp
 				}
 			}
-			bbvs[li] = bbv
-			res := sim.RunLaunch(l, gpusim.RunOptions{})
-			if res.SimulatedWarpInsts > 0 {
+			f[2] = lp.TBSizeCoV()
+			feats[li], bbvs[li] = f, bbv
+			if res := full.Launches[li]; res.SimulatedWarpInsts > 0 {
 				cpis[li] = float64(res.Cycles) / float64(res.SimulatedWarpInsts)
 			}
 		}
 
 		var bbvD, featD, cpiD []float64
-		for i := 0; i < nLaunches; i++ {
-			for j := i + 1; j < nLaunches; j++ {
-				bbvD = append(bbvD, unitBBVDistance(bbvs[i], bbvs[j]))
-				featD = append(featD, unitBBVDistance(feats[i], feats[j]))
-				d := cpis[i] - cpis[j]
+		for a := 0; a < nLaunches; a++ {
+			for b := a + 1; b < nLaunches; b++ {
+				bbvD = append(bbvD, unitBBVDistance(bbvs[a], bbvs[b]))
+				featD = append(featD, unitBBVDistance(feats[a], feats[b]))
+				d := cpis[a] - cpis[b]
 				if d < 0 {
 					d = -d
 				}
 				cpiD = append(cpiD, d)
 			}
 		}
-		out = append(out, MotivationResult{
+		out[i] = MotivationResult{
 			Bench:       spec.Name,
 			Type:        spec.Type,
 			Units:       nLaunches,
 			BBVCorr:     stats.Pearson(bbvD, cpiD),
 			FeatureCorr: stats.Pearson(featD, cpiD),
-		})
+		}
 		opts.progress("# %-8s bbv corr %+.3f, feature corr %+.3f",
-			spec.Name, out[len(out)-1].BBVCorr, out[len(out)-1].FeatureCorr)
+			spec.Name, out[i].BBVCorr, out[i].FeatureCorr)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tbpoint/internal/metrics"
+	"tbpoint/internal/stats"
 )
 
 // RetryPolicy governs how a failed grid cell is retried before it degrades
@@ -50,30 +51,14 @@ func (p RetryPolicy) delay(cell, attempt int) time.Duration {
 	if d > max {
 		d = max
 	}
-	// Jitter in [d/2, d]: splitmix64 over the (seed, cell, attempt)
-	// triple, never the wall clock, so chaos runs replay bit-for-bit.
+	// Jitter in [d/2, d]: one SplitMix64 draw seeded by the (seed, cell,
+	// attempt) triple, never the wall clock, so chaos runs replay bit-for-bit.
 	half := d / 2
 	if half > 0 {
-		h := splitmix64(p.Seed ^ uint64(cell)<<20 ^ uint64(attempt))
+		h := stats.NewRNG(p.Seed ^ uint64(cell)<<20 ^ uint64(attempt)).Uint64()
 		d = half + time.Duration(h%uint64(half+1))
 	}
 	return d
-}
-
-// splitmix64 is the standard 64-bit finalising mix (Steele et al.).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// cellMeta is the per-cell attempt bookkeeping runCellWithRetry returns;
-// it lands in CellError when the cell ultimately fails.
-type cellMeta struct {
-	attempts  int
-	lastDelay time.Duration
-	total     time.Duration
 }
 
 // runCellWithRetry executes one grid cell under the Options' retry policy
@@ -82,8 +67,10 @@ type cellMeta struct {
 // attempts together — races CellDeadline. Retrying stops early once the
 // grid context or the cell deadline is gone; the caller distinguishes the
 // two (grid cancellation propagates, a blown cell deadline degrades to a
-// CellError like any other cell fault).
-func (o Options) runCellWithRetry(cell int, fn func(ctx context.Context) error) (cellMeta, error) {
+// CellError like any other cell fault). The returned CellError carries the
+// attempt bookkeeping (Attempts, LastDelay, TotalDuration) for the caller
+// to complete if the cell failed for good.
+func (o Options) runCellWithRetry(cell int, fn func(ctx context.Context) error) (CellError, error) {
 	start := time.Now()
 	ctx := o.Ctx
 	cancel := context.CancelFunc(func() {})
@@ -96,26 +83,25 @@ func (o Options) runCellWithRetry(cell int, fn func(ctx context.Context) error) 
 	}
 	defer cancel()
 
-	var meta cellMeta
+	var ce CellError
 	var err error
 	n := o.Retry.attempts()
 	for a := 1; a <= n; a++ {
-		meta.attempts = a
+		ce.Attempts = a
 		err = runCell(func() error { return fn(ctx) })
 		if err == nil || a == n || ctxErr(o.Ctx) != nil || ctxErr(ctx) != nil {
 			break
 		}
-		d := o.Retry.delay(cell, a)
-		meta.lastDelay = d
+		ce.LastDelay = o.Retry.delay(cell, a)
 		o.Metrics.AtomicAdd(metrics.ExpCellRetries, 1)
-		if !sleepCtx(ctx, d) {
+		if !sleepCtx(ctx, ce.LastDelay) {
 			// The deadline (or the grid) died during the backoff; the
 			// last real attempt's error stands.
 			break
 		}
 	}
-	meta.total = time.Since(start)
-	return meta, err
+	ce.TotalDuration = time.Since(start)
+	return ce, err
 }
 
 // sleepCtx sleeps for d, waking early (returning false) when ctx dies.

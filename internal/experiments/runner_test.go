@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tbpoint/internal/metrics"
 )
 
 func TestExpandTargets(t *testing.T) {
@@ -113,6 +115,67 @@ func TestRunTargetsFatalKeepsBundle(t *testing.T) {
 	}
 	if bundle.Aborted || len(bundle.Accuracy) != 0 {
 		t.Fatalf("fatal run: aborted=%v, %d accuracy rows; want neither", bundle.Aborted, len(bundle.Accuracy))
+	}
+}
+
+// TestRunTargetsStoreByteIdentical: every deterministic target over a store
+// — cold, fully resumed, and composed from the entries a run with another
+// strategy selection left — writes the bundle and report bytes of a run with
+// no store, and the composed run simulates no reference: motivation,
+// accuracy, sensitivity and ablations all find theirs stored.
+func TestRunTargetsStoreByteIdentical(t *testing.T) {
+	spec := RunSpec{
+		Targets: []string{"table6", "fig5", "fig8", "motivation", "accuracy", "sensitivity", "ablations"},
+		Samples: 200,
+	}
+	run := func(what string, mutate func(*Options)) ([]byte, string) {
+		t.Helper()
+		opts := DefaultOptions(0.02)
+		opts.Seed = 7
+		opts.Benchmarks = []string{"stream", "kmeans"}
+		opts.Samplers = []string{"all"}
+		mutate(&opts)
+		var report bytes.Buffer
+		bundle, err := RunTargets(opts, spec, &report)
+		if err != nil || bundle.Aborted || len(bundle.Errors) != 0 {
+			t.Fatalf("%s: err %v, aborted %v, cell errors %+v", what, err, bundle.Aborted, bundle.Errors)
+		}
+		return encodeResults(t, bundle), report.String()
+	}
+	wantJSON, wantText := run("plain", func(*Options) {})
+	check := func(what string, mutate func(*Options)) {
+		t.Helper()
+		gotJSON, gotText := run(what, mutate)
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("%s: bundle differs from the run without a store", what)
+		}
+		if gotText != wantText {
+			t.Errorf("%s: report text differs from the run without a store", what)
+		}
+	}
+
+	store := openStore(t, t.TempDir())
+	check("cold", func(o *Options) { o.Checkpoint, o.Subcell = store, true })
+	check("resumed", func(o *Options) { o.Checkpoint, o.Subcell, o.Resume = store, true, true })
+
+	// The default selection's cell keys differ from the N-way run's, so the
+	// second run below resumes no cell and composes every one.
+	store = openStore(t, t.TempDir())
+	run("default selection", func(o *Options) { o.Checkpoint, o.Subcell, o.Samplers = store, true, nil })
+	mc := metrics.New()
+	check("composed", func(o *Options) {
+		o.Checkpoint, o.Subcell, o.Resume, o.Metrics = store, true, true, mc
+	})
+	if n := mc.Count(metrics.ExpCellsResumed); n != 0 {
+		t.Errorf("composed run resumed %d whole cells", n)
+	}
+	// One stored reference (or all-hit composition) per motivation benchmark,
+	// accuracy cell, sensitivity cell and ablation cell: 2 + 2 + 2x4 + 12.
+	if hits, misses := mc.Count(metrics.SubcellHits), mc.Count(metrics.SubcellMisses); hits != 24 || misses != 0 {
+		t.Errorf("composed run: subcell hits=%d misses=%d, want 24 and 0", hits, misses)
+	}
+	if n := phaseCount(mc, "experiments.full_ref"); n != 0 {
+		t.Errorf("composed run simulated %d reference runs; every one was stored", n)
 	}
 }
 

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"tbpoint/internal/core"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/sampler"
-	"tbpoint/internal/sampling"
 	"tbpoint/internal/workloads"
 )
 
@@ -17,10 +15,17 @@ type HWConfig struct {
 	SMs   int
 }
 
-func (h HWConfig) Name() string { return fmt.Sprintf("W%dS%d", h.Warps, h.SMs) }
+// config is the Table V machine at this occupancy.
+func (h HWConfig) config() gpusim.Config {
+	return gpusim.DefaultConfig().WithOccupancy(h.Warps, h.SMs)
+}
 
-// HWConfigs returns the sensitivity sweep. W32S14 approximates the default
-// Table V machine; the others vary the system occupancy in both directions.
+// Name is the configuration's short identifier, e.g. "W48S14".
+func (h HWConfig) Name() string { return h.config().Name() }
+
+// HWConfigs returns the sensitivity sweep. W48S14 is the default Table V
+// occupancy (48 warps x 14 SMs); the others vary the system occupancy in
+// both directions.
 func HWConfigs() []HWConfig {
 	return []HWConfig{
 		{Warps: 16, SMs: 8},
@@ -30,11 +35,11 @@ func HWConfigs() []HWConfig {
 	}
 }
 
-// SensResult is one (benchmark, configuration) sensitivity outcome. Err and
-// SampleSize are TBPoint's with one-time profiling — the profile and
-// inter-launch clustering are computed once and reused across
-// configurations (§V-C) — and are what Fig. 12/13 plot whatever the
-// strategy selection.
+// SensResult is one (benchmark, configuration) sensitivity outcome: the
+// accuracy cell (RunBenchmark) at that configuration. Err and SampleSize are
+// TBPoint's and are what Fig. 12/13 plot whatever the strategy selection.
+// The profile is a pure function of the application, so each cell derives
+// the one §V-C's one-time profiling would have handed it.
 type SensResult struct {
 	Bench      string
 	Type       workloads.Type
@@ -42,44 +47,8 @@ type SensResult struct {
 	Err        float64
 	SampleSize float64
 	// Samplers holds every selected strategy's outcome at this hardware
-	// point (TBPoint reuses the one-time-profiling Retarget result; the
-	// others re-estimate against this configuration's full run).
+	// point, each estimated against this configuration's full run.
 	Samplers map[string]sampler.Outcome `json:"samplers"`
-}
-
-// sensSamplers computes the per-strategy outcomes for one sensitivity cell.
-// The TBPoint entry reuses the Retarget result (tbEst/inter) so the cell
-// keeps the §V-C one-time-profiling semantics instead of re-profiling per
-// point.
-func (o Options) sensSamplers(sim *gpusim.Simulator, prof *core.AppProfile,
-	inter *core.InterResult, full *sampling.AppRun, tbEst sampling.Estimate) map[string]sampler.Outcome {
-	set, err := sampler.Resolve(o.samplerNames())
-	if err != nil {
-		return nil
-	}
-	in := sampler.Input{
-		Sim:     sim,
-		Prof:    prof,
-		Full:    full,
-		Params:  o.samplerParams(),
-		TBPoint: o.tbpointOptions(),
-	}
-	m := make(map[string]sampler.Outcome, len(set))
-	for _, s := range set {
-		var out sampler.Outcome
-		if s.Name() == sampler.NameTBPoint {
-			out = sampler.Outcome{Estimate: tbEst, Strata: inter.NumClusters}
-		} else {
-			var err error
-			out, err = s.Estimate(in)
-			if err != nil {
-				continue
-			}
-		}
-		out.Err = out.Estimate.Error(full)
-		m[s.Name()] = out
-	}
-	return m
 }
 
 // PrintFig12 renders sampling errors per hardware configuration.

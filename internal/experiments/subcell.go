@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -19,6 +20,10 @@ import (
 // must bump it (as cellSchema was bumped for the cell payloads): entries
 // written by the old arithmetic then miss instead of being served.
 const outcomeSchema = "outcome/v1"
+
+// subcellPrefix starts every sub-cell cache key; no grid is named "subcell",
+// so it separates the cache's entries from the journaled cells.
+const subcellPrefix = "subcell/"
 
 // subcell addresses one benchmark cell's entries in the sub-cell cache, the
 // part of the checkpoint store (so the -cache-max-bytes bound covers it)
@@ -78,7 +83,7 @@ func (o Options) subcell(bench string, unit int64, cfg gpusim.Config) *subcell {
 
 // key names c's entry of the given kind (and strategy, for an outcome).
 func (c *subcell) key(kind, name string) string {
-	k := fmt.Sprintf("subcell/v1/%s/%s/%016x/%016x", kind, c.bench, fnv64(c.appMat), fnv64(c.material(kind)))
+	k := fmt.Sprintf("%sv1/%s/%s/%016x/%016x", subcellPrefix, kind, c.bench, fnv64(c.appMat), fnv64(c.material(kind)))
 	if name != "" {
 		k += "/" + name
 	}
@@ -150,31 +155,35 @@ func (c *subcell) loadOutcome(name string, mc *metrics.Collector) (sampler.Outco
 	return sampler.Outcome{}, false
 }
 
-// fullReference is fullAppCtx with the run shared through c's fullref
-// entry. Under Resume it counts the cell's one subcell.hits (run decoded
-// from the store) or subcell.misses (simulated) into mc.
+// fullReference is the harness's one producer of a reference run: fullAppCtx
+// with the run shared through c's fullref entry. Under Resume it counts the
+// cell's one subcell.hits (run decoded from the store) or subcell.misses
+// (simulated) into mc. A run cut short by o.Ctx is returned as the context's
+// error, never as a partial run.
 func (o Options) fullReference(c *subcell, sim *gpusim.Simulator, app *kernel.App,
-	unit int64, mc *metrics.Collector) *sampling.AppRun {
-	if c == nil {
-		return fullAppCtx(o.Ctx, sim, app, unit, mc, 0, 0)
-	}
-	key := c.key("fullref", "")
-	if c.resume {
+	unit int64, mc *metrics.Collector) (*sampling.AppRun, error) {
+	if c != nil && c.resume {
 		var run sampling.AppRun
-		data, ok := c.store.Get(key)
+		data, ok := c.store.Get(c.key("fullref", ""))
 		if ok && json.Unmarshal(data, &run) == nil && completeRun(&run, app) {
 			mc.AtomicAdd(metrics.SubcellHits, 1)
-			return &run
+			return &run, nil
 		}
 		mc.AtomicAdd(metrics.SubcellMisses, 1)
 	}
 	full := fullAppCtx(o.Ctx, sim, app, unit, mc, 0, 0)
-	if !full.Aborted {
+	if full.Aborted {
+		if err := ctxErr(o.Ctx); err != nil {
+			return nil, err
+		}
+		return nil, context.Canceled
+	}
+	if c != nil {
 		if data, err := json.Marshal(full); err == nil {
-			_ = c.store.Put(key, data) // best-effort, see subcell
+			_ = c.store.Put(c.key("fullref", ""), data) // best-effort, see subcell
 		}
 	}
-	return full
+	return full, nil
 }
 
 // completeRun reports whether a decoded reference run covers every launch

@@ -32,7 +32,7 @@ func subcellOpts(t *testing.T, store *durable.Store, mc *metrics.Collector) Opti
 	return opts
 }
 
-func benchJSON(t *testing.T, r *BenchResult) []byte {
+func benchJSON(t *testing.T, r interface{}) []byte {
 	t.Helper()
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -135,14 +135,7 @@ func assertComposed(t *testing.T, what string, mc *metrics.Collector) {
 	}
 }
 
-func hasPhase(mc *metrics.Collector, name string) bool {
-	for _, p := range mc.Snapshot().Phases {
-		if p.Name == name {
-			return true
-		}
-	}
-	return false
-}
+func hasPhase(mc *metrics.Collector, name string) bool { return phaseCount(mc, name) > 0 }
 
 // TestSubcellDisabledPublishesNothing pins the opt-in: a checkpointing run
 // without Subcell must not write artifact keys (the crash-injection CI
@@ -544,5 +537,172 @@ func TestSubcellConcurrentCellsShareOneStore(t *testing.T) {
 				t.Errorf("round %d %v: differs from the run without a store", round, sets[i])
 			}
 		}
+	}
+}
+
+// phaseCount is how many times mc timed the named phase.
+func phaseCount(mc *metrics.Collector, name string) int64 {
+	for _, p := range mc.Snapshot().Phases {
+		if p.Name == name {
+			return p.Count
+		}
+	}
+	return 0
+}
+
+// TestSensitivityComposesFromStore: sensitivity cells are accuracy cells, so
+// they go through the sub-cell cache too. A default-trio run fills the store;
+// the same grid with every strategy then misses the cell keys but reuses each
+// configuration's reference run and the trio's outcomes, estimates only the
+// two new strategies, simulates nothing — and writes the bytes of a run with
+// no store.
+func TestSensitivityComposesFromStore(t *testing.T) {
+	cells := uint64(len(HWConfigs()))
+	plain := subcellOpts(t, nil, nil)
+	plain.Subcell = false
+	plain.Samplers = []string{"all"}
+	want, cellErrs, err := RunSensitivity(plain)
+	if err != nil || len(cellErrs) != 0 {
+		t.Fatalf("plain run: err %v, cell errors %+v", err, cellErrs)
+	}
+
+	store := openStore(t, t.TempDir())
+	if _, _, err := RunSensitivity(subcellOpts(t, store, nil)); err != nil {
+		t.Fatal(err)
+	}
+	mc := metrics.New()
+	warm := subcellOpts(t, store, mc)
+	warm.Samplers = []string{"all"}
+	got, cellErrs, err := RunSensitivity(warm)
+	if err != nil || len(cellErrs) != 0 {
+		t.Fatalf("warm run: err %v, cell errors %+v", err, cellErrs)
+	}
+	if !bytes.Equal(benchJSON(t, got), benchJSON(t, want)) {
+		t.Error("sensitivity composed from the store differs from the run without one")
+	}
+
+	for _, c := range []struct {
+		id   metrics.Counter
+		want uint64
+	}{
+		{metrics.ExpCellsResumed, 0},
+		{metrics.ExpCellsExecuted, cells},
+		{metrics.SubcellHits, cells}, // the reference run, decoded
+		{metrics.SubcellMisses, 0},
+		{metrics.OutcomeHits, 3 * cells},
+		{metrics.OutcomeMisses, 2 * cells},
+		{metrics.SamplerEstimates, 2 * cells},
+		{metrics.SimLaunches, 0},
+	} {
+		if n := mc.Count(c.id); n != c.want {
+			t.Errorf("%s = %d, want %d", c.id.Name(), n, c.want)
+		}
+	}
+	for _, name := range sampler.Names() {
+		want := int64(0)
+		if name == sampler.NameSystematic || name == sampler.NameStratified {
+			want = int64(cells)
+		}
+		if n := phaseCount(mc, "sampler."+name); n != want {
+			t.Errorf("phase sampler.%s ran %d times, want %d", name, n, want)
+		}
+	}
+	if n := phaseCount(mc, "experiments.full_ref"); n != 0 {
+		t.Errorf("warm run simulated %d reference runs", n)
+	}
+	// Two grids' cells are journaled; the cache entries beside them are not
+	// cells.
+	if n, all := JournaledCells(store), store.Len(); n != int(2*cells) || all <= n {
+		t.Errorf("JournaledCells = %d of %d store entries, want %d cells and cache entries beside them", n, all, 2*cells)
+	}
+}
+
+// TestSensitivityRecordsMetrics: a sensitivity cell meters what an accuracy
+// cell does — simulator counters, one reference-run phase, and one
+// sampler.<name> phase per strategy it runs (the selection plus TBPoint,
+// which Fig. 12/13 always need) — while its result carries the selection only.
+func TestSensitivityRecordsMetrics(t *testing.T) {
+	cells := int64(len(HWConfigs()))
+	mc := metrics.New()
+	opts := fastOpts()
+	opts.Benchmarks = []string{"stream"}
+	opts.Samplers = []string{sampler.NameRandom}
+	opts.Metrics = mc
+	results, cellErrs, err := RunSensitivity(opts)
+	if err != nil || len(cellErrs) != 0 {
+		t.Fatalf("err %v, cell errors %+v", err, cellErrs)
+	}
+	if mc.Count(metrics.SimLaunches) == 0 || mc.Count(metrics.SimWarpInsts) == 0 {
+		t.Error("no simulator counters recorded")
+	}
+	for name, want := range map[string]int64{
+		"experiments.full_ref":              cells,
+		"sampler." + sampler.NameRandom:     cells,
+		"sampler." + sampler.NameTBPoint:    cells,
+		"sampler." + sampler.NameSimPoint:   0,
+		"sampler." + sampler.NameStratified: 0,
+		"sampler." + sampler.NameSystematic: 0,
+	} {
+		if n := phaseCount(mc, name); n != want {
+			t.Errorf("phase %s ran %d times, want %d", name, n, want)
+		}
+	}
+	for _, r := range results {
+		if _, ok := r.Samplers[sampler.NameRandom]; !ok || len(r.Samplers) != 1 {
+			t.Errorf("%s %s: outcomes %v, want exactly the selected random", r.Bench, r.Config.Name(), r.Samplers)
+		}
+		if r.SampleSize <= 0 {
+			t.Errorf("%s %s: TBPoint sample size %v not carried", r.Bench, r.Config.Name(), r.SampleSize)
+		}
+	}
+}
+
+// TestMotivationSharesReferenceWithAccuracy: the motivation study reads its
+// per-launch CPIs from the accuracy cell's reference run, so over one store
+// each benchmark is simulated in full once — by whichever target comes first.
+func TestMotivationSharesReferenceWithAccuracy(t *testing.T) {
+	benches := []string{"kmeans", "stream"}
+	plain := subcellOpts(t, nil, nil)
+	plain.Subcell = false
+	plain.Benchmarks = benches
+	wantMot, err := RunMotivation(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAcc, _, err := RunAccuracy(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store := openStore(t, t.TempDir())
+	motMC, accMC := metrics.New(), metrics.New()
+	opts := subcellOpts(t, store, motMC)
+	opts.Benchmarks = benches
+	gotMot, err := RunMotivation(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Metrics = accMC
+	gotAcc, cellErrs, err := RunAccuracy(opts)
+	if err != nil || len(cellErrs) != 0 {
+		t.Fatalf("accuracy: err %v, cell errors %+v", err, cellErrs)
+	}
+	if !reflect.DeepEqual(gotMot, wantMot) {
+		t.Errorf("motivation over a store = %+v, want %+v", gotMot, wantMot)
+	}
+	if !bytes.Equal(benchJSON(t, gotAcc), benchJSON(t, wantAcc)) {
+		t.Error("accuracy on motivation's reference runs differs from the run without a store")
+	}
+	if n := phaseCount(motMC, "experiments.full_ref"); n != int64(len(benches)) {
+		t.Errorf("motivation simulated %d reference runs, want %d", n, len(benches))
+	}
+	if motMC.Count(metrics.SimLaunches) == 0 {
+		t.Error("motivation recorded no simulator counters")
+	}
+	if n := phaseCount(accMC, "experiments.full_ref"); n != 0 {
+		t.Errorf("accuracy re-simulated %d reference runs motivation had stored", n)
+	}
+	if hits, misses := accMC.Count(metrics.SubcellHits), accMC.Count(metrics.SubcellMisses); hits != uint64(len(benches)) || misses != 0 {
+		t.Errorf("accuracy subcell hits=%d misses=%d, want %d and 0", hits, misses, len(benches))
 	}
 }

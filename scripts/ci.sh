@@ -818,20 +818,6 @@ run_samplers() {
     return 1
   }
 
-  # The same N-way run composed from a store (-subcell) the default run
-  # filled — the reference and the trio's outcomes reused, two strategies
-  # per benchmark estimated — writes the bytes of a run without a store.
-  # (nway.json carries wall-clock phases, so a plain run is the reference;
-  # the hit/miss/estimate counters are pinned by internal/experiments.)
-  "$bin" "${args[@]}" -samplers all -json "$tmp/nway_plain.json" accuracy >/dev/null
-  "$bin" "${args[@]}" -subcell -checkpoint-dir "$tmp/ckpt" accuracy >/dev/null 2>&1
-  "$bin" "${args[@]}" -samplers all -subcell -checkpoint-dir "$tmp/ckpt" -resume \
-    -json "$tmp/nway_warm.json" accuracy >/dev/null 2>&1
-  cmp "$tmp/nway_plain.json" "$tmp/nway_warm.json" || {
-    echo "samplers: N-way run composed from the sub-cell cache differs from the run without one" >&2
-    return 1
-  }
-
   # An unknown strategy must fail before any simulation starts.
   if "$bin" "${args[@]}" -samplers bogus accuracy >/dev/null 2>&1; then
     echo "samplers: unknown sampler name was accepted" >&2
