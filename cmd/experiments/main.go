@@ -10,10 +10,10 @@
 // everything except "ablations".
 //
 // Long grids are restartable: -checkpoint-dir journals each completed grid
-// cell atomically and -resume replays the journal instead of re-simulating,
-// reproducing an uninterrupted run's -json output byte for byte. -retries
-// and -cell-deadline bound how hard a failing cell is pushed before it is
-// recorded in the results' errors section.
+// cell, and the artifacts it is composed from, atomically; -resume replays
+// the journal instead of re-simulating, reproducing an uninterrupted run's
+// -json output byte for byte. -retries and -cell-deadline bound how hard a
+// failing cell is pushed before it is recorded in the results' errors section.
 //
 // The target engine itself lives in internal/experiments (RunTargets) and
 // is shared with the tbpointd job server, so a served job with the same
@@ -53,9 +53,8 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); partial results are still written")
-	checkpointDir := flag.String("checkpoint-dir", "", "journal each completed grid cell into this directory (atomic, checksummed)")
+	checkpointDir := flag.String("checkpoint-dir", "", "journal each completed grid cell, and the artifacts it is composed from, into this directory (atomic, checksummed)")
 	resume := flag.Bool("resume", false, "skip grid cells already journaled in -checkpoint-dir instead of re-running them")
-	subcell := flag.Bool("subcell", false, "also cache each benchmark's full reference run and each strategy's outcome in -checkpoint-dir, so overlapping-but-non-identical runs share them")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "byte budget for -checkpoint-dir; LRU entries are evicted over it (0 = unbounded)")
 	retries := flag.Int("retries", 1, "attempts per grid cell before its failure is recorded (exponential backoff with seeded jitter)")
 	cellDeadline := flag.Duration("cell-deadline", 0, "wall-time budget per grid cell, all attempts together (0 = no limit)")
@@ -140,11 +139,11 @@ func main() {
 		par.ResetStats()
 	}
 
-	// Checkpoint/resume: every completed grid cell is journaled so a
-	// crashed or killed run never redoes finished work. The env hook
-	// injects a real process death at the Nth checkpoint write — the CI
-	// crash-recovery case uses it to prove kill-and-resume reproduces an
-	// uninterrupted run bit for bit.
+	// Checkpoint/resume: every completed grid cell, and what it is composed
+	// from (full reference, per-strategy outcomes), is journaled so a crashed
+	// or killed run never redoes finished work. The env hook injects a real
+	// process death at the Nth store write — internal/e2e uses it to prove
+	// kill-and-resume reproduces an uninterrupted run bit for bit.
 	var store *durable.Store
 	if *checkpointDir != "" {
 		var err error
@@ -169,17 +168,13 @@ func main() {
 		if *cacheMax > 0 {
 			store.SetMaxBytes(*cacheMax)
 		}
-		opts.Checkpoint = store
-		opts.Resume = *resume
-		opts.Subcell = *subcell
+		opts.Checkpoint, opts.Resume, opts.Subcell = store, *resume, true
 		if *resume {
 			fmt.Fprintf(os.Stderr, "experiments: resuming from %s: %d cell(s) journaled\n",
 				*checkpointDir, experiments.JournaledCells(store))
 		}
 	} else if *resume {
 		fail(errors.New("-resume requires -checkpoint-dir"))
-	} else if *subcell {
-		fail(errors.New("-subcell requires -checkpoint-dir"))
 	} else if *cacheMax > 0 {
 		fail(errors.New("-cache-max-bytes requires -checkpoint-dir"))
 	}

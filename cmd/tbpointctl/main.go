@@ -7,7 +7,7 @@
 //
 // The daemon address comes from -addr or the TBPOINTD_ADDR environment
 // variable (default http://127.0.0.1:8338). Status lines are one-per-job
-// key=value text, so shell scripts (the serve CI stage) can awk them apart.
+// key=value text; internal/e2e parses them back into the JobStatus fields.
 package main
 
 import (
@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"tbpoint/internal/durable"
 	"tbpoint/internal/server"
 	"tbpoint/internal/server/client"
 )
@@ -123,7 +124,7 @@ func withJob(args []string, f func(id string) error) error {
 
 // statusLine renders a job as one parseable key=value line. failure_kind is
 // empty for healthy jobs and error|panic|stuck|quarantined for failed ones,
-// so scripts can tell a supervision verdict from an ordinary run error.
+// which tells a supervision verdict from an ordinary run error.
 func statusLine(st server.JobStatus) string {
 	return fmt.Sprintf("id=%s state=%s wall_seconds=%.3f cache_hits=%d cache_misses=%d subcell_hits=%d subcell_misses=%d outcome_hits=%d outcome_misses=%d cells_failed=%d requeues=%d run_requeues=%d failure_kind=%s error=%q",
 		st.ID, st.State, st.WallSeconds, st.CacheHits, st.CacheMisses,
@@ -235,6 +236,7 @@ func cmdResult(ctx context.Context, c *client.Client, args []string) error {
 			os.Stdout.Write(data)
 			return nil
 		}
-		return os.WriteFile(*out, data, 0o644)
+		// Atomic: a re-download never leaves a truncated results.json behind.
+		return durable.WriteFileBytes(*out, data)
 	})
 }

@@ -20,6 +20,7 @@ import (
 	"syscall"
 	"time"
 
+	"tbpoint/internal/durable"
 	"tbpoint/internal/experiments"
 	"tbpoint/internal/metrics"
 	"tbpoint/internal/server"
@@ -79,7 +80,8 @@ func main() {
 		logger.Fatal(err)
 	}
 	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+		// Atomic, so a reader polling for the file never sees half an address.
+		if err := durable.WriteFileBytes(*addrFile, []byte(ln.Addr().String()+"\n")); err != nil {
 			logger.Fatal(err)
 		}
 	}

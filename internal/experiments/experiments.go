@@ -77,11 +77,10 @@ type Options struct {
 	// overlap without being cell-identical then compose their cells from
 	// those entries and compute only what is missing — accuracy, sensitivity
 	// and ablation cells alike, and the motivation study reads the accuracy
-	// cell's reference run. Lookups obey Resume;
-	// fresh computations are always published. Off by default: the one-shot
-	// CLI keeps its historical checkpoint-write counts (and the
-	// crash-injection accounting built on them) unless -subcell opts in,
-	// while the job server always enables it. Never changes results — a
+	// cell's reference run. Lookups obey Resume; fresh computations are
+	// always published. Every caller with a store sets it (cmd/experiments
+	// under -checkpoint-dir, the job server, bench/), so it is due to become
+	// unconditional once bench/ may change. Never changes results — a
 	// composed cell is byte-identical to a computed one.
 	Subcell bool
 	// Retry governs per-cell retries before a failure degrades to a

@@ -1,5 +1,5 @@
 // Package client is the Go client for the tbpointd HTTP API. It exists so
-// the server tests, the serve CI stage and cmd/tbpointctl exercise the same
+// the server tests, internal/e2e and cmd/tbpointctl exercise the same
 // wire path an external caller would — no test-only backdoors into the
 // driver.
 package client

@@ -100,7 +100,7 @@ type Config struct {
 	// one client cannot consume the whole global budget. 0 = unbounded.
 	MaxQueuedPerClient int
 	// Chaos honors JobSpec.Fault injection (panic/stuck/crash) for the
-	// chaos suites and the serve CI stage. Never enable in production.
+	// chaos suites and internal/e2e. Never enable in production.
 	Chaos bool
 	// CrashFn is what a Fault:"crash" job's injector does (tbpointd passes
 	// os.Exit so the daemon dies for real; nil panics, which the

@@ -106,7 +106,7 @@ type JobSpec struct {
 	// clients (see sched.go).
 	Priority int `json:"priority,omitempty"`
 	// Fault injects a deterministic failure into the job's execution, for
-	// the chaos suites and the serve CI stage: "panic" panics inside the
+	// the chaos suites and internal/e2e: "panic" panics inside the
 	// dispatcher's run, "stuck" wedges making no progress until cancelled,
 	// "crash" fires the driver's crash injector (os.Exit in tbpointd).
 	// Submissions carrying a fault are rejected unless the driver was
