@@ -8,10 +8,10 @@
 //	        [-sigma-inter 0.1] [-sigma-intra 0.2] [-vf 0.3]
 //	        [-compare] [-regions] [-samplers random,stratified,...]
 //
-// With -compare, the Random and Ideal-Simpoint baselines are also run.
 // With -samplers, the named estimation strategies from the registry
 // (internal/sampler) run against the full simulation, with 95% confidence
-// intervals where the strategy provides them.
+// intervals where the strategy provides them; -compare is shorthand for
+// -samplers random,systematic,simpoint (the paper's baselines).
 // With -regions, each representative launch's homogeneous region table is
 // printed.
 package main
@@ -29,6 +29,7 @@ import (
 
 	"tbpoint"
 	"tbpoint/internal/durable"
+	"tbpoint/internal/experiments"
 	"tbpoint/internal/sampler"
 )
 
@@ -43,7 +44,7 @@ func main() {
 	sigmaInter := flag.Float64("sigma-inter", 0.1, "inter-launch clustering threshold")
 	sigmaIntra := flag.Float64("sigma-intra", 0.2, "intra-launch clustering threshold")
 	vf := flag.Float64("vf", 0.3, "variation-factor threshold for outlier epochs")
-	compare := flag.Bool("compare", false, "also run Random and Ideal-Simpoint baselines")
+	compare := flag.Bool("compare", false, "shorthand for -samplers random,systematic,simpoint")
 	samplersFlag := flag.String("samplers", "", "also run these registry strategies against the full run (comma-separated; also 'default', 'all')")
 	regions := flag.Bool("regions", false, "print homogeneous region tables")
 	saveProfile := flag.String("save-profile", "", "write the one-time profile to this file")
@@ -147,25 +148,22 @@ func main() {
 		printRegions(res)
 	}
 
-	full := tbpoint.FullSimulationCtx(ctx, sim, app, unitFor(app.TotalWarpInsts()), mc)
+	unit := experiments.DefaultOptions(*scale).UnitSize(app.TotalWarpInsts())
+	full := tbpoint.FullSimulationCtx(ctx, sim, app, unit, mc)
 	if full.Aborted {
 		log.Fatal("run aborted during the full reference simulation; no comparison to report")
 	}
 	est := res.Estimate
 	fmt.Printf("\n%-16s %10s %10s %10s\n", "technique", "IPC", "error", "sample")
 	fmt.Printf("%-16s %10.3f %10s %10s\n", "Full", full.IPC(), "-", "100%")
-	row := func(name string, e tbpoint.Estimate) {
-		fmt.Printf("%-16s %10.3f %9.2f%% %9.2f%%\n",
-			name, e.PredictedIPC, e.Error(full)*100, e.SampleSize*100)
-	}
-	row("TBPoint", est)
+	fmt.Printf("%-16s %10.3f %9.2f%% %9.2f%%\n",
+		"TBPoint", est.PredictedIPC, est.Error(full)*100, est.SampleSize*100)
+	strategies := *samplersFlag
 	if *compare {
-		row("Random(10%)", tbpoint.RandomBaseline(full, 0.10, 42))
-		row("Systematic(10%)", tbpoint.SystematicBaseline(full, 0.10, 42))
-		row("Ideal-Simpoint", tbpoint.SimPointBaseline(full))
+		strategies = "random,systematic,simpoint," + strategies
 	}
-	if *samplersFlag != "" {
-		names, err := sampler.ParseList(*samplersFlag)
+	if strategies != "" {
+		names, err := sampler.ParseList(strategies)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -174,11 +172,10 @@ func main() {
 			log.Fatal(err)
 		}
 		in := sampler.Input{
-			Ctx:  ctx,
-			Sim:  sim,
-			Prof: prof,
-			Full: full,
-			// Seed 42 matches the -compare baselines' fixed seed.
+			Ctx:     ctx,
+			Sim:     sim,
+			Prof:    prof,
+			Full:    full,
 			Params:  sampler.Params{Frac: 0.10, Seed: 42, Sigma: *sigmaInter},
 			TBPoint: opts,
 		}
@@ -226,17 +223,6 @@ func main() {
 			snap.WriteText(os.Stdout)
 		}
 	}
-}
-
-func unitFor(total int64) int64 {
-	u := total / 400
-	if u < 2000 {
-		u = 2000
-	}
-	if u > 1<<20 {
-		u = 1 << 20
-	}
-	return u
 }
 
 func sortedReps(res *tbpoint.Result) []int {

@@ -6,22 +6,6 @@ import (
 	"tbpoint"
 )
 
-func TestUnitFor(t *testing.T) {
-	cases := []struct {
-		total int64
-		want  int64
-	}{
-		{100, 2000},          // floor
-		{400 * 5000, 5000},   // proportional
-		{400 << 30, 1 << 20}, // cap at 1M
-	}
-	for _, c := range cases {
-		if got := unitFor(c.total); got != c.want {
-			t.Errorf("unitFor(%d) = %d, want %d", c.total, got, c.want)
-		}
-	}
-}
-
 func TestSortedRepsTruncates(t *testing.T) {
 	app := tbpoint.MustBenchmark("sssp", 0.1)
 	prof := tbpoint.Profile(app)

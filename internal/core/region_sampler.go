@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"tbpoint/internal/funcsim"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/kernel"
@@ -52,75 +50,81 @@ func (ls *LaunchSample) PredictedIPC() float64 {
 }
 
 // regionSampler implements the entering / warming / fast-forwarding /
-// exiting protocol against the simulator hooks.
+// exiting protocol against the simulator hooks. Per-region state is dense,
+// indexed by region ID: IDs are cluster IDs, below twice the epoch count.
 type regionSampler struct {
 	rt      *RegionTable
 	profile *funcsim.LaunchProfile
 	tol     float64 // warm-up IPC tolerance (the paper's 10%)
 	stable  int     // consecutive stable comparisons required
 	window  int     // trend-check distance (0 = disabled)
-	// windowRegions marks the region IDs large enough for the trend check
+	// windowRegion marks the regions large enough for the trend check
 	// (>= WarmWindowMinRegion occupancy generations).
-	windowRegions map[int]bool
+	windowRegion []bool
 
-	state       samplerState
-	current     int         // region being sampled
-	resident    map[int]int // live thread block -> region
-	prevIPC     float64
-	havePrev    bool
-	stableCount int
-	history     []float64 // unit IPCs since entering the region
+	state   samplerState
+	current int // region being sampled
+	// residentIn counts the live thread blocks of each region, at index
+	// regionOf+1 (slot 0: blocks with no region). residentRegions is the
+	// number of non-zero slots and residentSlotSum the sum of their indices,
+	// so when exactly one region is resident the sum is its slot.
+	residentIn      []int
+	residentRegions int
+	residentSlotSum int
+	prevIPC         float64
+	havePrev        bool
+	stableCount     int
+	history         []float64 // unit IPCs since entering the region
 
-	regionIPC       map[int]float64
-	skippedByRegion map[int]int64
-	warmUnits       int
+	warmed    []bool    // region reached fast-forwarding
+	regionIPC []float64 // IPC at the end of the warming period, where warmed
+	skipped   []int64   // fast-forwarded warp instructions
+	warmUnits int
 }
 
 func newRegionSampler(rt *RegionTable, lp *funcsim.LaunchProfile, opts Options) *regionSampler {
-	stable := opts.WarmStable
-	if stable < 1 {
-		stable = 1
+	var blocksIn []int // thread blocks per region ID
+	for _, r := range rt.RegionOf {
+		for r >= len(blocksIn) {
+			blocksIn = append(blocksIn, 0)
+		}
+		if r >= 0 {
+			blocksIn[r]++
+		}
 	}
+	n := len(blocksIn)
 	s := &regionSampler{
-		rt:              rt,
-		profile:         lp,
-		tol:             opts.WarmTol,
-		stable:          stable,
-		window:          opts.WarmWindow,
-		windowRegions:   make(map[int]bool),
-		current:         -1,
-		resident:        make(map[int]int),
-		regionIPC:       make(map[int]float64),
-		skippedByRegion: make(map[int]int64),
+		rt:           rt,
+		profile:      lp,
+		tol:          opts.WarmTol,
+		stable:       max(opts.WarmStable, 1),
+		window:       opts.WarmWindow,
+		windowRegion: make([]bool, n),
+		current:      -1,
+		residentIn:   make([]int, n+1),
+		warmed:       make([]bool, n),
+		regionIPC:    make([]float64, n),
+		skipped:      make([]int64, n),
 	}
-	if opts.WarmWindow > 0 {
-		counts := map[int]int{}
-		for _, r := range rt.RegionOf {
-			counts[r]++
-		}
-		occ := rt.Occupancy
-		if occ < 1 {
-			occ = 1
-		}
-		min := opts.WarmWindowMinRegion * occ
-		for r, c := range counts {
-			if opts.WarmWindowMinRegion <= 0 || c >= min {
-				s.windowRegions[r] = true
-			}
-		}
+	minBlocks := opts.WarmWindowMinRegion * max(rt.Occupancy, 1)
+	for r, c := range blocksIn {
+		s.windowRegion[r] = opts.WarmWindowMinRegion <= 0 || c >= minBlocks
 	}
 	return s
 }
 
+// regionOf is tb's region ID, or -1 when it has none (unknown block or
+// negative ID).
 func (s *regionSampler) regionOf(tb int) int {
-	if tb < 0 || tb >= len(s.rt.RegionOf) {
+	if tb < 0 || tb >= len(s.rt.RegionOf) || s.rt.RegionOf[tb] < 0 {
 		return -1
 	}
 	return s.rt.RegionOf[tb]
 }
 
 // skipTB is the fast-forwarding decision: skip only while fast-forwarding
-// and only blocks of the current region.
+// and only blocks of the current region, whose instructions it books as
+// skipped.
 func (s *regionSampler) skipTB(tb int) bool {
 	if s.state != stateFastForward {
 		return false
@@ -131,21 +135,22 @@ func (s *regionSampler) skipTB(tb int) bool {
 		s.exitRegion()
 		return false
 	}
+	s.skipped[s.current] += s.profile.Blocks[tb].WarpInsts
 	return true
 }
 
-func (s *regionSampler) onSkip(tb int) {
-	s.skippedByRegion[s.current] += s.profile.Blocks[tb].WarpInsts
-}
-
 func (s *regionSampler) onDispatch(tb int) {
-	r := s.regionOf(tb)
-	s.resident[tb] = r
+	slot := s.regionOf(tb) + 1
+	if s.residentIn[slot] == 0 {
+		s.residentRegions++
+		s.residentSlotSum += slot
+	}
+	s.residentIn[slot]++
 	switch s.state {
 	case stateOutside:
 		s.maybeEnter()
 	case stateWarming, stateFastForward:
-		if r != s.current {
+		if slot-1 != s.current {
 			s.exitRegion()
 			s.maybeEnter()
 		}
@@ -153,7 +158,12 @@ func (s *regionSampler) onDispatch(tb int) {
 }
 
 func (s *regionSampler) onRetire(tb int) {
-	delete(s.resident, tb)
+	slot := s.regionOf(tb) + 1
+	s.residentIn[slot]--
+	if s.residentIn[slot] == 0 {
+		s.residentRegions--
+		s.residentSlotSum -= slot
+	}
 	if s.state == stateOutside {
 		s.maybeEnter()
 		return
@@ -165,7 +175,7 @@ func (s *regionSampler) onRetire(tb int) {
 	// evidence but keep the state — the retire hook fires before the
 	// replacement dispatch, so this window is often transient, and the unit
 	// closing at this retirement must still count as a warming unit.
-	if s.state == stateWarming && len(s.resident) == 0 {
+	if s.state == stateWarming && s.residentRegions == 0 {
 		s.havePrev = false
 		s.stableCount = 0
 		s.history = s.history[:0]
@@ -175,24 +185,15 @@ func (s *regionSampler) onRetire(tb int) {
 // maybeEnter checks the entering condition: all concurrently running
 // thread blocks belong to the same homogeneous region.
 func (s *regionSampler) maybeEnter() {
-	if len(s.resident) == 0 {
+	if s.residentRegions != 1 {
 		return
 	}
-	r := -2
-	for _, reg := range s.resident {
-		if r == -2 {
-			r = reg
-			continue
-		}
-		if reg != r {
-			return
-		}
-	}
+	r := s.residentSlotSum - 1
 	if r < 0 {
 		return
 	}
 	s.current = r
-	if _, warmed := s.regionIPC[r]; warmed {
+	if s.warmed[r] {
 		// The cluster's IPC was sampled in an earlier run of this region
 		// ID; fast-forward immediately (the paper reuses cluster IDs as
 		// region IDs for exactly this amortisation).
@@ -238,6 +239,7 @@ func (s *regionSampler) onUnitClose(u gpusim.UnitStats) {
 			s.stableCount++
 			if s.stableCount >= s.stable && s.trendStable(ipc) {
 				s.state = stateFastForward
+				s.warmed[s.current] = true
 				s.regionIPC[s.current] = ipc
 				return
 			}
@@ -253,7 +255,7 @@ func (s *regionSampler) onUnitClose(u gpusim.UnitStats) {
 // within tol/4 of the unit `window` positions earlier. With the window
 // disabled — globally or for this (short) region — it is always satisfied.
 func (s *regionSampler) trendStable(ipc float64) bool {
-	if s.window <= 0 || !s.windowRegions[s.current] {
+	if s.window <= 0 || !s.windowRegion[s.current] {
 		return true
 	}
 	n := len(s.history)
@@ -281,7 +283,6 @@ func SampleLaunch(sim *gpusim.Simulator, l *kernel.Launch, lp *funcsim.LaunchPro
 	rs := newRegionSampler(rt, lp, opts)
 	hooks := &gpusim.Hooks{
 		SkipTB:       rs.skipTB,
-		OnTBSkip:     func(tb int, cycle int64) { rs.onSkip(tb) },
 		OnTBDispatch: func(tb, sm int, cycle int64) { rs.onDispatch(tb) },
 		OnTBRetire:   func(tb, sm int, cycle int64) { rs.onRetire(tb) },
 		OnUnitClose:  rs.onUnitClose,
@@ -292,24 +293,24 @@ func SampleLaunch(sim *gpusim.Simulator, l *kernel.Launch, lp *funcsim.LaunchPro
 		Result:          res,
 		TotalInsts:      lp.TotalWarpInsts(),
 		SimulatedInsts:  res.SimulatedWarpInsts,
-		RegionIPC:       rs.regionIPC,
-		SkippedByRegion: rs.skippedByRegion,
+		RegionIPC:       map[int]float64{},
+		SkippedByRegion: map[int]int64{},
 		WarmUnits:       rs.warmUnits,
 	}
 	ls.SkippedInsts = ls.TotalInsts - ls.SimulatedInsts
 
 	// Table IV: predicted launch cycles = simulated cycles plus the
-	// fast-forwarded instructions at each region's sampled IPC.
-	// Summed in ascending region ID: float addition is order dependent and
-	// map iteration order is not repeatable.
+	// fast-forwarded instructions at each region's sampled IPC, summed in
+	// ascending region ID (float addition is order dependent).
 	pred := float64(res.Cycles)
-	regions := make([]int, 0, len(rs.skippedByRegion))
-	for r := range rs.skippedByRegion {
-		regions = append(regions, r)
-	}
-	sort.Ints(regions)
-	for _, r := range regions {
-		skipped := rs.skippedByRegion[r]
+	for r, skipped := range rs.skipped {
+		if rs.warmed[r] {
+			ls.RegionIPC[r] = rs.regionIPC[r]
+		}
+		if skipped == 0 {
+			continue
+		}
+		ls.SkippedByRegion[r] = skipped
 		ipc := rs.regionIPC[r]
 		if ipc <= 0 {
 			// Defensive: a region was skipped without a recorded IPC

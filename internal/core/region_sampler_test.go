@@ -80,13 +80,12 @@ func TestSamplerWarmingToFastForward(t *testing.T) {
 	if got := s.regionIPC[0]; got != 1.05 {
 		t.Errorf("region IPC = %v, want the last warming unit's 1.05", got)
 	}
-	// Now same-region blocks are skipped.
+	// Now same-region blocks are skipped, and booked.
 	if !s.skipTB(2) {
 		t.Error("same-region block not skipped during fast-forward")
 	}
-	s.onSkip(2)
-	if s.skippedByRegion[0] != 100 {
-		t.Errorf("skip accounting = %v", s.skippedByRegion)
+	if s.skipped[0] != 100 {
+		t.Errorf("skip accounting = %v", s.skipped)
 	}
 }
 

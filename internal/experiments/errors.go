@@ -45,7 +45,7 @@ var cellFault *faultcheck.Injector
 // *par.PanicError return. par's own worker-level recovery would only
 // surface the lowest-index panic of a loop; recovering per cell lets every
 // faulty cell be recorded individually. A *par.PanicError re-raised from a
-// nested fan-out (fullAppCtx, funcsim.ProfileApp) is kept as is: its stack
+// nested fan-out (FullAppCtx, funcsim.ProfileApp) is kept as is: its stack
 // is the goroutine that actually panicked.
 func runCell(fn func() error) (err error) {
 	defer func() {

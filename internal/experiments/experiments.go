@@ -129,7 +129,12 @@ func (o Options) specs() ([]*workloads.Spec, error) {
 	return out, nil
 }
 
-func (o Options) unitSize(totalInsts int64) int64 {
+// UnitSize is the fixed sampling-unit size for an application of totalInsts
+// warp instructions: totalInsts/UnitDivisor clamped to [MinUnitInsts,
+// MaxUnitInsts]. Every reference run — harness cells, cmd/tbpoint, the
+// golden counters — sizes its units here, at DefaultOptions unless a sweep
+// says otherwise.
+func (o Options) UnitSize(totalInsts int64) int64 {
 	div := o.UnitDivisor
 	if div < 1 {
 		div = 400
@@ -164,14 +169,14 @@ func (o Options) progress(format string, args ...interface{}) {
 // FullApp simulates every launch of app under sim, collecting fixed units
 // (and BBVs) of the given size.
 func FullApp(sim *gpusim.Simulator, app *kernel.App, unitInsts int64) *sampling.AppRun {
-	return FullAppMetrics(sim, app, unitInsts, nil)
+	return FullAppCtx(nil, sim, app, unitInsts, nil)
 }
 
 // FullAppParallel is FullApp with each launch simulated by gpusim's
 // epoch-synchronized parallel event loop (workers > 1); quantum < 1 selects
 // gpusim.DefaultQuantum. workers <= 1 is exactly FullApp.
 func FullAppParallel(sim *gpusim.Simulator, app *kernel.App, unitInsts int64, workers int, quantum int64) *sampling.AppRun {
-	return fullAppCtx(nil, sim, app, unitInsts, nil, workers, quantum)
+	return fullApp(nil, sim, app, unitInsts, nil, workers, quantum)
 }
 
 // FullAppMetrics is FullApp with the run's simulator counters and wall time
@@ -179,17 +184,24 @@ func FullAppParallel(sim *gpusim.Simulator, app *kernel.App, unitInsts int64, wo
 // private collector merged in launch order afterwards, so counter totals do
 // not depend on worker interleaving. A nil mc behaves exactly like FullApp.
 func FullAppMetrics(sim *gpusim.Simulator, app *kernel.App, unitInsts int64, mc *metrics.Collector) *sampling.AppRun {
-	return fullAppCtx(nil, sim, app, unitInsts, mc, 0, 0)
+	return FullAppCtx(nil, sim, app, unitInsts, mc)
 }
 
-// fullAppCtx is the cancellable core of FullApp: a cancelled ctx stops
+// FullAppCtx is the cancellable FullAppMetrics, and the one reference-run
+// loop every caller outside gpusim goes through (the harness cells, the root
+// facade, cmd/tbpoint, the golden-counter tests): a cancelled ctx stops
 // claiming new launches and aborts in-flight ones at their next
 // sampling-unit boundary, returning a partial AppRun flagged Aborted (with
 // nil entries for launches never started). A nil ctx behaves exactly like
-// FullAppMetrics. workers > 1 selects gpusim's epoch-parallel engine
-// (FullAppParallel is the only caller that does). A launch whose simulation
-// panics re-raises the worker's *par.PanicError on the caller's goroutine.
-func fullAppCtx(ctx context.Context, sim *gpusim.Simulator, app *kernel.App, unitInsts int64, mc *metrics.Collector, workers int, quantum int64) *sampling.AppRun {
+// FullAppMetrics. A launch whose simulation panics re-raises the worker's
+// *par.PanicError on the caller's goroutine.
+func FullAppCtx(ctx context.Context, sim *gpusim.Simulator, app *kernel.App, unitInsts int64, mc *metrics.Collector) *sampling.AppRun {
+	return fullApp(ctx, sim, app, unitInsts, mc, 0, 0)
+}
+
+// fullApp is FullAppCtx plus the engine choice: workers > 1 selects gpusim's
+// epoch-parallel engine (FullAppParallel is the only caller that does).
+func fullApp(ctx context.Context, sim *gpusim.Simulator, app *kernel.App, unitInsts int64, mc *metrics.Collector, workers int, quantum int64) *sampling.AppRun {
 	// Launches are independent simulations of the same machine
 	// configuration, so they fan out over the shared worker budget; results
 	// land at their launch index, making the run identical to a sequential
@@ -313,7 +325,7 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 		defer opts.Metrics.Merge(mc)
 	}
 	app := spec.Build(workloads.Config{Scale: opts.Scale, Seed: opts.Seed})
-	unit := opts.unitSize(app.TotalWarpInsts())
+	unit := opts.UnitSize(app.TotalWarpInsts())
 	r := &BenchResult{
 		Name:     spec.Name,
 		Type:     spec.Type,

@@ -85,16 +85,22 @@ func TestRunAccuracyUnknownBenchmark(t *testing.T) {
 	}
 }
 
+// TestUnitSizeClamps pins the one unit-size rule (cmd/tbpoint, the facade's
+// callers and the gpusim golden counters all size their units through it).
 func TestUnitSizeClamps(t *testing.T) {
 	o := DefaultOptions(1)
-	if got := o.unitSize(400 * 1000); got != 2000 {
-		t.Errorf("small total: unit %d, want min 2000", got)
+	cases := []struct {
+		total, want int64
+	}{
+		{100, 2000},          // floor
+		{400 * 1000, 2000},   // still under the floor
+		{400 * 5000, 5000},   // proportional
+		{400 << 21, 1 << 20}, // cap at the paper's 1M
 	}
-	if got := o.unitSize(400 << 21); got != 1<<20 {
-		t.Errorf("huge total: unit %d, want max 1M", got)
-	}
-	if got := o.unitSize(400 * 10000); got != 10000 {
-		t.Errorf("mid total: unit %d, want 10000", got)
+	for _, c := range cases {
+		if got := o.UnitSize(c.total); got != c.want {
+			t.Errorf("UnitSize(%d) = %d, want %d", c.total, got, c.want)
+		}
 	}
 }
 
@@ -154,27 +160,8 @@ func TestRunTable6(t *testing.T) {
 	}
 }
 
-func TestRunTable1(t *testing.T) {
-	res := RunTable1(1e6) // 1M warp insts/s
-	if len(res.Rows) != 7 {
-		t.Fatalf("got %d rows", len(res.Rows))
-	}
-	if res.Slowdown <= 0 {
-		t.Error("no slowdown computed")
-	}
-	// NB at 28557 ms and the assumed GPU rate: longest projection.
-	if res.Rows[0].SimTime <= res.Rows[6].SimTime {
-		t.Error("NB should project longer than MM")
-	}
-	var buf bytes.Buffer
-	PrintTable1(&buf, res)
-	if !strings.Contains(buf.String(), "Table I") {
-		t.Error("table1 report incomplete")
-	}
-}
-
 func TestMeasureSimThroughput(t *testing.T) {
-	thr := MeasureSimThroughput(0.01)
+	thr := measureThroughput("cfd", 0.01, nil)
 	if thr <= 0 {
 		t.Error("non-positive throughput")
 	}
@@ -359,7 +346,7 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 	}
 	bundle := &Results{
 		Scale:    opts.Scale,
-		Table1:   RunTable1(1e6),
+		Table1:   &Table1Result{SimWarpInstsPerSec: 1e6, Slowdown: 6250},
 		Fig5:     RunFig5(100, 1),
 		Accuracy: acc,
 	}
@@ -431,9 +418,12 @@ func TestMotivationBBVWeakOnIrregular(t *testing.T) {
 }
 
 func TestRunTable1PerKernel(t *testing.T) {
-	res := RunTable1PerKernel(0.01)
+	res := RunTable1PerKernelMetrics(0.01, nil)
 	if len(res.Rows) != 7 {
 		t.Fatalf("got %d rows", len(res.Rows))
+	}
+	if res.SimWarpInstsPerSec <= 0 || res.Slowdown <= 0 {
+		t.Errorf("calibration: %v warp insts/s, slowdown %v", res.SimWarpInstsPerSec, res.Slowdown)
 	}
 	for _, row := range res.Rows {
 		if row.WarpInstsPerSec <= 0 {
@@ -445,8 +435,8 @@ func TestRunTable1PerKernel(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	PrintTable1(&buf, res)
-	if !strings.Contains(buf.String(), "sim insts/s") {
-		t.Error("per-kernel column missing")
+	if out := buf.String(); !strings.Contains(out, "Table I") || !strings.Contains(out, "sim insts/s") {
+		t.Errorf("table1 report incomplete:\n%s", out)
 	}
 }
 

@@ -79,7 +79,7 @@ func RunMotivation(opts Options) ([]MotivationResult, error) {
 	err = forEachIndexed(opts.Ctx, len(specs), func(i int) error {
 		spec := specs[i]
 		app := spec.Build(workloads.Config{Scale: opts.Scale, Seed: opts.Seed})
-		unit := opts.unitSize(app.TotalWarpInsts())
+		unit := opts.UnitSize(app.TotalWarpInsts())
 		full, err := opts.fullReference(opts.subcell(spec.Name, unit, cfg), sim, app, unit, mc)
 		if err != nil {
 			return err

@@ -58,7 +58,7 @@ func TestFullAppParallelAgreesWithSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		app := spec.Build(workloads.Config{Scale: 0.02, Seed: 7})
-		unit := DefaultOptions(0.02).unitSize(app.TotalWarpInsts())
+		unit := DefaultOptions(0.02).UnitSize(app.TotalWarpInsts())
 		serial := FullApp(sim, app, unit)
 		par2 := FullAppParallel(sim, app, unit, 2, 0)
 		par8 := FullAppParallel(sim, app, unit, 8, 0)

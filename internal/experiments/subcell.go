@@ -155,7 +155,7 @@ func (c *subcell) loadOutcome(name string, mc *metrics.Collector) (sampler.Outco
 	return sampler.Outcome{}, false
 }
 
-// fullReference is the harness's one producer of a reference run: fullAppCtx
+// fullReference is the harness's one producer of a reference run: FullAppCtx
 // with the run shared through c's fullref entry. Under Resume it counts the
 // cell's one subcell.hits (run decoded from the store) or subcell.misses
 // (simulated) into mc. A run cut short by o.Ctx is returned as the context's
@@ -171,7 +171,7 @@ func (o Options) fullReference(c *subcell, sim *gpusim.Simulator, app *kernel.Ap
 		}
 		mc.AtomicAdd(metrics.SubcellMisses, 1)
 	}
-	full := fullAppCtx(o.Ctx, sim, app, unit, mc, 0, 0)
+	full := FullAppCtx(o.Ctx, sim, app, unit, mc)
 	if full.Aborted {
 		if err := ctxErr(o.Ctx); err != nil {
 			return nil, err

@@ -320,7 +320,7 @@ func TestOutcomeKeyCompleteness(t *testing.T) {
 	}
 	const totalInsts = 3_000_000
 	key := func(o Options, cfg gpusim.Config, name string) string {
-		return o.subcell("stream", o.unitSize(totalInsts), cfg).key("outcome", name)
+		return o.subcell("stream", o.UnitSize(totalInsts), cfg).key("outcome", name)
 	}
 	base := subcellOpts(t, store, nil)
 	baseKey := key(base, gpusim.DefaultConfig(), "tbpoint")

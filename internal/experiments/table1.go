@@ -62,17 +62,13 @@ type Table1Result struct {
 type Table1Row struct {
 	Kernel Table1Kernel
 	// WarpInstsPerSec is the measured throughput on the row's proxy
-	// benchmark (0 when per-kernel measurement was skipped).
+	// benchmark (0 in bundles recorded before rows were measured one by one).
 	WarpInstsPerSec float64
 	SimTime         time.Duration
 }
 
-// MeasureSimThroughput times the simulator on a calibration workload and
-// returns warp instructions simulated per second.
-func MeasureSimThroughput(scale float64) float64 {
-	return measureThroughput("cfd", scale, nil)
-}
-
+// measureThroughput times the simulator on the first launches of a benchmark
+// and returns warp instructions simulated per second.
 func measureThroughput(bench string, scale float64, mc *metrics.Collector) float64 {
 	spec, err := workloads.ByName(bench)
 	if err != nil {
@@ -82,7 +78,7 @@ func measureThroughput(bench string, scale float64, mc *metrics.Collector) float
 	sim := gpusim.MustNew(gpusim.DefaultConfig())
 	var insts int64
 	start := time.Now()
-	for _, l := range app.Launches[:minInt(4, len(app.Launches))] {
+	for _, l := range app.Launches[:min(4, len(app.Launches))] {
 		insts += sim.RunLaunch(l, gpusim.RunOptions{Metrics: mc}).SimulatedWarpInsts
 	}
 	el := time.Since(start).Seconds()
@@ -93,40 +89,12 @@ func measureThroughput(bench string, scale float64, mc *metrics.Collector) float
 	return float64(insts) / el
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// RunTable1 projects Table I using one calibration throughput for every
-// row. RunTable1PerKernel measures each row's proxy benchmark instead.
-func RunTable1(simWarpInstsPerSec float64) *Table1Result {
-	res := &Table1Result{
-		SimWarpInstsPerSec: simWarpInstsPerSec,
-		Slowdown:           QuadroThreadInstsPerSec / (simWarpInstsPerSec * 32),
-	}
-	for _, k := range Table1Kernels() {
-		simSec := k.GPUms / 1000 * res.Slowdown
-		res.Rows = append(res.Rows, Table1Row{
-			Kernel:  k,
-			SimTime: time.Duration(simSec * float64(time.Second)),
-		})
-	}
-	return res
-}
-
-// RunTable1PerKernel measures the simulation throughput of each row's
-// proxy benchmark, so memory-bound kernels project proportionally longer
-// simulations than compute-bound ones.
-func RunTable1PerKernel(scale float64) *Table1Result {
-	return RunTable1PerKernelMetrics(scale, nil)
-}
-
-// RunTable1PerKernelMetrics is RunTable1PerKernel with each measurement
-// run's simulator counters collected into mc (nil mc disables collection).
-// The measurement loops are sequential, so one shared collector is safe.
+// RunTable1PerKernelMetrics projects Table I by measuring the simulation
+// throughput of each row's proxy benchmark, so memory-bound kernels project
+// proportionally longer simulations than compute-bound ones. Each
+// measurement run's simulator counters are collected into mc (nil mc
+// disables collection); the measurement loops are sequential, so one shared
+// collector is safe.
 func RunTable1PerKernelMetrics(scale float64, mc *metrics.Collector) *Table1Result {
 	cal := measureThroughput("cfd", scale, mc)
 	res := &Table1Result{

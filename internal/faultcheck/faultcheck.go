@@ -1,7 +1,7 @@
 // Package faultcheck provides deterministic, seeded fault injection for
 // the chaos tests: an Injector counts the calls made at one injection
-// point and fires exactly one fault — an error, a panic, or a slow path —
-// at a chosen (or seeded) call index.
+// point and fires exactly one fault — an error, a panic, or a crash — at a
+// chosen (or seeded) call index.
 //
 // Everything is deterministic: the faulting call index is fixed at
 // construction (OnNth) or derived from a seed with a splitmix64 step
@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 )
 
 // Mode selects what the injector does on the faulting call.
@@ -33,9 +32,6 @@ const (
 	Error Mode = iota
 	// Panic makes Fire panic with a faultcheck-tagged message.
 	Panic
-	// Slow makes Fire sleep for the configured delay, then succeed. It
-	// models a stalled-but-alive dependency (a hung disk, a slow cell).
-	Slow
 	// Crash makes Fire invoke the configured crash function (default: a
 	// faultcheck-tagged panic; WithCrashFn can substitute os.Exit to kill
 	// the process for real). It models die-at-Nth-write process death for
@@ -49,8 +45,6 @@ func (m Mode) String() string {
 		return "error"
 	case Panic:
 		return "panic"
-	case Slow:
-		return "slow"
 	case Crash:
 		return "crash"
 	}
@@ -68,7 +62,6 @@ var ErrInjected = errors.New("faultcheck: injected fault")
 type Injector struct {
 	mode    Mode
 	nth     int64 // everyCall means every Fire faults (see Always)
-	delay   time.Duration
 	crashFn func()
 	calls   atomic.Int64
 	fired   atomic.Int64
@@ -83,7 +76,7 @@ func OnNth(n int64, mode Mode) *Injector {
 	if n < 1 {
 		n = 1
 	}
-	return &Injector{mode: mode, nth: n, delay: time.Millisecond}
+	return &Injector{mode: mode, nth: n}
 }
 
 // Seeded returns an injector whose faulting call index is derived
@@ -110,14 +103,7 @@ func splitmix64(x uint64) uint64 {
 // deterministically *persistent* failure, for testing retry exhaustion
 // (where OnNth's fire-exactly-once models a transient one).
 func Always(mode Mode) *Injector {
-	return &Injector{mode: mode, nth: everyCall, delay: time.Millisecond}
-}
-
-// WithDelay sets the Slow-mode sleep (default 1ms) and returns the
-// injector for chaining.
-func (in *Injector) WithDelay(d time.Duration) *Injector {
-	in.delay = d
-	return in
+	return &Injector{mode: mode, nth: everyCall}
 }
 
 // WithCrashFn sets what a Crash-mode injector does on the faulting call
@@ -133,7 +119,7 @@ func (in *Injector) Nth() int64 { return in.nth }
 
 // Fire counts one call at the injection point and, on the faulting call,
 // applies the configured fault: Error mode returns an error wrapping
-// ErrInjected, Panic mode panics, Slow mode sleeps for the delay. Every
+// ErrInjected, Panic mode panics, Crash mode runs the crash function. Every
 // other call returns nil immediately. Nil receivers always return nil.
 func (in *Injector) Fire() error {
 	if in == nil {
@@ -147,9 +133,6 @@ func (in *Injector) Fire() error {
 	switch in.mode {
 	case Panic:
 		panic(fmt.Sprintf("faultcheck: injected panic at call %d", call))
-	case Slow:
-		time.Sleep(in.delay)
-		return nil
 	case Crash:
 		if in.crashFn != nil {
 			in.crashFn()
@@ -178,16 +161,16 @@ func (in *Injector) Fired() bool {
 }
 
 // faultyReader consults an injector before every Read, modelling a storage
-// layer that fails or stalls mid-stream.
+// layer that fails mid-stream.
 type faultyReader struct {
 	r  io.Reader
 	in *Injector
 }
 
 // Reader wraps r so that every Read first consults the injector: on the
-// faulting call an Error-mode injector fails the read, a Panic-mode one
-// panics, a Slow-mode one stalls it. Used to chaos-test the persist
-// readers against mid-stream I/O failure.
+// faulting call an Error-mode injector fails the read and a Panic-mode one
+// panics. Used to chaos-test the persist readers against mid-stream I/O
+// failure.
 func Reader(r io.Reader, in *Injector) io.Reader {
 	return &faultyReader{r: r, in: in}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestOnNthFiresExactlyOnce(t *testing.T) {
@@ -51,20 +50,6 @@ func TestPanicMode(t *testing.T) {
 		}
 	}()
 	_ = in.Fire()
-}
-
-func TestSlowMode(t *testing.T) {
-	in := OnNth(1, Slow).WithDelay(10 * time.Millisecond)
-	start := time.Now()
-	if err := in.Fire(); err != nil {
-		t.Fatalf("Slow mode returned error: %v", err)
-	}
-	if d := time.Since(start); d < 10*time.Millisecond {
-		t.Fatalf("Slow fault returned after %v, want >= 10ms", d)
-	}
-	if !in.Fired() {
-		t.Fatal("Fired() = false after slow fault")
-	}
 }
 
 func TestSeededIsDeterministicAndInRange(t *testing.T) {
@@ -145,7 +130,7 @@ func TestReaderCleanWhenInjectorNil(t *testing.T) {
 }
 
 func TestModeString(t *testing.T) {
-	for m, want := range map[Mode]string{Error: "error", Panic: "panic", Slow: "slow", Crash: "crash", Mode(9): "Mode(9)"} {
+	for m, want := range map[Mode]string{Error: "error", Panic: "panic", Crash: "crash", Mode(9): "Mode(9)"} {
 		if got := m.String(); got != want {
 			t.Fatalf("Mode(%d).String() = %q, want %q", int(m), got, want)
 		}

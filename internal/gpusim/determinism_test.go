@@ -1,8 +1,15 @@
 package gpusim_test
 
 import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"sort"
+	"sync"
 	"testing"
 
+	"tbpoint/internal/experiments"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/metrics"
 	"tbpoint/internal/workloads"
@@ -46,23 +53,14 @@ func goldenConfig(name string) gpusim.Config {
 	return gpusim.DefaultConfig()
 }
 
-// goldenUnitSize mirrors experiments.Options.unitSize with UnitDivisor 400
-// and MinUnitInsts 2000 (the values the rows were recorded under).
-func goldenUnitSize(total int64) int64 {
-	u := total / 400
-	if u < 2000 {
-		u = 2000
-	}
-	if u > 1<<20 {
-		u = 1 << 20
-	}
-	return u
-}
-
 func runGolden(t *testing.T, row goldenRow) goldenRow {
 	return runGoldenMetrics(t, row, nil)
 }
 
+// runGoldenMetrics runs row's reference simulation the way every cell of the
+// harness does — experiments.FullAppMetrics at the default unit-size rule —
+// so the goldens pin the launch fan-out and the launch-order collector merge
+// together with the simulator.
 func runGoldenMetrics(t *testing.T, row goldenRow, mc *metrics.Collector) goldenRow {
 	t.Helper()
 	spec, err := workloads.ByName(row.bench)
@@ -72,9 +70,8 @@ func runGoldenMetrics(t *testing.T, row goldenRow, mc *metrics.Collector) golden
 	app := spec.Build(workloads.Config{Scale: 0.05, Seed: 7})
 	sim := gpusim.MustNew(goldenConfig(row.config))
 	got := goldenRow{config: row.config, bench: row.bench}
-	unit := goldenUnitSize(app.TotalWarpInsts())
-	for _, l := range app.Launches {
-		r := sim.RunLaunch(l, gpusim.RunOptions{FixedUnitInsts: unit, CollectBBV: true, Metrics: mc})
+	unit := experiments.DefaultOptions(0.05).UnitSize(app.TotalWarpInsts())
+	for _, r := range experiments.FullAppMetrics(sim, app, unit, mc).Launches {
 		got.cycles += r.Cycles
 		got.insts += r.SimulatedWarpInsts
 		got.l1m += r.L1Misses
@@ -90,22 +87,176 @@ func runGoldenMetrics(t *testing.T, row goldenRow, mc *metrics.Collector) golden
 	return got
 }
 
+// goldenMetricsPath holds, per config/bench case, the deterministic part of
+// the sweep's metrics snapshot: every counter and distribution, no wall-clock
+// phases. goldenRows pins the LaunchResult aggregates; this file pins the
+// whole internal/metrics counter set (issue breakdown, scheduler events,
+// MSHR/DRAM distributions), so an instrumentation bug that double-counts
+// without shifting IPC still fails.
+const goldenMetricsPath = "testdata/golden_metrics.json"
+
+var update = flag.Bool("update", false, "rewrite "+goldenMetricsPath+" from this run instead of checking it")
+
+// diffGoldenMetrics names every divergence between the golden file's cases
+// and a run's: a case only one side has, and per case each counter and
+// distribution whose values differ (absent reads as zero).
+func diffGoldenMetrics(want, got map[string]metrics.Snapshot) []string {
+	var diffs []string
+	for _, name := range unionKeys(want, got) {
+		w, inGolden := want[name]
+		g, inRun := got[name]
+		if !inGolden {
+			diffs = append(diffs, fmt.Sprintf("%s: present in run, missing from golden", name))
+			continue
+		}
+		if !inRun {
+			diffs = append(diffs, fmt.Sprintf("%s: present in golden, missing from run", name))
+			continue
+		}
+		for _, k := range unionKeys(w.Counters, g.Counters) {
+			if w.Counters[k] != g.Counters[k] {
+				diffs = append(diffs, fmt.Sprintf("%s: counter %s = %d, golden %d", name, k, g.Counters[k], w.Counters[k]))
+			}
+		}
+		for _, k := range unionKeys(w.Dists, g.Dists) {
+			if w.Dists[k] != g.Dists[k] {
+				diffs = append(diffs, fmt.Sprintf("%s: dist %s = %+v, golden %+v", name, k, g.Dists[k], w.Dists[k]))
+			}
+		}
+	}
+	return diffs
+}
+
+func unionKeys[V any](a, b map[string]V) []string {
+	var keys []string
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		if _, dup := a[k]; !dup {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // TestGoldenCounters locks the simulator to the recorded pre-event-loop
 // behaviour: five benchmarks spanning regular, irregular, launch-heavy and
 // memory-bound shapes, under the default and a retargeted occupancy
-// configuration.
+// configuration. Each case runs once, with a live collector, and is held to
+// both goldenRows and goldenMetricsPath.
+//
+//	go test ./internal/gpusim -run TestGoldenCounters -update
+//
+// rewrites the file; do that only for an intentional, documented behaviour
+// change.
 func TestGoldenCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep is a few seconds; skipped in -short")
 	}
+	var mu sync.Mutex
+	got := map[string]metrics.Snapshot{}
+	// A parent's cleanup runs once its parallel subtests have all finished.
+	t.Cleanup(func() { checkGoldenMetrics(t, got) })
 	for _, row := range goldenRows {
 		row := row
-		t.Run(row.config+"/"+row.bench, func(t *testing.T) {
+		name := row.config + "/" + row.bench
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			if got := runGolden(t, row); got != row {
+			mc := metrics.New()
+			if got := runGoldenMetrics(t, row, mc); got != row {
 				t.Errorf("counters diverged from golden\n got: %+v\nwant: %+v", got, row)
 			}
+			snap := mc.Snapshot()
+			snap.Phases = nil
+			mu.Lock()
+			got[name] = snap
+			mu.Unlock()
 		})
+	}
+}
+
+// checkGoldenMetrics holds the cases that ran to goldenMetricsPath, or under
+// -update rewrites it from them. It runs as a cleanup, where FailNow's output
+// is lost, so failures are Errorf + return.
+func checkGoldenMetrics(t *testing.T, got map[string]metrics.Snapshot) {
+	filtered := len(got) != len(goldenRows) // -run selected some subtests
+	if *update {
+		if filtered {
+			t.Errorf("-update needs the whole sweep, ran %d of %d cases", len(got), len(goldenRows))
+			return
+		}
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err == nil {
+			err = os.WriteFile(goldenMetricsPath, append(data, '\n'), 0o644)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		return
+	}
+	var want map[string]metrics.Snapshot
+	data, err := os.ReadFile(goldenMetricsPath)
+	if err == nil {
+		err = json.Unmarshal(data, &want)
+	}
+	if err != nil {
+		t.Errorf("%s: %v (record it with -update)", goldenMetricsPath, err)
+		return
+	}
+	if filtered {
+		for name := range want {
+			if _, ran := got[name]; !ran {
+				delete(want, name)
+			}
+		}
+	}
+	for _, d := range diffGoldenMetrics(want, got) {
+		t.Error(d)
+	}
+}
+
+// TestDiffGoldenMetrics pins what the golden gate reports: each kind of
+// divergence, by case and by counter or distribution name.
+func TestDiffGoldenMetrics(t *testing.T) {
+	base := func() map[string]metrics.Snapshot {
+		return map[string]metrics.Snapshot{
+			"default/cfd": {
+				Counters: map[string]uint64{"sim.cycles": 10, "sim.warp_insts": 20},
+				Dists:    map[string]metrics.DistSnapshot{"mem.mshr_occupancy": {Count: 2, Sum: 6, Min: 1, Max: 5}},
+			},
+			"occ16x8/mst": {Counters: map[string]uint64{"sim.cycles": 7}},
+		}
+	}
+	cases := []struct {
+		name   string
+		mutate func(want, got map[string]metrics.Snapshot)
+		diff   string
+	}{
+		{"identical", func(want, got map[string]metrics.Snapshot) {}, ""},
+		{"case missing from file", func(want, got map[string]metrics.Snapshot) { delete(want, "occ16x8/mst") },
+			"occ16x8/mst: present in run, missing from golden"},
+		{"case missing from run", func(want, got map[string]metrics.Snapshot) { delete(got, "default/cfd") },
+			"default/cfd: present in golden, missing from run"},
+		{"one counter off", func(want, got map[string]metrics.Snapshot) { got["default/cfd"].Counters["sim.warp_insts"] = 21 },
+			"default/cfd: counter sim.warp_insts = 21, golden 20"},
+		{"counter only in run", func(want, got map[string]metrics.Snapshot) { got["occ16x8/mst"].Counters["mem.l1_misses"] = 3 },
+			"occ16x8/mst: counter mem.l1_misses = 3, golden 0"},
+		{"one dist off", func(want, got map[string]metrics.Snapshot) {
+			got["default/cfd"].Dists["mem.mshr_occupancy"] = metrics.DistSnapshot{Count: 2, Sum: 6, Min: 1, Max: 4}
+		}, "default/cfd: dist mem.mshr_occupancy = {Count:2 Sum:6 Min:1 Max:4}, golden {Count:2 Sum:6 Min:1 Max:5}"},
+	}
+	for _, c := range cases {
+		want, got := base(), base()
+		c.mutate(want, got)
+		diffs := diffGoldenMetrics(want, got)
+		if c.diff == "" && len(diffs) != 0 {
+			t.Errorf("%s: reported %q", c.name, diffs)
+		}
+		if c.diff != "" && (len(diffs) != 1 || diffs[0] != c.diff) {
+			t.Errorf("%s: reported %q, want exactly %q", c.name, diffs, c.diff)
+		}
 	}
 }
 

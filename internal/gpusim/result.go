@@ -116,14 +116,13 @@ func (r *LaunchResult) TotalIPC() float64 {
 // Hooks let sampling layers observe and steer a simulation. All fields are
 // optional.
 type Hooks struct {
-	// SkipTB is consulted when thread block tb is about to be dispatched;
-	// returning true fast-forwards it (the block retires instantly and is
-	// never simulated).
+	// SkipTB is consulted exactly once per thread block, in block order,
+	// when tb is about to be dispatched; returning true fast-forwards it (the
+	// block retires instantly and is never simulated), so the callee does
+	// its own accounting of what it skipped.
 	SkipTB func(tb int) bool
 	// OnTBDispatch fires when a (non-skipped) block starts on an SM.
 	OnTBDispatch func(tb, sm int, cycle int64)
-	// OnTBSkip fires when a block is fast-forwarded past.
-	OnTBSkip func(tb int, cycle int64)
 	// OnTBRetire fires when a simulated block finishes.
 	OnTBRetire func(tb, sm int, cycle int64)
 	// OnUnitClose fires when a specified-thread-block sampling unit closes.

@@ -760,9 +760,6 @@ func (rs *runState) dispatchOne(sm *smState) bool {
 		if h.SkipTB != nil && h.SkipTB(tb) {
 			rs.nextTB++
 			rs.res.SkippedTBs++
-			if h.OnTBSkip != nil {
-				h.OnTBSkip(tb, rs.cycle)
-			}
 			continue
 		}
 		rs.nextTB++

@@ -181,8 +181,13 @@ func TestSkipTB(t *testing.T) {
 	l := makeLaunch(computeKernel(), 10, 4)
 	var skipped []int
 	res := sim.RunLaunch(l, RunOptions{Hooks: &Hooks{
-		SkipTB:   func(tb int) bool { return tb%2 == 1 },
-		OnTBSkip: func(tb int, cycle int64) { skipped = append(skipped, tb) },
+		SkipTB: func(tb int) bool {
+			if tb%2 == 1 {
+				skipped = append(skipped, tb)
+				return true
+			}
+			return false
+		},
 	}})
 	if res.SimulatedTBs != 5 || res.SkippedTBs != 5 {
 		t.Errorf("simulated %d skipped %d, want 5/5", res.SimulatedTBs, res.SkippedTBs)

@@ -40,8 +40,8 @@
 //
 // Counters and distributions observed from a deterministic simulation are
 // themselves deterministic — they are pinned by the golden-metrics gate
-// (cmd/goldencheck, scripts/ci.sh). Phase timings are wall-clock and are
-// excluded from golden comparison.
+// (internal/gpusim's TestGoldenCounters). Phase timings are wall-clock and
+// are excluded from golden comparison.
 package metrics
 
 import (

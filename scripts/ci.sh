@@ -19,7 +19,10 @@
 #              launch fan-out and the clustering it feeds, the durable store,
 #              the live-snapshot metrics paths, the job server with its HTTP
 #              client, and internal/e2e — whose TestMain then race-builds the
-#              binaries it drives
+#              binaries it drives. internal/gpusim's TestGoldenCounters runs
+#              here too, so the metrics goldens are also proven under the
+#              race detector (launch fan-out, per-launch collectors merged
+#              in launch order)
 #   e2e        internal/e2e on its own, under -race: cmd/experiments dying at
 #              a store write and resuming to byte-identical results, a fatal
 #              target error still flushing its JSON outputs, tbpointd
@@ -29,8 +32,6 @@
 #              every tbpointctl subcommand. A cache hit after `race` in a
 #              full run; the stage exists to be run by name
 #   fuzz       10s fuzz smoke over each existing fuzz target
-#   golden     cmd/goldencheck re-runs the five determinism benchmarks and
-#              diffs the full metrics counter set against testdata goldens
 #
 # Usage: scripts/ci.sh [fast | stage...]
 #   (no args)       run every stage
@@ -45,7 +46,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt vet build benchbuild test race e2e fuzz golden)
+ALL_STAGES=(fmt vet build benchbuild test race e2e fuzz)
 
 stage_fmt() {
   local bad
@@ -73,7 +74,6 @@ stage_fuzz() {
     fuzz FuzzReadCheckpoint ./internal/durable/ &&
     fuzz FuzzStratifiedAllocate ./internal/sampler/
 }
-stage_golden() { go run ./cmd/goldencheck; }
 
 # Stage selection: no args = everything, `fast` = everything minus fuzz,
 # otherwise exactly the named stages in the order given. Unknown names fail

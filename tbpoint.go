@@ -34,6 +34,7 @@ import (
 	"io"
 
 	"tbpoint/internal/core"
+	"tbpoint/internal/experiments"
 	"tbpoint/internal/funcsim"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/kernel"
@@ -109,7 +110,7 @@ type (
 
 // NewCollector returns an enabled metrics collector. Pass it via
 // Options.Metrics, RunOptions.Metrics, ProfileMetrics or
-// FullSimulationMetrics, then render Snapshot() with WriteJSON/WriteText.
+// FullSimulationCtx, then render Snapshot() with WriteJSON/WriteText.
 func NewCollector() *Collector { return metrics.New() }
 
 // Profiling and baseline types.
@@ -199,42 +200,22 @@ func MustBenchmark(name string, scale float64) *App {
 // FullSimulation runs the reference (unsampled) simulation of every launch
 // of app, optionally collecting fixed-size sampling units of unitInsts warp
 // instructions with basic block vectors — the input the Random and
-// Ideal-Simpoint baselines need.
+// Ideal-Simpoint baselines need. Launches are independent, so they fan out
+// over the harness's worker budget; the result is identical to simulating
+// them in order.
 func FullSimulation(sim *Simulator, app *App, unitInsts int64) *AppRun {
-	return FullSimulationMetrics(sim, app, unitInsts, nil)
+	return experiments.FullApp(sim, app, unitInsts)
 }
 
-// FullSimulationMetrics is FullSimulation with each launch's simulator
-// counters collected into mc and the total wall time recorded as the
-// full_reference phase (nil mc behaves exactly like FullSimulation).
-func FullSimulationMetrics(sim *Simulator, app *App, unitInsts int64, mc *Collector) *AppRun {
-	return FullSimulationCtx(nil, sim, app, unitInsts, mc)
-}
-
-// FullSimulationCtx is FullSimulationMetrics with cancellation: once ctx is
-// cancelled no further launches start and the in-flight one aborts at its
-// next sampling-unit boundary, returning a partial AppRun flagged Aborted
-// (launches never started stay nil). A nil or never-cancelled ctx behaves
-// exactly like FullSimulationMetrics, bit for bit.
+// FullSimulationCtx is FullSimulation with cancellation and observability:
+// once ctx is cancelled no further launches start and in-flight ones abort
+// at their next sampling-unit boundary, returning a partial AppRun flagged
+// Aborted (launches never started stay nil); a non-nil mc receives every
+// launch's simulator counters, merged in launch order, and the total wall
+// time as the experiments.full_ref phase. A nil or never-cancelled ctx and
+// a nil mc behave exactly like FullSimulation, bit for bit.
 func FullSimulationCtx(ctx context.Context, sim *Simulator, app *App, unitInsts int64, mc *Collector) *AppRun {
-	defer mc.StartPhase("full_reference").Stop()
-	run := &sampling.AppRun{Launches: make([]*gpusim.LaunchResult, len(app.Launches))}
-	for i, l := range app.Launches {
-		if ctx != nil && ctx.Err() != nil {
-			run.Aborted = true
-			break
-		}
-		run.Launches[i] = sim.RunLaunch(l, gpusim.RunOptions{
-			FixedUnitInsts: unitInsts,
-			CollectBBV:     unitInsts > 0,
-			Metrics:        mc,
-			Ctx:            ctx,
-		})
-		if run.Launches[i].Aborted {
-			run.Aborted = true
-		}
-	}
-	return run
+	return experiments.FullAppCtx(ctx, sim, app, unitInsts, mc)
 }
 
 // RandomBaseline applies the random-sampling baseline (§V-A) to a full

@@ -2,9 +2,11 @@ package tbpoint_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"tbpoint"
+	"tbpoint/internal/experiments"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -32,6 +34,28 @@ func TestFacadeEndToEnd(t *testing.T) {
 	sp := tbpoint.SimPointBaseline(full)
 	if rnd.PredictedIPC <= 0 || sp.PredictedIPC <= 0 {
 		t.Error("baselines predicted nothing")
+	}
+}
+
+// TestFullSimulationIsTheHarnessReference pins the facade's reference run to
+// the harness's (one loop, fanned out over launches) and both to simulating
+// the launches one after another on the caller's goroutine.
+func TestFullSimulationIsTheHarnessReference(t *testing.T) {
+	app := tbpoint.MustBenchmark("kmeans", 0.02)
+	if len(app.Launches) < 2 {
+		t.Fatalf("need a multi-launch app, kmeans has %d", len(app.Launches))
+	}
+	sim := tbpoint.MustNewSimulator(tbpoint.DefaultSimConfig())
+	const unit = 2000
+	full := tbpoint.FullSimulation(sim, app, unit)
+	if !reflect.DeepEqual(full, experiments.FullApp(sim, app, unit)) {
+		t.Error("FullSimulation differs from experiments.FullApp")
+	}
+	for i, l := range app.Launches {
+		seq := sim.RunLaunch(l, tbpoint.RunOptions{FixedUnitInsts: unit, CollectBBV: true})
+		if !reflect.DeepEqual(full.Launches[i], seq) {
+			t.Errorf("launch %d differs from a sequential RunLaunch", i)
+		}
 	}
 }
 
