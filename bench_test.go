@@ -269,9 +269,11 @@ func BenchmarkMemSystem(b *testing.B) {
 // BenchmarkFullAppParallel measures the whole-app launch fan-out: the same
 // multi-launch reference simulation sequentially and over the shared
 // worker budget (results are deep-equal either way; the determinism tests
-// pin that).
+// pin that). It runs sssp because its 49 launches are all distinct: on an
+// app that re-launches identical work (kmeans: 30 launches, 2 simulations)
+// seq-vs-par would measure launch reuse, not the fan-out.
 func BenchmarkFullAppParallel(b *testing.B) {
-	app := tbpoint.MustBenchmark("kmeans", 0.05)
+	app := tbpoint.MustBenchmark("sssp", 0.05)
 	sim := tbpoint.MustNewSimulator(tbpoint.DefaultSimConfig())
 	for _, workers := range []int{1, 0} { // 0 = GOMAXPROCS
 		name := "seq"

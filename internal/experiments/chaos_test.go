@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -16,15 +17,20 @@ import (
 	"tbpoint/internal/workloads"
 )
 
-// cancelOnFirstWrite cancels a context the first time anything is written to
-// it. Wired as opts.Out with Verbose on, it cancels the run deterministically
-// at the moment the first grid cell reports completion.
+// cancelOnFirstWrite cancels a context the first time a cell's completion
+// line is written to it (the per-reference-run "full reference: simulated N
+// of M launches" lines pass through). Wired as opts.Out with Verbose on, it
+// cancels the run deterministically at the moment the first grid cell reports
+// completion.
 type cancelOnFirstWrite struct {
 	cancel context.CancelFunc
 	once   sync.Once
 }
 
 func (c *cancelOnFirstWrite) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte("full reference:")) {
+		return len(p), nil
+	}
 	c.once.Do(c.cancel)
 	return len(p), nil
 }
@@ -125,37 +131,43 @@ func TestChaosPanicCellDegrades(t *testing.T) {
 // TestChaosLaunchPanicNamesThePanic: a launch whose simulation panics on a
 // fan-out worker (here a nil Kernel, dereferenced inside RunLaunch) must
 // reach the cell's CellError as that panic with the worker's stack — not as
-// the "context canceled" an aborted reference run reports. RunAccuracy only
-// builds registry benchmarks, so the test feeds the broken app to the path
-// every cell takes: a runGrid cell around fullReference.
+// the "context canceled" an aborted reference run reports, and not from the
+// launch grouping on the caller's goroutine. The broken launch replaces, in
+// turn, kmeans launch 0 (the one launches 1-9 would reuse) and launch 1 (one
+// that would have been reused): either way it is its own group and is
+// simulated. RunAccuracy only builds registry benchmarks, so the test feeds
+// the broken app to the path every cell takes: a runGrid cell around
+// fullReference.
 func TestChaosLaunchPanicNamesThePanic(t *testing.T) {
 	spec, err := workloads.ByName("kmeans")
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := spec.Build(workloads.Config{Scale: 0.02, Seed: 3})
-	app.Launches[1] = &kernel.Launch{Index: 1}
 	sim := gpusim.MustNew(gpusim.DefaultConfig())
 
 	old := Parallelism
 	defer func() { Parallelism = old }()
-	for _, workers := range []int{1, 4} {
-		Parallelism = workers
-		_, cellErrs, err := runGrid(fastOpts(), "accuracy", []gridCell[*sampling.AppRun]{{
-			name: app.Name,
-			run: func(o Options) (*sampling.AppRun, error) {
-				return o.fullReference(nil, sim, app, 2000, nil)
-			},
-		}})
-		if err != nil || len(cellErrs) != 1 {
-			t.Fatalf("workers=%d: a panicking launch gave err %v and cell errors %+v, want one cell error", workers, err, cellErrs)
-		}
-		ce := cellErrs[0]
-		if !strings.Contains(ce.Err, "panicked") || !strings.Contains(ce.Err, "nil pointer") {
-			t.Errorf("workers=%d: cell error %q does not name the launch's panic", workers, ce.Err)
-		}
-		if !strings.Contains(ce.Stack, "RunLaunch") {
-			t.Errorf("workers=%d: cell error stack does not reach the panicking RunLaunch:\n%s", workers, ce.Stack)
+	for _, broken := range []int{0, 1} {
+		app := spec.Build(workloads.Config{Scale: 0.02, Seed: 3})
+		app.Launches[broken] = &kernel.Launch{Index: broken}
+		for _, workers := range []int{1, 4} {
+			Parallelism = workers
+			_, cellErrs, err := runGrid(fastOpts(), "accuracy", []gridCell[*sampling.AppRun]{{
+				name: app.Name,
+				run: func(o Options) (*sampling.AppRun, error) {
+					return o.fullReference(nil, sim, app, 2000, nil)
+				},
+			}})
+			if err != nil || len(cellErrs) != 1 {
+				t.Fatalf("launch %d, workers=%d: a panicking launch gave err %v and cell errors %+v, want one cell error", broken, workers, err, cellErrs)
+			}
+			ce := cellErrs[0]
+			if !strings.Contains(ce.Err, "panicked") || !strings.Contains(ce.Err, "nil pointer") {
+				t.Errorf("launch %d, workers=%d: cell error %q does not name the launch's panic", broken, workers, ce.Err)
+			}
+			if !strings.Contains(ce.Stack, "RunLaunch") {
+				t.Errorf("launch %d, workers=%d: cell error stack does not reach the panicking RunLaunch:\n%s", broken, workers, ce.Stack)
+			}
 		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"tbpoint/internal/sampler"
 	"tbpoint/internal/sampling"
 	"tbpoint/internal/stats"
+	"tbpoint/internal/trace"
 	"tbpoint/internal/workloads"
 )
 
@@ -176,13 +177,16 @@ func FullApp(sim *gpusim.Simulator, app *kernel.App, unitInsts int64) *sampling.
 // epoch-synchronized parallel event loop (workers > 1); quantum < 1 selects
 // gpusim.DefaultQuantum. workers <= 1 is exactly FullApp.
 func FullAppParallel(sim *gpusim.Simulator, app *kernel.App, unitInsts int64, workers int, quantum int64) *sampling.AppRun {
-	return fullApp(nil, sim, app, unitInsts, nil, workers, quantum)
+	run, _ := fullApp(nil, sim, app, unitInsts, nil, workers, quantum)
+	return run
 }
 
 // FullAppMetrics is FullApp with the run's simulator counters and wall time
-// (phase experiments.full_ref) recorded into mc. Each launch records into a
-// private collector merged in launch order afterwards, so counter totals do
-// not depend on worker interleaving. A nil mc behaves exactly like FullApp.
+// (phase experiments.full_ref) recorded into mc. Each simulated launch
+// records into a private collector; afterwards every launch, in launch
+// order, merges the collector of the simulation that stands for it, so
+// counter totals describe the whole reference run and do not depend on
+// worker interleaving. A nil mc behaves exactly like FullApp.
 func FullAppMetrics(sim *gpusim.Simulator, app *kernel.App, unitInsts int64, mc *metrics.Collector) *sampling.AppRun {
 	return FullAppCtx(nil, sim, app, unitInsts, mc)
 }
@@ -195,39 +199,86 @@ func FullAppMetrics(sim *gpusim.Simulator, app *kernel.App, unitInsts int64, mc 
 // nil entries for launches never started). A nil ctx behaves exactly like
 // FullAppMetrics. A launch whose simulation panics re-raises the worker's
 // *par.PanicError on the caller's goroutine.
+//
+// Launches whose simulation input is identical (trace.SameInput) are
+// simulated once: the later ones share the earliest one's *LaunchResult,
+// which callers must therefore treat as read-only.
 func FullAppCtx(ctx context.Context, sim *gpusim.Simulator, app *kernel.App, unitInsts int64, mc *metrics.Collector) *sampling.AppRun {
-	return fullApp(ctx, sim, app, unitInsts, mc, 0, 0)
+	run, _ := fullApp(ctx, sim, app, unitInsts, mc, 0, 0)
+	return run
+}
+
+// launchKey buckets the launches trace.SameInput can call equal. It covers
+// only what every equal pair shares whatever the program reads — kernel,
+// block count, trip counts — so launches that differ in active fraction or
+// seed collide, and equality is always decided by SameInput, never by key.
+type launchKey struct {
+	kernel *kernel.Kernel
+	blocks int
+	trips  uint64 // FNV-1a over every block's trip counts, in block order
+}
+
+func keyOf(l *kernel.Launch) launchKey {
+	h := uint64(14695981039346656037)
+	for tb := range l.Params {
+		for _, t := range l.Params[tb].Trips {
+			h = (h ^ uint64(t)) * 1099511628211
+		}
+	}
+	return launchKey{l.Kernel, len(l.Params), h}
 }
 
 // fullApp is FullAppCtx plus the engine choice: workers > 1 selects gpusim's
-// epoch-parallel engine (FullAppParallel is the only caller that does).
-func fullApp(ctx context.Context, sim *gpusim.Simulator, app *kernel.App, unitInsts int64, mc *metrics.Collector, workers int, quantum int64) *sampling.AppRun {
-	// Launches are independent simulations of the same machine
-	// configuration, so they fan out over the shared worker budget; results
-	// land at their launch index, making the run identical to a sequential
-	// one (each RunLaunch is deterministic and shares no mutable state).
+// epoch-parallel engine (FullAppParallel is the only caller that does). It
+// also returns how many launches it handed to the simulator.
+func fullApp(ctx context.Context, sim *gpusim.Simulator, app *kernel.App, unitInsts int64, mc *metrics.Collector, workers int, quantum int64) (*sampling.AppRun, int) {
 	par.SetLimit(Parallelism)
 	defer mc.StartPhase("experiments.full_ref").Stop()
-	var mcs []*metrics.Collector
+	// Iterative applications re-launch identical work, the simulator restarts
+	// its caches, MSHRs and DRAM per launch and is deterministic, so a launch
+	// equal to an earlier one has that launch's result: rep[i] is the
+	// earliest launch equal to launch i, and only the launches that are
+	// their own representative are simulated. The grouping lives for this
+	// call; nothing is dereferenced that SameInput has not checked, so a
+	// broken launch still fails inside RunLaunch, on a worker.
+	rep := make([]int, len(app.Launches))
+	var distinct []int
+	buckets := make(map[launchKey][]int)
+	for i, l := range app.Launches {
+		rep[i] = i
+		key := keyOf(l)
+		for _, j := range buckets[key] {
+			if trace.SameInput(app.Launches[j], l) {
+				rep[i] = j
+				break
+			}
+		}
+		if rep[i] == i {
+			buckets[key] = append(buckets[key], i)
+			distinct = append(distinct, i)
+		}
+	}
+	mcs := make([]*metrics.Collector, len(app.Launches))
 	if mc != nil {
-		mcs = make([]*metrics.Collector, len(app.Launches))
-		for i := range mcs {
+		for _, i := range distinct {
 			mcs[i] = metrics.New()
 		}
 	}
+	// The distinct launches are independent simulations of the same machine
+	// configuration, so they fan out over the shared worker budget; results
+	// land at their launch index, making the run identical to a sequential
+	// one (each RunLaunch is deterministic and shares no mutable state).
 	run := &sampling.AppRun{Launches: make([]*gpusim.LaunchResult, len(app.Launches))}
-	err := par.ForEachCtx(ctx, len(app.Launches), func(i int) error {
-		ropts := gpusim.RunOptions{
+	err := par.ForEachCtx(ctx, len(distinct), func(d int) error {
+		i := distinct[d]
+		run.Launches[i] = sim.RunLaunch(app.Launches[i], gpusim.RunOptions{
 			FixedUnitInsts: unitInsts,
 			CollectBBV:     true,
 			Ctx:            ctx,
+			Metrics:        mcs[i],
 			Workers:        workers,
 			Quantum:        quantum,
-		}
-		if mcs != nil {
-			ropts.Metrics = mcs[i]
-		}
-		run.Launches[i] = sim.RunLaunch(app.Launches[i], ropts)
+		})
 		return nil
 	})
 	// The tasks return no error, so err is either ctx's (the nil entries
@@ -237,16 +288,19 @@ func fullApp(ctx context.Context, sim *gpusim.Simulator, app *kernel.App, unitIn
 	if errors.As(err, &pe) {
 		panic(pe)
 	}
-	for _, c := range mcs {
-		mc.Merge(c)
-	}
-	for _, l := range run.Launches {
-		if l == nil || l.Aborted {
+	// Every launch, in launch order, takes its representative's result — an
+	// aborted or never-started representative leaves its whole group so — and
+	// merges that simulation's collector again, so the counters describe the
+	// reference run's content, not the work done for it.
+	for i, r := range rep {
+		run.Launches[i] = run.Launches[r]
+		mc.Merge(mcs[r])
+		if l := run.Launches[i]; l == nil || l.Aborted {
 			run.Aborted = true
-			break
 		}
 	}
-	return run
+	mc.AtomicAdd(metrics.ExpLaunchesReused, uint64(len(rep)-len(distinct)))
+	return run, len(distinct)
 }
 
 // BenchResult is one benchmark's accuracy outcome under one configuration

@@ -14,33 +14,36 @@ import (
 // TestFullAppFanOutDeterministic pins the launch fan-out to the
 // sequential result: the full-app reference simulation must be
 // deep-equal — every counter, unit and BBV — no matter how many workers
-// run the launches.
+// run the launches. kmeans fans out only its two distinct launches (the
+// other 28 reuse them); sssp's 49 launches are all distinct, so every one
+// of them is a fan-out task.
 func TestFullAppFanOutDeterministic(t *testing.T) {
-	spec, err := workloads.ByName("kmeans") // multi-launch, exercises fan-out
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := spec.Build(workloads.Config{Scale: 0.02, Seed: 3})
-	if len(app.Launches) < 2 {
-		t.Fatalf("need a multi-launch app, got %d launches", len(app.Launches))
-	}
 	sim := gpusim.MustNew(gpusim.DefaultConfig())
-
 	old := Parallelism
 	defer func() { Parallelism = old }()
-
-	Parallelism = 1
-	ref := FullApp(sim, app, 2000)
-
-	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		Parallelism = workers
-		got := FullApp(sim, app, 2000)
-		if len(got.Launches) != len(ref.Launches) {
-			t.Fatalf("workers=%d: %d launches, want %d", workers, len(got.Launches), len(ref.Launches))
+	for name, simulated := range map[string]int{"kmeans": 2, "sssp": 49} {
+		spec, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range ref.Launches {
-			if !reflect.DeepEqual(got.Launches[i], ref.Launches[i]) {
-				t.Errorf("workers=%d: launch %d differs from sequential run", workers, i)
+		app := spec.Build(workloads.Config{Scale: 0.02, Seed: 3})
+
+		Parallelism = 1
+		ref, n := fullApp(nil, sim, app, 2000, nil, 0, 0)
+		if n != simulated {
+			t.Fatalf("%s: %d of %d launches simulated, want %d", name, n, len(app.Launches), simulated)
+		}
+
+		for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
+			Parallelism = workers
+			got := FullApp(sim, app, 2000)
+			if len(got.Launches) != len(ref.Launches) {
+				t.Fatalf("%s workers=%d: %d launches, want %d", name, workers, len(got.Launches), len(ref.Launches))
+			}
+			for i := range ref.Launches {
+				if !reflect.DeepEqual(got.Launches[i], ref.Launches[i]) {
+					t.Errorf("%s workers=%d: launch %d differs from sequential run", name, workers, i)
+				}
 			}
 		}
 	}

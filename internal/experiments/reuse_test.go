@@ -1,0 +1,201 @@
+package experiments
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"reflect"
+	"testing"
+
+	"tbpoint/internal/gpusim"
+	"tbpoint/internal/isa"
+	"tbpoint/internal/kernel"
+	"tbpoint/internal/metrics"
+	"tbpoint/internal/sampler"
+	"tbpoint/internal/sampling"
+	"tbpoint/internal/workloads"
+)
+
+// TestFullAppReuseMatchesPerLaunchLoop is the differential test for launch
+// reuse: on all twelve benchmarks the reference run is deep-equal to
+// simulating every launch, one after another, with its own collector, and
+// its counters and distributions are those collectors merged — apart from
+// exp.launches_reused, which is pinned per benchmark. stream is the
+// near-miss: 217 launches that differ only in their seeds, which its gather
+// reads.
+func TestFullAppReuseMatchesPerLaunchLoop(t *testing.T) {
+	reused := map[string]uint64{"cfd": 99, "kmeans": 28, "conv": 14, "lbm": 19, "spmv": 49}
+	sim := gpusim.MustNew(gpusim.DefaultConfig())
+	for _, spec := range workloads.All() {
+		app := spec.Build(workloads.Config{Scale: 0.01, Seed: 5})
+		unit := fastOpts().UnitSize(app.TotalWarpInsts())
+
+		want := &sampling.AppRun{}
+		wantMC := metrics.New()
+		for _, l := range app.Launches {
+			lmc := metrics.New()
+			want.Launches = append(want.Launches, sim.RunLaunch(l, gpusim.RunOptions{
+				FixedUnitInsts: unit, CollectBBV: true, Metrics: lmc,
+			}))
+			wantMC.Merge(lmc)
+		}
+
+		mc := metrics.New()
+		got := FullAppMetrics(sim, app, unit, mc)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reference run differs from the per-launch loop", spec.Name)
+		}
+		snap, wantSnap := mc.Snapshot(), wantMC.Snapshot()
+		if n := snap.Counters[metrics.ExpLaunchesReused.Name()]; n != reused[spec.Name] {
+			t.Errorf("%s: %d of %d launches reused, want %d", spec.Name, n, len(app.Launches), reused[spec.Name])
+		}
+		delete(snap.Counters, metrics.ExpLaunchesReused.Name())
+		if !reflect.DeepEqual(snap.Counters, wantSnap.Counters) || !reflect.DeepEqual(snap.Dists, wantSnap.Dists) {
+			t.Errorf("%s: counters differ from the per-launch loop's merged collectors:\n got %+v\nwant %+v",
+				spec.Name, snap, wantSnap)
+		}
+	}
+}
+
+// reuseKernel is a loop over one coalesced and one Random load, so a
+// launch's streams read its trips, its active fractions and its seeds.
+func reuseKernel() *kernel.Kernel {
+	prog := isa.NewBuilder("reuse").
+		Block(isa.IALU()).
+		LoopBlocks(0, isa.Load(4, 1, 128), isa.Load(8, 2, 0).AsIrregular(), isa.Branch()).
+		EndBlock(isa.Store(1, 3, 128)).
+		Build()
+	return &kernel.Kernel{Name: "reuse", Program: prog, ThreadsPerBlock: 64}
+}
+
+func reuseLaunch(k *kernel.Kernel, af float64) *kernel.Launch {
+	params := make([]kernel.TBParams, 40)
+	for tb := range params {
+		params[tb] = kernel.TBParams{Trips: []int{6}, ActiveFrac: af, Seed: uint64(tb) + 1}
+	}
+	return &kernel.Launch{Kernel: k, Params: params}
+}
+
+// TestFullAppReuseDecidedByComparison: two launches that differ only in
+// active fraction share a bucket (launchKey covers kernel, block count and
+// trips) and must still be two simulations with two results; a third launch
+// equal to the first shares the first's result.
+func TestFullAppReuseDecidedByComparison(t *testing.T) {
+	k := reuseKernel()
+	app := &kernel.App{Name: "collide", Launches: []*kernel.Launch{
+		reuseLaunch(k, 1), reuseLaunch(k, 0.5), reuseLaunch(k, 1),
+	}}
+	if keyOf(app.Launches[0]) != keyOf(app.Launches[1]) {
+		t.Fatal("the two unequal launches do not share a bucket; the test proves nothing")
+	}
+	mc := metrics.New()
+	run := FullAppMetrics(gpusim.MustNew(gpusim.DefaultConfig()), app, 500, mc)
+	if run.Launches[0] == run.Launches[1] || reflect.DeepEqual(run.Launches[0], run.Launches[1]) {
+		t.Error("launches with different active fractions were given one result")
+	}
+	if run.Launches[2] != run.Launches[0] {
+		t.Error("a launch equal to the first was simulated again")
+	}
+	if n := mc.Count(metrics.ExpLaunchesReused); n != 1 {
+		t.Errorf("exp.launches_reused = %d, want 1", n)
+	}
+	if n := mc.Count(metrics.SimLaunches); n != 3 {
+		t.Errorf("sim.launches = %d, want all 3 launches accounted", n)
+	}
+}
+
+// doneNotErr is a context that tells the simulator to abort (Done is closed)
+// while the fan-out still claims every launch (Err is nil): each simulated
+// launch comes back Aborted at its first poll.
+type doneNotErr struct{ context.Context }
+
+func (doneNotErr) Done() <-chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}
+
+// TestFullAppReuseKeepsAbortsAborted: a reused launch takes whatever its
+// representative ended as — aborted, or nil if never started — so a cut-short
+// run can never look complete, and fullReference reports the cancellation.
+func TestFullAppReuseKeepsAbortsAborted(t *testing.T) {
+	spec, err := workloads.ByName("cfd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := spec.Build(workloads.Config{Scale: 0.02, Seed: 3})
+	sim := gpusim.MustNew(gpusim.DefaultConfig())
+
+	run := FullAppCtx(doneNotErr{context.Background()}, sim, app, 2000, nil)
+	if !run.Aborted {
+		t.Error("run with an aborted representative is not flagged Aborted")
+	}
+	for i, l := range run.Launches {
+		if l == nil || !l.Aborted {
+			t.Fatalf("launch %d of an aborted group is %+v, want an aborted result", i, l)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	run = FullAppCtx(ctx, sim, app, 2000, nil)
+	if !run.Aborted {
+		t.Error("run that never started is not flagged Aborted")
+	}
+	for i, l := range run.Launches {
+		if l != nil {
+			t.Fatalf("launch %d of a never-started group has a result", i)
+		}
+	}
+
+	for _, c := range []context.Context{doneNotErr{context.Background()}, ctx} {
+		o := fastOpts()
+		o.Ctx = c
+		if full, err := o.fullReference(nil, sim, app, 2000, nil); full != nil || !errors.Is(err, context.Canceled) {
+			t.Errorf("fullReference on a cut-short run returned (%v, %v), want context.Canceled", full, err)
+		}
+	}
+}
+
+// TestSamplersLeaveSharedRunUntouched pins the read-only contract reuse
+// rests on: after every registered strategy has estimated from a reference
+// run whose launches share results, the run deep-equals a copy taken before.
+func TestSamplersLeaveSharedRunUntouched(t *testing.T) {
+	spec, err := workloads.ByName("kmeans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := fastOpts()
+	app := spec.Build(workloads.Config{Scale: opts.Scale, Seed: opts.Seed})
+	sim := gpusim.MustNew(gpusim.DefaultConfig())
+	full := FullApp(sim, app, opts.UnitSize(app.TotalWarpInsts()))
+	if full.Launches[1] != full.Launches[0] {
+		t.Fatal("kmeans launches 0 and 1 do not share a result; the test proves nothing")
+	}
+	data, err := json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before sampling.AppRun
+	if err := json.Unmarshal(data, &before); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(full, &before) {
+		t.Fatal("JSON round trip is not a faithful copy of the run")
+	}
+
+	set, err := sampler.Resolve(sampler.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &BenchResult{Samplers: map[string]sampler.Outcome{}}
+	if err := opts.estimate(set, sim, app, full, nil, nil, r); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Samplers) != len(set) {
+		t.Fatalf("%d of %d strategies ran", len(r.Samplers), len(set))
+	}
+	if !reflect.DeepEqual(full, &before) {
+		t.Error("a strategy wrote to the reference run it was handed")
+	}
+}

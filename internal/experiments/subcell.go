@@ -155,7 +155,7 @@ func (c *subcell) loadOutcome(name string, mc *metrics.Collector) (sampler.Outco
 	return sampler.Outcome{}, false
 }
 
-// fullReference is the harness's one producer of a reference run: FullAppCtx
+// fullReference is the harness's one producer of a reference run: fullApp
 // with the run shared through c's fullref entry. Under Resume it counts the
 // cell's one subcell.hits (run decoded from the store) or subcell.misses
 // (simulated) into mc. A run cut short by o.Ctx is returned as the context's
@@ -171,7 +171,8 @@ func (o Options) fullReference(c *subcell, sim *gpusim.Simulator, app *kernel.Ap
 		}
 		mc.AtomicAdd(metrics.SubcellMisses, 1)
 	}
-	full := FullAppCtx(o.Ctx, sim, app, unit, mc)
+	full, simulated := fullApp(o.Ctx, sim, app, unit, mc, 0, 0)
+	o.progress("# %-8s full reference: simulated %d of %d launches", app.Name, simulated, len(app.Launches))
 	if full.Aborted {
 		if err := ctxErr(o.Ctx); err != nil {
 			return nil, err

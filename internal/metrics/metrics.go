@@ -62,7 +62,7 @@ type Counter int
 // use a "group.name" convention so reports sort into sections.
 const (
 	// Simulator event loop (internal/gpusim).
-	SimLaunches     Counter = iota // RunLaunch calls
+	SimLaunches     Counter = iota // launches accounted, simulated or reused
 	SimCycles                      // elapsed cycles, summed over launches
 	SimWarpInsts                   // warp instructions issued
 	SimSMVisits                    // SM visits by the event loop
@@ -119,6 +119,10 @@ const (
 	ExpCellsFailed     // cells that exhausted retries into a CellError
 	ExpCellRetries     // retry attempts beyond each cell's first
 	ExpCheckpointsSave // successful checkpoint journal writes
+	// Reference-run launches not simulated because an earlier launch of the
+	// run had identical simulation input (trace.SameInput); their sim.*,
+	// sched.* and mem.* content is still counted, from that launch.
+	ExpLaunchesReused
 
 	// Sub-cell artifact cache (internal/experiments): each benchmark's full
 	// reference run is keyed by its own result-determining option hash and
@@ -224,6 +228,7 @@ var counterNames = [NumCounters]string{
 	ExpCellsFailed:     "exp.cells_failed",
 	ExpCellRetries:     "exp.cell_retries",
 	ExpCheckpointsSave: "exp.checkpoint_writes",
+	ExpLaunchesReused:  "exp.launches_reused",
 
 	SubcellHits:   "subcell.hits",
 	SubcellMisses: "subcell.misses",

@@ -21,6 +21,8 @@ import (
 // accessors skip nil launches so partial runs can still be inspected, but
 // an aborted run's totals cover only the simulated prefix.
 type AppRun struct {
+	// Launches is read-only to consumers: launches with identical simulation
+	// input share one LaunchResult (experiments.FullAppCtx).
 	Launches []*gpusim.LaunchResult
 	// Aborted reports that the reference simulation was cut short by a
 	// cancelled context: some launches may be nil or individually flagged

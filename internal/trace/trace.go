@@ -15,6 +15,8 @@
 package trace
 
 import (
+	"slices"
+
 	"tbpoint/internal/isa"
 	"tbpoint/internal/kernel"
 	"tbpoint/internal/stats"
@@ -121,15 +123,58 @@ func (s *Synthetic) WarpStream(tb, w int) Stream {
 // simulation hot path.
 func (s *Synthetic) InitStream(st *SynthStream, tb, w int) {
 	p := &s.Launch.Params[tb]
-	af := p.ActiveFrac
-	if af <= 0 || af > 1 {
-		af = 1
-	}
 	st.cfg = s.Addr
 	st.strideOff = uint64(tb)*s.Addr.TBFootprintB + uint64(w)*s.Addr.WarpFootprintB
-	st.af = af
+	st.af = effectiveActive(p.ActiveFrac)
 	st.cur.Init(s.Launch.Kernel.Program, p.Trips)
 	st.rng.Seed(p.Seed ^ (uint64(w)+1)*0x9e3779b97f4a7c15)
+}
+
+// effectiveActive is the active-lane fraction a stream runs with: anything
+// outside (0, 1] means fully active.
+func effectiveActive(af float64) float64 {
+	if af <= 0 || af > 1 {
+		return 1
+	}
+	return af
+}
+
+// SameInput reports whether launches a and b present the timing simulator
+// with the same input, so that one deterministic simulation stands for both.
+// It compares exactly what InitStream and the simulator read of a launch:
+// the kernel (by pointer: it fixes the program, the warps per block and the
+// occupancy), the block count, and per block the trip counts, the effective
+// active fraction and — only when the program has a Random memory
+// instruction, the RNG's sole consumer in Next — the seed. Index and Grid are
+// never read and take no part. A launch without a kernel or a program equals
+// nothing, itself included, so a broken launch is never stood in for.
+func SameInput(a, b *kernel.Launch) bool {
+	k := a.Kernel
+	if k == nil || k != b.Kernel || k.Program == nil || len(a.Params) != len(b.Params) {
+		return false
+	}
+	seeded := readsRNG(k.Program)
+	for tb := range a.Params {
+		p, q := &a.Params[tb], &b.Params[tb]
+		if !slices.Equal(p.Trips, q.Trips) ||
+			effectiveActive(p.ActiveFrac) != effectiveActive(q.ActiveFrac) ||
+			seeded && p.Seed != q.Seed {
+			return false
+		}
+	}
+	return true
+}
+
+// readsRNG reports whether any stream over p draws from its RNG.
+func readsRNG(p *isa.Program) bool {
+	for _, b := range p.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op.IsMem() && in.Random {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // SynthStream is the concrete stream type produced by Synthetic. It is

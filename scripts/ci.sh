@@ -31,7 +31,11 @@
 #              results equal to one-shot CLI bytes, daemon flag wiring, and
 #              every tbpointctl subcommand. A cache hit after `race` in a
 #              full run; the stage exists to be run by name
-#   fuzz       10s fuzz smoke over each existing fuzz target
+#   fuzz       10s fuzz smoke over each existing fuzz target: the trace
+#              decoder, the launch-equality predicate behind reference-run
+#              launch reuse (equal => same recorded streams), the region
+#              table and profile readers, the checkpoint reader, and the
+#              stratified allocator
 #
 # Usage: scripts/ci.sh [fast | stage...]
 #   (no args)       run every stage
@@ -69,6 +73,7 @@ stage_e2e() { go test -race ./internal/e2e/; }
 fuzz() { go test -run='^$' -fuzz="^$1\$" -fuzztime=10s "$2"; }
 stage_fuzz() {
   fuzz FuzzRead ./internal/trace/ &&
+    fuzz FuzzSameInput ./internal/trace/ &&
     fuzz FuzzReadRegionTable ./internal/core/ &&
     fuzz FuzzReadProfiles ./internal/core/ &&
     fuzz FuzzReadCheckpoint ./internal/durable/ &&

@@ -202,7 +202,8 @@ func MustBenchmark(name string, scale float64) *App {
 // instructions with basic block vectors — the input the Random and
 // Ideal-Simpoint baselines need. Launches are independent, so they fan out
 // over the harness's worker budget; the result is identical to simulating
-// them in order.
+// them in order. Launches with identical simulation input are simulated once
+// and share one *LaunchResult, so treat the results as read-only.
 func FullSimulation(sim *Simulator, app *App, unitInsts int64) *AppRun {
 	return experiments.FullApp(sim, app, unitInsts)
 }
