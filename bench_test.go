@@ -10,13 +10,13 @@
 package tbpoint_test
 
 import (
-	"fmt"
 	"testing"
 
 	"tbpoint"
 	"tbpoint/internal/cluster"
 	"tbpoint/internal/core"
 	"tbpoint/internal/experiments"
+	"tbpoint/internal/funcsim"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/markov"
 	"tbpoint/internal/stats"
@@ -325,27 +325,26 @@ func BenchmarkTraceExpansion(b *testing.B) {
 	}
 }
 
-// BenchmarkFunctionalProfile measures the one-time profiling pass: a small
-// application, and conv at scale 2, whose launches are large enough that the
-// per-thread-block cost is all that shows.
-func BenchmarkFunctionalProfile(b *testing.B) {
-	for _, c := range []struct {
-		bench string
-		scale float64
-	}{{"spmv", benchScale}, {"conv", 2}} {
-		b.Run(fmt.Sprintf("%s-%g", c.bench, c.scale), func(b *testing.B) {
-			app := tbpoint.MustBenchmark(c.bench, c.scale)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				prof := tbpoint.Profile(app)
-				if len(prof.Profiles) == 0 {
-					b.Fatal("no profiles")
-				}
-			}
-			b.ReportMetric(float64(app.TotalBlocks())*float64(b.N)/b.Elapsed().Seconds(), "tbs/s")
-		})
+// BenchmarkBuildProfileLarge is the profiling entry point for the launch
+// data model: building conv at scale 8 (1.6 M thread blocks, two shapes per
+// launch) and profiling it, the part of a large-scale sampled estimate that
+// is per-thread-block work over identical blocks. bench/ records the
+// profiling half as funcsim.profile_s.
+func BenchmarkBuildProfileLarge(b *testing.B) {
+	spec, err := workloads.ByName("conv")
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	var blocks int
+	for i := 0; i < b.N; i++ {
+		app := spec.Build(workloads.Config{Scale: 8})
+		if len(funcsim.ProfileApp(app)) != len(app.Launches) {
+			b.Fatal("a launch has no profile")
+		}
+		blocks = app.TotalBlocks()
+	}
+	b.ReportMetric(float64(blocks)*float64(b.N)/b.Elapsed().Seconds(), "tbs/s")
 }
 
 // BenchmarkRegionIdentification runs homogeneous region identification on

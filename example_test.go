@@ -66,7 +66,7 @@ func ExampleIdentifyRegions() {
 			params[tb] = tbpoint.TBParams{Trips: []int{1, 12}, ActiveFrac: 1, Seed: uint64(tb + 1)}
 		}
 	}
-	l := &tbpoint.Launch{Kernel: k, Params: params}
+	l := tbpoint.NewLaunch(k, 0, params)
 	app := &tbpoint.App{Name: "twophase", Launches: []*tbpoint.Launch{l}}
 
 	prof := tbpoint.Profile(app)

@@ -69,8 +69,7 @@ func buildApp(steps, blocksPerLaunch int) *tbpoint.App {
 				}
 				params[tb] = p
 			}
-			app.Launches = append(app.Launches,
-				&tbpoint.Launch{Kernel: k, Index: len(app.Launches), Params: params})
+			app.Launches = append(app.Launches, tbpoint.NewLaunch(k, len(app.Launches), params))
 		}
 	}
 	return app

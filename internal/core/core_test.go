@@ -28,12 +28,25 @@ func phasedKernel() *kernel.Kernel {
 // launchWithPhases builds a launch whose blocks alternate between phases:
 // block i gets phases[i * len(phases) / n] as (computeTrips, memTrips).
 func launchWithPhases(k *kernel.Kernel, n int, phases [][2]int) *kernel.Launch {
+	return kernel.NewLaunch(k, 0, phaseParams(n, phases))
+}
+
+func phaseParams(n int, phases [][2]int) []kernel.TBParams {
 	params := make([]kernel.TBParams, n)
 	for i := range params {
 		p := phases[i*len(phases)/n]
 		params[i] = kernel.TBParams{Trips: []int{p[0], p[1]}, ActiveFrac: 1, Seed: uint64(i + 1)}
 	}
-	return &kernel.Launch{Kernel: k, Params: params}
+	return params
+}
+
+// halfActive is uniformLaunch with every block at active fraction 0.5.
+func halfActive(k *kernel.Kernel, n, ct, mt int) *kernel.Launch {
+	params := phaseParams(n, [][2]int{{ct, mt}})
+	for i := range params {
+		params[i].ActiveFrac = 0.5
+	}
+	return kernel.NewLaunch(k, 0, params)
 }
 
 func uniformLaunch(k *kernel.Kernel, n, ct, mt int) *kernel.Launch {
@@ -103,10 +116,7 @@ func TestInterLaunchDivergenceFeature(t *testing.T) {
 	// must separate launches.
 	k := phasedKernel()
 	a := uniformLaunch(k, 10, 8, 2)
-	b := uniformLaunch(k, 10, 8, 2)
-	for i := range b.Params {
-		b.Params[i].ActiveFrac = 0.5 // same warp insts, half thread insts
-	}
+	b := halfActive(k, 10, 8, 2) // same warp insts, half thread insts
 	prof := ProfileApp(&kernel.App{Launches: []*kernel.Launch{a, b}})
 	inter := InterLaunch(prof.Profiles, 0.1)
 	if inter.NumClusters != 2 {
@@ -168,12 +178,13 @@ func TestIdentifyRegionsTwoPhases(t *testing.T) {
 
 func TestIdentifyRegionsOutlierEpochs(t *testing.T) {
 	k := phasedKernel()
-	l := uniformLaunch(k, 120, 8, 2)
+	params := phaseParams(120, [][2]int{{8, 2}})
 	// Poison blocks 50..54 with huge trip counts: epoch 5 (blocks 50-59)
 	// becomes an outlier epoch.
 	for tb := 50; tb < 55; tb++ {
-		l.Params[tb].Trips = []int{160, 40}
+		params[tb].Trips = []int{160, 40}
 	}
+	l := kernel.NewLaunch(k, 0, params)
 	lp := funcsim.ProfileLaunch(l)
 	rt := IdentifyRegions(lp, 10, 0.2, 0.3)
 	// The outlier epoch gets its own region ID; the surrounding epochs
@@ -275,7 +286,7 @@ func TestSampleLaunchHeterogeneousSimulatesAll(t *testing.T) {
 			params[i] = kernel.TBParams{Trips: []int{1, 10}, ActiveFrac: 1, Seed: uint64(i + 1)}
 		}
 	}
-	l := &kernel.Launch{Kernel: k, Params: params}
+	l := kernel.NewLaunch(k, 0, params)
 	lp := funcsim.ProfileLaunch(l)
 	occ := sim.Config().Limits.SystemOccupancy(k, sim.Config().NumSMs)
 	rt := IdentifyRegions(lp, occ, 0.2, 0.3)
@@ -400,7 +411,7 @@ func TestInterLaunchBBVSplitsByCodePath(t *testing.T) {
 		for i := range params {
 			params[i] = kernel.TBParams{Trips: []int{5}, ActiveFrac: 1, Seed: uint64(i + 1)}
 		}
-		return &kernel.Launch{Kernel: k, Params: params}
+		return kernel.NewLaunch(k, 0, params)
 	}
 	prof := ProfileApp(&kernel.App{Launches: []*kernel.Launch{mk(kA), mk(kB)}})
 
@@ -443,10 +454,7 @@ func TestRunWithInterBBV(t *testing.T) {
 func TestBBVBlindToDivergence(t *testing.T) {
 	k := phasedKernel()
 	a := uniformLaunch(k, 30, 8, 3)
-	b := uniformLaunch(k, 30, 8, 3)
-	for i := range b.Params {
-		b.Params[i].ActiveFrac = 0.5
-	}
+	b := halfActive(k, 30, 8, 3)
 	prof := ProfileApp(&kernel.App{Launches: []*kernel.Launch{a, b}})
 
 	// Identical BBVs...

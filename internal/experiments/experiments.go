@@ -220,12 +220,12 @@ type launchKey struct {
 
 func keyOf(l *kernel.Launch) launchKey {
 	h := uint64(14695981039346656037)
-	for tb := range l.Params {
-		for _, t := range l.Params[tb].Trips {
+	for _, s := range l.ShapeOf {
+		for _, t := range l.Shapes[s].Trips {
 			h = (h ^ uint64(t)) * 1099511628211
 		}
 	}
-	return launchKey{l.Kernel, len(l.Params), h}
+	return launchKey{l.Kernel, l.NumBlocks(), h}
 }
 
 // fullApp is FullAppCtx plus the engine choice: workers > 1 selects gpusim's

@@ -73,7 +73,7 @@ func reuseLaunch(k *kernel.Kernel, af float64) *kernel.Launch {
 	for tb := range params {
 		params[tb] = kernel.TBParams{Trips: []int{6}, ActiveFrac: af, Seed: uint64(tb) + 1}
 	}
-	return &kernel.Launch{Kernel: k, Params: params}
+	return kernel.NewLaunch(k, 0, params)
 }
 
 // TestFullAppReuseDecidedByComparison: two launches that differ only in

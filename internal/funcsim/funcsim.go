@@ -12,18 +12,19 @@
 // profiling property (Table II).
 //
 // Two paths produce identical results: ProfileLaunch derives the counters
-// analytically from the kernel IR (one allocation-free walk over the kernel
-// program per thread block, so its cost is linear in thread blocks; used for
-// large launches), and EmulateLaunch walks the launch's instruction streams
-// event by event (the reference implementation; also the only option for
-// recorded traces). The test suite checks they agree. ProfileApp runs
+// analytically from the kernel IR (one walk over the kernel program per
+// distinct thread-block shape and one table lookup per thread block; used
+// for large launches), and EmulateLaunch walks the launch's instruction
+// streams event by event (the reference implementation; also the only option
+// for recorded traces). The test suite checks they agree. ProfileApp runs
 // ProfileLaunch for every launch, fanned out over the shared worker budget.
 package funcsim
 
 import (
+	"math"
+
 	"tbpoint/internal/kernel"
 	"tbpoint/internal/par"
-	"tbpoint/internal/stats"
 	"tbpoint/internal/trace"
 )
 
@@ -98,23 +99,57 @@ func (lp *LaunchProfile) TBSizes() []float64 {
 }
 
 // TBSizeCoV returns the coefficient of variation of thread-block sizes
-// (the "thread block variations" feature of Eq. 2).
+// (the "thread block variations" feature of Eq. 2). It is stats.CoV of
+// TBSizes() bit for bit — the same passes in the same summation order —
+// without materialising the series (one float per thread block, on every
+// core.InterFeatures call).
 func (lp *LaunchProfile) TBSizeCoV() float64 {
-	return stats.CoV(lp.TBSizes())
+	n := float64(len(lp.Blocks))
+	var sum float64
+	for i := range lp.Blocks {
+		sum += float64(lp.Blocks[i].ThreadInsts)
+	}
+	mean := sum / n
+	if len(lp.Blocks) < 2 || mean == 0 {
+		return 0
+	}
+	var ss float64
+	for i := range lp.Blocks {
+		d := float64(lp.Blocks[i].ThreadInsts) - mean
+		ss += d * d
+	}
+	return math.Sqrt(ss/n) / math.Abs(mean)
 }
 
 // ProfileLaunch profiles a launch analytically from its IR. It is
-// equivalent to EmulateLaunch over the launch's synthetic trace. Each thread
-// block costs one walk over the kernel program and no allocation.
+// equivalent to EmulateLaunch over the launch's synthetic trace. Each
+// distinct shape costs one walk over the kernel program, each thread block
+// one table lookup.
 func ProfileLaunch(l *kernel.Launch) *LaunchProfile {
 	prog := l.Kernel.Program
 	lp := &LaunchProfile{
 		Blocks:      make([]TBProfile, l.NumBlocks()),
 		BlockCounts: make([]int64, len(prog.Blocks)),
 	}
-	for tb := range lp.Blocks {
+	// The first block met of each shape walks the program; the others copy
+	// its counters. The walk's per-warp execution counts go into BlockCounts
+	// once, weighted by the blocks of that shape (integers: exact in any
+	// order).
+	blocksOf := l.ShapeBlocks()
+	first := make([]uint32, len(l.Shapes)) // 1 + the first block of each shape, 0 until met
+	execs := make([]int64, len(prog.Blocks))
+	for tb, s := range l.ShapeOf {
 		b := &lp.Blocks[tb]
-		b.ThreadInsts, b.WarpInsts, b.MemRequests = l.Counts(tb, lp.BlockCounts)
+		if f := first[s]; f != 0 {
+			*b = lp.Blocks[f-1]
+			continue
+		}
+		first[s] = uint32(tb) + 1
+		clear(execs)
+		b.ThreadInsts, b.WarpInsts, b.MemRequests = l.ShapeCounts(int(s), execs)
+		for bi, e := range execs {
+			lp.BlockCounts[bi] += blocksOf[s] * e
+		}
 	}
 	// BlockCounts now holds per-warp execution counts summed over the
 	// launch. BBV semantics follow SimPoint: a basic block's weight is the

@@ -51,9 +51,9 @@ func TestSimulatorMatchesMarkovModel(t *testing.T) {
 			Build()
 		k := &kernel.Kernel{Name: "markov", Program: prog,
 			ThreadsPerBlock: c.warps * kernel.WarpSize}
-		l := &kernel.Launch{Kernel: k, Params: []kernel.TBParams{
+		l := kernel.NewLaunch(k, 0, []kernel.TBParams{
 			{Trips: []int{trips}, ActiveFrac: 1, Seed: 1},
-		}}
+		})
 
 		res := MustNew(cfg).RunLaunch(l, RunOptions{})
 		simIPC := res.TotalIPC()
@@ -87,9 +87,9 @@ func TestSimulatorIPCMonotoneInWarps(t *testing.T) {
 			EndBlock().
 			Build()
 		k := &kernel.Kernel{Name: "mono", Program: prog, ThreadsPerBlock: warps * 32}
-		l := &kernel.Launch{Kernel: k, Params: []kernel.TBParams{
+		l := kernel.NewLaunch(k, 0, []kernel.TBParams{
 			{Trips: []int{300}, ActiveFrac: 1, Seed: 1},
-		}}
+		})
 		ipc := MustNew(cfg).RunLaunch(l, RunOptions{}).TotalIPC()
 		if ipc <= prev {
 			t.Errorf("IPC not increasing: %d warps -> %.4f (prev %.4f)", warps, ipc, prev)

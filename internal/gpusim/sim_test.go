@@ -49,7 +49,7 @@ func makeLaunch(k *kernel.Kernel, n, trips int) *kernel.Launch {
 		}
 		params[i] = kernel.TBParams{Trips: tr, ActiveFrac: 1, Seed: uint64(i)}
 	}
-	return &kernel.Launch{Kernel: k, Params: params}
+	return kernel.NewLaunch(k, 0, params)
 }
 
 func TestNewValidates(t *testing.T) {
@@ -357,7 +357,7 @@ func TestWithOccupancyConfig(t *testing.T) {
 
 func TestEmptyLaunch(t *testing.T) {
 	sim := MustNew(smallConfig())
-	l := &kernel.Launch{Kernel: computeKernel(), Params: nil}
+	l := kernel.NewLaunch(computeKernel(), 0, nil)
 	res := sim.RunLaunch(l, RunOptions{})
 	if res.SimulatedTBs != 0 || res.Cycles != 0 {
 		t.Error("empty launch should produce empty result")

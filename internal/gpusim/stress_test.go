@@ -70,7 +70,7 @@ func TestRandomProgramsConservationProperty(t *testing.T) {
 				Seed:       uint64(seed) + uint64(i) + 1,
 			}
 		}
-		l := &kernel.Launch{Kernel: k, Params: params}
+		l := kernel.NewLaunch(k, 0, params)
 		res := sim.RunLaunch(l, RunOptions{FixedUnitInsts: 300})
 		var want int64
 		for tb := 0; tb < nb; tb++ {
@@ -309,7 +309,7 @@ func TestBarrierReleasedByExitingWarp(t *testing.T) {
 			Build(),
 		ThreadsPerBlock: 64,
 	}
-	l := &kernel.Launch{Kernel: k, Params: make([]kernel.TBParams, 1)}
+	l := kernel.NewLaunch(k, 0, make([]kernel.TBParams, 1))
 	sim := MustNew(smallConfig())
 	done := make(chan *LaunchResult, 1)
 	go func() { done <- sim.RunLaunchProvider(l, rec, RunOptions{}) }()

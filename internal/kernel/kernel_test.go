@@ -58,7 +58,7 @@ func newLaunch(k *Kernel, trips []int, af float64, n int) *Launch {
 	for i := range params {
 		params[i] = TBParams{Trips: append([]int(nil), trips...), ActiveFrac: af}
 	}
-	return &Launch{Kernel: k, Params: params}
+	return NewLaunch(k, 0, params)
 }
 
 func TestLaunchCounters(t *testing.T) {

@@ -22,7 +22,7 @@ func testApp(launches, blocks int) *kernel.App {
 		for i := range params {
 			params[i] = kernel.TBParams{Trips: []int{6}, ActiveFrac: 1, Seed: uint64(li*blocks + i + 1)}
 		}
-		app.Launches = append(app.Launches, &kernel.Launch{Kernel: k, Index: li, Params: params})
+		app.Launches = append(app.Launches, kernel.NewLaunch(k, li, params))
 	}
 	return app
 }

@@ -36,7 +36,7 @@ func twoPhaseApp(pairs, blocks int) *kernel.App {
 					Seed: uint64(i*blocks+b+1) * 3}
 			}
 			app.Launches = append(app.Launches,
-				&kernel.Launch{Kernel: k, Index: len(app.Launches), Params: params})
+				kernel.NewLaunch(k, len(app.Launches), params))
 		}
 	}
 	return app

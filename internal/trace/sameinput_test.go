@@ -29,7 +29,8 @@ var activeFracs = []float64{0, 1, 1.7, -1, 0.5, 0.25}
 // pairFrom decodes two small launches from fuzz input. Bit 0 of data[0]
 // picks the base launch a — three blocks of testLaunch (no Random access) or
 // of irregularLaunch (a Random gather) — and every following three-byte
-// group mutates b, which starts as a deep copy of a sharing its kernel.
+// group mutates the block list b is then built from, which starts as a deep
+// copy of a's; b shares a's kernel unless a mutation says otherwise.
 func pairFrom(data []byte) (a, b *kernel.Launch) {
 	if len(data) == 0 {
 		data = []byte{0}
@@ -38,35 +39,38 @@ func pairFrom(data []byte) (a, b *kernel.Launch) {
 	if data[0]&1 == 1 {
 		a = irregularLaunch(3)
 	}
-	b = &kernel.Launch{Kernel: a.Kernel, Params: make([]kernel.TBParams, len(a.Params))}
-	for i, p := range a.Params {
-		p.Trips = append([]int(nil), p.Trips...)
-		b.Params[i] = p
+	k, index, grid := a.Kernel, 0, kernel.Dim3{}
+	params := make([]kernel.TBParams, a.NumBlocks())
+	for tb := range params {
+		params[tb] = a.Params(tb)
+		params[tb].Trips = append([]int(nil), params[tb].Trips...)
 	}
 	for m := data[1:]; len(m) >= 3; m = m[3:] {
-		tb, v := int(m[1])%len(b.Params), m[2]
+		tb, v := int(m[1])%len(params), m[2]
 		switch m[0] % numMuts {
 		case mutIndex:
-			b.Index = int(v)
+			index = int(v)
 		case mutGrid:
-			b.Grid = kernel.Dim3{X: int(v)}
+			grid = kernel.Dim3{X: int(v)}
 		case mutSeed:
-			b.Params[tb].Seed = uint64(v)
+			params[tb].Seed = uint64(v)
 		case mutActive:
-			b.Params[tb].ActiveFrac = activeFracs[int(v)%len(activeFracs)]
+			params[tb].ActiveFrac = activeFracs[int(v)%len(activeFracs)]
 		case mutTrip:
-			b.Params[tb].Trips = []int{int(v % 6)}
+			params[tb].Trips = []int{int(v % 6)}
 		case mutGrow:
-			b.Params = append(b.Params, b.Params[tb])
+			params = append(params, params[tb])
 		case mutShrink:
-			if len(b.Params) > 1 {
-				b.Params = b.Params[:len(b.Params)-1]
+			if len(params) > 1 {
+				params = params[:len(params)-1]
 			}
 		case mutKernel:
-			k := *b.Kernel
-			b.Kernel = &k
+			c := *k
+			k = &c
 		}
 	}
+	b = kernel.NewLaunch(k, index, params)
+	b.Grid = grid
 	return a, b
 }
 
@@ -101,6 +105,7 @@ var sameInputTable = []struct {
 	{"ActiveFrac 1 -> 1.7", []byte{1, mutActive, 2, 2}, true},
 	{"ActiveFrac 1 -> -1", []byte{0, mutActive, 1, 3}, true},
 	{"ActiveFrac 0 and 1.7 across blocks", []byte{0, mutActive, 0, 0, mutActive, 1, 2}, true},
+	{"ActiveFrac 0 and 1.7 alternating against one shape", alternating, true},
 	{"one trip", []byte{0, mutTrip, 2, 5}, false},
 	{"one trip, Random program", []byte{1, mutTrip, 0, 3}, false},
 	{"one effective active fraction", []byte{0, mutActive, 1, 4}, false},
@@ -108,6 +113,22 @@ var sameInputTable = []struct {
 	{"one more block", []byte{0, mutGrow, 2, 0}, false},
 	{"one block fewer", []byte{1, mutShrink, 0, 0}, false},
 	{"another Kernel with the same fields", []byte{0, mutKernel, 0, 0}, false},
+}
+
+// alternating turns irregularLaunch's single shape (every block {4}, 1) into
+// two bit-distinct shapes of one effective active fraction: 0, 1.7, 0.
+var alternating = []byte{1, mutActive, 0, 0, mutActive, 1, 2, mutActive, 2, 0}
+
+// TestSameInputAcrossShapeTables: equality is of what the blocks read, not
+// of how the two launches' shape tables happen to split it.
+func TestSameInputAcrossShapeTables(t *testing.T) {
+	a, b := pairFrom(alternating)
+	if len(a.Shapes) != 1 || len(b.Shapes) != 2 {
+		t.Fatalf("shape tables have %d and %d entries, want 1 and 2", len(a.Shapes), len(b.Shapes))
+	}
+	if !checkSameInput(t, a, b) {
+		t.Error("blocks alternating ActiveFrac 0 and 1.7 differ from fully active ones")
+	}
 }
 
 func TestSameInputMutationTable(t *testing.T) {
@@ -143,9 +164,10 @@ func TestSameInputImpliesEqualStreams(t *testing.T) {
 // dereferences nothing.
 func TestSameInputBrokenLaunchEqualsNothing(t *testing.T) {
 	good := testLaunch(2)
-	noKernel := &kernel.Launch{Params: good.Params}
-	noProgram := &kernel.Launch{Kernel: &kernel.Kernel{ThreadsPerBlock: 64}, Params: good.Params}
-	for _, l := range []*kernel.Launch{noKernel, noProgram} {
+	noKernel, noProgram := *good, *good
+	noKernel.Kernel = nil
+	noProgram.Kernel = &kernel.Kernel{ThreadsPerBlock: 64}
+	for _, l := range []*kernel.Launch{&noKernel, &noProgram} {
 		if SameInput(l, l) || SameInput(l, good) || SameInput(good, l) {
 			t.Errorf("launch with Kernel %v compares equal to something", l.Kernel)
 		}

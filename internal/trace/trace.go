@@ -122,12 +122,12 @@ func (s *Synthetic) WarpStream(tb, w int) Stream {
 // per-stream allocation and the per-instruction interface dispatch from the
 // simulation hot path.
 func (s *Synthetic) InitStream(st *SynthStream, tb, w int) {
-	p := &s.Launch.Params[tb]
+	sh := s.Launch.Shape(tb)
 	st.cfg = s.Addr
 	st.strideOff = uint64(tb)*s.Addr.TBFootprintB + uint64(w)*s.Addr.WarpFootprintB
-	st.af = effectiveActive(p.ActiveFrac)
-	st.cur.Init(s.Launch.Kernel.Program, p.Trips)
-	st.rng.Seed(p.Seed ^ (uint64(w)+1)*0x9e3779b97f4a7c15)
+	st.af = effectiveActive(sh.ActiveFrac)
+	st.cur.Init(s.Launch.Kernel.Program, sh.Trips)
+	st.rng.Seed(s.Launch.Seeds[tb] ^ (uint64(w)+1)*0x9e3779b97f4a7c15)
 }
 
 // effectiveActive is the active-lane fraction a stream runs with: anything
@@ -148,19 +148,31 @@ func effectiveActive(af float64) float64 {
 // instruction, the RNG's sole consumer in Next — the seed. Index and Grid are
 // never read and take no part. A launch without a kernel or a program equals
 // nothing, itself included, so a broken launch is never stood in for.
+//
+// Blocks are compared through the launches' shape tables: each shape of a
+// remembers the shape of b it last compared equal to, so launches built
+// alike cost one comparison per shape, not per block.
 func SameInput(a, b *kernel.Launch) bool {
 	k := a.Kernel
-	if k == nil || k != b.Kernel || k.Program == nil || len(a.Params) != len(b.Params) {
+	if k == nil || k != b.Kernel || k.Program == nil || a.NumBlocks() != b.NumBlocks() {
 		return false
 	}
-	seeded := readsRNG(k.Program)
-	for tb := range a.Params {
-		p, q := &a.Params[tb], &b.Params[tb]
+	if readsRNG(k.Program) && !slices.Equal(a.Seeds, b.Seeds) {
+		return false
+	}
+	// same[sa] is 1 + the shape of b that shape sa of a last compared equal to.
+	same := make([]uint32, len(a.Shapes))
+	for tb, sa := range a.ShapeOf {
+		sb := b.ShapeOf[tb]
+		if same[sa] == sb+1 {
+			continue
+		}
+		p, q := &a.Shapes[sa], &b.Shapes[sb]
 		if !slices.Equal(p.Trips, q.Trips) ||
-			effectiveActive(p.ActiveFrac) != effectiveActive(q.ActiveFrac) ||
-			seeded && p.Seed != q.Seed {
+			effectiveActive(p.ActiveFrac) != effectiveActive(q.ActiveFrac) {
 			return false
 		}
+		same[sa] = sb + 1
 	}
 	return true
 }

@@ -20,7 +20,7 @@ func testLaunch(nBlocks int) *kernel.Launch {
 	for i := range params {
 		params[i] = kernel.TBParams{Trips: []int{2 + i%3}, ActiveFrac: 1, Seed: uint64(i)}
 	}
-	return &kernel.Launch{Kernel: k, Params: params}
+	return kernel.NewLaunch(k, 0, params)
 }
 
 func irregularLaunch(nBlocks int) *kernel.Launch {
@@ -34,7 +34,7 @@ func irregularLaunch(nBlocks int) *kernel.Launch {
 	for i := range params {
 		params[i] = kernel.TBParams{Trips: []int{4}, ActiveFrac: 1, Seed: uint64(i) * 7}
 	}
-	return &kernel.Launch{Kernel: k, Params: params}
+	return kernel.NewLaunch(k, 0, params)
 }
 
 func drain(p Provider) (events int64, memReqs int64) {

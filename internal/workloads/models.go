@@ -7,18 +7,22 @@ import (
 	"tbpoint/internal/stats"
 )
 
-// paramGen produces the parameters of thread block tb of one launch.
+// paramGen produces the parameters of thread block tb of one launch. A
+// launch only reads Trips, so blocks with equal trip counts may share one
+// slice (the regular benchmarks do: one allocation per launch, not per
+// block).
 type paramGen func(tb int, rng *stats.RNG) kernel.TBParams
 
 func buildLaunch(k *kernel.Kernel, idx, n int, rng *stats.RNG, gen paramGen) *kernel.Launch {
-	params := make([]kernel.TBParams, n)
-	for tb := range params {
-		params[tb] = gen(tb, rng)
-		if params[tb].Seed == 0 {
-			params[tb].Seed = rng.Uint64() | 1
+	b := kernel.NewLaunchBuilder(k, idx, n)
+	for tb := 0; tb < n; tb++ {
+		p := gen(tb, rng)
+		if p.Seed == 0 {
+			p.Seed = rng.Uint64() | 1
 		}
+		b.Add(p)
 	}
-	return &kernel.Launch{Kernel: k, Index: idx, Params: params}
+	return b.Launch()
 }
 
 // splitByWeights divides total blocks across launches proportionally to
@@ -301,13 +305,14 @@ var hotspotSpec = register(&Spec{
 			side = 2
 		}
 		rng := s.rng(cfg, 0)
+		trips := []int{11}
 		l := buildLaunch(k, 0, n, rng, func(tb int, r *stats.RNG) kernel.TBParams {
 			row, col := tb/side, tb%side
 			af := 1.0
 			if row == 0 || col == 0 || row == side-1 || col == side-1 {
 				af = 0.75 // grid-boundary blocks mask off halo lanes
 			}
-			return kernel.TBParams{Trips: []int{11}, ActiveFrac: af}
+			return kernel.TBParams{Trips: trips, ActiveFrac: af}
 		})
 		if side*side == n {
 			l.Grid = kernel.Dim3{X: side, Y: side}
@@ -355,15 +360,16 @@ var convSpec = register(&Spec{
 				k = colK // alternating row/column passes
 			}
 			rng := s.rng(cfg, li)
+			inner, edge := []int{16}, []int{12}
 			app.Launches = append(app.Launches, buildLaunch(k, li, perLaunch, rng,
 				func(tb int, r *stats.RNG) kernel.TBParams {
 					// Tiles at the image boundary apply fewer taps — the
 					// periodic size pattern of a regular kernel (Fig. 8a).
-					trips := 16
+					trips := inner
 					if tb%tilesPerRow == 0 || tb%tilesPerRow == tilesPerRow-1 {
-						trips = 12
+						trips = edge
 					}
-					return kernel.TBParams{Trips: []int{trips}, ActiveFrac: 1}
+					return kernel.TBParams{Trips: trips, ActiveFrac: 1}
 				}))
 		}
 		return app
@@ -377,10 +383,10 @@ func uniformApp(s *Spec, cfg Config, k *kernel.Kernel, tripsOf func(li int) int)
 	app := &kernel.App{}
 	for li := 0; li < s.Launches; li++ {
 		rng := s.rng(cfg, li)
-		trips := tripsOf(li)
+		trips := []int{tripsOf(li)}
 		app.Launches = append(app.Launches, buildLaunch(k, li, perLaunch, rng,
 			func(tb int, r *stats.RNG) kernel.TBParams {
-				return kernel.TBParams{Trips: []int{trips}, ActiveFrac: 1}
+				return kernel.TBParams{Trips: trips, ActiveFrac: 1}
 			}))
 	}
 	return app

@@ -74,8 +74,8 @@ func TestBuildDeterministic(t *testing.T) {
 			t.Fatalf("%s: nondeterministic block count", name)
 		}
 		for li := range a.Launches {
-			for tb := range a.Launches[li].Params {
-				pa, pb := a.Launches[li].Params[tb], b.Launches[li].Params[tb]
+			for tb := 0; tb < a.Launches[li].NumBlocks(); tb++ {
+				pa, pb := a.Launches[li].Params(tb), b.Launches[li].Params(tb)
 				if pa.Seed != pb.Seed || pa.ActiveFrac != pb.ActiveFrac || pa.Trips[0] != pb.Trips[0] {
 					t.Fatalf("%s launch %d tb %d: params differ", name, li, tb)
 				}
@@ -198,8 +198,8 @@ func TestHotspotBoundaryPattern(t *testing.T) {
 	app := s.Build(Config{Scale: 1})
 	l := app.Launches[0]
 	sawBoundary, sawInterior := false, false
-	for tb := range l.Params {
-		switch l.Params[tb].ActiveFrac {
+	for _, sh := range l.Shapes {
+		switch sh.ActiveFrac {
 		case 0.75:
 			sawBoundary = true
 		case 1.0:
@@ -223,8 +223,8 @@ func TestSeedChangesIrregularWorkload(t *testing.T) {
 	b := s.Build(Config{Scale: 0.05, Seed: 2})
 	same := true
 	for li := range a.Launches {
-		for tb := range a.Launches[li].Params {
-			if a.Launches[li].Params[tb].Trips[0] != b.Launches[li].Params[tb].Trips[0] {
+		for tb := 0; tb < a.Launches[li].NumBlocks(); tb++ {
+			if a.Launches[li].Shape(tb).Trips[0] != b.Launches[li].Shape(tb).Trips[0] {
 				same = false
 			}
 		}

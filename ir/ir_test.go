@@ -49,7 +49,7 @@ func TestBuildAndRunCustomProgram(t *testing.T) {
 		params[i] = tbpoint.TBParams{Trips: []int{4}, ActiveFrac: 1, Seed: uint64(i + 1)}
 	}
 	app := &tbpoint.App{Name: "custom", Launches: []*tbpoint.Launch{
-		{Kernel: k, Params: params},
+		tbpoint.NewLaunch(k, 0, params),
 	}}
 	cfg := tbpoint.DefaultSimConfig()
 	cfg.NumSMs = 2

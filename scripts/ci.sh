@@ -16,7 +16,10 @@
 #   race       race-detector pass over the packages that run simulations
 #              concurrently (the shared worker budget fans launches and grid
 #              cells out over goroutines; see DESIGN.md), the profiler's
-#              launch fan-out and the clustering it feeds, the durable store,
+#              launch fan-out and the clustering it feeds (with
+#              internal/experiments, the fan-outs that read launches' shared
+#              shape tables concurrently), internal/kernel's launch builder and
+#              internal/trace's launch equality, the durable store,
 #              the live-snapshot metrics paths, the job server with its HTTP
 #              client, and internal/e2e — whose TestMain then race-builds the
 #              binaries it drives. internal/gpusim's TestGoldenCounters runs
@@ -31,11 +34,13 @@
 #              results equal to one-shot CLI bytes, daemon flag wiring, and
 #              every tbpointctl subcommand. A cache hit after `race` in a
 #              full run; the stage exists to be run by name
-#   fuzz       10s fuzz smoke over each existing fuzz target: the trace
-#              decoder, the launch-equality predicate behind reference-run
-#              launch reuse (equal => same recorded streams), the region
-#              table and profile readers, the checkpoint reader, and the
-#              stratified allocator
+#   fuzz       10s fuzz smoke over each existing fuzz target: the launch
+#              builder (blocks read back bit for bit, one table entry per
+#              bit-distinct shape, also with every shape in one bucket), the
+#              trace decoder, the launch-equality predicate behind
+#              reference-run launch reuse (equal => same recorded streams),
+#              the region table and profile readers, the checkpoint reader,
+#              and the stratified allocator
 #
 # Usage: scripts/ci.sh [fast | stage...]
 #   (no args)       run every stage
@@ -65,14 +70,15 @@ stage_race() {
   go test -race ./internal/gpusim/ ./internal/experiments/ ./internal/core/ \
     ./internal/par/ ./internal/durable/ ./internal/metrics/ \
     ./internal/server/... ./internal/funcsim/ ./internal/cluster/ \
-    ./internal/e2e/
+    ./internal/kernel/ ./internal/trace/ ./internal/e2e/
 }
 stage_e2e() { go test -race ./internal/e2e/; }
 # One target per invocation: `go test -fuzz` accepts a single fuzzing target
 # at a time. -run='^$' keeps the smoke from re-running unit tests.
 fuzz() { go test -run='^$' -fuzz="^$1\$" -fuzztime=10s "$2"; }
 stage_fuzz() {
-  fuzz FuzzRead ./internal/trace/ &&
+  fuzz FuzzLaunchBuilder ./internal/kernel/ &&
+    fuzz FuzzRead ./internal/trace/ &&
     fuzz FuzzSameInput ./internal/trace/ &&
     fuzz FuzzReadRegionTable ./internal/core/ &&
     fuzz FuzzReadProfiles ./internal/core/ &&

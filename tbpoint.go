@@ -68,7 +68,7 @@ type (
 type (
 	// App is an application: a sequence of kernel launches.
 	App = kernel.App
-	// Launch is one kernel launch.
+	// Launch is one kernel launch; build one with NewLaunch.
 	Launch = kernel.Launch
 	// Kernel is a static kernel description.
 	Kernel = kernel.Kernel
@@ -79,6 +79,15 @@ type (
 	// Dim3 is a CUDA-style grid dimension.
 	Dim3 = kernel.Dim3
 )
+
+// NewLaunch returns launch idx of kernel k with one thread block per entry
+// of params. The launch stores each distinct (Trips, ActiveFrac) once and
+// keeps the Trips slices it is handed, so they must not be written to
+// afterwards; Launch.Params(tb) reads a block's parameters back (its Trips
+// is shared by every block of that shape: read-only).
+func NewLaunch(k *Kernel, idx int, params []TBParams) *Launch {
+	return kernel.NewLaunch(k, idx, params)
+}
 
 // Simulator types.
 type (
