@@ -1,6 +1,9 @@
 // Benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation, plus micro-benchmarks of the substrates and ablation
-// benchmarks for the design choices called out in DESIGN.md.
+// paper's evaluation, plus the substrate benchmarks kept as profiling entry
+// points and ablation benchmarks for the design choices called out in
+// DESIGN.md. Per-layer numbers that are tracked over time (clustering,
+// region identification, the memory system, metrics overhead) live in bench/,
+// not here.
 //
 // The figure benchmarks report the experiment's headline quantities as
 // custom metrics (err% — sampling error, size% — total sample size) in
@@ -13,13 +16,11 @@ import (
 	"testing"
 
 	"tbpoint"
-	"tbpoint/internal/cluster"
 	"tbpoint/internal/core"
 	"tbpoint/internal/experiments"
 	"tbpoint/internal/funcsim"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/markov"
-	"tbpoint/internal/stats"
 	"tbpoint/internal/trace"
 	"tbpoint/internal/workloads"
 )
@@ -233,39 +234,6 @@ func BenchmarkRunLaunchEventLoopParallel(b *testing.B) {
 	reportThroughput(b, insts, 8)
 }
 
-// BenchmarkRunLaunchEventLoopMetrics is BenchmarkRunLaunchEventLoop with a
-// live metrics collector, quantifying the enabled cost of the observability
-// layer on the scheduler-bound hot path (the disabled cost is the delta
-// between BenchmarkRunLaunchEventLoop before and after internal/metrics
-// landed; bench/ tracks the enabled cost as metrics.enabled_overhead_pct).
-func BenchmarkRunLaunchEventLoopMetrics(b *testing.B) {
-	app := tbpoint.MustBenchmark("black", 0.05)
-	sim := tbpoint.MustNewSimulator(tbpoint.DefaultSimConfig())
-	l := app.Launches[0]
-	mc := tbpoint.NewCollector()
-	var insts int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		insts += sim.RunLaunch(l, tbpoint.RunOptions{Metrics: mc}).SimulatedWarpInsts
-	}
-	reportThroughput(b, insts, 0)
-}
-
-// BenchmarkMemSystem stresses the memory hierarchy: stream misses both
-// cache levels on nearly every access, so the bounded MSHR table, the
-// L1/L2 lookups and the DRAM bank model dominate the run.
-func BenchmarkMemSystem(b *testing.B) {
-	app := tbpoint.MustBenchmark("stream", 0.05)
-	sim := tbpoint.MustNewSimulator(tbpoint.DefaultSimConfig())
-	l := app.Launches[0]
-	var insts int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		insts += sim.RunLaunch(l, tbpoint.RunOptions{}).SimulatedWarpInsts
-	}
-	reportThroughput(b, insts, 0)
-}
-
 // BenchmarkFullAppParallel measures the whole-app launch fan-out: the same
 // multi-launch reference simulation sequentially and over the shared
 // worker budget (results are deep-equal either way; the determinism tests
@@ -345,57 +313,6 @@ func BenchmarkBuildProfileLarge(b *testing.B) {
 		blocks = app.TotalBlocks()
 	}
 	b.ReportMetric(float64(blocks)*float64(b.N)/b.Elapsed().Seconds(), "tbs/s")
-}
-
-// BenchmarkRegionIdentification runs homogeneous region identification on
-// black at scale 8 — thousands of epochs per launch, the size at which
-// clustering the epoch vector through a distance matrix dominated memory.
-func BenchmarkRegionIdentification(b *testing.B) {
-	app := tbpoint.MustBenchmark("black", 8)
-	prof := tbpoint.Profile(app)
-	cfg := gpusim.DefaultConfig()
-	occ := cfg.Limits.SystemOccupancy(app.Launches[0].Kernel, cfg.NumSMs)
-	opts := core.DefaultOptions()
-	b.ReportAllocs()
-	b.ResetTimer()
-	epochs := 0
-	for i := 0; i < b.N; i++ {
-		rt := core.IdentifyRegions(prof.Profiles[0], occ, opts.SigmaIntra, opts.VarFactor)
-		if rt.NumRegions == 0 {
-			b.Fatal("no regions")
-		}
-		epochs = len(rt.Epochs)
-	}
-	b.ReportMetric(float64(epochs), "epochs")
-}
-
-func BenchmarkHierarchicalClustering(b *testing.B) {
-	rng := stats.NewRNG(1)
-	points := make([][]float64, 600)
-	for i := range points {
-		points[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := cluster.Hierarchical(points)
-		if cluster.NumClusters(d.CutThreshold(0.2)) == 0 {
-			b.Fatal("no clusters")
-		}
-	}
-}
-
-func BenchmarkKMeansBIC(b *testing.B) {
-	rng := stats.NewRNG(2)
-	points := make([][]float64, 300)
-	for i := range points {
-		points[i] = []float64{rng.Gaussian(float64(i%3), 0.1), rng.Gaussian(float64(i%3), 0.1)}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r := cluster.KMeansBIC(points, 10, 0.9, uint64(i)); r.K == 0 {
-			b.Fatal("no clusters")
-		}
-	}
 }
 
 // --- Ablation benchmarks ---------------------------------------------------

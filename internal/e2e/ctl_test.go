@@ -126,6 +126,9 @@ func TestCtlEverySubcommand(t *testing.T) {
 	if cached["state"] != string(server.StateDone) || cached["cache_hits"] != "1" {
 		t.Errorf("submit -wait of a repeat job printed %v, want done from the cache", cached)
 	}
+	if r := d.ctl("list", "-state", "quarantned"); r.code != 1 || !strings.Contains(r.stderr, "quarantined") {
+		t.Errorf("list -state with a typo exited %d, %q; want 1 and the known states", r.code, r.stderr)
+	}
 	if r := d.ctl("status", "j999999"); r.code != 1 {
 		t.Errorf("status of an unknown job exited %d, want 1", r.code)
 	}

@@ -14,8 +14,9 @@
 // A nil *Collector is the disabled collector. Every method is nil-safe and
 // degrades to a single predictable branch, so instrumented code passes the
 // collector down unconditionally and never guards call sites itself. The
-// contract (measured by BenchmarkRunLaunchEventLoop) is that a disabled
-// collector costs <5% on the simulator's event-loop hot path.
+// contract is that a disabled collector costs <5% on the simulator's
+// event-loop hot path (BenchmarkRunLaunchEventLoop runs it disabled); what
+// an enabled one costs is bench/'s metrics.enabled_overhead_pct row.
 //
 // # Concurrency
 //

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -78,8 +79,6 @@ type Config struct {
 	// record shows it was *running* across more than MaxRequeues daemon
 	// deaths is moved to StateQuarantined at replay instead of requeued
 	// (0 selects DefaultMaxRequeues; negative disables quarantine).
-	// Requeues of merely queued jobs never count — those deaths are not
-	// the job's doing.
 	MaxRequeues int
 	// StuckAfter arms the stuck-job watchdog: a running job whose
 	// progress fingerprint (per-phase timings + counters of its live
@@ -123,15 +122,13 @@ type Config struct {
 // Job is the driver's in-memory view of one job: the journaled record plus
 // live-only state (the collector, the cancel func, the report buffer).
 type Job struct {
-	rec         jobRecord
-	mc          *metrics.Collector
-	cancel      context.CancelFunc
-	cancelCause context.CancelCauseFunc // cancels the run with a cause (the watchdog's ErrStuck)
-	userCancel  bool
-	started     time.Time
-	report      *syncBuffer
-	done        chan struct{} // closed when the job reaches a terminal state
-	progress    progressMark  // the watchdog's last fingerprint observation
+	rec        JobStatus // what the journal holds; only applyLocked changes its State
+	mc         *metrics.Collector
+	cancel     context.CancelCauseFunc // aborts the run: nil cause for a user cancel, ErrStuck from the watchdog
+	userCancel bool
+	report     *syncBuffer
+	done       chan struct{} // closed when the job reaches a terminal state
+	progress   progressMark  // the watchdog's last fingerprint observation
 }
 
 // Driver owns job lifecycle: submission, validation, the fair-share queue,
@@ -166,11 +163,10 @@ type Driver struct {
 	evictionsSeen int64
 }
 
-// Open loads (or creates) the server state under cfg.StateDir, re-queues
-// every job the previous process left unfinished, and starts the
-// dispatchers. The restart contract: a job observed as queued or running by
-// a killed daemon is queued again — completed grid cells live in the
-// artifact cache, so a re-run job resumes rather than re-simulates.
+// Open loads (or creates) the server state under cfg.StateDir, replays the
+// journal — a job a killed daemon left queued or running is queued again,
+// and resumes from the artifact cache rather than re-simulating — and
+// starts the dispatchers.
 func Open(cfg Config) (*Driver, error) {
 	if cfg.StateDir == "" {
 		return nil, errors.New("server: Config.StateDir is required")
@@ -200,10 +196,7 @@ func Open(cfg Config) (*Driver, error) {
 	d.cond = sync.NewCond(&d.mu)
 	d.ctx, d.cancel = context.WithCancel(context.Background())
 	if cfg.Chaos {
-		d.crashInj = faultcheck.Always(faultcheck.Crash)
-		if cfg.CrashFn != nil {
-			d.crashInj.WithCrashFn(cfg.CrashFn)
-		}
+		d.crashInj = faultcheck.Always(faultcheck.Crash).WithCrashFn(cfg.CrashFn)
 	}
 	if q := journal.Quarantined() + cache.Quarantined(); q > 0 {
 		d.logf("quarantined %d corrupted state file(s) in %s", q, cfg.StateDir)
@@ -216,71 +209,38 @@ func Open(cfg Config) (*Driver, error) {
 		d.syncCacheMetricsLocked()
 	}
 
-	// Reload the journal. Keys() is sorted and IDs are zero-padded, so
-	// recovery order is submission order.
+	maxRequeues := cfg.MaxRequeues
+	if maxRequeues == 0 {
+		maxRequeues = DefaultMaxRequeues
+	}
+	// Replay the journal. Keys() is sorted and IDs are zero-padded, so
+	// unfinished jobs re-enter the queue in submission order.
 	for _, key := range journal.Keys() {
 		id, ok := strings.CutPrefix(key, jobKeyPrefix)
 		if !ok {
 			continue
 		}
 		data, _ := journal.Get(key)
-		var rec jobRecord
-		if json.Unmarshal(data, &rec) != nil || rec.ID != id {
+		var rec JobStatus
+		if json.Unmarshal(data, &rec) != nil || rec.ID != id || !slices.Contains(jobStates, rec.State) {
 			d.logf("ignoring malformed job record %q", key)
 			continue
 		}
 		job := &Job{rec: rec, done: make(chan struct{})}
-		if rec.State.Terminal() {
-			close(job.done)
-		}
 		d.jobs[id] = job
 		d.order = append(d.order, id)
 		var n int
 		if _, err := fmt.Sscanf(id, "j%d", &n); err == nil && n > d.nextID {
 			d.nextID = n
 		}
-	}
-	maxRequeues := cfg.MaxRequeues
-	if maxRequeues == 0 {
-		maxRequeues = DefaultMaxRequeues
-	}
-	for _, id := range d.order {
-		j := d.jobs[id]
-		if j.rec.State.Terminal() {
+		if rec.State.Terminal() {
+			close(job.done)
 			continue
 		}
-		wasRunning := j.rec.State == StateRunning
-		j.rec.Requeues++
-		if wasRunning {
-			j.rec.RunRequeues++
-		}
-		// Poison-job quarantine: a job the daemon died under more than
-		// maxRequeues times is dead-lettered here, at replay — the one
-		// place every crash-loop necessarily passes through — with its
-		// history preserved and no dispatch ever attempted again.
-		if maxRequeues >= 0 && j.rec.RunRequeues > maxRequeues {
-			j.rec.State = StateQuarantined
-			j.rec.StartedAt = time.Time{}
-			j.rec.FinishedAt = time.Now().UTC()
-			j.rec.Error = fmt.Sprintf("quarantined: daemon died under this job %d times (cap %d)",
-				j.rec.RunRequeues, maxRequeues)
-			j.rec.Failure = &JobFailure{Kind: FailureQuarantined}
-			if err := d.persistLocked(j); err != nil {
-				return nil, err
-			}
-			close(j.done)
-			d.mc.AtomicAdd(metrics.ServerJobsQuarantined, 1)
-			d.logf("job %s quarantined after %d crash requeues", id, j.rec.RunRequeues)
-			continue
-		}
-		j.rec.State = StateQueued
-		j.rec.StartedAt = time.Time{}
-		if err := d.persistLocked(j); err != nil {
+		ev, detail := replayEvent(rec, maxRequeues)
+		if err := d.applyLocked(job, ev, detail); err != nil {
 			return nil, err
 		}
-		d.sched.push(j.rec.Spec.clientKey(), id, j.rec.Spec.Priority)
-		d.mc.AtomicAdd(metrics.ServerJobsRequeued, 1)
-		d.logf("requeued job %s (restart %d)", id, j.rec.Requeues)
 	}
 
 	n := cfg.Dispatchers
@@ -289,7 +249,7 @@ func Open(cfg Config) (*Driver, error) {
 	}
 	for i := 0; i < n; i++ {
 		d.wg.Add(1)
-		go d.dispatcherLoop(i)
+		go d.dispatcherLoop()
 	}
 	if cfg.StuckAfter > 0 {
 		d.wg.Add(1)
@@ -304,7 +264,7 @@ func (d *Driver) logf(format string, args ...interface{}) {
 	}
 }
 
-// persistLocked journals the job's current record. Callers hold d.mu.
+// persistLocked journals the job's record, for applyLocked. Callers hold d.mu.
 func (d *Driver) persistLocked(j *Job) error {
 	data, err := json.Marshal(j.rec)
 	if err != nil {
@@ -313,13 +273,11 @@ func (d *Driver) persistLocked(j *Job) error {
 	return d.journal.Put(jobKeyPrefix+j.rec.ID, data)
 }
 
-// Submit validates, journals and enqueues a job. A journal that cannot be
-// written fails the submission — accepting a job the server could lose on
-// restart would break the durability contract. A submission past the queue
-// bounds (Config.MaxQueued / MaxQueuedPerClient) is rejected with an
-// *OverloadError instead of queued: under overload the server sheds load
-// at admission, where the client can back off, rather than inside an
-// unbounded backlog.
+// Submit validates, journals and enqueues a job; a journal that cannot be
+// written fails the submission. A submission past the queue bounds
+// (Config.MaxQueued / MaxQueuedPerClient) is rejected with an *OverloadError
+// instead of queued: under overload the server sheds load at admission,
+// where the client can back off, rather than inside an unbounded backlog.
 func (d *Driver) Submit(spec JobSpec) (JobStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
@@ -346,29 +304,19 @@ func (d *Driver) Submit(spec JobSpec) (JobStatus, error) {
 			Limit: d.cfg.MaxQueuedPerClient, RetryAfter: admissionRetryAfter,
 		}
 	}
-	d.nextID++
-	id := fmt.Sprintf("j%06d", d.nextID)
+	id := fmt.Sprintf("j%06d", d.nextID+1)
 	job := &Job{
-		rec: jobRecord{
-			ID:          id,
-			Spec:        spec,
-			State:       StateQueued,
-			SubmittedAt: time.Now().UTC(),
-		},
+		rec:  JobStatus{ID: id, Spec: spec, SubmittedAt: time.Now().UTC()},
 		done: make(chan struct{}),
 	}
-	if err := d.persistLocked(job); err != nil {
-		d.nextID--
+	if err := d.applyLocked(job, evSubmit, ""); err != nil {
 		return JobStatus{}, fmt.Errorf("server: journaling job: %w", err)
 	}
+	d.nextID++
 	d.jobs[id] = job
 	d.order = append(d.order, id)
-	d.sched.push(spec.clientKey(), id, spec.Priority)
-	d.mc.AtomicAdd(metrics.ServerJobsSubmitted, 1)
-	d.logf("job %s submitted: client=%s targets=%v scale=%g seed=%d bench=%v",
-		id, spec.clientKey(), spec.Targets, spec.Scale, spec.Seed, spec.Benchmarks)
 	d.cond.Broadcast()
-	return job.rec.status(), nil
+	return job.rec, nil
 }
 
 // Cancel cancels a job: a queued job terminates immediately, a running job
@@ -377,82 +325,45 @@ func (d *Driver) Submit(spec JobSpec) (JobStatus, error) {
 // returned unchanged).
 func (d *Driver) Cancel(id string) (JobStatus, error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	j, ok := d.jobs[id]
 	if !ok {
-		d.mu.Unlock()
 		return JobStatus{}, ErrNotFound
 	}
-	switch j.rec.State {
-	case StateQueued:
-		j.userCancel = true
-		d.finishLocked(j, StateCancelled, "cancelled while queued")
-		st := d.statusLocked(j)
-		d.mu.Unlock()
-		return st, nil
-	case StateRunning:
-		j.userCancel = true
-		cancel := j.cancel
-		st := d.statusLocked(j)
-		d.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		return st, nil
-	default:
-		st := d.statusLocked(j)
-		d.mu.Unlock()
-		return st, nil
+	if j.rec.State == StateRunning {
+		j.userCancel = true // the aborted run names evCancel
+		j.cancel(nil)
+	} else {
+		_ = d.applyLocked(j, evCancel, "") // a terminal job rejects the event: nothing to cancel
 	}
-}
-
-// finishLocked moves a job to a terminal state: journal, wake waiters,
-// bump the server counters. Callers hold d.mu.
-func (d *Driver) finishLocked(j *Job, state JobState, errText string) {
-	j.rec.State = state
-	j.rec.FinishedAt = time.Now().UTC()
-	if errText != "" {
-		j.rec.Error = errText
-	}
-	if state == StateFailed && j.rec.Failure == nil {
-		j.rec.Failure = &JobFailure{Kind: FailureError}
-	}
-	if err := d.persistLocked(j); err != nil {
-		// The run is already finished; losing the journal write degrades
-		// restart recovery (the job re-runs from the artifact cache), which
-		// beats failing a completed job.
-		d.logf("journaling %s -> %s failed: %v", j.rec.ID, state, err)
-	}
-	switch state {
-	case StateDone:
-		d.mc.AtomicAdd(metrics.ServerJobsDone, 1)
-	case StateFailed:
-		d.mc.AtomicAdd(metrics.ServerJobsFailed, 1)
-	case StateCancelled:
-		d.mc.AtomicAdd(metrics.ServerJobsCancelled, 1)
-	}
-	d.logf("job %s %s%s", j.rec.ID, state, map[bool]string{true: ": " + errText}[errText != ""])
-	close(j.done)
+	return d.statusLocked(j), nil
 }
 
 // statusLocked builds the wire status, attaching live progress for running
 // jobs (wall clock, per-phase snapshot, cache counters so far). Callers
 // hold d.mu.
 func (d *Driver) statusLocked(j *Job) JobStatus {
-	st := j.rec.status()
+	st := j.rec
 	if j.mc != nil {
-		if j.rec.State == StateRunning {
-			st.WallSeconds = time.Since(j.started).Seconds()
-			st.CacheHits = j.mc.Count(metrics.ExpCellsResumed)
-			st.CacheMisses = j.mc.Count(metrics.ExpCellsExecuted)
-			st.SubcellHits = j.mc.Count(metrics.SubcellHits)
-			st.SubcellMisses = j.mc.Count(metrics.SubcellMisses)
-			st.OutcomeHits = j.mc.Count(metrics.OutcomeHits)
-			st.OutcomeMisses = j.mc.Count(metrics.OutcomeMisses)
-			st.CellsFailed = j.mc.Count(metrics.ExpCellsFailed)
+		if st.State == StateRunning {
+			st.WallSeconds = time.Since(*st.StartedAt).Seconds()
+			st.readCounters(j.mc)
 		}
 		st.Phases = j.mc.Snapshot().Phases
 	}
 	return st
+}
+
+// readCounters copies the job collector's cache accounting into the status
+// (the one place the cell, sub-cell and outcome counters are read).
+func (st *JobStatus) readCounters(mc *metrics.Collector) {
+	st.CacheHits = mc.Count(metrics.ExpCellsResumed)
+	st.CacheMisses = mc.Count(metrics.ExpCellsExecuted)
+	st.SubcellHits = mc.Count(metrics.SubcellHits)
+	st.SubcellMisses = mc.Count(metrics.SubcellMisses)
+	st.OutcomeHits = mc.Count(metrics.OutcomeHits)
+	st.OutcomeMisses = mc.Count(metrics.OutcomeMisses)
+	st.CellsFailed = mc.Count(metrics.ExpCellsFailed)
 }
 
 // Status returns one job's status.
@@ -480,10 +391,9 @@ func (d *Driver) JobsInState(state JobState) []JobStatus {
 	defer d.mu.Unlock()
 	out := make([]JobStatus, 0, len(d.order))
 	for _, id := range d.order {
-		if state != "" && d.jobs[id].rec.State != state {
-			continue
+		if j := d.jobs[id]; state == "" || j.rec.State == state {
+			out = append(out, d.statusLocked(j))
 		}
-		out = append(out, d.statusLocked(d.jobs[id]))
 	}
 	return out
 }
@@ -591,16 +501,10 @@ func (d *Driver) CacheLen() int { return d.cache.Len() }
 func (d *Driver) CacheSizeBytes() int64 { return d.cache.SizeBytes() }
 
 // Close shuts the driver down: running jobs are aborted and re-queued in
-// the journal (the restart contract treats a graceful stop like a crash —
-// unfinished work is never dropped), dispatchers drain, and the journal is
-// left consistent. Close blocks until every dispatcher has exited.
+// the journal (a graceful stop leaves what a crash would: unfinished work is
+// never dropped) and Close blocks until every dispatcher has exited.
 func (d *Driver) Close() error {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		d.wg.Wait()
-		return nil
-	}
 	d.closed = true
 	d.mu.Unlock()
 	d.cancel()

@@ -3,7 +3,9 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -20,7 +22,7 @@ const eventInterval = 500 * time.Millisecond
 //	POST /jobs                 submit a JobSpec, returns 202 + JobStatus
 //	                           (429 + Retry-After past the queue bounds)
 //	GET  /jobs                 list all known jobs (history survives
-//	                           restarts); ?state=quarantined etc. filters
+//	                           restarts); ?state= filters (unknown: 400)
 //	GET  /jobs/{id}            one job's status (live progress while running)
 //	GET  /jobs/{id}/events     chunked NDJSON status stream until terminal
 //	GET  /jobs/{id}/result     the done job's results.json, byte-identical
@@ -51,7 +53,12 @@ func (d *Driver) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /jobs", d.handleSubmit)
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, d.JobsInState(JobState(r.URL.Query().Get("state"))))
+		state := JobState(r.URL.Query().Get("state"))
+		if state != "" && !slices.Contains(jobStates, state) {
+			writeError(w, fmt.Errorf("server: unknown job state %q (known: %v)", state, jobStates))
+			return
+		}
+		writeJSON(w, http.StatusOK, d.JobsInState(state))
 	})
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := d.Status(r.PathValue("id"))

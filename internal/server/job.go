@@ -197,22 +197,19 @@ func (s JobSpec) runSpec() experiments.RunSpec {
 // JobState is a job's lifecycle state.
 type JobState string
 
-// The lifecycle: Submit puts a job in StateQueued; a dispatcher moves it to
-// StateRunning; it terminates in StateDone, StateFailed or StateCancelled.
-// A daemon restart moves queued and running jobs back to StateQueued —
-// except a job that was running across more than MaxRequeues restarts,
-// which journal replay dead-letters into StateQuarantined instead: a job
-// that keeps killing the daemon must not be offered a fifth chance to.
+// The lifecycle states: Submit queues a job, a dispatcher runs it, and it
+// ends done, failed or cancelled; a restart re-queues unfinished jobs, except
+// that one found running across more than MaxRequeues restarts is
+// quarantined. lifecycle.go holds the full transition table.
 const (
 	StateQueued    JobState = "queued"
 	StateRunning   JobState = "running"
 	StateDone      JobState = "done"
 	StateFailed    JobState = "failed"
 	StateCancelled JobState = "cancelled"
-	// StateQuarantined is the dead-letter terminal state: the job exceeded
-	// the requeue cap while running (a crash-loop signature), is never
-	// re-dispatched, and keeps its full history for post-mortem
-	// (GET /jobs?state=quarantined, tbpointctl list -state quarantined).
+	// StateQuarantined is the dead-letter terminal state: never dispatched
+	// again, history kept for post-mortem (GET /jobs?state=quarantined,
+	// tbpointctl list -state quarantined).
 	StateQuarantined JobState = "quarantined"
 )
 
@@ -242,7 +239,8 @@ type JobFailure struct {
 }
 
 // JobStatus is the wire representation of one job, returned by the status
-// and list endpoints and streamed by the events endpoint.
+// and list endpoints and streamed by the events endpoint — and, with Phases
+// nil, the job's journal record: everything but Phases survives a restart.
 type JobStatus struct {
 	ID          string     `json:"id"`
 	State       JobState   `json:"state"`
@@ -259,9 +257,8 @@ type JobStatus struct {
 	// Requeues counts daemon restarts this job survived before running.
 	Requeues int `json:"requeues,omitempty"`
 	// RunRequeues counts the restarts that found this job *running* — the
-	// daemon died while it held a dispatcher. That is the crash-loop
-	// signal the quarantine policy acts on; requeues of merely queued jobs
-	// are the daemon's fault, not the job's.
+	// daemon died while it held a dispatcher: the crash-loop signal the
+	// quarantine policy acts on.
 	RunRequeues int `json:"run_requeues,omitempty"`
 	// CacheHits / CacheMisses count grid cells satisfied from vs published
 	// into the shared artifact cache (exp.cells_resumed / exp.cells_executed
@@ -303,60 +300,4 @@ func (st JobStatus) FailureKind() string {
 		return FailureQuarantined
 	}
 	return ""
-}
-
-// jobRecord is the journaled form of a job: everything that must survive a
-// daemon restart. Live-only data (the collector, the cancel func) stays on
-// the in-memory Job.
-type jobRecord struct {
-	ID            string      `json:"id"`
-	Spec          JobSpec     `json:"spec"`
-	State         JobState    `json:"state"`
-	SubmittedAt   time.Time   `json:"submitted_at"`
-	StartedAt     time.Time   `json:"started_at,omitzero"`
-	FinishedAt    time.Time   `json:"finished_at,omitzero"`
-	Error         string      `json:"error,omitempty"`
-	Failure       *JobFailure `json:"failure,omitempty"`
-	Requeues      int         `json:"requeues,omitempty"`
-	RunRequeues   int         `json:"run_requeues,omitempty"`
-	CacheHits     uint64      `json:"cache_hits,omitempty"`
-	CacheMisses   uint64      `json:"cache_misses,omitempty"`
-	SubcellHits   uint64      `json:"subcell_hits,omitempty"`
-	SubcellMisses uint64      `json:"subcell_misses,omitempty"`
-	OutcomeHits   uint64      `json:"outcome_hits,omitempty"`
-	OutcomeMisses uint64      `json:"outcome_misses,omitempty"`
-	CellsFailed   uint64      `json:"cells_failed,omitempty"`
-	Aborted       bool        `json:"aborted,omitempty"`
-	WallSeconds   float64     `json:"wall_seconds,omitempty"`
-}
-
-func (r jobRecord) status() JobStatus {
-	st := JobStatus{
-		ID:            r.ID,
-		State:         r.State,
-		Spec:          r.Spec,
-		SubmittedAt:   r.SubmittedAt,
-		Error:         r.Error,
-		Failure:       r.Failure,
-		Requeues:      r.Requeues,
-		RunRequeues:   r.RunRequeues,
-		CacheHits:     r.CacheHits,
-		CacheMisses:   r.CacheMisses,
-		SubcellHits:   r.SubcellHits,
-		SubcellMisses: r.SubcellMisses,
-		OutcomeHits:   r.OutcomeHits,
-		OutcomeMisses: r.OutcomeMisses,
-		CellsFailed:   r.CellsFailed,
-		Aborted:       r.Aborted,
-		WallSeconds:   r.WallSeconds,
-	}
-	if !r.StartedAt.IsZero() {
-		t := r.StartedAt
-		st.StartedAt = &t
-	}
-	if !r.FinishedAt.IsZero() {
-		t := r.FinishedAt
-		st.FinishedAt = &t
-	}
-	return st
 }

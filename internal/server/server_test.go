@@ -51,7 +51,7 @@ func referenceResults(t *testing.T) []byte {
 	return data
 }
 
-func openDriver(t *testing.T, cfg server.Config) *server.Driver {
+func openDriver(t testing.TB, cfg server.Config) *server.Driver {
 	t.Helper()
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.New()
@@ -313,6 +313,16 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %s: HTTP %d, want 400", body, resp.StatusCode)
 		}
+	}
+
+	// The state filter's vocabulary is the lifecycle's: a typo is told so,
+	// with the known states, instead of answering an empty list.
+	if _, err := c.JobsInState(ctx, "quarantned"); err == nil ||
+		!strings.Contains(err.Error(), "HTTP 400") || !strings.Contains(err.Error(), "quarantined") {
+		t.Errorf("GET /jobs?state=quarantned: %v, want HTTP 400 naming the known states", err)
+	}
+	if jobs, err := c.JobsInState(ctx, server.StateQuarantined); err != nil || len(jobs) != 0 {
+		t.Errorf("GET /jobs?state=quarantined: %v, %v, want an empty list", jobs, err)
 	}
 
 	if _, err := c.Status(ctx, "j999999"); err == nil || !strings.Contains(err.Error(), "HTTP 404") {

@@ -16,7 +16,6 @@ package server
 // it works, and the fingerprint only moves when the collector does.
 
 import (
-	"context"
 	"errors"
 	"hash/fnv"
 	"math"
@@ -75,8 +74,8 @@ func (d *Driver) checkStuck(now time.Time) []string {
 		return nil
 	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	var stuck []string
-	var cancels []context.CancelCauseFunc
 	for _, id := range d.order {
 		j := d.jobs[id]
 		if j.rec.State != StateRunning || j.mc == nil {
@@ -88,19 +87,14 @@ func (d *Driver) checkStuck(now time.Time) []string {
 			j.progress = progressMark{fp: fp, at: now}
 			continue
 		}
-		if now.Sub(j.progress.at) >= after && j.cancelCause != nil {
+		if now.Sub(j.progress.at) >= after && j.cancel != nil {
+			d.logf("watchdog: job %s made no progress for >= %s, cancelling as stuck", id, after)
+			j.cancel(ErrStuck) // only closes the run context; the aborted run names evStuck
 			stuck = append(stuck, id)
-			cancels = append(cancels, j.cancelCause)
 			// Reset the mark so a job that somehow survives the cancel is
 			// not re-cancelled every subsequent tick.
 			j.progress = progressMark{}
 		}
-	}
-	d.mu.Unlock()
-	// Cancel outside the lock: the run's verdict path re-takes d.mu.
-	for i, cancel := range cancels {
-		d.logf("watchdog: job %s made no progress for >= %s, cancelling as stuck", stuck[i], after)
-		cancel(ErrStuck)
 	}
 	return stuck
 }

@@ -40,7 +40,9 @@
 #              trace decoder, the launch-equality predicate behind
 #              reference-run launch reuse (equal => same recorded streams),
 #              the region table and profile readers, the checkpoint reader,
-#              and the stratified allocator
+#              the stratified allocator, and POST /jobs (arbitrary bodies get
+#              400 or 202, never a panic, and an accepted spec is a fixed
+#              point of decode + Validate)
 #
 # Usage: scripts/ci.sh [fast | stage...]
 #   (no args)       run every stage
@@ -83,7 +85,8 @@ stage_fuzz() {
     fuzz FuzzReadRegionTable ./internal/core/ &&
     fuzz FuzzReadProfiles ./internal/core/ &&
     fuzz FuzzReadCheckpoint ./internal/durable/ &&
-    fuzz FuzzStratifiedAllocate ./internal/sampler/
+    fuzz FuzzStratifiedAllocate ./internal/sampler/ &&
+    fuzz FuzzJobSpec ./internal/server/
 }
 
 # Stage selection: no args = everything, `fast` = everything minus fuzz,
