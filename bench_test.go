@@ -421,7 +421,7 @@ func BenchmarkAblationEnterRule(b *testing.B) {
 	})
 	b.Run("sampled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.SampleLaunch(sim, l, prof.Profiles[0], rt, tbpoint.DefaultOptions())
+			core.SampleLaunch(sim, l, prof.Profiles[0], rt, nil, tbpoint.DefaultOptions())
 		}
 	})
 }

@@ -230,7 +230,7 @@ func TestSampleLaunchSkipsHomogeneousRegion(t *testing.T) {
 	if rt.NumRegions != 1 {
 		t.Fatalf("uniform launch should be one region, got %d", rt.NumRegions)
 	}
-	ls := SampleLaunch(sim, l, lp, rt, DefaultOptions())
+	ls := SampleLaunch(sim, l, lp, rt, nil, DefaultOptions())
 	if ls.Result.SkippedTBs == 0 {
 		t.Fatal("no blocks skipped in a uniform launch")
 	}
@@ -260,7 +260,7 @@ func TestSampleLaunchAccuracyUniform(t *testing.T) {
 	rt := IdentifyRegions(lp, occ, 0.2, 0.3)
 
 	full := sim.RunLaunch(l, gpusim.RunOptions{})
-	ls := SampleLaunch(sim, l, lp, rt, DefaultOptions())
+	ls := SampleLaunch(sim, l, lp, rt, nil, DefaultOptions())
 	err := stats.RelErr(ls.PredictedCycles, float64(full.Cycles))
 	if err > 0.15 {
 		t.Errorf("sampled prediction error %.1f%% too high (pred %.0f, full %d)",
@@ -290,7 +290,7 @@ func TestSampleLaunchHeterogeneousSimulatesAll(t *testing.T) {
 	lp := funcsim.ProfileLaunch(l)
 	occ := sim.Config().Limits.SystemOccupancy(k, sim.Config().NumSMs)
 	rt := IdentifyRegions(lp, occ, 0.2, 0.3)
-	ls := SampleLaunch(sim, l, lp, rt, DefaultOptions())
+	ls := SampleLaunch(sim, l, lp, rt, nil, DefaultOptions())
 	if frac := float64(ls.SkippedInsts) / float64(ls.TotalInsts); frac > 0.5 {
 		t.Errorf("heterogeneous launch skipped %.0f%% of instructions", frac*100)
 	}
@@ -500,12 +500,12 @@ func TestSampleLaunchRepeatable(t *testing.T) {
 	lp := funcsim.ProfileLaunch(l)
 	occ := sim.Config().Limits.SystemOccupancy(k, sim.Config().NumSMs)
 	rt := IdentifyRegions(lp, occ, 0.2, 0.3)
-	ref := SampleLaunch(sim, l, lp, rt, DefaultOptions())
+	ref := SampleLaunch(sim, l, lp, rt, nil, DefaultOptions())
 	if len(ref.SkippedByRegion) < 3 {
 		t.Fatalf("%d fast-forwarded regions, need >= 3 for summation order to matter", len(ref.SkippedByRegion))
 	}
 	for i := 0; i < 50; i++ {
-		got := SampleLaunch(sim, l, lp, rt, DefaultOptions())
+		got := SampleLaunch(sim, l, lp, rt, nil, DefaultOptions())
 		if math.Float64bits(got.PredictedCycles) != math.Float64bits(ref.PredictedCycles) {
 			t.Fatalf("call %d: PredictedCycles %v, first call %v", i, got.PredictedCycles, ref.PredictedCycles)
 		}

@@ -273,21 +273,87 @@ func (s *regionSampler) trendStable(ipc float64) bool {
 	return diff/ref < s.tol/4
 }
 
+// replayReference is the second driver of the regionSampler: it feeds a fresh
+// one from ref — a complete, nothing-skipped serial simulation of the same
+// launch on the same simulator — in exactly the sequence the engine fires the
+// hooks: skipTB then onDispatch for a dispatch entry of ref.TBOrder; onRetire
+// for a retirement, then onUnitClose with the next of ref.Units when the
+// retired block is the unit's specified one (the first dispatched since the
+// previous unit closed). Hooks only observe until skipTB first returns true, so
+// a sampler that never asks to skip ends in the state a simulation would have
+// left it in, and that simulation's result is ref. It returns nil — simulate —
+// at the first skip, and for a ref it cannot vouch for: none, no recorded
+// order (a decoded or parallel-engine result), aborted, blocks skipped, a
+// block count other than the profile's, an order that is not every block
+// dispatched ascending and retired once, or units that do not close where
+// the order says.
+func replayReference(rt *RegionTable, lp *funcsim.LaunchProfile, ref *gpusim.LaunchResult, opts Options) *regionSampler {
+	n := len(lp.Blocks)
+	if ref == nil || ref.Aborted || ref.SkippedTBs != 0 || ref.SimulatedTBs != n || len(ref.TBOrder) != 2*n {
+		return nil
+	}
+	rs := newRegionSampler(rt, lp, opts)
+	retired := make([]bool, n)
+	next, unit, specified := 0, 0, -1
+	for _, e := range ref.TBOrder {
+		if e >= 0 {
+			tb := int(e)
+			if tb != next || rs.skipTB(tb) {
+				return nil
+			}
+			next++
+			rs.onDispatch(tb)
+			if specified < 0 {
+				specified = tb
+			}
+			continue
+		}
+		tb := int(^e)
+		if tb >= next || retired[tb] {
+			return nil
+		}
+		retired[tb] = true
+		rs.onRetire(tb)
+		if tb == specified {
+			if unit == len(ref.Units) || ref.Units[unit].SpecifiedTB != tb {
+				return nil
+			}
+			rs.onUnitClose(ref.Units[unit])
+			unit++
+			specified = -1
+		}
+	}
+	if unit != len(ref.Units) {
+		return nil
+	}
+	return rs
+}
+
 // SampleLaunch simulates launch l with homogeneous region sampling using
 // the given region table, returning the sampled result and prediction.
 // The region table's occupancy should equal the simulator configuration's
 // system occupancy for the launch's kernel (Retarget handles this).
+//
+// ref, when non-nil, is the full simulation of l on sim (read-only). If
+// region sampling fast-forwards nothing on this launch, the sampled
+// simulation would repeat ref instruction for instruction, so the sample is
+// assembled from ref instead (see replayReference) and its Result is ref
+// itself — which is how a caller tells. Every field equals what simulating
+// returns, except that Result carries ref's FixedUnits.
 func SampleLaunch(sim *gpusim.Simulator, l *kernel.Launch, lp *funcsim.LaunchProfile,
-	rt *RegionTable, opts Options) *LaunchSample {
+	rt *RegionTable, ref *gpusim.LaunchResult, opts Options) *LaunchSample {
 
-	rs := newRegionSampler(rt, lp, opts)
-	hooks := &gpusim.Hooks{
-		SkipTB:       rs.skipTB,
-		OnTBDispatch: func(tb, sm int, cycle int64) { rs.onDispatch(tb) },
-		OnTBRetire:   func(tb, sm int, cycle int64) { rs.onRetire(tb) },
-		OnUnitClose:  rs.onUnitClose,
+	rs, res := replayReference(rt, lp, ref, opts), ref
+	if rs == nil {
+		rs = newRegionSampler(rt, lp, opts)
+		hooks := &gpusim.Hooks{
+			SkipTB:       rs.skipTB,
+			OnTBDispatch: func(tb, sm int, cycle int64) { rs.onDispatch(tb) },
+			OnTBRetire:   func(tb, sm int, cycle int64) { rs.onRetire(tb) },
+			OnUnitClose:  rs.onUnitClose,
+		}
+		res = sim.RunLaunch(l, gpusim.RunOptions{Hooks: hooks, Metrics: opts.Metrics, Ctx: opts.Ctx})
 	}
-	res := sim.RunLaunch(l, gpusim.RunOptions{Hooks: hooks, Metrics: opts.Metrics, Ctx: opts.Ctx})
 
 	ls := &LaunchSample{
 		Result:          res,

@@ -95,7 +95,17 @@ type Result struct {
 //     launches inherit their representative's IPC, fast-forwarded regions
 //     their warming-period IPC.
 func Run(sim *gpusim.Simulator, prof *AppProfile, opts Options) (*Result, error) {
-	return runWithInter(sim, prof, nil, opts)
+	return runWithInter(sim, prof, nil, nil, opts)
+}
+
+// RunWithReference is Run for a caller that already holds full, the complete
+// reference simulation of prof.App on sim (read-only; nil is Run). The Result
+// is the same, value for value: full decides only how it is computed — a
+// representative launch on which region sampling fast-forwards nothing takes
+// its sample from full's result for that launch instead of repeating the
+// simulation (see SampleLaunch), and is counted in core.launches_replayed.
+func RunWithReference(sim *gpusim.Simulator, prof *AppProfile, full *sampling.AppRun, opts Options) (*Result, error) {
+	return runWithInter(sim, prof, nil, full, opts)
 }
 
 // Retarget re-runs TBPoint for a different hardware configuration while
@@ -107,10 +117,10 @@ func Retarget(sim *gpusim.Simulator, prof *AppProfile, inter *InterResult, opts 
 	if inter == nil {
 		return nil, fmt.Errorf("core: Retarget requires an existing inter-launch clustering")
 	}
-	return runWithInter(sim, prof, inter, opts)
+	return runWithInter(sim, prof, inter, nil, opts)
 }
 
-func runWithInter(sim *gpusim.Simulator, prof *AppProfile, inter *InterResult, opts Options) (*Result, error) {
+func runWithInter(sim *gpusim.Simulator, prof *AppProfile, inter *InterResult, full *sampling.AppRun, opts Options) (*Result, error) {
 	if len(prof.App.Launches) == 0 {
 		return nil, fmt.Errorf("core: application has no launches")
 	}
@@ -151,6 +161,13 @@ func runWithInter(sim *gpusim.Simulator, prof *AppProfile, inter *InterResult, o
 			mcs[i] = metrics.New()
 		}
 	}
+	// refs[i] is the caller's reference simulation of representative i, if any.
+	refs := make([]*gpusim.LaunchResult, len(reps))
+	if full != nil && len(full.Launches) == len(prof.App.Launches) {
+		for i, rep := range reps {
+			refs[i] = full.Launches[rep]
+		}
+	}
 	sw := mc.StartPhase("core.region_sampling")
 	err := par.ForEachCtx(opts.Ctx, len(reps), func(i int) error {
 		rep := reps[i]
@@ -162,7 +179,7 @@ func runWithInter(sim *gpusim.Simulator, prof *AppProfile, inter *InterResult, o
 		if mcs != nil {
 			ropts.Metrics = mcs[i]
 		}
-		samples[i] = SampleLaunch(sim, l, prof.Profiles[rep], rt, ropts)
+		samples[i] = SampleLaunch(sim, l, prof.Profiles[rep], rt, refs[i], ropts)
 		if samples[i].Result.Aborted {
 			return opts.Ctx.Err()
 		}
@@ -188,6 +205,9 @@ func runWithInter(sim *gpusim.Simulator, prof *AppProfile, inter *InterResult, o
 			mc.Add(metrics.CoreWarmUnits, uint64(samples[i].WarmUnits))
 			mc.Add(metrics.CoreSimulatedInsts, uint64(samples[i].SimulatedInsts))
 			mc.Add(metrics.CoreSkippedInsts, uint64(samples[i].SkippedInsts))
+			if samples[i].Result == refs[i] {
+				mc.Inc(metrics.CoreLaunchesReplayed)
+			}
 		}
 	}
 

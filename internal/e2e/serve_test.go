@@ -54,6 +54,12 @@ func TestKilledDaemonRestartRunsJournaledJob(t *testing.T) {
 		t.Fatalf("served results.json differs from the one-shot CLI output (%v)", err)
 	}
 
+	// The served run took stream's one representative from the reference run
+	// it had just simulated, and says so in the job's report.
+	if report, err := d.c.Report(ctx, job); err != nil || !strings.Contains(report, "stream   tbpoint: replayed 1 of 1 representatives") {
+		t.Errorf("served job's report does not show the reference replay (%v):\n%s", err, report)
+	}
+
 	// Counters and phases, not wall time, say the second job was served
 	// from the cells the first one computed.
 	again := d.submit(ctx, spec)

@@ -372,9 +372,10 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 	}
 	// The benchmark records into a private collector merged into
 	// opts.Metrics at the end, so a parallel grid of RunBenchmark calls
-	// never writes the caller's collector concurrently.
+	// never writes the caller's collector concurrently. A verbose run
+	// collects too: its progress lines report what the benchmark counted.
 	var mc *metrics.Collector
-	if opts.Metrics != nil {
+	if opts.Metrics != nil || opts.Verbose {
 		mc = metrics.New()
 		defer opts.Metrics.Merge(mc)
 	}
@@ -450,6 +451,10 @@ func (o Options) estimate(set []sampler.Sampler, sim *gpusim.Simulator, app *ker
 		sw.Stop()
 		if err != nil {
 			return err
+		}
+		if s.Name() == sampler.NameTBPoint {
+			o.progress("# %-8s tbpoint: replayed %d of %d representatives", app.Name,
+				mc.Count(metrics.CoreLaunchesReplayed), mc.Count(metrics.CoreRepLaunches))
 		}
 		mc.Inc(metrics.SamplerEstimates)
 		mc.Add(metrics.SamplerStrata, uint64(out.Strata))

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
+	"tbpoint/internal/durable"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/isa"
 	"tbpoint/internal/kernel"
@@ -44,6 +47,17 @@ func TestFullAppReuseMatchesPerLaunchLoop(t *testing.T) {
 		got := FullAppMetrics(sim, app, unit, mc)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: reference run differs from the per-launch loop", spec.Name)
+		}
+		// Launches that share a result share its one recorded block order.
+		orders := map[*int32]bool{}
+		for i, l := range got.Launches {
+			if len(l.TBOrder) != 2*app.Launches[i].NumBlocks() {
+				t.Fatalf("%s launch %d: order of %d events for %d blocks", spec.Name, i, len(l.TBOrder), app.Launches[i].NumBlocks())
+			}
+			orders[&l.TBOrder[0]] = true
+		}
+		if shared := uint64(len(got.Launches) - len(orders)); shared != reused[spec.Name] {
+			t.Errorf("%s: %d launches share an earlier launch's block order, want %d", spec.Name, shared, reused[spec.Name])
 		}
 		snap, wantSnap := mc.Snapshot(), wantMC.Snapshot()
 		if n := snap.Counters[metrics.ExpLaunchesReused.Name()]; n != reused[spec.Name] {
@@ -159,7 +173,8 @@ func TestFullAppReuseKeepsAbortsAborted(t *testing.T) {
 
 // TestSamplersLeaveSharedRunUntouched pins the read-only contract reuse
 // rests on: after every registered strategy has estimated from a reference
-// run whose launches share results, the run deep-equals a copy taken before.
+// run whose launches share results, the run — block order included — deep-equals
+// a copy taken before.
 func TestSamplersLeaveSharedRunUntouched(t *testing.T) {
 	spec, err := workloads.ByName("kmeans")
 	if err != nil {
@@ -180,8 +195,16 @@ func TestSamplersLeaveSharedRunUntouched(t *testing.T) {
 	if err := json.Unmarshal(data, &before); err != nil {
 		t.Fatal(err)
 	}
+	// The recorded block order is not serialised; TBPoint replays it, so the
+	// contract covers it too and the copy takes a clone of it.
+	for i, l := range full.Launches {
+		if before.Launches[i].TBOrder != nil {
+			t.Fatalf("launch %d: the block order survived a JSON round trip", i)
+		}
+		before.Launches[i].TBOrder = append([]int32(nil), l.TBOrder...)
+	}
 	if !reflect.DeepEqual(full, &before) {
-		t.Fatal("JSON round trip is not a faithful copy of the run")
+		t.Fatal("JSON round trip plus the block order is not a faithful copy of the run")
 	}
 
 	set, err := sampler.Resolve(sampler.Names())
@@ -197,5 +220,60 @@ func TestSamplersLeaveSharedRunUntouched(t *testing.T) {
 	}
 	if !reflect.DeepEqual(full, &before) {
 		t.Error("a strategy wrote to the reference run it was handed")
+	}
+}
+
+// TestAccuracyCellSimulatesNoLaunchTwice: in a cell that has just simulated
+// its reference run, TBPoint takes every representative it fast-forwards
+// nothing on from that run — stream's one, counted in core.launches_replayed,
+// reported on the progress line, and absent from sim.launches. A cell handed
+// the stored reference instead (decoded, so without the block order, which is
+// never persisted) simulates the representative and produces the same bytes.
+func TestAccuracyCellSimulatesNoLaunchTwice(t *testing.T) {
+	spec, err := workloads.ByName("stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	liveMC := metrics.New()
+	opts := subcellOpts(t, nil, liveMC)
+	opts.Samplers = []string{sampler.NameTBPoint}
+	opts.Verbose, opts.Out = true, &log
+	live, err := RunBenchmark(spec, gpusim.DefaultConfig(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reps, replayed := liveMC.Count(metrics.CoreRepLaunches), liveMC.Count(metrics.CoreLaunchesReplayed); reps != 1 || replayed != 1 {
+		t.Errorf("live reference: %d of %d representatives replayed, want 1 of 1", replayed, reps)
+	}
+	launches := uint64(len(spec.Build(workloads.Config{Scale: opts.Scale, Seed: opts.Seed}).Launches))
+	if n := liveMC.Count(metrics.SimLaunches); n != launches {
+		t.Errorf("live reference: sim.launches = %d, want the reference run's %d and none for TBPoint", n, launches)
+	}
+	if want := "# stream   tbpoint: replayed 1 of 1 representatives\n"; !strings.Contains(log.String(), want) {
+		t.Errorf("progress output lacks %q:\n%s", want, log.String())
+	}
+
+	store, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish := subcellOpts(t, store, nil)
+	publish.Samplers = []string{sampler.NameRandom}
+	if _, err := RunBenchmark(spec, gpusim.DefaultConfig(), publish); err != nil {
+		t.Fatal(err)
+	}
+	storedMC := metrics.New()
+	opts = subcellOpts(t, store, storedMC)
+	opts.Samplers = []string{sampler.NameTBPoint}
+	stored, err := RunBenchmark(spec, gpusim.DefaultConfig(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, replayed, sims := storedMC.Count(metrics.SubcellHits), storedMC.Count(metrics.CoreLaunchesReplayed), storedMC.Count(metrics.SimLaunches); hits != 1 || replayed != 0 || sims != 1 {
+		t.Errorf("stored reference: subcell.hits=%d core.launches_replayed=%d sim.launches=%d, want 1, 0 and 1", hits, replayed, sims)
+	}
+	if !bytes.Equal(benchJSON(t, stored), benchJSON(t, live)) {
+		t.Error("TBPoint on the stored reference differs from TBPoint on the live one")
 	}
 }

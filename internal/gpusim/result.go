@@ -70,6 +70,15 @@ type LaunchResult struct {
 	// FixedUnits are the fixed-size units (empty unless requested).
 	FixedUnits []FixedUnit
 
+	// TBOrder is the order in which the serial engine dispatched and retired
+	// thread blocks, one entry per event: block b's dispatch is b, its
+	// retirement ^b. With Units it is everything the Hooks of a run that
+	// skipped nothing would have observed, so such a run can be replayed
+	// instead of repeated (core.SampleLaunch). It is never serialised — a
+	// decoded result has none — and the parallel engine, whose timing differs
+	// by design, leaves it nil.
+	TBOrder []int32 `json:"-"`
+
 	SimulatedTBs int
 	SkippedTBs   int
 	// SimulatedWarpInsts counts instructions actually simulated; skipped

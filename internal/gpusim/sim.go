@@ -810,6 +810,9 @@ func (rs *runState) dispatchOne(sm *smState) bool {
 		}
 		sm.resident++
 		rs.liveTBs++
+		if !rs.parRun {
+			rs.res.TBOrder = append(rs.res.TBOrder, int32(tb))
+		}
 		if h.OnTBDispatch != nil {
 			h.OnTBDispatch(tb, sm.id, rs.cycle)
 		}
@@ -943,6 +946,7 @@ func (rs *runState) retireTB(tb *tbState) {
 	rs.liveTBs--
 	rs.res.SimulatedTBs++
 	retireCycle := rs.cycle + 1
+	rs.res.TBOrder = append(rs.res.TBOrder, ^int32(tb.id))
 	if h.OnTBRetire != nil {
 		h.OnTBRetire(tb.id, tb.sm, retireCycle)
 	}

@@ -47,6 +47,26 @@ func randomProgram(rng *rand.Rand) *isa.Program {
 	return b.EndBlock(isa.IALU()).Build()
 }
 
+// randomLaunch builds a launch of 1-24 blocks of 1-4 warps running a random
+// program, all drawn from the seed.
+func randomLaunch(seed int64, nb8, warps8 uint8) *kernel.Launch {
+	rng := rand.New(rand.NewSource(seed))
+	prog := randomProgram(rng)
+	warps := 1 + int(warps8%4)
+	k := &kernel.Kernel{Name: "rand", Program: prog,
+		ThreadsPerBlock: warps * kernel.WarpSize}
+	nb := 1 + int(nb8%24)
+	params := make([]kernel.TBParams, nb)
+	for i := range params {
+		params[i] = kernel.TBParams{
+			Trips:      []int{rng.Intn(6), 1 + rng.Intn(5)},
+			ActiveFrac: 0.25 + rng.Float64()*0.75,
+			Seed:       uint64(seed) + uint64(i) + 1,
+		}
+	}
+	return kernel.NewLaunch(k, 0, params)
+}
+
 // TestRandomProgramsConservationProperty runs random kernels and checks
 // the fundamental conservation law: the simulator issues exactly the warp
 // instructions the launch statically contains, regardless of program
@@ -56,21 +76,8 @@ func TestRandomProgramsConservationProperty(t *testing.T) {
 	cfg.NumSMs = 2
 	sim := MustNew(cfg)
 	f := func(seed int64, nb8, warps8 uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		prog := randomProgram(rng)
-		warps := 1 + int(warps8%4)
-		k := &kernel.Kernel{Name: "rand", Program: prog,
-			ThreadsPerBlock: warps * kernel.WarpSize}
-		nb := 1 + int(nb8%24)
-		params := make([]kernel.TBParams, nb)
-		for i := range params {
-			params[i] = kernel.TBParams{
-				Trips:      []int{rng.Intn(6), 1 + rng.Intn(5)},
-				ActiveFrac: 0.25 + rng.Float64()*0.75,
-				Seed:       uint64(seed) + uint64(i) + 1,
-			}
-		}
-		l := kernel.NewLaunch(k, 0, params)
+		l := randomLaunch(seed, nb8, warps8)
+		nb := l.NumBlocks()
 		res := sim.RunLaunch(l, RunOptions{FixedUnitInsts: 300})
 		var want int64
 		for tb := 0; tb < nb; tb++ {

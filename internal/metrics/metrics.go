@@ -63,7 +63,7 @@ type Counter int
 // use a "group.name" convention so reports sort into sections.
 const (
 	// Simulator event loop (internal/gpusim).
-	SimLaunches     Counter = iota // launches accounted, simulated or reused
+	SimLaunches     Counter = iota // launches simulated, or reused inside a reference run
 	SimCycles                      // elapsed cycles, summed over launches
 	SimWarpInsts                   // warp instructions issued
 	SimSMVisits                    // SM visits by the event loop
@@ -104,6 +104,10 @@ const (
 	CoreWarmUnits
 	CoreSimulatedInsts
 	CoreSkippedInsts
+	// Representative launches on which region sampling fast-forwarded nothing
+	// and whose sample was therefore taken from the caller's reference run
+	// instead of a second simulation; the rest of core.rep_launches simulated.
+	CoreLaunchesReplayed
 
 	// Shared worker budget (internal/par).
 	ParLoops
@@ -211,13 +215,14 @@ var counterNames = [NumCounters]string{
 	MemDRAMRowHits:  "mem.dram_row_hits",
 	MemDRAMQueued:   "mem.dram_queued",
 
-	CoreLaunches:       "core.launches",
-	CoreClusters:       "core.clusters",
-	CoreRepLaunches:    "core.rep_launches",
-	CoreRegions:        "core.regions",
-	CoreWarmUnits:      "core.warm_units",
-	CoreSimulatedInsts: "core.simulated_insts",
-	CoreSkippedInsts:   "core.skipped_insts",
+	CoreLaunches:         "core.launches",
+	CoreClusters:         "core.clusters",
+	CoreRepLaunches:      "core.rep_launches",
+	CoreRegions:          "core.regions",
+	CoreWarmUnits:        "core.warm_units",
+	CoreSimulatedInsts:   "core.simulated_insts",
+	CoreSkippedInsts:     "core.skipped_insts",
+	CoreLaunchesReplayed: "core.launches_replayed",
 
 	ParLoops:         "par.loops",
 	ParTasks:         "par.tasks",

@@ -88,7 +88,10 @@ func (simpointSampler) Estimate(in Input) (Outcome, error) {
 
 // tbpointSampler adapts the TBPoint pipeline itself (internal/core): the
 // only strategy that runs its own (sampled) simulations rather than
-// re-weighting the full run's units.
+// re-weighting the full run's units. It hands core the full run all the
+// same: a representative launch TBPoint would simulate in full is in.Full's
+// launch, simulated once already (core.RunWithReference). The outcome is the
+// same value with or without it.
 type tbpointSampler struct{}
 
 func (tbpointSampler) Name() string    { return NameTBPoint }
@@ -97,7 +100,7 @@ func (tbpointSampler) Abbrev() string  { return "TBP" }
 func (tbpointSampler) Breakdown() bool { return true }
 
 func (tbpointSampler) Estimate(in Input) (Outcome, error) {
-	res, err := core.Run(in.Sim, in.Prof, in.TBPoint)
+	res, err := core.RunWithReference(in.Sim, in.Prof, in.Full, in.TBPoint)
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -39,10 +39,12 @@
 #              bit-distinct shape, also with every shape in one bucket), the
 #              trace decoder, the launch-equality predicate behind
 #              reference-run launch reuse (equal => same recorded streams),
-#              the region table and profile readers, the checkpoint reader,
-#              the stratified allocator, and POST /jobs (arbitrary bodies get
-#              400 or 202, never a panic, and an accepted spec is a fixed
-#              point of decode + Validate)
+#              the region table and profile readers, the reference replay
+#              (an arbitrary block order and unit list is refused or
+#              finished, never a panic or an out-of-range block), the
+#              checkpoint reader, the stratified allocator, and POST /jobs
+#              (arbitrary bodies get 400 or 202, never a panic, and an
+#              accepted spec is a fixed point of decode + Validate)
 #
 # Usage: scripts/ci.sh [fast | stage...]
 #   (no args)       run every stage
@@ -84,6 +86,7 @@ stage_fuzz() {
     fuzz FuzzSameInput ./internal/trace/ &&
     fuzz FuzzReadRegionTable ./internal/core/ &&
     fuzz FuzzReadProfiles ./internal/core/ &&
+    fuzz FuzzReplayOrder ./internal/core/ &&
     fuzz FuzzReadCheckpoint ./internal/durable/ &&
     fuzz FuzzStratifiedAllocate ./internal/sampler/ &&
     fuzz FuzzJobSpec ./internal/server/
