@@ -280,11 +280,11 @@ func BenchmarkSimulatorMemoryBound(b *testing.B) {
 func BenchmarkTraceExpansion(b *testing.B) {
 	app := tbpoint.MustBenchmark("black", 0.02)
 	l := app.Launches[0]
+	syn := trace.NewSynthetic(l)
 	var addrs [trace.MaxRequests]uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prov := trace.NewSynthetic(l)
-		st := prov.WarpStream(i%l.NumBlocks(), 0)
+		st := syn.WarpStream(i%l.NumBlocks(), 0)
 		for {
 			if _, ok := st.Next(addrs[:]); !ok {
 				break

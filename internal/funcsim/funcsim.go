@@ -11,13 +11,13 @@
 // simulated configuration — which is what gives TBPoint its one-time
 // profiling property (Table II).
 //
-// Two paths produce identical results: ProfileLaunch derives the counters
-// analytically from the kernel IR (one walk over the kernel program per
-// distinct thread-block shape and one table lookup per thread block; used
-// for large launches), and EmulateLaunch walks the launch's instruction
-// streams event by event (the reference implementation; also the only option
-// for recorded traces). The test suite checks they agree. ProfileApp runs
-// ProfileLaunch for every launch, fanned out over the shared worker budget.
+// ProfileLaunch derives the counters analytically from the kernel IR: one
+// walk over the kernel program per distinct thread-block shape and one table
+// lookup per thread block. The test suite holds it to a reference that walks
+// the launch's instruction streams event by event — the streams the timing
+// simulator reads — so the profiler counts what the simulator executes.
+// ProfileApp runs ProfileLaunch for every launch, fanned out over the shared
+// worker budget.
 package funcsim
 
 import (
@@ -25,7 +25,6 @@ import (
 
 	"tbpoint/internal/kernel"
 	"tbpoint/internal/par"
-	"tbpoint/internal/trace"
 )
 
 // TBProfile holds the profiled counters of one thread block.
@@ -121,10 +120,9 @@ func (lp *LaunchProfile) TBSizeCoV() float64 {
 	return math.Sqrt(ss/n) / math.Abs(mean)
 }
 
-// ProfileLaunch profiles a launch analytically from its IR. It is
-// equivalent to EmulateLaunch over the launch's synthetic trace. Each
-// distinct shape costs one walk over the kernel program, each thread block
-// one table lookup.
+// ProfileLaunch profiles a launch analytically from its IR. Each distinct
+// shape costs one walk over the kernel program, each thread block one table
+// lookup.
 func ProfileLaunch(l *kernel.Launch) *LaunchProfile {
 	prog := l.Kernel.Program
 	lp := &LaunchProfile{
@@ -177,56 +175,4 @@ func ProfileApp(app *kernel.App) []*LaunchProfile {
 		panic(err)
 	}
 	return out
-}
-
-// EmulateLaunch profiles a launch by walking its instruction streams. The
-// active-lane fraction cannot be recovered from a bare trace, so thread
-// instructions are derived from the per-event request counts for memory
-// instructions and assumed fully active otherwise when af is nil; pass af
-// to supply the per-block active fractions (as ProfileLaunch uses).
-func EmulateLaunch(p trace.Provider, af func(tb int) float64) *LaunchProfile {
-	nb, wpb := p.NumBlocks(), p.WarpsPerBlock()
-	lp := &LaunchProfile{Blocks: make([]TBProfile, nb)}
-	var addrs [trace.MaxRequests]uint64
-	maxBlock := 0
-	for tb := 0; tb < nb; tb++ {
-		frac := 1.0
-		if af != nil {
-			if f := af(tb); f > 0 && f <= 1 {
-				frac = f
-			}
-		}
-		var prof TBProfile
-		for w := 0; w < wpb; w++ {
-			st := p.WarpStream(tb, w)
-			for {
-				ev, ok := st.Next(addrs[:])
-				if !ok {
-					break
-				}
-				prof.WarpInsts++
-				prof.MemRequests += int64(ev.NumReq)
-				if int(ev.Block) > maxBlock {
-					maxBlock = int(ev.Block)
-				}
-			}
-		}
-		prof.ThreadInsts = int64(float64(prof.WarpInsts) * kernel.WarpSize * frac)
-		lp.Blocks[tb] = prof
-	}
-	// Second pass for block counts sized by the largest block index seen.
-	lp.BlockCounts = make([]int64, maxBlock+1)
-	for tb := 0; tb < nb; tb++ {
-		for w := 0; w < wpb; w++ {
-			st := p.WarpStream(tb, w)
-			for {
-				ev, ok := st.Next(addrs[:])
-				if !ok {
-					break
-				}
-				lp.BlockCounts[ev.Block]++
-			}
-		}
-	}
-	return lp
 }

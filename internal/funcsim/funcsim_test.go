@@ -1,6 +1,8 @@
 package funcsim
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -9,6 +11,7 @@ import (
 	"tbpoint/internal/kernel"
 	"tbpoint/internal/par"
 	"tbpoint/internal/trace"
+	"tbpoint/internal/workloads"
 )
 
 func buildLaunch(nBlocks int, af float64) *kernel.Launch {
@@ -63,35 +66,54 @@ func TestStallProb(t *testing.T) {
 	}
 }
 
+// emulateLaunch is the reference profiler: it walks every warp stream of l
+// — what the timing simulator reads — event by event and counts what it
+// sees.
+func emulateLaunch(l *kernel.Launch) *LaunchProfile {
+	syn := trace.NewSynthetic(l)
+	lp := &LaunchProfile{
+		Blocks:      make([]TBProfile, l.NumBlocks()),
+		BlockCounts: make([]int64, len(l.Kernel.Program.Blocks)),
+	}
+	var st trace.SynthStream
+	var addrs [trace.MaxRequests]uint64
+	for tb := range lp.Blocks {
+		p := &lp.Blocks[tb]
+		for w := 0; w < l.Kernel.WarpsPerBlock(); w++ {
+			syn.InitStream(&st, tb, w)
+			for {
+				ev, ok := st.Next(addrs[:])
+				if !ok {
+					break
+				}
+				p.WarpInsts++
+				p.MemRequests += int64(ev.NumReq)
+				lp.BlockCounts[ev.Block]++
+			}
+		}
+		p.ThreadInsts = int64(float64(p.WarpInsts) * kernel.WarpSize * isa.EffectiveActive(l.Shape(tb).ActiveFrac))
+	}
+	return lp
+}
+
+// The profiler counts what the simulator reads: ProfileLaunch equals the
+// stream walk on every counter, BlockCounts in full, for hand-built launches
+// (fully active, half active, NaN active) and for the first and last launch
+// of every benchmark.
 func TestEmulateMatchesAnalytic(t *testing.T) {
-	for _, af := range []float64{1.0, 0.5} {
-		l := buildLaunch(5, af)
-		analytic := ProfileLaunch(l)
-		emulated := EmulateLaunch(trace.NewSynthetic(l),
-			func(tb int) float64 { return l.Shape(tb).ActiveFrac })
-		for tb := range analytic.Blocks {
-			a, e := analytic.Blocks[tb], emulated.Blocks[tb]
-			if a.WarpInsts != e.WarpInsts {
-				t.Errorf("af=%v tb %d: warp insts analytic %d emulated %d", af, tb, a.WarpInsts, e.WarpInsts)
-			}
-			if a.ThreadInsts != e.ThreadInsts {
-				t.Errorf("af=%v tb %d: thread insts analytic %d emulated %d", af, tb, a.ThreadInsts, e.ThreadInsts)
-			}
+	check := func(name string, l *kernel.Launch) {
+		t.Helper()
+		if a, e := ProfileLaunch(l), emulateLaunch(l); !reflect.DeepEqual(a, e) {
+			t.Errorf("%s: analytic profile %+v, stream walk %+v", name, a, e)
 		}
-		// Memory requests agree at af=1; at af<1 the analytic path scales
-		// statically and the emulated path scales per event — both use
-		// isa.RequestsPerAccess so they agree exactly.
-		if analytic.TotalMemRequests() != emulated.TotalMemRequests() {
-			t.Errorf("af=%v: mem requests analytic %d emulated %d",
-				af, analytic.TotalMemRequests(), emulated.TotalMemRequests())
-		}
-		// Block counts agree on the shared prefix.
-		for bi := range emulated.BlockCounts {
-			if analytic.BlockCounts[bi] != emulated.BlockCounts[bi] {
-				t.Errorf("af=%v block %d: counts analytic %d emulated %d",
-					af, bi, analytic.BlockCounts[bi], emulated.BlockCounts[bi])
-			}
-		}
+	}
+	for _, af := range []float64{1.0, 0.5, math.NaN()} {
+		check(fmt.Sprintf("af=%v", af), buildLaunch(5, af))
+	}
+	for _, s := range workloads.All() {
+		app := s.Build(workloads.Config{Scale: 0.01, Seed: 3})
+		check(s.Name+" first", app.Launches[0])
+		check(s.Name+" last", app.Launches[len(app.Launches)-1])
 	}
 }
 

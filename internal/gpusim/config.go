@@ -7,7 +7,8 @@
 // latencies are naturally variable (the premise of the paper's §IV-A
 // model).
 //
-// The simulator is trace driven: it consumes a trace.Provider. It exposes
+// The simulator is trace driven: it reads each warp's instructions from the
+// launch's lazily expanded synthetic trace (trace.Synthetic). It exposes
 // the hooks the sampling layers need — thread-block dispatch/retire events,
 // a skip decision point for fast-forwarding, sampling-unit tracking by
 // "specified thread block" (§IV-B2), fixed-size sampling units with

@@ -507,14 +507,7 @@ func (sh *parShard) wake(sm *smState, ref warpRef, cycle, at int64) {
 func (sh *parShard) issue(sm *smState, ref warpRef, cycle int64) {
 	rs := sh.rs
 	tb := &rs.tbs[ref.slot]
-	w := &tb.warps[ref.w]
-	var ev trace.Event
-	var ok bool
-	if w.stream == nil {
-		ev, ok = w.synth.Next(sh.addrs[:])
-	} else {
-		ev, ok = w.stream.Next(sh.addrs[:])
-	}
+	ev, ok := tb.warps[ref.w].stream.Next(sh.addrs[:])
 	if !ok {
 		sh.finishWarp(tb, ref.w, cycle)
 		return
@@ -646,9 +639,6 @@ func (sh *parShard) finishWarp(tb *tbState, wi int32, cycle int64) {
 	}
 	w.done = true
 	tb.live--
-	if tb.live > 0 && len(tb.barWaiting) > 0 && tb.barArrived >= tb.live {
-		sh.releaseBarrier(tb, cycle)
-	}
 	if tb.live == 0 {
 		// Global retirement (hooks, liveTBs, redispatch) happens at the
 		// barrier; recording it here keeps the epoch loop worker-pure.

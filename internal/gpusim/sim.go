@@ -44,13 +44,9 @@ func MustNew(cfg Config) *Simulator {
 func (s *Simulator) Config() Config { return s.cfg }
 
 type warpState struct {
-	// synth is the warp's instruction stream when the provider is the
-	// synthetic expander (the overwhelmingly common case): embedding it by
-	// value lets issue() call Next without allocation or interface
-	// dispatch. stream is non-nil for any other provider and takes
-	// precedence.
-	synth  trace.SynthStream
-	stream trace.Stream
+	// stream is the warp's instruction stream, embedded by value so issue()
+	// calls Next without an allocation per warp.
+	stream trace.SynthStream
 	done   bool
 }
 
@@ -268,8 +264,7 @@ func (c *calendar) pullDueMask(cycle int64, due []uint64) bool {
 // runState bundles the mutable state of one launch simulation.
 type runState struct {
 	sim   *Simulator
-	prov  trace.Provider
-	synth *trace.Synthetic // non-nil when prov is the synthetic expander
+	synth trace.Synthetic // the launch's instruction streams
 	opts  RunOptions
 	hk    *Hooks
 	mem   *memSystem
@@ -300,8 +295,8 @@ type runState struct {
 
 	// latTab is Lat.Of with the <1 clamp baked in, indexed by opcode, so
 	// the per-instruction issue path is one table load instead of a
-	// switch. Indexed by the raw uint8 so hand-built traces with invalid
-	// opcodes stay in range.
+	// switch. Indexed by the raw uint8 so every opcode value an ir program
+	// can carry stays in range.
 	latTab [256]int64
 
 	// Observability (see internal/metrics). mc is nil for uninstrumented
@@ -417,15 +412,14 @@ func (s *Simulator) getArena() *runArena {
 }
 
 // reset prepares the arena's runState for a fresh launch simulation.
-func (ar *runArena) reset(s *Simulator, prov trace.Provider, opts RunOptions) *runState {
+func (ar *runArena) reset(s *Simulator, l *kernel.Launch, opts RunOptions) *runState {
 	rs := &ar.rs
 	for i := range ar.sms {
 		ar.sms[i].reset(i)
 	}
 	rs.mem.reset()
 	rs.sim = s
-	rs.prov = prov
-	rs.synth, _ = prov.(*trace.Synthetic)
+	rs.synth = trace.NewSynthetic(l)
 	rs.opts = opts
 	rs.hk = opts.Hooks
 	if rs.hk == nil {
@@ -442,7 +436,7 @@ func (ar *runArena) reset(s *Simulator, prov trace.Provider, opts RunOptions) *r
 	rs.mem.setMetrics(opts.Metrics)
 	rs.res = &LaunchResult{SMs: make([]SMStat, s.cfg.NumSMs)}
 	rs.occ = 0
-	rs.wpb = prov.WarpsPerBlock()
+	rs.wpb = l.Kernel.WarpsPerBlock()
 	rs.cycle = 0
 	rs.free = rs.free[:0]
 	rs.maskWords = (len(ar.sms) + 63) / 64
@@ -459,7 +453,7 @@ func (ar *runArena) reset(s *Simulator, prov trace.Provider, opts RunOptions) *r
 		rs.latTab[op] = lat
 	}
 	rs.nextTB = 0
-	rs.totalTB = prov.NumBlocks()
+	rs.totalTB = l.NumBlocks()
 	rs.liveTBs = 0
 	rs.totalIssued = 0
 	rs.lastDispatch = 0
@@ -488,20 +482,12 @@ func (rs *runState) prepareSlots(n int) {
 	}
 }
 
-// RunLaunch simulates launch l. If opts/Hooks request skipping, skipped
-// blocks retire instantly without being simulated. A custom trace provider
-// can be supplied with RunLaunchProvider; RunLaunch uses the launch's lazy
-// synthetic trace.
+// RunLaunch simulates launch l, reading its warps' instructions from the
+// launch's lazy synthetic trace. If opts/Hooks request skipping, skipped
+// blocks retire instantly without being simulated.
 func (s *Simulator) RunLaunch(l *kernel.Launch, opts RunOptions) *LaunchResult {
-	return s.RunLaunchProvider(l, trace.NewSynthetic(l), opts)
-}
-
-// RunLaunchProvider simulates launch l reading instructions from prov.
-// The launch supplies only occupancy-relevant resource demands; the
-// instruction stream comes entirely from prov.
-func (s *Simulator) RunLaunchProvider(l *kernel.Launch, prov trace.Provider, opts RunOptions) *LaunchResult {
 	ar := s.getArena()
-	rs := ar.reset(s, prov, opts)
+	rs := ar.reset(s, l, opts)
 	rs.occ = s.cfg.Limits.BlocksPerSM(l.Kernel)
 	rs.prepareSlots(s.cfg.NumSMs * rs.occ)
 	if w := opts.Workers; w > 1 && s.cfg.NumSMs > 1 {
@@ -511,7 +497,7 @@ func (s *Simulator) RunLaunchProvider(l *kernel.Launch, prov trace.Provider, opt
 	}
 	res := rs.res
 	rs.res = nil
-	rs.prov = nil
+	rs.synth = trace.Synthetic{}
 	rs.opts = RunOptions{}
 	rs.hk = nil
 	rs.mc = nil
@@ -784,12 +770,7 @@ func (rs *runState) dispatchOne(sm *smState) bool {
 		for w := 0; w < rs.wpb; w++ {
 			ws := &st.warps[w]
 			ws.done = false
-			if rs.synth != nil {
-				ws.stream = nil
-				rs.synth.InitStream(&ws.synth, tb, w)
-			} else {
-				ws.stream = rs.prov.WarpStream(tb, w)
-			}
+			rs.synth.InitStream(&ws.stream, tb, w)
 			// Deterministic start jitter decorrelates execution phases.
 			// Blocks of the initial fill get a large jitter (they would
 			// otherwise run in lockstep cohorts that take many occupancy
@@ -849,17 +830,11 @@ func (rs *runState) wake(ref warpRef, at int64) {
 
 func (rs *runState) issue(sm *smState, ref warpRef) {
 	tb := &rs.tbs[ref.slot]
-	w := &tb.warps[ref.w]
-	var ev trace.Event
-	var ok bool
-	if w.stream == nil {
-		ev, ok = w.synth.Next(rs.addrs[:])
-	} else {
-		ev, ok = w.stream.Next(rs.addrs[:])
-	}
+	ev, ok := tb.warps[ref.w].stream.Next(rs.addrs[:])
 	if !ok {
-		// Streams end exactly at EXIT; a bare end is treated as an exit to
-		// stay robust against hand-built traces.
+		// A validated program's streams end exactly at EXIT; a bare end is
+		// treated as an exit so an unvalidated ir program without one still
+		// retires.
 		rs.finishWarp(tb, ref.w)
 		return
 	}
@@ -928,12 +903,9 @@ func (rs *runState) finishWarp(tb *tbState, wi int32) {
 	}
 	w.done = true
 	tb.live--
-	// Warps parked at a barrier can be released by the last non-parked warp
-	// exiting (degenerate kernels only; well-formed kernels barrier before
-	// exiting).
-	if tb.live > 0 && len(tb.barWaiting) > 0 && tb.barArrived >= tb.live {
-		rs.releaseBarrier(tb)
-	}
+	// No warp exits while a sibling waits at a barrier: every warp of a
+	// block reads the same instruction sequence (TestWarpsOfABlockReadOneSequence),
+	// so all of them pass each barrier before any of them exits.
 	if tb.live == 0 {
 		rs.retireTB(tb)
 	}

@@ -463,19 +463,6 @@ func TestDRAMChannelsSpread(t *testing.T) {
 	}
 }
 
-func TestRecordedProviderRun(t *testing.T) {
-	// The simulator accepts recorded traces identically to synthetic ones.
-	simCfg := smallConfig()
-	sim := MustNew(simCfg)
-	l := makeLaunch(memoryKernel(), 6, 4)
-	syn := sim.RunLaunch(l, RunOptions{})
-	rec := sim.RunLaunchProvider(l, recordOf(l), RunOptions{})
-	if syn.Cycles != rec.Cycles || syn.SimulatedWarpInsts != rec.SimulatedWarpInsts {
-		t.Errorf("recorded trace run differs: (%d,%d) vs (%d,%d)",
-			rec.Cycles, rec.SimulatedWarpInsts, syn.Cycles, syn.SimulatedWarpInsts)
-	}
-}
-
 func TestMustNewPanicsOnBadConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {

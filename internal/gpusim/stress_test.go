@@ -4,14 +4,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"tbpoint/internal/isa"
 	"tbpoint/internal/kernel"
-	"tbpoint/internal/trace"
 )
-
-func timeAfter() <-chan time.Time { return time.After(5 * time.Second) }
 
 // randomProgram builds a structurally valid random program from a seed.
 func randomProgram(rng *rand.Rand) *isa.Program {
@@ -288,48 +284,6 @@ func TestWritebackTrafficCounted(t *testing.T) {
 	res := sim.RunLaunch(l, RunOptions{})
 	if res.Writebacks == 0 {
 		t.Error("store-streaming kernel produced no writebacks")
-	}
-}
-
-// TestBarrierReleasedByExitingWarp covers the degenerate kernel where one
-// warp exits without reaching a barrier its sibling is parked at: the
-// sibling must be released rather than deadlocking.
-func TestBarrierReleasedByExitingWarp(t *testing.T) {
-	rec := &trace.Recorded{
-		Warps: 2,
-		Events: [][]trace.RecEvent{
-			{ // warp 0: barrier then exit
-				{Event: trace.Event{Op: isa.OpBAR}},
-				{Event: trace.Event{Op: isa.OpEXIT}},
-			},
-			{ // warp 1: never reaches the barrier
-				{Event: trace.Event{Op: isa.OpIALU}},
-				{Event: trace.Event{Op: isa.OpEXIT}},
-			},
-		},
-	}
-	k := &kernel.Kernel{
-		Name: "degenerate",
-		Program: isa.NewBuilder("d").
-			Block(isa.Barrier()).
-			EndBlock().
-			Build(),
-		ThreadsPerBlock: 64,
-	}
-	l := kernel.NewLaunch(k, 0, make([]kernel.TBParams, 1))
-	sim := MustNew(smallConfig())
-	done := make(chan *LaunchResult, 1)
-	go func() { done <- sim.RunLaunchProvider(l, rec, RunOptions{}) }()
-	select {
-	case res := <-done:
-		if res.SimulatedTBs != 1 {
-			t.Errorf("block never retired: %+v", res)
-		}
-		if res.SimulatedWarpInsts != 4 {
-			t.Errorf("issued %d insts, want 4", res.SimulatedWarpInsts)
-		}
-	case <-timeAfter():
-		t.Fatal("simulation deadlocked on degenerate barrier")
 	}
 }
 

@@ -281,14 +281,20 @@ func RequestsPerAccess(coalesce uint8, activeFrac float64) int {
 	if c > 32 {
 		c = 32
 	}
-	if activeFrac <= 0 {
-		activeFrac = 1
-	} else if activeFrac > 1 {
-		activeFrac = 1
-	}
-	r := int(float64(c)*activeFrac + 0.5)
+	r := int(float64(c)*EffectiveActive(activeFrac) + 0.5)
 	if r < 1 {
 		r = 1
 	}
 	return r
+}
+
+// EffectiveActive returns the active-lane fraction a warp runs with: af when
+// 0 < af <= 1, and 1 (fully active) for anything else, NaN included. Every
+// reader of an active fraction — profiler, trace expander, launch equality —
+// goes through it, so they agree on what a fraction means.
+func EffectiveActive(af float64) float64 {
+	if af > 0 && af <= 1 {
+		return af
+	}
+	return 1
 }

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -122,12 +123,27 @@ func TestRequestsPerAccess(t *testing.T) {
 		{4, 0.1, 1},
 		{8, 0, 8},   // zero activeFrac treated as fully active
 		{8, 2.0, 8}, // clamped above 1
+		{8, math.NaN(), 8},
 		{40, 1, 32}, // clamped coalesce
 	}
 	for _, c := range cases {
 		if got := RequestsPerAccess(c.c, c.af); got != c.want {
 			t.Errorf("RequestsPerAccess(%d,%v) = %d, want %d", c.c, c.af, got, c.want)
 		}
+	}
+}
+
+func TestEffectiveActive(t *testing.T) {
+	for af, want := range map[float64]float64{
+		0.5: 0.5, 1: 1, math.SmallestNonzeroFloat64: math.SmallestNonzeroFloat64,
+		0: 1, -0.5: 1, 1.7: 1, math.Inf(1): 1, math.Inf(-1): 1,
+	} {
+		if got := EffectiveActive(af); got != want {
+			t.Errorf("EffectiveActive(%v) = %v, want %v", af, got, want)
+		}
+	}
+	if got := EffectiveActive(math.NaN()); got != 1 {
+		t.Errorf("EffectiveActive(NaN) = %v, want 1", got)
 	}
 }
 

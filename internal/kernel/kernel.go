@@ -257,11 +257,7 @@ func (l *Launch) ShapeCounts(s int, execs []int64) (threadInsts, warpInsts, memR
 	warpInsts, memReqs = l.Kernel.Program.Count(sh.Trips, sh.ActiveFrac, execs)
 	warpInsts *= warps
 	memReqs *= warps
-	af := sh.ActiveFrac
-	if af <= 0 || af > 1 {
-		af = 1
-	}
-	return int64(float64(warpInsts) * WarpSize * af), warpInsts, memReqs
+	return int64(float64(warpInsts) * WarpSize * isa.EffectiveActive(sh.ActiveFrac)), warpInsts, memReqs
 }
 
 // ShapeBlocks returns how many thread blocks have each shape, indexed like

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -22,9 +23,9 @@ const (
 	numMuts
 )
 
-// activeFracs are the fractions mutActive picks from: 0, 1, 1.7 and -1 all
-// run fully active (InitStream's clamp); 0.5 and 0.25 do not.
-var activeFracs = []float64{0, 1, 1.7, -1, 0.5, 0.25}
+// activeFracs are the fractions mutActive picks from: 0, 1, 1.7, -1 and NaN
+// all run fully active (isa.EffectiveActive); 0.5 and 0.25 do not.
+var activeFracs = []float64{0, 1, 1.7, -1, 0.5, 0.25, math.NaN()}
 
 // pairFrom decodes two small launches from fuzz input. Bit 0 of data[0]
 // picks the base launch a — three blocks of testLaunch (no Random access) or
@@ -82,7 +83,7 @@ func checkSameInput(t *testing.T, a, b *kernel.Launch) bool {
 	if SameInput(b, a) != same {
 		t.Fatalf("SameInput is not symmetric: a,b %v", same)
 	}
-	if same && !reflect.DeepEqual(Record(NewSynthetic(a)), Record(NewSynthetic(b))) {
+	if same && !reflect.DeepEqual(Record(a), Record(b)) {
 		t.Fatal("SameInput is true for launches whose recorded streams differ")
 	}
 	return same
@@ -104,6 +105,7 @@ var sameInputTable = []struct {
 	{"ActiveFrac 1 -> 0", []byte{0, mutActive, 0, 0}, true},
 	{"ActiveFrac 1 -> 1.7", []byte{1, mutActive, 2, 2}, true},
 	{"ActiveFrac 1 -> -1", []byte{0, mutActive, 1, 3}, true},
+	{"ActiveFrac 1 -> NaN", []byte{1, mutActive, 2, 6}, true},
 	{"ActiveFrac 0 and 1.7 across blocks", []byte{0, mutActive, 0, 0, mutActive, 1, 2}, true},
 	{"ActiveFrac 0 and 1.7 alternating against one shape", alternating, true},
 	{"one trip", []byte{0, mutTrip, 2, 5}, false},
@@ -141,7 +143,7 @@ func TestSameInputMutationTable(t *testing.T) {
 }
 
 // TestSameInputImpliesEqualStreams is the property over generated pairs:
-// whenever the predicate holds, the recorded traces are deep-equal. The
+// whenever the predicate holds, the recorded streams are deep-equal. The
 // generator mutates a copy, so both outcomes occur often.
 func TestSameInputImpliesEqualStreams(t *testing.T) {
 	rng := stats.NewRNG(20)

@@ -1,17 +1,12 @@
-// Package trace provides the instruction-trace substrate the timing
-// simulator consumes. Macsim — the simulator the paper builds on — is
-// trace-driven; our equivalent is the Provider interface, which yields the
-// dynamic warp-instruction stream of every (thread block, warp) pair of a
-// kernel launch.
+// Package trace provides the instruction trace the timing simulator
+// consumes. Macsim — the simulator the paper builds on — is trace-driven;
+// our equivalent is Synthetic, which expands a kernel.Launch lazily from its
+// IR and per-block parameters into the dynamic warp-instruction stream of
+// every (thread block, warp) pair, so launches with hundreds of thousands of
+// thread blocks are never materialised in memory. There is no on-disk trace.
 //
-// Two implementations are provided:
-//
-//   - Synthetic expands a kernel.Launch lazily from its IR and per-block
-//     parameters, so launches with hundreds of thousands of thread blocks
-//     are never materialised in memory.
-//   - Recorded holds a fully materialised trace, either captured from any
-//     other Provider or decoded from the binary on-disk format
-//     (see file.go), and is what cmd/tracegen manipulates.
+// SameInput decides whether two launches expand to the same streams, and
+// Record materialises a launch's streams as the test oracle for it.
 package trace
 
 import (
@@ -39,24 +34,6 @@ type Event struct {
 	Block uint16
 	// NumReq is the number of memory requests (memory opcodes only).
 	NumReq uint8
-}
-
-// Stream yields the dynamic instructions of one warp in order. For memory
-// instructions, Next fills addrs[:ev.NumReq] with the request line
-// addresses; addrs must have room for MaxRequests entries.
-type Stream interface {
-	Next(addrs []uint64) (ev Event, ok bool)
-}
-
-// Provider yields instruction streams for every warp of a launch.
-type Provider interface {
-	// NumBlocks returns the number of thread blocks in the launch.
-	NumBlocks() int
-	// WarpsPerBlock returns the warps per thread block.
-	WarpsPerBlock() int
-	// WarpStream returns a fresh stream over warp w of thread block tb.
-	// Streams are independent; multiple may be open concurrently.
-	WarpStream(tb, w int) Stream
 }
 
 // AddrConfig controls synthetic address generation.
@@ -93,24 +70,15 @@ type Synthetic struct {
 	Addr   AddrConfig
 }
 
-// NewSynthetic returns a lazy provider over l with default address
+// NewSynthetic returns the lazy expansion of l with default address
 // generation.
-func NewSynthetic(l *kernel.Launch) *Synthetic {
-	return &Synthetic{Launch: l, Addr: DefaultAddrConfig()}
+func NewSynthetic(l *kernel.Launch) Synthetic {
+	return Synthetic{Launch: l, Addr: DefaultAddrConfig()}
 }
 
-// NumBlocks implements Provider.
-func (s *Synthetic) NumBlocks() int { return s.Launch.NumBlocks() }
-
-// WarpsPerBlock implements Provider.
-func (s *Synthetic) WarpsPerBlock() int { return s.Launch.Kernel.WarpsPerBlock() }
-
-// WarpStream implements Provider.
-func (s *Synthetic) WarpStream(tb, w int) Stream {
-	// One allocation per stream: the cursor and RNG are embedded by value
-	// (a launch opens one stream per warp, so per-stream allocations are a
-	// measurable share of simulation time). Callers that manage their own
-	// storage can avoid even that via InitStream.
+// WarpStream returns a fresh stream over warp w of thread block tb. Streams
+// are independent; multiple may be open concurrently.
+func (s *Synthetic) WarpStream(tb, w int) *SynthStream {
 	st := new(SynthStream)
 	s.InitStream(st, tb, w)
 	return st
@@ -118,25 +86,15 @@ func (s *Synthetic) WarpStream(tb, w int) Stream {
 
 // InitStream resets a caller-owned SynthStream to warp w of thread block
 // tb, reusing its storage. The timing simulator embeds SynthStream by value
-// in per-warp state and calls Next non-virtually, which removes both the
-// per-stream allocation and the per-instruction interface dispatch from the
+// in per-warp state, which keeps the per-stream allocation off the
 // simulation hot path.
 func (s *Synthetic) InitStream(st *SynthStream, tb, w int) {
 	sh := s.Launch.Shape(tb)
 	st.cfg = s.Addr
 	st.strideOff = uint64(tb)*s.Addr.TBFootprintB + uint64(w)*s.Addr.WarpFootprintB
-	st.af = effectiveActive(sh.ActiveFrac)
+	st.af = isa.EffectiveActive(sh.ActiveFrac)
 	st.cur.Init(s.Launch.Kernel.Program, sh.Trips)
 	st.rng.Seed(s.Launch.Seeds[tb] ^ (uint64(w)+1)*0x9e3779b97f4a7c15)
-}
-
-// effectiveActive is the active-lane fraction a stream runs with: anything
-// outside (0, 1] means fully active.
-func effectiveActive(af float64) float64 {
-	if af <= 0 || af > 1 {
-		return 1
-	}
-	return af
 }
 
 // SameInput reports whether launches a and b present the timing simulator
@@ -169,7 +127,7 @@ func SameInput(a, b *kernel.Launch) bool {
 		}
 		p, q := &a.Shapes[sa], &b.Shapes[sb]
 		if !slices.Equal(p.Trips, q.Trips) ||
-			effectiveActive(p.ActiveFrac) != effectiveActive(q.ActiveFrac) {
+			isa.EffectiveActive(p.ActiveFrac) != isa.EffectiveActive(q.ActiveFrac) {
 			return false
 		}
 		same[sa] = sb + 1
@@ -189,7 +147,7 @@ func readsRNG(p *isa.Program) bool {
 	return false
 }
 
-// SynthStream is the concrete stream type produced by Synthetic. It is
+// SynthStream yields the dynamic instructions of one warp in order. It is
 // exported so hot callers can embed it by value (see InitStream).
 type SynthStream struct {
 	cur isa.Cursor
@@ -205,7 +163,10 @@ type SynthStream struct {
 // regionBase gives each region a disjoint 1TB address window.
 func regionBase(region uint8) uint64 { return uint64(region) << 40 }
 
-// Next implements Stream.
+// Next returns the warp's next instruction and true, or false once the
+// stream has ended. For a memory instruction ev it fills addrs[:ev.NumReq]
+// with the request line addresses; addrs must have room for MaxRequests
+// entries.
 func (st *SynthStream) Next(addrs []uint64) (Event, bool) {
 	d, ok := st.cur.Next()
 	if !ok {
@@ -257,72 +218,34 @@ func (st *SynthStream) Next(addrs []uint64) (Event, bool) {
 	return ev, true
 }
 
-// Recorded is a fully materialised trace; it implements Provider.
-type Recorded struct {
-	Warps  int // warps per block
-	Events [][]RecEvent
-	// Events is indexed by tb*Warps + w.
-}
-
 // RecEvent is a materialised event with its request addresses.
 type RecEvent struct {
 	Event
 	Addrs []uint64
 }
 
-// NumBlocks implements Provider.
-func (r *Recorded) NumBlocks() int {
-	if r.Warps == 0 {
-		return 0
-	}
-	return len(r.Events) / r.Warps
-}
-
-// WarpsPerBlock implements Provider.
-func (r *Recorded) WarpsPerBlock() int { return r.Warps }
-
-// WarpStream implements Provider.
-func (r *Recorded) WarpStream(tb, w int) Stream {
-	return &recStream{evs: r.Events[tb*r.Warps+w]}
-}
-
-type recStream struct {
-	evs []RecEvent
-	i   int
-}
-
-func (rs *recStream) Next(addrs []uint64) (Event, bool) {
-	if rs.i >= len(rs.evs) {
-		return Event{}, false
-	}
-	e := rs.evs[rs.i]
-	rs.i++
-	copy(addrs, e.Addrs)
-	return e.Event, true
-}
-
-// Record materialises any provider into a Recorded trace.
-func Record(p Provider) *Recorded {
-	nb, wpb := p.NumBlocks(), p.WarpsPerBlock()
-	r := &Recorded{Warps: wpb, Events: make([][]RecEvent, nb*wpb)}
+// Record materialises every warp stream of l, indexed by
+// tb*WarpsPerBlock + w. It is a test oracle — equal records are what
+// SameInput promises — and never an input to the simulator.
+func Record(l *kernel.Launch) [][]RecEvent {
+	syn := NewSynthetic(l)
+	wpb := l.Kernel.WarpsPerBlock()
+	out := make([][]RecEvent, l.NumBlocks()*wpb)
+	var st SynthStream
 	var buf [MaxRequests]uint64
-	for tb := 0; tb < nb; tb++ {
-		for w := 0; w < wpb; w++ {
-			st := p.WarpStream(tb, w)
-			var evs []RecEvent
-			for {
-				ev, ok := st.Next(buf[:])
-				if !ok {
-					break
-				}
-				re := RecEvent{Event: ev}
-				if ev.NumReq > 0 {
-					re.Addrs = append([]uint64(nil), buf[:ev.NumReq]...)
-				}
-				evs = append(evs, re)
+	for i := range out {
+		syn.InitStream(&st, i/wpb, i%wpb)
+		for {
+			ev, ok := st.Next(buf[:])
+			if !ok {
+				break
 			}
-			r.Events[tb*wpb+w] = evs
+			re := RecEvent{Event: ev}
+			if ev.NumReq > 0 {
+				re.Addrs = slices.Clone(buf[:ev.NumReq])
+			}
+			out[i] = append(out[i], re)
 		}
 	}
-	return r
+	return out
 }

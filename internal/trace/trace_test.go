@@ -1,9 +1,8 @@
 package trace
 
 import (
-	"bytes"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"tbpoint/internal/isa"
 	"tbpoint/internal/kernel"
@@ -37,11 +36,13 @@ func irregularLaunch(nBlocks int) *kernel.Launch {
 	return kernel.NewLaunch(k, 0, params)
 }
 
-func drain(p Provider) (events int64, memReqs int64) {
+// drain walks every warp stream of l and counts its events and requests.
+func drain(l *kernel.Launch) (events int64, memReqs int64) {
+	syn := NewSynthetic(l)
 	var addrs [MaxRequests]uint64
-	for tb := 0; tb < p.NumBlocks(); tb++ {
-		for w := 0; w < p.WarpsPerBlock(); w++ {
-			st := p.WarpStream(tb, w)
+	for tb := 0; tb < l.NumBlocks(); tb++ {
+		for w := 0; w < l.Kernel.WarpsPerBlock(); w++ {
+			st := syn.WarpStream(tb, w)
 			for {
 				ev, ok := st.Next(addrs[:])
 				if !ok {
@@ -57,8 +58,7 @@ func drain(p Provider) (events int64, memReqs int64) {
 
 func TestSyntheticMatchesStaticCounts(t *testing.T) {
 	l := testLaunch(5)
-	p := NewSynthetic(l)
-	events, memReqs := drain(p)
+	events, memReqs := drain(l)
 	var wantEvents, wantReqs int64
 	for tb := 0; tb < l.NumBlocks(); tb++ {
 		wantEvents += l.WarpInsts(tb)
@@ -78,7 +78,7 @@ func TestSyntheticDeterminism(t *testing.T) {
 		var out []uint64
 		var addrs [MaxRequests]uint64
 		p := NewSynthetic(l)
-		for tb := 0; tb < p.NumBlocks(); tb++ {
+		for tb := 0; tb < l.NumBlocks(); tb++ {
 			st := p.WarpStream(tb, 0)
 			for {
 				ev, ok := st.Next(addrs[:])
@@ -105,8 +105,8 @@ func TestSyntheticAddressesLineAligned(t *testing.T) {
 	for _, l := range []*kernel.Launch{testLaunch(3), irregularLaunch(3)} {
 		p := NewSynthetic(l)
 		var addrs [MaxRequests]uint64
-		for tb := 0; tb < p.NumBlocks(); tb++ {
-			for w := 0; w < p.WarpsPerBlock(); w++ {
+		for tb := 0; tb < l.NumBlocks(); tb++ {
+			for w := 0; w < l.Kernel.WarpsPerBlock(); w++ {
 				st := p.WarpStream(tb, w)
 				for {
 					ev, ok := st.Next(addrs[:])
@@ -130,7 +130,7 @@ func TestSyntheticBlocksTouchDistinctLines(t *testing.T) {
 	lines := func(tb int) map[uint64]bool {
 		m := map[uint64]bool{}
 		var addrs [MaxRequests]uint64
-		for w := 0; w < p.WarpsPerBlock(); w++ {
+		for w := 0; w < l.Kernel.WarpsPerBlock(); w++ {
 			st := p.WarpStream(tb, w)
 			for {
 				ev, ok := st.Next(addrs[:])
@@ -152,122 +152,36 @@ func TestSyntheticBlocksTouchDistinctLines(t *testing.T) {
 	}
 }
 
+// TestRecordRoundTrip: Record keeps every event and request of the streams
+// it materialises, addresses included, so comparing records compares
+// streams.
 func TestRecordRoundTrip(t *testing.T) {
-	l := testLaunch(4)
-	syn := NewSynthetic(l)
-	rec := Record(syn)
-	if rec.NumBlocks() != syn.NumBlocks() || rec.WarpsPerBlock() != syn.WarpsPerBlock() {
-		t.Fatalf("recorded shape mismatch")
-	}
-	e1, m1 := drain(syn)
-	e2, m2 := drain(rec)
-	if e1 != e2 || m1 != m2 {
-		t.Errorf("recorded counts (%d,%d) != synthetic (%d,%d)", e2, m2, e1, m1)
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	l := testLaunch(4)
-	syn := NewSynthetic(l)
-	var buf bytes.Buffer
-	if err := Write(&buf, syn); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	rec, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	want := Record(syn)
-	if len(rec.Events) != len(want.Events) {
-		t.Fatalf("stream count %d, want %d", len(rec.Events), len(want.Events))
-	}
-	for s := range want.Events {
-		if len(rec.Events[s]) != len(want.Events[s]) {
-			t.Fatalf("stream %d: %d events, want %d", s, len(rec.Events[s]), len(want.Events[s]))
+	for _, l := range []*kernel.Launch{testLaunch(4), irregularLaunch(3)} {
+		rec := Record(l)
+		wpb := l.Kernel.WarpsPerBlock()
+		if len(rec) != l.NumBlocks()*wpb {
+			t.Fatalf("%d recorded streams, want %d", len(rec), l.NumBlocks()*wpb)
 		}
-		for e := range want.Events[s] {
-			g, w := rec.Events[s][e], want.Events[s][e]
-			if g.Event != w.Event {
-				t.Fatalf("stream %d event %d: %+v != %+v", s, e, g.Event, w.Event)
-			}
-			for i := range w.Addrs {
-				if g.Addrs[i] != w.Addrs[i] {
-					t.Fatalf("stream %d event %d addr %d: %#x != %#x", s, e, i, g.Addrs[i], w.Addrs[i])
+		syn := NewSynthetic(l)
+		var addrs [MaxRequests]uint64
+		var events, memReqs int64
+		for i, evs := range rec {
+			st := syn.WarpStream(i/wpb, i%wpb)
+			for _, re := range evs {
+				ev, ok := st.Next(addrs[:])
+				if !ok || ev != re.Event || !slices.Equal(addrs[:ev.NumReq], re.Addrs) {
+					t.Fatalf("stream %d: recorded %+v, stream %+v (%v)", i, re, ev, ok)
 				}
+				events++
+				memReqs += int64(len(re.Addrs))
+			}
+			if _, ok := st.Next(addrs[:]); ok {
+				t.Fatalf("stream %d: record ends before the stream", i)
 			}
 		}
-	}
-}
-
-func TestFileRoundTripIrregular(t *testing.T) {
-	l := irregularLaunch(3)
-	var buf bytes.Buffer
-	if err := Write(&buf, NewSynthetic(l)); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	rec, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	e1, m1 := drain(NewSynthetic(l))
-	e2, m2 := drain(rec)
-	if e1 != e2 || m1 != m2 {
-		t.Errorf("file round trip lost events: (%d,%d) != (%d,%d)", e2, m2, e1, m1)
-	}
-}
-
-func TestReadRejectsBadMagic(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("NOTATRACE"))); err == nil {
-		t.Error("accepted bad magic")
-	}
-}
-
-func TestReadRejectsTruncated(t *testing.T) {
-	l := testLaunch(2)
-	var buf bytes.Buffer
-	if err := Write(&buf, NewSynthetic(l)); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, cut := range []int{4, 9, len(data) / 2, len(data) - 2} {
-		if _, err := Read(bytes.NewReader(data[:cut])); err == nil {
-			t.Errorf("accepted trace truncated at %d", cut)
+		if e, m := drain(l); e != events || m != memReqs {
+			t.Errorf("recorded counts (%d,%d) != stream counts (%d,%d)", events, memReqs, e, m)
 		}
-	}
-}
-
-func TestReadRejectsCorrupted(t *testing.T) {
-	l := testLaunch(2)
-	var buf bytes.Buffer
-	if err := Write(&buf, NewSynthetic(l)); err != nil {
-		t.Fatal(err)
-	}
-	data := append([]byte(nil), buf.Bytes()...)
-	data[len(data)/2] ^= 0xff
-	if _, err := Read(bytes.NewReader(data)); err == nil {
-		t.Error("accepted corrupted trace (checksum should fail)")
-	}
-}
-
-func TestZigzagRoundTrip(t *testing.T) {
-	f := func(v int64) bool { return unzigzag(zigzag(v)) == v }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEmptyProviderRoundTrip(t *testing.T) {
-	empty := &Recorded{Warps: 2, Events: nil}
-	var buf bytes.Buffer
-	if err := Write(&buf, empty); err != nil {
-		t.Fatalf("Write empty: %v", err)
-	}
-	rec, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read empty: %v", err)
-	}
-	if rec.NumBlocks() != 0 {
-		t.Errorf("NumBlocks = %d, want 0", rec.NumBlocks())
 	}
 }
 
@@ -275,76 +189,5 @@ func TestDefaultAddrConfig(t *testing.T) {
 	c := DefaultAddrConfig()
 	if c.TBFootprintB == 0 || c.WarpFootprintB == 0 || c.RandFootprintB == 0 {
 		t.Error("zero defaults")
-	}
-}
-
-func TestGzipRoundTrip(t *testing.T) {
-	l := testLaunch(4)
-	var plain, packed bytes.Buffer
-	if err := Write(&plain, NewSynthetic(l)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteGzip(&packed, NewSynthetic(l)); err != nil {
-		t.Fatal(err)
-	}
-	if packed.Len() >= plain.Len() {
-		t.Errorf("gzip trace %d bytes not smaller than plain %d", packed.Len(), plain.Len())
-	}
-	rec, err := Read(&packed)
-	if err != nil {
-		t.Fatalf("Read(gzip): %v", err)
-	}
-	want := Record(NewSynthetic(l))
-	if len(rec.Events) != len(want.Events) {
-		t.Fatalf("stream count mismatch")
-	}
-	e1, m1 := drain(rec)
-	e2, m2 := drain(want)
-	if e1 != e2 || m1 != m2 {
-		t.Error("gzip round trip lost events")
-	}
-}
-
-func TestGzipCorruptionDetected(t *testing.T) {
-	l := testLaunch(2)
-	var buf bytes.Buffer
-	if err := WriteGzip(&buf, NewSynthetic(l)); err != nil {
-		t.Fatal(err)
-	}
-	data := append([]byte(nil), buf.Bytes()...)
-	data[len(data)/2] ^= 0xff
-	if _, err := Read(bytes.NewReader(data)); err == nil {
-		t.Error("corrupted gzip trace accepted")
-	}
-}
-
-func TestReadEmptyInput(t *testing.T) {
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
-// errWriter fails after n bytes, exercising Write's error propagation.
-type errWriter struct{ left int }
-
-func (w *errWriter) Write(p []byte) (int, error) {
-	if len(p) > w.left {
-		n := w.left
-		w.left = 0
-		return n, bytes.ErrTooLarge
-	}
-	w.left -= len(p)
-	return len(p), nil
-}
-
-func TestWritePropagatesErrors(t *testing.T) {
-	l := testLaunch(3)
-	for _, budget := range []int{0, 4, 64} {
-		if err := Write(&errWriter{left: budget}, NewSynthetic(l)); err == nil {
-			t.Errorf("budget %d: error swallowed", budget)
-		}
-	}
-	if err := WriteGzip(&errWriter{left: 8}, NewSynthetic(l)); err == nil {
-		t.Error("gzip error swallowed")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tbpoint/internal/funcsim"
+	"tbpoint/internal/isa"
 	"tbpoint/internal/kernel"
 	"tbpoint/internal/stats"
 	"tbpoint/internal/trace"
@@ -27,12 +28,8 @@ func perBlockProfile(l *kernel.Launch) *funcsim.LaunchProfile {
 	for tb := range lp.Blocks {
 		p := l.Params(tb)
 		warpInsts, memReqs := prog.Count(p.Trips, p.ActiveFrac, lp.BlockCounts)
-		af := p.ActiveFrac
-		if af <= 0 || af > 1 {
-			af = 1
-		}
 		lp.Blocks[tb] = funcsim.TBProfile{
-			ThreadInsts: int64(float64(warpInsts*warps) * kernel.WarpSize * af),
+			ThreadInsts: int64(float64(warpInsts*warps) * kernel.WarpSize * isa.EffectiveActive(p.ActiveFrac)),
 			WarpInsts:   warpInsts * warps,
 			MemRequests: memReqs * warps,
 		}
@@ -84,7 +81,7 @@ func TestStreamsMatchBlockByBlockRebuild(t *testing.T) {
 			if !trace.SameInput(l, rebuilt) {
 				t.Errorf("%s launch %d: rebuilt launch is not the same input", s.Name, li)
 			}
-			if !reflect.DeepEqual(trace.Record(trace.NewSynthetic(l)), trace.Record(trace.NewSynthetic(rebuilt))) {
+			if !reflect.DeepEqual(trace.Record(l), trace.Record(rebuilt)) {
 				t.Errorf("%s launch %d: rebuilt launch records different streams", s.Name, li)
 			}
 		}

@@ -37,8 +37,8 @@
 #   fuzz       10s fuzz smoke over each existing fuzz target: the launch
 #              builder (blocks read back bit for bit, one table entry per
 #              bit-distinct shape, also with every shape in one bucket), the
-#              trace decoder, the launch-equality predicate behind
-#              reference-run launch reuse (equal => same recorded streams),
+#              launch-equality predicate behind reference-run launch reuse
+#              (equal => same recorded streams),
 #              the region table and profile readers, the reference replay
 #              (an arbitrary block order and unit list is refused or
 #              finished, never a panic or an out-of-range block), the
@@ -82,7 +82,6 @@ stage_e2e() { go test -race ./internal/e2e/; }
 fuzz() { go test -run='^$' -fuzz="^$1\$" -fuzztime=10s "$2"; }
 stage_fuzz() {
   fuzz FuzzLaunchBuilder ./internal/kernel/ &&
-    fuzz FuzzRead ./internal/trace/ &&
     fuzz FuzzSameInput ./internal/trace/ &&
     fuzz FuzzReadRegionTable ./internal/core/ &&
     fuzz FuzzReadProfiles ./internal/core/ &&
