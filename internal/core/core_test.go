@@ -517,11 +517,13 @@ func TestSampleLaunchRepeatable(t *testing.T) {
 // 512 MB.
 func TestIdentifyRegionsMemoryLinearInEpochs(t *testing.T) {
 	const epochs, occ = 8192, 4
-	lp := fakeProfile(epochs*occ, 100)
-	for tb := range lp.Blocks {
+	rows := make([]funcsim.TBProfile, epochs*occ)
+	for tb := range rows {
 		// Two phases of memory intensity with a slow drift inside each.
-		lp.Blocks[tb].MemRequests = int64(10 + 40*(tb*2/len(lp.Blocks)) + tb/occ%7)
+		rows[tb] = funcsim.TBProfile{WarpInsts: 100, ThreadInsts: 3200,
+			MemRequests: int64(10 + 40*(tb*2/len(rows)) + tb/occ%7)}
 	}
+	lp := internProfile(rows, nil)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	rt := IdentifyRegions(lp, occ, 0.2, 0.3)

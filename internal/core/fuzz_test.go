@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,9 +56,11 @@ func FuzzReadRegionTable(f *testing.F) {
 	})
 }
 
-// FuzzReadProfiles checks the profile loader never panics and that every
+// FuzzReadProfiles checks the profile loader never panics, that every
 // accepted profile carries only non-negative counters — the invariant
-// SampleLaunch's skipped-instruction accounting relies on.
+// SampleLaunch's skipped-instruction accounting relies on — and that its
+// interning is exact: every block indexes a stored row, and writing the
+// profile back out gives the file's per-block rows.
 func FuzzReadProfiles(f *testing.F) {
 	f.Add(`{"format":"tbpoint-profile-v1","app":"x","launches":[
 	        {"blocks":[{"ThreadInsts":64,"WarpInsts":2,"MemRequests":1}],"blockCounts":[2]}]}`)
@@ -64,6 +69,10 @@ func FuzzReadProfiles(f *testing.F) {
 	        {"blocks":[{"ThreadInsts":64,"WarpInsts":-2,"MemRequests":1}],"blockCounts":[2]}]}`)
 	f.Add(`{"format":"tbpoint-profile-v1","app":"x","launches":[
 	        {"blocks":[{"ThreadInsts":64,"WarpInsts":2,"MemRequests":1}],"blockCounts":[-9]}]}`)
+	f.Add(`{"format":"tbpoint-profile-v1","app":"x","launches":[
+	        {"blocks":[{"ThreadInsts":64,"WarpInsts":2,"MemRequests":1},{"ThreadInsts":64,"WarpInsts":2,"MemRequests":0},
+	                   {"ThreadInsts":64,"WarpInsts":2,"MemRequests":1}],"blockCounts":[2,4]},
+	        {"blocks":[],"blockCounts":[]}]}`)
 	f.Add(`{}`)
 	f.Add(`not json`)
 
@@ -72,10 +81,27 @@ func FuzzReadProfiles(f *testing.F) {
 		if err != nil {
 			return
 		}
+		var in, out profileFile
+		var buf bytes.Buffer
+		if err := WriteProfiles(&buf, "", profiles); err != nil {
+			t.Fatalf("accepted profile does not write: %v", err)
+		}
+		if json.NewDecoder(strings.NewReader(data)).Decode(&in) != nil || json.Unmarshal(buf.Bytes(), &out) != nil ||
+			len(in.Launches) != len(out.Launches) {
+			t.Fatalf("accepted profile re-encodes to %d launches, file has %d", len(out.Launches), len(in.Launches))
+		}
 		for li, lp := range profiles {
-			for tb, p := range lp.Blocks {
+			for tb, s := range lp.ShapeOf {
+				if int(s) >= len(lp.Shapes) {
+					t.Fatalf("accepted profile launch %d block %d indexes row %d of %d", li, tb, s, len(lp.Shapes))
+				}
+			}
+			if !slices.Equal(out.Launches[li].Blocks, in.Launches[li].Blocks) {
+				t.Fatalf("accepted profile launch %d re-encodes to rows %v, file has %v", li, out.Launches[li].Blocks, in.Launches[li].Blocks)
+			}
+			for s, p := range lp.Shapes {
 				if p.WarpInsts < 0 || p.ThreadInsts < 0 || p.MemRequests < 0 {
-					t.Fatalf("accepted profile launch %d block %d has negative counters %+v", li, tb, p)
+					t.Fatalf("accepted profile launch %d row %d has negative counters %+v", li, s, p)
 				}
 			}
 			for b, c := range lp.BlockCounts {

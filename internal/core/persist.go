@@ -88,7 +88,8 @@ func ReadRegionTable(r io.Reader) (*RegionTable, error) {
 
 // profileFile is the on-disk form of the one-time functional profile. Only
 // the profiled counters are stored — the launches themselves are rebuilt
-// from the workload definition (they are needed to simulate anyway).
+// from the workload definition (they are needed to simulate anyway), with
+// one counter row per thread block.
 type profileFile struct {
 	Format   string              `json:"format"`
 	App      string              `json:"app"`
@@ -107,10 +108,11 @@ const profileFormat = "tbpoint-profile-v1"
 func WriteProfiles(w io.Writer, appName string, profiles []*funcsim.LaunchProfile) error {
 	f := profileFile{Format: profileFormat, App: appName}
 	for _, lp := range profiles {
-		f.Launches = append(f.Launches, launchProfileFile{
-			Blocks:      lp.Blocks,
-			BlockCounts: lp.BlockCounts,
-		})
+		rows := make([]funcsim.TBProfile, lp.NumBlocks())
+		for tb := range rows {
+			rows[tb] = lp.Block(tb)
+		}
+		f.Launches = append(f.Launches, launchProfileFile{Blocks: rows, BlockCounts: lp.BlockCounts})
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(f)
@@ -171,7 +173,24 @@ func ReadProfiles(r io.Reader, appName string) ([]*funcsim.LaunchProfile, error)
 					i, b, c)
 			}
 		}
-		out[i] = &funcsim.LaunchProfile{Blocks: lf.Blocks, BlockCounts: lf.BlockCounts}
+		out[i] = internProfile(lf.Blocks, lf.BlockCounts)
 	}
 	return out, nil
+}
+
+// internProfile builds a launch profile from per-block counter rows, storing
+// each distinct row (all three counters equal) once, in first-seen order.
+func internProfile(rows []funcsim.TBProfile, blockCounts []int64) *funcsim.LaunchProfile {
+	lp := &funcsim.LaunchProfile{ShapeOf: make([]uint32, len(rows)), BlockCounts: blockCounts}
+	index := map[funcsim.TBProfile]uint32{}
+	for tb, p := range rows {
+		s, ok := index[p]
+		if !ok {
+			s = uint32(len(lp.Shapes))
+			index[p] = s
+			lp.Shapes = append(lp.Shapes, p)
+		}
+		lp.ShapeOf[tb] = s
+	}
+	return lp
 }

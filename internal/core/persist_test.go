@@ -5,12 +5,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"tbpoint/internal/durable"
 	"tbpoint/internal/funcsim"
 	"tbpoint/internal/kernel"
+	"tbpoint/internal/workloads"
 )
 
 func TestRegionTableRoundTrip(t *testing.T) {
@@ -78,11 +80,11 @@ func TestProfilesRoundTrip(t *testing.T) {
 		t.Fatalf("launch count %d, want %d", len(back), len(prof.Profiles))
 	}
 	for li := range back {
-		if len(back[li].Blocks) != len(prof.Profiles[li].Blocks) {
+		if back[li].NumBlocks() != prof.Profiles[li].NumBlocks() {
 			t.Fatalf("launch %d block count mismatch", li)
 		}
-		for tb := range back[li].Blocks {
-			if back[li].Blocks[tb] != prof.Profiles[li].Blocks[tb] {
+		for tb := 0; tb < back[li].NumBlocks(); tb++ {
+			if back[li].Block(tb) != prof.Profiles[li].Block(tb) {
 				t.Fatalf("launch %d block %d differs", li, tb)
 			}
 		}
@@ -140,8 +142,8 @@ func TestProfilesFileDurableRoundTrip(t *testing.T) {
 		t.Fatalf("launch count %d, want %d", len(back), len(prof.Profiles))
 	}
 	for li := range back {
-		for tb := range back[li].Blocks {
-			if back[li].Blocks[tb] != prof.Profiles[li].Blocks[tb] {
+		for tb := 0; tb < back[li].NumBlocks(); tb++ {
+			if back[li].Block(tb) != prof.Profiles[li].Block(tb) {
 				t.Fatalf("launch %d block %d differs after file round trip", li, tb)
 			}
 		}
@@ -168,5 +170,55 @@ func TestProfilesFileDurableRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadProfilesFile(path, app.Name); !errors.Is(err, durable.ErrTruncated) {
 		t.Errorf("truncated profile file: err = %v, want ErrTruncated", err)
+	}
+}
+
+// The tbpoint-profile-v1 bytes are pinned: testdata holds files written
+// before profiles were stored per shape (scale 0.05, seed 1). Profiling the
+// same build must write them byte for byte, and reading one back must give
+// every block its counters with one stored row per distinct counter triple.
+func TestProfileFormatPinned(t *testing.T) {
+	for _, name := range []string{"mri", "conv"} {
+		want, err := os.ReadFile(filepath.Join("testdata", "profile_v1_"+name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := ProfileApp(s.Build(workloads.Config{Scale: 0.05, Seed: 1}))
+		var got bytes.Buffer
+		if err := WriteProfiles(&got, name, prof.Profiles); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: WriteProfiles wrote %d bytes that differ from the pinned %d", name, got.Len(), len(want))
+		}
+
+		back, err := ReadProfiles(bytes.NewReader(want), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(back) != len(prof.Profiles) {
+			t.Fatalf("%s: read %d launches, want %d", name, len(back), len(prof.Profiles))
+		}
+		for li, lp := range back {
+			fresh := prof.Profiles[li]
+			if lp.NumBlocks() != fresh.NumBlocks() || !slices.Equal(lp.BlockCounts, fresh.BlockCounts) {
+				t.Fatalf("%s launch %d: %d blocks, BlockCounts %v; want %d, %v",
+					name, li, lp.NumBlocks(), lp.BlockCounts, fresh.NumBlocks(), fresh.BlockCounts)
+			}
+			distinct := map[funcsim.TBProfile]bool{}
+			for tb := 0; tb < lp.NumBlocks(); tb++ {
+				if lp.Block(tb) != fresh.Block(tb) {
+					t.Fatalf("%s launch %d block %d: read %+v, want %+v", name, li, tb, lp.Block(tb), fresh.Block(tb))
+				}
+				distinct[lp.Block(tb)] = true
+			}
+			if len(lp.Shapes) != len(distinct) {
+				t.Errorf("%s launch %d: %d stored rows for %d distinct counter triples", name, li, len(lp.Shapes), len(distinct))
+			}
+		}
 	}
 }

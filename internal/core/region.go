@@ -38,7 +38,8 @@ func BuildEpochs(lp *funcsim.LaunchProfile, occupancy int) []Epoch {
 			end = n
 		}
 		probs, xs, ys = probs[:0], xs[:0], ys[:0]
-		for _, b := range lp.Blocks[start:end] {
+		for tb := start; tb < end; tb++ {
+			b := lp.Block(tb)
 			probs = append(probs, b.StallProb())
 			xs = append(xs, float64(b.MemRequests))
 			ys = append(ys, float64(b.WarpInsts))

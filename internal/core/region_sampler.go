@@ -135,7 +135,7 @@ func (s *regionSampler) skipTB(tb int) bool {
 		s.exitRegion()
 		return false
 	}
-	s.skipped[s.current] += s.profile.Blocks[tb].WarpInsts
+	s.skipped[s.current] += s.profile.Block(tb).WarpInsts
 	return true
 }
 
@@ -288,7 +288,7 @@ func (s *regionSampler) trendStable(ipc float64) bool {
 // dispatched ascending and retired once, or units that do not close where
 // the order says.
 func replayReference(rt *RegionTable, lp *funcsim.LaunchProfile, ref *gpusim.LaunchResult, opts Options) *regionSampler {
-	n := len(lp.Blocks)
+	n := lp.NumBlocks()
 	if ref == nil || ref.Aborted || ref.SkippedTBs != 0 || ref.SimulatedTBs != n || len(ref.TBOrder) != 2*n {
 		return nil
 	}

@@ -7,18 +7,17 @@ import (
 	"tbpoint/internal/gpusim"
 )
 
-// fakeProfile builds a LaunchProfile with uniform per-block counters for
-// driving the sampler state machine directly.
+// fakeProfile builds a LaunchProfile of n blocks with uniform counters (one
+// shape) for driving the sampler state machine directly.
 func fakeProfile(n int, warpInsts int64) *funcsim.LaunchProfile {
-	lp := &funcsim.LaunchProfile{Blocks: make([]funcsim.TBProfile, n)}
-	for i := range lp.Blocks {
-		lp.Blocks[i] = funcsim.TBProfile{
+	return &funcsim.LaunchProfile{
+		Shapes: []funcsim.TBProfile{{
 			WarpInsts:   warpInsts,
 			ThreadInsts: warpInsts * 32,
 			MemRequests: warpInsts / 5,
-		}
+		}},
+		ShapeOf: make([]uint32, n),
 	}
-	return lp
 }
 
 // tableOf builds a region table directly from a per-block region slice.

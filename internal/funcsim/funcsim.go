@@ -12,10 +12,11 @@
 // profiling property (Table II).
 //
 // ProfileLaunch derives the counters analytically from the kernel IR: one
-// walk over the kernel program per distinct thread-block shape and one table
-// lookup per thread block. The test suite holds it to a reference that walks
-// the launch's instruction streams event by event — the streams the timing
-// simulator reads — so the profiler counts what the simulator executes.
+// walk over the kernel program, and one 24-byte counter row, per distinct
+// thread-block shape; blocks index the rows through the launch's own ShapeOf.
+// The test suite holds it to a reference that walks the launch's instruction
+// streams event by event — the streams the timing simulator reads — so the
+// profiler counts what the simulator executes.
 // ProfileApp runs ProfileLaunch for every launch, fanned out over the shared
 // worker budget.
 package funcsim
@@ -44,107 +45,103 @@ func (p TBProfile) StallProb() float64 {
 	return float64(p.MemRequests) / float64(p.WarpInsts)
 }
 
-// LaunchProfile holds the profile of one kernel launch.
+// LaunchProfile holds the profile of one kernel launch, laid out like the
+// launch: each distinct thread block's counters once, indexed per block.
 type LaunchProfile struct {
-	// Blocks is indexed by thread block ID.
-	Blocks []TBProfile
+	// Shapes holds the counters of each distinct thread block. A profile
+	// from ProfileLaunch has one row per Launch.Shapes entry.
+	Shapes []TBProfile
+	// ShapeOf maps thread block ID -> index into Shapes. ProfileLaunch
+	// aliases the launch's own ShapeOf (like a shape's Trips): read-only.
+	ShapeOf []uint32
 	// BlockCounts are aggregate per-basic-block executed-instruction counts
 	// across the launch (one entry per static basic block of the kernel
 	// program), the SimPoint BBV weighting.
 	BlockCounts []int64
 }
 
+// Block returns thread block tb's counters.
+func (lp *LaunchProfile) Block(tb int) TBProfile { return lp.Shapes[lp.ShapeOf[tb]] }
+
 // NumBlocks returns the number of thread blocks profiled.
-func (lp *LaunchProfile) NumBlocks() int { return len(lp.Blocks) }
+func (lp *LaunchProfile) NumBlocks() int { return len(lp.ShapeOf) }
+
+// totals sums each counter over the launch's blocks (integers: exact in any
+// order), with no per-shape scratch an all-distinct launch would pay for.
+func (lp *LaunchProfile) totals() (t TBProfile) {
+	for _, s := range lp.ShapeOf {
+		p := &lp.Shapes[s]
+		t.ThreadInsts += p.ThreadInsts
+		t.WarpInsts += p.WarpInsts
+		t.MemRequests += p.MemRequests
+	}
+	return t
+}
 
 // TotalThreadInsts returns the launch's thread instructions (the "kernel
 // launch size" feature of Eq. 2).
-func (lp *LaunchProfile) TotalThreadInsts() int64 {
-	var n int64
-	for _, b := range lp.Blocks {
-		n += b.ThreadInsts
-	}
-	return n
-}
+func (lp *LaunchProfile) TotalThreadInsts() int64 { return lp.totals().ThreadInsts }
 
 // TotalWarpInsts returns the launch's warp instructions (the "control flow
 // divergence" feature of Eq. 2).
-func (lp *LaunchProfile) TotalWarpInsts() int64 {
-	var n int64
-	for _, b := range lp.Blocks {
-		n += b.WarpInsts
-	}
-	return n
-}
+func (lp *LaunchProfile) TotalWarpInsts() int64 { return lp.totals().WarpInsts }
 
 // TotalMemRequests returns the launch's memory requests (the "memory
 // divergence" feature of Eq. 2).
-func (lp *LaunchProfile) TotalMemRequests() int64 {
-	var n int64
-	for _, b := range lp.Blocks {
-		n += b.MemRequests
-	}
-	return n
-}
+func (lp *LaunchProfile) TotalMemRequests() int64 { return lp.totals().MemRequests }
 
 // TBSizes returns the per-block thread-instruction counts as floats, the
 // series behind the Fig. 8 scatter plots and the CoV feature of Eq. 2.
 func (lp *LaunchProfile) TBSizes() []float64 {
-	out := make([]float64, len(lp.Blocks))
-	for i, b := range lp.Blocks {
-		out[i] = float64(b.ThreadInsts)
+	out := make([]float64, len(lp.ShapeOf))
+	for tb, s := range lp.ShapeOf {
+		out[tb] = float64(lp.Shapes[s].ThreadInsts)
 	}
 	return out
 }
 
 // TBSizeCoV returns the coefficient of variation of thread-block sizes
 // (the "thread block variations" feature of Eq. 2). It is stats.CoV of
-// TBSizes() bit for bit — the same passes in the same summation order —
+// TBSizes() bit for bit — the same passes over the blocks in ID order —
 // without materialising the series (one float per thread block, on every
 // core.InterFeatures call).
 func (lp *LaunchProfile) TBSizeCoV() float64 {
-	n := float64(len(lp.Blocks))
+	n := float64(len(lp.ShapeOf))
 	var sum float64
-	for i := range lp.Blocks {
-		sum += float64(lp.Blocks[i].ThreadInsts)
+	for _, s := range lp.ShapeOf {
+		sum += float64(lp.Shapes[s].ThreadInsts)
 	}
 	mean := sum / n
-	if len(lp.Blocks) < 2 || mean == 0 {
+	if len(lp.ShapeOf) < 2 || mean == 0 {
 		return 0
 	}
 	var ss float64
-	for i := range lp.Blocks {
-		d := float64(lp.Blocks[i].ThreadInsts) - mean
+	for _, s := range lp.ShapeOf {
+		d := float64(lp.Shapes[s].ThreadInsts) - mean
 		ss += d * d
 	}
 	return math.Sqrt(ss/n) / math.Abs(mean)
 }
 
-// ProfileLaunch profiles a launch analytically from its IR. Each distinct
-// shape costs one walk over the kernel program, each thread block one table
-// lookup.
+// ProfileLaunch profiles a launch analytically from its IR: one walk over
+// the kernel program per distinct shape, and nothing stored per thread
+// block.
 func ProfileLaunch(l *kernel.Launch) *LaunchProfile {
 	prog := l.Kernel.Program
 	lp := &LaunchProfile{
-		Blocks:      make([]TBProfile, l.NumBlocks()),
+		Shapes:      make([]TBProfile, len(l.Shapes)),
+		ShapeOf:     l.ShapeOf,
 		BlockCounts: make([]int64, len(prog.Blocks)),
 	}
-	// The first block met of each shape walks the program; the others copy
-	// its counters. The walk's per-warp execution counts go into BlockCounts
+	// Each shape's walk puts its per-warp execution counts into BlockCounts
 	// once, weighted by the blocks of that shape (integers: exact in any
 	// order).
 	blocksOf := l.ShapeBlocks()
-	first := make([]uint32, len(l.Shapes)) // 1 + the first block of each shape, 0 until met
 	execs := make([]int64, len(prog.Blocks))
-	for tb, s := range l.ShapeOf {
-		b := &lp.Blocks[tb]
-		if f := first[s]; f != 0 {
-			*b = lp.Blocks[f-1]
-			continue
-		}
-		first[s] = uint32(tb) + 1
+	for s := range lp.Shapes {
+		p := &lp.Shapes[s]
 		clear(execs)
-		b.ThreadInsts, b.WarpInsts, b.MemRequests = l.ShapeCounts(int(s), execs)
+		p.ThreadInsts, p.WarpInsts, p.MemRequests = l.ShapeCounts(s, execs)
 		for bi, e := range execs {
 			lp.BlockCounts[bi] += blocksOf[s] * e
 		}

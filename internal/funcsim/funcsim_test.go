@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -35,13 +36,14 @@ func TestProfileLaunchCounters(t *testing.T) {
 		t.Fatalf("NumBlocks = %d", lp.NumBlocks())
 	}
 	for tb := 0; tb < 6; tb++ {
-		if lp.Blocks[tb].WarpInsts != l.WarpInsts(tb) {
-			t.Errorf("tb %d warp insts %d != %d", tb, lp.Blocks[tb].WarpInsts, l.WarpInsts(tb))
+		p := lp.Block(tb)
+		if p.WarpInsts != l.WarpInsts(tb) {
+			t.Errorf("tb %d warp insts %d != %d", tb, p.WarpInsts, l.WarpInsts(tb))
 		}
-		if lp.Blocks[tb].ThreadInsts != l.ThreadInsts(tb) {
+		if p.ThreadInsts != l.ThreadInsts(tb) {
 			t.Errorf("tb %d thread insts mismatch", tb)
 		}
-		if lp.Blocks[tb].MemRequests != l.MemRequests(tb) {
+		if p.MemRequests != l.MemRequests(tb) {
 			t.Errorf("tb %d mem requests mismatch", tb)
 		}
 	}
@@ -68,17 +70,15 @@ func TestStallProb(t *testing.T) {
 
 // emulateLaunch is the reference profiler: it walks every warp stream of l
 // — what the timing simulator reads — event by event and counts what it
-// sees.
-func emulateLaunch(l *kernel.Launch) *LaunchProfile {
+// sees, one counter row per thread block.
+func emulateLaunch(l *kernel.Launch) (rows []TBProfile, blockCounts []int64) {
 	syn := trace.NewSynthetic(l)
-	lp := &LaunchProfile{
-		Blocks:      make([]TBProfile, l.NumBlocks()),
-		BlockCounts: make([]int64, len(l.Kernel.Program.Blocks)),
-	}
+	rows = make([]TBProfile, l.NumBlocks())
+	blockCounts = make([]int64, len(l.Kernel.Program.Blocks))
 	var st trace.SynthStream
 	var addrs [trace.MaxRequests]uint64
-	for tb := range lp.Blocks {
-		p := &lp.Blocks[tb]
+	for tb := range rows {
+		p := &rows[tb]
 		for w := 0; w < l.Kernel.WarpsPerBlock(); w++ {
 			syn.InitStream(&st, tb, w)
 			for {
@@ -88,23 +88,41 @@ func emulateLaunch(l *kernel.Launch) *LaunchProfile {
 				}
 				p.WarpInsts++
 				p.MemRequests += int64(ev.NumReq)
-				lp.BlockCounts[ev.Block]++
+				blockCounts[ev.Block]++
 			}
 		}
 		p.ThreadInsts = int64(float64(p.WarpInsts) * kernel.WarpSize * isa.EffectiveActive(l.Shape(tb).ActiveFrac))
 	}
-	return lp
+	return rows, blockCounts
+}
+
+// blockRows reads a profile back one counter row per thread block.
+func blockRows(lp *LaunchProfile) []TBProfile {
+	rows := make([]TBProfile, lp.NumBlocks())
+	for tb := range rows {
+		rows[tb] = lp.Block(tb)
+	}
+	return rows
 }
 
 // The profiler counts what the simulator reads: ProfileLaunch equals the
-// stream walk on every counter, BlockCounts in full, for hand-built launches
-// (fully active, half active, NaN active) and for the first and last launch
-// of every benchmark.
+// stream walk on every block's counters and on BlockCounts in full, for
+// hand-built launches (fully active, half active, NaN active) and for the
+// first and last launch of every benchmark. Its shape rows are the launch's:
+// one per shape, indexed through the launch's own ShapeOf.
 func TestEmulateMatchesAnalytic(t *testing.T) {
 	check := func(name string, l *kernel.Launch) {
 		t.Helper()
-		if a, e := ProfileLaunch(l), emulateLaunch(l); !reflect.DeepEqual(a, e) {
-			t.Errorf("%s: analytic profile %+v, stream walk %+v", name, a, e)
+		a := ProfileLaunch(l)
+		rows, counts := emulateLaunch(l)
+		if got := blockRows(a); !reflect.DeepEqual(got, rows) {
+			t.Errorf("%s: analytic blocks %+v, stream walk %+v", name, got, rows)
+		}
+		if !reflect.DeepEqual(a.BlockCounts, counts) {
+			t.Errorf("%s: analytic BlockCounts %v, stream walk %v", name, a.BlockCounts, counts)
+		}
+		if len(a.Shapes) != len(l.Shapes) || &a.ShapeOf[0] != &l.ShapeOf[0] {
+			t.Errorf("%s: %d shape rows for %d shapes, or ShapeOf not the launch's", name, len(a.Shapes), len(l.Shapes))
 		}
 	}
 	for _, af := range []float64{1.0, 0.5, math.NaN()} {
@@ -158,9 +176,9 @@ func TestProfileApp(t *testing.T) {
 	}
 }
 
-// The per-thread-block pass must not allocate: a launch's profile costs the
-// same few allocations (the profile, its two slices and the three per-shape
-// scratch tables) at any size.
+// Profiling writes nothing per thread block: a launch's profile costs the
+// same few allocations (the profile, its shape rows and BlockCounts, and the
+// blocks-per-shape and per-walk scratch tables) at any size.
 func TestProfileLaunchAllocsIndependentOfSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -168,8 +186,56 @@ func TestProfileLaunchAllocsIndependentOfSize(t *testing.T) {
 	small, large := buildLaunch(1_000, 0.5), buildLaunch(100_000, 0.5)
 	a := testing.AllocsPerRun(5, func() { ProfileLaunch(small) })
 	b := testing.AllocsPerRun(5, func() { ProfileLaunch(large) })
-	if a != b || a > 6 {
-		t.Errorf("allocations per ProfileLaunch: %v at 1k blocks, %v at 100k; want the same, at most 6", a, b)
+	if a != b || a > 5 {
+		t.Errorf("allocations per ProfileLaunch: %v at 1k blocks, %v at 100k; want the same, at most 5", a, b)
+	}
+}
+
+// retainedBytes returns how much live heap f's result keeps: the least of
+// three measurements, since the runtime allocates a little on its own.
+func retainedBytes(f func() *LaunchProfile) int64 {
+	least := int64(math.MaxInt64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		lp := f()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(lp)
+		least = min(least, int64(after.HeapAlloc)-int64(before.HeapAlloc))
+	}
+	return least
+}
+
+// A profile is laid out like its launch. A regular launch's costs a few
+// hundred bytes at a million blocks (a row per block would be 24 MB), and an
+// all-distinct launch's one 24-byte row per block plus a fixed few hundred
+// bytes.
+func TestProfileFootprint(t *testing.T) {
+	k := buildLaunch(1, 1).Kernel
+	trips := [][]int{{1}, {2}}
+	regular := kernel.NewLaunchBuilder(k, 0, 1_000_000)
+	for i := 0; i < 1_000_000; i++ {
+		regular.Add(kernel.TBParams{Trips: trips[i%2], ActiveFrac: 1, Seed: uint64(i)})
+	}
+	l := regular.Launch()
+	if got := retainedBytes(func() *LaunchProfile { return ProfileLaunch(l) }); got > 4<<10 {
+		t.Errorf("two-shape launch of %d blocks: profile keeps %d bytes, want at most 4 KB", l.NumBlocks(), got)
+	}
+
+	const n = 100_000
+	distinct := kernel.NewLaunchBuilder(k, 0, n)
+	for i := 0; i < n; i++ {
+		distinct.Add(kernel.TBParams{Trips: trips[0], ActiveFrac: float64(i+1) / n, Seed: uint64(i)})
+	}
+	l = distinct.Launch()
+	if len(l.Shapes) != n {
+		t.Fatalf("setup: %d shapes, want %d", len(l.Shapes), n)
+	}
+	if got := retainedBytes(func() *LaunchProfile { return ProfileLaunch(l) }); got > 24*n+4<<10 {
+		t.Errorf("all-distinct launch of %d blocks: profile keeps %d bytes (%.1f per block), want at most 24 per block",
+			n, got, float64(got)/n)
 	}
 }
 
@@ -180,14 +246,7 @@ func TestProfileDeterministicProperty(t *testing.T) {
 		nb := 1 + int(n%8)
 		af := 0.25 + float64(afRaw%4)*0.25
 		l := buildLaunch(nb, af)
-		a := ProfileLaunch(l)
-		b := ProfileLaunch(l)
-		for tb := range a.Blocks {
-			if a.Blocks[tb] != b.Blocks[tb] {
-				return false
-			}
-		}
-		return true
+		return reflect.DeepEqual(blockRows(ProfileLaunch(l)), blockRows(ProfileLaunch(l)))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -199,8 +258,8 @@ func TestStallProbBoundsProperty(t *testing.T) {
 	f := func(n uint8) bool {
 		l := buildLaunch(1+int(n%6), 1)
 		lp := ProfileLaunch(l)
-		for tb := range lp.Blocks {
-			p := lp.Blocks[tb].StallProb()
+		for tb := 0; tb < lp.NumBlocks(); tb++ {
+			p := lp.Block(tb).StallProb()
 			if p < 0 || p > 32 {
 				return false
 			}

@@ -17,42 +17,63 @@ import (
 // must equal the same work done per thread block from Launch.Params.
 
 // perBlockProfile is the reference profiler: one walk over the kernel
-// program per thread block, from the block's own parameters.
-func perBlockProfile(l *kernel.Launch) *funcsim.LaunchProfile {
+// program per thread block, from the block's own parameters, giving one
+// counter row per block.
+func perBlockProfile(l *kernel.Launch) (rows []funcsim.TBProfile, blockCounts []int64) {
 	prog := l.Kernel.Program
 	warps := int64(l.Kernel.WarpsPerBlock())
-	lp := &funcsim.LaunchProfile{
-		Blocks:      make([]funcsim.TBProfile, l.NumBlocks()),
-		BlockCounts: make([]int64, len(prog.Blocks)),
-	}
-	for tb := range lp.Blocks {
+	rows = make([]funcsim.TBProfile, l.NumBlocks())
+	blockCounts = make([]int64, len(prog.Blocks))
+	for tb := range rows {
 		p := l.Params(tb)
-		warpInsts, memReqs := prog.Count(p.Trips, p.ActiveFrac, lp.BlockCounts)
-		lp.Blocks[tb] = funcsim.TBProfile{
+		warpInsts, memReqs := prog.Count(p.Trips, p.ActiveFrac, blockCounts)
+		rows[tb] = funcsim.TBProfile{
 			ThreadInsts: int64(float64(warpInsts*warps) * kernel.WarpSize * isa.EffectiveActive(p.ActiveFrac)),
 			WarpInsts:   warpInsts * warps,
 			MemRequests: memReqs * warps,
 		}
 	}
-	for bi := range lp.BlockCounts {
-		lp.BlockCounts[bi] *= warps * int64(len(prog.Blocks[bi].Instrs))
+	for bi := range blockCounts {
+		blockCounts[bi] *= warps * int64(len(prog.Blocks[bi].Instrs))
 	}
-	return lp
+	return rows, blockCounts
 }
 
+// ProfileLaunch, read block by block, equals the per-block reference, and
+// its totals and TBSizes equal the same sums and series over the reference's
+// rows.
 func TestProfileMatchesPerBlockReference(t *testing.T) {
 	for _, s := range All() {
 		app := s.Build(Config{Scale: 0.05, Seed: 3})
 		var want int64
 		for li, l := range app.Launches {
-			ref := perBlockProfile(l)
-			if got := funcsim.ProfileLaunch(l); !reflect.DeepEqual(got, ref) {
-				t.Errorf("%s launch %d: ProfileLaunch differs from the per-block reference", s.Name, li)
+			rows, counts := perBlockProfile(l)
+			got := funcsim.ProfileLaunch(l)
+			if got.NumBlocks() != len(rows) || !reflect.DeepEqual(got.BlockCounts, counts) {
+				t.Fatalf("%s launch %d: ProfileLaunch block count or BlockCounts differ from the per-block reference", s.Name, li)
 			}
-			if got := l.TotalWarpInsts(); got != ref.TotalWarpInsts() {
-				t.Errorf("%s launch %d: TotalWarpInsts %d, per-block reference %d", s.Name, li, got, ref.TotalWarpInsts())
+			var total funcsim.TBProfile
+			sizes := make([]float64, len(rows))
+			for tb, r := range rows {
+				if got.Block(tb) != r {
+					t.Fatalf("%s launch %d block %d: ProfileLaunch %+v, per-block reference %+v", s.Name, li, tb, got.Block(tb), r)
+				}
+				total.ThreadInsts += r.ThreadInsts
+				total.WarpInsts += r.WarpInsts
+				total.MemRequests += r.MemRequests
+				sizes[tb] = float64(r.ThreadInsts)
 			}
-			want += ref.TotalWarpInsts()
+			if g := (funcsim.TBProfile{ThreadInsts: got.TotalThreadInsts(), WarpInsts: got.TotalWarpInsts(),
+				MemRequests: got.TotalMemRequests()}); g != total {
+				t.Errorf("%s launch %d: profile totals %+v, per-block reference %+v", s.Name, li, g, total)
+			}
+			if !reflect.DeepEqual(got.TBSizes(), sizes) {
+				t.Errorf("%s launch %d: TBSizes differ from the per-block reference", s.Name, li)
+			}
+			if got := l.TotalWarpInsts(); got != total.WarpInsts {
+				t.Errorf("%s launch %d: TotalWarpInsts %d, per-block reference %d", s.Name, li, got, total.WarpInsts)
+			}
+			want += total.WarpInsts
 		}
 		if got := app.TotalWarpInsts(); got != want {
 			t.Errorf("%s: App.TotalWarpInsts %d, per-block reference %d", s.Name, got, want)
@@ -100,7 +121,7 @@ func TestTBSizeCoVIsExactlyStatsCoV(t *testing.T) {
 		}
 	}
 	for _, n := range []int{0, 1} { // fewer than two blocks: no variation
-		lp := &funcsim.LaunchProfile{Blocks: make([]funcsim.TBProfile, n)}
+		lp := &funcsim.LaunchProfile{Shapes: make([]funcsim.TBProfile, 1), ShapeOf: make([]uint32, n)}
 		if got, want := lp.TBSizeCoV(), stats.CoV(lp.TBSizes()); got != want {
 			t.Errorf("%d blocks: TBSizeCoV %v != stats.CoV %v", n, got, want)
 		}

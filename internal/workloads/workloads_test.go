@@ -153,8 +153,8 @@ func TestSpmvLaunchesIdentical(t *testing.T) {
 	if p0.TotalWarpInsts() != p1.TotalWarpInsts() {
 		t.Error("spmv launches should be identical across iterations")
 	}
-	for tb := range p0.Blocks {
-		if p0.Blocks[tb] != p1.Blocks[tb] {
+	for tb := 0; tb < p0.NumBlocks(); tb++ {
+		if p0.Block(tb) != p1.Block(tb) {
 			t.Fatalf("spmv tb %d differs between launches", tb)
 		}
 	}

@@ -39,7 +39,9 @@
 #              bit-distinct shape, also with every shape in one bucket), the
 #              launch-equality predicate behind reference-run launch reuse
 #              (equal => same recorded streams),
-#              the region table and profile readers, the reference replay
+#              the region table reader, the profile reader (an accepted
+#              profile's interned rows re-encode to the file's per-block
+#              rows, every block indexing a stored row), the reference replay
 #              (an arbitrary block order and unit list is refused or
 #              finished, never a panic or an out-of-range block), the
 #              checkpoint reader, the stratified allocator, and POST /jobs

@@ -124,7 +124,8 @@ func NewCollector() *Collector { return metrics.New() }
 
 // Profiling and baseline types.
 type (
-	// LaunchProfile is the per-thread-block functional profile of a launch.
+	// LaunchProfile is a launch's functional profile: one counter row per
+	// distinct thread block, read per block with Block; read-only.
 	LaunchProfile = funcsim.LaunchProfile
 	// Estimate is a sampling technique's prediction.
 	Estimate = sampling.Estimate
@@ -286,10 +287,23 @@ func LoadProfileFile(path string, app *App) (*AppProfile, error) {
 	return checkProfile(profiles, app)
 }
 
+// checkProfile rejects a profile of another build of app (say, another
+// scale): each launch's block and basic-block counts must match app's.
 func checkProfile(profiles []*funcsim.LaunchProfile, app *App) (*AppProfile, error) {
 	if len(profiles) != len(app.Launches) {
 		return nil, fmt.Errorf("tbpoint: profile has %d launches, app has %d",
 			len(profiles), len(app.Launches))
+	}
+	for i, lp := range profiles {
+		l := app.Launches[i]
+		if lp.NumBlocks() != l.NumBlocks() {
+			return nil, fmt.Errorf("tbpoint: profile launch %d has %d thread blocks, app launch has %d",
+				i, lp.NumBlocks(), l.NumBlocks())
+		}
+		if n := len(l.Kernel.Program.Blocks); len(lp.BlockCounts) != n {
+			return nil, fmt.Errorf("tbpoint: profile launch %d has %d basic-block counts, kernel %s has %d basic blocks",
+				i, len(lp.BlockCounts), l.Kernel.Name, n)
+		}
 	}
 	return &AppProfile{App: app, Profiles: profiles}, nil
 }

@@ -3,6 +3,7 @@ package tbpoint_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tbpoint"
@@ -150,5 +151,36 @@ func TestFacadePersistence(t *testing.T) {
 	other := tbpoint.MustBenchmark("stream", 0.05)
 	if _, err := tbpoint.LoadProfile(&pbuf2, other); err == nil {
 		t.Error("profile for a different app accepted")
+	}
+}
+
+// A profile saved for another build of the same app has as many launches but
+// not the same launches: the load must fail and name the first launch that
+// differs, whether in thread blocks or in basic-block counts.
+func TestFacadeLoadProfileRejectsOtherBuild(t *testing.T) {
+	small, large := tbpoint.MustBenchmark("bfs", 0.05), tbpoint.MustBenchmark("bfs", 0.2)
+	if len(small.Launches) != len(large.Launches) || small.Launches[0].NumBlocks() == large.Launches[0].NumBlocks() {
+		t.Fatal("setup: want equal launch counts and different launch 0 sizes across scales")
+	}
+	var buf bytes.Buffer
+	if err := tbpoint.SaveProfile(&buf, tbpoint.Profile(small)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := tbpoint.LoadProfile(&buf, large)
+	if err == nil || !strings.Contains(err.Error(), "launch 0 has") || !strings.Contains(err.Error(), "thread blocks") {
+		t.Errorf("profile from another scale: err = %v, want launch 0's thread blocks named", err)
+	}
+
+	prof := tbpoint.Profile(small)
+	short := *prof.Profiles[1]
+	short.BlockCounts = short.BlockCounts[:len(short.BlockCounts)-1]
+	prof.Profiles[1] = &short
+	buf.Reset()
+	if err := tbpoint.SaveProfile(&buf, prof); err != nil {
+		t.Fatal(err)
+	}
+	_, err = tbpoint.LoadProfile(&buf, small)
+	if err == nil || !strings.Contains(err.Error(), "launch 1 has") || !strings.Contains(err.Error(), "basic") {
+		t.Errorf("profile with a short basic-block count list: err = %v, want launch 1's counts named", err)
 	}
 }
