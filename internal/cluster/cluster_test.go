@@ -430,3 +430,77 @@ func TestScalarPathMatchesMatrixPath(t *testing.T) {
 		}
 	}
 }
+
+// quadraticSeed is k-means++ seeding as first written: every round
+// recomputes each point's distance to every chosen centroid. seedPlusPlus
+// must pick the same centroids and draw the same random numbers.
+func quadraticSeed(points [][]float64, k int, rng *stats.RNG) [][]float64 {
+	centroids := [][]float64{append([]float64(nil), points[rng.Intn(len(points))]...)}
+	d2 := make([]float64, len(points))
+	for len(centroids) < k {
+		var sum float64
+		for i, p := range points {
+			best := math.Inf(1)
+			for _, c := range centroids {
+				if dv := sqDist(p, c); dv < best {
+					best = dv
+				}
+			}
+			d2[i] = best
+			sum += best
+		}
+		if sum == 0 {
+			break
+		}
+		target := rng.Float64() * sum
+		idx := 0
+		for i, v := range d2 {
+			target -= v
+			if target <= 0 {
+				idx = i
+				break
+			}
+		}
+		centroids = append(centroids, append([]float64(nil), points[idx]...))
+	}
+	return centroids
+}
+
+// TestSeedMatchesQuadraticSeeding: the incremental k-means++ seeding is bit
+// for bit the quadratic one — same centroids in the same order, same RNG
+// state after — on random point sets and on duplicate-heavy ones, where ties
+// and early stops (every point already a centroid) decide the outcome.
+func TestSeedMatchesQuadraticSeeding(t *testing.T) {
+	gen := stats.NewRNG(3)
+	for trial := 0; trial < 300; trial++ {
+		n, dim := 1+gen.Intn(60), 1+gen.Intn(4)
+		distinct := n // random set
+		if trial%2 == 1 {
+			distinct = 1 + gen.Intn(4) // duplicate-heavy set
+		}
+		pool := make([][]float64, distinct)
+		for i := range pool {
+			pool[i] = make([]float64, dim)
+			for d := range pool[i] {
+				pool[i][d] = math.Round(gen.Float64()*8) / 2
+			}
+		}
+		points := make([][]float64, n)
+		for i := range points {
+			points[i] = pool[gen.Intn(distinct)]
+		}
+		k := 1 + gen.Intn(n+2)
+		a, b := stats.NewRNG(uint64(trial)), stats.NewRNG(uint64(trial))
+		got, want := seedPlusPlus(points, k, a), quadraticSeed(points, k, b)
+		if len(got) != len(want) || a.Uint64() != b.Uint64() {
+			t.Fatalf("trial %d: %d centroids (or the RNG stream) differ from the quadratic seeding's %d", trial, len(got), len(want))
+		}
+		for c := range want {
+			for d := range want[c] {
+				if got[c][d] != want[c][d] {
+					t.Fatalf("trial %d: centroid %d = %v, quadratic seeding %v", trial, c, got[c], want[c])
+				}
+			}
+		}
+	}
+}

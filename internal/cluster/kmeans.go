@@ -29,38 +29,7 @@ func KMeans(points [][]float64, k int, seed uint64) *KMeansResult {
 	rng := stats.NewRNG(seed)
 	dim := len(points[0])
 
-	// k-means++ seeding.
-	centroids := make([][]float64, 0, k)
-	first := rng.Intn(n)
-	centroids = append(centroids, append([]float64(nil), points[first]...))
-	d2 := make([]float64, n)
-	for len(centroids) < k {
-		var sum float64
-		for i, p := range points {
-			best := math.Inf(1)
-			for _, c := range centroids {
-				if dv := sqDist(p, c); dv < best {
-					best = dv
-				}
-			}
-			d2[i] = best
-			sum += best
-		}
-		if sum == 0 {
-			// All points coincide with existing centroids; stop seeding.
-			break
-		}
-		target := rng.Float64() * sum
-		idx := 0
-		for i, v := range d2 {
-			target -= v
-			if target <= 0 {
-				idx = i
-				break
-			}
-		}
-		centroids = append(centroids, append([]float64(nil), points[idx]...))
-	}
+	centroids := seedPlusPlus(points, k, rng)
 	k = len(centroids)
 
 	assign := make([]int, n)
@@ -128,6 +97,46 @@ func KMeans(points [][]float64, k int, seed uint64) *KMeansResult {
 		sse += sqDist(points[i], kept[assign[i]])
 	}
 	return &KMeansResult{K: next, Assign: assign, Centroids: kept, SSE: sse}
+}
+
+// seedPlusPlus picks up to k initial centroids (copies of points) by
+// k-means++ seeding, stopping early when every point coincides with a chosen
+// centroid. d2[i] is point i's squared distance to its nearest centroid so
+// far; each round folds in only the newest centroid, since the minimum over
+// the chosen centroids does not depend on their order.
+func seedPlusPlus(points [][]float64, k int, rng *stats.RNG) [][]float64 {
+	n := len(points)
+	centroids := make([][]float64, 0, k)
+	first := rng.Intn(n)
+	centroids = append(centroids, append([]float64(nil), points[first]...))
+	d2 := make([]float64, n)
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
+	for len(centroids) < k {
+		newest := centroids[len(centroids)-1]
+		var sum float64
+		for i, p := range points {
+			if dv := sqDist(p, newest); dv < d2[i] {
+				d2[i] = dv
+			}
+			sum += d2[i]
+		}
+		if sum == 0 {
+			break
+		}
+		target := rng.Float64() * sum
+		idx := 0
+		for i, v := range d2 {
+			target -= v
+			if target <= 0 {
+				idx = i
+				break
+			}
+		}
+		centroids = append(centroids, append([]float64(nil), points[idx]...))
+	}
+	return centroids
 }
 
 func sqDist(a, b []float64) float64 {

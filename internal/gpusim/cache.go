@@ -12,7 +12,7 @@ type cache struct {
 	lineB   uint64
 	tags    []uint64 // sets*ways entries; 0 means empty (tag 0 is offset by +1)
 	lastUse []int64  // LRU timestamps
-	dirty   []bool   // per way: written since fill
+	dirty   []uint8  // per way: 1 when written since fill
 
 	// Strength-reduction for the per-access address math: lineShift
 	// replaces the divide by lineB when lineB is a power of two (-1
@@ -38,7 +38,7 @@ func newCache(cfg CacheConfig) *cache {
 		lineB:     uint64(cfg.LineB),
 		tags:      make([]uint64, sets*cfg.Ways),
 		lastUse:   make([]int64, sets*cfg.Ways),
-		dirty:     make([]bool, sets*cfg.Ways),
+		dirty:     make([]uint8, sets*cfg.Ways),
 		lineShift: -1,
 	}
 	if lb := uint64(cfg.LineB); lb > 0 && lb&(lb-1) == 0 {
@@ -77,6 +77,7 @@ func (c *cache) access(addr uint64, cycle int64, isStore bool) (hit bool, writeb
 	}
 	tag := line + 1 // +1 so that tag 0 is never confused with an empty way
 	base := set * c.ways
+	st := uint8(b2i(isStore))
 
 	// Hit scan first: the victim search is only needed on a miss, and hits
 	// dominate, so keeping the loops separate keeps the hot path tight.
@@ -85,28 +86,42 @@ func (c *cache) access(addr uint64, cycle int64, isStore bool) (hit bool, writeb
 		if ways[w] == tag {
 			i := base + w
 			c.lastUse[i] = cycle
-			if isStore {
-				c.dirty[i] = true
-			}
+			c.dirty[i] |= st
 			c.Hits++
 			return true, 0
 		}
 	}
-	victim, victimUse := base, c.lastUse[base]
-	for i := base + 1; i < base+c.ways; i++ {
-		if c.lastUse[i] < victimUse {
-			victim, victimUse = i, c.lastUse[i]
-		}
-	}
+	victim := base + victimWay(c.lastUse[base:base+c.ways])
 	c.Misses++
-	if c.dirty[victim] && c.tags[victim] != 0 {
-		c.Writebacks++
-		writeback = (c.tags[victim] - 1) * c.lineB
-	}
+	// A dirty way always holds a line (reset clears both), so the dirty bit
+	// alone decides the writeback; as a mask it costs no branch.
+	d := uint64(c.dirty[victim])
+	c.Writebacks += int64(d)
+	writeback = ((c.tags[victim] - 1) * c.lineB) & -d
 	c.tags[victim] = tag
 	c.lastUse[victim] = cycle
-	c.dirty[victim] = isStore
+	c.dirty[victim] = st
 	return false, writeback
+}
+
+// victimWay returns the first way with the least lastUse — the LRU way,
+// empty ways (-1) first. The outcome of each comparison is data dependent
+// and so mispredicts often as a branch; here it is a sign mask that selects
+// the index and value instead. lastUse values are -1 or a cycle, so the
+// difference cannot overflow. pick keeps the earlier way on a tie, so the
+// first of equal values wins, as in a linear scan.
+func victimWay(lu []int64) int {
+	w, v := 0, lu[0]
+	for i := 1; i < len(lu); i++ {
+		w, v = pick(w, v, i, lu[i])
+	}
+	return w
+}
+
+// pick returns (b, vb) when vb < va and (a, va) otherwise, without a branch.
+func pick(a int, va int64, b int, vb int64) (int, int64) {
+	m := (vb - va) >> 63 // all ones when vb < va
+	return a ^ (a^b)&int(m), va ^ (va^vb)&m
 }
 
 // reset clears contents and statistics.
@@ -114,7 +129,7 @@ func (c *cache) reset() {
 	for i := range c.tags {
 		c.tags[i] = 0
 		c.lastUse[i] = -1
-		c.dirty[i] = false
+		c.dirty[i] = 0
 	}
 	c.Hits, c.Misses, c.Writebacks = 0, 0, 0
 }

@@ -179,8 +179,24 @@ func (c Config) Validate() error {
 	if c.DRAM.Channels < 1 || c.DRAM.Banks < 1 {
 		return fmt.Errorf("gpusim: invalid DRAM config %+v", c.DRAM)
 	}
-	if c.MSHRCapacity < 0 {
-		return fmt.Errorf("gpusim: MSHRCapacity %d < 0", c.MSHRCapacity)
+	if c.DRAM.RowBits < 0 || c.DRAM.RowBits > 63 {
+		return fmt.Errorf("gpusim: DRAM.RowBits %d outside [0, 63]", c.DRAM.RowBits)
+	}
+	// A negative latency or dispatch interval would make time run backwards.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Lat.IALU", c.Lat.IALU}, {"Lat.FALU", c.Lat.FALU}, {"Lat.SFU", c.Lat.SFU},
+		{"Lat.LDS", c.Lat.LDS}, {"Lat.BRA", c.Lat.BRA}, {"Lat.BAR", c.Lat.BAR},
+		{"L1.HitLat", c.L1.HitLat}, {"L2.HitLat", c.L2.HitLat},
+		{"DRAM.RowHitLat", c.DRAM.RowHitLat}, {"DRAM.RowMissLat", c.DRAM.RowMissLat},
+		{"DRAM.BaseLat", c.DRAM.BaseLat},
+		{"DispatchInterval", c.DispatchInterval}, {"MSHRCapacity", c.MSHRCapacity},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("gpusim: %s %d < 0", f.name, f.v)
+		}
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -313,5 +314,37 @@ func TestMetricsCollectionIsObservationOnly(t *testing.T) {
 			t.Errorf("%s/%s: issue breakdown sums to %d, want %d insts",
 				row.config, row.bench, sum, on.insts)
 		}
+	}
+}
+
+// TestGoldenMSHRCapacityOne: the golden sweep on a one-entry MSHR table,
+// pruned after nearly every memory instruction, gives every launch's
+// LaunchResult equal field for field to the default capacity's — the
+// capacity trades merge-tracking memory for work, never results.
+func TestGoldenMSHRCapacityOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden sweep is a few seconds; skipped in -short")
+	}
+	for _, row := range goldenRows {
+		row := row
+		t.Run(row.config+"/"+row.bench, func(t *testing.T) {
+			t.Parallel()
+			spec, err := workloads.ByName(row.bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app := spec.Build(workloads.Config{Scale: 0.05, Seed: 7})
+			unit := experiments.DefaultOptions(0.05).UnitSize(app.TotalWarpInsts())
+			cfg := goldenConfig(row.config)
+			one := cfg
+			one.MSHRCapacity = 1
+			want := experiments.FullApp(gpusim.MustNew(cfg), app, unit).Launches
+			got := experiments.FullApp(gpusim.MustNew(one), app, unit).Launches
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("launch %d: capacity 1 gives %+v\ndefault gives %+v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }

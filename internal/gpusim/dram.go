@@ -52,16 +52,13 @@ func (d *dram) access(addr uint64, arrive int64) int64 {
 	}
 	b := ch*d.cfg.Banks + bank
 
-	service := int64(d.cfg.RowMissLat)
-	if d.openRow[b] == row+1 {
-		service = int64(d.cfg.RowHitLat)
-		d.RowHits++
-	}
-	start := arrive
-	if d.nextFree[b] > start {
-		start = d.nextFree[b] // queueing delay
-		d.queued++
-	}
+	// Row hits and queueing depend on the access stream, so both are counted
+	// with flags and selected with max instead of branches.
+	hit := b2i(d.openRow[b] == row+1)
+	d.RowHits += hit
+	service := int64(d.cfg.RowMissLat) + (int64(d.cfg.RowHitLat)-int64(d.cfg.RowMissLat))&-hit
+	d.queued += b2i(d.nextFree[b] > arrive)
+	start := max(arrive, d.nextFree[b]) // queueing delay behind the bank
 	if d.mc != nil {
 		d.mc.Observe(metrics.DistDRAMQueueWait, uint64(start-arrive))
 	}
@@ -69,6 +66,16 @@ func (d *dram) access(addr uint64, arrive int64) int64 {
 	d.nextFree[b] = done
 	d.openRow[b] = row + 1
 	return done + int64(d.cfg.BaseLat)
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits a flag set, not a
+// branch.
+func b2i(b bool) int64 {
+	var i int64
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // reset clears bank state and statistics.

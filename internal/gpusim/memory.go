@@ -26,7 +26,7 @@ type memSystem struct {
 	mc    *metrics.Collector
 
 	MSHRMerges int64
-	prunes     int64 // pruneCompleted invocations (MSHR pressure indicator)
+	prunes     int64 // pruneMSHRs invocations that pruned (MSHR pressure indicator)
 }
 
 func newMemSystem(cfg Config) *memSystem {
@@ -112,11 +112,19 @@ func (m *memSystem) access(sm int, addr uint64, cycle int64, op isa.Opcode) int6
 		done = m.dram.access(addr, cycle+int64(m.cfg.L2.HitLat))
 	}
 	t.put(line, done)
-	if t.n > m.prune {
+	return done
+}
+
+// pruneMSHRs drops SM sm's completed fills once its table tracks more than
+// the configured capacity. cycle must be no later than any request sm can
+// still send; one SM's requests do not arrive in cycle order, so the serial
+// loop passes each memory instruction's issue cycle, never an arrival
+// cycle, and the parallel barrier prunes in global arrival order.
+func (m *memSystem) pruneMSHRs(sm int, cycle int64) {
+	if t := &m.mshrs[sm]; t.n > m.prune {
 		m.prunes++
 		t.pruneCompleted(cycle)
 	}
-	return done
 }
 
 // writeback pushes a dirty L1 eviction down to L2 (and DRAM if the L2

@@ -734,10 +734,7 @@ func (rs *runState) barrier(end int64) {
 			line = req.addr / l1.lineB
 		}
 		t.put(line, req.done) // overwrites the epoch's sentinel
-		if t.n > m.prune {
-			m.prunes++
-			t.pruneCompleted(req.arrive)
-		}
+		m.pruneMSHRs(int(r.sm), req.arrive)
 	}
 
 	// 3. Resolve waiters against their fills, then wake every pending

@@ -880,6 +880,7 @@ func (rs *runState) issue(sm *smState, ref warpRef) {
 				done = c
 			}
 		}
+		rs.mem.pruneMSHRs(sm.id, rs.cycle)
 		rs.wake(ref, done)
 	default:
 		rs.mct.issueALU++

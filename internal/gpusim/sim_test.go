@@ -1,10 +1,15 @@
 package gpusim
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
+	"testing/quick"
 
 	"tbpoint/internal/isa"
 	"tbpoint/internal/kernel"
+	"tbpoint/internal/trace"
 )
 
 // smallConfig returns a 2-SM configuration for fast tests.
@@ -484,5 +489,116 @@ func TestConfigValidateCases(t *testing.T) {
 		if c.Validate() == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+}
+
+// TestConfigValidateNamesField: every timing field that would let time run
+// backwards, and a DRAM row size a shift cannot express, is rejected with
+// an error naming the field. Zero stays valid for all of them.
+func TestConfigValidateNamesField(t *testing.T) {
+	cases := []struct {
+		field string
+		set   func(c *Config)
+	}{
+		{"Lat.IALU", func(c *Config) { c.Lat.IALU = -1 }},
+		{"Lat.FALU", func(c *Config) { c.Lat.FALU = -1 }},
+		{"Lat.SFU", func(c *Config) { c.Lat.SFU = -1 }},
+		{"Lat.LDS", func(c *Config) { c.Lat.LDS = -1 }},
+		{"Lat.BRA", func(c *Config) { c.Lat.BRA = -1 }},
+		{"Lat.BAR", func(c *Config) { c.Lat.BAR = -1 }},
+		{"L1.HitLat", func(c *Config) { c.L1.HitLat = -100 }},
+		{"L2.HitLat", func(c *Config) { c.L2.HitLat = -1 }},
+		{"DRAM.RowHitLat", func(c *Config) { c.DRAM.RowHitLat = -1 }},
+		{"DRAM.RowMissLat", func(c *Config) { c.DRAM.RowMissLat = -50 }},
+		{"DRAM.BaseLat", func(c *Config) { c.DRAM.BaseLat = -1 }},
+		{"DRAM.RowBits", func(c *Config) { c.DRAM.RowBits = -1 }},
+		{"DRAM.RowBits", func(c *Config) { c.DRAM.RowBits = 64 }},
+		{"DispatchInterval", func(c *Config) { c.DispatchInterval = -1 }},
+		{"MSHRCapacity", func(c *Config) { c.MSHRCapacity = -1 }},
+	}
+	for _, tc := range cases {
+		c := DefaultConfig()
+		tc.set(&c)
+		err := c.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate() = %v, want an error naming the field", tc.field, err)
+		}
+	}
+	zero := DefaultConfig()
+	zero.Lat = Latencies{}
+	zero.L1.HitLat, zero.L2.HitLat = 0, 0
+	zero.DRAM.RowBits, zero.DRAM.RowHitLat, zero.DRAM.RowMissLat, zero.DRAM.BaseLat = 0, 0, 0, 0
+	zero.DispatchInterval, zero.MSHRCapacity = 0, 0
+	if err := zero.Validate(); err != nil {
+		t.Errorf("all-zero timing rejected: %v", err)
+	}
+}
+
+// TestMSHRPruneAgainstIssueCycle: one SM's requests do not arrive in cycle
+// order, so the MSHR table is pruned against the issuing instruction's
+// cycle, never a request's arrival. A fill completing at 262 must still be
+// merged into by a request arriving at 251 after a request arriving at 270
+// overflowed a one-entry table — the answer the default capacity gives.
+func TestMSHRPruneAgainstIssueCycle(t *testing.T) {
+	const a, b = 0x4000, 0x9000
+	for _, capacity := range []int{1, DefaultMSHRCapacity} {
+		cfg := DefaultConfig()
+		cfg.NumSMs = 1
+		cfg.MSHRCapacity = capacity
+		m := newMemSystem(cfg)
+		// Instruction at cycle 0: one request to a.
+		fill := m.access(0, a, 0, isa.OpLDG)
+		m.pruneMSHRs(0, 0)
+		if fill != 262 {
+			t.Fatalf("capacity %d: cold fill completes at %d, want 262", capacity, fill)
+		}
+		// Instruction at cycle 240: its request 30 (to b) arrives at 270.
+		m.access(0, b, 270, isa.OpLDG)
+		m.pruneMSHRs(0, 240)
+		// Instruction at cycle 241: its request 10 (to a) arrives at 251.
+		if got := m.access(0, a, 251, isa.OpLDG); got != fill {
+			t.Errorf("capacity %d: request at 251 completes at %d, want the outstanding fill's %d", capacity, got, fill)
+		}
+	}
+}
+
+// TestMSHRCapacityKeepsResults: a one-entry MSHR table prunes after nearly
+// every memory instruction, and still every LaunchResult field equals the
+// default capacity's — on random launches, and on launches whose warps
+// stride into each other's lines (stride ± one warp footprint), so fully
+// divergent requests of neighbouring warps keep merging into fills that
+// complete while later-issued, earlier-arriving requests are in flight.
+func TestMSHRCapacityKeepsResults(t *testing.T) {
+	def := DefaultConfig()
+	def.NumSMs = 2
+	one := def
+	one.MSHRCapacity = 1
+	simDef, simOne := MustNew(def), MustNew(one)
+	opts := RunOptions{FixedUnitInsts: 300, CollectBBV: true}
+	same := func(name string, l *kernel.Launch) bool {
+		got, want := simOne.RunLaunch(l, opts), simDef.RunLaunch(l, opts)
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("%s: capacity 1 %+v\ndefault %+v", name, got, want)
+			return false
+		}
+		return true
+	}
+	warpB := int32(trace.DefaultAddrConfig().WarpFootprintB)
+	for _, stride := range []int32{warpB, -warpB} {
+		prog := isa.NewBuilder("shared").
+			Block(isa.IALU()).
+			LoopBlocks(0, isa.Load(32, 1, stride), isa.Load(3, 1, stride), isa.IALU(), isa.Branch()).
+			EndBlock().
+			Build()
+		k := &kernel.Kernel{Name: "shared", Program: prog, ThreadsPerBlock: 8 * kernel.WarpSize}
+		if !same(fmt.Sprintf("stride %d", stride), makeLaunch(k, 12, 12)) {
+			t.Errorf("stride %d: a one-entry MSHR table changed the result", stride)
+		}
+	}
+	f := func(seed int64, nb8, warps8 uint8) bool {
+		return same(fmt.Sprintf("seed %d", seed), randomLaunch(seed, nb8, warps8))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
 }

@@ -49,12 +49,14 @@ func (b *Builder) EndBlock(instrs ...Instr) *Builder {
 
 // Build finalises the program. It panics if the result is invalid, which is
 // always a programming error in a workload model, not a runtime condition.
+// The result is read-only: Build compiles its µop table (Program.Code) once,
+// and later edits to its blocks or loops do not reach that table.
 func (b *Builder) Build() *Program {
 	b.p.Loops = b.pending
 	if err := b.p.Validate(); err != nil {
 		panic("isa: invalid program " + b.p.Name + ": " + err.Error())
 	}
-	b.p.loopIdx = b.p.buildLoopIndex()
+	b.p.code = compile(&b.p)
 	return &b.p
 }
 

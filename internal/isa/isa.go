@@ -103,39 +103,30 @@ type Loop struct {
 	TripParam  int
 }
 
-// Program is a complete kernel body.
+// Program is a complete kernel body. A Program returned by Builder.Build is
+// read-only: it carries the µop table compiled from its blocks, so editing
+// Blocks or Loops afterwards leaves Code (and every Cursor) walking the old
+// instructions, and a copy of it (q := *p) carries the same table.
 type Program struct {
 	Name   string
 	Blocks []Block
 	Loops  []Loop
 
-	// loopIdx caches block index -> loop index (-1 outside loops). It is
-	// filled by Builder.Build; cursors over hand-literal Programs compute
-	// it per Init instead (loopIndex), so a nil value is always safe.
-	loopIdx []int
+	// code caches the program's µop table (Code). It is filled by
+	// Builder.Build; Code compiles hand-literal Programs afresh instead, so
+	// a nil value is always safe.
+	code *Code
 }
 
-// loopIndex returns the block -> loop mapping, using the Build-time cache
-// when present. The uncached path computes a fresh slice so that literal
-// Programs stay safe under concurrent cursor creation.
-func (p *Program) loopIndex() []int {
-	if p.loopIdx != nil {
-		return p.loopIdx
+// Code returns the program's µop table, the form a Cursor walks: the one
+// Builder.Build compiled, or for a hand-literal Program a fresh compilation
+// per call (which stays safe under concurrent use), so a caller expanding
+// many streams fetches it once. The program must be valid.
+func (p *Program) Code() *Code {
+	if p.code != nil {
+		return p.code
 	}
-	return p.buildLoopIndex()
-}
-
-func (p *Program) buildLoopIndex() []int {
-	lo := make([]int, len(p.Blocks))
-	for i := range lo {
-		lo[i] = -1
-	}
-	for li, l := range p.Loops {
-		for b := l.Begin; b < l.End; b++ {
-			lo[b] = li
-		}
-	}
-	return lo
+	return compile(p)
 }
 
 // Validate checks structural invariants: at least one block, every block
@@ -200,22 +191,15 @@ func (p *Program) NumTripParams() int {
 	return n
 }
 
-// tripOf returns how many times block b executes for the given trip counts:
-// once outside loops, the loop's trip parameter inside. Missing trip values
-// default to 1; negative values clamp to 0. loopOf is p.loopIndex().
-func (p *Program) tripOf(loopOf []int, trips []int, b int) int {
-	li := loopOf[b]
-	if li < 0 {
-		return 1
-	}
+// tripCount returns how many times the body of a loop with trip parameter
+// param executes for the given trip counts: trips[param], 1 when trips has
+// no such entry, 0 when it is negative.
+func tripCount(param int, trips []int) int {
 	t := 1
-	if tp := p.Loops[li].TripParam; tp < len(trips) {
-		t = trips[tp]
+	if param < len(trips) {
+		t = trips[param]
 	}
-	if t < 0 {
-		t = 0
-	}
-	return t
+	return max(t, 0)
 }
 
 // Count walks the program once for one warp with the given loop trip counts
@@ -224,12 +208,17 @@ func (p *Program) tripOf(loopOf []int, trips []int, b int) int {
 // active (control divergence reduces the requests a partially-active warp
 // can generate, but never below one per executed memory instruction). When
 // execs is non-nil it must have one entry per block, and each block's
-// execution count is added to it. Count does not allocate for programs made
-// by Builder.Build.
+// execution count is added to it. Count does not allocate.
 func (p *Program) Count(trips []int, activeFrac float64, execs []int64) (warpInsts, memReqs int64) {
-	loopOf := p.loopIndex()
+	li := 0 // the loop holding or following block bi (loops are sorted)
 	for bi := range p.Blocks {
-		t := int64(p.tripOf(loopOf, trips, bi))
+		t := int64(1)
+		if li < len(p.Loops) && bi >= p.Loops[li].Begin {
+			t = int64(tripCount(p.Loops[li].TripParam, trips))
+			if bi == p.Loops[li].End-1 {
+				li++
+			}
+		}
 		if execs != nil {
 			execs[bi] += t
 		}

@@ -68,12 +68,13 @@ func DefaultAddrConfig() AddrConfig {
 type Synthetic struct {
 	Launch *kernel.Launch
 	Addr   AddrConfig
+	code   *isa.Code // the launch program's µop table, fetched once per launch
 }
 
 // NewSynthetic returns the lazy expansion of l with default address
 // generation.
 func NewSynthetic(l *kernel.Launch) Synthetic {
-	return Synthetic{Launch: l, Addr: DefaultAddrConfig()}
+	return Synthetic{Launch: l, Addr: DefaultAddrConfig(), code: l.Kernel.Program.Code()}
 }
 
 // WarpStream returns a fresh stream over warp w of thread block tb. Streams
@@ -90,10 +91,10 @@ func (s *Synthetic) WarpStream(tb, w int) *SynthStream {
 // simulation hot path.
 func (s *Synthetic) InitStream(st *SynthStream, tb, w int) {
 	sh := s.Launch.Shape(tb)
-	st.cfg = s.Addr
 	st.strideOff = uint64(tb)*s.Addr.TBFootprintB + uint64(w)*s.Addr.WarpFootprintB
+	st.randLines = max(s.Addr.RandFootprintB/LineSize, 1)
 	st.af = isa.EffectiveActive(sh.ActiveFrac)
-	st.cur.Init(s.Launch.Kernel.Program, sh.Trips)
+	st.cur.Init(s.code, sh.Trips)
 	st.rng.Seed(s.Launch.Seeds[tb] ^ (uint64(w)+1)*0x9e3779b97f4a7c15)
 }
 
@@ -148,14 +149,17 @@ func readsRNG(p *isa.Program) bool {
 }
 
 // SynthStream yields the dynamic instructions of one warp in order. It is
-// exported so hot callers can embed it by value (see InitStream).
+// exported so hot callers can embed it by value (see InitStream), and kept
+// to 80 bytes: the simulator touches one per issued instruction.
 type SynthStream struct {
 	cur isa.Cursor
-	cfg AddrConfig
 	// strideOff is the warp's fixed offset within a region for strided
 	// accesses (tb*TBFootprintB + warp*WarpFootprintB), precomputed so the
 	// per-instruction address math is add-only.
 	strideOff uint64
+	// randLines is the number of lines irregular accesses draw from:
+	// RandFootprintB / LineSize, at least 1.
+	randLines uint64
 	af        float64
 	rng       stats.RNG
 }
@@ -196,13 +200,9 @@ func (st *SynthStream) Next(addrs []uint64) (Event, bool) {
 	ev.NumReq = uint8(n)
 	if d.Random {
 		// Irregular access: uniform lines over the shared footprint.
-		lines := st.cfg.RandFootprintB / LineSize
-		if lines == 0 {
-			lines = 1
-		}
 		base := regionBase(d.Region)
 		for i := 0; i < n; i++ {
-			addrs[i] = base + (st.rng.Uint64()%lines)*LineSize
+			addrs[i] = base + (st.rng.Uint64()%st.randLines)*LineSize
 		}
 		return ev, true
 	}

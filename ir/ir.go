@@ -40,6 +40,8 @@ type (
 	Opcode = isa.Opcode
 	// Builder assembles programs fluently.
 	Builder = isa.Builder
+	// Code is a program's compiled µop table (Program.Code), what Cursor.Init takes.
+	Code = isa.Code
 	// Cursor walks a warp's dynamic instruction stream.
 	Cursor = isa.Cursor
 	// DynInstr is one dynamic instruction yielded by a Cursor.

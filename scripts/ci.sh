@@ -34,9 +34,12 @@
 #              results equal to one-shot CLI bytes, daemon flag wiring, and
 #              every tbpointctl subcommand. A cache hit after `race` in a
 #              full run; the stage exists to be run by name
-#   fuzz       10s fuzz smoke over each existing fuzz target: the launch
-#              builder (blocks read back bit for bit, one table entry per
-#              bit-distinct shape, also with every shape in one bucket), the
+#   fuzz       10s fuzz smoke over each of the nine fuzz targets: the
+#              instruction cursor (the flat µop walk yields the block walk's
+#              instructions, blocks and loop iterations on random programs
+#              and trip counts), the launch builder (blocks read back bit
+#              for bit, one table entry per bit-distinct shape, also with
+#              every shape in one bucket), the
 #              launch-equality predicate behind reference-run launch reuse
 #              (equal => same recorded streams),
 #              the region table reader, the profile reader (an accepted
@@ -83,7 +86,8 @@ stage_e2e() { go test -race ./internal/e2e/; }
 # at a time. -run='^$' keeps the smoke from re-running unit tests.
 fuzz() { go test -run='^$' -fuzz="^$1\$" -fuzztime=10s "$2"; }
 stage_fuzz() {
-  fuzz FuzzLaunchBuilder ./internal/kernel/ &&
+  fuzz FuzzCursor ./internal/isa/ &&
+    fuzz FuzzLaunchBuilder ./internal/kernel/ &&
     fuzz FuzzSameInput ./internal/trace/ &&
     fuzz FuzzReadRegionTable ./internal/core/ &&
     fuzz FuzzReadProfiles ./internal/core/ &&
