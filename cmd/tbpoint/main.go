@@ -6,12 +6,12 @@
 //
 //	tbpoint [-bench cfd] [-scale 0.2] [-warps 48] [-sms 14]
 //	        [-sigma-inter 0.1] [-sigma-intra 0.2] [-vf 0.3]
-//	        [-compare] [-regions] [-samplers random,stratified,...]
+//	        [-regions] [-samplers random,stratified,...]
 //
 // With -samplers, the named estimation strategies from the registry
 // (internal/sampler) run against the full simulation, with 95% confidence
-// intervals where the strategy provides them; -compare is shorthand for
-// -samplers random,systematic,simpoint (the paper's baselines).
+// intervals where the strategy provides them; -samplers
+// random,systematic,simpoint runs the paper's baselines.
 // With -regions, each representative launch's homogeneous region table is
 // printed.
 package main
@@ -44,7 +44,6 @@ func main() {
 	sigmaInter := flag.Float64("sigma-inter", 0.1, "inter-launch clustering threshold")
 	sigmaIntra := flag.Float64("sigma-intra", 0.2, "intra-launch clustering threshold")
 	vf := flag.Float64("vf", 0.3, "variation-factor threshold for outlier epochs")
-	compare := flag.Bool("compare", false, "shorthand for -samplers random,systematic,simpoint")
 	samplersFlag := flag.String("samplers", "", "also run these registry strategies against the full run (comma-separated; also 'default', 'all')")
 	regions := flag.Bool("regions", false, "print homogeneous region tables")
 	saveProfile := flag.String("save-profile", "", "write the one-time profile to this file")
@@ -158,12 +157,8 @@ func main() {
 	fmt.Printf("%-16s %10.3f %10s %10s\n", "Full", full.IPC(), "-", "100%")
 	fmt.Printf("%-16s %10.3f %9.2f%% %9.2f%%\n",
 		"TBPoint", est.PredictedIPC, est.Error(full)*100, est.SampleSize*100)
-	strategies := *samplersFlag
-	if *compare {
-		strategies = "random,systematic,simpoint," + strategies
-	}
-	if strategies != "" {
-		names, err := sampler.ParseList(strategies)
+	if *samplersFlag != "" {
+		names, err := sampler.ParseList(*samplersFlag)
 		if err != nil {
 			log.Fatal(err)
 		}

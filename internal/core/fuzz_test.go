@@ -135,6 +135,8 @@ func FuzzReplayOrder(f *testing.F) {
 	f.Add(valid, []byte{0, 2, 4}, uint8(n+1), uint8(0))
 	f.Add(valid, []byte{0, 2, 4}, uint8(n), uint8(1))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 250, 251, 252, 253, 254, 255}, []byte{0}, uint8(n), uint8(0))
+	// Block 1 never retires and a block n is dispatched in its place.
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 250, 251, 252, 253, 255, 6}, []byte{0}, uint8(n), uint8(0))
 	f.Add([]byte{128, 127, 6, 249, 0, 255, 0, 255, 1, 1, 254, 254}, []byte{9, 200}, uint8(n), uint8(0))
 	f.Add([]byte{}, []byte{}, uint8(0), uint8(0))
 

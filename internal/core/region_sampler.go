@@ -298,7 +298,7 @@ func replayReference(rt *RegionTable, lp *funcsim.LaunchProfile, ref *gpusim.Lau
 	for _, e := range ref.TBOrder {
 		if e >= 0 {
 			tb := int(e)
-			if tb != next || rs.skipTB(tb) {
+			if tb != next || tb >= n || rs.skipTB(tb) {
 				return nil
 			}
 			next++

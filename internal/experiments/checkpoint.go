@@ -19,7 +19,7 @@ const cellSchema = "cell/v2"
 // cellKey names one grid cell in the checkpoint journal:
 // grid/cell/config-hash, where the hash folds in every Options field (and
 // any extra strings, e.g. the sensitivity hardware config) that determines
-// the cell's result. A resumed run with any differing input therefore
+// the cell's result, and the estimators' outcomeSchema. A resumed run with any differing input therefore
 // misses the journal and recomputes, so stale checkpoints can never leak
 // into fresh results.
 func (o Options) cellKey(grid, cell string, extra ...string) string {
@@ -27,8 +27,8 @@ func (o Options) cellKey(grid, cell string, extra ...string) string {
 	// so it is part of the key: a resume with a different -samplers set
 	// misses and recomputes instead of surfacing cells with missing
 	// strategies.
-	mat := fmt.Sprintf("%s scale=%g seed=%d randfrac=%g unitdiv=%d min=%d max=%d tb=%+v samplers=%v",
-		cellSchema, o.Scale, o.Seed, o.RandomFrac, o.UnitDivisor, o.MinUnitInsts, o.MaxUnitInsts,
+	mat := fmt.Sprintf("%s %s scale=%g seed=%d randfrac=%g unitdiv=%d min=%d max=%d tb=%+v samplers=%v",
+		cellSchema, outcomeSchema, o.Scale, o.Seed, o.RandomFrac, o.UnitDivisor, o.MinUnitInsts, o.MaxUnitInsts,
 		o.tbpointKeyOptions(), o.samplerNames())
 	for _, e := range extra {
 		mat += " " + e

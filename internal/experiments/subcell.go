@@ -16,10 +16,11 @@ import (
 )
 
 // outcomeSchema versions the stored per-strategy outcomes. It is part of
-// every outcome's key material, so a change to any estimator's arithmetic
-// must bump it (as cellSchema was bumped for the cell payloads): entries
-// written by the old arithmetic then miss instead of being served.
-const outcomeSchema = "outcome/v1"
+// every outcome's and every journaled cell's key material, so a change to
+// any estimator's arithmetic must bump it (as cellSchema was bumped for the
+// cell payloads): entries written by the old arithmetic then miss instead of
+// being served. v2: Random's CI counts the units it selected.
+const outcomeSchema = "outcome/v2"
 
 // subcellPrefix starts every sub-cell cache key; no grid is named "subcell",
 // so it separates the cache's entries from the journaled cells.

@@ -26,20 +26,19 @@ func (randomSampler) Abbrev() string  { return "Rand" }
 func (randomSampler) Breakdown() bool { return false }
 
 func (randomSampler) Estimate(in Input) (Outcome, error) {
-	est := sampling.Random(in.Full, in.Params.frac(), in.Params.Seed+randomSeedOffset)
-	return Outcome{Estimate: est, CIHalf: srsCIHalf(in.Full, est)}, nil
+	est, k := sampling.Random(in.Full, in.Params.frac(), in.Params.Seed+randomSeedOffset)
+	return Outcome{Estimate: est, CIHalf: srsCIHalf(in.Full, est, k)}, nil
 }
 
 // srsCIHalf attaches a simple-random-sampling 95% confidence interval to a
-// unit-level estimate: the variance of the per-unit CPI over all units
-// stands in for the sample variance (the full run is available here), with
-// the finite-population correction for sampling without replacement. The
-// cycle-total half-width is mapped onto IPC by the delta method around the
-// prediction.
-func srsCIHalf(full *sampling.AppRun, est sampling.Estimate) float64 {
+// unit-level estimate from n selected units (1 <= n <= units): the variance of the per-unit
+// cycles over all units stands in for the sample variance (the full run is
+// available here), with the finite-population correction for sampling
+// without replacement. The cycle-total half-width is mapped onto IPC by the
+// delta method around the prediction.
+func srsCIHalf(full *sampling.AppRun, est sampling.Estimate, n int) float64 {
 	units, _ := full.AllFixedUnits()
-	n := int(est.SampleSize*float64(len(units)) + 0.5)
-	if n < 1 || len(units) < 2 || est.PredictedCycles <= 0 {
+	if len(units) < 2 || est.PredictedCycles <= 0 {
 		return 0
 	}
 	ys := make([]float64, len(units))
@@ -48,9 +47,6 @@ func srsCIHalf(full *sampling.AppRun, est sampling.Estimate) float64 {
 	}
 	N := float64(len(units))
 	fpc := 1 - float64(n)/N
-	if fpc < 0 {
-		fpc = 0
-	}
 	varTotal := N * N * fpc * stats.SampleVariance(ys) / float64(n)
 	hwCycles := stats.NormalCI95Half(varTotal)
 	return est.PredictedIPC * hwCycles / est.PredictedCycles

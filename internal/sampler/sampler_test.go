@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tbpoint/internal/stats"
 )
 
 func TestRegistryCanonicalOrder(t *testing.T) {
@@ -112,4 +114,29 @@ func TestRegisterPanics(t *testing.T) {
 	}
 	mustPanic("duplicate", func() { Register(fakeSampler{name: NameRandom}) })
 	mustPanic("empty name", func() { Register(fakeSampler{}) })
+}
+
+// TestRandomCIUsesSelectedUnits: Random's CI counts the units it selected.
+// Rebuilding that count from SampleSize (a share of instructions) goes wrong
+// when units differ in size: here one unit carries most instructions, so
+// the rebuilt count is 0 or all 20 and the interval collapses to zero.
+func TestRandomCIUsesSelectedUnits(t *testing.T) {
+	full := synthRun([]int{20}, bumpy)
+	full.Launches[0].FixedUnits[0].WarpInsts = 100000
+	full.Launches[0].SimulatedWarpInsts += 100000 - 1000
+	s, _ := Get(NameRandom)
+	out, err := s.Estimate(Input{Full: full, Params: Params{Frac: 0.1, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, _ := full.AllFixedUnits()
+	ys := make([]float64, len(units))
+	for i, u := range units {
+		ys[i] = float64(u.Cycles)
+	}
+	const N, n = 20.0, 2.0 // round(0.1 × 20) units selected
+	hw := stats.NormalCI95Half(N * N * (1 - n/N) * stats.SampleVariance(ys) / n)
+	if want := out.Estimate.PredictedIPC * hw / out.Estimate.PredictedCycles; out.CIHalf != want || want <= 0 {
+		t.Errorf("CIHalf = %v, want %v from the %v selected units", out.CIHalf, want, n)
+	}
 }

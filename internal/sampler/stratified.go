@@ -66,11 +66,8 @@ func (stratifiedSampler) Estimate(in Input) (Outcome, error) {
 // too-short slice) falls back to one stratum per launch. It is exported so
 // tests can drive synthetic stratifications directly.
 func StratifiedEstimate(full *sampling.AppRun, stratumOf []int, p Params) Outcome {
-	out := Outcome{Estimate: sampling.Estimate{Technique: "Stratified"}}
+	var out Outcome
 	units, launchOf := full.AllFixedUnits()
-	if len(units) == 0 {
-		return out
-	}
 
 	// Group unit indices into dense strata, in first-appearance order so
 	// stratum IDs are deterministic.
@@ -128,7 +125,6 @@ func StratifiedEstimate(full *sampling.AppRun, stratumOf []int, p Params) Outcom
 	// Final selection and the stratified expansion estimate.
 	selected := make([]bool, len(units))
 	var predCycles, varTotal float64
-	var selInsts int64
 	for h, members := range strata {
 		n := pilots[h] + extra[h]
 		out.Phase2Units += extra[h]
@@ -139,7 +135,6 @@ func StratifiedEstimate(full *sampling.AppRun, stratumOf []int, p Params) Outcom
 		for j := 0; j < n; j++ {
 			idx := members[perms[h][j]]
 			selected[idx] = true
-			selInsts += units[idx].WarpInsts
 			ys[j] = float64(units[idx].Cycles)
 		}
 		N := float64(len(members))
@@ -149,37 +144,11 @@ func StratifiedEstimate(full *sampling.AppRun, stratumOf []int, p Params) Outcom
 		varTotal += N * (N - float64(n)) * stats.SampleVariance(ys) / float64(n)
 	}
 	out.PilotUnits = pilotTotal
-
-	totalInsts := full.TotalInsts()
-	if predCycles <= 0 || totalInsts == 0 {
-		return out
-	}
-	out.Estimate.PredictedCycles = predCycles
-	out.Estimate.PredictedIPC = float64(totalInsts) / predCycles
-	out.Estimate.SampleSize = float64(selInsts) / float64(totalInsts)
-	// Map the cycle-total CI onto IPC by the delta method around the
-	// prediction: IPC = I/C, so |dIPC| ≈ IPC * |dC| / C.
-	out.CIHalf = out.Estimate.PredictedIPC * stats.NormalCI95Half(varTotal) / predCycles
-
-	// Attribute skipped instructions: a launch with no sampled unit was
-	// skipped by stratification across launches (inter), one with some
-	// sampled units by sub-sampling within it (intra) — the same
-	// attribution rule the Random baseline uses.
-	launchSampled := map[int]bool{}
-	for i := range units {
-		if selected[i] {
-			launchSampled[launchOf[i]] = true
-		}
-	}
-	for i, u := range units {
-		if selected[i] {
-			continue
-		}
-		if launchSampled[launchOf[i]] {
-			out.Estimate.SkippedIntraInsts += u.WarpInsts
-		} else {
-			out.Estimate.SkippedInterInsts += u.WarpInsts
-		}
+	out.Estimate = sampling.Account("Stratified", full, selected, predCycles)
+	if out.Estimate.PredictedCycles > 0 {
+		// Map the cycle-total CI onto IPC by the delta method around the
+		// prediction: IPC = I/C, so |dIPC| ≈ IPC * |dC| / C.
+		out.CIHalf = out.Estimate.PredictedIPC * stats.NormalCI95Half(varTotal) / predCycles
 	}
 	return out
 }

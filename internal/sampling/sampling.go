@@ -1,6 +1,8 @@
-// Package sampling provides the abstractions shared by every sampling
-// technique in the evaluation — the metric definitions of Fig. 9 and
-// Fig. 10 — plus the Random baseline (§V-A).
+// Package sampling provides the vocabulary every sampling technique in the
+// evaluation shares: the full run (AppRun), the Estimate with the metric
+// definitions of Fig. 9 and Fig. 10, Eq. 1's per-phase prediction over fixed
+// units (PhaseEstimate) and the Fig. 10/11 accounting (Account), plus the
+// Random (§V-A) and Systematic (§VI) baselines as unit selections under it.
 //
 // All techniques predict the application's total simulated cycles from a
 // subset of the work; reporting then derives IPC and error. We use the
@@ -11,6 +13,8 @@
 package sampling
 
 import (
+	"slices"
+
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/stats"
 )
@@ -136,103 +140,108 @@ func (e Estimate) InterFraction() float64 {
 	return float64(e.SkippedInterInsts) / float64(t)
 }
 
-// Random implements the random-sampling baseline: collect the IPC of every
-// fixed-size sampling unit during a full simulation and randomly select
-// frac of them (§V-A uses one-million-instruction units and frac = 0.10).
-// The unselected units' cycles are predicted from the selected units' mean
-// CPI.
-func Random(full *AppRun, frac float64, seed uint64) Estimate {
-	units, launchOf := full.AllFixedUnits()
-	est := Estimate{Technique: "Random"}
-	if len(units) == 0 {
+// Account is the one Fig. 10/11 accounting rule of the unit-based
+// estimators. Given a prediction of predCycles total cycles made from the
+// selected fixed units (selected[i] is unit i of full.AllFixedUnits()), it
+// fills PredictedIPC, the Fig. 10 sample size (the selected units' share of
+// the run's instructions) and the Fig. 11 attribution of every unselected
+// unit: inter-launch when no unit of its launch is selected, intra-launch
+// otherwise. Launches sharing one *LaunchResult count as separate launches.
+//
+// Degenerate inputs have one rule: a prediction that is not positive (as
+// from an empty run or an empty selection) or a run without instructions
+// yields the zero Estimate, with only Technique set.
+func Account(technique string, full *AppRun, selected []bool, predCycles float64) Estimate {
+	est := Estimate{Technique: technique}
+	totalInsts := full.TotalInsts()
+	if !(predCycles > 0) || totalInsts == 0 {
 		return est
 	}
-	rng := stats.NewRNG(seed)
-	k := int(float64(len(units))*frac + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	if k > len(units) {
-		k = len(units)
-	}
-	perm := rng.Perm(len(units))
-	selected := make(map[int]bool, k)
-	for _, i := range perm[:k] {
-		selected[i] = true
-	}
-
-	var selInsts, selCycles int64
-	launchSelected := map[int]bool{}
-	for i, u := range units {
-		if selected[i] {
-			selInsts += u.WarpInsts
-			selCycles += u.Cycles
-			launchSelected[launchOf[i]] = true
-		}
-	}
-	cpi := float64(selCycles) / float64(selInsts)
-
-	totalInsts := full.TotalInsts()
-	est.PredictedCycles = cpi * float64(totalInsts)
-	est.PredictedIPC = float64(totalInsts) / est.PredictedCycles
-	est.SampleSize = float64(selInsts) / float64(totalInsts)
-	for i, u := range units {
-		if selected[i] {
+	var selInsts int64
+	i := 0
+	for _, l := range full.Launches {
+		if l == nil {
 			continue
 		}
-		if launchSelected[launchOf[i]] {
-			est.SkippedIntraInsts += u.WarpInsts
-		} else {
-			est.SkippedInterInsts += u.WarpInsts
+		sel := selected[i : i+len(l.FixedUnits)]
+		i += len(l.FixedUnits)
+		sampled := slices.Contains(sel, true)
+		for j, u := range l.FixedUnits {
+			switch {
+			case sel[j]:
+				selInsts += u.WarpInsts
+			case sampled:
+				est.SkippedIntraInsts += u.WarpInsts
+			default:
+				est.SkippedInterInsts += u.WarpInsts
+			}
 		}
 	}
+	est.PredictedCycles = predCycles
+	est.PredictedIPC = float64(totalInsts) / predCycles
+	est.SampleSize = float64(selInsts) / float64(totalInsts)
 	return est
 }
 
-// Systematic implements systematic sampling (§VI related work): starting
-// from a random offset, every k-th fixed-size unit is simulated, where k =
-// round(1/frac). The paper discusses it as the main alternative to
-// profiling-based sampling and notes its weakness: "most instructions may
-// be unnecessarily sampled for regular kernels" because the period ignores
-// program structure.
-func Systematic(full *AppRun, frac float64, seed uint64) Estimate {
-	units, launchOf := full.AllFixedUnits()
-	est := Estimate{Technique: "Systematic"}
-	if len(units) == 0 || frac <= 0 {
-		return est
+// PhaseEstimate is Eq. 1 over the fixed units: a phase's cycles are its
+// instructions times the CPI of its selected units, and the prediction sums
+// the phases in ascending id (float addition is not associative, so the
+// order is part of the result) before Account finishes it. phase[i] is the
+// phase of unit i of full.AllFixedUnits(), with ids counted from 0. A phase
+// whose selected units carry no instructions adds no cycles.
+func PhaseEstimate(technique string, full *AppRun, phase []int, selected []bool) Estimate {
+	units, _ := full.AllFixedUnits()
+	n := 0
+	for _, p := range phase {
+		n = max(n, p+1)
 	}
-	period := int(1/frac + 0.5)
-	if period < 1 {
-		period = 1
-	}
-	start := int(stats.NewRNG(seed).Uint64() % uint64(period))
-
-	var selInsts, selCycles int64
-	selected := map[int]bool{}
-	launchSelected := map[int]bool{}
-	for i := start; i < len(units); i += period {
-		selected[i] = true
-		selInsts += units[i].WarpInsts
-		selCycles += units[i].Cycles
-		launchSelected[launchOf[i]] = true
-	}
-	if selInsts == 0 {
-		return est
-	}
-	cpi := float64(selCycles) / float64(selInsts)
-	totalInsts := full.TotalInsts()
-	est.PredictedCycles = cpi * float64(totalInsts)
-	est.PredictedIPC = float64(totalInsts) / est.PredictedCycles
-	est.SampleSize = float64(selInsts) / float64(totalInsts)
+	sums := make([]struct{ insts, selInsts, selCycles int64 }, n)
 	for i, u := range units {
+		s := &sums[phase[i]]
+		s.insts += u.WarpInsts
 		if selected[i] {
-			continue
-		}
-		if launchSelected[launchOf[i]] {
-			est.SkippedIntraInsts += u.WarpInsts
-		} else {
-			est.SkippedInterInsts += u.WarpInsts
+			s.selInsts += u.WarpInsts
+			s.selCycles += u.Cycles
 		}
 	}
-	return est
+	var predCycles float64
+	for _, s := range sums {
+		if s.selInsts > 0 {
+			predCycles += float64(s.selCycles) / float64(s.selInsts) * float64(s.insts)
+		}
+	}
+	return Account(technique, full, selected, predCycles)
+}
+
+// Random implements the random-sampling baseline (§V-A uses
+// one-million-instruction units and frac = 0.10): the first k =
+// round(frac × units) units of a seeded permutation, at least one, priced by
+// Eq. 1 as one phase, i.e. every instruction at the selected units' CPI. It
+// also returns k, the sample size in units a variance estimate needs.
+func Random(full *AppRun, frac float64, seed uint64) (est Estimate, k int) {
+	units, _ := full.AllFixedUnits()
+	k = min(max(int(float64(len(units))*frac+0.5), 1), len(units))
+	selected := make([]bool, len(units))
+	for _, i := range stats.NewRNG(seed).Perm(len(units))[:k] {
+		selected[i] = true
+	}
+	return PhaseEstimate("Random", full, make([]int, len(units)), selected), k
+}
+
+// Systematic implements systematic sampling (§VI related work): every
+// period-th fixed-size unit from a seeded start, period = round(1/frac),
+// priced by Eq. 1 as one phase. A frac at or below zero selects nothing. The
+// paper discusses it as the main alternative to profiling-based sampling and
+// notes its weakness: "most instructions may be unnecessarily sampled for
+// regular kernels" because the period ignores program structure.
+func Systematic(full *AppRun, frac float64, seed uint64) Estimate {
+	units, _ := full.AllFixedUnits()
+	selected := make([]bool, len(units))
+	if frac > 0 {
+		period := max(int(1/frac+0.5), 1)
+		for i := int(stats.NewRNG(seed).Uint64() % uint64(period)); i < len(units); i += period {
+			selected[i] = true
+		}
+	}
+	return PhaseEstimate("Systematic", full, make([]int, len(units)), selected)
 }

@@ -64,7 +64,7 @@ func TestAppRunAggregates(t *testing.T) {
 
 func TestRandomEstimate(t *testing.T) {
 	run := fullRun(t, testApp(3, 80), 400)
-	est := Random(run, 0.10, 42)
+	est, _ := Random(run, 0.10, 42)
 	if est.Technique != "Random" {
 		t.Error("technique label")
 	}
@@ -83,15 +83,15 @@ func TestRandomEstimate(t *testing.T) {
 
 func TestRandomDeterministicPerSeed(t *testing.T) {
 	run := fullRun(t, testApp(2, 60), 400)
-	a := Random(run, 0.1, 7)
-	b := Random(run, 0.1, 7)
+	a, _ := Random(run, 0.1, 7)
+	b, _ := Random(run, 0.1, 7)
 	if a.PredictedIPC != b.PredictedIPC || a.SampleSize != b.SampleSize {
 		t.Error("same-seed Random diverged")
 	}
 }
 
 func TestRandomEmptyRun(t *testing.T) {
-	est := Random(&AppRun{}, 0.1, 1)
+	est, _ := Random(&AppRun{}, 0.1, 1)
 	if est.PredictedIPC != 0 || est.SampleSize != 0 {
 		t.Error("empty run should give zero estimate")
 	}
@@ -99,11 +99,11 @@ func TestRandomEmptyRun(t *testing.T) {
 
 func TestRandomFracClamps(t *testing.T) {
 	run := fullRun(t, testApp(1, 40), 400)
-	lo := Random(run, 0.0001, 1) // clamps to >= 1 unit
+	lo, _ := Random(run, 0.0001, 1) // clamps to >= 1 unit
 	if lo.SampleSize <= 0 {
 		t.Error("tiny frac should still select one unit")
 	}
-	hi := Random(run, 5.0, 1) // clamps to all units
+	hi, _ := Random(run, 5.0, 1) // clamps to all units
 	if hi.SampleSize < 0.99 {
 		t.Errorf("frac>1 should select everything, got %.3f", hi.SampleSize)
 	}
@@ -174,5 +174,59 @@ func TestSystematicDeterministicPerSeed(t *testing.T) {
 	b := Systematic(run, 0.1, 4)
 	if a.PredictedIPC != b.PredictedIPC {
 		t.Error("same-seed systematic diverged")
+	}
+}
+
+// unitRun is a run of hand-written launches, each a list of (insts, cycles)
+// units whose instructions tile the launch.
+func unitRun(launches ...[][2]int64) *AppRun {
+	run := &AppRun{}
+	for _, units := range launches {
+		lr := &gpusim.LaunchResult{}
+		for _, u := range units {
+			lr.FixedUnits = append(lr.FixedUnits, gpusim.FixedUnit{Index: len(lr.FixedUnits), WarpInsts: u[0], Cycles: u[1]})
+			lr.SimulatedWarpInsts += u[0]
+			lr.Cycles += u[1]
+		}
+		run.Launches = append(run.Launches, lr)
+	}
+	return run
+}
+
+func TestAccountAttribution(t *testing.T) {
+	run := unitRun([][2]int64{{10, 40}, {20, 60}}, [][2]int64{{30, 90}})
+	// A reused launch shares the first one's result but is its own launch.
+	run.Launches = append(run.Launches, run.Launches[0], nil)
+	// Units: launch 0 {0, 1}, launch 1 {2}, launch 2 {3, 4}.
+	est := Account("t", run, []bool{true, false, false, false, true}, 180)
+	want := Estimate{Technique: "t", PredictedCycles: 180, PredictedIPC: 90.0 / 180,
+		SampleSize: 30.0 / 90, SkippedIntraInsts: 20 + 10, SkippedInterInsts: 30}
+	if est != want {
+		t.Errorf("Account = %+v, want %+v", est, want)
+	}
+	for _, pred := range []float64{0, -1, math.NaN()} {
+		if got := Account("t", run, make([]bool, 5), pred); got != (Estimate{Technique: "t"}) {
+			t.Errorf("prediction %v: %+v, want the zero Estimate", pred, got)
+		}
+	}
+}
+
+func TestPhaseEstimateIsEq1(t *testing.T) {
+	run := unitRun([][2]int64{{10, 40}, {20, 60}}, [][2]int64{{30, 90}, {40, 400}})
+	// Phase 0 = units 0 and 2 priced at unit 0's CPI 4; phase 1 = units 1
+	// and 3 at the CPI of both, 460/60.
+	est := PhaseEstimate("t", run, []int{0, 1, 0, 1}, []bool{true, true, false, true})
+	if want := 4*40.0 + 460.0/60*60; est.PredictedCycles != want {
+		t.Errorf("PredictedCycles = %v, want %v", est.PredictedCycles, want)
+	}
+	// A phase with nothing selected adds no cycles.
+	est = PhaseEstimate("t", run, []int{0, 1, 0, 1}, []bool{true, false, false, false})
+	if want := 4 * 40.0; est.PredictedCycles != want {
+		t.Errorf("unselected phase: PredictedCycles = %v, want %v", est.PredictedCycles, want)
+	}
+	// Everything selected as one phase reproduces the run's cycles.
+	est = PhaseEstimate("t", run, make([]int, 4), []bool{true, true, true, true})
+	if est.PredictedCycles != float64(run.TotalCycles()) || est.SampleSize != 1 {
+		t.Errorf("full selection: %+v, want %d cycles and sample size 1", est, run.TotalCycles())
 	}
 }

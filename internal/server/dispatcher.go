@@ -102,16 +102,23 @@ func (d *Driver) runJob(j *Job) {
 	jmc := metrics.New()
 	report := &syncBuffer{}
 
-	d.mu.Lock()
-	if d.applyLocked(j, evDispatch, "") != nil { // rejected: Cancel won the race for this job
-		d.mu.Unlock()
+	// The lock is released by defer: a panic in the dispatch's journal write
+	// unwinds into runContained, whose recovery takes the lock again.
+	dispatched := func() bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if d.applyLocked(j, evDispatch, "") != nil { // rejected: Cancel won the race for this job
+			return false
+		}
+		j.cancel = cancelRun
+		j.mc = jmc
+		j.report = report
+		j.progress = progressMark{} // fresh watchdog window for this run
+		return true
+	}()
+	if !dispatched {
 		return
 	}
-	j.cancel = cancelRun
-	j.mc = jmc
-	j.report = report
-	j.progress = progressMark{} // fresh watchdog window for this run
-	d.mu.Unlock()
 
 	// The chaos seam (Config.Chaos only): deterministic job-level faults. A
 	// panic here unwinds into runContained; a wedge parks until a supervisor

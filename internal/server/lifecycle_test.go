@@ -256,6 +256,57 @@ func TestLifecyclePanicAfterVerdictKeepsOutcome(t *testing.T) {
 	}
 }
 
+// TestLifecyclePanicInDispatchWriteFailsJob: a panic escaping from the
+// dispatch's journal write fails the job as a panic and restarts the slot,
+// and the driver stays usable. Every call goes through a timeout, because a
+// lock still held by the panicking dispatcher wedges Status and Close.
+func TestLifecyclePanicInDispatchWriteFailsJob(t *testing.T) {
+	mc := metrics.New()
+	d, err := Open(Config{StateDir: t.TempDir(), Dispatchers: 1, Metrics: mc, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s did not return: the driver is wedged", what)
+		}
+	}
+	run := func() (st JobStatus) {
+		t.Helper()
+		within("a job's Submit and wait", func() {
+			if st, err = d.Submit(cheapSpec()); err != nil {
+				return
+			}
+			for !st.State.Terminal() {
+				time.Sleep(time.Millisecond)
+				st, err = d.Status(st.ID)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	d.mu.Lock()
+	d.journal.Fault = faultcheck.OnNth(2, faultcheck.Panic) // submit, then the dispatch's write
+	d.mu.Unlock()
+	if final := run(); final.State != StateFailed || final.Failure == nil || final.Failure.Kind != FailurePanic {
+		t.Fatalf("job finished %s failure %+v, want failed as %s", final.State, final.Failure, FailurePanic)
+	}
+	if n := mc.Count(metrics.ServerDispatcherRestarts); n != 1 {
+		t.Errorf("server.dispatcher_restarts = %d, want 1", n)
+	}
+	if final := run(); final.State != StateDone {
+		t.Fatalf("job on the restarted slot finished %s (%s)", final.State, final.Error)
+	}
+	within("Close", func() { d.Close() })
+}
+
 // parentJournal is four records exactly as the parent commit's separate
 // journal-record type marshalled them (times as values, zero counters
 // omitted), the first still carrying the event-loop fields retired before that.

@@ -9,8 +9,6 @@
 package simpoint
 
 import (
-	"sort"
-
 	"tbpoint/internal/cluster"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/sampling"
@@ -36,10 +34,8 @@ type Result struct {
 	// K is the number of clusters (simulation points).
 	K int
 	// Points are the selected unit indices (into the concatenated unit
-	// list), one per cluster.
+	// list), one per cluster in ascending cluster id.
 	Points []int
-	// Assign maps each unit to its cluster.
-	Assign []int
 }
 
 // normalizeBBV converts a unit's BBV into a frequency vector of the given
@@ -60,92 +56,32 @@ func normalizeBBV(u gpusim.FixedUnit, dim int) []float64 {
 // Run applies Ideal-Simpoint to a completed full simulation whose fixed
 // units carry BBVs.
 func Run(full *sampling.AppRun, opts Options) Result {
-	units, launchOf := full.AllFixedUnits()
-	res := Result{Estimate: sampling.Estimate{Technique: "Ideal-Simpoint"}}
+	const technique = "Ideal-Simpoint"
+	units, _ := full.AllFixedUnits()
 	if len(units) == 0 {
-		return res
+		return Result{Estimate: sampling.Estimate{Technique: technique}}
 	}
 
-	dim := 0
+	// Without BBVs every unit looks alike (degenerate but well defined).
+	dim := 1
 	for _, u := range units {
-		if len(u.BBV) > dim {
-			dim = len(u.BBV)
-		}
-	}
-	if dim == 0 {
-		// No BBVs collected; treat every unit as identical (degenerate but
-		// well defined).
-		dim = 1
+		dim = max(dim, len(u.BBV))
 	}
 	points := make([][]float64, len(units))
 	for i, u := range units {
 		points[i] = normalizeBBV(u, dim)
 	}
 
-	maxK := opts.MaxK
-	if maxK < 1 {
-		maxK = 1
-	}
-	km := cluster.KMeansBIC(points, maxK, opts.BICFrac, opts.Seed)
-	res.K = km.K
-	res.Assign = km.Assign
+	km := cluster.KMeansBIC(points, opts.MaxK, opts.BICFrac, opts.Seed)
+	res := Result{K: km.K}
+	// Eq. 1 with the clusters as phases, each priced at its representative's
+	// CPI. Assignments are dense cluster ids, so Points follow ascending id.
 	reps := cluster.Representatives(points, km.Assign)
-
-	// Eq. 1: Total_CPI = sum over phases of representative CPI * weight.
-	// Clusters are visited in ascending id order: float addition is not
-	// associative, so summing in map order would make the prediction's last
-	// bits (and the order of Points) differ from run to run.
-	members := cluster.Members(km.Assign)
-	cids := make([]int, 0, len(members))
-	for cid := range members {
-		cids = append(cids, cid)
+	selected := make([]bool, len(units))
+	for cid := range km.K {
+		res.Points = append(res.Points, reps[cid])
+		selected[reps[cid]] = true
 	}
-	sort.Ints(cids)
-	totalInsts := full.TotalInsts()
-	var predCycles float64
-	var selInsts int64
-	selectedUnit := map[int]bool{}
-	for _, cid := range cids {
-		idxs := members[cid]
-		rep := reps[cid]
-		res.Points = append(res.Points, rep)
-		selectedUnit[rep] = true
-		selInsts += units[rep].WarpInsts
-		repCPI := 0.0
-		if units[rep].WarpInsts > 0 {
-			repCPI = float64(units[rep].Cycles) / float64(units[rep].WarpInsts)
-		}
-		var clusterInsts int64
-		for _, i := range idxs {
-			clusterInsts += units[i].WarpInsts
-		}
-		predCycles += repCPI * float64(clusterInsts)
-	}
-
-	est := &res.Estimate
-	est.PredictedCycles = predCycles
-	if predCycles > 0 {
-		est.PredictedIPC = float64(totalInsts) / predCycles
-	}
-	est.SampleSize = float64(selInsts) / float64(totalInsts)
-
-	// Fig. 11 attribution: skipped units in launches with no selected unit
-	// count as inter-launch savings; the rest as intra-launch.
-	launchSelected := map[int]bool{}
-	for i := range units {
-		if selectedUnit[i] {
-			launchSelected[launchOf[i]] = true
-		}
-	}
-	for i, u := range units {
-		if selectedUnit[i] {
-			continue
-		}
-		if launchSelected[launchOf[i]] {
-			est.SkippedIntraInsts += u.WarpInsts
-		} else {
-			est.SkippedInterInsts += u.WarpInsts
-		}
-	}
+	res.Estimate = sampling.PhaseEstimate(technique, full, km.Assign, selected)
 	return res
 }

@@ -232,7 +232,8 @@ func FullSimulationCtx(ctx context.Context, sim *Simulator, app *App, unitInsts 
 // RandomBaseline applies the random-sampling baseline (§V-A) to a full
 // simulation: select frac of the fixed-size units at random.
 func RandomBaseline(full *AppRun, frac float64, seed uint64) Estimate {
-	return sampling.Random(full, frac, seed)
+	est, _ := sampling.Random(full, frac, seed)
+	return est
 }
 
 // SimPointBaseline applies the Ideal-Simpoint baseline (§V-A) to a full
