@@ -29,12 +29,10 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"tbpoint/internal/durable"
 	"tbpoint/internal/experiments"
-	"tbpoint/internal/faultcheck"
 	"tbpoint/internal/metrics"
 	"tbpoint/internal/par"
 	"tbpoint/internal/sampler"
@@ -141,9 +139,10 @@ func main() {
 
 	// Checkpoint/resume: every completed grid cell, and what it is composed
 	// from (full reference, per-strategy outcomes), is journaled so a crashed
-	// or killed run never redoes finished work. The env hook injects a real
-	// process death at the Nth store write — internal/e2e uses it to prove
-	// kill-and-resume reproduces an uninterrupted run bit for bit.
+	// or killed run never redoes finished work. The store's crash hook
+	// (TBPOINT_CRASH_AFTER_CHECKPOINTS) injects a real process death at the
+	// Nth store write — internal/e2e uses it to prove kill-and-resume
+	// reproduces an uninterrupted run bit for bit.
 	var store *durable.Store
 	if *checkpointDir != "" {
 		var err error
@@ -155,15 +154,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: quarantined %d corrupted checkpoint file(s) in %s\n",
 				q, *checkpointDir)
 		}
-		if env := os.Getenv("TBPOINT_CRASH_AFTER_CHECKPOINTS"); env != "" {
-			n, err := strconv.ParseInt(env, 10, 64)
-			if err != nil {
-				fail(fmt.Errorf("TBPOINT_CRASH_AFTER_CHECKPOINTS=%q: %v", env, err))
-			}
-			store.Fault = faultcheck.OnNth(n, faultcheck.Crash).WithCrashFn(func() {
-				fmt.Fprintln(os.Stderr, "experiments: injected crash (TBPOINT_CRASH_AFTER_CHECKPOINTS)")
-				os.Exit(3)
-			})
+		if err := store.ArmCrashHook(); err != nil {
+			fail(err)
 		}
 		if *cacheMax > 0 {
 			store.SetMaxBytes(*cacheMax)

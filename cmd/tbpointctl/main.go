@@ -162,7 +162,6 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 	noCache := fs.Bool("no-cache", false, "compute every cell fresh, ignoring the artifact cache")
 	clientName := fs.String("client", "", "tenant name for fair-share scheduling (empty = the shared anon queue)")
 	priority := fs.Int("priority", 0, "job priority 0..9: widens this client's dispatcher share, never starves others")
-	fault := fs.String("fault", "", "chaos fault injection: panic, stuck or crash (daemon must run -chaos)")
 	wait := fs.Bool("wait", false, "block until the job is terminal; print its status line")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
@@ -179,7 +178,6 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 		NoCache:      *noCache,
 		Client:       *clientName,
 		Priority:     *priority,
-		Fault:        *fault,
 	}
 	if *bench != "" {
 		spec.Benchmarks = strings.Split(*bench, ",")

@@ -26,54 +26,55 @@ import (
 	"tbpoint/internal/server"
 )
 
+// configFlags registers on fs the flags that set server.Config fields and
+// returns the Config they fill in when fs is parsed.
+func configFlags(fs *flag.FlagSet) *server.Config {
+	cfg := &server.Config{}
+	fs.StringVar(&cfg.StateDir, "state-dir", "", "durable state directory: job journal, artifact cache, results (required)")
+	fs.IntVar(&cfg.Dispatchers, "dispatchers", 2, "concurrent jobs (each job's grid cells share the -par budget)")
+	fs.Int64Var(&cfg.CacheMaxBytes, "cache-max-bytes", 0, "artifact cache byte budget; LRU entries are evicted over it (0 = unbounded)")
+	fs.BoolVar(&cfg.Paused, "paused", false, "accept and journal jobs without dispatching any (drain mode; a restart without -paused runs them)")
+	fs.IntVar(&cfg.MaxRequeues, "max-requeues", server.DefaultMaxRequeues, "quarantine a job after this many requeues-while-running across restarts (-1 = never)")
+	fs.DurationVar(&cfg.StuckAfter, "stuck-after", 0, "fail a running job as stuck when its progress stalls this long (0 = watchdog off)")
+	fs.IntVar(&cfg.MaxQueued, "max-queued", 0, "reject submissions with 429 past this many queued jobs (0 = unbounded)")
+	fs.IntVar(&cfg.MaxQueuedPerClient, "max-queued-client", 0, "per-client queued-job bound, rejected with 429 (0 = unbounded)")
+	return cfg
+}
+
 func main() {
+	cfg := configFlags(flag.CommandLine)
 	addr := flag.String("addr", "127.0.0.1:8338", "listen address (port 0 = ephemeral)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
-	stateDir := flag.String("state-dir", "", "durable state directory: job journal, artifact cache, results (required)")
-	dispatchers := flag.Int("dispatchers", 2, "concurrent jobs (each job's grid cells share the -par budget)")
 	parN := flag.Int("par", 0, "shared worker budget for independent simulations (0 = GOMAXPROCS, 1 = sequential)")
-	cacheMax := flag.Int64("cache-max-bytes", 0, "artifact cache byte budget; LRU entries are evicted over it (0 = unbounded)")
-	paused := flag.Bool("paused", false, "accept and journal jobs without dispatching any (drain mode; a restart without -paused runs them)")
-	maxRequeues := flag.Int("max-requeues", server.DefaultMaxRequeues, "quarantine a job after this many requeues-while-running across restarts (-1 = never)")
-	stuckAfter := flag.Duration("stuck-after", 0, "fail a running job as stuck when its progress stalls this long (0 = watchdog off)")
-	maxQueued := flag.Int("max-queued", 0, "reject submissions with 429 past this many queued jobs (0 = unbounded)")
-	maxQueuedClient := flag.Int("max-queued-client", 0, "per-client queued-job bound, rejected with 429 (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 0, "force-exit nonzero if graceful shutdown exceeds this (0 = wait forever)")
-	chaos := flag.Bool("chaos", false, "honor JobSpec fault injection (panic/stuck/crash) — supervision test rigs only")
 	verbose := flag.Bool("v", false, "log per-job lifecycle events")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "tbpointd: ", log.LstdFlags)
-	if *stateDir == "" {
+	if cfg.StateDir == "" {
 		fmt.Fprintln(os.Stderr, "tbpointd: -state-dir is required")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
 	experiments.Parallelism = *parN
 
-	var logf func(string, ...interface{})
+	cfg.Metrics = metrics.New()
 	if *verbose {
-		logf = logger.Printf
+		cfg.Logf = logger.Printf
 	}
-	d, err := server.Open(server.Config{
-		StateDir:           *stateDir,
-		Dispatchers:        *dispatchers,
-		Paused:             *paused,
-		CacheMaxBytes:      *cacheMax,
-		MaxRequeues:        *maxRequeues,
-		StuckAfter:         *stuckAfter,
-		MaxQueued:          *maxQueued,
-		MaxQueuedPerClient: *maxQueuedClient,
-		Chaos:              *chaos,
-		// A chaos crash is a real process death: exit without running any
-		// deferred cleanup, exactly like kill -9 minus the signal.
-		CrashFn: func() { os.Exit(3) },
-		Metrics: metrics.New(),
-		Logf:    logf,
-	})
+	// Open paused, so that no job writes to the artifact cache before the
+	// store's crash hook (TBPOINT_CRASH_AFTER_CHECKPOINTS) is armed; then
+	// open the dispatch gate unless -paused keeps it shut.
+	paused := cfg.Paused
+	cfg.Paused = true
+	d, err := server.Open(*cfg)
 	if err != nil {
 		logger.Fatal(err)
 	}
+	if err := d.Cache().ArmCrashHook(); err != nil {
+		logger.Fatal(err)
+	}
+	d.SetPaused(paused)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -86,11 +87,11 @@ func main() {
 		}
 	}
 	mode := ""
-	if *paused {
+	if paused {
 		mode = ", paused"
 	}
 	logger.Printf("listening on http://%s (state %s, %d dispatchers%s)",
-		ln.Addr(), *stateDir, *dispatchers, mode)
+		ln.Addr(), cfg.StateDir, cfg.Dispatchers, mode)
 
 	// ReadHeaderTimeout bounds a client that connects and never finishes its
 	// request line (slowloris); IdleTimeout reaps keep-alive connections so

@@ -9,8 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+
+	"tbpoint/internal/faultcheck"
 )
 
 // KindCheckpoint is the envelope kind of checkpoint-store cell files.
@@ -22,9 +25,14 @@ const (
 	quarantineExt = ".corrupt"
 )
 
-// WriteFault is the crash-injection seam consulted before every journal
-// write; *faultcheck.Injector satisfies it.
+// WriteFault is the fault-injection seam consulted before every journal
+// write; *faultcheck.Injector satisfies it. It is the repository's one way
+// to inject a failure: tests arm it in-process, ArmCrashHook from the
+// environment.
 type WriteFault interface{ Fire() error }
+
+// CrashHookEnv names the environment variable ArmCrashHook reads.
+const CrashHookEnv = "TBPOINT_CRASH_AFTER_CHECKPOINTS"
 
 // cellRecord is a checkpoint file's payload: the cell key in the clear (so
 // hash collisions and misfiled entries are detectable) plus the journaled
@@ -54,14 +62,13 @@ type Store struct {
 	dir string
 
 	// Fault, when non-nil, is fired before every journal write. The chaos
-	// suite and the TBPOINT_CRASH_AFTER_CHECKPOINTS env hook use it to die
-	// at the Nth checkpoint write; always nil in normal operation.
+	// suites set it directly and ArmCrashHook from the environment; always
+	// nil in normal operation.
 	Fault WriteFault
 
 	mu          sync.Mutex
 	cells       map[string][]byte
 	writes      int64
-	hits        int64
 	quarantined int
 
 	// Bounded-cache state: per-key on-disk size, total, budget (0 =
@@ -131,6 +138,28 @@ func sortedKeysLocked(m map[string][]byte) []string {
 	return keys
 }
 
+// ArmCrashHook is the binaries' crash hook: when TBPOINT_CRASH_AFTER_CHECKPOINTS
+// holds N, the Nth write to s makes the process exit with status 3 before
+// anything reaches disk, so exactly N-1 entries survive — a real process
+// death at a chosen point, for the crash-and-resume and crash-loop proofs.
+// Unset, the store stays unarmed; a value that is not an integer is an
+// error. Call it before anything else can write to s.
+func (s *Store) ArmCrashHook() error {
+	env := os.Getenv(CrashHookEnv)
+	if env == "" {
+		return nil
+	}
+	n, err := strconv.ParseInt(env, 10, 64)
+	if err != nil {
+		return fmt.Errorf("%s=%q: %v", CrashHookEnv, env, err)
+	}
+	s.Fault = faultcheck.OnNth(n, faultcheck.Crash).WithCrashHook(func() {
+		fmt.Fprintf(os.Stderr, "%s: injected crash at store write %d (%s)\n", filepath.Base(os.Args[0]), n, CrashHookEnv)
+		os.Exit(3)
+	})
+	return nil
+}
+
 // quarantine renames a damaged checkpoint aside so it is preserved for
 // inspection but never consulted again. Only a rename this process won is
 // counted: when several stores scan one directory concurrently (a restart
@@ -160,11 +189,8 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	data, ok := s.cells[key]
-	if ok {
-		s.hits++
-		if e := s.elems[key]; e != nil {
-			s.lru.MoveToBack(e)
-		}
+	if e := s.elems[key]; ok && e != nil {
+		s.lru.MoveToBack(e)
 	}
 	return data, ok
 }
@@ -292,16 +318,6 @@ func (s *Store) Writes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.writes
-}
-
-// Hits returns the number of Get calls that found their key.
-func (s *Store) Hits() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits
 }
 
 // Quarantined returns how many damaged files Open renamed aside.

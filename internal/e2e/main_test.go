@@ -146,20 +146,20 @@ type daemon struct {
 // startDaemon boots tbpointd and fails the test unless it comes up serving.
 func startDaemon(t *testing.T, name, state string, args ...string) *daemon {
 	t.Helper()
-	d := bootDaemon(t, name, state, args...)
+	d := bootDaemon(t, name, state, nil, args...)
 	if d.dead() {
 		t.Fatalf("tbpointd exited before serving:\n%s", d.log())
 	}
 	return d
 }
 
-// bootDaemon starts tbpointd on an ephemeral port over the given state
-// directory and returns once it has written its address file — or died
-// first, which a daemon replaying a crash-looping job may (d.c is then nil).
-// If the test fails, the log (appended to across boots over one state
-// directory) and a last metrics snapshot become the artifacts
-// <name>_daemon.log and <name>_metrics.json.
-func bootDaemon(t *testing.T, name, state string, args ...string) *daemon {
+// bootDaemon starts tbpointd, with env added to its environment, on an
+// ephemeral port over the given state directory and returns once it has
+// written its address file — or died first, which a daemon replaying a
+// crash-looping job may (d.c is then nil). If the test fails, the log
+// (appended to across boots over one state directory) and a last metrics
+// snapshot become the artifacts <name>_daemon.log and <name>_metrics.json.
+func bootDaemon(t *testing.T, name, state string, env []string, args ...string) *daemon {
 	t.Helper()
 	d := &daemon{t: t, logPath: state + ".log", exited: make(chan struct{})}
 	addrFile := filepath.Join(t.TempDir(), "addr")
@@ -171,6 +171,7 @@ func bootDaemon(t *testing.T, name, state string, args ...string) *daemon {
 	d.cmd = exec.Command(bin("tbpointd"), append([]string{
 		"-addr", "127.0.0.1:0", "-addr-file", addrFile, "-state-dir", state, "-v"}, args...)...)
 	d.cmd.Stdout, d.cmd.Stderr = logf, logf
+	d.cmd.Env = append(os.Environ(), env...)
 	if err := d.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +289,4 @@ func oneShot(t *testing.T, args ...string) []byte {
 // streamJob is the cheapest real job: one benchmark of the accuracy grid.
 func streamJob() server.JobSpec {
 	return server.JobSpec{Targets: []string{"accuracy"}, Scale: 0.02, Seed: 7, Benchmarks: []string{"stream"}}
-}
-
-// faultJob is streamJob carrying a chaos fault (the daemon must run -chaos).
-func faultJob(kind string) server.JobSpec {
-	spec := streamJob()
-	spec.Fault = kind
-	return spec
 }

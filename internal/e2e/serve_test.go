@@ -2,6 +2,7 @@ package e2e
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -81,33 +82,13 @@ func TestKilledDaemonRestartRunsJournaledJob(t *testing.T) {
 	}
 }
 
-// TestStuckAfterFlagArmsWatchdog: -stuck-after reaches server.Config — a
-// wedged job on a real daemon is failed as stuck and counted.
-func TestStuckAfterFlagArmsWatchdog(t *testing.T) {
-	ctx := testContext(t)
-	d := startDaemon(t, "serve_chaos", filepath.Join(t.TempDir(), "state"), "-chaos", "-dispatchers", "1", "-stuck-after", "1s")
-	job := d.submit(ctx, faultJob(server.FaultStuck))
-	if st := d.finish(ctx, job, server.StateFailed); st.FailureKind() != server.FailureStuck {
-		t.Fatalf("wedged job failed as %q, want stuck: %+v", st.FailureKind(), st)
-	}
-	if n := d.counter(metrics.ServerJobsStuck); n != 1 {
-		t.Errorf("server.jobs_stuck = %d, want 1", n)
-	}
-}
-
 // TestAdmissionBackoffThroughRealClient: -max-queued reaches server.Config,
-// and a tbpointctl submit launched against the full queue keeps retrying
-// through the 429s until room appears.
+// and a tbpointctl submit launched against the full queue of a -paused
+// daemon keeps retrying through the 429s until room appears.
 func TestAdmissionBackoffThroughRealClient(t *testing.T) {
 	ctx := testContext(t)
-	d := startDaemon(t, "serve_admission", filepath.Join(t.TempDir(), "state"), "-chaos", "-dispatchers", "1", "-max-queued", "2")
-	// No watchdog on this daemon, so the wedge holds the only dispatcher.
-	wedge := d.submit(ctx, faultJob(server.FaultStuck))
-	d.waitRunning(ctx, wedge)
-	blockers := []string{wedge, d.submit(ctx, streamJob()), d.submit(ctx, streamJob())}
-	if ready, _ := d.c.Ready(ctx); ready {
-		t.Fatal("saturated daemon still reports ready")
-	}
+	d := startDaemon(t, "serve_admission", filepath.Join(t.TempDir(), "state"), "-paused", "-max-queued", "2")
+	blockers := []string{d.submit(ctx, streamJob()), d.submit(ctx, streamJob())}
 
 	retried := make(chan result, 1)
 	go func() { retried <- d.ctl("submit", "-scale", "0.02", "-seed", "7", "-bench", "stream", "accuracy") }()
@@ -119,35 +100,40 @@ func TestAdmissionBackoffThroughRealClient(t *testing.T) {
 		t.Fatalf("backing-off submit returned (exit %d) while the queue was full:\n%s%s", r.code, r.stdout, r.stderr)
 	default:
 	}
-	for _, id := range blockers {
-		if _, err := d.c.Cancel(ctx, id); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := d.c.Cancel(ctx, blockers[0]); err != nil {
+		t.Fatal(err)
 	}
 	r := <-retried
 	if r.code != 0 {
 		t.Fatalf("backing-off submit never got accepted (exit %d):\n%s", r.code, r.stderr)
 	}
-	d.finish(ctx, strings.TrimSpace(r.stdout), server.StateDone)
-	if ready, why := d.c.Ready(ctx); !ready {
-		t.Fatalf("drained daemon did not become ready again: %s", why)
+	if st, err := d.c.Status(ctx, strings.TrimSpace(r.stdout)); err != nil || st.State != server.StateQueued {
+		t.Fatalf("accepted submission is %+v (%v), want queued behind the paused gate", st, err)
 	}
 }
 
-// TestCrashLoopQuarantinesAfterFourDeaths: a chaos crash job makes tbpointd
-// os.Exit(3) on every pickup. Each restart replays the journal, finds the
-// job was running when the daemon died, and requeues it — until the requeue
-// cap (default 3) is exceeded and the fifth boot dead-letters it instead.
-// That daemon stays up and runs the innocent job queued behind.
+// TestCrashLoopQuarantinesAfterFourDeaths: the store's crash hook
+// (TBPOINT_CRASH_AFTER_CHECKPOINTS, here one write past a cell's worth)
+// makes tbpointd os.Exit(3) at that artifact-cache write of every boot. A
+// no_cache poison job needs two cells' worth of writes on every pickup, so
+// each boot dies under it; each restart replays the journal, finds the job
+// was running when the daemon died, and requeues it — until the requeue cap
+// (default 3) is exceeded and the fifth boot dead-letters it instead. That
+// daemon stays up and runs the bystander queued behind, which needs at most
+// one cell's worth of writes.
 func TestCrashLoopQuarantinesAfterFourDeaths(t *testing.T) {
 	ctx := testContext(t)
 	state := filepath.Join(t.TempDir(), "state")
+	perCell := 2 + len(sampler.DefaultSet()) + 1 // reference, header, outcomes, cell
+	crashHook := []string{fmt.Sprintf("%s=%d", durable.CrashHookEnv, perCell+1)}
 
 	// Seed the journal on a paused daemon: poison first (head of the single
 	// dispatcher's queue), bystander behind. Killing it here requeues both
 	// as merely queued, which never counts against the cap.
-	seed := startDaemon(t, "serve_quarantine", state, "-chaos", "-paused")
-	poison := seed.submit(ctx, faultJob(server.FaultCrash))
+	seed := startDaemon(t, "serve_quarantine", state, "-paused")
+	spec := streamJob()
+	spec.Benchmarks, spec.NoCache = []string{"stream", "black"}, true
+	poison := seed.submit(ctx, spec)
 	bystander := seed.submit(ctx, streamJob())
 	seed.kill()
 
@@ -158,7 +144,7 @@ func TestCrashLoopQuarantinesAfterFourDeaths(t *testing.T) {
 			t.Fatalf("poison job still not quarantined after %d daemon deaths:\n%s", deaths, d.log())
 		}
 		// The daemon may die under the poison job before it even listens.
-		d = bootDaemon(t, "serve_quarantine", state, "-chaos", "-dispatchers", "1")
+		d = bootDaemon(t, "serve_quarantine", state, crashHook, "-dispatchers", "1")
 		waitFor(t, "the poison job to kill the daemon or be quarantined", func() bool {
 			if d.dead() {
 				return true
@@ -169,7 +155,7 @@ func TestCrashLoopQuarantinesAfterFourDeaths(t *testing.T) {
 		})
 		if !quarantined {
 			deaths++
-			if code := d.cmd.ProcessState.ExitCode(); code != 3 {
+			if code := d.cmd.ProcessState.ExitCode(); code != 3 || !strings.Contains(d.log(), "injected crash") {
 				t.Fatalf("daemon death %d was exit %d, not the injected crash (3):\n%s", deaths, code, d.log())
 			}
 		}

@@ -10,12 +10,53 @@ import (
 	"testing"
 	"time"
 
+	"tbpoint/internal/durable"
 	"tbpoint/internal/faultcheck"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/kernel"
+	"tbpoint/internal/sampler"
 	"tbpoint/internal/sampling"
 	"tbpoint/internal/workloads"
 )
+
+// faultAtWrite attaches a sub-cell store to opts whose nth write fires
+// fault. At Parallelism 1 a default-trio accuracy cell makes perCell writes
+// in order: its full reference, the reference header and one outcome per
+// strategy inside the cell's run, then the journaled cell itself — so a
+// fault at write k*perCell+1 hits cell k+1's run, where the grid isolates it.
+func faultAtWrite(t *testing.T, opts *Options, n int64, mode faultcheck.Mode) {
+	t.Helper()
+	store, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Fault = faultcheck.OnNth(n, mode)
+	opts.Checkpoint, opts.Subcell = store, true
+}
+
+// perCell is the store writes of one default-trio accuracy cell.
+var perCell = int64(2 + len(sampler.DefaultSet()) + 1)
+
+// faultyAccuracyGrid is RunAccuracy's grid over benches, handed to runGrid
+// with fault fired at the start of every attempt of cell bad.
+func faultyAccuracyGrid(opts Options, benches []string, bad int, fault *faultcheck.Injector) ([]*BenchResult, []CellError, error) {
+	cells := make([]gridCell[*BenchResult], len(benches))
+	for i, name := range benches {
+		cells[i] = gridCell[*BenchResult]{
+			name: name,
+			key:  opts.cellKey("accuracy", name),
+			run: func(o Options) (*BenchResult, error) {
+				if i == bad {
+					if err := fault.Fire(); err != nil {
+						return nil, err
+					}
+				}
+				return runByName(name, gpusim.DefaultConfig(), o)
+			},
+		}
+	}
+	return runGrid(opts, "accuracy", cells)
+}
 
 // cancelOnFirstWrite cancels a context the first time a cell's completion
 // line is written to it (the per-reference-run "full reference: simulated N
@@ -91,18 +132,17 @@ func TestChaosCancelMidGridRun(t *testing.T) {
 }
 
 // TestChaosPanicCellDegrades injects a panic into the second cell of a
-// three-benchmark accuracy grid via the cellFault seam: the two healthy
-// cells must still produce results and the faulty one must degrade to a
-// CellError carrying the panic's stack.
+// three-benchmark accuracy grid, at that cell's first store write (its full
+// reference): the two healthy cells must still produce results and the
+// faulty one must degrade to a CellError carrying the panic's stack.
 func TestChaosPanicCellDegrades(t *testing.T) {
 	old := Parallelism
 	Parallelism = 1 // sequential: cell order = benchmark order, so cell 1 faults
 	defer func() { Parallelism = old }()
-	cellFault = faultcheck.OnNth(2, faultcheck.Panic)
-	defer func() { cellFault = nil }()
 
 	opts := fastOpts()
 	opts.Benchmarks = []string{"stream", "black", "hotspot"}
+	faultAtWrite(t, &opts, perCell+1, faultcheck.Panic)
 	results, cellErrs, err := RunAccuracy(opts)
 	if err != nil {
 		t.Fatalf("grid with one faulty cell must still complete, got %v", err)
@@ -179,12 +219,9 @@ func TestChaosErrorCellDegrades(t *testing.T) {
 	old := Parallelism
 	Parallelism = 1
 	defer func() { Parallelism = old }()
-	cellFault = faultcheck.OnNth(1, faultcheck.Error)
-	defer func() { cellFault = nil }()
 
 	opts := fastOpts()
-	opts.Benchmarks = []string{"stream", "black"}
-	results, cellErrs, err := RunAccuracy(opts)
+	results, cellErrs, err := faultyAccuracyGrid(opts, []string{"stream", "black"}, 0, faultcheck.OnNth(1, faultcheck.Error))
 	if err != nil {
 		t.Fatalf("grid with one faulty cell must still complete, got %v", err)
 	}
@@ -203,16 +240,16 @@ func TestChaosErrorCellDegrades(t *testing.T) {
 }
 
 // TestChaosSensitivityPanicCell exercises the same isolation on the
-// (benchmark x hardware-config) sensitivity grid.
+// (benchmark x hardware-config) sensitivity grid: the first store write is
+// the first cell's full reference.
 func TestChaosSensitivityPanicCell(t *testing.T) {
 	old := Parallelism
 	Parallelism = 1
 	defer func() { Parallelism = old }()
-	cellFault = faultcheck.OnNth(3, faultcheck.Panic)
-	defer func() { cellFault = nil }()
 
 	opts := fastOpts()
 	opts.Benchmarks = []string{"stream"}
+	faultAtWrite(t, &opts, 1, faultcheck.Panic)
 	results, cellErrs, err := RunSensitivity(opts)
 	if err != nil {
 		t.Fatalf("grid with one faulty cell must still complete, got %v", err)

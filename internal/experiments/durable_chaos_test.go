@@ -221,15 +221,12 @@ func TestChaosRetryTransientCellRecovers(t *testing.T) {
 	old := Parallelism
 	Parallelism = 1
 	defer func() { Parallelism = old }()
-	cellFault = faultcheck.OnNth(1, faultcheck.Error)
-	defer func() { cellFault = nil }()
 
 	mc := metrics.New()
 	opts := fastOpts()
-	opts.Benchmarks = []string{"stream", "black"}
 	opts.Retry = RetryPolicy{Attempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 	opts.Metrics = mc
-	results, cellErrs, err := RunAccuracy(opts)
+	results, cellErrs, err := faultyAccuracyGrid(opts, []string{"stream", "black"}, 0, faultcheck.OnNth(1, faultcheck.Error))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,15 +251,12 @@ func TestChaosRetryExhaustionRecordsMetadata(t *testing.T) {
 	old := Parallelism
 	Parallelism = 1
 	defer func() { Parallelism = old }()
-	cellFault = faultcheck.Always(faultcheck.Error)
-	defer func() { cellFault = nil }()
 
 	mc := metrics.New()
 	opts := fastOpts()
-	opts.Benchmarks = []string{"stream"}
 	opts.Retry = RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, Seed: 7}
 	opts.Metrics = mc
-	results, cellErrs, err := RunAccuracy(opts)
+	results, cellErrs, err := faultyAccuracyGrid(opts, []string{"stream"}, 0, faultcheck.Always(faultcheck.Error))
 	if err != nil {
 		t.Fatalf("an exhausted cell must degrade, not abort the grid: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"tbpoint/internal/faultcheck"
 	"tbpoint/internal/par"
 )
 
@@ -36,11 +35,6 @@ type CellError struct {
 	TotalDuration time.Duration `json:"totalDurationNs,omitempty"`
 }
 
-// cellFault is the chaos-test seam: when non-nil, every grid cell consults
-// it once at entry, so the tests can deterministically fail or panic one
-// cell of a real grid run. Always nil in production.
-var cellFault *faultcheck.Injector
-
 // runCell executes one grid cell with panic isolation: a panic becomes a
 // *par.PanicError return. par's own worker-level recovery would only
 // surface the lowest-index panic of a loop; recovering per cell lets every
@@ -57,9 +51,6 @@ func runCell(fn func() error) (err error) {
 			err = pe
 		}
 	}()
-	if err := cellFault.Fire(); err != nil {
-		return err
-	}
 	return fn()
 }
 

@@ -4,7 +4,7 @@
 // chosen (or seeded) call index.
 //
 // Everything is deterministic: the faulting call index is fixed at
-// construction (OnNth) or derived from a seed with a splitmix64 step
+// construction (OnNth) or derived from a seed with one stats.RNG draw
 // (Seeded), never from wall clock or global randomness, so a failing chaos
 // run reproduces bit-for-bit. Injectors are safe for concurrent use — the
 // call counter is atomic, so exactly one call observes the fault no matter
@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"tbpoint/internal/stats"
 )
 
 // Mode selects what the injector does on the faulting call.
@@ -32,8 +34,8 @@ const (
 	Error Mode = iota
 	// Panic makes Fire panic with a faultcheck-tagged message.
 	Panic
-	// Crash makes Fire invoke the configured crash function (default: a
-	// faultcheck-tagged panic; WithCrashFn can substitute os.Exit to kill
+	// Crash makes Fire invoke the configured crash hook (default: a
+	// faultcheck-tagged panic; WithCrashHook can substitute os.Exit to kill
 	// the process for real). It models die-at-Nth-write process death for
 	// the crash-recovery chaos suite.
 	Crash
@@ -60,11 +62,11 @@ var ErrInjected = errors.New("faultcheck: injected fault")
 // disabled injector: Fire is a no-op returning nil, so production seams
 // can consult an injector variable unconditionally.
 type Injector struct {
-	mode    Mode
-	nth     int64 // everyCall means every Fire faults (see Always)
-	crashFn func()
-	calls   atomic.Int64
-	fired   atomic.Int64
+	mode  Mode
+	nth   int64 // everyCall means every Fire faults (see Always)
+	crash func()
+	calls atomic.Int64
+	fired atomic.Int64
 }
 
 // everyCall is the nth sentinel for Always-mode injectors.
@@ -87,16 +89,7 @@ func Seeded(seed uint64, span int64, mode Mode) *Injector {
 	if span < 1 {
 		span = 1
 	}
-	return OnNth(1+int64(splitmix64(seed)%uint64(span)), mode)
-}
-
-// splitmix64 is the standard 64-bit finalising mix (Steele et al.), enough
-// to decorrelate consecutive seeds.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return OnNth(1+int64(stats.NewRNG(seed).Uint64()%uint64(span)), mode)
 }
 
 // Always returns an injector that faults on every Fire call — a
@@ -106,11 +99,12 @@ func Always(mode Mode) *Injector {
 	return &Injector{mode: mode, nth: everyCall}
 }
 
-// WithCrashFn sets what a Crash-mode injector does on the faulting call
-// (default: panic). Production crash hooks pass os.Exit so the process
-// dies for real; tests keep the panic and recover it.
-func (in *Injector) WithCrashFn(fn func()) *Injector {
-	in.crashFn = fn
+// WithCrashHook sets what a Crash-mode injector does on the faulting call
+// (default: panic). The store's crash hook (durable.Store.ArmCrashHook)
+// passes os.Exit so the process dies for real; tests keep the panic and
+// recover it.
+func (in *Injector) WithCrashHook(fn func()) *Injector {
+	in.crash = fn
 	return in
 }
 
@@ -119,7 +113,7 @@ func (in *Injector) Nth() int64 { return in.nth }
 
 // Fire counts one call at the injection point and, on the faulting call,
 // applies the configured fault: Error mode returns an error wrapping
-// ErrInjected, Panic mode panics, Crash mode runs the crash function. Every
+// ErrInjected, Panic mode panics, Crash mode runs the crash hook. Every
 // other call returns nil immediately. Nil receivers always return nil.
 func (in *Injector) Fire() error {
 	if in == nil {
@@ -134,8 +128,8 @@ func (in *Injector) Fire() error {
 	case Panic:
 		panic(fmt.Sprintf("faultcheck: injected panic at call %d", call))
 	case Crash:
-		if in.crashFn != nil {
-			in.crashFn()
+		if in.crash != nil {
+			in.crash()
 			return nil
 		}
 		panic(fmt.Sprintf("faultcheck: injected crash at call %d", call))

@@ -323,9 +323,6 @@ func New() *Collector {
 	return &Collector{phaseIdx: make(map[string]int)}
 }
 
-// Enabled reports whether the collector records anything.
-func (c *Collector) Enabled() bool { return c != nil }
-
 // Inc adds one to the counter.
 func (c *Collector) Inc(id Counter) {
 	if c != nil {
@@ -412,13 +409,6 @@ func (s Stopwatch) Stop() {
 	if s.c != nil {
 		s.c.AddPhase(s.name, time.Since(s.start))
 	}
-}
-
-// TimePhase runs f and records its wall time under the named phase.
-func (c *Collector) TimePhase(name string, f func()) {
-	sw := c.StartPhase(name)
-	f()
-	sw.Stop()
 }
 
 // Merge folds src into c: counters add, distributions combine, phase times

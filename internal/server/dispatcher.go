@@ -58,10 +58,9 @@ func (d *Driver) runContained(j *Job) (ok bool) {
 }
 
 // nextJob blocks until the scheduler releases a job or the driver closes
-// (nil). A job cancelled while queued is released like any other: the table
-// rejects its dispatch and the loop comes straight back, re-checking closed
-// and paused, so a cancelled entry at the head never absorbs the wakeup
-// meant for a live job behind it.
+// (nil). A job cancelled between its release and its dispatch is rejected
+// by the table, and the loop comes straight back, re-checking closed and
+// paused, so it never absorbs the wakeup meant for a live job behind it.
 func (d *Driver) nextJob() *Job {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -118,21 +117,6 @@ func (d *Driver) runJob(j *Job) {
 	}()
 	if !dispatched {
 		return
-	}
-
-	// The chaos seam (Config.Chaos only): deterministic job-level faults. A
-	// panic here unwinds into runContained; a wedge parks until a supervisor
-	// (watchdog, cancel, shutdown) cancels the run context; a crash fires the
-	// driver's Crash injector (os.Exit under tbpointd: real process death).
-	if d.cfg.Chaos {
-		switch spec.Fault {
-		case FaultPanic:
-			panic(fmt.Sprintf("chaos: injected panic in job %s", j.rec.ID))
-		case FaultStuck:
-			<-ctx.Done()
-		case FaultCrash:
-			d.crashInj.Fire()
-		}
 	}
 
 	opts := spec.options()

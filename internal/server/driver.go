@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"tbpoint/internal/durable"
-	"tbpoint/internal/faultcheck"
 	"tbpoint/internal/metrics"
 )
 
@@ -84,12 +83,10 @@ type Config struct {
 	// progress fingerprint (per-phase timings + counters of its live
 	// collector) has not changed for at least this long has its run
 	// context cancelled with ErrStuck and fails terminally as stuck,
-	// freeing the dispatcher. 0 (the default) disables the watchdog.
+	// freeing the dispatcher. The watchdog samples every StuckAfter/4 (but
+	// no more often than every 10ms), so a stuck job is detected within
+	// StuckAfter plus one sample. 0 (the default) disables the watchdog.
 	StuckAfter time.Duration
-	// StuckPoll overrides the watchdog's sampling cadence (0 selects
-	// StuckAfter/4, clamped to >= 10ms). A stuck job is detected within
-	// StuckAfter + one poll interval.
-	StuckPoll time.Duration
 	// MaxQueued bounds the number of queued jobs across all clients:
 	// submissions past it are rejected with ErrOverloaded (HTTP 429 +
 	// Retry-After) instead of growing the backlog without bound. 0 keeps
@@ -98,13 +95,6 @@ type Config struct {
 	// MaxQueuedPerClient bounds each tenant's own queue the same way, so
 	// one client cannot consume the whole global budget. 0 = unbounded.
 	MaxQueuedPerClient int
-	// Chaos honors JobSpec.Fault injection (panic/stuck/crash) for the
-	// chaos suites and internal/e2e. Never enable in production.
-	Chaos bool
-	// CrashFn is what a Fault:"crash" job's injector does (tbpointd passes
-	// os.Exit so the daemon dies for real; nil panics, which the
-	// containment layer then records). Only consulted under Chaos.
-	CrashFn func()
 	// CacheMaxBytes bounds the artifact cache's on-disk footprint: writes
 	// over the budget evict least-recently-used entries (counted as
 	// server.cache_evictions). Evicted cells and artifacts recompute on
@@ -143,10 +133,6 @@ type Driver struct {
 
 	ctx    context.Context // dies at Close; parent of every job context
 	cancel context.CancelFunc
-
-	// crashInj fires a Fault:"crash" job's process death (see Config.Chaos
-	// / CrashFn) — faultcheck's Crash mode, armed only on chaos drivers.
-	crashInj *faultcheck.Injector
 
 	mu     sync.Mutex
 	cond   *sync.Cond // wakes idle dispatchers on submit/close
@@ -195,9 +181,6 @@ func Open(cfg Config) (*Driver, error) {
 	}
 	d.cond = sync.NewCond(&d.mu)
 	d.ctx, d.cancel = context.WithCancel(context.Background())
-	if cfg.Chaos {
-		d.crashInj = faultcheck.Always(faultcheck.Crash).WithCrashFn(cfg.CrashFn)
-	}
 	if q := journal.Quarantined() + cache.Quarantined(); q > 0 {
 		d.logf("quarantined %d corrupted state file(s) in %s", q, cfg.StateDir)
 	}
@@ -281,9 +264,6 @@ func (d *Driver) persistLocked(j *Job) error {
 func (d *Driver) Submit(spec JobSpec) (JobStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
-	}
-	if spec.Fault != "" && !d.cfg.Chaos {
-		return JobStatus{}, fmt.Errorf("server: fault injection (%q) requires a chaos-enabled driver", spec.Fault)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -494,8 +474,9 @@ func (d *Driver) Metrics() metrics.Snapshot {
 	return d.mc.Snapshot()
 }
 
-// CacheLen reports how many artifact-cache cells are loaded.
-func (d *Driver) CacheLen() int { return d.cache.Len() }
+// Cache is the artifact cache store, for tbpointd's crash hook
+// (durable.Store.ArmCrashHook); arm it while the driver is still paused.
+func (d *Driver) Cache() *durable.Store { return d.cache }
 
 // CacheSizeBytes reports the artifact cache's accounted on-disk footprint.
 func (d *Driver) CacheSizeBytes() int64 { return d.cache.SizeBytes() }

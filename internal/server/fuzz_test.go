@@ -8,20 +8,23 @@ import (
 	"testing"
 
 	"tbpoint/internal/server"
+	"tbpoint/internal/workloads"
 )
 
 // FuzzJobSpec drives POST /jobs — the one place bytes from outside become
 // a journaled job — with arbitrary bodies against a paused driver: the
-// handler never panics, answers 400 or 202, and the spec an accepted job
-// carries is a fixed point of the boundary: re-marshalled, it decodes
-// strictly and validates to exactly itself, so a client can resubmit what
-// the status endpoint shows and a journal replay sees what was accepted.
+// handler never panics, answers 400 or 202, an accepted spec names only
+// known benchmarks, and it is a fixed point of the boundary: re-marshalled,
+// it decodes strictly and validates to exactly itself, so a client can
+// resubmit what the status endpoint shows and a journal replay sees what
+// was accepted.
 func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"targets":["accuracy"],"scale":0.02,"seed":7,"benchmarks":["stream"]}`))
 	f.Add([]byte(`{"targets":["all"],"samplers":["all","TBPoint"],"deadline":"90s","cell_deadline":1000,"client":"a","priority":9}`))
 	f.Add([]byte(`{"targets":["fig5"],"samples":-3,"retries":2,"no_cache":true,"scale":-0}`))
 	f.Add([]byte(`{"targets":["accuracy"],"parallel_sm":2}`))
 	f.Add([]byte(`{"targets":["accuracy"],"fault":"panic"}`))
+	f.Add([]byte(`{"targets":["accuracy"],"benchmarks":["nosuch"]}`))
 	f.Add([]byte(`{"targets":["accuracy"],"client":"\ud800"} trailing`))
 	f.Add([]byte(`{"targets":[]}`))
 	f.Add([]byte(`[1,2,3]`))
@@ -41,6 +44,11 @@ func FuzzJobSpec(f *testing.F) {
 		var st server.JobStatus
 		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || st.State != server.StateQueued {
 			t.Fatalf("202 body %q: %v", w.Body.Bytes(), err)
+		}
+		for _, name := range st.Spec.Benchmarks {
+			if _, err := workloads.ByName(name); err != nil {
+				t.Fatalf("POST /jobs %q accepted an unknown benchmark: %v", body, err)
+			}
 		}
 		again, err := json.Marshal(st.Spec)
 		if err != nil {

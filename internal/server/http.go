@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -98,11 +99,18 @@ func (d *Driver) Handler() http.Handler {
 	return mux
 }
 
+// maxSpecBytes bounds a POST /jobs body; a job spec is a few hundred bytes.
+const maxSpecBytes = 1 << 20
+
 func (d *Driver) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields() // typos in a curl body should fail loudly
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+		err = errors.New("data after the job spec object")
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "decoding job spec: " + err.Error()})
 		return
 	}
@@ -173,10 +181,7 @@ func writeError(w http.ResponseWriter, err error) {
 		code = http.StatusServiceUnavailable
 	case errors.As(err, &over):
 		code = http.StatusTooManyRequests
-		secs := int(over.RetryAfter.Round(time.Second) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
+		secs := max(1, int((over.RetryAfter+time.Second-1)/time.Second))
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
 	writeJSON(w, code, map[string]string{"error": err.Error()})

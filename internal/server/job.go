@@ -30,6 +30,7 @@ import (
 	"tbpoint/internal/experiments"
 	"tbpoint/internal/metrics"
 	"tbpoint/internal/sampler"
+	"tbpoint/internal/workloads"
 )
 
 // Duration is a time.Duration that marshals as a Go duration string
@@ -105,21 +106,7 @@ type JobSpec struct {
 	// client is part of the restart contract — and never starves other
 	// clients (see sched.go).
 	Priority int `json:"priority,omitempty"`
-	// Fault injects a deterministic failure into the job's execution, for
-	// the chaos suites and internal/e2e: "panic" panics inside the
-	// dispatcher's run, "stuck" wedges making no progress until cancelled,
-	// "crash" fires the driver's crash injector (os.Exit in tbpointd).
-	// Submissions carrying a fault are rejected unless the driver was
-	// opened with Config.Chaos — never enable that in production.
-	Fault string `json:"fault,omitempty"`
 }
-
-// The JobSpec.Fault vocabulary.
-const (
-	FaultPanic = "panic"
-	FaultStuck = "stuck"
-	FaultCrash = "crash"
-)
 
 // clientKey is the fair-share queue this spec's jobs land on.
 func (s JobSpec) clientKey() string {
@@ -141,6 +128,14 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.Scale == 0 {
 		s.Scale = 1.0
+	}
+	for _, name := range s.Benchmarks {
+		if _, err := workloads.ByName(name); err != nil {
+			return err
+		}
+	}
+	if s.Samples < 0 {
+		return fmt.Errorf("server: negative samples %d", s.Samples)
 	}
 	if len(s.Samplers) > 0 {
 		// Canonicalize at the HTTP boundary: unknown strategies fail the
@@ -166,12 +161,6 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.Priority < 0 || s.Priority > MaxPriority {
 		return fmt.Errorf("server: priority must be in [0, %d], got %d", MaxPriority, s.Priority)
-	}
-	switch s.Fault {
-	case "", FaultPanic, FaultStuck, FaultCrash:
-	default:
-		return fmt.Errorf("server: unknown fault %q (want %s, %s or %s)",
-			s.Fault, FaultPanic, FaultStuck, FaultCrash)
 	}
 	return nil
 }

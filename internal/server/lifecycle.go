@@ -56,6 +56,7 @@ type transition struct {
 	errText             string   // Error to record; the event's detail is appended
 	fatal               bool     // a failed journal write fails the caller; otherwise it is logged
 	push                bool     // enqueue on the fair-share scheduler
+	pull                bool     // drop from the scheduler: the job leaves the queue undispatched
 	count               ctrs     // server.jobs_* counters to bump
 }
 
@@ -72,7 +73,7 @@ var table = map[JobState]map[event]transition{
 	},
 	StateQueued: {
 		evDispatch:     {to: StateRunning},
-		evCancel:       {to: StateCancelled, errText: "cancelled while queued", count: ctrs{metrics.ServerJobsCancelled}},
+		evCancel:       {to: StateCancelled, errText: "cancelled while queued", pull: true, count: ctrs{metrics.ServerJobsCancelled}},
 		evReplayQueued: {to: StateQueued, requeue: 1, fatal: true, push: true, count: ctrs{metrics.ServerJobsRequeued}},
 	},
 	StateRunning: {
@@ -164,6 +165,9 @@ func (d *Driver) applyLocked(j *Job, e event, detail string) error {
 	d.logf("job %s: %s->%s (%s) error=%q", rec.ID, from, t.to, e, t.errText+detail)
 	if t.push {
 		d.sched.push(rec.Spec.clientKey(), rec.ID, rec.Spec.Priority)
+	}
+	if t.pull {
+		d.sched.remove(rec.Spec.clientKey(), rec.ID)
 	}
 	if t.to.Terminal() {
 		close(j.done)

@@ -6,6 +6,8 @@ package server
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"slices"
 	"strings"
@@ -70,6 +72,9 @@ func TestLifecycleTable(t *testing.T) {
 			}
 			if wantPush := want == StateQueued && e != evShutdown; got.push != wantPush {
 				t.Errorf("next(%q, %s): push = %v, want %v", s, e, got.push, wantPush)
+			}
+			if wantPull := s == StateQueued && want.Terminal(); got.pull != wantPull {
+				t.Errorf("next(%q, %s): pull = %v, want %v (only a job leaving the queue undispatched)", s, e, got.pull, wantPull)
 			}
 			if b2i := map[bool]int{true: 1}; got.requeue != b2i[replay] || got.runRequeue != b2i[replay && s == StateRunning] {
 				t.Errorf("next(%q, %s): requeue %d run %d", s, e, got.requeue, got.runRequeue)
@@ -256,11 +261,19 @@ func TestLifecyclePanicAfterVerdictKeepsOutcome(t *testing.T) {
 	}
 }
 
-// TestLifecyclePanicInDispatchWriteFailsJob: a panic escaping from the
-// dispatch's journal write fails the job as a panic and restarts the slot,
-// and the driver stays usable. Every call goes through a timeout, because a
-// lock still held by the panicking dispatcher wedges Status and Close.
-func TestLifecyclePanicInDispatchWriteFailsJob(t *testing.T) {
+// panicRig is a one-dispatcher driver whose dispatch-time journal write
+// panics once. within runs f under a timeout, because a lock still held by
+// the panicking dispatcher wedges Status and Close; run submits a cheap job
+// and waits, through within, for its terminal status.
+type panicRig struct {
+	d      *Driver
+	mc     *metrics.Collector
+	within func(what string, f func())
+	run    func() JobStatus
+}
+
+func newPanicRig(t *testing.T) panicRig {
+	t.Helper()
 	mc := metrics.New()
 	d, err := Open(Config{StateDir: t.TempDir(), Dispatchers: 1, Metrics: mc, Logf: t.Logf})
 	if err != nil {
@@ -278,6 +291,7 @@ func TestLifecyclePanicInDispatchWriteFailsJob(t *testing.T) {
 	}
 	run := func() (st JobStatus) {
 		t.Helper()
+		var err error
 		within("a job's Submit and wait", func() {
 			if st, err = d.Submit(cheapSpec()); err != nil {
 				return
@@ -295,21 +309,58 @@ func TestLifecyclePanicInDispatchWriteFailsJob(t *testing.T) {
 	d.mu.Lock()
 	d.journal.Fault = faultcheck.OnNth(2, faultcheck.Panic) // submit, then the dispatch's write
 	d.mu.Unlock()
-	if final := run(); final.State != StateFailed || final.Failure == nil || final.Failure.Kind != FailurePanic {
+	return panicRig{d: d, mc: mc, within: within, run: run}
+}
+
+// TestLifecyclePanicInDispatchWriteFailsJob: a panic escaping from the
+// dispatch's journal write fails the job as a panic and restarts the slot,
+// and the driver stays usable.
+func TestLifecyclePanicInDispatchWriteFailsJob(t *testing.T) {
+	r := newPanicRig(t)
+	if final := r.run(); final.State != StateFailed || final.Failure == nil || final.Failure.Kind != FailurePanic {
 		t.Fatalf("job finished %s failure %+v, want failed as %s", final.State, final.Failure, FailurePanic)
 	}
-	if n := mc.Count(metrics.ServerDispatcherRestarts); n != 1 {
+	if n := r.mc.Count(metrics.ServerDispatcherRestarts); n != 1 {
 		t.Errorf("server.dispatcher_restarts = %d, want 1", n)
 	}
-	if final := run(); final.State != StateDone {
+	if final := r.run(); final.State != StateDone {
 		t.Fatalf("job on the restarted slot finished %s (%s)", final.State, final.Error)
 	}
-	within("Close", func() { d.Close() })
+	r.within("Close", func() { r.d.Close() })
+}
+
+// TestPanicContainment: a job that panics inside the dispatcher is recovered
+// as a structured failure carrying the panic value and the recovering stack,
+// counted once in jobs_panicked, and the daemon stays live and ready. One
+// bad job costs one job, never the daemon.
+func TestPanicContainment(t *testing.T) {
+	r := newPanicRig(t)
+	defer r.within("Close", func() { r.d.Close() })
+	final := r.run()
+	if final.FailureKind() != FailurePanic {
+		t.Fatalf("job finished %s failure %+v, want failed as %s", final.State, final.Failure, FailurePanic)
+	}
+	if !strings.Contains(final.Failure.Panic, "injected panic") || !strings.Contains(final.Failure.Stack, "runContained") {
+		t.Errorf("failure = %+v, want the recovered panic value and the recovering stack", final.Failure)
+	}
+	if n := r.mc.Count(metrics.ServerJobsPanicked); n != 1 {
+		t.Errorf("server.jobs_panicked = %d, want 1", n)
+	}
+	for _, probe := range []string{"/healthz", "/readyz"} {
+		r.within(probe, func() {
+			w := httptest.NewRecorder()
+			r.d.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, probe, nil))
+			if w.Code != http.StatusOK {
+				t.Errorf("GET %s after the panic = %d, want 200", probe, w.Code)
+			}
+		})
+	}
 }
 
 // parentJournal is four records exactly as the parent commit's separate
 // journal-record type marshalled them (times as values, zero counters
-// omitted), the first still carrying the event-loop fields retired before that.
+// omitted), the first still carrying the event-loop fields retired before that
+// and the second the chaos "fault" field retired since.
 var parentJournal = map[string]string{
 	"j000001": `{"id":"j000001","spec":{"targets":["accuracy"],"scale":0.02,"seed":7,"benchmarks":["stream"],"retries":1,"parallel_sm":2,"quantum":128,"max_divergence":0.1},"state":"done","submitted_at":"2026-01-02T03:04:05.000000006Z","started_at":"2026-01-02T03:04:06Z","finished_at":"2026-01-02T03:04:07.5Z","requeues":1,"cache_misses":1,"subcell_misses":1,"outcome_misses":3,"wall_seconds":1.25}`,
 	"j000002": `{"id":"j000002","spec":{"targets":["accuracy"],"scale":1,"retries":1,"client":"b","fault":"panic"},"state":"failed","submitted_at":"2026-01-02T03:05:00Z","started_at":"2026-01-02T03:05:01Z","finished_at":"2026-01-02T03:05:02Z","error":"panic: boom","failure":{"kind":"panic","panic":"boom","stack":"goroutine 7 [running]:"}}`,
@@ -319,7 +370,9 @@ var parentJournal = map[string]string{
 
 // TestLifecycleReplaysParentJournal: a journal written in the parent's
 // record format replays unchanged now that the record is the JobStatus —
-// finished jobs serve the same status, unfinished ones are requeued.
+// finished jobs serve the same status, unfinished ones are requeued. A
+// retired spec field (the event-loop knobs, the chaos "fault") is dropped
+// on decode.
 func TestLifecycleReplaysParentJournal(t *testing.T) {
 	dir := t.TempDir()
 	journal, err := durable.Open(dir + "/jobs")
@@ -356,7 +409,7 @@ func TestLifecycleReplaysParentJournal(t *testing.T) {
 			t.Errorf("round %d: done job replayed as %+v", round, done)
 		}
 		if failed.State != StateFailed || failed.Error != "panic: boom" || failed.FailureKind() != FailurePanic ||
-			failed.Failure.Panic != "boom" || failed.Failure.Stack != "goroutine 7 [running]:" || failed.Spec.Fault != FaultPanic {
+			failed.Failure.Panic != "boom" || failed.Failure.Stack != "goroutine 7 [running]:" || failed.Spec.Client != "b" {
 			t.Errorf("round %d: failed job replayed as %+v", round, failed)
 		}
 		if queued.State != StateQueued || queued.Requeues != 2+round || queued.RunRequeues != 0 ||

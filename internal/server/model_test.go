@@ -1,12 +1,14 @@
 package server
 
 // The lifecycle checked against a model: seeded random sequences of submit /
-// cancel / pause / unpause / journal-write fault / crash / restart run
-// against the real Driver, and a small reference model — fed only the
-// interpreter's transition log and the test's own knowledge of which
-// journal writes it made fail — predicts what every journal replay must
-// find and do. Journal faults are armed through d.journal.Fault (the
-// durable.WriteFault seam) under d.mu, the lock every journal write holds.
+// cancel / pause / unpause / journal-write fault / dispatcher panic / crash /
+// restart run against the real Driver, and a small reference model — fed
+// only the interpreter's transition log and the test's own knowledge of
+// which journal writes it made fail — predicts what every journal replay
+// must find and do. Every fault is armed through a store's
+// durable.WriteFault: journal faults through d.journal.Fault under d.mu,
+// the lock every journal write holds, and wedged jobs through a cacheWedge
+// on d.cache, armed while the freshly opened driver is still paused.
 
 import (
 	"errors"
@@ -53,6 +55,8 @@ type model struct {
 	trace []string // every transition seen, for the determinism check
 
 	lastDispatched map[string]int // per client, this process
+	wedge          *cacheWedge    // this process's: parks the first job to write to the cache
+	dispatchPanic  bool           // the next dispatch's journal write panics
 }
 
 var (
@@ -72,13 +76,14 @@ func (m *model) open(paused bool) {
 	for _, j := range m.jobs {
 		j.mem, j.dispatched, j.replayed, j.lostWrite = j.disk, false, j.disk.state.Terminal(), false
 	}
-	m.lastDispatched = map[string]int{}
-	d, err := Open(Config{StateDir: m.dir, Dispatchers: 1, Paused: paused, Chaos: true,
+	m.lastDispatched, m.dispatchPanic = map[string]int{}, false
+	d, err := Open(Config{StateDir: m.dir, Dispatchers: 1, Paused: true,
 		MaxRequeues: modelCap, Metrics: metrics.New(), Logf: m.logf})
 	if err != nil {
 		m.t.Fatalf("open: %v", err)
 	}
-	m.d = d
+	m.d, m.wedge = d, wedgeCache(d)
+	d.SetPaused(paused)
 	m.settle()
 	for _, j := range m.jobs {
 		if !j.replayed {
@@ -108,6 +113,12 @@ func (m *model) observe() {
 		if j == nil {
 			m.t.Fatalf("transition of a job nobody was told was accepted: %s", line)
 		}
+		if ev == "panic" && j.mem.state == StateQueued && m.dispatchPanic {
+			// The dispatch's own journal write panicked, so the dispatch was
+			// never logged: the job went running in memory only.
+			m.dispatched(line, j)
+			j.mem.state, j.kind, m.dispatchPanic = StateRunning, "panic", false
+		}
 		if from != j.mem.state {
 			m.t.Fatalf("%s: model has the job %q", line, j.mem.state)
 		}
@@ -132,14 +143,7 @@ func (m *model) observe() {
 			}
 			j.replayed = true
 		case ev == "dispatch":
-			n, _ := strconv.Atoi(j.id[1:])
-			if j.dispatched {
-				m.t.Fatalf("%s: second dispatch in one process", line)
-			}
-			if last := m.lastDispatched[j.spec.clientKey()]; n < last {
-				m.t.Fatalf("%s: client %s's j%06d was dispatched before it (FIFO per client)", line, j.spec.clientKey(), last)
-			}
-			j.dispatched, m.lastDispatched[j.spec.clientKey()] = true, n
+			m.dispatched(line, j)
 		case to == StateDone && j.disk.state == StateDone:
 			m.t.Fatalf("%s: done twice", line)
 		}
@@ -149,6 +153,20 @@ func (m *model) observe() {
 		}
 		j.lostWrite = false
 	}
+}
+
+// dispatched checks a dispatch against the model: at most once per process,
+// and in submission order within each client.
+func (m *model) dispatched(line string, j *modelJob) {
+	m.t.Helper()
+	n, _ := strconv.Atoi(j.id[1:])
+	if j.dispatched {
+		m.t.Fatalf("%s: second dispatch in one process", line)
+	}
+	if last := m.lastDispatched[j.spec.clientKey()]; n < last {
+		m.t.Fatalf("%s: client %s's j%06d was dispatched before it (FIFO per client)", line, j.spec.clientKey(), last)
+	}
+	j.dispatched, m.lastDispatched[j.spec.clientKey()] = true, n
 }
 
 // settle waits until the driver has nothing left to do on its own — no
@@ -163,7 +181,7 @@ func (m *model) settle() {
 			switch j := m.d.jobs[id]; {
 			case j.rec.State == StateQueued:
 				queued++
-			case j.rec.State == StateRunning && j.rec.Spec.Fault == FaultStuck && !j.userCancel:
+			case j.rec.State == StateRunning && m.wedge.holding(): // the one dispatcher's job
 				wedged++
 			case j.rec.State == StateRunning:
 				busy = true
@@ -197,15 +215,57 @@ func (m *model) arm(in *faultcheck.Injector) {
 	m.d.mu.Unlock()
 }
 
+// cancel cancels a job. A running job's cancel only takes effect once its
+// run is out of the wedge, so a job parked there — now, or on its way out —
+// is released.
+func (m *model) cancel(id string) {
+	m.t.Helper()
+	if _, err := m.d.Cancel(id); err != nil {
+		m.t.Fatal(err)
+	}
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+		if st, _ := m.d.Status(id); st.State != StateRunning {
+			return
+		}
+		if m.wedge.holding() {
+			m.wedge.release()
+			return
+		}
+		if time.Now().After(deadline) {
+			m.t.Fatalf("cancelled job %s never left running", id)
+		}
+	}
+}
+
+// panicAtDispatch is the dispatcher-panic event: with the driver paused, no
+// job running and one queued, it arms a panic in the next journal write and
+// unpauses, so the dispatch of the head job panics in its own journal write.
+// The job fails as a panic and the one dispatcher slot restarts.
+func (m *model) panicAtDispatch() {
+	m.d.mu.Lock()
+	running, queued := false, false
+	for _, j := range m.d.jobs {
+		running = running || j.rec.State == StateRunning
+		queued = queued || j.rec.State == StateQueued
+	}
+	armed := m.d.paused && !running && queued
+	if armed {
+		m.d.journal.Fault = faultcheck.OnNth(1, faultcheck.Panic)
+	}
+	m.d.mu.Unlock()
+	if armed {
+		m.dispatchPanic = true
+		m.d.SetPaused(false)
+	}
+}
+
 func (m *model) submit() {
 	m.t.Helper()
 	spec, kind := cheapSpec(), "clean"
 	switch r := m.rng.Intn(10); {
-	case r < 3:
-		spec.Fault, kind = FaultStuck, "stuck"
-	case r < 4:
-		spec.Fault, kind = FaultPanic, "panic"
-	case r < 5: // aborts before its first cell
+	case r < 3: // parks in its first cache write
+		spec, kind = wedgeSpec(), "wedge"
+	case r < 4: // aborts before its first cell
 		spec.Targets, spec.Deadline, kind = []string{"accuracy"}, Duration(time.Nanosecond), "deadline"
 	}
 	spec.Client = []string{"", "a", "b"}[m.rng.Intn(3)]
@@ -232,20 +292,20 @@ func runSequence(t *testing.T, seed int64) []string {
 	m := &model{t: t, rng: rand.New(rand.NewSource(seed)), dir: t.TempDir(), byID: map[string]*modelJob{}}
 	m.open(m.rng.Intn(2) == 0)
 	for op, n := 0, 8+m.rng.Intn(8); op < n; op++ {
-		switch r := m.rng.Intn(20); {
+		switch r := m.rng.Intn(21); {
 		case r < 9:
 			m.submit()
 		case r < 12 && len(m.jobs) > 0:
-			if _, err := m.d.Cancel(m.jobs[m.rng.Intn(len(m.jobs))].id); err != nil {
-				t.Fatal(err)
-			}
+			m.cancel(m.jobs[m.rng.Intn(len(m.jobs))].id)
 		case r < 14:
 			m.d.SetPaused(true)
 		case r < 16:
 			m.d.SetPaused(false)
 		case r < 17: // a transient fault: the next journal write fails
 			m.arm(faultcheck.OnNth(1, faultcheck.Error))
-		case r < 19: // kill -9: nothing reaches the journal any more, then the process is gone
+		case r < 18:
+			m.panicAtDispatch()
+		case r < 20: // kill -9: nothing reaches the journal any more, then the process is gone
 			m.arm(faultcheck.Always(faultcheck.Error))
 			fallthrough
 		default: // graceful restart
@@ -261,10 +321,8 @@ func runSequence(t *testing.T, seed int64) []string {
 	m.observe()
 	m.open(false)
 	for _, j := range m.jobs {
-		if j.kind == "stuck" {
-			if _, err := m.d.Cancel(j.id); err != nil {
-				t.Fatal(err)
-			}
+		if j.kind == "wedge" {
+			m.cancel(j.id)
 			m.settle()
 		}
 	}

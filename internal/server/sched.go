@@ -19,9 +19,12 @@ package server
 //
 // Deficits reset when a queue drains (no banking credit while idle), and
 // drained clients leave the ring so the state stays proportional to the
-// pending work. The scheduler is plain data guarded by the driver's mutex;
-// restart recovery replays the journal in submission order through push,
-// reproducing the pre-restart queue shape.
+// pending work. A job cancelled while queued is removed at once, so it
+// stops counting against the admission bounds. The scheduler is plain data
+// guarded by the driver's mutex; restart recovery replays the journal in
+// submission order through push, reproducing the pre-restart queue shape.
+
+import "slices"
 
 // drrQuantum is the credit a queue earns per dispatcher visit. It must be
 // >= the maximum job cost (1.0, priority 0) for the one-job-per-visit
@@ -82,6 +85,34 @@ func (s *drrSched) push(client, id string, priority int) {
 	}
 	cq.jobs = append(cq.jobs, queuedJob{id: id, cost: jobCost(priority)})
 	s.total++
+}
+
+// remove drops a pending job from its client's queue (a no-op for a job
+// the scheduler does not hold); a client left with nothing pending leaves
+// the ring as if drained.
+func (s *drrSched) remove(client, id string) {
+	cq := s.clients[client]
+	if cq == nil {
+		return
+	}
+	i := slices.IndexFunc(cq.jobs, func(q queuedJob) bool { return q.id == id })
+	if i < 0 {
+		return
+	}
+	cq.jobs = slices.Delete(cq.jobs, i, i+1)
+	s.total--
+	if len(cq.jobs) > 0 {
+		return
+	}
+	r := slices.Index(s.ring, client)
+	s.ring = slices.Delete(s.ring, r, r+1)
+	delete(s.clients, client)
+	if r < s.cursor {
+		s.cursor--
+	}
+	if s.cursor >= len(s.ring) {
+		s.cursor = 0
+	}
 }
 
 // len reports the number of pending jobs across all clients.

@@ -133,3 +133,36 @@ func TestSchedRestartOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedRemove: removing a pending job frees its slot in both counts and
+// leaves every other client's order, and the round-robin cursor, intact —
+// whether the removed client sat before, at or after the cursor.
+func TestSchedRemove(t *testing.T) {
+	build := func() *drrSched {
+		s := newDRRSched()
+		for _, j := range []struct{ client, id string }{{"a", "a1"}, {"a", "a2"}, {"b", "b1"}, {"c", "c1"}, {"c", "c2"}} {
+			s.push(j.client, j.id, 0)
+		}
+		wantOrder(t, popN(t, s, 1), "a1") // the cursor now rests on b
+		return s
+	}
+	s := build()
+	s.remove("a", "a2") // before the cursor: a leaves the ring
+	if s.len() != 3 || s.clientLen("a") != 0 || len(s.ring) != 2 {
+		t.Fatalf("after removing a2: len %d, a holds %d, ring %v", s.len(), s.clientLen("a"), s.ring)
+	}
+	wantOrder(t, popN(t, s, 3), "b1", "c1", "c2")
+
+	s = build()
+	s.remove("b", "b1") // at the cursor: c is next
+	wantOrder(t, popN(t, s, 3), "c1", "a2", "c2")
+
+	s = build()
+	s.remove("c", "c1") // after the cursor, the client keeps a job
+	s.remove("c", "nosuch")
+	s.remove("z", "z1")
+	wantOrder(t, popN(t, s, 3), "b1", "c2", "a2")
+	if _, ok := s.pop(); ok || s.len() != 0 {
+		t.Fatalf("scheduler not empty after removals: len %d", s.len())
+	}
+}

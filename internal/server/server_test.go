@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -292,6 +293,9 @@ func TestSubmitValidation(t *testing.T) {
 		{Targets: []string{"accuracy"}, Scale: -1},
 		{Targets: []string{"accuracy"}, Retries: -2},
 		{Targets: []string{"accuracy"}, Samplers: []string{"nope"}},
+		{Targets: []string{"accuracy"}, Benchmarks: []string{"nosuch"}},
+		{Targets: []string{"accuracy"}, Benchmarks: []string{"stream", ""}},
+		{Targets: []string{"fig5"}, Samples: -3},
 	}
 	for _, spec := range cases {
 		if _, err := c.Submit(ctx, spec); err == nil {
@@ -334,6 +338,54 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := c.Result(ctx, st.ID); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 		t.Errorf("result of queued job: %v, want HTTP 400", err)
+	}
+}
+
+// postJobs posts a raw body to /jobs and returns the status code and body.
+func postJobs(t *testing.T, url string, body io.Reader) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url+"/jobs", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(msg)
+}
+
+// TestSubmitBodyBounded: POST /jobs reads at most 1 MiB, so an endless body
+// is refused with a 400 instead of being buffered.
+func TestSubmitBodyBounded(t *testing.T) {
+	d := openDriver(t, server.Config{StateDir: t.TempDir(), Paused: true, Logf: t.Logf})
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	// A spec whose client name is padded past the bound.
+	body := strings.NewReader(`{"targets":["accuracy"],"client":"` + strings.Repeat("0", 2<<20) + `"}`)
+	if code, msg := postJobs(t, srv.URL, body); code != http.StatusBadRequest || !strings.Contains(msg, "too large") {
+		t.Fatalf("2 MiB body: HTTP %d %s, want 400 naming the size", code, msg)
+	}
+	if len(d.Jobs()) != 0 {
+		t.Fatal("the oversized submission was journaled")
+	}
+}
+
+// TestSubmitRejectsTrailingData: the body is one spec object; anything but
+// whitespace after it is a 400, not silently ignored.
+func TestSubmitRejectsTrailingData(t *testing.T) {
+	d := openDriver(t, server.Config{StateDir: t.TempDir(), Paused: true, Logf: t.Logf})
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	const spec = `{"targets":["accuracy"],"scale":0.02,"benchmarks":["stream"]}`
+	for _, tail := range []string{" trailing", spec, "]", "{"} {
+		if code, msg := postJobs(t, srv.URL, strings.NewReader(spec+tail)); code != http.StatusBadRequest {
+			t.Errorf("spec + %q: HTTP %d %s, want 400", tail, code, msg)
+		}
+	}
+	if code, msg := postJobs(t, srv.URL, strings.NewReader(spec+" \n")); code != http.StatusAccepted {
+		t.Fatalf("spec + whitespace: HTTP %d %s, want 202", code, msg)
+	}
+	if n := len(d.Jobs()); n != 1 {
+		t.Fatalf("%d jobs journaled, want only the clean one", n)
 	}
 }
 

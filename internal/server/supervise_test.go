@@ -3,11 +3,13 @@ package server
 // White-box tests for the supervision layer: the poison-job quarantine at
 // journal replay and the stuck-job watchdog's staleness logic. Both need
 // internals — the quarantine tests forge "daemon died mid-run" journal
-// states (os.Exit cannot run inside a test process), and the watchdog test
-// drives checkStuck against a fake clock.
+// states (os.Exit cannot run inside a test process), and the watchdog tests
+// wedge a job through the artifact cache's durable.WriteFault and drive
+// checkStuck against a fake clock.
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -159,68 +161,114 @@ func TestQuarantineSparesQueuedBystander(t *testing.T) {
 	}
 }
 
-// TestWatchdogFakeClock drives checkStuck directly with a controlled
-// clock: a wedged job (chaos fault "stuck") whose progress fingerprint
-// never moves is cancelled with the ErrStuck cause once — and exactly
-// once — after StuckAfter elapses, and terminally fails as stuck.
+// cacheWedge is a durable.WriteFault for a driver's artifact cache: the
+// first cache write (and any made while it waits) parks until release is
+// called or the driver closes; later writes pass. The job making that write
+// stays running with a frozen progress fingerprint (a phase only counts
+// once it stops) — a wedged job.
+type cacheWedge struct {
+	parked, released chan struct{}
+	closed           <-chan struct{}
+	first, free      sync.Once
+}
+
+// wedgeCache arms d's cache with a fresh wedge. The store reads its Fault
+// unlocked, so arm it before any job can write: before the submission, or
+// while the driver is paused.
+func wedgeCache(d *Driver) *cacheWedge {
+	w := &cacheWedge{parked: make(chan struct{}), released: make(chan struct{}), closed: d.ctx.Done()}
+	d.cache.Fault = w
+	return w
+}
+
+func (w *cacheWedge) Fire() error {
+	w.first.Do(func() {
+		close(w.parked)
+		select {
+		case <-w.released:
+		case <-w.closed:
+		}
+	})
+	return nil
+}
+
+func (w *cacheWedge) release() { w.free.Do(func() { close(w.released) }) }
+
+// holding reports whether a write is parked in the wedge right now.
+func (w *cacheWedge) holding() bool {
+	select {
+	case <-w.parked:
+	default:
+		return false
+	}
+	select {
+	case <-w.released:
+		return false
+	case <-w.closed:
+		return false
+	default:
+		return true
+	}
+}
+
+// awaitParked waits until a job's write is parked in the wedge.
+func (w *cacheWedge) awaitParked(t *testing.T) {
+	t.Helper()
+	select {
+	case <-w.parked:
+	case <-time.After(20 * time.Second):
+		t.Fatal("no job ever wrote to the artifact cache")
+	}
+}
+
+// wedgeSpec is the cheapest job that writes to the artifact cache — its
+// first write is the full reference run it has just simulated — and NoCache
+// makes it write again however warm the cache is.
+func wedgeSpec() JobSpec {
+	return JobSpec{Targets: []string{"accuracy"}, Scale: 0.001, Benchmarks: []string{"hotspot"}, NoCache: true}
+}
+
+// watchdogAfter is the tests' stuck-after window: the real watchdog ticks
+// every watchdogAfter/4 and so never runs; the tests are the clock.
+const watchdogAfter = 3 * time.Hour
+
+// TestWatchdogFakeClock drives checkStuck directly with a controlled clock:
+// a job wedged in its first cache write, whose progress fingerprint never
+// moves, is cancelled with the ErrStuck cause once — and exactly once —
+// after StuckAfter elapses, and terminally fails as stuck.
 func TestWatchdogFakeClock(t *testing.T) {
 	mc := metrics.New()
-	d, err := Open(Config{
-		StateDir:    t.TempDir(),
-		Dispatchers: 1,
-		Chaos:       true,
-		StuckAfter:  50 * time.Millisecond,
-		StuckPoll:   time.Hour, // the real loop stays inert; the test is the clock
-		Metrics:     mc,
-		Logf:        t.Logf,
-	})
+	d, err := Open(Config{StateDir: t.TempDir(), Dispatchers: 1, StuckAfter: watchdogAfter, Metrics: mc, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-
-	spec := superviseSpec()
-	spec.Fault = FaultStuck
-	st, err := d.Submit(spec)
+	w := wedgeCache(d)
+	st, err := d.Submit(wedgeSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Wait for the dispatcher to pick it up and wedge.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		got, _ := d.Status(st.ID)
-		if got.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started running: %+v", got)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	w.awaitParked(t)
 
 	t0 := time.Now()
 	if stuck := d.checkStuck(t0); len(stuck) != 0 {
 		t.Fatalf("first pass cancelled %v, want none (it only records the mark)", stuck)
 	}
-	if stuck := d.checkStuck(t0.Add(49 * time.Millisecond)); len(stuck) != 0 {
+	if stuck := d.checkStuck(t0.Add(watchdogAfter - time.Millisecond)); len(stuck) != 0 {
 		t.Fatalf("pass inside the window cancelled %v, want none", stuck)
 	}
-	stuck := d.checkStuck(t0.Add(60 * time.Millisecond))
+	stuck := d.checkStuck(t0.Add(watchdogAfter))
 	if len(stuck) != 1 || stuck[0] != st.ID {
 		t.Fatalf("stale pass cancelled %v, want exactly [%s]", stuck, st.ID)
 	}
+	// The job is still parked; the next pass starts a new window instead of
+	// cancelling it again.
+	if stuck := d.checkStuck(t0.Add(watchdogAfter + time.Millisecond)); len(stuck) != 0 {
+		t.Fatalf("pass after the cancel cancelled %v again", stuck)
+	}
 
-	done, err := d.Done(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("stuck job never reached a terminal state after cancellation")
-	}
-	final, _ := d.Status(st.ID)
+	w.release()
+	final := waitTerminal(t, d, st.ID)
 	if final.State != StateFailed {
 		t.Fatalf("state = %s (error %q), want failed", final.State, final.Error)
 	}
@@ -238,80 +286,38 @@ func TestWatchdogFakeClock(t *testing.T) {
 // TestWatchdogIgnoresProgressingJobs: a fingerprint that moves between
 // passes resets the staleness window — real progress is never punished.
 func TestWatchdogIgnoresProgressingJobs(t *testing.T) {
-	d, err := Open(Config{
-		StateDir:    t.TempDir(),
-		Dispatchers: 1,
-		Chaos:       true,
-		StuckAfter:  50 * time.Millisecond,
-		StuckPoll:   time.Hour,
-		Metrics:     metrics.New(),
-		Logf:        t.Logf,
-	})
+	d, err := Open(Config{StateDir: t.TempDir(), Dispatchers: 1, StuckAfter: watchdogAfter, Metrics: metrics.New(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-
-	spec := superviseSpec()
-	spec.Fault = FaultStuck
-	st, err := d.Submit(spec)
+	w := wedgeCache(d)
+	st, err := d.Submit(wedgeSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		got, _ := d.Status(st.ID)
-		if got.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started running: %+v", got)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	w.awaitParked(t)
 
 	t0 := time.Now()
 	d.checkStuck(t0)
 	// Simulate observable progress: bump the job's live collector between
 	// passes. The fingerprint moves, so the mark resets.
 	d.mu.Lock()
-	d.jobs[st.ID].mc.Add(metrics.ExpCellsExecuted, 1)
+	d.jobs[st.ID].mc.AtomicAdd(metrics.ExpCellsExecuted, 1)
 	d.mu.Unlock()
-	if stuck := d.checkStuck(t0.Add(60 * time.Millisecond)); len(stuck) != 0 {
+	if stuck := d.checkStuck(t0.Add(watchdogAfter + time.Millisecond)); len(stuck) != 0 {
 		t.Fatalf("progressing job cancelled as stuck: %v", stuck)
 	}
 	// Only once the *new* fingerprint goes stale for the full window does
 	// the watchdog fire.
-	if stuck := d.checkStuck(t0.Add(100 * time.Millisecond)); len(stuck) != 0 {
+	if stuck := d.checkStuck(t0.Add(2 * watchdogAfter)); len(stuck) != 0 {
 		t.Fatalf("window not yet elapsed since progress, yet cancelled: %v", stuck)
 	}
-	if stuck := d.checkStuck(t0.Add(120 * time.Millisecond)); len(stuck) != 1 {
+	if stuck := d.checkStuck(t0.Add(2*watchdogAfter + time.Millisecond)); len(stuck) != 1 {
 		t.Fatalf("stale-after-progress pass cancelled %v, want exactly one", stuck)
 	}
-	// Let the cancelled run unwind before Close.
-	done, _ := d.Done(st.ID)
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("job never terminated")
-	}
-}
-
-// TestFaultRequiresChaos: fault-carrying specs never get into a production
-// (non-chaos) driver.
-func TestFaultRequiresChaos(t *testing.T) {
-	d, err := Open(Config{StateDir: t.TempDir(), Paused: true, Metrics: metrics.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	spec := superviseSpec()
-	spec.Fault = FaultPanic
-	if _, err := d.Submit(spec); err == nil || !strings.Contains(err.Error(), "chaos") {
-		t.Fatalf("Submit(fault without chaos) err = %v, want a chaos-gate rejection", err)
-	}
-	spec.Fault = "explode"
-	if err := spec.Validate(); err == nil {
-		t.Fatal("Validate accepted unknown fault")
+	w.release()
+	if final := waitTerminal(t, d, st.ID); final.FailureKind() != FailureStuck {
+		t.Fatalf("job finished %s (%q), want failed as stuck", final.State, final.Error)
 	}
 }

@@ -29,10 +29,6 @@ import (
 // failed(stuck) verdict.
 var ErrStuck = errors.New("server: job made no progress within the stuck-after window")
 
-// minStuckPoll floors the watchdog cadence so a tiny StuckAfter cannot
-// turn the watchdog into a busy loop.
-const minStuckPoll = 10 * time.Millisecond
-
 // progressMark is one watchdog observation of a running job: the progress
 // fingerprint and when it was first seen.
 type progressMark struct {
@@ -40,18 +36,12 @@ type progressMark struct {
 	at time.Time
 }
 
-// watchdogLoop ticks checkStuck until the driver closes. Started by Open
-// when Config.StuckAfter > 0.
+// watchdogLoop ticks checkStuck every StuckAfter/4 until the driver closes.
+// Started by Open when Config.StuckAfter > 0. The 10ms floor keeps a tiny
+// StuckAfter from turning the watchdog into a busy loop.
 func (d *Driver) watchdogLoop() {
 	defer d.wg.Done()
-	poll := d.cfg.StuckPoll
-	if poll <= 0 {
-		poll = d.cfg.StuckAfter / 4
-	}
-	if poll < minStuckPoll {
-		poll = minStuckPoll
-	}
-	ticker := time.NewTicker(poll)
+	ticker := time.NewTicker(max(d.cfg.StuckAfter/4, 10*time.Millisecond))
 	defer ticker.Stop()
 	for {
 		select {

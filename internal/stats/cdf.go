@@ -27,43 +27,3 @@ func CDF(xs []float64) []CDFPoint {
 	}
 	return out
 }
-
-// CDFAt evaluates an empirical CDF (as returned by CDF) at value v.
-func CDFAt(cdf []CDFPoint, v float64) float64 {
-	// Binary search for the last point with Value <= v.
-	lo, hi := 0, len(cdf)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid].Value <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return cdf[lo-1].Fraction
-}
-
-// Histogram bins xs into nbins equal-width bins over [min,max] and returns
-// the per-bin counts. Values outside the range are clamped into the edge
-// bins. It returns nil if nbins <= 0 or xs is empty.
-func Histogram(xs []float64, min, max float64, nbins int) []int {
-	if nbins <= 0 || len(xs) == 0 || max <= min {
-		return nil
-	}
-	counts := make([]int, nbins)
-	w := (max - min) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - min) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts
-}

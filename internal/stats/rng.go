@@ -1,6 +1,6 @@
 // Package stats provides the small numeric substrate shared by the TBPoint
 // reproduction: summary statistics, deterministic random number generation,
-// Gaussian sampling, percentiles, and histogram/CDF helpers.
+// Gaussian sampling, percentiles, and empirical CDFs.
 //
 // Everything in this package is deterministic given a seed, which is what
 // makes the experiment harness reproducible bit-for-bit.
@@ -58,7 +58,7 @@ func (r *RNG) Float64() float64 {
 
 // NormFloat64 returns a standard normal variate using the Box-Muller
 // transform. Each call draws two uniforms; simplicity is preferred over
-// caching the second variate because callers fork RNGs liberally.
+// caching the second variate because callers create RNGs liberally.
 func (r *RNG) NormFloat64() float64 {
 	for {
 		u1 := r.Float64()
@@ -87,11 +87,4 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Fork derives an independent generator from this one. The derived stream is
-// decorrelated from the parent by an extra SplitMix64 scramble of a label.
-func (r *RNG) Fork(label uint64) *RNG {
-	s := r.Uint64() ^ (label * 0xd1342543de82ef95)
-	return NewRNG(s)
 }

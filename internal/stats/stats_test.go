@@ -206,30 +206,6 @@ func TestCDF(t *testing.T) {
 			t.Errorf("cdf[%d] = %v, want %v", i, cdf[i], want[i])
 		}
 	}
-	if got := CDFAt(cdf, 2.5); got != 0.75 {
-		t.Errorf("CDFAt(2.5) = %v, want 0.75", got)
-	}
-	if got := CDFAt(cdf, 0.5); got != 0 {
-		t.Errorf("CDFAt(0.5) = %v, want 0", got)
-	}
-	if got := CDFAt(cdf, 99); got != 1 {
-		t.Errorf("CDFAt(99) = %v, want 1", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.1, 0.5, 0.9, 1.0, -5, 5}
-	h := Histogram(xs, 0, 1, 2)
-	// bin0 [0,0.5): {0, 0.1, -5 clamped}; bin1 [0.5,1]: {0.5, 0.9, 1.0, 5 clamped}.
-	if h[0] != 3 || h[1] != 4 {
-		t.Errorf("Histogram = %v, want [3 4]", h)
-	}
-	if Histogram(nil, 0, 1, 2) != nil {
-		t.Error("Histogram(nil) should be nil")
-	}
-	if Histogram(xs, 1, 0, 2) != nil {
-		t.Error("Histogram with inverted range should be nil")
-	}
 }
 
 // Property: the empirical CDF is monotonically non-decreasing in both value
@@ -290,21 +266,6 @@ func TestMeanBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestForkDecorrelated(t *testing.T) {
-	r := NewRNG(1)
-	a := r.Fork(1)
-	b := r.Fork(2)
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Errorf("forked streams overlap: %d/100 equal", same)
 	}
 }
 

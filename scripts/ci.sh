@@ -30,10 +30,12 @@
 #              a store write and resuming to byte-identical results, a fatal
 #              target error still flushing its JSON outputs, tbpointd
 #              surviving a hard death with a journaled job, a crash-looping
-#              job quarantined after exactly four daemon deaths, served
-#              results equal to one-shot CLI bytes, daemon flag wiring, and
-#              every tbpointctl subcommand. A cache hit after `race` in a
-#              full run; the stage exists to be run by name
+#              job quarantined after exactly four daemon deaths (each death
+#              armed by the store's TBPOINT_CRASH_AFTER_CHECKPOINTS hook, the
+#              same one cmd/experiments dies by), served results equal to
+#              one-shot CLI bytes, daemon flag wiring, and every tbpointctl
+#              subcommand. A cache hit after `race` in a full run; the stage
+#              exists to be run by name
 #   fuzz       10s fuzz smoke over each of the nine fuzz targets: the
 #              instruction cursor (the flat µop walk yields the block walk's
 #              instructions, blocks and loop iterations on random programs
