@@ -405,7 +405,7 @@ func BenchmarkAblationMarkovDenseVsProduct(b *testing.B) {
 }
 
 // BenchmarkAblationEnterRule compares the region-table lookup cost of the
-// sampler against a no-hooks run, bounding TBPoint's runtime overhead on
+// sampler against a run without SkipTB, bounding TBPoint's runtime overhead on
 // the simulator.
 func BenchmarkAblationEnterRule(b *testing.B) {
 	app := tbpoint.MustBenchmark("cfd", 0.02)

@@ -25,7 +25,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sort"
 
 	"tbpoint"
 	"tbpoint/internal/durable"
@@ -129,10 +128,10 @@ func main() {
 		log.Fatal(err)
 	}
 	if *dumpRegions != "" {
-		for rep, rt := range res.Tables {
+		for _, rep := range res.Inter.RepLaunches() {
 			path := fmt.Sprintf("%s.%d.json", *dumpRegions, rep)
 			err := durable.WriteFile(path, func(w io.Writer) error {
-				return tbpoint.WriteRegionTable(w, rt)
+				return tbpoint.WriteRegionTable(w, res.Tables[rep])
 			})
 			if err != nil {
 				log.Fatal(err)
@@ -222,7 +221,6 @@ func main() {
 
 func sortedReps(res *tbpoint.Result) []int {
 	reps := res.Inter.RepLaunches()
-	sort.Ints(reps)
 	if len(reps) > 16 {
 		return reps[:16]
 	}
@@ -230,9 +228,7 @@ func sortedReps(res *tbpoint.Result) []int {
 }
 
 func printRegions(res *tbpoint.Result) {
-	reps := res.Inter.RepLaunches()
-	sort.Ints(reps)
-	for _, rep := range reps {
+	for _, rep := range res.Inter.RepLaunches() {
 		rt := res.Tables[rep]
 		fmt.Printf("launch %d (occupancy %d): %d region IDs\n", rep, rt.Occupancy, rt.NumRegions)
 		runs := rt.Regions()

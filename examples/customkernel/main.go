@@ -88,9 +88,9 @@ func main() {
 	}
 	fmt.Printf("inter-launch clusters: %d (expect 2: push-like and bin-like)\n",
 		res.Inter.NumClusters)
-	for rep, rt := range res.Tables {
+	for _, rep := range res.Inter.RepLaunches() {
 		fmt.Printf("  rep launch %2d (%s): %d region IDs\n",
-			rep, app.Launches[rep].Kernel.Name, rt.NumRegions)
+			rep, app.Launches[rep].Kernel.Name, res.Tables[rep].NumRegions)
 	}
 
 	full := tbpoint.FullSimulation(sim, app, 0)

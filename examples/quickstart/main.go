@@ -40,7 +40,8 @@ func main() {
 	est := res.Estimate
 	fmt.Printf("inter-launch clusters: %d (of %d launches)\n",
 		res.Inter.NumClusters, len(app.Launches))
-	for rep, rt := range res.Tables {
+	for _, rep := range res.Inter.RepLaunches() {
+		rt := res.Tables[rep]
 		fmt.Printf("  representative launch %d: %d homogeneous region IDs over %d blocks\n",
 			rep, rt.NumRegions, len(rt.RegionOf))
 	}

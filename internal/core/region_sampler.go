@@ -50,7 +50,8 @@ func (ls *LaunchSample) PredictedIPC() float64 {
 }
 
 // regionSampler implements the entering / warming / fast-forwarding /
-// exiting protocol against the simulator hooks. Per-region state is dense,
+// exiting protocol over a simulation's recorded log (observe) and answers
+// the one question the simulator asks (skipTB). Per-region state is dense,
 // indexed by region ID: IDs are cluster IDs, below twice the epoch count.
 type regionSampler struct {
 	rt      *RegionTable
@@ -80,6 +81,11 @@ type regionSampler struct {
 	regionIPC []float64 // IPC at the end of the warming period, where warmed
 	skipped   []int64   // fast-forwarded warp instructions
 	warmUnits int
+
+	// Read position in the observed log: TBOrder entries and Units consumed,
+	// and the block whose retirement closes the next unit (-1 until the
+	// first dispatch after a unit closed).
+	seen, unit, specified int
 }
 
 func newRegionSampler(rt *RegionTable, lp *funcsim.LaunchProfile, opts Options) *regionSampler {
@@ -105,6 +111,7 @@ func newRegionSampler(rt *RegionTable, lp *funcsim.LaunchProfile, opts Options) 
 		warmed:       make([]bool, n),
 		regionIPC:    make([]float64, n),
 		skipped:      make([]int64, n),
+		specified:    -1,
 	}
 	minBlocks := opts.WarmWindowMinRegion * max(rt.Occupancy, 1)
 	for r, c := range blocksIn {
@@ -172,7 +179,7 @@ func (s *regionSampler) onRetire(tb int) {
 	// warming evidence (pairwise IPC, stability streak, trend history) was
 	// measured before a dispatch gap and must not let units after the gap
 	// satisfy the stability check against pre-gap cache state. Drop the
-	// evidence but keep the state — the retire hook fires before the
+	// evidence but keep the state — a retirement is logged before the
 	// replacement dispatch, so this window is often transient, and the unit
 	// closing at this retirement must still count as a warming unit.
 	if s.state == stateWarming && s.residentRegions == 0 {
@@ -273,20 +280,54 @@ func (s *regionSampler) trendStable(ipc float64) bool {
 	return diff/ref < s.tol/4
 }
 
-// replayReference is the second driver of the regionSampler: it feeds a fresh
-// one from ref — a complete, nothing-skipped serial simulation of the same
-// launch on the same simulator — in exactly the sequence the engine fires the
-// hooks: skipTB then onDispatch for a dispatch entry of ref.TBOrder; onRetire
-// for a retirement, then onUnitClose with the next of ref.Units when the
-// retired block is the unit's specified one (the first dispatched since the
-// previous unit closed). Hooks only observe until skipTB first returns true, so
-// a sampler that never asks to skip ends in the state a simulation would have
-// left it in, and that simulation's result is ref. It returns nil — simulate —
-// at the first skip, and for a ref it cannot vouch for: none, no recorded
-// order (a decoded or parallel-engine result), aborted, blocks skipped, a
-// block count other than the profile's, an order that is not every block
-// dispatched ascending and retired once, or units that do not close where
-// the order says.
+// observe feeds the sampler the events of res's log it has not seen, up to
+// TBOrder[upTo]: onDispatch for a dispatch entry; onRetire for a
+// retirement, then onUnitClose with the next of res.Units when the retired
+// block is that unit's specified one (the first dispatched since the
+// previous unit closed). It reports false when a unit does not close where
+// the order says, which a log the engine recorded never does.
+func (s *regionSampler) observe(res *gpusim.LaunchResult, upTo int) bool {
+	for ; s.seen < upTo; s.seen++ {
+		e := res.TBOrder[s.seen]
+		if e >= 0 {
+			s.onDispatch(int(e))
+			if s.specified < 0 {
+				s.specified = int(e)
+			}
+			continue
+		}
+		tb := int(^e)
+		s.onRetire(tb)
+		if tb == s.specified {
+			if s.unit == len(res.Units) || res.Units[s.unit].SpecifiedTB != tb {
+				return false
+			}
+			s.onUnitClose(res.Units[s.unit])
+			s.unit++
+			s.specified = -1
+		}
+	}
+	return true
+}
+
+// skipLive is the simulator's SkipTB: catch up on the log, then decide.
+func (s *regionSampler) skipLive(tb int, sofar *gpusim.LaunchResult) bool {
+	s.observe(sofar, len(sofar.TBOrder))
+	return s.skipTB(tb)
+}
+
+// replayReference feeds a fresh sampler from ref — a complete,
+// nothing-skipped serial simulation of the same launch on the same
+// simulator — exactly as a simulation would: before each dispatch entry of
+// ref.TBOrder it observes the log up to that entry and asks skipTB, and at
+// the end it observes the rest. The sampler's decisions cannot change a run
+// until skipTB first returns true, so a sampler that never asks to skip ends
+// in the state a simulation would have left it in, and that simulation's
+// result is ref. It returns nil — simulate — at the first skip, and for a
+// ref it cannot vouch for: none, no recorded order (a decoded or
+// parallel-engine result), aborted, blocks skipped, a block count other than
+// the profile's, an order that is not every block dispatched ascending and
+// retired once, or units that do not close where the order says.
 func replayReference(rt *RegionTable, lp *funcsim.LaunchProfile, ref *gpusim.LaunchResult, opts Options) *regionSampler {
 	n := lp.NumBlocks()
 	if ref == nil || ref.Aborted || ref.SkippedTBs != 0 || ref.SimulatedTBs != n || len(ref.TBOrder) != 2*n {
@@ -294,18 +335,13 @@ func replayReference(rt *RegionTable, lp *funcsim.LaunchProfile, ref *gpusim.Lau
 	}
 	rs := newRegionSampler(rt, lp, opts)
 	retired := make([]bool, n)
-	next, unit, specified := 0, 0, -1
-	for _, e := range ref.TBOrder {
+	next := 0
+	for i, e := range ref.TBOrder {
 		if e >= 0 {
-			tb := int(e)
-			if tb != next || tb >= n || rs.skipTB(tb) {
+			if int(e) != next || next >= n || !rs.observe(ref, i) || rs.skipTB(next) {
 				return nil
 			}
 			next++
-			rs.onDispatch(tb)
-			if specified < 0 {
-				specified = tb
-			}
 			continue
 		}
 		tb := int(^e)
@@ -313,17 +349,8 @@ func replayReference(rt *RegionTable, lp *funcsim.LaunchProfile, ref *gpusim.Lau
 			return nil
 		}
 		retired[tb] = true
-		rs.onRetire(tb)
-		if tb == specified {
-			if unit == len(ref.Units) || ref.Units[unit].SpecifiedTB != tb {
-				return nil
-			}
-			rs.onUnitClose(ref.Units[unit])
-			unit++
-			specified = -1
-		}
 	}
-	if unit != len(ref.Units) {
+	if !rs.observe(ref, len(ref.TBOrder)) || rs.unit != len(ref.Units) {
 		return nil
 	}
 	return rs
@@ -346,13 +373,8 @@ func SampleLaunch(sim *gpusim.Simulator, l *kernel.Launch, lp *funcsim.LaunchPro
 	rs, res := replayReference(rt, lp, ref, opts), ref
 	if rs == nil {
 		rs = newRegionSampler(rt, lp, opts)
-		hooks := &gpusim.Hooks{
-			SkipTB:       rs.skipTB,
-			OnTBDispatch: func(tb, sm int, cycle int64) { rs.onDispatch(tb) },
-			OnTBRetire:   func(tb, sm int, cycle int64) { rs.onRetire(tb) },
-			OnUnitClose:  rs.onUnitClose,
-		}
-		res = sim.RunLaunch(l, gpusim.RunOptions{Hooks: hooks, Metrics: opts.Metrics, Ctx: opts.Ctx})
+		res = sim.RunLaunch(l, gpusim.RunOptions{SkipTB: rs.skipLive, Metrics: opts.Metrics, Ctx: opts.Ctx})
+		rs.observe(res, len(res.TBOrder))
 	}
 
 	ls := &LaunchSample{
@@ -367,7 +389,9 @@ func SampleLaunch(sim *gpusim.Simulator, l *kernel.Launch, lp *funcsim.LaunchPro
 
 	// Table IV: predicted launch cycles = simulated cycles plus the
 	// fast-forwarded instructions at each region's sampled IPC, summed in
-	// ascending region ID (float addition is order dependent).
+	// ascending region ID (float addition is order dependent). A block is
+	// skipped only while fast-forwarding, which only a warmed region with a
+	// positive IPC enters.
 	pred := float64(res.Cycles)
 	for r, skipped := range rs.skipped {
 		if rs.warmed[r] {
@@ -377,18 +401,7 @@ func SampleLaunch(sim *gpusim.Simulator, l *kernel.Launch, lp *funcsim.LaunchPro
 			continue
 		}
 		ls.SkippedByRegion[r] = skipped
-		ipc := rs.regionIPC[r]
-		if ipc <= 0 {
-			// Defensive: a region was skipped without a recorded IPC
-			// (cannot happen through the state machine); fall back to the
-			// run's aggregate IPC.
-			if agg := res.TotalIPC(); agg > 0 {
-				ipc = agg
-			} else {
-				ipc = 1
-			}
-		}
-		pred += float64(skipped) / ipc
+		pred += float64(skipped) / rs.regionIPC[r]
 	}
 	ls.PredictedCycles = pred
 	return ls

@@ -50,7 +50,7 @@ func sampleBothWays(t *testing.T, name string, sim *gpusim.Simulator, l *kernel.
 func TestSampleLaunchReferenceDifferential(t *testing.T) {
 	var replays, fallbacks int
 	count := func(name string, sim *gpusim.Simulator, l *kernel.Launch) {
-		ref := sim.RunLaunch(l, gpusim.RunOptions{FixedUnitInsts: 2000, CollectBBV: true})
+		ref := sim.RunLaunch(l, gpusim.RunOptions{FixedUnitInsts: 2000})
 		replayed, skippedTBs := sampleBothWays(t, name, sim, l, ref)
 		if replayed != (skippedTBs == 0) {
 			t.Errorf("%s: replayed=%v though region sampling fast-forwards %d blocks", name, replayed, skippedTBs)
@@ -81,7 +81,7 @@ func TestSampleLaunchReferenceDifferential(t *testing.T) {
 	// a region can warm (replayed). Two in three are short, of one or two
 	// phases, on a machine that holds 1-6 blocks, where unit closes, the last resident's
 	// retirement and the launch's tail coincide most often — the cases in
-	// which the order of the hooks decides the sampler's state.
+	// which the order of the logged events decides the sampler's state.
 	k := phasedKernel()
 	rng := rand.New(rand.NewSource(24))
 	for i := 0; i < 120; i++ {
@@ -216,5 +216,57 @@ func TestRunWithReferenceMatchesRun(t *testing.T) {
 		if sims := int(mc.Count(metrics.SimLaunches)); sims != len(got.Samples)-replayed {
 			t.Errorf("%s: sim.launches = %d, want the %d representatives that were simulated", name, sims, len(got.Samples)-replayed)
 		}
+	}
+}
+
+// TestSkippedRegionsHaveWarmedIPC: a block is skipped only while
+// fast-forwarding, which only a region warmed to a positive IPC enters, so
+// in every sample — each representative of the twelve benchmarks and
+// randomised phased launches — every region in SkippedByRegion has
+// RegionIPC[r] > 0 and the prediction is finite. SampleLaunch divides by
+// that IPC with no fallback.
+func TestSkippedRegionsHaveWarmedIPC(t *testing.T) {
+	var samples, skipping int
+	check := func(name string, sim *gpusim.Simulator, l *kernel.Launch) {
+		cfg, opts := sim.Config(), DefaultOptions()
+		lp := funcsim.ProfileLaunch(l)
+		rt := IdentifyRegions(lp, cfg.Limits.SystemOccupancy(l.Kernel, cfg.NumSMs), opts.SigmaIntra, opts.VarFactor)
+		ls := SampleLaunch(sim, l, lp, rt, nil, opts)
+		samples++
+		if len(ls.SkippedByRegion) > 0 {
+			skipping++
+		}
+		for r, n := range ls.SkippedByRegion {
+			if ipc, ok := ls.RegionIPC[r]; !ok || !(ipc > 0) || n <= 0 {
+				t.Errorf("%s: region %d skipped %d instructions with warmed IPC %v (recorded %v)", name, r, n, ipc, ok)
+			}
+		}
+		if p := ls.PredictedCycles; math.IsInf(p, 0) || math.IsNaN(p) || p < float64(ls.Result.Cycles) {
+			t.Errorf("%s: predicted %v cycles for a run of %d", name, p, ls.Result.Cycles)
+		}
+	}
+
+	sim := gpusim.MustNew(gpusim.DefaultConfig())
+	for _, spec := range workloads.All() {
+		app := spec.Build(workloads.Config{Scale: 0.02, Seed: 1})
+		inter := InterLaunch(funcsim.ProfileApp(app), DefaultOptions().SigmaInter)
+		for _, rep := range inter.RepLaunches() {
+			check(spec.Name, sim, app.Launches[rep])
+		}
+	}
+	k := phasedKernel()
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 60; i++ {
+		cfg := testConfig()
+		cfg.NumSMs, cfg.Limits.MaxBlocks = 1+rng.Intn(2), 1+rng.Intn(6)
+		phases := make([][2]int, 1+rng.Intn(6))
+		for p := range phases {
+			phases[p] = [2]int{1 + rng.Intn(16), rng.Intn(10)}
+		}
+		check("random", gpusim.MustNew(cfg), launchWithPhases(k, 1+rng.Intn(300), phases))
+	}
+	t.Logf("%d of %d samples fast-forwarded", skipping, samples)
+	if skipping == 0 {
+		t.Error("no sample fast-forwarded anything; the property proves nothing")
 	}
 }

@@ -273,7 +273,6 @@ func fullApp(ctx context.Context, sim *gpusim.Simulator, app *kernel.App, unitIn
 		i := distinct[d]
 		run.Launches[i] = sim.RunLaunch(app.Launches[i], gpusim.RunOptions{
 			FixedUnitInsts: unitInsts,
-			CollectBBV:     true,
 			Ctx:            ctx,
 			Metrics:        mcs[i],
 			Workers:        workers,

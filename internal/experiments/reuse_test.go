@@ -38,7 +38,7 @@ func TestFullAppReuseMatchesPerLaunchLoop(t *testing.T) {
 		for _, l := range app.Launches {
 			lmc := metrics.New()
 			want.Launches = append(want.Launches, sim.RunLaunch(l, gpusim.RunOptions{
-				FixedUnitInsts: unit, CollectBBV: true, Metrics: lmc,
+				FixedUnitInsts: unit, Metrics: lmc,
 			}))
 			wantMC.Merge(lmc)
 		}

@@ -74,19 +74,18 @@ func TestCancelMidRunReturnsPartialResult(t *testing.T) {
 	l := makeLaunch(computeKernel(), 40, 8)
 	total := l.NumBlocks()
 
-	// Cancel from a hook after the 5th retirement: the next sampling-unit
+	// Cancel from SkipTB once 5 blocks have retired: the next sampling-unit
 	// boundary observes it and the run stops early with a partial result.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	retired := 0
 	res := sim.RunLaunch(l, RunOptions{
 		Ctx: ctx,
-		Hooks: &Hooks{OnTBRetire: func(tb, sm int, cycle int64) {
-			retired++
-			if retired == 5 {
+		SkipTB: func(tb int, sofar *LaunchResult) bool {
+			if sofar.SimulatedTBs >= 5 {
 				cancel()
 			}
-		}},
+			return false
+		},
 	})
 	if !res.Aborted {
 		t.Fatal("cancelled run not flagged aborted")
@@ -120,19 +119,16 @@ func TestCancelAtFixedUnitBoundary(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	units := 0
 	res := sim.RunLaunch(l, RunOptions{
 		FixedUnitInsts: 300,
 		Ctx:            ctx,
-		// OnTBRetire is unrelated to fixed units; cancel via a closure over
-		// the result is impossible mid-run, so count retires as a proxy for
-		// "some work done" and cancel once units have started closing.
-		Hooks: &Hooks{OnTBRetire: func(tb, sm int, cycle int64) {
-			units++
-			if units == 2 {
+		// Cancel at the first dispatch after two fixed units have closed.
+		SkipTB: func(tb int, sofar *LaunchResult) bool {
+			if len(sofar.FixedUnits) >= 2 {
 				cancel()
 			}
-		}},
+			return false
+		},
 	})
 	if !res.Aborted {
 		t.Fatal("not aborted")

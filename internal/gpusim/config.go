@@ -8,12 +8,13 @@
 // model).
 //
 // The simulator is trace driven: it reads each warp's instructions from the
-// launch's lazily expanded synthetic trace (trace.Synthetic). It exposes
-// the hooks the sampling layers need — thread-block dispatch/retire events,
-// a skip decision point for fast-forwarding, sampling-unit tracking by
-// "specified thread block" (§IV-B2), fixed-size sampling units with
-// basic-block vectors for the SimPoint baseline — without knowing anything
-// about the sampling policies themselves.
+// launch's lazily expanded synthetic trace (trace.Synthetic). It gives the
+// sampling layers what they need without knowing anything about their
+// policies: one skip decision per thread block for fast-forwarding
+// (RunOptions.SkipTB), and a result that records the run — the thread-block
+// dispatch/retire order, sampling units by "specified thread block"
+// (§IV-B2), fixed-size sampling units with basic-block vectors for the
+// SimPoint baseline.
 package gpusim
 
 import (

@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,32 +10,86 @@ import (
 	"tbpoint/internal/workloads"
 )
 
-// checkTBOrder runs l with a dispatch/retire hook pair (and skip, when
-// non-nil, as the SkipTB hook) and holds the recorded LaunchResult.TBOrder to
-// its contract: it is the sequence the hooks observed, dispatch entries
-// ascend, every simulated block appears once each way and no skipped block at
-// all, and there are two entries per simulated block.
+// checkTBOrder runs l with a SkipTB (skipping as skip says, when non-nil)
+// and holds the recorded log to its contract. At every SkipTB call, sofar's
+// TBOrder and Units are the prefix of the final log that precedes the call:
+// the entries recorded so far, never rewritten later, with exactly the units
+// whose specified block retired inside that prefix, and the call comes right
+// before the block's own dispatch entry or, for a skipped block, before the
+// next dispatch entry there is. Dispatch entries ascend, every simulated
+// block appears once each way and no skipped block at all, and there are two
+// entries per simulated block.
 func checkTBOrder(t *testing.T, name string, sim *Simulator, l *kernel.Launch, skip func(tb int) bool) {
 	t.Helper()
-	var seen []int32
-	skipped := map[int]bool{}
-	hooks := &Hooks{
-		OnTBDispatch: func(tb, sm int, cycle int64) { seen = append(seen, int32(tb)) },
-		OnTBRetire:   func(tb, sm int, cycle int64) { seen = append(seen, ^int32(tb)) },
+	type call struct {
+		tb, order, units int
+		skipped          bool
 	}
-	if skip != nil {
-		hooks.SkipTB = func(tb int) bool {
-			if skip(tb) {
-				skipped[tb] = true
-				return true
+	var calls []call
+	var order []int32     // every TBOrder entry a SkipTB call has seen
+	var units []UnitStats // likewise for Units
+	var live *LaunchResult
+	skipped := map[int]bool{}
+	res := sim.RunLaunch(l, RunOptions{SkipTB: func(tb int, sofar *LaunchResult) bool {
+		live = sofar
+		if !slices.Equal(sofar.TBOrder[:len(order)], order) || !slices.Equal(sofar.Units[:len(units)], units) {
+			t.Fatalf("%s: the log seen at block %d's SkipTB rewrote an entry seen earlier", name, tb)
+		}
+		order = append(order, sofar.TBOrder[len(order):]...)
+		units = append(units, sofar.Units[len(units):]...)
+		c := call{tb: tb, order: len(sofar.TBOrder), units: len(sofar.Units), skipped: skip != nil && skip(tb)}
+		calls = append(calls, c)
+		if c.skipped {
+			skipped[tb] = true
+		}
+		return c.skipped
+	}})
+	if live != nil && live != res {
+		t.Errorf("%s: SkipTB was handed a result other than the one returned", name)
+	}
+	if len(calls) != l.NumBlocks() {
+		t.Errorf("%s: SkipTB asked %d times for %d blocks", name, len(calls), l.NumBlocks())
+	}
+	if !slices.Equal(res.TBOrder[:len(order)], order) || !slices.Equal(res.Units[:len(units)], units) {
+		t.Fatalf("%s: the final log does not extend what SkipTB saw", name)
+	}
+	// closed[i] is the number of units closed by the first i entries of the
+	// final order: a unit closes at the retirement of its specified block,
+	// the first block dispatched after the previous unit closed.
+	closed := make([]int, len(res.TBOrder)+1)
+	specified := -1
+	for i, e := range res.TBOrder {
+		closed[i+1] = closed[i]
+		if e >= 0 {
+			if specified < 0 {
+				specified = int(e)
 			}
-			return false
+		} else if int(^e) == specified {
+			if u := closed[i]; u == len(res.Units) || res.Units[u].SpecifiedTB != specified {
+				t.Fatalf("%s: entry %d retires specified block %d but unit %d does not close there", name, i, specified, u)
+			}
+			closed[i+1]++
+			specified = -1
 		}
 	}
-	res := sim.RunLaunch(l, RunOptions{Hooks: hooks})
-	if !reflect.DeepEqual(res.TBOrder, seen) {
-		t.Errorf("%s: recorded order differs from what the hooks observed", name)
+	if closed[len(res.TBOrder)] != len(res.Units) {
+		t.Errorf("%s: %d units recorded, the order closes %d", name, len(res.Units), closed[len(res.TBOrder)])
 	}
+	for _, c := range calls {
+		if c.units != closed[c.order] {
+			t.Fatalf("%s: block %d's SkipTB saw %d units after %d entries, which close %d", name, c.tb, c.units, c.order, closed[c.order])
+		}
+		next := slices.IndexFunc(res.TBOrder[c.order:], func(e int32) bool { return e >= 0 })
+		switch {
+		case !c.skipped && (next != 0 || int(res.TBOrder[c.order]) != c.tb):
+			t.Fatalf("%s: block %d's SkipTB saw %d entries, not the prefix before its dispatch", name, c.tb, c.order)
+		case c.skipped && next > 0:
+			t.Fatalf("%s: skipped block %d's SkipTB saw %d entries, %d short of the next dispatch", name, c.tb, c.order, next)
+		case c.skipped && next == 0 && int(res.TBOrder[c.order]) <= c.tb:
+			t.Fatalf("%s: skipped block %d's SkipTB comes after block %d's dispatch", name, c.tb, res.TBOrder[c.order])
+		}
+	}
+
 	if len(res.TBOrder) != 2*res.SimulatedTBs {
 		t.Errorf("%s: %d order entries for %d simulated blocks", name, len(res.TBOrder), res.SimulatedTBs)
 	}
@@ -66,11 +121,11 @@ func checkTBOrder(t *testing.T, name string, sim *Simulator, l *kernel.Launch, s
 		}
 	}
 
-	// The order is a property of the run, not of the hooks: a bare run
-	// records the same, and the parallel engine records none.
+	// The order is a property of the run, not of SkipTB: a bare run records
+	// the same, and the parallel engine records none.
 	if skip == nil {
-		if bare := sim.RunLaunch(l, RunOptions{FixedUnitInsts: 500, CollectBBV: true}); !reflect.DeepEqual(bare.TBOrder, res.TBOrder) {
-			t.Errorf("%s: a run without hooks recorded a different order", name)
+		if bare := sim.RunLaunch(l, RunOptions{FixedUnitInsts: 500}); !reflect.DeepEqual(bare.TBOrder, res.TBOrder) {
+			t.Errorf("%s: a run without SkipTB recorded a different order", name)
 		}
 		if sim.Config().NumSMs > 1 {
 			if par := sim.RunLaunch(l, RunOptions{Workers: 2}); par.TBOrder != nil {

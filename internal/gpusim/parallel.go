@@ -18,7 +18,7 @@
 //     MSHR tables, and the per-SM deferred-request records (parSM).
 //   - Barrier-owned (touched only between epochs, single-threaded): the
 //     L2, DRAM, dispatch cursor (nextTB/free/lastDispatch), liveTBs,
-//     hooks, sampling-unit state, the LaunchResult, and the metrics
+//     SkipTB, sampling-unit state, the LaunchResult, and the metrics
 //     collector.
 //   - Per-shard scratch (merged at the barrier as order-independent
 //     sums): runCounters, issued-instruction counts, BBV accumulators,
@@ -96,7 +96,7 @@ type parPending struct {
 }
 
 // parRetire is a thread block that finished during an epoch; global
-// retirement (hooks, unit close, redispatch) is deferred to the barrier.
+// retirement (unit close, redispatch) is deferred to the barrier.
 type parRetire struct {
 	cycle int64 // retire cycle (finish cycle + 1, as in retireTB)
 	slot  int32
@@ -516,7 +516,7 @@ func (sh *parShard) issue(sm *smState, ref warpRef, cycle int64) {
 	sm.lastCycle = cycle + 1
 	sh.issued++
 
-	if rs.opts.FixedUnitInsts > 0 && rs.opts.CollectBBV {
+	if rs.opts.FixedUnitInsts > 0 {
 		for int(ev.Block) >= len(sh.bbv) {
 			sh.bbv = append(sh.bbv, 0)
 		}
@@ -640,7 +640,7 @@ func (sh *parShard) finishWarp(tb *tbState, wi int32, cycle int64) {
 	w.done = true
 	tb.live--
 	if tb.live == 0 {
-		// Global retirement (hooks, liveTBs, redispatch) happens at the
+		// Global retirement (liveTBs, unit close, redispatch) happens at the
 		// barrier; recording it here keeps the epoch loop worker-pure.
 		psm := &sh.rs.par.sms[tb.sm]
 		psm.retires = append(psm.retires, parRetire{cycle: cycle + 1, slot: tb.slot, sm: int32(tb.sm), tbID: tb.id})
@@ -772,8 +772,7 @@ func (rs *runState) barrier(end int64) {
 	// 4. Retirements in (cycle, sm) order — at most one issue per SM per
 	// cycle makes the key unique, so the order is total and
 	// shard-independent. dispatchOne runs with rs.cycle rewound to the
-	// retire cycle so dispatch stagger and hook timestamps match the
-	// serial path's view.
+	// retire cycle so dispatch stagger matches the serial path's view.
 	rets := p.retires[:0]
 	for smi := range p.sms {
 		psm := &p.sms[smi]
@@ -789,15 +788,11 @@ func (rs *runState) barrier(end int64) {
 		return a.sm < b.sm
 	})
 	p.retires = rets
-	h := rs.hooks()
 	for _, r := range rets {
 		sm := &rs.sms[r.sm]
 		sm.resident--
 		rs.liveTBs--
 		rs.res.SimulatedTBs++
-		if h.OnTBRetire != nil {
-			h.OnTBRetire(r.tbID, int(r.sm), r.cycle)
-		}
 		if rs.specified == r.slot {
 			rs.closeUnit(r.cycle, r.tbID)
 		}

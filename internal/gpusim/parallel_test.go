@@ -25,8 +25,8 @@ func runPar(t *testing.T, sim *Simulator, opts RunOptions) LaunchResult {
 
 func TestParallelWorkersOneIsSerial(t *testing.T) {
 	sim := MustNew(parConfig())
-	serial := runPar(t, sim, RunOptions{FixedUnitInsts: 500, CollectBBV: true})
-	one := runPar(t, sim, RunOptions{FixedUnitInsts: 500, CollectBBV: true, Workers: 1})
+	serial := runPar(t, sim, RunOptions{FixedUnitInsts: 500})
+	one := runPar(t, sim, RunOptions{FixedUnitInsts: 500, Workers: 1})
 	if !fingerprintsEqual(serial, one) {
 		t.Fatal("Workers=1 differs from the serial event loop")
 	}
@@ -34,7 +34,7 @@ func TestParallelWorkersOneIsSerial(t *testing.T) {
 
 func TestParallelDeterministicRepeat(t *testing.T) {
 	sim := MustNew(parConfig())
-	opts := RunOptions{FixedUnitInsts: 500, CollectBBV: true, Workers: 4, Quantum: 256}
+	opts := RunOptions{FixedUnitInsts: 500, Workers: 4, Quantum: 256}
 	a := runPar(t, sim, opts)
 	b := runPar(t, sim, opts)
 	if !fingerprintsEqual(a, b) {
@@ -55,9 +55,9 @@ func TestParallelWorkerCountInvariant(t *testing.T) {
 	// quantum, results are independent of the worker count (including
 	// counts above NumSMs, which clamp).
 	sim := MustNew(parConfig())
-	base := runPar(t, sim, RunOptions{FixedUnitInsts: 500, CollectBBV: true, Workers: 2, Quantum: 256})
+	base := runPar(t, sim, RunOptions{FixedUnitInsts: 500, Workers: 2, Quantum: 256})
 	for _, w := range []int{3, 5, 8, 64} {
-		got := runPar(t, sim, RunOptions{FixedUnitInsts: 500, CollectBBV: true, Workers: w, Quantum: 256})
+		got := runPar(t, sim, RunOptions{FixedUnitInsts: 500, Workers: w, Quantum: 256})
 		if !fingerprintsEqual(base, got) {
 			t.Fatalf("workers=%d diverged from workers=2 at the same quantum", w)
 		}
@@ -106,35 +106,56 @@ func relDivergence(serial, par int64) float64 {
 	return d
 }
 
+// barrierLaunch has more blocks than parConfig holds at once, so SkipTB is
+// also asked at epoch barriers, where retirements dispatch replacements.
+func barrierLaunch() *kernel.Launch {
+	k, cfg := computeKernel(), parConfig()
+	return makeLaunch(k, 2*cfg.NumSMs*cfg.Limits.BlocksPerSM(k), 8)
+}
+
 func TestParallelCancelMidEpochChaos(t *testing.T) {
-	// A deterministic fault (faultcheck error at the Nth retirement hook)
-	// triggers cancellation mid-run. The abort must be observed at an
-	// epoch barrier, return a consistent partial result, and leave no
-	// worker deadlocked — proven by immediately reusing the simulator
-	// (same arena) for clean serial and parallel runs.
+	// A deterministic fault (faultcheck error at the Nth SkipTB call made at
+	// an epoch barrier) triggers cancellation mid-run. The abort must be
+	// observed at an epoch barrier, return a consistent partial result, and
+	// leave no worker deadlocked — proven by immediately reusing the
+	// simulator (same arena) for clean serial and parallel runs.
 	sim := MustNew(parConfig())
-	l := makeLaunch(computeKernel(), 48, 8)
+	l := barrierLaunch()
 	ref := resultFingerprint(sim.RunLaunch(l, RunOptions{FixedUnitInsts: 500, Workers: 4}))
 
 	inj := faultcheck.OnNth(5, faultcheck.Error)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	retired := 0
-	hooks := &Hooks{OnTBRetire: func(tb, sm int, cycle int64) {
-		retired++
-		if inj.Fire() != nil {
+	var live *LaunchResult
+	dispatched, sawRetired := 0, 0
+	skip := func(tb int, sofar *LaunchResult) bool {
+		live = sofar
+		dispatched++
+		if sofar.SimulatedTBs > 0 && inj.Fire() != nil {
+			sawRetired = sofar.SimulatedTBs
 			cancel()
 		}
-	}}
-	res := sim.RunLaunch(l, RunOptions{FixedUnitInsts: 500, Workers: 4, Ctx: ctx, Hooks: hooks})
+		return false
+	}
+	res := sim.RunLaunch(l, RunOptions{FixedUnitInsts: 500, Workers: 4, Ctx: ctx, SkipTB: skip})
 	if !res.Aborted {
 		t.Fatal("cancelled parallel run not flagged aborted")
 	}
 	if res.SimulatedTBs >= l.NumBlocks() {
 		t.Fatal("aborted run simulated every thread block")
 	}
-	if res.SimulatedTBs != retired {
-		t.Fatalf("aborted result reports %d TBs, hooks saw %d", res.SimulatedTBs, retired)
+	// The result SkipTB read is the one returned: it keeps the retirements
+	// the cancelling call saw, and every block SkipTB let through either
+	// retired or was still resident when the run stopped.
+	if live != res {
+		t.Fatal("SkipTB was handed a result other than the one returned")
+	}
+	if res.SimulatedTBs < sawRetired {
+		t.Fatalf("aborted result reports %d TBs, SkipTB saw %d retired", res.SimulatedTBs, sawRetired)
+	}
+	cfg := parConfig()
+	if resident := dispatched - res.SimulatedTBs; resident < 0 || resident > cfg.NumSMs*cfg.Limits.BlocksPerSM(computeKernel()) {
+		t.Fatalf("aborted result reports %d TBs of %d dispatched", res.SimulatedTBs, dispatched)
 	}
 
 	// The pool shut down cleanly and the arena is reusable: a fresh
@@ -146,20 +167,23 @@ func TestParallelCancelMidEpochChaos(t *testing.T) {
 }
 
 func TestParallelHookPanicShutsPoolDown(t *testing.T) {
-	// A panic out of a barrier-side hook unwinds RunLaunch; the deferred
-	// pool shutdown must still run so no worker goroutine leaks, and the
-	// simulator must remain usable.
+	// A panic out of SkipTB at an epoch barrier unwinds RunLaunch; the
+	// deferred pool shutdown must still run so no worker goroutine leaks,
+	// and the simulator must remain usable.
 	sim := MustNew(parConfig())
-	l := makeLaunch(computeKernel(), 48, 8)
+	l := barrierLaunch()
 	inj := faultcheck.OnNth(3, faultcheck.Panic)
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("hook panic did not propagate")
+				t.Error("SkipTB panic did not propagate")
 			}
 		}()
-		sim.RunLaunch(l, RunOptions{Workers: 4, Hooks: &Hooks{
-			OnTBRetire: func(tb, sm int, cycle int64) { _ = inj.Fire() },
+		sim.RunLaunch(l, RunOptions{Workers: 4, SkipTB: func(tb int, sofar *LaunchResult) bool {
+			if sofar.SimulatedTBs > 0 {
+				_ = inj.Fire()
+			}
+			return false
 		}})
 	}()
 	res := sim.RunLaunch(l, RunOptions{Workers: 4})

@@ -39,9 +39,8 @@ func (u UnitStats) IPC() float64 {
 
 // FixedUnit is one fixed-size sampling unit (a fixed number of warp
 // instructions), the unit the Random and Ideal-Simpoint baselines use
-// (§V-A, "sampling units with one million instructions"). When BBV
-// collection is enabled, BBV holds the per-basic-block executed-instruction
-// counts of the unit.
+// (§V-A, "sampling units with one million instructions"). BBV holds the
+// per-basic-block executed-instruction counts of the unit.
 type FixedUnit struct {
 	Index     int
 	WarpInsts int64
@@ -72,11 +71,13 @@ type LaunchResult struct {
 
 	// TBOrder is the order in which the serial engine dispatched and retired
 	// thread blocks, one entry per event: block b's dispatch is b, its
-	// retirement ^b. With Units it is everything the Hooks of a run that
-	// skipped nothing would have observed, so such a run can be replayed
-	// instead of repeated (core.SampleLaunch). It is never serialised — a
-	// decoded result has none — and the parallel engine, whose timing differs
-	// by design, leaves it nil.
+	// retirement ^b; a unit in Units closes right after the retirement of
+	// its specified block. With Units it is the run's record at block
+	// granularity: RunOptions.SkipTB reads it as it grows, and a run that
+	// skipped nothing can be replayed from it instead of repeated
+	// (core.SampleLaunch). It is never serialised — a decoded result has
+	// none — and the parallel engine, whose timing differs by design,
+	// leaves it nil.
 	TBOrder []int32 `json:"-"`
 
 	SimulatedTBs int
@@ -122,25 +123,16 @@ func (r *LaunchResult) TotalIPC() float64 {
 	return float64(r.SimulatedWarpInsts) / float64(r.Cycles)
 }
 
-// Hooks let sampling layers observe and steer a simulation. All fields are
-// optional.
-type Hooks struct {
-	// SkipTB is consulted exactly once per thread block, in block order,
-	// when tb is about to be dispatched; returning true fast-forwards it (the
-	// block retires instantly and is never simulated), so the callee does
-	// its own accounting of what it skipped.
-	SkipTB func(tb int) bool
-	// OnTBDispatch fires when a (non-skipped) block starts on an SM.
-	OnTBDispatch func(tb, sm int, cycle int64)
-	// OnTBRetire fires when a simulated block finishes.
-	OnTBRetire func(tb, sm int, cycle int64)
-	// OnUnitClose fires when a specified-thread-block sampling unit closes.
-	OnUnitClose func(u UnitStats)
-}
-
 // RunOptions configure one launch simulation.
 type RunOptions struct {
-	Hooks *Hooks
+	// SkipTB, when non-nil, is asked exactly once per thread block, in block
+	// order, when tb is about to be dispatched; returning true fast-forwards
+	// it (the block retires instantly and is never simulated), so the callee
+	// does its own accounting of what it skipped. sofar is the live result,
+	// read-only: its TBOrder and Units hold every dispatch, retirement and
+	// unit close of the run before this call, which is everything a sampling
+	// layer learns about the run while it runs.
+	SkipTB func(tb int, sofar *LaunchResult) bool
 	// Ctx, when non-nil, makes the run abortable: cancellation is polled at
 	// launch start and at every sampling-unit boundary (specified-TB and
 	// fixed-size units), and a cancelled run stops dispatching, returns
@@ -148,12 +140,9 @@ type RunOptions struct {
 	// one that is never cancelled) leaves the simulation bit-identical to a
 	// run without it.
 	Ctx context.Context
-	// FixedUnitInsts, when positive, closes a FixedUnit every that many
-	// warp instructions.
+	// FixedUnitInsts, when positive, closes a FixedUnit, with its BBV,
+	// every that many warp instructions.
 	FixedUnitInsts int64
-	// CollectBBV records per-basic-block instruction counts for each fixed
-	// unit (requires FixedUnitInsts > 0).
-	CollectBBV bool
 	// Metrics, when non-nil, receives the run's observability counters
 	// (issue/stall breakdown, scheduler events, cache/MSHR/DRAM behaviour;
 	// see internal/metrics). Collection is observation-only: a run with

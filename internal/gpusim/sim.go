@@ -15,7 +15,7 @@ import (
 // A Simulator holds no mutable per-run state: caches and DRAM state are
 // handed out per RunLaunch call (matching a trace-driven simulator restarted
 // per kernel launch), so concurrent RunLaunch calls from multiple goroutines
-// are safe as long as they do not share Hooks. The backing arrays of that
+// are safe as long as their SkipTB functions are. The backing arrays of that
 // per-run state are recycled through an internal sync.Pool, which is itself
 // concurrency-safe.
 type Simulator struct {
@@ -266,7 +266,6 @@ type runState struct {
 	sim   *Simulator
 	synth trace.Synthetic // the launch's instruction streams
 	opts  RunOptions
-	hk    *Hooks
 	mem   *memSystem
 	sms   []smState
 	res   *LaunchResult
@@ -388,8 +387,6 @@ type runArena struct {
 	sms []smState
 }
 
-var noHooks Hooks
-
 // resizeCleared returns s resized to n elements, all zero, reusing the
 // backing array when possible.
 func resizeCleared(s []uint64, n int) []uint64 {
@@ -421,10 +418,6 @@ func (ar *runArena) reset(s *Simulator, l *kernel.Launch, opts RunOptions) *runS
 	rs.sim = s
 	rs.synth = trace.NewSynthetic(l)
 	rs.opts = opts
-	rs.hk = opts.Hooks
-	if rs.hk == nil {
-		rs.hk = &noHooks
-	}
 	rs.mc = opts.Metrics
 	rs.mct = runCounters{}
 	rs.done = nil
@@ -483,8 +476,8 @@ func (rs *runState) prepareSlots(n int) {
 }
 
 // RunLaunch simulates launch l, reading its warps' instructions from the
-// launch's lazy synthetic trace. If opts/Hooks request skipping, skipped
-// blocks retire instantly without being simulated.
+// launch's lazy synthetic trace. Blocks opts.SkipTB asks to skip retire
+// instantly without being simulated.
 func (s *Simulator) RunLaunch(l *kernel.Launch, opts RunOptions) *LaunchResult {
 	ar := s.getArena()
 	rs := ar.reset(s, l, opts)
@@ -499,15 +492,12 @@ func (s *Simulator) RunLaunch(l *kernel.Launch, opts RunOptions) *LaunchResult {
 	rs.res = nil
 	rs.synth = trace.Synthetic{}
 	rs.opts = RunOptions{}
-	rs.hk = nil
 	rs.mc = nil
 	rs.done = nil
 	rs.mem.setMetrics(nil)
 	s.arenas.Put(ar)
 	return res
 }
-
-func (rs *runState) hooks() *Hooks { return rs.hk }
 
 // checkAbort polls the run's cancellation channel (a no-op for runs without
 // one) and latches rs.aborted. Called at launch start and from the
@@ -738,12 +728,12 @@ func (rs *runState) nextWheelCycle() int64 {
 }
 
 // dispatchOne hands the next pending thread block (skipping as directed by
-// hooks) to sm. It returns false when no blocks remain.
+// opts.SkipTB) to sm. It returns false when no blocks remain.
 func (rs *runState) dispatchOne(sm *smState) bool {
-	h := rs.hooks()
+	skip := rs.opts.SkipTB
 	for rs.nextTB < rs.totalTB {
 		tb := rs.nextTB
-		if h.SkipTB != nil && h.SkipTB(tb) {
+		if skip != nil && skip(tb, rs.res) {
 			rs.nextTB++
 			rs.res.SkippedTBs++
 			continue
@@ -794,9 +784,6 @@ func (rs *runState) dispatchOne(sm *smState) bool {
 		if !rs.parRun {
 			rs.res.TBOrder = append(rs.res.TBOrder, int32(tb))
 		}
-		if h.OnTBDispatch != nil {
-			h.OnTBDispatch(tb, sm.id, rs.cycle)
-		}
 		if rs.pendingSpecify {
 			rs.specified = slot
 			rs.pendingSpecify = false
@@ -843,12 +830,10 @@ func (rs *runState) issue(sm *smState, ref warpRef) {
 	rs.totalIssued++
 
 	if rs.opts.FixedUnitInsts > 0 {
-		if rs.opts.CollectBBV {
-			for int(ev.Block) >= len(rs.bbv) {
-				rs.bbv = append(rs.bbv, 0)
-			}
-			rs.bbv[ev.Block]++
+		for int(ev.Block) >= len(rs.bbv) {
+			rs.bbv = append(rs.bbv, 0)
 		}
+		rs.bbv[ev.Block]++
 		if rs.totalIssued-rs.fixedStartInsts >= rs.opts.FixedUnitInsts {
 			rs.closeFixedUnit()
 		}
@@ -913,16 +898,12 @@ func (rs *runState) finishWarp(tb *tbState, wi int32) {
 }
 
 func (rs *runState) retireTB(tb *tbState) {
-	h := rs.hooks()
 	sm := &rs.sms[tb.sm]
 	sm.resident--
 	rs.liveTBs--
 	rs.res.SimulatedTBs++
 	retireCycle := rs.cycle + 1
 	rs.res.TBOrder = append(rs.res.TBOrder, ^int32(tb.id))
-	if h.OnTBRetire != nil {
-		h.OnTBRetire(tb.id, tb.sm, retireCycle)
-	}
 	if rs.specified == tb.slot {
 		rs.closeUnit(retireCycle, tb.id)
 	}
@@ -941,9 +922,6 @@ func (rs *runState) closeUnit(cycle int64, tbID int) {
 		WarpInsts:   rs.totalIssued - rs.unitStartInsts,
 	}
 	rs.res.Units = append(rs.res.Units, u)
-	if h := rs.hooks(); h.OnUnitClose != nil {
-		h.OnUnitClose(u)
-	}
 	rs.unitStart = cycle
 	rs.unitStartInsts = rs.totalIssued
 	rs.specified = -1
@@ -956,13 +934,9 @@ func (rs *runState) closeFixedUnit() {
 		Index:     len(rs.res.FixedUnits),
 		WarpInsts: rs.totalIssued - rs.fixedStartInsts,
 		Cycles:    rs.cycle + 1 - rs.fixedStartCycle,
+		BBV:       append([]int64(nil), rs.bbv...),
 	}
-	if rs.opts.CollectBBV {
-		f.BBV = append([]int64(nil), rs.bbv...)
-		for i := range rs.bbv {
-			rs.bbv[i] = 0
-		}
-	}
+	clear(rs.bbv)
 	rs.res.FixedUnits = append(rs.res.FixedUnits, f)
 	rs.fixedStartInsts = rs.totalIssued
 	rs.fixedStartCycle = rs.cycle + 1

@@ -162,12 +162,15 @@ func TestBarrierCompletes(t *testing.T) {
 func TestDispatchGreedyOrder(t *testing.T) {
 	sim := MustNew(smallConfig())
 	l := makeLaunch(computeKernel(), 9, 3)
-	var dispatched []int
-	var retired []int
-	res := sim.RunLaunch(l, RunOptions{Hooks: &Hooks{
-		OnTBDispatch: func(tb, sm int, cycle int64) { dispatched = append(dispatched, tb) },
-		OnTBRetire:   func(tb, sm int, cycle int64) { retired = append(retired, tb) },
-	}})
+	res := sim.RunLaunch(l, RunOptions{})
+	var dispatched, retired []int
+	for _, e := range res.TBOrder {
+		if e >= 0 {
+			dispatched = append(dispatched, int(e))
+		} else {
+			retired = append(retired, int(^e))
+		}
+	}
 	if len(dispatched) != 9 || len(retired) != 9 {
 		t.Fatalf("dispatched %d retired %d", len(dispatched), len(retired))
 	}
@@ -185,14 +188,12 @@ func TestSkipTB(t *testing.T) {
 	sim := MustNew(smallConfig())
 	l := makeLaunch(computeKernel(), 10, 4)
 	var skipped []int
-	res := sim.RunLaunch(l, RunOptions{Hooks: &Hooks{
-		SkipTB: func(tb int) bool {
-			if tb%2 == 1 {
-				skipped = append(skipped, tb)
-				return true
-			}
-			return false
-		},
+	res := sim.RunLaunch(l, RunOptions{SkipTB: func(tb int, sofar *LaunchResult) bool {
+		if tb%2 == 1 {
+			skipped = append(skipped, tb)
+			return true
+		}
+		return false
 	}})
 	if res.SimulatedTBs != 5 || res.SkippedTBs != 5 {
 		t.Errorf("simulated %d skipped %d, want 5/5", res.SimulatedTBs, res.SkippedTBs)
@@ -213,9 +214,7 @@ func TestSkipTB(t *testing.T) {
 func TestSkipAllBlocks(t *testing.T) {
 	sim := MustNew(smallConfig())
 	l := makeLaunch(computeKernel(), 5, 2)
-	res := sim.RunLaunch(l, RunOptions{Hooks: &Hooks{
-		SkipTB: func(tb int) bool { return true },
-	}})
+	res := sim.RunLaunch(l, RunOptions{SkipTB: func(int, *LaunchResult) bool { return true }})
 	if res.SimulatedTBs != 0 || res.SkippedTBs != 5 {
 		t.Errorf("simulated %d skipped %d", res.SimulatedTBs, res.SkippedTBs)
 	}
@@ -230,15 +229,29 @@ func TestSkipAllBlocks(t *testing.T) {
 func TestSamplingUnits(t *testing.T) {
 	sim := MustNew(smallConfig())
 	l := makeLaunch(computeKernel(), 20, 4)
-	var closed []UnitStats
-	res := sim.RunLaunch(l, RunOptions{Hooks: &Hooks{
-		OnUnitClose: func(u UnitStats) { closed = append(closed, u) },
-	}})
+	res := sim.RunLaunch(l, RunOptions{})
 	if len(res.Units) == 0 {
 		t.Fatal("no sampling units")
 	}
-	if len(closed) != len(res.Units) {
-		t.Errorf("hook fired %d times for %d units", len(closed), len(res.Units))
+	// A unit closes at each retirement of a specified block: the first block
+	// dispatched after the previous unit closed.
+	closed, specified := 0, -1
+	for _, e := range res.TBOrder {
+		if e >= 0 {
+			if specified < 0 {
+				specified = int(e)
+			}
+		} else if int(^e) == specified {
+			if closed < len(res.Units) && res.Units[closed].SpecifiedTB != specified {
+				t.Errorf("unit %d names block %d, the order closes it at block %d",
+					closed, res.Units[closed].SpecifiedTB, specified)
+			}
+			closed++
+			specified = -1
+		}
+	}
+	if closed != len(res.Units) {
+		t.Errorf("the order closes %d units, %d recorded", closed, len(res.Units))
 	}
 	// Units tile the run: contiguous, non-overlapping, starting at 0.
 	prevEnd := int64(0)
@@ -290,7 +303,7 @@ func TestFixedUnits(t *testing.T) {
 func TestFixedUnitBBV(t *testing.T) {
 	sim := MustNew(smallConfig())
 	l := makeLaunch(computeKernel(), 8, 6)
-	res := sim.RunLaunch(l, RunOptions{FixedUnitInsts: 400, CollectBBV: true})
+	res := sim.RunLaunch(l, RunOptions{FixedUnitInsts: 400})
 	var bbvSum int64
 	for _, f := range res.FixedUnits {
 		if len(f.BBV) == 0 {
@@ -325,28 +338,27 @@ func TestCacheStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestOccupancyRespected: live blocks, counted along TBOrder, peak at
+// exactly NumSMs x occupancy. On one SM that is the SM's own residency, so
+// the run checks the per-SM bound.
 func TestOccupancyRespected(t *testing.T) {
-	cfg := smallConfig()
-	sim := MustNew(cfg)
 	k := computeKernel()
-	occ := cfg.Limits.BlocksPerSM(k)
-	resident := make(map[int]int) // sm -> live blocks
-	maxRes := 0
-	l := makeLaunch(k, 40, 4)
-	sim.RunLaunch(l, RunOptions{Hooks: &Hooks{
-		OnTBDispatch: func(tb, sm int, cycle int64) {
-			resident[sm]++
-			if resident[sm] > maxRes {
-				maxRes = resident[sm]
+	one := smallConfig()
+	one.NumSMs = 1
+	for _, cfg := range []Config{one, smallConfig()} {
+		res := MustNew(cfg).RunLaunch(makeLaunch(k, 40, 4), RunOptions{})
+		live, peak := 0, 0
+		for _, e := range res.TBOrder {
+			if e >= 0 {
+				live++
+				peak = max(peak, live)
+			} else {
+				live--
 			}
-		},
-		OnTBRetire: func(tb, sm int, cycle int64) { resident[sm]-- },
-	}})
-	if maxRes > occ {
-		t.Errorf("max resident blocks %d exceeds occupancy %d", maxRes, occ)
-	}
-	if maxRes != occ {
-		t.Errorf("max resident blocks %d never reached occupancy %d", maxRes, occ)
+		}
+		if want := cfg.NumSMs * cfg.Limits.BlocksPerSM(k); peak != want {
+			t.Errorf("%d SMs: peak of %d live blocks, want NumSMs x occupancy = %d", cfg.NumSMs, peak, want)
+		}
 	}
 }
 
@@ -574,7 +586,7 @@ func TestMSHRCapacityKeepsResults(t *testing.T) {
 	one := def
 	one.MSHRCapacity = 1
 	simDef, simOne := MustNew(def), MustNew(one)
-	opts := RunOptions{FixedUnitInsts: 300, CollectBBV: true}
+	opts := RunOptions{FixedUnitInsts: 300}
 	same := func(name string, l *kernel.Launch) bool {
 		got, want := simOne.RunLaunch(l, opts), simDef.RunLaunch(l, opts)
 		if !reflect.DeepEqual(got, want) {

@@ -237,18 +237,6 @@ func TestOverallIPCWithIdleSMs(t *testing.T) {
 	}
 }
 
-func TestHooksNilSafe(t *testing.T) {
-	sim := MustNew(smallConfig())
-	l := makeLaunch(computeKernel(), 4, 2)
-	// Hooks with only some callbacks set must not panic.
-	res := sim.RunLaunch(l, RunOptions{Hooks: &Hooks{
-		OnTBRetire: func(tb, sm int, cycle int64) {},
-	}})
-	if res.SimulatedTBs != 4 {
-		t.Error("partial hooks broke the run")
-	}
-}
-
 func TestMSHRMerging(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumSMs = 1

@@ -35,7 +35,7 @@ func fullRun(t *testing.T, app *kernel.App, unitInsts int64) *AppRun {
 	run := &AppRun{}
 	for _, l := range app.Launches {
 		run.Launches = append(run.Launches,
-			sim.RunLaunch(l, gpusim.RunOptions{FixedUnitInsts: unitInsts, CollectBBV: true}))
+			sim.RunLaunch(l, gpusim.RunOptions{FixedUnitInsts: unitInsts}))
 	}
 	return run
 }

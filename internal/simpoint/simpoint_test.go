@@ -50,7 +50,7 @@ func fullRun(t *testing.T, app *kernel.App, unitInsts int64) *sampling.AppRun {
 	run := &sampling.AppRun{}
 	for _, l := range app.Launches {
 		run.Launches = append(run.Launches,
-			sim.RunLaunch(l, gpusim.RunOptions{FixedUnitInsts: unitInsts, CollectBBV: true}))
+			sim.RunLaunch(l, gpusim.RunOptions{FixedUnitInsts: unitInsts}))
 	}
 	return run
 }
@@ -101,8 +101,11 @@ func TestRunWithoutBBV(t *testing.T) {
 	app := twoPhaseApp(1, 40)
 	run := &sampling.AppRun{}
 	for _, l := range app.Launches {
-		run.Launches = append(run.Launches,
-			sim.RunLaunch(l, gpusim.RunOptions{FixedUnitInsts: 400})) // no CollectBBV
+		res := sim.RunLaunch(l, gpusim.RunOptions{FixedUnitInsts: 400})
+		for i := range res.FixedUnits {
+			res.FixedUnits[i].BBV = nil
+		}
+		run.Launches = append(run.Launches, res)
 	}
 	res := Run(run, DefaultOptions())
 	if res.Estimate.PredictedIPC <= 0 {

@@ -47,8 +47,9 @@
 #              the region table reader, the profile reader (an accepted
 #              profile's interned rows re-encode to the file's per-block
 #              rows, every block indexing a stored row), the reference replay
-#              (an arbitrary block order and unit list is refused or
-#              finished, never a panic or an out-of-range block), the
+#              through the region sampler's one log reader, observe (an
+#              arbitrary block order and unit list is refused or finished,
+#              never a panic or an out-of-range block), the
 #              checkpoint reader, the stratified allocator, and POST /jobs
 #              (arbitrary bodies get 400 or 202, never a panic, and an
 #              accepted spec is a fixed point of decode + Validate)

@@ -98,9 +98,8 @@ type (
 	SimConfig = gpusim.Config
 	// LaunchResult is a launch simulation outcome.
 	LaunchResult = gpusim.LaunchResult
-	// SimHooks observe and steer a simulation.
-	SimHooks = gpusim.Hooks
-	// RunOptions configure one launch simulation.
+	// RunOptions configure one launch simulation; its SkipTB is the one
+	// question the simulator asks while it runs.
 	RunOptions = gpusim.RunOptions
 )
 

@@ -53,7 +53,7 @@ func TestFullSimulationIsTheHarnessReference(t *testing.T) {
 		t.Error("FullSimulation differs from experiments.FullApp")
 	}
 	for i, l := range app.Launches {
-		seq := sim.RunLaunch(l, tbpoint.RunOptions{FixedUnitInsts: unit, CollectBBV: true})
+		seq := sim.RunLaunch(l, tbpoint.RunOptions{FixedUnitInsts: unit})
 		if !reflect.DeepEqual(full.Launches[i], seq) {
 			t.Errorf("launch %d differs from a sequential RunLaunch", i)
 		}
