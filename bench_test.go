@@ -202,10 +202,10 @@ func BenchmarkFig13RetargetOverhead(b *testing.B) {
 
 // --- Substrate micro-benchmarks ------------------------------------------
 
-// BenchmarkRunLaunchEventLoop stresses the event-calendar scheduler: black
-// is SFU-heavy, so warps sleep on long fixed latencies and the run loop
-// spends its time in the timing-wheel/calendar machinery (wake, park,
-// next-event jump) rather than in the memory system.
+// BenchmarkRunLaunchEventLoop stresses the next-event scheduler: black is
+// SFU-heavy, so warps sleep on long fixed latencies and the run loop
+// spends its time on wakes, per-SM next-event updates and time jumps
+// rather than in the memory system.
 func BenchmarkRunLaunchEventLoop(b *testing.B) {
 	app := tbpoint.MustBenchmark("black", 0.05)
 	sim := tbpoint.MustNewSimulator(tbpoint.DefaultSimConfig())

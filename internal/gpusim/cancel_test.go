@@ -3,6 +3,8 @@ package gpusim
 import (
 	"context"
 	"testing"
+
+	"tbpoint/internal/metrics"
 )
 
 // resultFingerprint captures every deterministic field of a LaunchResult for
@@ -105,6 +107,53 @@ func TestCancelMidRunReturnsPartialResult(t *testing.T) {
 	for _, u := range res.Units {
 		if u.EndCycle <= u.StartCycle || u.WarpInsts <= 0 {
 			t.Fatalf("aborted run kept an incomplete unit: %+v", u)
+		}
+	}
+}
+
+// TestCancelledRunCountsEveryDispatch: sched.tb_dispatch counts blocks
+// dispatched, not blocks retired, so a cancelled run also counts the blocks
+// still in flight when it stopped. Every SkipTB call that returns false is
+// followed by one dispatch, in both engines; the serial engine also logs
+// each dispatch in TBOrder.
+func TestCancelledRunCountsEveryDispatch(t *testing.T) {
+	l := barrierLaunch()
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		mc := metrics.New()
+		letThrough := 0
+		res := MustNew(parConfig()).RunLaunch(l, RunOptions{
+			Ctx:     ctx,
+			Workers: workers,
+			Metrics: mc,
+			SkipTB: func(tb int, sofar *LaunchResult) bool {
+				if sofar.SimulatedTBs >= 3 {
+					cancel()
+				}
+				letThrough++
+				return false
+			},
+		})
+		cancel()
+		if !res.Aborted {
+			t.Fatalf("workers=%d: cancelled run not flagged aborted", workers)
+		}
+		got := mc.Count(metrics.SchedTBDispatch)
+		if got != uint64(letThrough) || got <= uint64(res.SimulatedTBs) {
+			t.Errorf("workers=%d: sched.tb_dispatch = %d, want the %d blocks let through (%d retired)",
+				workers, got, letThrough, res.SimulatedTBs)
+		}
+		if workers > 1 {
+			continue
+		}
+		logged := 0
+		for _, e := range res.TBOrder {
+			if e >= 0 {
+				logged++
+			}
+		}
+		if got != uint64(logged) {
+			t.Errorf("sched.tb_dispatch = %d, TBOrder logs %d dispatches", got, logged)
 		}
 	}
 }

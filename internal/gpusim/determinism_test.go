@@ -30,8 +30,9 @@ type goldenRow struct {
 
 // goldenRows pins the simulator's observable behaviour at workload scale
 // 0.05, seed 7. The values were recorded from the original per-cycle
-// scan-all-SMs scheduler; the event-calendar scheduler (and every
-// optimisation since) must reproduce them bit-identically. Do NOT update
+// scan-all-SMs scheduler (runScan keeps that loop as a test-only
+// reference); the next-event scheduler (and every optimisation since)
+// must reproduce them bit-identically. Do NOT update
 // these numbers to make a failing test pass unless the change is an
 // intentional, documented behaviour change.
 var goldenRows = []goldenRow{
@@ -276,7 +277,7 @@ func TestRunLaunchRepeatable(t *testing.T) {
 // contract: a run with a live collector produces bit-identical simulation
 // results to one without, and the collector's counters agree with the
 // LaunchResult aggregates the goldens pin. mst exercises MSHR merges and
-// calendar parking; lbm is memory-bound (DRAM queueing, writebacks).
+// long idle jumps; lbm is memory-bound (DRAM queueing, writebacks).
 func TestMetricsCollectionIsObservationOnly(t *testing.T) {
 	for _, row := range []goldenRow{goldenRows[1], goldenRows[3]} {
 		mc := metrics.New()

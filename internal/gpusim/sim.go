@@ -2,7 +2,7 @@ package gpusim
 
 import (
 	"fmt"
-	"math/bits"
+	"math"
 	"sync"
 
 	"tbpoint/internal/isa"
@@ -175,6 +175,22 @@ func (sm *smState) drainWakes(cycle int64) {
 	}
 }
 
+// noEvent is the next-event entry of an SM with no ready warp and no wake.
+const noEvent int64 = math.MaxInt64
+
+// nextEvent returns the cycle sm next has work, once its wakes due before
+// now are drained: now while it holds a ready warp, else its earliest wake,
+// else noEvent.
+func (sm *smState) nextEvent(now int64) int64 {
+	if sm.hasReady() {
+		return now
+	}
+	if c, ok := sm.wakes.peek(); ok {
+		return c
+	}
+	return noEvent
+}
+
 func (sm *smState) reset(id int) {
 	sm.id = id
 	sm.ready = sm.ready[:0]
@@ -183,82 +199,6 @@ func (sm *smState) reset(id int) {
 	sm.resident = 0
 	sm.warpInsts = 0
 	sm.lastCycle = 0
-}
-
-// wheelSize is the span (cycles) of the scheduler's timing wheel: an idle
-// SM waking within wheelSize cycles is recorded in the wheel bucket of its
-// exact wake cycle, so it costs nothing at all until then. The span covers
-// the pipeline, L1 and uncontended DRAM latencies; wakes further out
-// (heavily queued DRAM) overflow to the per-SM calendar. Must be a power
-// of two; the value only moves work between the wheel and the calendar and
-// never affects simulation results.
-const (
-	wheelSize = 512
-	wheelMask = wheelSize - 1
-)
-
-// calendar is the parked-SM event calendar: for each parked SM it records
-// the cycle at which the SM next becomes actionable (0 = not parked; wake
-// cycles are always strictly positive because wakes are strictly in the
-// future). With at most one entry per SM a flat per-SM array beats any
-// ordered structure: parking is a single store, and pulling the due SMs is
-// an id-ordered scan over a couple of cache lines, gated by a cached
-// minimum so cycles with nothing due cost one compare.
-type calendar struct {
-	at   []int64 // per-SM wake cycle, 0 = not parked
-	next int64   // exact min of the non-zero entries (undefined when n == 0)
-	n    int     // number of parked SMs
-}
-
-func (c *calendar) reset(numSMs int) {
-	if cap(c.at) < numSMs {
-		c.at = make([]int64, numSMs)
-	} else {
-		c.at = c.at[:numSMs]
-		clear(c.at)
-	}
-	c.n = 0
-}
-
-func (c *calendar) push(sm int32, cycle int64) {
-	c.at[sm] = cycle
-	if c.n == 0 || cycle < c.next {
-		c.next = cycle
-	}
-	c.n++
-}
-
-func (c *calendar) peekCycle() (int64, bool) {
-	if c.n == 0 {
-		return 0, false
-	}
-	return c.next, true
-}
-
-// pullDueMask sets the bit of every parked SM due by cycle in the due mask,
-// unparks them, and recomputes the cached minimum of the remainder. It
-// reports whether any SM was pulled.
-func (c *calendar) pullDueMask(cycle int64, due []uint64) bool {
-	if c.n == 0 || c.next > cycle {
-		return false
-	}
-	min := int64(0)
-	pulled := false
-	for sm, at := range c.at {
-		if at == 0 {
-			continue
-		}
-		if at <= cycle {
-			due[sm>>6] |= 1 << (uint(sm) & 63)
-			pulled = true
-			c.at[sm] = 0
-			c.n--
-		} else if min == 0 || at < min {
-			min = at
-		}
-	}
-	c.next = min
-	return pulled
 }
 
 // runState bundles the mutable state of one launch simulation.
@@ -278,19 +218,10 @@ type runState struct {
 	tbs  []tbState
 	free []int32
 
-	// Event-calendar scheduling state. All SM sets are bitmasks of
-	// maskWords uint64 words (bit i = SM i), iterated low-to-high so SMs
-	// are always processed in ascending id — the order of the per-cycle
-	// scan this machinery replaces. ready holds the SMs with a ready warp
-	// (visited every cycle); an idle SM waking within wheelSize cycles
-	// sits in the wheel bucket of its wake cycle and costs nothing until
-	// then; wakes beyond the wheel overflow to the per-SM calendar.
-	maskWords int
-	ready     []uint64 // SMs with a ready warp
-	due       []uint64 // scratch: SMs actionable this cycle
-	wheel     []uint64 // wheelSize buckets x maskWords words
-	wheelSum  []uint64 // wheelSize bits: bucket non-empty
-	cal       calendar
+	// next is the serial scheduler: next[i] is the cycle SM i next has
+	// work (see smState.nextEvent). The run loop visits, in ascending id,
+	// the SMs whose entry is the current cycle.
+	next []int64
 
 	// latTab is Lat.Of with the <1 clamp baked in, indexed by opcode, so
 	// the per-instruction issue path is one table load instead of a
@@ -352,9 +283,7 @@ type runCounters struct {
 	smVisits, stallVisits                   int64
 	issueALU, issueMem, issueBar, issueExit int64
 	timeJumps, jumpedCycles                 int64
-	wakePushes                              int64
-	wheelParks, calParks                    int64
-	parkedWheel                             int64 // current wheel population; maintained only when mc != nil
+	wakePushes, tbDispatch                  int64
 	epochs, deferredReqs                    int64 // parallel mode only
 }
 
@@ -370,9 +299,7 @@ func (c *runCounters) addFrom(o *runCounters) {
 	c.timeJumps += o.timeJumps
 	c.jumpedCycles += o.jumpedCycles
 	c.wakePushes += o.wakePushes
-	c.wheelParks += o.wheelParks
-	c.calParks += o.calParks
-	c.parkedWheel += o.parkedWheel
+	c.tbDispatch += o.tbDispatch
 	c.epochs += o.epochs
 	c.deferredReqs += o.deferredReqs
 }
@@ -385,17 +312,6 @@ func (c *runCounters) addFrom(o *runCounters) {
 type runArena struct {
 	rs  runState
 	sms []smState
-}
-
-// resizeCleared returns s resized to n elements, all zero, reusing the
-// backing array when possible.
-func resizeCleared(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 func (s *Simulator) getArena() *runArena {
@@ -432,12 +348,6 @@ func (ar *runArena) reset(s *Simulator, l *kernel.Launch, opts RunOptions) *runS
 	rs.wpb = l.Kernel.WarpsPerBlock()
 	rs.cycle = 0
 	rs.free = rs.free[:0]
-	rs.maskWords = (len(ar.sms) + 63) / 64
-	rs.ready = resizeCleared(rs.ready, rs.maskWords)
-	rs.due = resizeCleared(rs.due, rs.maskWords)
-	rs.wheel = resizeCleared(rs.wheel, wheelSize*rs.maskWords)
-	rs.wheelSum = resizeCleared(rs.wheelSum, wheelSize/64)
-	rs.cal.reset(len(ar.sms))
 	for op := range rs.latTab {
 		lat := int64(s.cfg.Lat.Of(isa.Opcode(op)))
 		if lat < 1 {
@@ -515,6 +425,8 @@ func (rs *runState) checkAbort() {
 
 func (rs *runState) run() {
 	rs.checkAbort()
+	rs.next = rs.next[:0]
+	earliest := noEvent
 	if !rs.aborted {
 		// Initial greedy fill: round-robin one block per SM until every SM
 		// is at occupancy or blocks run out.
@@ -525,87 +437,45 @@ func (rs *runState) run() {
 				}
 			}
 		}
-
-		// Seed the schedule: SMs with a warp ready at cycle 0 enter the
-		// ready mask, the rest park (wheel or calendar) at their earliest
-		// wake.
 		for i := range rs.sms {
-			sm := &rs.sms[i]
-			sm.drainWakes(rs.cycle)
-			if sm.hasReady() {
-				rs.ready[i>>6] |= 1 << (uint(i) & 63)
-			} else if c, ok := sm.wakes.peek(); ok {
-				rs.parkSM(int32(i), c)
-			}
+			c := rs.sms[i].nextEvent(rs.cycle)
+			rs.next = append(rs.next, c)
+			earliest = min(earliest, c)
 		}
 	}
 
-	// Event-schedule main loop. Instead of scanning every SM every cycle,
-	// each cycle assembles the actionable set — SMs with a ready warp,
-	// plus SMs whose recorded wake cycle is exactly now (wheel bucket /
-	// calendar) — and visits only those; idle SMs cost nothing until
-	// their wake. When no SM is actionable, time jumps straight to the
-	// next recorded wake. Bits are scanned low-to-high, so within a cycle
-	// SMs are processed in ascending id, exactly the order of the
-	// per-cycle scan this replaces — results are bit-identical.
-	words := rs.maskWords
+	// Next-event main loop. Time jumps to the earliest entry of rs.next;
+	// the pass then visits, in ascending id, every SM due at that cycle and
+	// recomputes the earliest entry. A scan of every SM every cycle visits
+	// SMs in the same order, and its extra visits — to SMs with no ready
+	// warp and no wake due — change nothing, so results are bit-identical
+	// to that scan's.
 	for rs.liveTBs > 0 && !rs.aborted {
-		slot := int(rs.cycle) & wheelMask
-		bkt := rs.wheel[slot*words : (slot+1)*words]
-		if rs.mc != nil {
-			for _, w := range bkt {
-				rs.mct.parkedWheel -= int64(bits.OnesCount64(w))
-			}
+		if earliest == noEvent {
+			panic(fmt.Sprintf("gpusim: deadlock with %d live thread blocks at cycle %d",
+				rs.liveTBs, rs.cycle))
 		}
-		var any uint64
-		for w := 0; w < words; w++ {
-			d := rs.ready[w] | bkt[w]
-			bkt[w] = 0
-			rs.due[w] = d
-			any |= d
-		}
-		rs.wheelSum[slot>>6] &^= 1 << (uint(slot) & 63)
-		if rs.cal.pullDueMask(rs.cycle, rs.due) {
-			any = 1
-		}
-		if any == 0 {
-			// Nothing actionable: jump to the earliest recorded wake.
-			next := rs.nextWheelCycle()
-			if c, ok := rs.cal.peekCycle(); ok && (next == 0 || c < next) {
-				next = c
-			}
-			if next == 0 {
-				panic(fmt.Sprintf("gpusim: deadlock with %d live thread blocks at cycle %d",
-					rs.liveTBs, rs.cycle))
-			}
+		if earliest > rs.cycle {
 			rs.mct.timeJumps++
-			rs.mct.jumpedCycles += next - rs.cycle
-			rs.cycle = next
-			continue
+			rs.mct.jumpedCycles += earliest - rs.cycle
+			rs.cycle = earliest
 		}
-		for w := 0; w < words; w++ {
-			d := rs.due[w]
-			for d != 0 {
-				bit := d & (-d)
-				d &^= bit
-				id := int32(w<<6 + bits.TrailingZeros64(bit))
-				sm := &rs.sms[id]
-				sm.drainWakes(rs.cycle)
+		now := rs.cycle
+		earliest = noEvent
+		for i, c := range rs.next {
+			if c == now {
+				sm := &rs.sms[i]
+				sm.drainWakes(now)
 				rs.mct.smVisits++
 				if ref, ok := sm.popReady(); ok {
 					rs.issue(sm, ref)
 				} else {
 					rs.mct.stallVisits++
 				}
-				if sm.hasReady() {
-					rs.ready[w] |= bit
-				} else {
-					rs.ready[w] &^= bit
-					if c, ok := sm.wakes.peek(); ok {
-						rs.parkSM(id, c)
-					}
-				}
+				c = sm.nextEvent(now + 1)
+				rs.next[i] = c
 			}
+			earliest = min(earliest, c)
 		}
 		rs.cycle++
 	}
@@ -658,9 +528,7 @@ func (rs *runState) flushMetrics(res *LaunchResult) {
 	mc.Add(metrics.SimEpochs, uint64(rs.mct.epochs))
 	mc.Add(metrics.SimDeferredReqs, uint64(rs.mct.deferredReqs))
 	mc.Add(metrics.SchedWakePushes, uint64(rs.mct.wakePushes))
-	mc.Add(metrics.SchedWheelParks, uint64(rs.mct.wheelParks))
-	mc.Add(metrics.SchedCalParks, uint64(rs.mct.calParks))
-	mc.Add(metrics.SchedTBDispatch, uint64(res.SimulatedTBs))
+	mc.Add(metrics.SchedTBDispatch, uint64(rs.mct.tbDispatch))
 	mc.Add(metrics.SchedTBSkips, uint64(res.SkippedTBs))
 	mc.Add(metrics.MemL1Hits, uint64(res.L1Hits))
 	mc.Add(metrics.MemL1Misses, uint64(res.L1Misses))
@@ -676,55 +544,6 @@ func (rs *runState) flushMetrics(res *LaunchResult) {
 		mc.Observe(metrics.DistSMWarpInsts, uint64(rs.sms[i].warpInsts))
 		mc.Observe(metrics.DistSMActiveCycles, uint64(rs.sms[i].lastCycle))
 	}
-}
-
-// parkSM records that idle SM id next becomes actionable at cycle c: in the
-// timing wheel when c is within its span, else in the overflow calendar.
-func (rs *runState) parkSM(id int32, c int64) {
-	if c-rs.cycle < wheelSize {
-		slot := int(c) & wheelMask
-		rs.wheel[slot*rs.maskWords+int(id)>>6] |= 1 << (uint(id) & 63)
-		rs.wheelSum[slot>>6] |= 1 << (uint(slot) & 63)
-		rs.mct.wheelParks++
-		if rs.mc != nil {
-			rs.mct.parkedWheel++
-			rs.mc.Observe(metrics.DistWheelOccupancy, uint64(rs.mct.parkedWheel))
-		}
-	} else {
-		rs.cal.push(id, c)
-		rs.mct.calParks++
-		if rs.mc != nil {
-			rs.mc.Observe(metrics.DistCalOccupancy, uint64(rs.cal.n))
-		}
-	}
-}
-
-// nextWheelCycle returns the earliest cycle after rs.cycle with a non-empty
-// wheel bucket, or 0 if the wheel is empty. Every wheel entry is within
-// (rs.cycle, rs.cycle+wheelSize), so the wrapped slot distance is
-// unambiguous. The occupancy summary is scanned a word (64 buckets) at a
-// time.
-func (rs *runState) nextWheelCycle() int64 {
-	nw := len(rs.wheelSum)
-	startSlot := int(rs.cycle+1) & wheelMask
-	wi := startSlot >> 6
-	w := rs.wheelSum[wi] &^ (1<<(uint(startSlot)&63) - 1)
-	for k := 0; k <= nw; k++ {
-		if w != 0 {
-			s := wi<<6 + bits.TrailingZeros64(w)
-			d := int64(s - startSlot)
-			if d < 0 {
-				d += wheelSize
-			}
-			return rs.cycle + 1 + d
-		}
-		wi++
-		if wi == nw {
-			wi = 0
-		}
-		w = rs.wheelSum[wi]
-	}
-	return 0
 }
 
 // dispatchOne hands the next pending thread block (skipping as directed by
@@ -781,6 +600,7 @@ func (rs *runState) dispatchOne(sm *smState) bool {
 		}
 		sm.resident++
 		rs.liveTBs++
+		rs.mct.tbDispatch++
 		if !rs.parRun {
 			rs.res.TBOrder = append(rs.res.TBOrder, int32(tb))
 		}

@@ -77,10 +77,8 @@ const (
 	SimEpochs                      // parallel-mode epochs executed
 	SimDeferredReqs                // parallel-mode L1 misses deferred to a barrier
 
-	// Event-calendar scheduler (internal/gpusim).
+	// Thread-block and warp scheduling (internal/gpusim).
 	SchedWakePushes // warp wake-heap pushes
-	SchedWheelParks // SM parks into the timing wheel
-	SchedCalParks   // SM parks into the overflow calendar
 	SchedTBDispatch // thread blocks dispatched
 	SchedTBSkips    // thread blocks fast-forwarded by sampling
 
@@ -199,8 +197,6 @@ var counterNames = [NumCounters]string{
 	SimDeferredReqs: "sim.deferred_reqs",
 
 	SchedWakePushes: "sched.wake_pushes",
-	SchedWheelParks: "sched.wheel_parks",
-	SchedCalParks:   "sched.cal_parks",
 	SchedTBDispatch: "sched.tb_dispatch",
 	SchedTBSkips:    "sched.tb_skips",
 
@@ -274,8 +270,6 @@ type Dist int
 const (
 	DistMSHROccupancy  Dist = iota // live MSHR entries, observed per access
 	DistDRAMQueueWait              // cycles a DRAM access waited, per access
-	DistWheelOccupancy             // SMs parked in the wheel, observed per park
-	DistCalOccupancy               // SMs parked in the calendar, per park
 	DistSMWarpInsts                // per-SM issued instructions, per launch
 	DistSMActiveCycles             // per-SM last-issue cycle, per launch
 
@@ -285,8 +279,6 @@ const (
 var distNames = [NumDists]string{
 	DistMSHROccupancy:  "mem.mshr_occupancy",
 	DistDRAMQueueWait:  "mem.dram_queue_wait",
-	DistWheelOccupancy: "sched.wheel_occupancy",
-	DistCalOccupancy:   "sched.cal_occupancy",
 	DistSMWarpInsts:    "sim.sm_warp_insts",
 	DistSMActiveCycles: "sim.sm_active_cycles",
 }

@@ -13,6 +13,10 @@
 #   test       the full suite, internal/e2e included: unit, integration,
 #              property, chaos/fault-injection and sampler-registry tests,
 #              plus the real-process proofs against plain binaries
+#   benchsmoke every Go benchmark of the root module run once (-benchtime
+#              1x, no tests), so a benchmark that stops compiling or
+#              panics — BenchmarkRunLaunchEventLoop, the scheduler's own
+#              microbenchmark, among them — fails CI; timings are not judged
 #   race       race-detector pass over the packages that run simulations
 #              concurrently (the shared worker budget fans launches and grid
 #              cells out over goroutines; see DESIGN.md), the profiler's
@@ -67,7 +71,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES=(fmt vet build benchbuild test race e2e fuzz)
+ALL_STAGES=(fmt vet build benchbuild test benchsmoke race e2e fuzz)
 
 stage_fmt() {
   local bad
@@ -78,6 +82,7 @@ stage_vet() { go vet ./...; }
 stage_build() { go build ./...; }
 stage_benchbuild() { go vet -C bench . && go test -C bench .; }
 stage_test() { go test ./...; }
+stage_benchsmoke() { go test -run '^$' -bench . -benchtime 1x ./...; }
 stage_race() {
   go test -race ./internal/gpusim/ ./internal/experiments/ ./internal/core/ \
     ./internal/par/ ./internal/durable/ ./internal/metrics/ \
