@@ -205,7 +205,8 @@ func BenchmarkFig13RetargetOverhead(b *testing.B) {
 // BenchmarkRunLaunchEventLoop stresses the next-event scheduler: black is
 // SFU-heavy, so warps sleep on long fixed latencies and the run loop
 // spends its time on wakes, per-SM next-event updates and time jumps
-// rather than in the memory system.
+// rather than in the memory system. Most of it is the per-SM wake heap
+// (its bottom-up pop above all) and the instruction stream's cursor step.
 func BenchmarkRunLaunchEventLoop(b *testing.B) {
 	app := tbpoint.MustBenchmark("black", 0.05)
 	sim := tbpoint.MustNewSimulator(tbpoint.DefaultSimConfig())

@@ -4,8 +4,11 @@ import "math/bits"
 
 // cache is a set-associative, LRU, tag-only cache model. It tracks hits and
 // misses; data is never stored (timing simulation only needs residency).
-// Both loads and stores allocate (write-allocate, no write-back traffic
-// modelling), which is the usual first-order model for GPU L1/L2.
+// Both loads and stores allocate (write-allocate), the usual first-order
+// model for GPU L1/L2. It is write-back: a store marks its way dirty, and a
+// fill that evicts a dirty line returns that line's address, which
+// memSystem sends on to L2 (and from an L2 eviction, to DRAM) as writeback
+// traffic.
 type cache struct {
 	sets    int
 	ways    int

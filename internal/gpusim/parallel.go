@@ -762,7 +762,7 @@ func (rs *runState) barrier(end int64) {
 			if pd.remaining != 0 {
 				panic(fmt.Sprintf("gpusim: parallel barrier left %d unresolved requests on SM %d", pd.remaining, smi))
 			}
-			rs.wake(pd.ref, pd.done)
+			rs.wake(&rs.sms[smi], pd.ref, pd.done)
 		}
 		psm.reqs = psm.reqs[:0]
 		psm.waiters = psm.waiters[:0]

@@ -76,11 +76,11 @@ type wakeEntry struct {
 }
 
 // wakeHeap is a binary min-heap on wake cycle. The sift loops are
-// hole-based — the displaced element is held in hand and written once at
-// its final position — but perform exactly the comparisons of the classic
-// swap-based sift, so the resulting layout (and hence the pop order of
-// equal-cycle entries, which the simulation results depend on) is
-// identical entry for entry.
+// hole-based: the displaced element is held in hand and written once at
+// its final position. Whatever the loops' shape, after every push and pop
+// the heap array is the one the classic swap-based sift leaves, entry for
+// entry — the pop order of equal-cycle entries, which the simulation
+// results depend on, rests on it (TestWakeHeapMatchesClassicSift).
 type wakeHeap []wakeEntry
 
 func (h *wakeHeap) push(e wakeEntry) {
@@ -107,6 +107,14 @@ func (h *wakeHeap) peek() (int64, bool) {
 
 // popDue pops the root entry if it is due by cycle. Fusing the peek and the
 // pop keeps drainWakes to one bounds check per drained entry.
+//
+// The pop is bottom-up (Floyd's): the hole left by the root walks to a leaf
+// along the smaller child — the right one only when strictly smaller, one
+// comparison per level feeding a select — and the last entry, moved, is
+// then lifted back up past every path entry whose cycle is ≥ its own. The
+// classic sift stops where the smaller child is ≥ moved; every path entry
+// below that point is ≥ moved too, so the lift puts moved exactly there,
+// above the equal entries, as the classic sift leaves it.
 func (h *wakeHeap) popDue(cycle int64) (warpRef, bool) {
 	old := *h
 	if len(old) == 0 || old[0].cycle > cycle {
@@ -115,26 +123,31 @@ func (h *wakeHeap) popDue(cycle int64) (warpRef, bool) {
 	top := old[0].ref
 	n := len(old) - 1
 	moved := old[n]
-	*h = old[:n]
+	hp := old[:n]
+	*h = hp
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		m, mc := i, moved.cycle
-		if l < n && old[l].cycle < mc {
-			m, mc = l, old[l].cycle
-		}
-		if r < n && old[r].cycle < mc {
-			m = r
-		}
-		if m == i {
+		l := 2*i + 1
+		if l+1 >= len(hp) {
+			if l < len(hp) {
+				hp[i] = hp[l]
+				i = l
+			}
 			break
 		}
-		old[i] = old[m]
-		i = m
+		c := l + int(b2i(hp[l+1].cycle < hp[l].cycle))
+		hp[i] = hp[c]
+		i = c
 	}
-	if n > 0 {
-		old[i] = moved
+	for i > 0 {
+		p := (i - 1) / 2
+		if hp[p].cycle < moved.cycle {
+			break
+		}
+		hp[i] = hp[p]
+		i = p
 	}
+	old[i] = moved
 	return top, true
 }
 
@@ -596,7 +609,7 @@ func (rs *runState) dispatchOne(sm *smState) bool {
 				}
 				jitter = int64(h % span)
 			}
-			rs.wake(warpRef{slot: slot, w: int32(w)}, readyAt+jitter)
+			rs.wake(sm, warpRef{slot: slot, w: int32(w)}, readyAt+jitter)
 		}
 		sm.resident++
 		rs.liveTBs++
@@ -613,9 +626,10 @@ func (rs *runState) dispatchOne(sm *smState) bool {
 	return false
 }
 
-func (rs *runState) wake(ref warpRef, at int64) {
-	smID := rs.tbs[ref.slot].sm
-	sm := &rs.sms[smID]
+// wake makes warp ref of a block resident on sm ready at cycle at: at once
+// when at is not in the future, else through sm's wake heap (in parallel
+// mode, its timing wheel).
+func (rs *runState) wake(sm *smState, ref warpRef, at int64) {
 	if at <= rs.cycle {
 		sm.pushReady(ref)
 		return
@@ -625,7 +639,7 @@ func (rs *runState) wake(ref warpRef, at int64) {
 		// Parallel mode keeps warp wakes in the per-SM timing wheel. A wake
 		// at or before the wheel's drain mark would pop at the next drain
 		// (the coming epoch's start) anyway, so it goes ready directly.
-		if pw := &rs.par.sms[smID].wheel; at > pw.pos {
+		if pw := &rs.par.sms[sm.id].wheel; at > pw.pos {
 			pw.push(ref, at)
 		} else {
 			sm.pushReady(ref)
@@ -667,8 +681,8 @@ func (rs *runState) issue(sm *smState, ref warpRef) {
 		rs.mct.issueBar++
 		tb.barArrived++
 		if tb.barArrived >= tb.live {
-			rs.releaseBarrier(tb)
-			rs.wake(ref, rs.cycle+int64(rs.sim.cfg.Lat.BAR))
+			rs.releaseBarrier(sm, tb)
+			rs.wake(sm, ref, rs.cycle+int64(rs.sim.cfg.Lat.BAR))
 		} else {
 			tb.barWaiting = append(tb.barWaiting, ref.w)
 		}
@@ -686,17 +700,20 @@ func (rs *runState) issue(sm *smState, ref warpRef) {
 			}
 		}
 		rs.mem.pruneMSHRs(sm.id, rs.cycle)
-		rs.wake(ref, done)
+		rs.wake(sm, ref, done)
 	default:
+		// An ALU latency is at least 1, so the wake is always in the
+		// future: it goes straight onto the SM's heap.
 		rs.mct.issueALU++
-		rs.wake(ref, rs.cycle+rs.latTab[ev.Op])
+		rs.mct.wakePushes++
+		sm.wakes.push(wakeEntry{cycle: rs.cycle + rs.latTab[ev.Op], ref: ref})
 	}
 }
 
-func (rs *runState) releaseBarrier(tb *tbState) {
+func (rs *runState) releaseBarrier(sm *smState, tb *tbState) {
 	lat := int64(rs.sim.cfg.Lat.BAR)
 	for _, wi := range tb.barWaiting {
-		rs.wake(warpRef{slot: tb.slot, w: wi}, rs.cycle+lat)
+		rs.wake(sm, warpRef{slot: tb.slot, w: wi}, rs.cycle+lat)
 	}
 	tb.barWaiting = tb.barWaiting[:0]
 	tb.barArrived = 0

@@ -465,18 +465,43 @@ func TestDRAMQueueing(t *testing.T) {
 	}
 }
 
+// TestDRAMChannelsSpread reads back which (channel, bank) entry each access
+// occupied — the one whose nextFree or openRow changed — and requires its
+// channel to be the row mod Channels, with every channel hit.
 func TestDRAMChannelsSpread(t *testing.T) {
-	d := newDRAM(DefaultConfig().DRAM)
-	seen := map[int]bool{}
-	for i := 0; i < 64; i++ {
-		addr := uint64(i) << 11 // distinct rows
-		row := addr >> 11
-		ch := int(row % 6)
-		seen[ch] = true
-		d.access(addr, 0)
-	}
-	if len(seen) != 6 {
-		t.Errorf("rows spread over %d channels, want 6", len(seen))
+	for _, channels := range []int{1, 6, 7} {
+		cfg := DefaultConfig().DRAM
+		cfg.Channels = channels
+		d := newDRAM(cfg)
+		hit := make([]bool, channels)
+		for i := 0; i < 4*channels*cfg.Banks; i++ {
+			row := uint64(i*13 + 5)
+			free := append([]int64(nil), d.nextFree...)
+			open := append([]uint64(nil), d.openRow...)
+			d.access(row<<uint(cfg.RowBits), int64(i))
+			entry := -1
+			for b := range free {
+				if free[b] != d.nextFree[b] || open[b] != d.openRow[b] {
+					if entry >= 0 {
+						t.Fatalf("%d channels, row %d: entries %d and %d both changed", channels, row, entry, b)
+					}
+					entry = b
+				}
+			}
+			if entry < 0 {
+				t.Fatalf("%d channels, row %d: no bank entry changed", channels, row)
+			}
+			ch := entry / cfg.Banks
+			if want := int(row % uint64(channels)); ch != want {
+				t.Fatalf("%d channels, row %d: went to channel %d, want %d", channels, row, ch, want)
+			}
+			hit[ch] = true
+		}
+		for ch, ok := range hit {
+			if !ok {
+				t.Errorf("%d channels: channel %d never hit", channels, ch)
+			}
+		}
 	}
 }
 

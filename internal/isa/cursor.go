@@ -1,17 +1,5 @@
 package isa
 
-// DynInstr is one dynamic (executed) warp instruction yielded by a Cursor.
-type DynInstr struct {
-	Instr
-	// Block is the index of the basic block the instruction belongs to,
-	// used for basic-block-vector instrumentation.
-	Block int
-	// Iter is the loop iteration the instruction executes in (0 for
-	// instructions outside any loop), used by address generation to
-	// advance strided streams.
-	Iter int
-}
-
 // Code is a program compiled for walking: a flat µop table holding the
 // program's instructions in order, each tagged with its basic block, a
 // loop-head µop before every loop body, a back-edge µop after it, and an
@@ -32,7 +20,8 @@ const (
 )
 
 type uop struct {
-	d     DynInstr // uopInstr: the instruction and its block (Iter unset)
+	in    Instr // uopInstr: the instruction
+	block int   // uopInstr: the basic block it belongs to
 	kind  uint8
 	param int // uopLoop, uopBack: the loop's trip parameter
 	jump  int // uopLoop: index past the back edge; uopBack: the body's first µop
@@ -53,7 +42,7 @@ func compile(p *Program) *Code {
 			ops = append(ops, uop{kind: uopLoop, param: p.Loops[li].TripParam})
 		}
 		for _, in := range b.Instrs {
-			ops = append(ops, uop{d: DynInstr{Instr: in, Block: bi}})
+			ops = append(ops, uop{in: in, block: bi})
 		}
 		if loopLeft && p.Loops[li].End == bi+1 {
 			ops = append(ops, uop{kind: uopBack, param: p.Loops[li].TripParam, jump: head + 1})
@@ -92,27 +81,32 @@ func (c *Cursor) Init(code *Code, trips []int) {
 	c.code, c.trips, c.pos, c.iter = code, trips, 0, 0
 }
 
-// Next yields the next dynamic instruction. It returns ok == false once the
-// stream is exhausted (after the EXIT instruction).
-func (c *Cursor) Next() (d DynInstr, ok bool) {
-	if c.code.ops[c.pos].kind != uopInstr && !c.control() {
-		return d, false
+// Next yields the next dynamic instruction: the static instruction, the
+// index of the basic block it belongs to (for basic-block-vector
+// instrumentation) and the loop iteration it executes in (0 outside any
+// loop; address generation strides by it). It copies those values straight
+// out of the µop table. It returns ok == false once the stream is exhausted
+// (after the EXIT instruction).
+func (c *Cursor) Next() (in Instr, block, iter int, ok bool) {
+	u := &c.code.ops[c.pos]
+	if u.kind != uopInstr {
+		if u = c.control(); u == nil {
+			return in, 0, 0, false
+		}
 	}
-	d = c.code.ops[c.pos].d
-	d.Iter = c.iter
 	c.pos++
-	return d, true
+	return u.in, u.block, c.iter, true
 }
 
 // control runs the control µops from c.pos on. It stops at the next
-// instruction µop and reports true, or at the end of the stream and reports
-// false.
-func (c *Cursor) control() bool {
+// instruction µop and returns it, or at the end of the stream and returns
+// nil.
+func (c *Cursor) control() *uop {
 	for {
 		u := &c.code.ops[c.pos]
 		switch u.kind {
 		case uopInstr:
-			return true
+			return u
 		case uopLoop:
 			c.pos++
 			if tripCount(u.param, c.trips) == 0 {
@@ -127,7 +121,7 @@ func (c *Cursor) control() bool {
 				c.iter = 0
 			}
 		default:
-			return false
+			return nil
 		}
 	}
 }

@@ -57,27 +57,27 @@ func (c *blockCursor) skipDeadBlocks() {
 	c.done = c.block >= len(c.p.Blocks)
 }
 
-func (c *blockCursor) Next() (DynInstr, bool) {
+func (c *blockCursor) Next() (in Instr, block, iter int, ok bool) {
 	if c.done {
-		return DynInstr{}, false
+		return in, 0, 0, false
 	}
-	d := DynInstr{Instr: c.p.Blocks[c.block].Instrs[c.instr], Block: c.block, Iter: c.iter}
+	in, block, iter = c.p.Blocks[c.block].Instrs[c.instr], c.block, c.iter
 	c.instr++
 	if c.instr < len(c.p.Blocks[c.block].Instrs) {
-		return d, true
+		return in, block, iter, true
 	}
 	c.instr = 0
 	if li := c.loopOf[c.block]; li >= 0 && c.block == c.p.Loops[li].End-1 {
 		if c.iter+1 < c.trip(c.block) {
 			c.iter++
 			c.block = c.p.Loops[li].Begin
-			return d, true
+			return in, block, iter, true
 		}
 		c.iter = 0
 	}
 	c.block++
 	c.skipDeadBlocks()
-	return d, true
+	return in, block, iter, true
 }
 
 // randomProgram builds a valid program of up to four segments — each a
@@ -120,16 +120,17 @@ func checkCursor(t *testing.T, p *Program, trips []int) {
 	t.Helper()
 	got, want := NewCursor(p, trips), newBlockCursor(p, trips)
 	for n := 0; ; n++ {
-		g, gok := got.Next()
-		w, wok := want.Next()
-		if g != w || gok != wok {
-			t.Fatalf("trips %v, instruction %d: cursor (%+v, %v), block walk (%+v, %v)", trips, n, g, gok, w, wok)
+		gi, gb, gt, gok := got.Next()
+		wi, wb, wt, wok := want.Next()
+		if gi != wi || gb != wb || gt != wt || gok != wok {
+			t.Fatalf("trips %v, instruction %d: cursor (%+v, block %d, iter %d, %v), block walk (%+v, block %d, iter %d, %v)",
+				trips, n, gi, gb, gt, gok, wi, wb, wt, wok)
 		}
 		if !wok {
 			break
 		}
 	}
-	if _, ok := got.Next(); ok {
+	if _, _, _, ok := got.Next(); ok {
 		t.Fatalf("trips %v: cursor yields again after its end", trips)
 	}
 }

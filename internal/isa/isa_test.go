@@ -155,15 +155,15 @@ func TestCursorMatchesCounts(t *testing.T) {
 		blockCounts := make([]int64, len(p.Blocks))
 		sawExit := false
 		for {
-			d, ok := cur.Next()
+			in, block, _, ok := cur.Next()
 			if !ok {
 				break
 			}
 			n++
-			if d.Block == 1 {
+			if block == 1 {
 				blockCounts[1]++
 			}
-			if d.Op == OpEXIT {
+			if in.Op == OpEXIT {
 				sawExit = true
 			}
 		}
@@ -184,14 +184,14 @@ func TestCursorIterNumbers(t *testing.T) {
 	cur := NewCursor(p, []int{3})
 	iters := map[int]bool{}
 	for {
-		d, ok := cur.Next()
+		_, block, iter, ok := cur.Next()
 		if !ok {
 			break
 		}
-		if d.Block == 1 {
-			iters[d.Iter] = true
-		} else if d.Iter != 0 {
-			t.Errorf("non-loop instruction has Iter %d", d.Iter)
+		if block == 1 {
+			iters[iter] = true
+		} else if iter != 0 {
+			t.Errorf("non-loop instruction has iteration %d", iter)
 		}
 	}
 	for i := 0; i < 3; i++ {
@@ -213,11 +213,11 @@ func TestCursorMultiBlockLoop(t *testing.T) {
 	cur := NewCursor(p, []int{4})
 	var seq []int
 	for {
-		d, ok := cur.Next()
+		_, block, _, ok := cur.Next()
 		if !ok {
 			break
 		}
-		seq = append(seq, d.Block)
+		seq = append(seq, block)
 	}
 	// 1 + 4*(1+2) + 1 = 14 instructions
 	if len(seq) != 14 {
@@ -236,11 +236,11 @@ func TestCursorZeroTripSkipsLoop(t *testing.T) {
 	p := simpleProgram()
 	cur := NewCursor(p, []int{0})
 	for {
-		d, ok := cur.Next()
+		_, block, _, ok := cur.Next()
 		if !ok {
 			break
 		}
-		if d.Block == 1 {
+		if block == 1 {
 			t.Fatal("zero-trip loop body executed")
 		}
 	}
@@ -263,11 +263,11 @@ func TestCursorCountProperty(t *testing.T) {
 		perBlock := make([]int64, len(p.Blocks))
 		var total int64
 		for {
-			d, ok := cur.Next()
+			_, block, _, ok := cur.Next()
 			if !ok {
 				break
 			}
-			perBlock[d.Block]++
+			perBlock[block]++
 			total++
 		}
 		if total != p.WarpInstCount(trips) {

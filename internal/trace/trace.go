@@ -172,12 +172,12 @@ func regionBase(region uint8) uint64 { return uint64(region) << 40 }
 // with the request line addresses; addrs must have room for MaxRequests
 // entries.
 func (st *SynthStream) Next(addrs []uint64) (Event, bool) {
-	d, ok := st.cur.Next()
+	in, block, iter, ok := st.cur.Next()
 	if !ok {
 		return Event{}, false
 	}
-	ev := Event{Op: d.Op, Block: uint16(d.Block)}
-	if !d.Op.IsMem() {
+	ev := Event{Op: in.Op, Block: uint16(block)}
+	if !in.Op.IsMem() {
 		return ev, true
 	}
 	var n int
@@ -185,22 +185,22 @@ func (st *SynthStream) Next(addrs []uint64) (Event, bool) {
 		// Fully active warp: the request count is just the clamped
 		// coalescing degree, no float arithmetic needed (RequestsPerAccess
 		// reduces to this for activeFrac == 1).
-		n = int(d.Coalesce)
+		n = int(in.Coalesce)
 		if n < 1 {
 			n = 1
 		} else if n > 32 {
 			n = 32
 		}
 	} else {
-		n = isa.RequestsPerAccess(d.Coalesce, st.af)
+		n = isa.RequestsPerAccess(in.Coalesce, st.af)
 	}
 	if n > MaxRequests {
 		n = MaxRequests
 	}
 	ev.NumReq = uint8(n)
-	if d.Random {
+	if in.Random {
 		// Irregular access: uniform lines over the shared footprint.
-		base := regionBase(d.Region)
+		base := regionBase(in.Region)
 		for i := 0; i < n; i++ {
 			addrs[i] = base + (st.rng.Uint64()%st.randLines)*LineSize
 		}
@@ -208,9 +208,9 @@ func (st *SynthStream) Next(addrs []uint64) (Event, bool) {
 	}
 	// Strided access: the stream position is the loop iteration, so address
 	// generation stays stateless and cheap.
-	base := regionBase(d.Region) + st.strideOff
-	stride := uint64(int64(d.StrideB))
-	off := uint64(d.Iter) * stride
+	base := regionBase(in.Region) + st.strideOff
+	stride := uint64(int64(in.StrideB))
+	off := uint64(iter) * stride
 	for i := 0; i < n; i++ {
 		a := base + off + uint64(i)*LineSize
 		addrs[i] = a &^ (LineSize - 1)

@@ -42,10 +42,9 @@ type (
 	Builder = isa.Builder
 	// Code is a program's compiled µop table (Program.Code), what Cursor.Init takes.
 	Code = isa.Code
-	// Cursor walks a warp's dynamic instruction stream.
+	// Cursor walks a warp's dynamic instruction stream; its Next yields
+	// each instruction with its basic block and loop iteration.
 	Cursor = isa.Cursor
-	// DynInstr is one dynamic instruction yielded by a Cursor.
-	DynInstr = isa.DynInstr
 )
 
 // Opcodes.

@@ -30,7 +30,7 @@ func TestBuildAndRunCustomProgram(t *testing.T) {
 	cur := ir.NewCursor(prog, []int{3})
 	n := int64(0)
 	for {
-		if _, ok := cur.Next(); !ok {
+		if _, _, _, ok := cur.Next(); !ok {
 			break
 		}
 		n++
