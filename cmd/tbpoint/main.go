@@ -165,18 +165,20 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// The zero Frac and Seed are the harness defaults (10%, seed 0, the
+		// seed tbpoint.Benchmark builds with), so every row matches the
+		// experiments accuracy cell of the same benchmark and scale.
 		in := sampler.Input{
-			Ctx:     ctx,
 			Sim:     sim,
 			Prof:    prof,
 			Full:    full,
-			Params:  sampler.Params{Frac: 0.10, Seed: 42, Sigma: *sigmaInter},
+			Params:  sampler.Params{Sigma: *sigmaInter},
 			TBPoint: opts,
 		}
 		fmt.Printf("\n%-16s %10s %10s %10s %12s\n", "strategy", "IPC", "error", "sample", "ci95(IPC)")
 		for _, s := range set {
 			var out sampler.Outcome
-			if s.Name() == sampler.NameTBPoint {
+			if s.Name == sampler.NameTBPoint {
 				// The pipeline already ran above; reuse its estimate.
 				out = sampler.Outcome{Estimate: est, Strata: res.Inter.NumClusters}
 			} else {
@@ -189,7 +191,7 @@ func main() {
 			if out.CIHalf > 0 {
 				ci = fmt.Sprintf("±%.3f", out.CIHalf)
 			}
-			fmt.Printf("%-16s %10.3f %9.2f%% %9.2f%% %12s\n", s.Display(),
+			fmt.Printf("%-16s %10.3f %9.2f%% %9.2f%% %12s\n", s.Display,
 				out.Estimate.PredictedIPC, out.Estimate.Error(full)*100,
 				out.Estimate.SampleSize*100, ci)
 		}

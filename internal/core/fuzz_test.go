@@ -147,7 +147,7 @@ func FuzzReplayOrder(f *testing.F) {
 		}
 		for i, b := range units {
 			ref.Units = append(ref.Units, gpusim.UnitStats{
-				Index: i, SpecifiedTB: int(int8(b)), StartCycle: int64(i) * 100, EndCycle: int64(i+1) * 100,
+				SpecifiedTB: int(int8(b)), StartCycle: int64(i) * 100, EndCycle: int64(i+1) * 100,
 				WarpInsts: 100 + int64(b%3),
 			})
 		}

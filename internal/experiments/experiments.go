@@ -394,8 +394,8 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 	haveHdr := sc.load("refhdr", "", &hdr)
 	var missing []sampler.Sampler
 	for _, s := range set {
-		if out, ok := sc.loadOutcome(s.Name(), mc); ok {
-			r.Samplers[s.Name()] = out
+		if out, ok := sc.loadOutcome(s.Name, mc); ok {
+			r.Samplers[s.Name] = out
 		} else {
 			missing = append(missing, s)
 		}
@@ -419,9 +419,9 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 	// Err is derived from the header on every path, so a composed result and
 	// a computed one are the same bytes.
 	for _, s := range set {
-		out := r.Samplers[s.Name()]
+		out := r.Samplers[s.Name]
 		out.Err = stats.RelErr(out.Estimate.PredictedIPC, r.FullIPC)
-		r.Samplers[s.Name()] = out
+		r.Samplers[s.Name] = out
 	}
 	return r, nil
 }
@@ -437,7 +437,6 @@ func (o Options) estimate(set []sampler.Sampler, sim *gpusim.Simulator, app *ker
 	tbopts.Metrics = mc
 	tbopts.Ctx = o.Ctx
 	in := sampler.Input{
-		Ctx:     o.Ctx,
 		Sim:     sim,
 		Prof:    core.ProfileAppMetrics(app, mc),
 		Full:    full,
@@ -445,13 +444,13 @@ func (o Options) estimate(set []sampler.Sampler, sim *gpusim.Simulator, app *ker
 		TBPoint: tbopts,
 	}
 	for _, s := range set {
-		sw := mc.StartPhase("sampler." + s.Name())
+		sw := mc.StartPhase("sampler." + s.Name)
 		out, err := s.Estimate(in)
 		sw.Stop()
 		if err != nil {
 			return err
 		}
-		if s.Name() == sampler.NameTBPoint {
+		if s.Name == sampler.NameTBPoint {
 			o.progress("# %-8s tbpoint: replayed %d of %d representatives", app.Name,
 				mc.Count(metrics.CoreLaunchesReplayed), mc.Count(metrics.CoreRepLaunches))
 		}
@@ -459,8 +458,8 @@ func (o Options) estimate(set []sampler.Sampler, sim *gpusim.Simulator, app *ker
 		mc.Add(metrics.SamplerStrata, uint64(out.Strata))
 		mc.Add(metrics.SamplerPilotUnits, uint64(out.PilotUnits))
 		mc.Add(metrics.SamplerPhase2Units, uint64(out.Phase2Units))
-		sc.publish("outcome", s.Name(), out)
-		r.Samplers[s.Name()] = out
+		sc.publish("outcome", s.Name, out)
+		r.Samplers[s.Name] = out
 	}
 	return nil
 }

@@ -31,13 +31,13 @@ func ComputePareto(results []*BenchResult) []ParetoEntry {
 	for _, r := range results {
 		start := len(out)
 		for _, s := range set {
-			o, ok := r.Outcome(s.Name())
+			o, ok := r.Outcome(s.Name)
 			if !ok {
 				continue
 			}
 			e := ParetoEntry{
 				Bench:      r.Name,
-				Sampler:    s.Name(),
+				Sampler:    s.Name,
 				Err:        o.Err,
 				SampleSize: o.Estimate.SampleSize,
 			}
@@ -78,7 +78,7 @@ func PrintPareto(w io.Writer, entries []ParetoEntry) {
 	for _, e := range entries {
 		name := e.Sampler
 		if s, ok := sampler.Get(e.Sampler); ok {
-			name = s.Display()
+			name = s.Display
 		}
 		speed := "-"
 		if e.Speedup > 0 {

@@ -98,8 +98,8 @@ func reportSamplers(results []*BenchResult) []sampler.Sampler {
 func (r *BenchResult) summary() string {
 	var b strings.Builder
 	for _, s := range reportSamplers([]*BenchResult{r}) {
-		o := r.Samplers[s.Name()]
-		fmt.Fprintf(&b, " %s %.2f/%.1f", s.Name(), o.Err*100, o.Estimate.SampleSize*100)
+		o := r.Samplers[s.Name]
+		fmt.Fprintf(&b, " %s %.2f/%.1f", s.Name, o.Err*100, o.Estimate.SampleSize*100)
 	}
 	return b.String()
 }
@@ -114,10 +114,10 @@ func PrintFig9(w io.Writer, results []*BenchResult) {
 	fmt.Fprintln(w, "Figure 9: Overall IPC (whole-GPU) and sampling error")
 	header := []string{"bench", "type", "full IPC", "overall(per-SM)"}
 	for _, s := range set {
-		header = append(header, s.Display())
+		header = append(header, s.Display)
 	}
 	for _, s := range set {
-		header = append(header, "err("+s.Abbrev()+")")
+		header = append(header, "err("+s.Abbrev+")")
 	}
 	t := &table{header: header}
 	errs := make([][]float64, len(set))
@@ -125,7 +125,7 @@ func PrintFig9(w io.Writer, results []*BenchResult) {
 		row := []string{r.Name, r.Type.String(), f3(r.FullIPC), f3(r.FullOverallIPC)}
 		var errCells []string
 		for i, s := range set {
-			o, ok := r.Outcome(s.Name())
+			o, ok := r.Outcome(s.Name)
 			if !ok {
 				row = append(row, "-")
 				errCells = append(errCells, "-")
@@ -161,14 +161,14 @@ func PrintFig10(w io.Writer, results []*BenchResult) {
 	fmt.Fprintln(w, "Figure 10: Total sample size (simulated / total warp instructions)")
 	header := []string{"bench", "type"}
 	for _, s := range set {
-		header = append(header, s.Display())
+		header = append(header, s.Display)
 	}
 	t := &table{header: header}
 	sizes := make([][]float64, len(set))
 	for _, r := range results {
 		row := []string{r.Name, r.Type.String()}
 		for i, s := range set {
-			o, ok := r.Outcome(s.Name())
+			o, ok := r.Outcome(s.Name)
 			if !ok {
 				row = append(row, "-")
 				continue
@@ -192,13 +192,13 @@ func PrintFig10(w io.Writer, results []*BenchResult) {
 }
 
 // PrintFig11 renders the inter/intra savings breakdown for every selected
-// strategy that attributes skipped work (Breakdown() == true). Columns run
+// strategy that attributes skipped work (its Breakdown is set). Columns run
 // in reverse canonical order, which reproduces the historical TBP-then-SP
 // layout for the default set.
 func PrintFig11(w io.Writer, results []*BenchResult) {
 	var set []sampler.Sampler
 	for _, s := range reportSamplers(results) {
-		if s.Breakdown() {
+		if s.Breakdown {
 			set = append(set, s)
 		}
 	}
@@ -208,13 +208,13 @@ func PrintFig11(w io.Writer, results []*BenchResult) {
 	fmt.Fprintln(w, "Figure 11: Breakdown of skipped instructions (inter vs intra launch)")
 	header := []string{"bench", "type"}
 	for _, s := range set {
-		header = append(header, s.Abbrev()+" inter%", s.Abbrev()+" intra%")
+		header = append(header, s.Abbrev+" inter%", s.Abbrev+" intra%")
 	}
 	t := &table{header: header}
 	for _, r := range results {
 		row := []string{r.Name, r.Type.String()}
 		for _, s := range set {
-			o, ok := r.Outcome(s.Name())
+			o, ok := r.Outcome(s.Name)
 			if !ok {
 				row = append(row, "-", "-")
 				continue
@@ -237,7 +237,7 @@ func PrintSamplerDetail(w io.Writer, results []*BenchResult) {
 		"ci95(IPC)", "strata", "pilot", "phase2"}}
 	for _, r := range results {
 		for _, s := range set {
-			o, ok := r.Outcome(s.Name())
+			o, ok := r.Outcome(s.Name)
 			if !ok {
 				continue
 			}
@@ -251,7 +251,7 @@ func PrintSamplerDetail(w io.Writer, results []*BenchResult) {
 				}
 				return fmt.Sprintf("%d", v)
 			}
-			t.addRow(r.Name, s.Display(), f3(o.Estimate.PredictedIPC), pct(o.Err),
+			t.addRow(r.Name, s.Display, f3(o.Estimate.PredictedIPC), pct(o.Err),
 				pct(o.Estimate.SampleSize), ci,
 				count(o.Strata), count(o.PilotUnits), count(o.Phase2Units))
 		}

@@ -81,8 +81,8 @@ func PrintSensSamplers(w io.Writer, results []SensResult) {
 		return false
 	})
 	for _, s := range set {
-		name := s.Name()
-		fmt.Fprintf(w, "Sensitivity: %s sampling error across hardware configurations\n", s.Display())
+		name := s.Name
+		fmt.Fprintf(w, "Sensitivity: %s sampling error across hardware configurations\n", s.Display)
 		printSensTable(w, results, func(r SensResult) string {
 			o, ok := r.Samplers[name]
 			if !ok {

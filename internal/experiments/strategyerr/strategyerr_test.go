@@ -17,17 +17,16 @@ const failsAt = "W32S14"
 
 var errStrategy = errors.New("strategyerr: injected estimator failure")
 
-// flaky estimates like the Random baseline except at one hardware point,
-// where it returns an error.
-type flaky struct{ sampler.Sampler }
-
-func (flaky) Name() string { return "flaky" }
-
-func (f flaky) Estimate(in sampler.Input) (sampler.Outcome, error) {
-	if in.Sim.Config().Name() == failsAt {
-		return sampler.Outcome{}, errStrategy
-	}
-	return f.Sampler.Estimate(in)
+// flaky returns a row that estimates like random except at one hardware
+// point, where it returns an error.
+func flaky(random sampler.Sampler) sampler.Sampler {
+	return sampler.Sampler{Name: "flaky", Display: "flaky", Abbrev: "flaky",
+		Estimate: func(in sampler.Input) (sampler.Outcome, error) {
+			if in.Sim.Config().Name() == failsAt {
+				return sampler.Outcome{}, errStrategy
+			}
+			return random.Estimate(in)
+		}}
 }
 
 // TestSensitivityStrategyErrorIsCellError: a strategy that returns an error
@@ -39,7 +38,7 @@ func TestSensitivityStrategyErrorIsCellError(t *testing.T) {
 	if !ok {
 		t.Fatal("no random sampler registered")
 	}
-	sampler.Register(flaky{random})
+	sampler.Register(flaky(random))
 
 	opts := experiments.DefaultOptions(0.02)
 	opts.Seed = 7

@@ -19,7 +19,6 @@ type SMStat struct {
 // interval between the start and end of the designated thread block,
 // measured over the whole GPU.
 type UnitStats struct {
-	Index       int
 	SpecifiedTB int
 	StartCycle  int64
 	EndCycle    int64
@@ -42,7 +41,6 @@ func (u UnitStats) IPC() float64 {
 // (§V-A, "sampling units with one million instructions"). BBV holds the
 // per-basic-block executed-instruction counts of the unit.
 type FixedUnit struct {
-	Index     int
 	WarpInsts int64
 	Cycles    int64
 	BBV       []int64

@@ -752,7 +752,6 @@ func (rs *runState) retireTB(tb *tbState) {
 
 func (rs *runState) closeUnit(cycle int64, tbID int) {
 	u := UnitStats{
-		Index:       len(rs.res.Units),
 		SpecifiedTB: tbID,
 		StartCycle:  rs.unitStart,
 		EndCycle:    cycle,
@@ -768,7 +767,6 @@ func (rs *runState) closeUnit(cycle int64, tbID int) {
 
 func (rs *runState) closeFixedUnit() {
 	f := FixedUnit{
-		Index:     len(rs.res.FixedUnits),
 		WarpInsts: rs.totalIssued - rs.fixedStartInsts,
 		Cycles:    rs.cycle + 1 - rs.fixedStartCycle,
 		BBV:       append([]int64(nil), rs.bbv...),

@@ -30,7 +30,7 @@ func randomRun(rng *stats.RNG) *sampling.AppRun {
 			insts, cycles := 1+rng.Int63n(2000), 1+rng.Int63n(5000)
 			a := rng.Int63n(insts + 1)
 			lr.FixedUnits = append(lr.FixedUnits, gpusim.FixedUnit{
-				Index: len(lr.FixedUnits), WarpInsts: insts, Cycles: cycles, BBV: []int64{a, insts - a},
+				WarpInsts: insts, Cycles: cycles, BBV: []int64{a, insts - a},
 			})
 			lr.SimulatedWarpInsts += insts
 			lr.Cycles += cycles

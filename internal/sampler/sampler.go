@@ -1,12 +1,13 @@
-// Package sampler is the pluggable estimation-strategy subsystem: a common
-// interface over every sampling technique the evaluation compares (Random,
+// Package sampler is the pluggable estimation-strategy subsystem: one table
+// with a row per sampling technique the evaluation compares (Random,
 // Systematic, Ideal-Simpoint, TBPoint, and the two-phase stratified
-// estimator), plus the registry the harness, CLIs and job server select
-// strategies from by name.
+// estimator), which the harness, CLIs and job server select strategies
+// from by name.
 //
 // The package sits above the concrete estimators — it imports
-// internal/core, internal/simpoint and internal/sampling and adapts them —
-// so adding a strategy never touches the pipeline packages, only this one.
+// internal/core, internal/simpoint and internal/sampling — and holds the
+// unit selections of its own rows (Random, Systematic, Stratified), so
+// adding a strategy never touches the pipeline packages, only this one.
 //
 // # Determinism rules
 //
@@ -29,7 +30,6 @@
 package sampler
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -48,7 +48,8 @@ const (
 )
 
 // Params are the strategy-independent tuning knobs. Zero values select the
-// documented defaults so a zero Params is the paper configuration.
+// documented defaults so a zero Params is the paper configuration. The
+// stratified pilot size is the constant pilotUnits, not a knob.
 type Params struct {
 	// Frac is the target sampled fraction of fixed units for the
 	// budget-driven strategies (random, systematic, stratified).
@@ -59,11 +60,9 @@ type Params struct {
 	// harness offset); other strategies use their own offsets so selections
 	// never correlate across strategies.
 	Seed uint64
-	// PilotUnits is the stratified pilot-phase sample size per stratum
-	// (0 selects DefaultPilotUnits).
-	PilotUnits int
 	// Sigma is the stratified backend's launch-clustering threshold
-	// (0 selects 0.1, the paper's inter-launch sigma).
+	// (0 selects 0.1, the paper's inter-launch sigma). Callers set it to
+	// the TBPoint options' SigmaInter, so strata are TBPoint's clusters.
 	Sigma float64
 }
 
@@ -79,8 +78,6 @@ func (p Params) frac() float64 {
 // are needed only by strategies that run their own simulations (TBPoint)
 // or consume the functional profile (stratified strata).
 type Input struct {
-	// Ctx, when non-nil, cancels strategy-owned simulations cooperatively.
-	Ctx context.Context
 	// Sim is the simulator the full run was produced on.
 	Sim *gpusim.Simulator
 	// Prof is the application's one-time functional profile.
@@ -90,8 +87,8 @@ type Input struct {
 	// Params are the shared tuning knobs.
 	Params Params
 	// TBPoint configures the TBPoint strategy (including its metrics
-	// collector and context); other strategies may read thresholds from it
-	// but never mutate it.
+	// collector and the context that cancels its simulations); other
+	// strategies may read thresholds from it but never mutate it.
 	TBPoint core.Options
 }
 
@@ -115,37 +112,30 @@ type Outcome struct {
 	Phase2Units int `json:"phase2_units,omitempty"`
 }
 
-// Sampler is one estimation strategy.
-type Sampler interface {
+// Sampler is one estimation strategy: a row of the registry.
+type Sampler struct {
 	// Name is the registry key ("random", "tbpoint", ...).
-	Name() string
+	Name string
 	// Display is the report column title ("Random", "TBPoint", ...).
-	Display() string
+	Display string
 	// Abbrev is the short label used in error/breakdown columns
 	// ("Rand", "TBP", ...).
-	Abbrev() string
+	Abbrev string
 	// Breakdown reports whether the strategy attributes skipped
 	// instructions to inter- vs intra-launch sampling (the Fig. 11 rows).
-	Breakdown() bool
+	Breakdown bool
 	// Estimate produces the strategy's prediction for one application.
-	Estimate(in Input) (Outcome, error)
+	Estimate func(in Input) (Outcome, error)
 }
-
-// registry holds the built-ins in canonical order. Registration happens in
-// one init (register.go) so the canonical order never depends on file
-// names or import order.
-var registry []Sampler
 
 // Register adds a sampler to the registry. It panics on an empty or
 // duplicate name — registration is programmer intent, not user input.
 func Register(s Sampler) {
-	if s.Name() == "" {
+	if s.Name == "" {
 		panic("sampler: Register with empty name")
 	}
-	for _, r := range registry {
-		if r.Name() == s.Name() {
-			panic("sampler: duplicate registration of " + s.Name())
-		}
+	if _, ok := Get(s.Name); ok {
+		panic("sampler: duplicate registration of " + s.Name)
 	}
 	registry = append(registry, s)
 }
@@ -153,18 +143,18 @@ func Register(s Sampler) {
 // Get returns the named sampler.
 func Get(name string) (Sampler, bool) {
 	for _, s := range registry {
-		if s.Name() == name {
+		if s.Name == name {
 			return s, true
 		}
 	}
-	return nil, false
+	return Sampler{}, false
 }
 
 // Names returns every registered name in canonical order.
 func Names() []string {
 	out := make([]string, len(registry))
 	for i, s := range registry {
-		out[i] = s.Name()
+		out[i] = s.Name
 	}
 	return out
 }
@@ -208,8 +198,8 @@ func Normalize(names []string) ([]string, error) {
 	}
 	var out []string
 	for _, s := range registry {
-		if want[s.Name()] {
-			out = append(out, s.Name())
+		if want[s.Name] {
+			out = append(out, s.Name)
 		}
 	}
 	return out, nil

@@ -18,10 +18,10 @@ func TestRegistryCanonicalOrder(t *testing.T) {
 		if !ok {
 			t.Fatalf("Get(%q) missing", n)
 		}
-		if s.Name() != n {
-			t.Errorf("Get(%q).Name() = %q", n, s.Name())
+		if s.Name != n {
+			t.Errorf("Get(%q).Name = %q", n, s.Name)
 		}
-		if s.Display() == "" || s.Abbrev() == "" {
+		if s.Display == "" || s.Abbrev == "" || s.Estimate == nil {
 			t.Errorf("%q: empty display/abbrev", n)
 		}
 	}
@@ -79,8 +79,8 @@ func TestParseListAndResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(set) != 2 || set[0].Name() != NameRandom || set[1].Name() != NameStratified {
-		t.Fatalf("Resolve order wrong: %v", set)
+	if len(set) != 2 || set[0].Name != NameRandom || set[1].Name != NameStratified {
+		t.Fatalf("Resolve order wrong: %s, %s", set[0].Name, set[1].Name)
 	}
 	if _, err := ParseList("random,bogus"); err == nil {
 		t.Error("ParseList with unknown name: no error")
@@ -93,14 +93,6 @@ func TestParseListAndResolve(t *testing.T) {
 	}
 }
 
-type fakeSampler struct{ name string }
-
-func (f fakeSampler) Name() string                    { return f.name }
-func (f fakeSampler) Display() string                 { return f.name }
-func (f fakeSampler) Abbrev() string                  { return f.name }
-func (f fakeSampler) Breakdown() bool                 { return false }
-func (f fakeSampler) Estimate(Input) (Outcome, error) { return Outcome{}, nil }
-
 func TestRegisterPanics(t *testing.T) {
 	mustPanic := func(what string, f func()) {
 		defer func() {
@@ -112,8 +104,9 @@ func TestRegisterPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("duplicate", func() { Register(fakeSampler{name: NameRandom}) })
-	mustPanic("empty name", func() { Register(fakeSampler{}) })
+	fake := func(Input) (Outcome, error) { return Outcome{}, nil }
+	mustPanic("duplicate", func() { Register(Sampler{Name: NameRandom, Estimate: fake}) })
+	mustPanic("empty name", func() { Register(Sampler{Estimate: fake}) })
 }
 
 // TestRandomCIUsesSelectedUnits: Random's CI counts the units it selected.

@@ -20,21 +20,14 @@ import (
 // without replacement), and the 95% confidence interval comes from the
 // standard stratified variance with finite-population correction.
 
-// DefaultPilotUnits is the pilot-phase sample size per stratum. Four units
-// give the variance estimate three degrees of freedom while keeping the
-// pilot below the budget for all but the tiniest runs.
-const DefaultPilotUnits = 4
+// pilotUnits is the pilot-phase sample size per stratum. Four units give
+// the variance estimate three degrees of freedom while keeping the pilot
+// below the budget for all but the tiniest runs.
+const pilotUnits = 4
 
 // stratifiedSeedOffset decorrelates the stratified RNG streams from the
 // other strategies' streams derived from the same base seed.
 const stratifiedSeedOffset = 0x57a7
-
-func (p Params) pilotUnits() int {
-	if p.PilotUnits <= 0 {
-		return DefaultPilotUnits
-	}
-	return p.PilotUnits
-}
 
 func (p Params) sigma() float64 {
 	if p.Sigma <= 0 {
@@ -43,14 +36,7 @@ func (p Params) sigma() float64 {
 	return p.Sigma
 }
 
-type stratifiedSampler struct{}
-
-func (stratifiedSampler) Name() string    { return NameStratified }
-func (stratifiedSampler) Display() string { return "Stratified" }
-func (stratifiedSampler) Abbrev() string  { return "Strat" }
-func (stratifiedSampler) Breakdown() bool { return true }
-
-func (stratifiedSampler) Estimate(in Input) (Outcome, error) {
+func estimateStratified(in Input) (Outcome, error) {
 	var stratumOf []int
 	if in.Prof != nil && len(in.Prof.Profiles) == len(in.Full.Launches) {
 		// Strata are the inter-launch clusters: launches the Eq. 2 features
@@ -99,10 +85,7 @@ func StratifiedEstimate(full *sampling.AppRun, stratumOf []int, p Params) Outcom
 	for h, members := range strata {
 		rng := stats.NewRNG((p.Seed + stratifiedSeedOffset) ^ (uint64(h)+1)*0x9e3779b97f4a7c15)
 		perms[h] = rng.Perm(len(members))
-		n0 := p.pilotUnits()
-		if n0 > len(members) {
-			n0 = len(members)
-		}
+		n0 := min(pilotUnits, len(members))
 		pilots[h] = n0
 		pilotTotal += n0
 		capacity[h] = len(members) - n0

@@ -19,9 +19,7 @@ func synthRun(unitsPerLaunch []int, cycles func(launch, unit int) int64) *sampli
 		lr := &gpusim.LaunchResult{}
 		for u := 0; u < n; u++ {
 			c := cycles(l, u)
-			lr.FixedUnits = append(lr.FixedUnits, gpusim.FixedUnit{
-				Index: u, WarpInsts: 1000, Cycles: c,
-			})
+			lr.FixedUnits = append(lr.FixedUnits, gpusim.FixedUnit{WarpInsts: 1000, Cycles: c})
 			lr.Cycles += c
 			lr.SimulatedWarpInsts += 1000
 		}
@@ -99,6 +97,45 @@ func TestStratifiedUnbiased(t *testing.T) {
 	mean := sum / seeds
 	if rel := math.Abs(mean-truth) / truth; rel > 0.01 {
 		t.Errorf("mean prediction %.1f vs truth %.1f: relative bias %.4f > 1%%", mean, truth, rel)
+	}
+}
+
+// TestRandomUnbiased checks Random as a distribution: over many seeds its
+// mean prediction converges on the true cycle total, and its 95% CI covers
+// the true IPC in about 95% of them (0.92 allows for the 1000-seed
+// binomial spread and the normal approximation).
+func TestRandomUnbiased(t *testing.T) {
+	random, _ := Get(NameRandom)
+	for _, c := range []struct {
+		layout []int
+		frac   float64
+	}{
+		{[]int{40, 40, 40}, 0.1},
+		{[]int{200}, 0.1},
+		{[]int{100, 100, 100}, 0.05},
+		{[]int{400}, 0.1},
+	} {
+		full := synthRun(c.layout, bumpy)
+		truth, trueIPC := float64(full.TotalCycles()), full.IPC()
+		const seeds = 1000
+		var sum float64
+		covered := 0
+		for s := 0; s < seeds; s++ {
+			out, err := random.Estimate(Input{Full: full, Params: Params{Frac: c.frac, Seed: uint64(s)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += out.Estimate.PredictedCycles
+			if math.Abs(out.Estimate.PredictedIPC-trueIPC) <= out.CIHalf {
+				covered++
+			}
+		}
+		if rel := math.Abs(sum/seeds-truth) / truth; rel > 0.01 {
+			t.Errorf("%v@%v: relative bias %.4f > 1%%", c.layout, c.frac, rel)
+		}
+		if cov := float64(covered) / seeds; cov < 0.92 {
+			t.Errorf("%v@%v: 95%% CI covers the true IPC in %.3f of seeds, want >= 0.92", c.layout, c.frac, cov)
+		}
 	}
 }
 

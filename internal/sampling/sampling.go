@@ -1,8 +1,9 @@
 // Package sampling provides the vocabulary every sampling technique in the
 // evaluation shares: the full run (AppRun), the Estimate with the metric
 // definitions of Fig. 9 and Fig. 10, Eq. 1's per-phase prediction over fixed
-// units (PhaseEstimate) and the Fig. 10/11 accounting (Account), plus the
-// Random (§V-A) and Systematic (§VI) baselines as unit selections under it.
+// units (PhaseEstimate) and the Fig. 10/11 accounting (Account). The unit
+// selections priced under it live with their strategies: Random and
+// Systematic in internal/sampler, Ideal-Simpoint in internal/simpoint.
 //
 // All techniques predict the application's total simulated cycles from a
 // subset of the work; reporting then derives IPC and error. We use the
@@ -211,37 +212,4 @@ func PhaseEstimate(technique string, full *AppRun, phase []int, selected []bool)
 		}
 	}
 	return Account(technique, full, selected, predCycles)
-}
-
-// Random implements the random-sampling baseline (§V-A uses
-// one-million-instruction units and frac = 0.10): the first k =
-// round(frac × units) units of a seeded permutation, at least one, priced by
-// Eq. 1 as one phase, i.e. every instruction at the selected units' CPI. It
-// also returns k, the sample size in units a variance estimate needs.
-func Random(full *AppRun, frac float64, seed uint64) (est Estimate, k int) {
-	units, _ := full.AllFixedUnits()
-	k = min(max(int(float64(len(units))*frac+0.5), 1), len(units))
-	selected := make([]bool, len(units))
-	for _, i := range stats.NewRNG(seed).Perm(len(units))[:k] {
-		selected[i] = true
-	}
-	return PhaseEstimate("Random", full, make([]int, len(units)), selected), k
-}
-
-// Systematic implements systematic sampling (§VI related work): every
-// period-th fixed-size unit from a seeded start, period = round(1/frac),
-// priced by Eq. 1 as one phase. A frac at or below zero selects nothing. The
-// paper discusses it as the main alternative to profiling-based sampling and
-// notes its weakness: "most instructions may be unnecessarily sampled for
-// regular kernels" because the period ignores program structure.
-func Systematic(full *AppRun, frac float64, seed uint64) Estimate {
-	units, _ := full.AllFixedUnits()
-	selected := make([]bool, len(units))
-	if frac > 0 {
-		period := max(int(1/frac+0.5), 1)
-		for i := int(stats.NewRNG(seed).Uint64() % uint64(period)); i < len(units); i += period {
-			selected[i] = true
-		}
-	}
-	return PhaseEstimate("Systematic", full, make([]int, len(units)), selected)
 }

@@ -62,58 +62,6 @@ func TestAppRunAggregates(t *testing.T) {
 	}
 }
 
-func TestRandomEstimate(t *testing.T) {
-	run := fullRun(t, testApp(3, 80), 400)
-	est, _ := Random(run, 0.10, 42)
-	if est.Technique != "Random" {
-		t.Error("technique label")
-	}
-	if est.PredictedIPC <= 0 {
-		t.Fatal("no prediction")
-	}
-	// Sample size should be near 10%.
-	if est.SampleSize < 0.02 || est.SampleSize > 0.3 {
-		t.Errorf("sample size %.3f far from 0.10", est.SampleSize)
-	}
-	// For a homogeneous app, even random sampling is accurate.
-	if e := est.Error(run); e > 0.25 {
-		t.Errorf("error %.1f%% too high for homogeneous app", e*100)
-	}
-}
-
-func TestRandomDeterministicPerSeed(t *testing.T) {
-	run := fullRun(t, testApp(2, 60), 400)
-	a, _ := Random(run, 0.1, 7)
-	b, _ := Random(run, 0.1, 7)
-	if a.PredictedIPC != b.PredictedIPC || a.SampleSize != b.SampleSize {
-		t.Error("same-seed Random diverged")
-	}
-}
-
-func TestRandomEmptyRun(t *testing.T) {
-	est, _ := Random(&AppRun{}, 0.1, 1)
-	if est.PredictedIPC != 0 || est.SampleSize != 0 {
-		t.Error("empty run should give zero estimate")
-	}
-}
-
-func TestRandomFracClamps(t *testing.T) {
-	run := fullRun(t, testApp(1, 40), 400)
-	lo, _ := Random(run, 0.0001, 1) // clamps to >= 1 unit
-	if lo.SampleSize <= 0 {
-		t.Error("tiny frac should still select one unit")
-	}
-	hi, _ := Random(run, 5.0, 1) // clamps to all units
-	if hi.SampleSize < 0.99 {
-		t.Errorf("frac>1 should select everything, got %.3f", hi.SampleSize)
-	}
-	// Selecting all units is exact up to the launch-boundary cycles not
-	// covered by any fixed unit (sub-percent).
-	if e := hi.Error(run); e > 0.01 {
-		t.Errorf("selecting all units should be near-exact, error %v", e)
-	}
-}
-
 func TestEstimateBreakdown(t *testing.T) {
 	e := Estimate{SkippedInterInsts: 30, SkippedIntraInsts: 10}
 	if f := e.InterFraction(); f != 0.75 {
@@ -136,47 +84,6 @@ func TestEstimateError(t *testing.T) {
 	}
 }
 
-func TestSystematicEstimate(t *testing.T) {
-	run := fullRun(t, testApp(3, 80), 400)
-	est := Systematic(run, 0.10, 9)
-	if est.Technique != "Systematic" {
-		t.Error("technique label")
-	}
-	if est.PredictedIPC <= 0 {
-		t.Fatal("no prediction")
-	}
-	if est.SampleSize < 0.02 || est.SampleSize > 0.3 {
-		t.Errorf("sample size %.3f far from 0.10", est.SampleSize)
-	}
-	if e := est.Error(run); e > 0.25 {
-		t.Errorf("error %.1f%% too high for homogeneous app", e*100)
-	}
-	// Periodicity: selecting everything is near-exact.
-	all := Systematic(run, 1.0, 9)
-	if all.SampleSize < 0.99 {
-		t.Errorf("frac 1.0 selected %.3f", all.SampleSize)
-	}
-	if e := all.Error(run); e > 0.01 {
-		t.Errorf("full systematic selection error %v", e)
-	}
-	// Degenerate inputs.
-	if got := Systematic(&AppRun{}, 0.1, 1); got.PredictedIPC != 0 {
-		t.Error("empty run should give zero estimate")
-	}
-	if got := Systematic(run, 0, 1); got.PredictedIPC != 0 {
-		t.Error("zero frac should give zero estimate")
-	}
-}
-
-func TestSystematicDeterministicPerSeed(t *testing.T) {
-	run := fullRun(t, testApp(2, 60), 400)
-	a := Systematic(run, 0.1, 4)
-	b := Systematic(run, 0.1, 4)
-	if a.PredictedIPC != b.PredictedIPC {
-		t.Error("same-seed systematic diverged")
-	}
-}
-
 // unitRun is a run of hand-written launches, each a list of (insts, cycles)
 // units whose instructions tile the launch.
 func unitRun(launches ...[][2]int64) *AppRun {
@@ -184,7 +91,7 @@ func unitRun(launches ...[][2]int64) *AppRun {
 	for _, units := range launches {
 		lr := &gpusim.LaunchResult{}
 		for _, u := range units {
-			lr.FixedUnits = append(lr.FixedUnits, gpusim.FixedUnit{Index: len(lr.FixedUnits), WarpInsts: u[0], Cycles: u[1]})
+			lr.FixedUnits = append(lr.FixedUnits, gpusim.FixedUnit{WarpInsts: u[0], Cycles: u[1]})
 			lr.SimulatedWarpInsts += u[0]
 			lr.Cycles += u[1]
 		}

@@ -14,8 +14,10 @@
 //     (internal/gpusim),
 //   - clustering (internal/cluster) and the Markov-chain IPC-variation
 //     model (internal/markov),
-//   - TBPoint itself (internal/core) plus the Random and Ideal-Simpoint
-//     baselines (internal/sampling, internal/simpoint),
+//   - TBPoint itself (internal/core), the shared estimate vocabulary
+//     (internal/sampling) and the table of estimation strategies the
+//     evaluation compares: Random, Systematic, Ideal-Simpoint, TBPoint and
+//     two-phase stratified sampling (internal/sampler, internal/simpoint),
 //   - the 12 synthetic Table VI benchmark models (internal/workloads) and
 //     the evaluation harness (internal/experiments).
 //
@@ -40,6 +42,7 @@ import (
 	"tbpoint/internal/kernel"
 	"tbpoint/internal/markov"
 	"tbpoint/internal/metrics"
+	"tbpoint/internal/sampler"
 	"tbpoint/internal/sampling"
 	"tbpoint/internal/simpoint"
 	"tbpoint/internal/workloads"
@@ -231,7 +234,7 @@ func FullSimulationCtx(ctx context.Context, sim *Simulator, app *App, unitInsts 
 // RandomBaseline applies the random-sampling baseline (§V-A) to a full
 // simulation: select frac of the fixed-size units at random.
 func RandomBaseline(full *AppRun, frac float64, seed uint64) Estimate {
-	est, _ := sampling.Random(full, frac, seed)
+	est, _ := sampler.Random(full, frac, seed)
 	return est
 }
 
@@ -312,7 +315,7 @@ func checkProfile(profiles []*funcsim.LaunchProfile, app *App) (*AppProfile, err
 // full simulation: every k-th fixed-size unit from a random start, with
 // k = round(1/frac).
 func SystematicBaseline(full *AppRun, frac float64, seed uint64) Estimate {
-	return sampling.Systematic(full, frac, seed)
+	return sampler.Systematic(full, frac, seed)
 }
 
 // PredictIPC evaluates the §IV-A Markov-chain model for a homogeneous
