@@ -92,7 +92,7 @@ func BenchmarkFig5MarkovDense(b *testing.B) {
 func BenchmarkFig5MonteCarlo(b *testing.B) {
 	var within float64
 	for i := 0; i < b.N; i++ {
-		mc := markov.MonteCarlo(0.05, 400, 4, 10000, uint64(i), false)
+		mc := markov.MonteCarlo(0.05, 400, 4, 10000, uint64(i))
 		within = mc.Within10
 	}
 	b.ReportMetric(within*100, "within10%")
@@ -425,38 +425,4 @@ func BenchmarkAblationEnterRule(b *testing.B) {
 			core.SampleLaunch(sim, l, prof.Profiles[0], rt, nil, tbpoint.DefaultOptions())
 		}
 	})
-}
-
-// BenchmarkAblationInterBBV quantifies the footnote-2 extension (BBV as an
-// additional inter-launch feature) on conv, whose alternating row/column
-// kernels are exactly the case BBVs help distinguish.
-func BenchmarkAblationInterBBV(b *testing.B) {
-	for _, useBBV := range []bool{false, true} {
-		name := "eq2only"
-		if useBBV {
-			name = "eq2+bbv"
-		}
-		b.Run(name, func(b *testing.B) {
-			app := tbpoint.MustBenchmark("conv", 0.02)
-			sim := tbpoint.MustNewSimulator(tbpoint.DefaultSimConfig())
-			prof := tbpoint.Profile(app)
-			opts := tbpoint.DefaultOptions()
-			opts.InterBBV = useBBV
-			var errPct, sizePct, clusters float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				full := tbpoint.FullSimulation(sim, app, 0)
-				res, err := tbpoint.Run(sim, prof, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				errPct = res.Estimate.Error(full) * 100
-				sizePct = res.Estimate.SampleSize * 100
-				clusters = float64(res.Inter.NumClusters)
-			}
-			b.ReportMetric(errPct, "err%")
-			b.ReportMetric(sizePct, "size%")
-			b.ReportMetric(clusters, "clusters")
-		})
-	}
 }

@@ -63,6 +63,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
+	// workloads.Spec.Build would run a non-positive scale at Table VI size.
+	if *scale <= 0 {
+		fail(fmt.Errorf("-scale must be positive, got %g", *scale))
+	}
 
 	// exitCode is applied by the first registered defer, so it runs after
 	// the profile defers: profiles and JSON outputs flush, then the process

@@ -68,6 +68,10 @@ func main() {
 		}
 		return
 	}
+	// workloads.Spec.Build would run a non-positive scale at Table VI size.
+	if *scale <= 0 {
+		log.Fatalf("-scale must be positive, got %g", *scale)
+	}
 
 	app, err := tbpoint.Benchmark(*bench, *scale)
 	if err != nil {

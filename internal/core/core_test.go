@@ -377,74 +377,8 @@ func TestRetargetReusesInter(t *testing.T) {
 
 func TestDefaultOptions(t *testing.T) {
 	o := DefaultOptions()
-	if o.SigmaInter != 0.1 || o.SigmaIntra != 0.2 || o.VarFactor != 0.3 || o.WarmTol != 0.1 {
+	if o.SigmaInter != 0.1 || o.SigmaIntra != 0.2 || o.VarFactor != 0.3 {
 		t.Errorf("DefaultOptions = %+v does not match §V-A", o)
-	}
-}
-
-func TestInterLaunchBBVSplitsByCodePath(t *testing.T) {
-	// Two kernels with identical aggregate counters (thread insts, warp
-	// insts, memory requests, size CoV) but different basic-block
-	// structure: Eq. 2 features merge them, the footnote-2 BBV extension
-	// separates them.
-	kA := &kernel.Kernel{
-		Name: "a", ThreadsPerBlock: 64,
-		Program: isa.NewBuilder("a").
-			Block(isa.IALU()).
-			LoopBlocks(0, isa.Load(2, 1, 128), isa.FALU(), isa.FALU(), isa.Branch()).
-			EndBlock().
-			Build(),
-	}
-	kB := &kernel.Kernel{
-		Name: "b", ThreadsPerBlock: 64,
-		Program: isa.NewBuilder("b").
-			Block(isa.IALU()).
-			Loop(0,
-				isa.Block{Instrs: []isa.Instr{isa.Load(2, 1, 128), isa.FALU()}},
-				isa.Block{Instrs: []isa.Instr{isa.FALU(), isa.Branch()}},
-			).
-			EndBlock().
-			Build(),
-	}
-	mk := func(k *kernel.Kernel) *kernel.Launch {
-		params := make([]kernel.TBParams, 20)
-		for i := range params {
-			params[i] = kernel.TBParams{Trips: []int{5}, ActiveFrac: 1, Seed: uint64(i + 1)}
-		}
-		return kernel.NewLaunch(k, 0, params)
-	}
-	prof := ProfileApp(&kernel.App{Launches: []*kernel.Launch{mk(kA), mk(kB)}})
-
-	plain := InterLaunch(prof.Profiles, 0.1)
-	if plain.NumClusters != 1 {
-		t.Fatalf("plain features should merge identical counters, got %d clusters", plain.NumClusters)
-	}
-	bbv := InterLaunchBBV(prof.Profiles, 0.1)
-	if bbv.NumClusters != 2 {
-		t.Errorf("BBV features should split distinct code paths, got %d clusters", bbv.NumClusters)
-	}
-}
-
-func TestRunWithInterBBV(t *testing.T) {
-	sim := gpusim.MustNew(testConfig())
-	k := phasedKernel()
-	var launches []*kernel.Launch
-	for i := 0; i < 4; i++ {
-		launches = append(launches, uniformLaunch(k, 150, 8, 3))
-	}
-	prof := ProfileApp(&kernel.App{Launches: launches})
-	opts := DefaultOptions()
-	opts.InterBBV = true
-	res, err := Run(sim, prof, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Estimate.PredictedIPC <= 0 {
-		t.Error("no prediction with InterBBV")
-	}
-	// Identical launches still merge (same BBVs).
-	if res.Inter.NumClusters != 1 {
-		t.Errorf("identical launches split under BBV features: %d clusters", res.Inter.NumClusters)
 	}
 }
 

@@ -73,37 +73,7 @@ func (r *InterResult) RepLaunches() []int {
 // sigma = 0.1) and selects the launch closest to each cluster centre as
 // its simulation point.
 func InterLaunch(profiles []*funcsim.LaunchProfile, sigma float64) *InterResult {
-	return interLaunch(InterFeatures(profiles), sigma)
-}
-
-// InterLaunchBBV is the paper's footnote-2 extension: the normalised
-// basic-block vector of each launch is appended to the Eq. 2 features
-// before clustering. It can only split clusters further (improving
-// accuracy at the cost of sample size), since launches with equal Eq. 2
-// features but different code paths no longer merge.
-func InterLaunchBBV(profiles []*funcsim.LaunchProfile, sigma float64) *InterResult {
 	feats := InterFeatures(profiles)
-	dim := 0
-	for _, lp := range profiles {
-		if len(lp.BlockCounts) > dim {
-			dim = len(lp.BlockCounts)
-		}
-	}
-	out := make([][]float64, len(feats))
-	for i, lp := range profiles {
-		bbv := make([]float64, dim)
-		total := lp.TotalWarpInsts()
-		if total > 0 {
-			for b, c := range lp.BlockCounts {
-				bbv[b] = float64(c) / float64(total)
-			}
-		}
-		out[i] = append(append([]float64(nil), feats[i]...), bbv...)
-	}
-	return interLaunch(out, sigma)
-}
-
-func interLaunch(feats [][]float64, sigma float64) *InterResult {
 	assign := cluster.Hierarchical(feats).CutThreshold(sigma)
 	return &InterResult{
 		Features:    feats,

@@ -15,6 +15,10 @@ const (
 	stateFastForward
 )
 
+// warmTol is the warming-period IPC stability tolerance: a region's warming
+// ends once consecutive units agree within 10 % (§IV-B2).
+const warmTol = 0.10
+
 // LaunchSample is the outcome of simulating one launch under homogeneous
 // region sampling.
 type LaunchSample struct {
@@ -56,9 +60,8 @@ func (ls *LaunchSample) PredictedIPC() float64 {
 type regionSampler struct {
 	rt      *RegionTable
 	profile *funcsim.LaunchProfile
-	tol     float64 // warm-up IPC tolerance (the paper's 10%)
-	stable  int     // consecutive stable comparisons required
-	window  int     // trend-check distance (0 = disabled)
+	stable  int // consecutive stable comparisons required
+	window  int // trend-check distance (0 = disabled)
 	// windowRegion marks the regions large enough for the trend check
 	// (>= WarmWindowMinRegion occupancy generations).
 	windowRegion []bool
@@ -102,7 +105,6 @@ func newRegionSampler(rt *RegionTable, lp *funcsim.LaunchProfile, opts Options) 
 	s := &regionSampler{
 		rt:           rt,
 		profile:      lp,
-		tol:          opts.WarmTol,
 		stable:       max(opts.WarmStable, 1),
 		window:       opts.WarmWindow,
 		windowRegion: make([]bool, n),
@@ -242,7 +244,7 @@ func (s *regionSampler) onUnitClose(u gpusim.UnitStats) {
 		if diff < 0 {
 			diff = -diff
 		}
-		if diff/s.prevIPC < s.tol {
+		if diff/s.prevIPC < warmTol {
 			s.stableCount++
 			if s.stableCount >= s.stable && s.trendStable(ipc) {
 				s.state = stateFastForward
@@ -259,7 +261,7 @@ func (s *regionSampler) onUnitClose(u gpusim.UnitStats) {
 }
 
 // trendStable applies the WarmWindow drift check: the current unit must be
-// within tol/4 of the unit `window` positions earlier. With the window
+// within warmTol/4 of the unit `window` positions earlier. With the window
 // disabled — globally or for this (short) region — it is always satisfied.
 func (s *regionSampler) trendStable(ipc float64) bool {
 	if s.window <= 0 || !s.windowRegion[s.current] {
@@ -277,7 +279,7 @@ func (s *regionSampler) trendStable(ipc float64) bool {
 	if diff < 0 {
 		diff = -diff
 	}
-	return diff/ref < s.tol/4
+	return diff/ref < warmTol/4
 }
 
 // observe feeds the sampler the events of res's log it has not seen, up to

@@ -43,7 +43,7 @@ func unit(tb int, ipc float64) gpusim.UnitStats {
 
 func TestSamplerEnterRequiresUniformResidents(t *testing.T) {
 	regions := []int{0, 0, 0, 1, 1, 1}
-	s := newRegionSampler(tableOf(regions, 2), fakeProfile(6, 100), Options{WarmTol: 0.1, WarmStable: 1, WarmWindow: 0})
+	s := newRegionSampler(tableOf(regions, 2), fakeProfile(6, 100), Options{WarmStable: 1, WarmWindow: 0})
 
 	s.onDispatch(0)
 	if s.state != stateWarming || s.current != 0 {
@@ -63,7 +63,7 @@ func TestSamplerEnterRequiresUniformResidents(t *testing.T) {
 
 func TestSamplerWarmingToFastForward(t *testing.T) {
 	regions := []int{0, 0, 0, 0, 0, 0}
-	s := newRegionSampler(tableOf(regions, 2), fakeProfile(6, 100), Options{WarmTol: 0.1, WarmStable: 1, WarmWindow: 0})
+	s := newRegionSampler(tableOf(regions, 2), fakeProfile(6, 100), Options{WarmStable: 1, WarmWindow: 0})
 	s.onDispatch(0)
 
 	// First unit: no previous IPC, keeps warming.
@@ -90,7 +90,7 @@ func TestSamplerWarmingToFastForward(t *testing.T) {
 
 func TestSamplerUnstableWarmingContinues(t *testing.T) {
 	regions := []int{0, 0, 0, 0}
-	s := newRegionSampler(tableOf(regions, 2), fakeProfile(4, 100), Options{WarmTol: 0.1, WarmStable: 1, WarmWindow: 0})
+	s := newRegionSampler(tableOf(regions, 2), fakeProfile(4, 100), Options{WarmStable: 1, WarmWindow: 0})
 	s.onDispatch(0)
 	s.onUnitClose(unit(0, 1.0))
 	s.onUnitClose(unit(1, 1.5)) // 50% jump: keep warming
@@ -105,7 +105,7 @@ func TestSamplerUnstableWarmingContinues(t *testing.T) {
 
 func TestSamplerWarmStableRequiresConsecutive(t *testing.T) {
 	regions := []int{0, 0, 0, 0, 0, 0}
-	s := newRegionSampler(tableOf(regions, 2), fakeProfile(6, 100), Options{WarmTol: 0.1, WarmStable: 2, WarmWindow: 0})
+	s := newRegionSampler(tableOf(regions, 2), fakeProfile(6, 100), Options{WarmStable: 2, WarmWindow: 0})
 	s.onDispatch(0)
 	s.onUnitClose(unit(0, 1.00))
 	s.onUnitClose(unit(1, 1.02)) // stable #1
@@ -125,7 +125,7 @@ func TestSamplerWarmStableRequiresConsecutive(t *testing.T) {
 
 func TestSamplerExitOnForeignDispatch(t *testing.T) {
 	regions := []int{0, 0, 0, 1, 1, 1}
-	s := newRegionSampler(tableOf(regions, 2), fakeProfile(6, 100), Options{WarmTol: 0.1, WarmStable: 1, WarmWindow: 0})
+	s := newRegionSampler(tableOf(regions, 2), fakeProfile(6, 100), Options{WarmStable: 1, WarmWindow: 0})
 	s.onDispatch(0)
 	s.onUnitClose(unit(0, 1.0))
 	s.onUnitClose(unit(1, 1.0))
@@ -146,7 +146,7 @@ func TestSamplerClusterIPCReuse(t *testing.T) {
 	// Region 0 appears in two separated runs; once warmed, the second run
 	// fast-forwards immediately on entry.
 	regions := []int{0, 0, 1, 1, 0, 0}
-	s := newRegionSampler(tableOf(regions, 2), fakeProfile(6, 100), Options{WarmTol: 0.1, WarmStable: 1, WarmWindow: 0})
+	s := newRegionSampler(tableOf(regions, 2), fakeProfile(6, 100), Options{WarmStable: 1, WarmWindow: 0})
 	s.onDispatch(0)
 	s.onUnitClose(unit(0, 1.0))
 	s.onUnitClose(unit(1, 1.0))
@@ -170,7 +170,7 @@ func TestSamplerClusterIPCReuse(t *testing.T) {
 
 func TestSamplerIgnoresForeignUnits(t *testing.T) {
 	regions := []int{0, 0, 1, 1}
-	s := newRegionSampler(tableOf(regions, 2), fakeProfile(4, 100), Options{WarmTol: 0.1, WarmStable: 1, WarmWindow: 0})
+	s := newRegionSampler(tableOf(regions, 2), fakeProfile(4, 100), Options{WarmStable: 1, WarmWindow: 0})
 	s.onDispatch(0)
 	// A unit whose specified block is in another region must not count as
 	// warming evidence.
@@ -186,7 +186,7 @@ func TestSamplerIgnoresForeignUnits(t *testing.T) {
 
 func TestSamplerNoEnterOnEmptyOrNegative(t *testing.T) {
 	regions := []int{-1, -1, 0, 0}
-	s := newRegionSampler(tableOf(regions, 2), fakeProfile(4, 100), Options{WarmTol: 0.1, WarmStable: 1, WarmWindow: 0})
+	s := newRegionSampler(tableOf(regions, 2), fakeProfile(4, 100), Options{WarmStable: 1, WarmWindow: 0})
 	s.maybeEnter() // no residents
 	if s.state != stateOutside {
 		t.Fatal("entered with no residents")
@@ -202,7 +202,7 @@ func TestSamplerNoEnterOnEmptyOrNegative(t *testing.T) {
 
 func TestSamplerZeroIPCUnitHandled(t *testing.T) {
 	regions := []int{0, 0, 0}
-	s := newRegionSampler(tableOf(regions, 2), fakeProfile(3, 100), Options{WarmTol: 0.1, WarmStable: 1, WarmWindow: 0})
+	s := newRegionSampler(tableOf(regions, 2), fakeProfile(3, 100), Options{WarmStable: 1, WarmWindow: 0})
 	s.onDispatch(0)
 	s.onUnitClose(unit(0, 0)) // degenerate zero-IPC unit
 	s.onUnitClose(unit(1, 1.0))

@@ -75,7 +75,7 @@ func TestReadProfilesRejectsNegativeCounters(t *testing.T) {
 func TestSamplerIdleGapResetsWarmingEvidence(t *testing.T) {
 	regions := []int{0, 0, 0, 0}
 	s := newRegionSampler(tableOf(regions, 2), fakeProfile(4, 100),
-		Options{WarmTol: 0.1, WarmStable: 1, WarmWindow: 0})
+		Options{WarmStable: 1, WarmWindow: 0})
 	s.onDispatch(0)
 	s.onUnitClose(unit(0, 1.0))
 	if s.state != stateWarming || !s.havePrev {

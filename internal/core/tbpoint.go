@@ -19,26 +19,18 @@ type Options struct {
 	SigmaIntra float64
 	// VarFactor is the outlier-epoch variation-factor threshold (0.3).
 	VarFactor float64
-	// WarmTol is the warming-period IPC stability tolerance (0.10).
-	WarmTol float64
-	// InterBBV appends each launch's normalised basic-block vector to the
-	// Eq. 2 inter-launch features — the extension the paper's footnote 2
-	// leaves to future work. It improves accuracy for launches whose
-	// aggregate counters coincide but whose code paths differ, at the cost
-	// of extra representatives.
-	InterBBV bool
 	// WarmStable is the number of consecutive within-tolerance unit
 	// comparisons required before fast-forwarding starts (the paper uses
 	// one, the default).
 	WarmStable int
 	// WarmWindow adds a trend check to the warming criterion: besides the
-	// pairwise comparison, the current unit's IPC must be within
-	// WarmTol/4 of the unit WarmWindow positions earlier. Consecutive
-	// units of a slowly drifting system (e.g. DRAM row-buffer ecology
-	// still converging) can each pass a pairwise 10% test while the IPC
-	// climbs far beyond 10% in total; the window catches the drift. Zero
-	// disables the check (the paper's literal criterion); the ablation
-	// benchmarks quantify the trade-off.
+	// pairwise comparison, the current unit's IPC must be within 2.5%
+	// (a quarter of the 10% tolerance) of the unit WarmWindow positions
+	// earlier. Consecutive units of a slowly drifting system (e.g. DRAM
+	// row-buffer ecology still converging) can each pass a pairwise 10%
+	// test while the IPC climbs far beyond 10% in total; the window catches
+	// the drift. Zero disables the check (the paper's literal criterion);
+	// the ablation benchmarks quantify the trade-off.
 	WarmWindow int
 	// WarmWindowMinRegion gates the trend check by leverage: it applies
 	// only inside regions spanning at least this many occupancy
@@ -68,7 +60,7 @@ type Options struct {
 // see its doc comment).
 func DefaultOptions() Options {
 	return Options{SigmaInter: 0.1, SigmaIntra: 0.2, VarFactor: 0.3,
-		WarmTol: 0.10, WarmStable: 1, WarmWindow: 4, WarmWindowMinRegion: 24}
+		WarmStable: 1, WarmWindow: 4, WarmWindowMinRegion: 24}
 }
 
 // Result is the outcome of the full TBPoint pipeline on one application
@@ -131,11 +123,7 @@ func runWithInter(sim *gpusim.Simulator, prof *AppProfile, inter *InterResult, f
 	mc := opts.Metrics
 	if inter == nil {
 		sw := mc.StartPhase("core.inter_cluster")
-		if opts.InterBBV {
-			inter = InterLaunchBBV(prof.Profiles, opts.SigmaInter)
-		} else {
-			inter = InterLaunch(prof.Profiles, opts.SigmaInter)
-		}
+		inter = InterLaunch(prof.Profiles, opts.SigmaInter)
 		sw.Stop()
 	}
 	res := &Result{

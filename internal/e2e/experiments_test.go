@@ -110,3 +110,26 @@ func TestUnknownSamplerFailsBeforeSimulating(t *testing.T) {
 		t.Fatalf("work was done before the rejection (metrics stat: %v):\n%s%s", err, r.stdout, r.stderr)
 	}
 }
+
+// TestNonPositiveScaleFailsBeforeSimulating: workloads.Spec.Build runs a
+// scale <= 0 at Table VI size, so both commands refuse one as a usage error
+// naming -scale before building anything.
+func TestNonPositiveScaleFailsBeforeSimulating(t *testing.T) {
+	for _, scale := range []string{"-1", "0"} {
+		jsonPath := filepath.Join(t.TempDir(), "x.json")
+		for _, r := range []result{
+			run(nil, "experiments", "-scale", scale, "-bench", "stream,black", "-json", jsonPath, "table6"),
+			run(nil, "tbpoint", "-scale", scale, "-bench", "stream"),
+		} {
+			if r.code == 0 || !strings.Contains(r.stderr, "-scale") {
+				t.Fatalf("scale %s: exit %d, want non-zero naming -scale:\n%s", scale, r.code, r.stderr)
+			}
+			if r.stdout != "" {
+				t.Fatalf("scale %s: output before the rejection:\n%s", scale, r.stdout)
+			}
+		}
+		if _, err := os.Stat(jsonPath); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("scale %s: -json file written (stat: %v)", scale, err)
+		}
+	}
+}

@@ -1,5 +1,6 @@
 // Package e2e holds the proofs that need a real process: it builds
-// cmd/experiments, cmd/tbpointd and cmd/tbpointctl once and drives them the
+// cmd/experiments, cmd/tbpoint, cmd/tbpointd and cmd/tbpointctl once and
+// drives them the
 // way a user (or a crash) would — exit codes, kill -9, os.Exit inside a
 // daemon, bytes on disk. Behaviour an in-process test already pins
 // (internal/server, internal/experiments) is deliberately not repeated here.
@@ -26,7 +27,7 @@ import (
 	"tbpoint/internal/server/client"
 )
 
-// binDir holds the built experiments, tbpointd and tbpointctl.
+// binDir holds the built experiments, tbpoint, tbpointd and tbpointctl.
 var binDir string
 
 func TestMain(m *testing.M) {
@@ -48,7 +49,7 @@ func buildAndRun(m *testing.M) int {
 	if raceEnabled {
 		args = append(args, "-race")
 	}
-	build := exec.Command("go", append(args, "tbpoint/cmd/experiments", "tbpoint/cmd/tbpointd", "tbpoint/cmd/tbpointctl")...)
+	build := exec.Command("go", append(args, "tbpoint/cmd/experiments", "tbpoint/cmd/tbpoint", "tbpoint/cmd/tbpointd", "tbpoint/cmd/tbpointctl")...)
 	build.Stdout, build.Stderr = os.Stderr, os.Stderr
 	if err := build.Run(); err != nil {
 		fmt.Fprintln(os.Stderr, "e2e: building the binaries under test:", err)

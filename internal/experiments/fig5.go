@@ -50,7 +50,7 @@ func RunFig5(samples int, seed uint64) []Fig5Result {
 	out := make([]Fig5Result, len(configs))
 	forEachIndexed(nil, len(configs), func(i int) error {
 		c := configs[i]
-		mc := markov.MonteCarlo(c.P, c.M, c.N, samples, seed+uint64(i), false)
+		mc := markov.MonteCarlo(c.P, c.M, c.N, samples, seed+uint64(i))
 		devs := make([]float64, len(mc.IPCs))
 		for j, ipc := range mc.IPCs {
 			d := (ipc - mc.MeanIPC) / mc.MeanIPC

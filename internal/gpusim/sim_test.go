@@ -620,7 +620,7 @@ func TestMSHRCapacityKeepsResults(t *testing.T) {
 		}
 		return true
 	}
-	warpB := int32(trace.DefaultAddrConfig().WarpFootprintB)
+	warpB := int32(trace.WarpFootprintB)
 	for _, stride := range []int32{warpB, -warpB} {
 		prog := isa.NewBuilder("shared").
 			Block(isa.IALU()).

@@ -87,10 +87,6 @@ type Launch struct {
 	Kernel *Kernel
 	// Index is the launch's position in the application's launch sequence.
 	Index int
-	// Grid optionally records the logical grid shape (CUDA gridDim). When
-	// set, Grid.Count() must equal NumBlocks(); the flat thread block ID
-	// linearises it in x-major order.
-	Grid Dim3
 	// Shapes holds each distinct (Trips, ActiveFrac) of the launch once, in
 	// first-seen order. Two shapes are the same only if their trip counts
 	// are equal element-wise and their active fractions are the same bits.
@@ -227,10 +223,6 @@ func (l *Launch) Validate() error {
 			return fmt.Errorf("launch %d: block %d has shape %d of %d", l.Index, tb, s, len(l.Shapes))
 		}
 	}
-	if c := l.Grid.Count(); c != 1 && c != l.NumBlocks() {
-		return fmt.Errorf("launch %d: grid %v spans %d blocks, launch has %d",
-			l.Index, l.Grid, c, l.NumBlocks())
-	}
 	return nil
 }
 
@@ -346,53 +338,6 @@ func (a *App) TotalWarpInsts() int64 {
 		n += l.TotalWarpInsts()
 	}
 	return n
-}
-
-// Dim3 is a CUDA-style 3-component dimension. Thread blocks are identified
-// by a flat ID throughout the library (the global scheduler dispatches in
-// flat order); Dim3 describes the logical grid shape those IDs linearise.
-type Dim3 struct {
-	X, Y, Z int
-}
-
-// Count returns the number of elements the dimension spans; unset (zero)
-// components count as 1.
-func (d Dim3) Count() int {
-	n := 1
-	for _, v := range []int{d.X, d.Y, d.Z} {
-		if v > 1 {
-			n *= v
-		}
-	}
-	return n
-}
-
-// Flat returns the flat block ID of grid coordinates (x, y, z) under this
-// dimension, in CUDA's x-major order.
-func (d Dim3) Flat(x, y, z int) int {
-	dx, dy := d.X, d.Y
-	if dx < 1 {
-		dx = 1
-	}
-	if dy < 1 {
-		dy = 1
-	}
-	return x + dx*(y+dy*z)
-}
-
-// Coords is the inverse of Flat.
-func (d Dim3) Coords(flat int) (x, y, z int) {
-	dx, dy := d.X, d.Y
-	if dx < 1 {
-		dx = 1
-	}
-	if dy < 1 {
-		dy = 1
-	}
-	x = flat % dx
-	y = (flat / dx) % dy
-	z = flat / (dx * dy)
-	return
 }
 
 // Validate checks every launch of the application.

@@ -216,55 +216,12 @@ func TestSMLimitsString(t *testing.T) {
 	}
 }
 
-func TestDim3(t *testing.T) {
-	d := Dim3{X: 4, Y: 3, Z: 2}
-	if d.Count() != 24 {
-		t.Errorf("Count = %d, want 24", d.Count())
-	}
-	if (Dim3{}).Count() != 1 {
-		t.Error("zero Dim3 should count 1")
-	}
-	if (Dim3{X: 5}).Count() != 5 {
-		t.Error("1-D count wrong")
-	}
-	// Flat/Coords round trip covers the whole grid bijectively.
-	seen := make(map[int]bool)
-	for z := 0; z < 2; z++ {
-		for y := 0; y < 3; y++ {
-			for x := 0; x < 4; x++ {
-				f := d.Flat(x, y, z)
-				if f < 0 || f >= 24 || seen[f] {
-					t.Fatalf("Flat(%d,%d,%d) = %d invalid/duplicate", x, y, z, f)
-				}
-				seen[f] = true
-				gx, gy, gz := d.Coords(f)
-				if gx != x || gy != y || gz != z {
-					t.Fatalf("Coords(%d) = (%d,%d,%d), want (%d,%d,%d)", f, gx, gy, gz, x, y, z)
-				}
-			}
-		}
-	}
-	// CUDA x-major order: Flat(1,0,0) == 1, Flat(0,1,0) == X.
-	if d.Flat(1, 0, 0) != 1 || d.Flat(0, 1, 0) != 4 {
-		t.Error("Flat is not x-major")
-	}
-}
-
 func TestLaunchValidateGrid(t *testing.T) {
 	k := testKernel()
 	l := newLaunch(k, []int{2}, 1, 12)
 	if err := l.Validate(); err != nil {
 		t.Errorf("flat launch: %v", err)
 	}
-	l.Grid = Dim3{X: 4, Y: 3}
-	if err := l.Validate(); err != nil {
-		t.Errorf("matching grid: %v", err)
-	}
-	l.Grid = Dim3{X: 5, Y: 3}
-	if err := l.Validate(); err == nil {
-		t.Error("mismatched grid accepted")
-	}
-	l.Grid = Dim3{}
 	l.Kernel = nil
 	if err := l.Validate(); err == nil {
 		t.Error("nil kernel accepted")

@@ -156,7 +156,7 @@ func TestMonteCarloLemma41(t *testing.T) {
 		{0.2, 400, 6},
 	}
 	for _, c := range cases {
-		res := MonteCarlo(c.p, c.m, c.n, 10000, 42, false)
+		res := MonteCarlo(c.p, c.m, c.n, 10000, 42)
 		if res.Within10 < 0.95 {
 			t.Errorf("p=%v M=%v N=%d: within10 = %v < 0.95",
 				c.p, c.m, c.n, res.Within10)
@@ -170,18 +170,9 @@ func TestMonteCarloLemma41(t *testing.T) {
 	}
 }
 
-func TestMonteCarloDenseSmall(t *testing.T) {
-	// The dense path should agree with the product path statistically.
-	d := MonteCarlo(0.1, 200, 4, 300, 9, true)
-	p := MonteCarlo(0.1, 200, 4, 300, 9, false)
-	if math.Abs(d.MeanIPC-p.MeanIPC) > 1e-6 {
-		t.Errorf("dense mean %v != product mean %v (same seed)", d.MeanIPC, p.MeanIPC)
-	}
-}
-
 func TestMonteCarloDeterministic(t *testing.T) {
-	a := MonteCarlo(0.1, 100, 4, 500, 3, false)
-	b := MonteCarlo(0.1, 100, 4, 500, 3, false)
+	a := MonteCarlo(0.1, 100, 4, 500, 3)
+	b := MonteCarlo(0.1, 100, 4, 500, 3)
 	for i := range a.IPCs {
 		if a.IPCs[i] != b.IPCs[i] {
 			t.Fatal("same-seed Monte Carlo diverged")

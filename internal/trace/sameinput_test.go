@@ -13,7 +13,6 @@ import (
 // three-byte (field, block, value) group pairFrom decodes.
 const (
 	mutIndex byte = iota
-	mutGrid
 	mutSeed
 	mutActive
 	mutTrip
@@ -40,7 +39,7 @@ func pairFrom(data []byte) (a, b *kernel.Launch) {
 	if data[0]&1 == 1 {
 		a = irregularLaunch(3)
 	}
-	k, index, grid := a.Kernel, 0, kernel.Dim3{}
+	k, index := a.Kernel, 0
 	params := make([]kernel.TBParams, a.NumBlocks())
 	for tb := range params {
 		params[tb] = a.Params(tb)
@@ -51,8 +50,6 @@ func pairFrom(data []byte) (a, b *kernel.Launch) {
 		switch m[0] % numMuts {
 		case mutIndex:
 			index = int(v)
-		case mutGrid:
-			grid = kernel.Dim3{X: int(v)}
 		case mutSeed:
 			params[tb].Seed = uint64(v)
 		case mutActive:
@@ -70,9 +67,7 @@ func pairFrom(data []byte) (a, b *kernel.Launch) {
 			k = &c
 		}
 	}
-	b = kernel.NewLaunch(k, index, params)
-	b.Grid = grid
-	return a, b
+	return a, kernel.NewLaunch(k, index, params)
 }
 
 // checkSameInput holds one pair to the predicate's contract: it is
@@ -100,7 +95,7 @@ var sameInputTable = []struct {
 	{"untouched", []byte{0}, true},
 	{"untouched, Random program", []byte{1}, true},
 	{"Index", []byte{0, mutIndex, 0, 9}, true},
-	{"Grid", []byte{1, mutGrid, 0, 3}, true},
+	{"Index, Random program", []byte{1, mutIndex, 0, 3}, true},
 	{"seed of a Random-free program", []byte{0, mutSeed, 1, 99}, true},
 	{"ActiveFrac 1 -> 0", []byte{0, mutActive, 0, 0}, true},
 	{"ActiveFrac 1 -> 1.7", []byte{1, mutActive, 2, 2}, true},

@@ -17,7 +17,6 @@ import (
 // iteration number, the request count from isa.RequestsPerAccess, and every
 // address computed from scratch.
 func blockWalkEvents(l *kernel.Launch, tb, w int) []RecEvent {
-	addr := DefaultAddrConfig()
 	p, sh := l.Kernel.Program, l.Shape(tb)
 	af := isa.EffectiveActive(sh.ActiveFrac)
 	var rng stats.RNG
@@ -30,10 +29,10 @@ func blockWalkEvents(l *kernel.Launch, tb, w int) []RecEvent {
 				n := isa.RequestsPerAccess(in.Coalesce, af)
 				re.NumReq = uint8(n)
 				for i := 0; i < n; i++ {
-					a := regionBase(in.Region) + uint64(tb)*addr.TBFootprintB + uint64(w)*addr.WarpFootprintB +
+					a := regionBase(in.Region) + uint64(tb)*TBFootprintB + uint64(w)*WarpFootprintB +
 						uint64(iter)*uint64(int64(in.StrideB)) + uint64(i)*LineSize
 					if in.Random {
-						a = regionBase(in.Region) + rng.Uint64()%(addr.RandFootprintB/LineSize)*LineSize
+						a = regionBase(in.Region) + rng.Uint64()%(RandFootprintB/LineSize)*LineSize
 					}
 					re.Addrs = append(re.Addrs, a&^(LineSize-1))
 				}
@@ -112,7 +111,7 @@ func TestStreamMatchesBlockWalk(t *testing.T) {
 // one per issued instruction, embedded in its warp state, so growing it
 // costs every instruction a wider first touch.
 func TestSynthStreamSize(t *testing.T) {
-	if s := unsafe.Sizeof(SynthStream{}); s > 80 {
-		t.Errorf("SynthStream is %d bytes, want at most 80", s)
+	if s := unsafe.Sizeof(SynthStream{}); s > 72 {
+		t.Errorf("SynthStream is %d bytes, want at most 72", s)
 	}
 }

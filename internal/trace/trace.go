@@ -36,45 +36,33 @@ type Event struct {
 	NumReq uint8
 }
 
-// AddrConfig controls synthetic address generation.
-type AddrConfig struct {
+// The synthetic address layout: ~256KB per block, ~8KB per warp, 64MB
+// irregular footprint. The per-block and per-warp footprints are
+// deliberately not multiples of typical cache set spans (sets x line size),
+// so the stream bases of concurrently resident blocks and warps spread
+// across sets instead of aliasing into one.
+const (
 	// TBFootprintB is the bytes of each region's address space devoted to
 	// one thread block's strided streams; distinct blocks touch distinct
 	// lines (cold-miss behaviour on first touch, reuse within a block).
-	TBFootprintB uint64
+	TBFootprintB = 256<<10 + 5*LineSize
 	// WarpFootprintB separates the strided streams of warps within a block.
-	WarpFootprintB uint64
+	WarpFootprintB = 8<<10 + 3*LineSize
 	// RandFootprintB is the footprint irregular (Random) accesses are drawn
 	// from, shared across the whole launch; larger values defeat caches
 	// more thoroughly.
-	RandFootprintB uint64
-}
-
-// DefaultAddrConfig returns the address-generation defaults used by the
-// workload models: ~256KB per block, ~8KB per warp, 64MB irregular
-// footprint. The per-block and per-warp footprints are deliberately not
-// multiples of typical cache set spans (sets x line size), so the stream
-// bases of concurrently resident blocks and warps spread across sets
-// instead of aliasing into one.
-func DefaultAddrConfig() AddrConfig {
-	return AddrConfig{
-		TBFootprintB:   256<<10 + 5*LineSize,
-		WarpFootprintB: 8<<10 + 3*LineSize,
-		RandFootprintB: 64 << 20,
-	}
-}
+	RandFootprintB = 64 << 20
+)
 
 // Synthetic lazily expands a kernel launch into warp streams.
 type Synthetic struct {
 	Launch *kernel.Launch
-	Addr   AddrConfig
 	code   *isa.Code // the launch program's µop table, fetched once per launch
 }
 
-// NewSynthetic returns the lazy expansion of l with default address
-// generation.
+// NewSynthetic returns the lazy expansion of l.
 func NewSynthetic(l *kernel.Launch) Synthetic {
-	return Synthetic{Launch: l, Addr: DefaultAddrConfig(), code: l.Kernel.Program.Code()}
+	return Synthetic{Launch: l, code: l.Kernel.Program.Code()}
 }
 
 // WarpStream returns a fresh stream over warp w of thread block tb. Streams
@@ -91,8 +79,7 @@ func (s *Synthetic) WarpStream(tb, w int) *SynthStream {
 // simulation hot path.
 func (s *Synthetic) InitStream(st *SynthStream, tb, w int) {
 	sh := s.Launch.Shape(tb)
-	st.strideOff = uint64(tb)*s.Addr.TBFootprintB + uint64(w)*s.Addr.WarpFootprintB
-	st.randLines = max(s.Addr.RandFootprintB/LineSize, 1)
+	st.strideOff = uint64(tb)*TBFootprintB + uint64(w)*WarpFootprintB
 	st.af = isa.EffectiveActive(sh.ActiveFrac)
 	st.cur.Init(s.code, sh.Trips)
 	st.rng.Seed(s.Launch.Seeds[tb] ^ (uint64(w)+1)*0x9e3779b97f4a7c15)
@@ -104,8 +91,8 @@ func (s *Synthetic) InitStream(st *SynthStream, tb, w int) {
 // the kernel (by pointer: it fixes the program, the warps per block and the
 // occupancy), the block count, and per block the trip counts, the effective
 // active fraction and — only when the program has a Random memory
-// instruction, the RNG's sole consumer in Next — the seed. Index and Grid are
-// never read and take no part. A launch without a kernel or a program equals
+// instruction, the RNG's sole consumer in Next — the seed. Index is never
+// read and takes no part. A launch without a kernel or a program equals
 // nothing, itself included, so a broken launch is never stood in for.
 //
 // Blocks are compared through the launches' shape tables: each shape of a
@@ -150,16 +137,13 @@ func readsRNG(p *isa.Program) bool {
 
 // SynthStream yields the dynamic instructions of one warp in order. It is
 // exported so hot callers can embed it by value (see InitStream), and kept
-// to 80 bytes: the simulator touches one per issued instruction.
+// to 72 bytes: the simulator touches one per issued instruction.
 type SynthStream struct {
 	cur isa.Cursor
 	// strideOff is the warp's fixed offset within a region for strided
 	// accesses (tb*TBFootprintB + warp*WarpFootprintB), precomputed so the
 	// per-instruction address math is add-only.
 	strideOff uint64
-	// randLines is the number of lines irregular accesses draw from:
-	// RandFootprintB / LineSize, at least 1.
-	randLines uint64
 	af        float64
 	rng       stats.RNG
 }
@@ -202,7 +186,7 @@ func (st *SynthStream) Next(addrs []uint64) (Event, bool) {
 		// Irregular access: uniform lines over the shared footprint.
 		base := regionBase(in.Region)
 		for i := 0; i < n; i++ {
-			addrs[i] = base + (st.rng.Uint64()%st.randLines)*LineSize
+			addrs[i] = base + (st.rng.Uint64()%(RandFootprintB/LineSize))*LineSize
 		}
 		return ev, true
 	}

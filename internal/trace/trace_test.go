@@ -184,10 +184,3 @@ func TestRecordRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestDefaultAddrConfig(t *testing.T) {
-	c := DefaultAddrConfig()
-	if c.TBFootprintB == 0 || c.WarpFootprintB == 0 || c.RandFootprintB == 0 {
-		t.Error("zero defaults")
-	}
-}

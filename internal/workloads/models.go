@@ -314,9 +314,6 @@ var hotspotSpec = register(&Spec{
 			}
 			return kernel.TBParams{Trips: trips, ActiveFrac: af}
 		})
-		if side*side == n {
-			l.Grid = kernel.Dim3{X: side, Y: side}
-		}
 		return &kernel.App{Launches: []*kernel.Launch{l}}
 	},
 })

@@ -79,8 +79,6 @@ type (
 	TBParams = kernel.TBParams
 	// SMLimits bound per-SM occupancy.
 	SMLimits = kernel.SMLimits
-	// Dim3 is a CUDA-style grid dimension.
-	Dim3 = kernel.Dim3
 )
 
 // NewLaunch returns launch idx of kernel k with one thread block per entry
@@ -329,5 +327,5 @@ func PredictIPC(p float64, stallCycles []float64) float64 {
 // stall latency meanM and stall probability p, over the given number of
 // samples.
 func IPCVariation(p, meanM float64, n, samples int, seed uint64) *MonteCarloResult {
-	return markov.MonteCarlo(p, meanM, n, samples, seed, false)
+	return markov.MonteCarlo(p, meanM, n, samples, seed)
 }
