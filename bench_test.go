@@ -268,9 +268,29 @@ func BenchmarkFullAppParallel(b *testing.B) {
 
 func BenchmarkSimulatorMemoryBound(b *testing.B) {
 	app := tbpoint.MustBenchmark("lbm", 0.01)
-	sim := tbpoint.MustNewSimulator(tbpoint.DefaultSimConfig())
+	benchLaunch(b, app.Launches[0])
+}
+
+// BenchmarkSimulatorIrregular simulates bfs's largest launch at benchScale:
+// uncoalesced Random gathers over trace.RandFootprintB, so nearly every
+// gather misses to DRAM and the MSHR files hold many outstanding fills.
+func BenchmarkSimulatorIrregular(b *testing.B) {
+	app := tbpoint.MustBenchmark("bfs", benchScale)
 	l := app.Launches[0]
+	for _, c := range app.Launches {
+		if c.TotalWarpInsts() > l.TotalWarpInsts() {
+			l = c
+		}
+	}
+	benchLaunch(b, l)
+}
+
+// benchLaunch simulates l once per iteration on the default configuration,
+// reporting allocations and warp-instruction throughput.
+func benchLaunch(b *testing.B, l *tbpoint.Launch) {
+	sim := tbpoint.MustNewSimulator(tbpoint.DefaultSimConfig())
 	var insts int64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		insts += sim.RunLaunch(l, tbpoint.RunOptions{}).SimulatedWarpInsts

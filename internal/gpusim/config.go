@@ -112,24 +112,6 @@ type Config struct {
 	// initially-resident block in lockstep, which creates artificial
 	// GPU-wide IPC oscillation.
 	DispatchInterval int
-	// MSHRCapacity bounds the per-SM MSHR merge-tracking table: when more
-	// than this many lines are tracked, entries whose fill has completed
-	// are pruned. Only outstanding fills influence timing, so the knob
-	// trades memory for merge-tracking work without changing results.
-	// Zero means DefaultMSHRCapacity; negative is rejected by Validate.
-	MSHRCapacity int
-}
-
-// DefaultMSHRCapacity is the per-SM MSHR table capacity used when
-// Config.MSHRCapacity is zero (the pre-config hardcoded prune threshold).
-const DefaultMSHRCapacity = 4096
-
-// mshrCapacity resolves the configured capacity, applying the default.
-func (c Config) mshrCapacity() int {
-	if c.MSHRCapacity == 0 {
-		return DefaultMSHRCapacity
-	}
-	return c.MSHRCapacity
 }
 
 // DefaultConfig returns the Table V configuration: 14 SMs at Fermi-like
@@ -151,7 +133,6 @@ func DefaultConfig() Config {
 			BaseLat:    100,
 		},
 		DispatchInterval: 8,
-		MSHRCapacity:     DefaultMSHRCapacity,
 	}
 }
 
@@ -193,7 +174,7 @@ func (c Config) Validate() error {
 		{"L1.HitLat", c.L1.HitLat}, {"L2.HitLat", c.L2.HitLat},
 		{"DRAM.RowHitLat", c.DRAM.RowHitLat}, {"DRAM.RowMissLat", c.DRAM.RowMissLat},
 		{"DRAM.BaseLat", c.DRAM.BaseLat},
-		{"DispatchInterval", c.DispatchInterval}, {"MSHRCapacity", c.MSHRCapacity},
+		{"DispatchInterval", c.DispatchInterval},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("gpusim: %s %d < 0", f.name, f.v)

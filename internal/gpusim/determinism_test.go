@@ -5,14 +5,16 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"tbpoint/internal/experiments"
 	"tbpoint/internal/gpusim"
+	"tbpoint/internal/kernel"
 	"tbpoint/internal/metrics"
+	"tbpoint/internal/trace"
 	"tbpoint/internal/workloads"
 )
 
@@ -318,14 +320,15 @@ func TestMetricsCollectionIsObservationOnly(t *testing.T) {
 	}
 }
 
-// TestGoldenMSHRCapacityOne: the golden sweep on a one-entry MSHR table,
-// pruned after nearly every memory instruction, gives every launch's
-// LaunchResult equal field for field to the default capacity's — the
-// capacity trades merge-tracking memory for work, never results.
-func TestGoldenMSHRCapacityOne(t *testing.T) {
+// TestMSHRTableSizedByOutstanding: after every distinct launch of the
+// golden sweep, run back to back on one recycled arena, each SM's MSHR
+// table (index plus entries) holds at most 16 KB — it is sized by the fills
+// outstanding in the launch, not by what earlier launches left behind.
+func TestMSHRTableSizedByOutstanding(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep is a few seconds; skipped in -short")
 	}
+	const limit = 16 << 10
 	for _, row := range goldenRows {
 		row := row
 		t.Run(row.config+"/"+row.bench, func(t *testing.T) {
@@ -336,14 +339,16 @@ func TestGoldenMSHRCapacityOne(t *testing.T) {
 			}
 			app := spec.Build(workloads.Config{Scale: 0.05, Seed: 7})
 			unit := experiments.DefaultOptions(0.05).UnitSize(app.TotalWarpInsts())
-			cfg := goldenConfig(row.config)
-			one := cfg
-			one.MSHRCapacity = 1
-			want := experiments.FullApp(gpusim.MustNew(cfg), app, unit).Launches
-			got := experiments.FullApp(gpusim.MustNew(one), app, unit).Launches
-			for i := range want {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("launch %d: capacity 1 gives %+v\ndefault gives %+v", i, got[i], want[i])
+			var distinct []*kernel.Launch
+			for _, l := range app.Launches {
+				if !slices.ContainsFunc(distinct, func(d *kernel.Launch) bool { return trace.SameInput(d, l) }) {
+					distinct = append(distinct, l)
+				}
+			}
+			sim := gpusim.MustNew(goldenConfig(row.config))
+			for i, b := range gpusim.MSHRFootprints(sim, gpusim.RunOptions{FixedUnitInsts: unit}, distinct) {
+				if b > limit {
+					t.Errorf("distinct launch %d: an SM's MSHR table holds %d bytes, want at most %d", i, b, limit)
 				}
 			}
 		})

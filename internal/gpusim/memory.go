@@ -1,6 +1,8 @@
 package gpusim
 
 import (
+	"math/bits"
+
 	"tbpoint/internal/isa"
 	"tbpoint/internal/metrics"
 )
@@ -18,7 +20,6 @@ import (
 //     occupies the bank and adds queueing pressure for subsequent reads.
 type memSystem struct {
 	cfg   Config
-	prune int // live-entry count above which completed fills are pruned
 	l1    []cache
 	l2    *cache
 	dram  *dram
@@ -26,21 +27,20 @@ type memSystem struct {
 	mc    *metrics.Collector
 
 	MSHRMerges int64
-	prunes     int64 // pruneMSHRs invocations that pruned (MSHR pressure indicator)
+	prunes     int64 // table compactions (mem.mshr_prunes; see mshrTable)
 }
 
 func newMemSystem(cfg Config) *memSystem {
 	m := &memSystem{
-		cfg:   cfg,
-		prune: cfg.mshrCapacity(),
-		l2:    newCache(cfg.L2),
-		dram:  newDRAM(cfg.DRAM),
+		cfg:  cfg,
+		l2:   newCache(cfg.L2),
+		dram: newDRAM(cfg.DRAM),
 	}
 	m.l1 = make([]cache, cfg.NumSMs)
 	m.mshrs = make([]mshrTable, cfg.NumSMs)
 	for i := range m.l1 {
 		m.l1[i] = *newCache(cfg.L1)
-		m.mshrs[i].init(mshrInitialSlots)
+		m.mshrs[i].reset()
 	}
 	return m
 }
@@ -50,7 +50,7 @@ func newMemSystem(cfg Config) *memSystem {
 func (m *memSystem) reset() {
 	for i := range m.l1 {
 		m.l1[i].reset()
-		m.mshrs[i].clear()
+		m.mshrs[i].reset()
 	}
 	m.l2.reset()
 	m.dram.reset()
@@ -79,19 +79,18 @@ func (m *memSystem) access(sm int, addr uint64, cycle int64, op isa.Opcode) int6
 	}
 
 	// Outstanding miss to the same line? Merge into its MSHR. A completed
-	// (stale) entry is simply overwritten by the insert below — only
-	// outstanding fills influence timing, which is what makes the prune
-	// policy a pure capacity knob.
+	// (stale) entry is simply overwritten by the put below — only
+	// outstanding fills influence timing, which is why pruning never
+	// changes results.
 	t := &m.mshrs[sm]
 	if m.mc != nil {
-		m.mc.Observe(metrics.DistMSHROccupancy, uint64(t.n))
+		m.mc.Observe(metrics.DistMSHROccupancy, uint64(len(t.ents)))
 	}
-	slot := t.find(line)
-	if t.keys[slot] != 0 && t.vals[slot] > cycle {
+	if fill := t.get(line); fill > cycle {
 		// The original fill has already allocated the line in the L1;
 		// the merged request just waits for the same fill.
 		m.MSHRMerges++
-		return t.vals[slot]
+		return fill
 	}
 
 	hit, wb1 := l1.access(addr, cycle, isStore)
@@ -115,15 +114,16 @@ func (m *memSystem) access(sm int, addr uint64, cycle int64, op isa.Opcode) int6
 	return done
 }
 
-// pruneMSHRs drops SM sm's completed fills once its table tracks more than
-// the configured capacity. cycle must be no later than any request sm can
-// still send; one SM's requests do not arrive in cycle order, so the serial
-// loop passes each memory instruction's issue cycle, never an arrival
-// cycle, and the parallel barrier prunes in global arrival order.
+// pruneMSHRs drops SM sm's completed fills once its table holds more
+// entries than its prune threshold (see mshrTable). cycle must be no later
+// than any request sm can still send; one SM's requests do not arrive in
+// cycle order, so the serial loop passes each memory instruction's issue
+// cycle, never an arrival cycle, and the parallel barrier prunes in global
+// arrival order, against no later than the epoch's end.
 func (m *memSystem) pruneMSHRs(sm int, cycle int64) {
-	if t := &m.mshrs[sm]; t.n > m.prune {
+	if t := &m.mshrs[sm]; len(t.ents) > t.limit {
 		m.prunes++
-		t.pruneCompleted(cycle)
+		t.prune(cycle)
 	}
 }
 
@@ -153,99 +153,103 @@ func (m *memSystem) writebacks() int64 {
 	return n + m.l2.Writebacks
 }
 
-// mshrInitialSlots is the initial open-addressed table size (slots, a power
-// of two); tables grow by doubling under load and are recycled across
-// launches, so steady state performs no per-request allocation.
-const mshrInitialSlots = 1024
+// mshrMinLimit is a table's first prune threshold: entries beyond it are
+// pruned at the next memory instruction, and each prune sets the next
+// threshold to max(mshrMinLimit, 2 × the entries it keeps).
+const mshrMinLimit = 64
 
-// mshrTable is a bounded open-addressed hash table mapping cache lines to
-// fill completion cycles — the per-SM MSHR file. It replaces a Go map on
-// the per-request hot path: linear probing over flat arrays avoids the
-// hash-map's per-operation overhead and allocation churn. Keys store
-// line+1 so that slot 0 being empty is distinguishable from line 0.
+// mshrTable is one SM's MSHR file: the fills issued since its last prune,
+// stored densely in insertion order, plus an open-addressed index over
+// them (linear probing on flat arrays, no map on the per-request path).
+// Only outstanding fills influence timing — a completed entry acts exactly
+// like a missing one — so a prune compacts the entries to those still
+// outstanding. The prune threshold is reset with the table and set only by
+// the launch's own requests, and a prune's cost and the index's size
+// follow the entries, never a capacity a recycled table grew to earlier.
 type mshrTable struct {
-	keys []uint64
-	vals []int64
-	mask uint64
-	n    int
-
-	// scratch buffers for pruneCompleted, kept to avoid allocation on the
-	// (rare) prune path.
-	scratchK []uint64
-	scratchV []int64
+	ents  []mshrEntry
+	index []int32 // position in ents + 1; 0 is an empty slot
+	shift uint    // 64 - log2(len(index)): the hash keeps its top bits
+	limit int     // len(ents) above which pruneMSHRs prunes
 }
 
-func (t *mshrTable) init(slots int) {
-	t.keys = make([]uint64, slots)
-	t.vals = make([]int64, slots)
-	t.mask = uint64(slots - 1)
-	t.n = 0
+type mshrEntry struct {
+	line uint64
+	done int64 // fill completion cycle
 }
 
-func (t *mshrTable) clear() {
-	clear(t.keys)
-	t.n = 0
+// reset empties the table and restores the first prune threshold.
+func (t *mshrTable) reset() {
+	t.ents = t.ents[:0]
+	t.limit = mshrMinLimit
+	t.reindex()
 }
 
-// find returns the slot holding line, or the empty slot where it would be
-// inserted. Callers distinguish the cases via keys[slot] != 0.
-func (t *mshrTable) find(line uint64) int {
-	key := line + 1
-	i := (line * 0x9e3779b97f4a7c15) & t.mask
+// slot returns the index slot holding line, or the empty slot where it
+// would be inserted.
+func (t *mshrTable) slot(line uint64) int {
+	mask := len(t.index) - 1
+	i := int((line * 0x9e3779b97f4a7c15) >> t.shift)
 	for {
-		k := t.keys[i]
-		if k == key || k == 0 {
-			return int(i)
+		p := t.index[i]
+		if p == 0 || t.ents[p-1].line == line {
+			return i
 		}
-		i = (i + 1) & t.mask
+		i = (i + 1) & mask
 	}
 }
 
-// put inserts or overwrites line's completion cycle, growing the table when
-// it passes 3/4 load.
+// get returns line's fill completion cycle, or 0 when the table tracks no
+// fill for line. A zero completion is never outstanding, so callers need
+// not tell the two apart.
+func (t *mshrTable) get(line uint64) int64 {
+	if p := t.index[t.slot(line)]; p != 0 {
+		return t.ents[p-1].done
+	}
+	return 0
+}
+
+// put records line's fill completion cycle, overwriting a tracked one.
 func (t *mshrTable) put(line uint64, done int64) {
-	i := t.find(line)
-	if t.keys[i] == 0 {
-		t.keys[i] = line + 1
-		t.n++
-		if uint64(t.n)*4 > (t.mask+1)*3 {
-			t.grow()
-			i = t.find(line)
-		}
+	i := t.slot(line)
+	if p := t.index[i]; p != 0 {
+		t.ents[p-1].done = done
+		return
 	}
-	t.vals[i] = done
-}
-
-func (t *mshrTable) grow() {
-	oldKeys, oldVals := t.keys, t.vals
-	t.init(2 * len(oldKeys))
-	for i, k := range oldKeys {
-		if k != 0 {
-			j := t.find(k - 1)
-			t.keys[j] = k
-			t.vals[j] = oldVals[i]
-			t.n++
-		}
+	t.ents = append(t.ents, mshrEntry{line, done})
+	t.index[i] = int32(len(t.ents))
+	if 4*len(t.ents) > 3*len(t.index) {
+		t.reindex()
 	}
 }
 
-// pruneCompleted drops entries whose fill has completed; called rarely
-// (only when more than the configured MSHR capacity is tracked).
-// Outstanding fills are always retained, so pruning never changes timing.
-func (t *mshrTable) pruneCompleted(cycle int64) {
-	t.scratchK = t.scratchK[:0]
-	t.scratchV = t.scratchV[:0]
-	for i, k := range t.keys {
-		if k != 0 && t.vals[i] > cycle {
-			t.scratchK = append(t.scratchK, k)
-			t.scratchV = append(t.scratchV, t.vals[i])
-		}
+// prune keeps the entries whose fill completes after cycle and sets the
+// next threshold from their count. Every entry is written back and only a
+// kept one advances n, so the loop has no data-dependent branch.
+func (t *mshrTable) prune(cycle int64) {
+	n := 0
+	for _, e := range t.ents {
+		t.ents[n] = e
+		n += int(b2i(e.done > cycle))
 	}
-	clear(t.keys)
-	t.n = len(t.scratchK)
-	for i, k := range t.scratchK {
-		j := t.find(k - 1)
-		t.keys[j] = k
-		t.vals[j] = t.scratchV[i]
+	t.ents = t.ents[:n]
+	t.limit = max(mshrMinLimit, 2*n)
+	t.reindex()
+}
+
+// reindex sizes the index to the smallest power of two at least twice
+// max(limit, entries), reusing its backing array, and re-inserts every
+// entry.
+func (t *mshrTable) reindex() {
+	lg := bits.Len(uint(2*max(t.limit, len(t.ents)) - 1))
+	if size := 1 << lg; size <= cap(t.index) {
+		t.index = t.index[:size]
+		clear(t.index)
+	} else {
+		t.index = make([]int32, size)
+	}
+	t.shift = uint(64 - lg)
+	for p, e := range t.ents {
+		t.index[t.slot(e.line)] = int32(p + 1)
 	}
 }

@@ -567,30 +567,27 @@ func (sh *parShard) issueMem(sm *smState, ref warpRef, cycle int64, ev trace.Eve
 		} else {
 			line = addr / l1.lineB
 		}
-		slot := t.find(line)
-		if t.keys[slot] != 0 {
-			v := t.vals[slot]
-			if v >= parSentinel {
-				// Outstanding miss deferred to this epoch's barrier:
-				// merge, completion known once the fill is serviced.
-				sh.merges++
-				if pend < 0 {
-					pend = int32(len(psm.pends))
-					psm.pends = append(psm.pends, parPending{ref: ref})
-				}
-				psm.waiters = append(psm.waiters, parWaiter{req: int32(v - parSentinel), pend: pend})
-				psm.pends[pend].remaining++
-				continue
+		v := t.get(line)
+		if v >= parSentinel {
+			// Outstanding miss deferred to this epoch's barrier:
+			// merge, completion known once the fill is serviced.
+			sh.merges++
+			if pend < 0 {
+				pend = int32(len(psm.pends))
+				psm.pends = append(psm.pends, parPending{ref: ref})
 			}
-			if v > arrive {
-				// Outstanding fill with a known completion (issued in an
-				// earlier epoch): classic MSHR merge.
-				sh.merges++
-				if v > done {
-					done = v
-				}
-				continue
+			psm.waiters = append(psm.waiters, parWaiter{req: int32(v - parSentinel), pend: pend})
+			psm.pends[pend].remaining++
+			continue
+		}
+		if v > arrive {
+			// Outstanding fill with a known completion (issued in an
+			// earlier epoch): classic MSHR merge.
+			sh.merges++
+			if v > done {
+				done = v
 			}
+			continue
 		}
 		hit, wb := l1.access(addr, arrive, isStore)
 		if hit {
@@ -724,7 +721,7 @@ func (rs *runState) barrier(end int64) {
 		}
 		t := &m.mshrs[r.sm]
 		if m.mc != nil {
-			m.mc.Observe(metrics.DistMSHROccupancy, uint64(t.n))
+			m.mc.Observe(metrics.DistMSHROccupancy, uint64(len(t.ents)))
 		}
 		l1 := &m.l1[r.sm]
 		var line uint64
@@ -734,7 +731,9 @@ func (rs *runState) barrier(end int64) {
 			line = req.addr / l1.lineB
 		}
 		t.put(line, req.done) // overwrites the epoch's sentinel
-		m.pruneMSHRs(int(r.sm), req.arrive)
+		// Requests of the next epoch arrive from end on, and req.arrive
+		// can be up to 31 cycles past it: prune no later than end.
+		m.pruneMSHRs(int(r.sm), min(req.arrive, end))
 	}
 
 	// 3. Resolve waiters against their fills, then wake every pending

@@ -403,6 +403,13 @@ func (rs *runState) prepareSlots(n int) {
 // instantly without being simulated.
 func (s *Simulator) RunLaunch(l *kernel.Launch, opts RunOptions) *LaunchResult {
 	ar := s.getArena()
+	res := ar.runLaunch(s, l, opts)
+	s.arenas.Put(ar)
+	return res
+}
+
+// runLaunch is RunLaunch on the given arena.
+func (ar *runArena) runLaunch(s *Simulator, l *kernel.Launch, opts RunOptions) *LaunchResult {
 	rs := ar.reset(s, l, opts)
 	rs.occ = s.cfg.Limits.BlocksPerSM(l.Kernel)
 	rs.prepareSlots(s.cfg.NumSMs * rs.occ)
@@ -418,7 +425,6 @@ func (s *Simulator) RunLaunch(l *kernel.Launch, opts RunOptions) *LaunchResult {
 	rs.mc = nil
 	rs.done = nil
 	rs.mem.setMetrics(nil)
-	s.arenas.Put(ar)
 	return res
 }
 

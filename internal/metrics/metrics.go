@@ -88,7 +88,7 @@ const (
 	MemL2Hits
 	MemL2Misses
 	MemMSHRMerges
-	MemMSHRPrunes
+	MemMSHRPrunes // MSHR table compactions to the outstanding fills
 	MemWritebacks
 	MemDRAMAccesses
 	MemDRAMRowHits
@@ -268,7 +268,7 @@ func (c Counter) Name() string { return counterNames[c] }
 type Dist int
 
 const (
-	DistMSHROccupancy  Dist = iota // live MSHR entries, observed per access
+	DistMSHROccupancy  Dist = iota // MSHR entries since the last prune, per access
 	DistDRAMQueueWait              // cycles a DRAM access waited, per access
 	DistSMWarpInsts                // per-SM issued instructions, per launch
 	DistSMActiveCycles             // per-SM last-issue cycle, per launch

@@ -40,14 +40,15 @@
 #              one-shot CLI bytes, daemon flag wiring, and every tbpointctl
 #              subcommand. A cache hit after `race` in a full run; the stage
 #              exists to be run by name
-#   fuzz       10s fuzz smoke over each of the ten fuzz targets: the
+#   fuzz       10s fuzz smoke over each of the eleven fuzz targets: the
 #              instruction cursor (the flat µop walk yields the block walk's
 #              instructions, blocks and loop iterations on random programs
 #              and trip counts), the wake heap (the bottom-up pop leaves the
 #              classic sift's pops and heap array after every push and pop
-#              of an arbitrary sequence), the launch builder (blocks read back bit
-#              for bit, one table entry per bit-distinct shape, also with
-#              every shape in one bucket), the
+#              of an arbitrary sequence), the MSHR table (arbitrary put, get
+#              and prune sequences read back as a map does), the launch
+#              builder (blocks read back bit for bit, one table entry per
+#              bit-distinct shape, also with every shape in one bucket), the
 #              launch-equality predicate behind reference-run launch reuse
 #              (equal => same recorded streams),
 #              the region table reader, the profile reader (an accepted
@@ -98,6 +99,7 @@ fuzz() { go test -run='^$' -fuzz="^$1\$" -fuzztime=10s "$2"; }
 stage_fuzz() {
   fuzz FuzzCursor ./internal/isa/ &&
     fuzz FuzzWakeHeap ./internal/gpusim/ &&
+    fuzz FuzzMSHRTable ./internal/gpusim/ &&
     fuzz FuzzLaunchBuilder ./internal/kernel/ &&
     fuzz FuzzSameInput ./internal/trace/ &&
     fuzz FuzzReadRegionTable ./internal/core/ &&
