@@ -9,11 +9,12 @@
 // from one run; "sensitivity" prints fig12+fig13 from one run; "all" runs
 // everything except "ablations".
 //
-// Long grids are restartable: -checkpoint-dir journals each completed grid
-// cell, and the artifacts it is composed from, atomically; -resume replays
-// the journal instead of re-simulating, reproducing an uninterrupted run's
-// -json output byte for byte. -retries and -cell-deadline bound how hard a
-// failing cell is pushed before it is recorded in the results' errors section.
+// Long grids are restartable: -checkpoint-dir stores what each cell is made
+// of (reference run, per-strategy outcomes) as soon as it is computed;
+// -resume composes every cell from it, computing only what is missing, and
+// reproduces an uninterrupted run's -json output byte for byte. -retries and
+// -cell-deadline bound how hard a failing cell is pushed before it is
+// recorded in the results' errors section.
 //
 // The target engine itself lives in internal/experiments (RunTargets) and
 // is shared with the tbpointd job server, so a served job with the same
@@ -51,8 +52,8 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); partial results are still written")
-	checkpointDir := flag.String("checkpoint-dir", "", "journal each completed grid cell, and the artifacts it is composed from, into this directory (atomic, checksummed)")
-	resume := flag.Bool("resume", false, "skip grid cells already journaled in -checkpoint-dir instead of re-running them")
+	checkpointDir := flag.String("checkpoint-dir", "", "store what each cell is made of (reference run, per-strategy outcomes) in this directory as it is computed (atomic, checksummed)")
+	resume := flag.Bool("resume", false, "compose cells from what -checkpoint-dir holds, computing only what is missing")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "byte budget for -checkpoint-dir; LRU entries are evicted over it (0 = unbounded)")
 	retries := flag.Int("retries", 1, "attempts per grid cell before its failure is recorded (exponential backoff with seeded jitter)")
 	cellDeadline := flag.Duration("cell-deadline", 0, "wall-time budget per grid cell, all attempts together (0 = no limit)")
@@ -66,6 +67,9 @@ func main() {
 	// workloads.Spec.Build would run a non-positive scale at Table VI size.
 	if *scale <= 0 {
 		fail(fmt.Errorf("-scale must be positive, got %g", *scale))
+	}
+	if *cacheMax < 0 {
+		fail(fmt.Errorf("-cache-max-bytes must not be negative, got %d", *cacheMax))
 	}
 
 	// exitCode is applied by the first registered defer, so it runs after
@@ -132,8 +136,8 @@ func main() {
 		}
 		opts.Samplers = names
 	}
-	// A checkpointed run collects too: its closing line reports the grid
-	// cells the harness counted, not the store's entries.
+	// A checkpointed run collects too: its closing line reports what the
+	// harness computed and what it took from the store.
 	var mc *metrics.Collector
 	if *metricsJSON != "" || *checkpointDir != "" {
 		mc = metrics.New()
@@ -141,9 +145,9 @@ func main() {
 		par.ResetStats()
 	}
 
-	// Checkpoint/resume: every completed grid cell, and what it is composed
-	// from (full reference, per-strategy outcomes), is journaled so a crashed
-	// or killed run never redoes finished work. The store's crash hook
+	// Checkpoint/resume: what every cell is composed from (full reference,
+	// per-strategy outcomes) is stored as it is computed, so a crashed or
+	// killed run never redoes finished work. The store's crash hook
 	// (TBPOINT_CRASH_AFTER_CHECKPOINTS) injects a real process death at the
 	// Nth store write — internal/e2e uses it to prove kill-and-resume
 	// reproduces an uninterrupted run bit for bit.
@@ -164,11 +168,7 @@ func main() {
 		if *cacheMax > 0 {
 			store.SetMaxBytes(*cacheMax)
 		}
-		opts.Checkpoint, opts.Resume, opts.Subcell = store, *resume, true
-		if *resume {
-			fmt.Fprintf(os.Stderr, "experiments: resuming from %s: %d cell(s) journaled\n",
-				*checkpointDir, experiments.JournaledCells(store))
-		}
+		opts.Checkpoint, opts.Resume = store, *resume
 	} else if *resume {
 		fail(errors.New("-resume requires -checkpoint-dir"))
 	} else if *cacheMax > 0 {
@@ -192,8 +192,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %d grid cell(s) failed; see the errors section of -json output\n", len(bundle.Errors))
 	}
 	if store != nil {
-		fmt.Fprintf(os.Stderr, "experiments: resumed %d cell(s) from checkpoint, journaled %d new\n",
-			mc.Count(metrics.ExpCellsResumed), mc.Count(metrics.ExpCheckpointsSave))
+		fmt.Fprintf(os.Stderr, "experiments: %d cell(s) computed; references: %d from the store, %d simulated; outcomes: %d from the store, %d computed\n",
+			mc.Count(metrics.ExpCellsExecuted), mc.Count(metrics.SubcellHits), mc.Count(metrics.SubcellMisses),
+			mc.Count(metrics.OutcomeHits), mc.Count(metrics.OutcomeMisses))
 	}
 
 	// Observability flushes before the exit status is decided: a run cut

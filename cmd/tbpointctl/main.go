@@ -126,8 +126,8 @@ func withJob(args []string, f func(id string) error) error {
 // empty for healthy jobs and error|panic|stuck|quarantined for failed ones,
 // which tells a supervision verdict from an ordinary run error.
 func statusLine(st server.JobStatus) string {
-	return fmt.Sprintf("id=%s state=%s wall_seconds=%.3f cache_hits=%d cache_misses=%d subcell_hits=%d subcell_misses=%d outcome_hits=%d outcome_misses=%d cells_failed=%d requeues=%d run_requeues=%d failure_kind=%s error=%q",
-		st.ID, st.State, st.WallSeconds, st.CacheHits, st.CacheMisses,
+	return fmt.Sprintf("id=%s state=%s wall_seconds=%.3f cache_misses=%d subcell_hits=%d subcell_misses=%d outcome_hits=%d outcome_misses=%d cells_failed=%d requeues=%d run_requeues=%d failure_kind=%s error=%q",
+		st.ID, st.State, st.WallSeconds, st.CacheMisses,
 		st.SubcellHits, st.SubcellMisses, st.OutcomeHits, st.OutcomeMisses,
 		st.CellsFailed, st.Requeues, st.RunRequeues, st.FailureKind(), st.Error)
 }

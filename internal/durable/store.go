@@ -16,7 +16,7 @@ import (
 	"tbpoint/internal/faultcheck"
 )
 
-// KindCheckpoint is the envelope kind of checkpoint-store cell files.
+// KindCheckpoint is the envelope kind of checkpoint-store entry files.
 const KindCheckpoint = "checkpoint-cell"
 
 // ckptExt is the checkpoint file suffix; quarantined files gain ".corrupt".
@@ -34,17 +34,17 @@ type WriteFault interface{ Fire() error }
 // CrashHookEnv names the environment variable ArmCrashHook reads.
 const CrashHookEnv = "TBPOINT_CRASH_AFTER_CHECKPOINTS"
 
-// cellRecord is a checkpoint file's payload: the cell key in the clear (so
-// hash collisions and misfiled entries are detectable) plus the journaled
-// result.
+// cellRecord is a checkpoint file's payload: the entry's key in the clear
+// (so hash collisions and misfiled entries are detectable) plus its data.
 type cellRecord struct {
 	Key  string          `json:"key"`
 	Data json.RawMessage `json:"data"`
 }
 
-// Store is a crash-safe checkpoint journal: one envelope file per recorded
-// cell, written atomically, keyed by an arbitrary string (the experiment
-// grids use grid/cell/config-hash keys). Open scans the directory once;
+// Store is a crash-safe checkpoint journal: one envelope file per entry,
+// written atomically, keyed by an arbitrary string (the experiments harness
+// uses the subcell/v1/... keys of what grid cells are composed from, the
+// job server job/<id>). Open scans the directory once;
 // corrupted or truncated entries are quarantined — renamed aside, never
 // trusted — and simply count as missing.
 //
@@ -195,11 +195,10 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return data, ok
 }
 
-// Put journals data (which must be valid JSON, as all grid cell results
-// are) under key: one atomic, enveloped file write. The
-// injected Fault (if any) fires first, so a die-at-Nth-write crash leaves
-// exactly N-1 durable cells. A failed write leaves neither a torn file nor
-// a stale in-memory entry.
+// Put journals data (which must be valid JSON) under key: one atomic,
+// enveloped file write. The injected Fault (if any) fires first, so a
+// die-at-Nth-write crash leaves exactly N-1 durable entries. A failed write
+// leaves neither a torn file nor a stale in-memory entry.
 func (s *Store) Put(key string, data []byte) error {
 	if s == nil {
 		return nil
@@ -276,8 +275,8 @@ func (s *Store) SetMaxBytes(n int64) {
 	s.evictLocked()
 }
 
-// Keys returns every loadable cell key, sorted, so journal scans (the job
-// server's restart recovery) are deterministic.
+// Keys returns every loadable entry's key, sorted, so journal scans (the
+// job server's restart recovery) are deterministic.
 func (s *Store) Keys() []string {
 	if s == nil {
 		return nil
@@ -300,7 +299,7 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
-// Len returns the number of loadable cells (journaled or loaded at Open).
+// Len returns the number of loadable entries (journaled or loaded at Open).
 func (s *Store) Len() int {
 	if s == nil {
 		return 0

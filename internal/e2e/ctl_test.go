@@ -39,7 +39,7 @@ func checkStatusLine(t *testing.T, line string, st server.JobStatus) {
 	t.Helper()
 	want := map[string]string{
 		"id": st.ID, "state": string(st.State), "wall_seconds": fmt.Sprintf("%.3f", st.WallSeconds),
-		"cache_hits": fmt.Sprint(st.CacheHits), "cache_misses": fmt.Sprint(st.CacheMisses),
+		"cache_misses": fmt.Sprint(st.CacheMisses),
 		"subcell_hits": fmt.Sprint(st.SubcellHits), "subcell_misses": fmt.Sprint(st.SubcellMisses),
 		"outcome_hits": fmt.Sprint(st.OutcomeHits), "outcome_misses": fmt.Sprint(st.OutcomeMisses),
 		"cells_failed": fmt.Sprint(st.CellsFailed), "requeues": fmt.Sprint(st.Requeues),
@@ -120,8 +120,8 @@ func TestCtlEverySubcommand(t *testing.T) {
 		t.Errorf("wait on a cancelled job: exit %d, %q; want 1 and state=cancelled", r.code, r.stdout)
 	}
 	cached := parseStatusLine(t, ok(append([]string{"submit", "-wait"}, flags...)...))
-	if cached["state"] != string(server.StateDone) || cached["cache_hits"] != "1" {
-		t.Errorf("submit -wait of a repeat job printed %v, want done from the cache", cached)
+	if cached["state"] != string(server.StateDone) || cached["cache_misses"] != "0" || cached["subcell_hits"] != "1" || cached["subcell_misses"] != "0" {
+		t.Errorf("submit -wait of a repeat job printed %v, want done, composed from the cache", cached)
 	}
 	if r := d.ctl("list", "-state", "quarantned"); r.code != 1 || !strings.Contains(r.stderr, "quarantined") {
 		t.Errorf("list -state with a typo exited %d, %q; want 1 and the known states", r.code, r.stderr)

@@ -11,15 +11,15 @@ import (
 	"testing"
 
 	"tbpoint/internal/durable"
-	"tbpoint/internal/experiments"
 	"tbpoint/internal/metrics"
 	"tbpoint/internal/sampler"
 )
 
 // TestCrashThenResumeIsByteIdentical kills a real experiments process at a
 // store write (the env hook makes it os.Exit(3) there), then proves a
-// -resume simulates only the lost cells and that the resumed results.json
-// equals an uninterrupted, store-less run byte for byte.
+// -resume computes only what was lost, that a second -resume computes
+// nothing, and that the resumed results.json equals an uninterrupted,
+// store-less run byte for byte.
 func TestCrashThenResumeIsByteIdentical(t *testing.T) {
 	tmp := t.TempDir()
 	ckpt := filepath.Join(tmp, "ckpt")
@@ -30,12 +30,12 @@ func TestCrashThenResumeIsByteIdentical(t *testing.T) {
 	golden := oneShot(t, "-bench", "stream,black,hotspot")
 
 	// At -par 1 a cell's store writes are its full reference, the reference
-	// header, one outcome per strategy, then the cell itself. Dying at the
-	// second cell's own write leaves one journaled cell and, beside it,
-	// everything the second cell is composed from.
-	perCell := 2 + len(sampler.DefaultSet()) + 1
+	// header and one outcome per strategy. Dying at the second cell's header
+	// leaves the first cell whole and, beside it, the second cell's
+	// reference.
+	perCell := 2 + len(sampler.DefaultSet())
 	crashed := filepath.Join(tmp, "crashed.json")
-	r := grid([]string{fmt.Sprintf("TBPOINT_CRASH_AFTER_CHECKPOINTS=%d", 2*perCell)}, "-json", crashed)
+	r := grid([]string{fmt.Sprintf("TBPOINT_CRASH_AFTER_CHECKPOINTS=%d", perCell+2)}, "-json", crashed)
 	if r.code != 3 || !strings.Contains(r.stderr, "injected crash") {
 		t.Fatalf("crash run exited %d, want 3 from the injected crash:\n%s", r.code, r.stderr)
 	}
@@ -46,28 +46,46 @@ func TestCrashThenResumeIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cells, entries := experiments.JournaledCells(store), store.Len(); cells != 1 || entries != 2*perCell-1 {
-		t.Fatalf("crash left %d cell(s) in %d store entries, want 1 in %d", cells, entries, 2*perCell-1)
+	if n := store.Len(); n != perCell+1 {
+		t.Fatalf("crash left %d store entries, want %d", n, perCell+1)
 	}
 
-	metricsPath := filepath.Join(tmp, "metrics.json")
-	keepOnFailure(t, metricsPath, "crash_recovery_metrics.json")
-	if r := grid(nil, "-resume", "-metrics-json", metricsPath); r.code != 0 {
-		t.Fatalf("resume exited %d:\n%s", r.code, r.stderr)
+	resume := func(name string) metrics.Snapshot {
+		t.Helper()
+		path := filepath.Join(tmp, name)
+		keepOnFailure(t, path, name)
+		if r := grid(nil, "-resume", "-metrics-json", path); r.code != 0 {
+			t.Fatalf("resume exited %d:\n%s", r.code, r.stderr)
+		}
+		snap, err := metrics.ReadSnapshot(bytes.NewReader(readFile(t, path)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
 	}
-	snap, err := metrics.ReadSnapshot(bytes.NewReader(readFile(t, metricsPath)))
-	if err != nil {
-		t.Fatal(err)
+	fullRefs := func(snap metrics.Snapshot) int64 {
+		for _, p := range snap.Phases {
+			if p.Name == "experiments.full_ref" {
+				return p.Count
+			}
+		}
+		return 0
 	}
-	resumed, executed := snap.Counters[metrics.ExpCellsResumed.Name()], snap.Counters[metrics.ExpCellsExecuted.Name()]
-	if resumed != 1 || executed != 2 {
-		t.Fatalf("resume after the crash: %d cell(s) resumed, %d executed; want 1 and 2", resumed, executed)
+	// The first cell composes; the second decodes its reference and
+	// estimates; the third simulates.
+	snap := resume("crash_recovery_metrics.json")
+	if executed, refs := snap.Counters[metrics.ExpCellsExecuted.Name()], fullRefs(snap); executed != 2 || refs != 1 {
+		t.Fatalf("resume after the crash: %d cell(s) computed, %d reference(s) simulated; want 2 and 1", executed, refs)
+	}
+	snap = resume("full_resume_metrics.json")
+	if executed, refs := snap.Counters[metrics.ExpCellsExecuted.Name()], fullRefs(snap); executed != 0 || refs != 0 {
+		t.Fatalf("fully resumed run: %d cell(s) computed, %d reference(s) simulated; want 0 and 0", executed, refs)
 	}
 
 	resumedJSON := filepath.Join(tmp, "resumed.json")
 	r = grid(nil, "-resume", "-json", resumedJSON)
-	if r.code != 0 || !strings.Contains(r.stderr, "resumed 3 cell(s) from checkpoint, journaled 0 new") {
-		t.Fatalf("fully resumed run (exit %d) still simulated cells:\n%s", r.code, r.stderr)
+	if r.code != 0 || !strings.Contains(r.stderr, "experiments: 0 cell(s) computed; references: 3 from the store, 0 simulated; outcomes: 9 from the store, 0 computed") {
+		t.Fatalf("fully resumed run (exit %d) still computed:\n%s", r.code, r.stderr)
 	}
 	if !bytes.Equal(readFile(t, resumedJSON), golden) {
 		t.Fatal("resumed results.json differs from the uninterrupted run")
@@ -131,5 +149,21 @@ func TestNonPositiveScaleFailsBeforeSimulating(t *testing.T) {
 		if _, err := os.Stat(jsonPath); !errors.Is(err, fs.ErrNotExist) {
 			t.Fatalf("scale %s: -json file written (stat: %v)", scale, err)
 		}
+	}
+}
+
+// TestNegativeCacheBudgetFailsBeforeSimulating: -cache-max-bytes -1 is a
+// usage error naming the flag, not an unbounded store.
+func TestNegativeCacheBudgetFailsBeforeSimulating(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	r := run(nil, "experiments", "-scale", "0.02", "-bench", "stream", "-checkpoint-dir", dir, "-cache-max-bytes", "-1", "accuracy")
+	if r.code == 0 || !strings.Contains(r.stderr, "-cache-max-bytes") {
+		t.Fatalf("exit %d, want non-zero naming -cache-max-bytes:\n%s", r.code, r.stderr)
+	}
+	if r.stdout != "" {
+		t.Fatalf("output before the rejection:\n%s", r.stdout)
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the store directory was created (stat: %v)", err)
 	}
 }

@@ -61,18 +61,18 @@ func TestKilledDaemonRestartRunsJournaledJob(t *testing.T) {
 		t.Errorf("served job's report does not show the reference replay (%v):\n%s", err, report)
 	}
 
-	// Counters and phases, not wall time, say the second job was served
-	// from the cells the first one computed.
+	// Counters and phases, not wall time, say the second job was composed
+	// from what the first one computed.
 	again := d.submit(ctx, spec)
 	cached := d.finish(ctx, again, server.StateDone)
-	if cached.CacheHits == 0 || cached.CacheMisses != 0 || ranFullReference(cached) {
+	if cached.CacheMisses != 0 || cached.SubcellHits != 3 || cached.SubcellMisses != 0 || ranFullReference(cached) {
 		t.Fatalf("second job was not served from the artifact cache: %+v", cached)
 	}
 	if got, err := d.c.Result(ctx, again); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("cache-served results.json differs from the one-shot output (%v)", err)
 	}
-	if n := d.counter(metrics.ServerCacheHits); n == 0 {
-		t.Error("server.cache_hits not exported on /metrics")
+	if n := d.counter(metrics.ServerSubcellHits); n != 3 {
+		t.Errorf("server.subcell_hits = %d on /metrics, want 3", n)
 	}
 
 	d.cmd.Process.Signal(syscall.SIGTERM)
@@ -124,7 +124,7 @@ func TestAdmissionBackoffThroughRealClient(t *testing.T) {
 func TestCrashLoopQuarantinesAfterFourDeaths(t *testing.T) {
 	ctx := testContext(t)
 	state := filepath.Join(t.TempDir(), "state")
-	perCell := 2 + len(sampler.DefaultSet()) + 1 // reference, header, outcomes, cell
+	perCell := 2 + len(sampler.DefaultSet()) // reference, header, outcomes
 	crashHook := []string{fmt.Sprintf("%s=%d", durable.CrashHookEnv, perCell+1)}
 
 	// Seed the journal on a paused daemon: poison first (head of the single
@@ -248,5 +248,27 @@ func TestBoundedCacheStillComposesIdenticalBytes(t *testing.T) {
 	if got, err := d.c.Result(ctx, wider); err != nil || !bytes.Equal(got, want) {
 		artifact("serveload_warm.json", got)
 		t.Fatalf("composed job's results.json differs from the one-shot output (%v)", err)
+	}
+}
+
+// TestDaemonRefusesNegativeSettings: tbpointd exits before serving when a
+// flag that sets a count, byte budget or duration is negative, naming the
+// setting, instead of running it as the default or unbounded.
+func TestDaemonRefusesNegativeSettings(t *testing.T) {
+	for _, c := range []struct{ flag, value, field string }{
+		{"-dispatchers", "-1", "Dispatchers"},
+		{"-cache-max-bytes", "-1", "CacheMaxBytes"},
+		{"-max-queued", "-1", "MaxQueued"},
+		{"-max-queued-client", "-1", "MaxQueuedPerClient"},
+		{"-stuck-after", "-1s", "StuckAfter"},
+	} {
+		d := bootDaemon(t, "serve_negative", filepath.Join(t.TempDir(), "state"), nil, c.flag, c.value)
+		if !d.dead() {
+			t.Errorf("tbpointd %s %s is serving", c.flag, c.value)
+			continue
+		}
+		if code := d.cmd.ProcessState.ExitCode(); code == 0 || !strings.Contains(d.log(), c.field) {
+			t.Errorf("tbpointd %s %s exited %d, want non-zero naming %s:\n%s", c.flag, c.value, code, c.field, d.log())
+		}
 	}
 }

@@ -19,11 +19,10 @@ import (
 	"tbpoint/internal/workloads"
 )
 
-// faultAtWrite attaches a sub-cell store to opts whose nth write fires
-// fault. At Parallelism 1 a default-trio accuracy cell makes perCell writes
-// in order: its full reference, the reference header and one outcome per
-// strategy inside the cell's run, then the journaled cell itself — so a
-// fault at write k*perCell+1 hits cell k+1's run, where the grid isolates it.
+// faultAtWrite attaches a store to opts whose nth write fires fault. At
+// Parallelism 1 a default-trio accuracy cell makes perCell writes in order,
+// all inside the cell's run: its full reference, the reference header and
+// one outcome per strategy — so a fault at write k*perCell+1 hits cell k+1.
 func faultAtWrite(t *testing.T, opts *Options, n int64, mode faultcheck.Mode) {
 	t.Helper()
 	store, err := durable.Open(t.TempDir())
@@ -31,11 +30,11 @@ func faultAtWrite(t *testing.T, opts *Options, n int64, mode faultcheck.Mode) {
 		t.Fatal(err)
 	}
 	store.Fault = faultcheck.OnNth(n, mode)
-	opts.Checkpoint, opts.Subcell = store, true
+	opts.Checkpoint = store
 }
 
 // perCell is the store writes of one default-trio accuracy cell.
-var perCell = int64(2 + len(sampler.DefaultSet()) + 1)
+var perCell = int64(2 + len(sampler.DefaultSet()))
 
 // faultyAccuracyGrid is RunAccuracy's grid over benches, handed to runGrid
 // with fault fired at the start of every attempt of cell bad.
@@ -44,7 +43,6 @@ func faultyAccuracyGrid(opts Options, benches []string, bad int, fault *faultche
 	for i, name := range benches {
 		cells[i] = gridCell[*BenchResult]{
 			name: name,
-			key:  opts.cellKey("accuracy", name),
 			run: func(o Options) (*BenchResult, error) {
 				if i == bad {
 					if err := fault.Fire(); err != nil {
@@ -195,7 +193,8 @@ func TestChaosLaunchPanicNamesThePanic(t *testing.T) {
 			_, cellErrs, err := runGrid(fastOpts(), "accuracy", []gridCell[*sampling.AppRun]{{
 				name: app.Name,
 				run: func(o Options) (*sampling.AppRun, error) {
-					return o.fullReference(nil, sim, app, 2000, nil)
+					full, _, err := o.fullReference(nil, sim, app, 2000, nil)
+					return full, err
 				},
 			}})
 			if err != nil || len(cellErrs) != 1 {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,10 +41,10 @@ func encodeResults(t *testing.T, r *Results) []byte {
 }
 
 // TestChaosCrashResumeAccuracyGrid is the kill-and-resume acceptance test:
-// a grid whose checkpoint journal dies at the second write (so exactly the
-// other cells are durable), resumed with -resume semantics, must produce a
-// results bundle byte-identical to an uninterrupted run while re-executing
-// only the cell whose checkpoint was lost.
+// a grid whose store fails at a sub-cell write of its second cell must stop
+// with that fault, under any retry policy and never as a CellError, and a
+// resume over what the store kept must produce a results bundle
+// byte-identical to an uninterrupted run while computing only what was lost.
 func TestChaosCrashResumeAccuracyGrid(t *testing.T) {
 	old := Parallelism
 	Parallelism = 1 // sequential: cell order = benchmark order
@@ -58,64 +59,81 @@ func TestChaosCrashResumeAccuracyGrid(t *testing.T) {
 	if err != nil || len(goldenErrs) != 0 {
 		t.Fatalf("golden run: err %v, cell errors %+v", err, goldenErrs)
 	}
-
-	// Crashed run: the journal's second write faults, so cells 0 and 2 are
-	// durable and cell 1 is lost. Journal failures are grid-fatal by
-	// design, mirroring a process crash at that write.
-	dir := t.TempDir()
-	store := openStore(t, dir)
-	store.Fault = faultcheck.OnNth(2, faultcheck.Error)
-	crashed := fastOpts()
-	crashed.Benchmarks = benches
-	crashed.Checkpoint = store
-	if _, _, err := RunAccuracy(crashed); !errors.Is(err, faultcheck.ErrInjected) {
-		t.Fatalf("crashed run: err = %v, want the injected journal fault", err)
-	}
-	if store.Writes() != 2 {
-		t.Fatalf("crashed run journaled %d cells, want 2", store.Writes())
-	}
-
-	// Resume: a fresh process opens the journal, replays the two durable
-	// cells, and simulates only the lost one.
-	store2 := openStore(t, dir)
-	if store2.Len() != 2 || store2.Quarantined() != 0 {
-		t.Fatalf("reopened journal: len %d quarantined %d, want 2 0", store2.Len(), store2.Quarantined())
-	}
-	mc := metrics.New()
-	resumeOpts := fastOpts()
-	resumeOpts.Benchmarks = benches
-	resumeOpts.Checkpoint = store2
-	resumeOpts.Resume = true
-	resumeOpts.Metrics = mc
-	resumedResults, resumedErrs, err := RunAccuracy(resumeOpts)
-	if err != nil || len(resumedErrs) != 0 {
-		t.Fatalf("resumed run: err %v, cell errors %+v", err, resumedErrs)
-	}
-
-	if got := mc.Count(metrics.ExpCellsResumed); got != 2 {
-		t.Errorf("exp.cells_resumed = %d, want 2", got)
-	}
-	if got := mc.Count(metrics.ExpCellsExecuted); got != 1 {
-		t.Errorf("exp.cells_executed = %d, want 1 (completed cells must not re-run)", got)
-	}
-	if got := mc.Count(metrics.ExpCheckpointsSave); got != 1 {
-		t.Errorf("exp.checkpoint_writes = %d, want 1 (only the recomputed cell)", got)
-	}
-	if store2.Len() != 3 {
-		t.Errorf("journal holds %d cells after resume, want 3", store2.Len())
-	}
-
 	goldenJSON := encodeResults(t, &Results{Scale: golden.Scale, Seed: golden.Seed, Accuracy: goldenResults})
-	resumedJSON := encodeResults(t, &Results{Scale: resumeOpts.Scale, Seed: resumeOpts.Seed, Accuracy: resumedResults})
-	if !bytes.Equal(goldenJSON, resumedJSON) {
-		t.Errorf("resumed results.json differs from the uninterrupted run:\n--- golden\n%s\n--- resumed\n%s",
-			goldenJSON, resumedJSON)
+
+	for _, attempts := range []int{1, 3} {
+		t.Run(fmt.Sprintf("attempts=%d", attempts), func(t *testing.T) {
+			// Crashed run: the write after the second cell's full reference
+			// (its reference header) faults. The grid still finishes the
+			// cells it has started or not yet claimed, as it does on any
+			// error, so only the second cell's header and outcomes are lost.
+			dir := t.TempDir()
+			store := openStore(t, dir)
+			store.Fault = faultcheck.OnNth(perCell+2, faultcheck.Error)
+			crashMC := metrics.New()
+			crashed := fastOpts()
+			crashed.Benchmarks = benches
+			crashed.Checkpoint = store
+			crashed.Metrics = crashMC
+			crashed.Retry = RetryPolicy{Attempts: attempts, BaseDelay: time.Millisecond}
+			_, cellErrs, err := RunAccuracy(crashed)
+			if !errors.Is(err, faultcheck.ErrInjected) {
+				t.Fatalf("crashed run: err = %v, want the injected store fault", err)
+			}
+			if len(cellErrs) != 0 {
+				t.Fatalf("a store fault degraded to cell errors: %+v", cellErrs)
+			}
+			if n := crashMC.Count(metrics.ExpCellRetries); n != 0 {
+				t.Errorf("a store fault was retried %d times", n)
+			}
+			if store.Writes() != 2*perCell+1 {
+				t.Fatalf("crashed run stored %d entries, want %d", store.Writes(), 2*perCell+1)
+			}
+
+			// Resume: a fresh process opens the store; the first and third
+			// cells compose wholly, and the second decodes its reference and
+			// estimates its strategies again.
+			store2 := openStore(t, dir)
+			if store2.Len() != int(2*perCell+1) || store2.Quarantined() != 0 {
+				t.Fatalf("reopened store: len %d quarantined %d, want %d 0", store2.Len(), store2.Quarantined(), 2*perCell+1)
+			}
+			mc := metrics.New()
+			resumeOpts := fastOpts()
+			resumeOpts.Benchmarks = benches
+			resumeOpts.Checkpoint = store2
+			resumeOpts.Resume = true
+			resumeOpts.Metrics = mc
+			resumedResults, resumedErrs, err := RunAccuracy(resumeOpts)
+			if err != nil || len(resumedErrs) != 0 {
+				t.Fatalf("resumed run: err %v, cell errors %+v", err, resumedErrs)
+			}
+			if got := mc.Count(metrics.ExpCellsExecuted); got != 1 {
+				t.Errorf("exp.cells_executed = %d, want 1 (composed cells must not re-run)", got)
+			}
+			if got := mc.Count(metrics.SamplerEstimates); got != uint64(perCell-2) {
+				t.Errorf("sampler.estimates = %d, want %d (the lost cell's strategies)", got, perCell-2)
+			}
+			if got := mc.Count(metrics.SubcellHits); got != 3 {
+				t.Errorf("subcell.hits = %d, want 3", got)
+			}
+			if got := phaseCount(mc, "experiments.full_ref"); got != 0 {
+				t.Errorf("resume simulated %d reference runs; every one was stored", got)
+			}
+			if store2.Len() != int(3*perCell) {
+				t.Errorf("store holds %d entries after resume, want %d", store2.Len(), 3*perCell)
+			}
+			resumedJSON := encodeResults(t, &Results{Scale: resumeOpts.Scale, Seed: resumeOpts.Seed, Accuracy: resumedResults})
+			if !bytes.Equal(goldenJSON, resumedJSON) {
+				t.Errorf("resumed results.json differs from the uninterrupted run:\n--- golden\n%s\n--- resumed\n%s",
+					goldenJSON, resumedJSON)
+			}
+		})
 	}
 }
 
-// TestChaosSensitivityResumeSkipsFinishedGrid journals a full sensitivity
-// grid, then resumes it: every cell must come back from the journal with
-// zero simulation work, bit-identical.
+// TestChaosSensitivityResumeSkipsFinishedGrid stores a full sensitivity
+// grid, then resumes it: every cell must be composed from the store with
+// zero simulation work and no write, bit-identical.
 func TestChaosSensitivityResumeSkipsFinishedGrid(t *testing.T) {
 	old := Parallelism
 	Parallelism = 1
@@ -143,11 +161,15 @@ func TestChaosSensitivityResumeSkipsFinishedGrid(t *testing.T) {
 	if err != nil || len(secondErrs) != 0 {
 		t.Fatalf("resumed run: err %v, cell errors %+v", err, secondErrs)
 	}
-	if got := mc.Count(metrics.ExpCellsResumed); got != uint64(len(HWConfigs())) {
-		t.Errorf("exp.cells_resumed = %d, want %d", got, len(HWConfigs()))
+	if got := mc.Count(metrics.SubcellHits); got != uint64(len(HWConfigs())) {
+		t.Errorf("subcell.hits = %d, want %d", got, len(HWConfigs()))
 	}
 	if got := mc.Count(metrics.ExpCellsExecuted); got != 0 {
 		t.Errorf("exp.cells_executed = %d, want 0 on a fully resumed grid", got)
+	}
+	assertComposed(t, "fully resumed grid", mc)
+	if n := second.Checkpoint.Writes(); n != 0 {
+		t.Errorf("fully resumed grid wrote %d store entries", n)
 	}
 
 	a := encodeResults(t, &Results{Scale: first.Scale, Seed: first.Seed, Sensitivity: firstResults})
@@ -157,10 +179,10 @@ func TestChaosSensitivityResumeSkipsFinishedGrid(t *testing.T) {
 	}
 }
 
-// TestChaosCorruptCheckpointQuarantinedAndRecomputed damages one journaled
-// cell on disk: the resumed run must quarantine it (never trust it), resume
-// the intact cell, recompute the damaged one, and still match the golden
-// results.
+// TestChaosCorruptCheckpointQuarantinedAndRecomputed damages one stored
+// entry on disk, black's TBPoint outcome: the resumed run must quarantine it
+// (never trust it), compose stream wholly, estimate only black's TBPoint
+// again on its stored reference, and still match the golden results.
 func TestChaosCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 	old := Parallelism
 	Parallelism = 1
@@ -177,21 +199,31 @@ func TestChaosCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 	}
 
 	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if err != nil || len(files) != 2 {
-		t.Fatalf("checkpoint files: %v, %v (want 2)", files, err)
+	if err != nil || len(files) != int(2*perCell) {
+		t.Fatalf("checkpoint files: %v, %v (want %d)", files, err, 2*perCell)
 	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
+	var damaged int
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte("/outcome/black/")) || !bytes.Contains(data, []byte(`/tbpoint"`)) {
+			continue
+		}
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(f, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		damaged++
 	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(files[0], data, 0o644); err != nil {
-		t.Fatal(err)
+	if damaged != 1 {
+		t.Fatalf("found %d files holding black's TBPoint outcome, want 1", damaged)
 	}
 
 	store := openStore(t, dir)
-	if store.Quarantined() != 1 || store.Len() != 1 {
-		t.Fatalf("quarantined %d len %d, want 1 1", store.Quarantined(), store.Len())
+	if store.Quarantined() != 1 || store.Len() != int(2*perCell-1) {
+		t.Fatalf("quarantined %d len %d, want 1 %d", store.Quarantined(), store.Len(), 2*perCell-1)
 	}
 	mc := metrics.New()
 	resume := fastOpts()
@@ -203,9 +235,21 @@ func TestChaosCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 	if err != nil || len(cellErrs) != 0 {
 		t.Fatalf("resumed run: err %v, cell errors %+v", err, cellErrs)
 	}
-	if mc.Count(metrics.ExpCellsResumed) != 1 || mc.Count(metrics.ExpCellsExecuted) != 1 {
-		t.Errorf("resumed %d executed %d, want 1 1",
-			mc.Count(metrics.ExpCellsResumed), mc.Count(metrics.ExpCellsExecuted))
+	for _, c := range []struct {
+		id   metrics.Counter
+		want uint64
+	}{
+		{metrics.ExpCellsExecuted, 1},
+		{metrics.SubcellHits, 2}, // stream composed, black's reference decoded
+		{metrics.OutcomeMisses, 1},
+		{metrics.SamplerEstimates, 1},
+	} {
+		if n := mc.Count(c.id); n != c.want {
+			t.Errorf("%s = %d, want %d", c.id.Name(), n, c.want)
+		}
+	}
+	if n := phaseCount(mc, "experiments.full_ref"); n != 0 {
+		t.Errorf("resume simulated %d reference runs; both were stored", n)
 	}
 	a := encodeResults(t, &Results{Scale: first.Scale, Seed: first.Seed, Accuracy: goldenResults})
 	b := encodeResults(t, &Results{Scale: resume.Scale, Seed: resume.Seed, Accuracy: results})
@@ -351,8 +395,8 @@ func TestChaosCellDeadlineDegradesNotCancels(t *testing.T) {
 	}
 }
 
-// TestChaosStaleCheckpointIgnoredOnOptionChange reruns a journaled grid with
-// a different seed: every key misses, so nothing stale is resumed.
+// TestChaosStaleCheckpointIgnoredOnOptionChange reruns a stored grid with a
+// different seed: every key misses, so nothing stale is composed.
 func TestChaosStaleCheckpointIgnoredOnOptionChange(t *testing.T) {
 	old := Parallelism
 	Parallelism = 1
@@ -376,11 +420,14 @@ func TestChaosStaleCheckpointIgnoredOnOptionChange(t *testing.T) {
 	if _, _, err := RunAccuracy(second); err != nil {
 		t.Fatal(err)
 	}
-	if got := mc.Count(metrics.ExpCellsResumed); got != 0 {
-		t.Errorf("exp.cells_resumed = %d, want 0: a changed seed must invalidate the journal", got)
+	if hits := mc.Count(metrics.SubcellHits) + mc.Count(metrics.OutcomeHits); hits != 0 {
+		t.Errorf("%d store hits, want 0: a changed seed must miss every entry", hits)
 	}
 	if got := mc.Count(metrics.ExpCellsExecuted); got != 1 {
 		t.Errorf("exp.cells_executed = %d, want 1", got)
+	}
+	if got := phaseCount(mc, "experiments.full_ref"); got != 1 {
+		t.Errorf("%d reference runs simulated, want 1", got)
 	}
 }
 
@@ -422,46 +469,6 @@ func TestResultsFileDamageDetected(t *testing.T) {
 	}
 	if _, err := ReadResultsFile(path); !errors.Is(err, durable.ErrTruncated) {
 		t.Errorf("truncated results file: err = %v, want ErrTruncated", err)
-	}
-}
-
-// TestChaosOldSchemaJournalIgnored resumes over a journal written before
-// the per-strategy map became the only result shape: parentKey and its
-// payload are what that build computed and stored for this exact cell. The
-// schema marker in cellKey makes the lookup miss, so the cell is recomputed
-// instead of being restored with no strategies in it.
-func TestChaosOldSchemaJournalIgnored(t *testing.T) {
-	const parentKey = "accuracy/stream/a3010712a8e4e23b"
-	parentPayload, err := os.ReadFile(filepath.Join("testdata", "cell_v1_stream.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := openStore(t, t.TempDir())
-	if err := store.Put(parentKey, parentPayload); err != nil {
-		t.Fatal(err)
-	}
-	mc := metrics.New()
-	opts := DefaultOptions(0.02)
-	opts.Seed = 7
-	opts.Benchmarks = []string{"stream"}
-	opts.Checkpoint = store
-	opts.Resume = true
-	opts.Metrics = mc
-	if key := opts.cellKey("accuracy", "stream"); key == parentKey {
-		t.Fatalf("cell key %s is the pre-change build's: its journal would be trusted", key)
-	}
-	results, cellErrs, err := RunAccuracy(opts)
-	if err != nil || len(cellErrs) != 0 {
-		t.Fatalf("err=%v cellErrs=%v", err, cellErrs)
-	}
-	if got := mc.Count(metrics.ExpCellsResumed); got != 0 {
-		t.Errorf("exp.cells_resumed = %d, want 0: an old-schema journal must not be restored", got)
-	}
-	if got := mc.Count(metrics.ExpCellsExecuted); got != 1 {
-		t.Errorf("exp.cells_executed = %d, want 1", got)
-	}
-	if len(results) != 1 || len(results[0].Samplers) != 3 {
-		t.Fatalf("recomputed cell carries no strategy outcomes: %+v", results)
 	}
 }
 

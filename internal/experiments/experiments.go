@@ -55,8 +55,8 @@ type Options struct {
 	// Samplers selects the estimation strategies each benchmark runs, by
 	// registry name (internal/sampler); empty selects sampler.DefaultSet.
 	// Results, report columns and the Pareto section are sized from the
-	// selection. The canonical set is folded into the checkpoint cell keys
-	// so -resume and cache-served jobs never mix estimator configurations.
+	// selection. Each strategy's outcome is stored under its own key, so a
+	// cell composed from the store holds exactly the selected strategies.
 	Samplers []string
 	// Ctx, when non-nil, makes the harness cancellable end to end: grids
 	// stop claiming new cells, in-flight simulations abort at their next
@@ -64,25 +64,18 @@ type Options struct {
 	// The CLIs wire their -timeout flag (and SIGINT) here. A nil or
 	// never-cancelled Ctx leaves every run bit-identical.
 	Ctx context.Context
-	// Checkpoint, when non-nil, journals every completed grid cell
-	// (atomic, checksummed; see internal/durable) so a crashed run can be
-	// resumed. Resume additionally consults the journal before running a
-	// cell: a hit restores the recorded result bit-for-bit instead of
-	// re-simulating. Cells are keyed by grid/cell/config hash, so resuming
-	// with any changed input recomputes rather than trusting stale state.
+	// Checkpoint, when non-nil, stores what every benchmark cell is made of
+	// as soon as it is computed, each at its own key (see subcell): the full
+	// reference run, its two-IPC header, and every strategy's outcome. With
+	// Resume a cell — accuracy, sensitivity or ablation — is composed from
+	// those entries and computes only what is missing, so a crashed run
+	// resumes and a repeated one does no work; the motivation study reads
+	// the accuracy cell's reference run. Never changes results. A failed
+	// write is fatal to the run.
 	Checkpoint *durable.Store
 	Resume     bool
-	// Subcell additionally shares what a benchmark cell is made of through
-	// Checkpoint, each at its own key (see subcell): the full reference run,
-	// its two-IPC header, and every strategy's outcome. Runs whose grids
-	// overlap without being cell-identical then compose their cells from
-	// those entries and compute only what is missing — accuracy, sensitivity
-	// and ablation cells alike, and the motivation study reads the accuracy
-	// cell's reference run. Lookups obey Resume; fresh computations are
-	// always published. Every caller with a store sets it (cmd/experiments
-	// under -checkpoint-dir, the job server, bench/), so it is due to become
-	// unconditional once bench/ may change. Never changes results — a
-	// composed cell is byte-identical to a computed one.
+	// Subcell is ignored: the store is on whenever Checkpoint is set. It is
+	// kept only because bench/ still assigns it.
 	Subcell bool
 	// Retry governs per-cell retries before a failure degrades to a
 	// CellError; the zero value means a single attempt (no retries).
@@ -403,16 +396,22 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 	if haveHdr && len(missing) == 0 {
 		mc.AtomicAdd(metrics.SubcellHits, 1)
 	} else {
-		full, err := opts.fullReference(sc, sim, app, unit, mc)
+		full, simulated, err := opts.fullReference(sc, sim, app, unit, mc)
 		if err != nil {
 			return nil, err
 		}
 		if !haveHdr {
 			hdr = refHeader{FullIPC: full.IPC(), FullOverallIPC: full.OverallIPC()}
-			sc.publish("refhdr", "", hdr)
+			if err := sc.publish("refhdr", "", hdr); err != nil {
+				return nil, err
+			}
 		}
 		if err := opts.estimate(missing, sim, app, full, sc, mc, r); err != nil {
 			return nil, err
+		}
+		// Composed wholly from the store, a cell is not executed.
+		if simulated || len(missing) > 0 {
+			mc.Inc(metrics.ExpCellsExecuted)
 		}
 	}
 	r.FullIPC, r.FullOverallIPC = hdr.FullIPC, hdr.FullOverallIPC
@@ -458,7 +457,9 @@ func (o Options) estimate(set []sampler.Sampler, sim *gpusim.Simulator, app *ker
 		mc.Add(metrics.SamplerStrata, uint64(out.Strata))
 		mc.Add(metrics.SamplerPilotUnits, uint64(out.PilotUnits))
 		mc.Add(metrics.SamplerPhase2Units, uint64(out.Phase2Units))
-		sc.publish("outcome", s.Name, out)
+		if err := sc.publish("outcome", s.Name, out); err != nil {
+			return err
+		}
 		r.Samplers[s.Name] = out
 	}
 	return nil

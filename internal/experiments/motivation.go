@@ -80,7 +80,7 @@ func RunMotivation(opts Options) ([]MotivationResult, error) {
 		spec := specs[i]
 		app := spec.Build(workloads.Config{Scale: opts.Scale, Seed: opts.Seed})
 		unit := opts.UnitSize(app.TotalWarpInsts())
-		full, err := opts.fullReference(opts.subcell(spec.Name, unit, cfg), sim, app, unit, mc)
+		full, _, err := opts.fullReference(opts.subcell(spec.Name, unit, cfg), sim, app, unit, mc)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"tbpoint/internal/gpusim"
@@ -27,26 +28,25 @@ func forEachIndexed(ctx context.Context, n int, fn func(i int) error) error {
 	return par.ForEachCtx(ctx, n, fn)
 }
 
-// gridCell is one cell of a journaled grid: name identifies it in progress
-// lines and CellErrors, key in the checkpoint journal, and run computes it
-// under the Options it is handed (the grid's, with the cell's own context).
+// gridCell is one cell of a grid: name identifies it in progress lines and
+// CellErrors, and run computes it under the Options it is handed (the
+// grid's, with the cell's own context).
 type gridCell[T any] struct {
-	name, key string
-	run       func(Options) (T, error)
+	name string
+	run  func(Options) (T, error)
 }
 
 // runGrid is the one way a grid of independent cells runs: the cells fan out
 // over the Parallelism worker budget with per-cell failure isolation — a
 // cell that errors or panics becomes a CellError while the others complete,
 // so one rotten cell does not take down the grid. Failed cells are retried
-// under opts.Retry before they degrade, and completed cells are journaled to
-// opts.Checkpoint (and skipped on opts.Resume) so a crashed grid never redoes
-// finished work. Results come back compacted in cell order and — on a
-// fault-free run — do not depend on the worker count: every stochastic
-// component is seeded per cell, never shared. The returned error is non-nil
-// only for checkpoint-write failures or cancellation (opts.Ctx); even then,
-// results completed before the cut-off and the cell errors recorded so far
-// are returned alongside it.
+// under opts.Retry before they degrade; resuming is each cell's own business
+// (RunBenchmark composes from the store). Results come back compacted in
+// cell order and — on a fault-free run — do not depend on the worker count:
+// every stochastic component is seeded per cell, never shared. The returned
+// error is non-nil only for store-write failures (errStore) or cancellation
+// (opts.Ctx); even then, results completed before the cut-off and the cell
+// errors recorded so far are returned alongside it.
 func runGrid[T any](opts Options, grid string, cells []gridCell[T]) ([]T, []CellError, error) {
 	// Every cell writes only its own index, so failures come back in cell
 	// order whatever the worker interleaving.
@@ -55,11 +55,6 @@ func runGrid[T any](opts Options, grid string, cells []gridCell[T]) ([]T, []Cell
 	failed := make([]*CellError, len(cells))
 	err := forEachIndexed(opts.Ctx, len(cells), func(i int) error {
 		c := cells[i]
-		if opts.resumeCell(c.key, &out[i]) {
-			done[i] = true
-			opts.progress("# %-8s resumed from checkpoint", c.name)
-			return nil
-		}
 		ce, cellErr := opts.runCellWithRetry(i, func(ctx context.Context) error {
 			cellOpts := opts
 			cellOpts.Ctx = ctx
@@ -70,13 +65,13 @@ func runGrid[T any](opts Options, grid string, cells []gridCell[T]) ([]T, []Cell
 			return err
 		})
 		if cellErr == nil {
-			opts.Metrics.AtomicAdd(metrics.ExpCellsExecuted, 1)
-			return opts.journalCell(c.key, out[i])
+			return nil
 		}
-		// The grid being torn down propagates; a fault local to the cell
-		// degrades. A cell can die of its own CellDeadline — a context error
-		// — while the grid context is alive, so the grid's state decides.
-		if isCancellation(cellErr) && ctxErr(opts.Ctx) != nil {
+		// A broken store and the grid being torn down propagate; a fault local
+		// to the cell degrades. A cell can die of its own CellDeadline — a
+		// context error — while the grid context is alive, so the grid's
+		// state decides.
+		if errors.Is(cellErr, errStore) || isCancellation(cellErr) && ctxErr(opts.Ctx) != nil {
 			return cellErr
 		}
 		opts.Metrics.AtomicAdd(metrics.ExpCellsFailed, 1)
@@ -107,7 +102,6 @@ func RunAccuracy(opts Options) ([]*BenchResult, []CellError, error) {
 	for i, spec := range specs {
 		cells[i] = gridCell[*BenchResult]{
 			name: spec.Name,
-			key:  opts.cellKey("accuracy", spec.Name),
 			run: func(o Options) (*BenchResult, error) {
 				r, err := RunBenchmark(spec, gpusim.DefaultConfig(), o)
 				if err == nil {
@@ -137,7 +131,6 @@ func RunSensitivity(opts Options) ([]SensResult, []CellError, error) {
 			name := fmt.Sprintf("%s/%s", spec.Name, hc.Name())
 			cells = append(cells, gridCell[SensResult]{
 				name: name,
-				key:  opts.cellKey("sensitivity", name, fmt.Sprintf("hw=%+v", hc)),
 				run: func(o Options) (SensResult, error) {
 					o.Samplers = append(selected[:len(selected):len(selected)], sampler.NameTBPoint)
 					r, err := RunBenchmark(spec, hc.config(), o)

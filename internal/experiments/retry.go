@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"tbpoint/internal/metrics"
@@ -64,7 +65,8 @@ func (p RetryPolicy) delay(cell, attempt int) time.Duration {
 // runCellWithRetry executes one grid cell under the Options' retry policy
 // and per-cell deadline: each attempt runs with panic isolation (runCell),
 // failures back off with deterministic jitter, and the whole cell — all
-// attempts together — races CellDeadline. Retrying stops early once the
+// attempts together — races CellDeadline. A failed store write is never
+// retried. Retrying stops early once the
 // grid context or the cell deadline is gone; the caller distinguishes the
 // two (grid cancellation propagates, a blown cell deadline degrades to a
 // CellError like any other cell fault). The returned CellError carries the
@@ -89,7 +91,7 @@ func (o Options) runCellWithRetry(cell int, fn func(ctx context.Context) error) 
 	for a := 1; a <= n; a++ {
 		ce.Attempts = a
 		err = runCell(func() error { return fn(ctx) })
-		if err == nil || a == n || ctxErr(o.Ctx) != nil || ctxErr(ctx) != nil {
+		if err == nil || a == n || errors.Is(err, errStore) || ctxErr(o.Ctx) != nil || ctxErr(ctx) != nil {
 			break
 		}
 		ce.LastDelay = o.Retry.delay(cell, a)

@@ -165,7 +165,7 @@ func TestFullAppReuseKeepsAbortsAborted(t *testing.T) {
 	for _, c := range []context.Context{doneNotErr{context.Background()}, ctx} {
 		o := fastOpts()
 		o.Ctx = c
-		if full, err := o.fullReference(nil, sim, app, 2000, nil); full != nil || !errors.Is(err, context.Canceled) {
+		if full, _, err := o.fullReference(nil, sim, app, 2000, nil); full != nil || !errors.Is(err, context.Canceled) {
 			t.Errorf("fullReference on a cut-short run returned (%v, %v), want context.Canceled", full, err)
 		}
 	}

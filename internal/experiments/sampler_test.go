@@ -10,23 +10,6 @@ import (
 	"tbpoint/internal/workloads"
 )
 
-func TestCellKeyFoldsSamplers(t *testing.T) {
-	base := fastOpts()
-	def := base.cellKey("accuracy", "stream")
-
-	explicit := base
-	explicit.Samplers = []string{"tbpoint", "simpoint", "random"}
-	if got := explicit.cellKey("accuracy", "stream"); got != def {
-		t.Errorf("explicit default trio changed the cell key:\n%s\n%s", def, got)
-	}
-
-	ext := base
-	ext.Samplers = []string{"all"}
-	if got := ext.cellKey("accuracy", "stream"); got == def {
-		t.Error("extended selection did not change the cell key")
-	}
-}
-
 // TestRunBenchmarkExtended runs the full registry on one small benchmark:
 // the result must carry exactly the selected strategies and every report
 // section must render them.

@@ -3,10 +3,12 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 
+	"tbpoint/internal/core"
 	"tbpoint/internal/durable"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/kernel"
@@ -16,21 +18,15 @@ import (
 )
 
 // outcomeSchema versions the stored per-strategy outcomes. It is part of
-// every outcome's and every journaled cell's key material, so a change to
-// any estimator's arithmetic must bump it (as cellSchema was bumped for the
-// cell payloads): entries written by the old arithmetic then miss instead of
+// every outcome's key material, so a change to any estimator's arithmetic
+// must bump it: entries written by the old arithmetic then miss instead of
 // being served. v2: Random's CI counts the units it selected.
 const outcomeSchema = "outcome/v2"
 
-// subcellPrefix starts every sub-cell cache key; no grid is named "subcell",
-// so it separates the cache's entries from the journaled cells.
-const subcellPrefix = "subcell/"
-
-// subcell addresses one benchmark cell's entries in the sub-cell cache, the
-// part of the checkpoint store (so the -cache-max-bytes bound covers it)
-// that runs share when their grids overlap without being cell-identical
-// (different sampler set, different budget). A cell is a composition of
-// three kinds of entry:
+// subcell addresses one benchmark cell's entries in Options.Checkpoint, the
+// store every run over it shares — repeated, resumed or merely overlapping
+// (another sampler set or budget). A cell is a composition of three kinds
+// of entry and is never stored whole:
 //
 //	subcell/v1/fullref/<bench>/<hash(scale, seed)>/<hash(unit, hw config)>
 //	subcell/v1/refhdr/<bench>/<hash(scale, seed)>/<hash(unit, hw config)>
@@ -53,11 +49,10 @@ const subcellPrefix = "subcell/"
 // wrong number. LaunchResult is all integer counters and Go's float
 // formatting round-trips, so a hit is byte-identical to a recompute.
 //
-// Lookups obey Resume. Publishing is best-effort and happens only where the
-// value was just computed: a failed write costs future reuse, and a real
-// storage fault also surfaces through the fatal cell-journal write that
-// follows. A nil *subcell is the disabled cache: every load misses,
-// nothing is published.
+// Lookups obey Resume; a miss is counted wherever the value is computed
+// instead. An entry is published only where its value was just computed,
+// and a failed write is returned wrapping errStore. A nil *subcell is the
+// disabled store: every load misses, nothing is published or counted.
 type subcell struct {
 	store  *durable.Store
 	resume bool
@@ -68,7 +63,7 @@ type subcell struct {
 }
 
 func (o Options) subcell(bench string, unit int64, cfg gpusim.Config) *subcell {
-	if !o.Subcell || o.Checkpoint == nil {
+	if o.Checkpoint == nil {
 		return nil
 	}
 	c := &subcell{
@@ -84,7 +79,7 @@ func (o Options) subcell(bench string, unit int64, cfg gpusim.Config) *subcell {
 
 // key names c's entry of the given kind (and strategy, for an outcome).
 func (c *subcell) key(kind, name string) string {
-	k := fmt.Sprintf("%sv1/%s/%s/%016x/%016x", subcellPrefix, kind, c.bench, fnv64(c.appMat), fnv64(c.material(kind)))
+	k := fmt.Sprintf("subcell/v1/%s/%s/%016x/%016x", kind, c.bench, fnv64(c.appMat), fnv64(c.material(kind)))
 	if name != "" {
 		k += "/" + name
 	}
@@ -128,23 +123,38 @@ func (c *subcell) load(kind, name string, v interface{}) bool {
 		e.Material == c.appMat+" "+c.material(kind) && json.Unmarshal(e.Value, v) == nil
 }
 
-func (c *subcell) publish(kind, name string, v interface{}) {
+// publish stores v as c's header or outcome entry. A value JSON cannot
+// encode (a NaN) is not shared; a failed write is returned.
+func (c *subcell) publish(kind, name string, v interface{}) error {
 	if c == nil {
-		return
+		return nil
 	}
 	value, err := json.Marshal(v)
 	if err != nil {
-		return
+		return nil
 	}
-	if data, err := json.Marshal(subcellEntry{c.appMat + " " + c.material(kind), value}); err == nil {
-		_ = c.store.Put(c.key(kind, name), data) // best-effort, see subcell
-	}
+	data, _ := json.Marshal(subcellEntry{c.appMat + " " + c.material(kind), value}) // valid JSON in, so no error
+	return c.put(c.key(kind, name), data)
 }
 
-// loadOutcome is load for one strategy's outcome, counting the lookup as
-// outcome.hits or outcome.misses into mc.
+// errStore marks a failed write to Options.Checkpoint. It is fatal to the
+// run, never a cell fault: runGrid neither retries it nor degrades it to a
+// CellError, because a broken store (disk full, permissions, an injected
+// crash) would otherwise burn hours of simulation with none of the
+// durability the caller asked for.
+var errStore = errors.New("experiments: store write failed")
+
+func (c *subcell) put(key string, data []byte) error {
+	if err := c.store.Put(key, data); err != nil {
+		return fmt.Errorf("%w: %s: %w", errStore, key, err)
+	}
+	return nil
+}
+
+// loadOutcome is load for one strategy's outcome, counting outcome.hits or
+// outcome.misses (the strategy will be estimated) into mc.
 func (c *subcell) loadOutcome(name string, mc *metrics.Collector) (sampler.Outcome, bool) {
-	if c == nil || !c.resume {
+	if c == nil {
 		return sampler.Outcome{}, false
 	}
 	var out sampler.Outcome
@@ -157,35 +167,50 @@ func (c *subcell) loadOutcome(name string, mc *metrics.Collector) (sampler.Outco
 }
 
 // fullReference is the harness's one producer of a reference run: fullApp
-// with the run shared through c's fullref entry. Under Resume it counts the
-// cell's one subcell.hits (run decoded from the store) or subcell.misses
-// (simulated) into mc. A run cut short by o.Ctx is returned as the context's
-// error, never as a partial run.
+// with the run shared through c's fullref entry. It counts the cell's one
+// subcell.hits (run decoded from the store) or subcell.misses (simulated)
+// into mc; the bool reports whether it simulated. A run cut short by o.Ctx
+// is returned as the context's error, never as a partial run.
 func (o Options) fullReference(c *subcell, sim *gpusim.Simulator, app *kernel.App,
-	unit int64, mc *metrics.Collector) (*sampling.AppRun, error) {
+	unit int64, mc *metrics.Collector) (*sampling.AppRun, bool, error) {
 	if c != nil && c.resume {
 		var run sampling.AppRun
 		data, ok := c.store.Get(c.key("fullref", ""))
 		if ok && json.Unmarshal(data, &run) == nil && completeRun(&run, app) {
 			mc.AtomicAdd(metrics.SubcellHits, 1)
-			return &run, nil
+			return &run, false, nil
 		}
+	}
+	if c != nil {
 		mc.AtomicAdd(metrics.SubcellMisses, 1)
 	}
-	full, simulated := fullApp(o.Ctx, sim, app, unit, mc, 0, 0)
-	o.progress("# %-8s full reference: simulated %d of %d launches", app.Name, simulated, len(app.Launches))
+	full, launches := fullApp(o.Ctx, sim, app, unit, mc, 0, 0)
+	o.progress("# %-8s full reference: simulated %d of %d launches", app.Name, launches, len(app.Launches))
 	if full.Aborted {
 		if err := ctxErr(o.Ctx); err != nil {
-			return nil, err
+			return nil, true, err
 		}
-		return nil, context.Canceled
+		return nil, true, context.Canceled
 	}
 	if c != nil {
 		if data, err := json.Marshal(full); err == nil {
-			_ = c.store.Put(c.key("fullref", ""), data) // best-effort, see subcell
+			if err := c.put(c.key("fullref", ""), data); err != nil {
+				return nil, true, err
+			}
 		}
 	}
-	return full, nil
+	return full, true, nil
+}
+
+// tbpointKeyOptions is tbpointOptions as store keys may see it. The options
+// carry a context and a metrics collector; zeroing them leaves only the
+// result-determining fields (pointer values would also make a key differ
+// across processes).
+func (o Options) tbpointKeyOptions() core.Options {
+	tb := o.tbpointOptions()
+	tb.Ctx = nil
+	tb.Metrics = nil
+	return tb
 }
 
 // completeRun reports whether a decoded reference run covers every launch

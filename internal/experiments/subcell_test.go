@@ -18,15 +18,14 @@ import (
 	"tbpoint/internal/workloads"
 )
 
-// subcellOpts is a small accuracy configuration with the sub-cell artifact
-// cache enabled on the given store.
+// subcellOpts is a small accuracy configuration resuming from the given
+// store (nil: no store).
 func subcellOpts(t *testing.T, store *durable.Store, mc *metrics.Collector) Options {
 	t.Helper()
 	opts := DefaultOptions(0.02)
 	opts.Seed = 7
 	opts.Benchmarks = []string{"stream"}
 	opts.Checkpoint = store
-	opts.Subcell = true
 	opts.Resume = true
 	opts.Metrics = mc
 	return opts
@@ -57,7 +56,6 @@ func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 	}
 
 	plain := subcellOpts(t, nil, nil)
-	plain.Subcell = false
 	base, err := RunBenchmark(spec, gpusim.DefaultConfig(), plain)
 	if err != nil {
 		t.Fatal(err)
@@ -105,9 +103,8 @@ func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 		t.Error("warm cached run differs from cold run")
 	}
 
-	// The entries live under the subcell/ namespace of the shared store;
-	// RunBenchmark journals no cell, so they are the only keys: the full
-	// reference, its header, and one outcome per default strategy.
+	// The entries live under the subcell/ namespace and are the only keys:
+	// the full reference, its header, and one outcome per default strategy.
 	var kinds []string
 	for _, k := range store.Keys() {
 		parts := strings.Split(k, "/")
@@ -136,30 +133,6 @@ func assertComposed(t *testing.T, what string, mc *metrics.Collector) {
 }
 
 func hasPhase(mc *metrics.Collector, name string) bool { return phaseCount(mc, name) > 0 }
-
-// TestSubcellDisabledPublishesNothing pins the opt-in: a checkpointing run
-// without Subcell must not write artifact keys (the crash-injection CI
-// cases count checkpoint writes).
-func TestSubcellDisabledPublishesNothing(t *testing.T) {
-	spec, err := workloads.ByName("stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := durable.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := subcellOpts(t, store, nil)
-	opts.Subcell = false
-	if _, err := RunBenchmark(spec, gpusim.DefaultConfig(), opts); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range store.Keys() {
-		if strings.HasPrefix(k, "subcell/") {
-			t.Fatalf("subcell key %s published with Subcell off", k)
-		}
-	}
-}
 
 // TestSubcellComposesEverySamplerSubset is the composition property: all 31
 // non-empty sampler selections, in a shuffled order against one store, each
@@ -388,7 +361,8 @@ func TestOutcomeKeyCompleteness(t *testing.T) {
 
 // TestSubcellDamagedEntriesRecompute: an entry that does not decode, an
 // entry whose embedded key material is another key's, and a run told not to
-// resume all count as misses, recompute, and republish a good entry.
+// resume (which misses everything) all count as misses, recompute, and
+// republish a good entry.
 func TestSubcellDamagedEntriesRecompute(t *testing.T) {
 	spec, err := workloads.ByName("stream")
 	if err != nil {
@@ -448,7 +422,7 @@ func TestSubcellDamagedEntriesRecompute(t *testing.T) {
 		{"foreign outcome", tbKey, foreign, true, 1, 0},
 		{"corrupt header", hdrKey, []byte(`[]`), true, 0, 0},
 		{"foreign header", hdrKey, foreignHdr, true, 0, 0},
-		{"no resume", tbKey, good, false, 0, 0},
+		{"no resume", tbKey, good, false, 3, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := store.Put(tc.key, tc.payload); err != nil {
@@ -552,14 +526,13 @@ func phaseCount(mc *metrics.Collector, name string) int64 {
 
 // TestSensitivityComposesFromStore: sensitivity cells are accuracy cells, so
 // they go through the sub-cell cache too. A default-trio run fills the store;
-// the same grid with every strategy then misses the cell keys but reuses each
-// configuration's reference run and the trio's outcomes, estimates only the
-// two new strategies, simulates nothing — and writes the bytes of a run with
-// no store.
+// the same grid with every strategy then reuses each configuration's
+// reference run and the trio's outcomes, estimates only the two new
+// strategies, simulates nothing — and writes the bytes of a run with no
+// store.
 func TestSensitivityComposesFromStore(t *testing.T) {
 	cells := uint64(len(HWConfigs()))
 	plain := subcellOpts(t, nil, nil)
-	plain.Subcell = false
 	plain.Samplers = []string{"all"}
 	want, cellErrs, err := RunSensitivity(plain)
 	if err != nil || len(cellErrs) != 0 {
@@ -585,7 +558,6 @@ func TestSensitivityComposesFromStore(t *testing.T) {
 		id   metrics.Counter
 		want uint64
 	}{
-		{metrics.ExpCellsResumed, 0},
 		{metrics.ExpCellsExecuted, cells},
 		{metrics.SubcellHits, cells}, // the reference run, decoded
 		{metrics.SubcellMisses, 0},
@@ -609,11 +581,6 @@ func TestSensitivityComposesFromStore(t *testing.T) {
 	}
 	if n := phaseCount(mc, "experiments.full_ref"); n != 0 {
 		t.Errorf("warm run simulated %d reference runs", n)
-	}
-	// Two grids' cells are journaled; the cache entries beside them are not
-	// cells.
-	if n, all := JournaledCells(store), store.Len(); n != int(2*cells) || all <= n {
-		t.Errorf("JournaledCells = %d of %d store entries, want %d cells and cache entries beside them", n, all, 2*cells)
 	}
 }
 
@@ -663,7 +630,6 @@ func TestSensitivityRecordsMetrics(t *testing.T) {
 func TestMotivationSharesReferenceWithAccuracy(t *testing.T) {
 	benches := []string{"kmeans", "stream"}
 	plain := subcellOpts(t, nil, nil)
-	plain.Subcell = false
 	plain.Benchmarks = benches
 	wantMot, err := RunMotivation(plain)
 	if err != nil {

@@ -228,7 +228,7 @@ func TestDiffGoldenMetrics(t *testing.T) {
 		return map[string]metrics.Snapshot{
 			"default/cfd": {
 				Counters: map[string]uint64{"sim.cycles": 10, "sim.warp_insts": 20},
-				Dists:    map[string]metrics.DistSnapshot{"mem.mshr_occupancy": {Count: 2, Sum: 6, Min: 1, Max: 5}},
+				Dists:    map[string]metrics.DistSnapshot{"mem.dram_queue_wait": {Count: 2, Sum: 6, Min: 1, Max: 5}},
 			},
 			"occ16x8/mst": {Counters: map[string]uint64{"sim.cycles": 7}},
 		}
@@ -248,8 +248,8 @@ func TestDiffGoldenMetrics(t *testing.T) {
 		{"counter only in run", func(want, got map[string]metrics.Snapshot) { got["occ16x8/mst"].Counters["mem.l1_misses"] = 3 },
 			"occ16x8/mst: counter mem.l1_misses = 3, golden 0"},
 		{"one dist off", func(want, got map[string]metrics.Snapshot) {
-			got["default/cfd"].Dists["mem.mshr_occupancy"] = metrics.DistSnapshot{Count: 2, Sum: 6, Min: 1, Max: 4}
-		}, "default/cfd: dist mem.mshr_occupancy = {Count:2 Sum:6 Min:1 Max:4}, golden {Count:2 Sum:6 Min:1 Max:5}"},
+			got["default/cfd"].Dists["mem.dram_queue_wait"] = metrics.DistSnapshot{Count: 2, Sum: 6, Min: 1, Max: 4}
+		}, "default/cfd: dist mem.dram_queue_wait = {Count:2 Sum:6 Min:1 Max:4}, golden {Count:2 Sum:6 Min:1 Max:5}"},
 	}
 	for _, c := range cases {
 		want, got := base(), base()

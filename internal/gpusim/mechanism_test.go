@@ -8,11 +8,11 @@ import (
 	"tbpoint/internal/trace"
 )
 
-// One-mechanism tests: one SM, one warp, no dispatch stagger, so a launch's
-// cycle count is a closed form in the Config latencies of the one mechanism
-// its program exercises; the MSHR and DRAM tests drive that one component
-// directly. The expected values are derived from Config fields, never
-// recorded from a run.
+// One-mechanism tests: one SM, one warp (two for the barrier), no dispatch
+// stagger, so a launch's cycle count is a closed form in the Config
+// latencies of the one mechanism its program exercises; the MSHR and DRAM
+// tests drive that one component directly. The expected values are derived
+// from Config fields, never recorded from a run.
 
 // singleWarp returns the one-SM, zero-dispatch-interval configuration and
 // a one-block, one-warp launch of prog with the given loop trip count.
@@ -37,6 +37,31 @@ func TestIALUChainClosedForm(t *testing.T) {
 	}
 	if res.SimulatedWarpInsts != n+1 {
 		t.Errorf("SimulatedWarpInsts = %d, want %d", res.SimulatedWarpInsts, n+1)
+	}
+}
+
+// TestTwoWarpBarrierClosedForm: one block of two warps runs a chain of n
+// dependent IALU instructions, a barrier, then EXIT. Both warps are ready
+// at cycle 0 and the SM issues one instruction per cycle in ready order,
+// so warp 1 trails warp 0 by one cycle throughout: warp 0 reaches the
+// barrier at n*Lat.IALU and parks, warp 1 arrives one cycle later and
+// releases both for Lat.BAR cycles. The two EXITs then issue on
+// consecutive cycles, the last at n*Lat.IALU + 1 + Lat.BAR + 1, and the
+// launch ends the cycle after.
+func TestTwoWarpBarrierClosedForm(t *testing.T) {
+	const n = 20
+	prog := isa.NewBuilder("bar").LoopBlocks(0, isa.IALU()).EndBlock(isa.Barrier()).Build()
+	cfg := DefaultConfig()
+	cfg.NumSMs = 1
+	cfg.DispatchInterval = 0
+	k := &kernel.Kernel{Name: prog.Name, Program: prog, ThreadsPerBlock: 2 * kernel.WarpSize}
+	l := kernel.NewLaunch(k, 0, []kernel.TBParams{{Trips: []int{n}, ActiveFrac: 1, Seed: 1}})
+	res := MustNew(cfg).RunLaunch(l, RunOptions{})
+	if want := int64(n*cfg.Lat.IALU + cfg.Lat.BAR + 3); res.Cycles != want {
+		t.Errorf("Cycles = %d, want n*Lat.IALU + Lat.BAR + 3 = %d", res.Cycles, want)
+	}
+	if res.SimulatedWarpInsts != 2*(n+2) {
+		t.Errorf("SimulatedWarpInsts = %d, want %d", res.SimulatedWarpInsts, 2*(n+2))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"tbpoint/internal/isa"
-	"tbpoint/internal/metrics"
 )
 
 // memSystem glues per-SM L1 caches, the shared L2 and DRAM into one access
@@ -24,10 +23,8 @@ type memSystem struct {
 	l2    *cache
 	dram  *dram
 	mshrs []mshrTable // per SM: line -> fill completion cycle
-	mc    *metrics.Collector
 
 	MSHRMerges int64
-	prunes     int64 // table compactions (mem.mshr_prunes; see mshrTable)
 }
 
 func newMemSystem(cfg Config) *memSystem {
@@ -55,14 +52,6 @@ func (m *memSystem) reset() {
 	m.l2.reset()
 	m.dram.reset()
 	m.MSHRMerges = 0
-	m.prunes = 0
-}
-
-// setMetrics points the memory system (and its DRAM model) at the run's
-// collector; nil disables per-access observations.
-func (m *memSystem) setMetrics(mc *metrics.Collector) {
-	m.mc = mc
-	m.dram.mc = mc
 }
 
 // access performs one memory request from SM sm at the given cycle and
@@ -83,9 +72,6 @@ func (m *memSystem) access(sm int, addr uint64, cycle int64, op isa.Opcode) int6
 	// outstanding fills influence timing, which is why pruning never
 	// changes results.
 	t := &m.mshrs[sm]
-	if m.mc != nil {
-		m.mc.Observe(metrics.DistMSHROccupancy, uint64(len(t.ents)))
-	}
 	if fill := t.get(line); fill > cycle {
 		// The original fill has already allocated the line in the L1;
 		// the merged request just waits for the same fill.
@@ -122,7 +108,6 @@ func (m *memSystem) access(sm int, addr uint64, cycle int64, op isa.Opcode) int6
 // arrival order, against no later than the epoch's end.
 func (m *memSystem) pruneMSHRs(sm int, cycle int64) {
 	if t := &m.mshrs[sm]; len(t.ents) > t.limit {
-		m.prunes++
 		t.prune(cycle)
 	}
 }

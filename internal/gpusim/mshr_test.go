@@ -176,20 +176,26 @@ func TestMSHRPruneScheduleKeepsResults(t *testing.T) {
 
 // runUnpruned is RunLaunch through the epoch-parallel engine on a fresh
 // arena whose MSHR tables are never pruned: their threshold is raised to
-// 1<<14 entries after the reset. It also returns the prunes it made, which
-// the caller requires to be zero.
-func runUnpruned(s *Simulator, l *kernel.Launch, opts RunOptions) (*LaunchResult, int64) {
+// unpruned entries after the reset. It also reports whether any table was
+// pruned anyway (a prune resets the threshold to twice the fills it kept,
+// far below unpruned here), which the caller requires to be false.
+func runUnpruned(s *Simulator, l *kernel.Launch, opts RunOptions) (*LaunchResult, bool) {
+	const unpruned = 1 << 14
 	ar := &runArena{sms: make([]smState, s.cfg.NumSMs)}
 	ar.rs.mem = newMemSystem(s.cfg)
 	ar.rs.sms = ar.sms
 	rs := ar.reset(s, l, opts)
 	for i := range rs.mem.mshrs {
-		rs.mem.mshrs[i].limit = 1 << 14
+		rs.mem.mshrs[i].limit = unpruned
 	}
 	rs.occ = s.cfg.Limits.BlocksPerSM(l.Kernel)
 	rs.prepareSlots(s.cfg.NumSMs * rs.occ)
 	rs.runParallel()
-	return rs.res, rs.mem.prunes
+	pruned := false
+	for i := range rs.mem.mshrs {
+		pruned = pruned || rs.mem.mshrs[i].limit != unpruned
+	}
+	return rs.res, pruned
 }
 
 // TestMSHRPruneScheduleKeepsParallelResults: the epoch-parallel engine's
@@ -228,9 +234,9 @@ func TestMSHRPruneScheduleKeepsParallelResults(t *testing.T) {
 		k := &kernel.Kernel{Name: "shared", Program: prog, ThreadsPerBlock: c.warps * kernel.WarpSize}
 		l := makeLaunch(k, c.blocks, c.iters)
 		opts := RunOptions{Workers: 2, Quantum: c.quantum}
-		want, prunes := runUnpruned(sim, l, opts)
-		if prunes != 0 {
-			t.Fatalf("%+v: the unpruned run pruned %d times", c, prunes)
+		want, pruned := runUnpruned(sim, l, opts)
+		if pruned {
+			t.Fatalf("%+v: the unpruned run pruned", c)
 		}
 		if got := sim.RunLaunch(l, opts); !reflect.DeepEqual(got, want) {
 			t.Errorf("%+v: pruned run differs from the unpruned one: cycles %d vs %d, MSHR merges %d vs %d",

@@ -50,7 +50,6 @@ import (
 	"sync"
 
 	"tbpoint/internal/isa"
-	"tbpoint/internal/metrics"
 	"tbpoint/internal/trace"
 )
 
@@ -720,9 +719,6 @@ func (rs *runState) barrier(end int64) {
 			req.done = m.dram.access(req.addr, req.arrive+l2Lat)
 		}
 		t := &m.mshrs[r.sm]
-		if m.mc != nil {
-			m.mc.Observe(metrics.DistMSHROccupancy, uint64(len(t.ents)))
-		}
 		l1 := &m.l1[r.sm]
 		var line uint64
 		if l1.lineShift >= 0 {

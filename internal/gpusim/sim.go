@@ -355,7 +355,7 @@ func (ar *runArena) reset(s *Simulator, l *kernel.Launch, opts RunOptions) *runS
 	}
 	rs.aborted = false
 	rs.parRun = false
-	rs.mem.setMetrics(opts.Metrics)
+	rs.mem.dram.mc = opts.Metrics
 	rs.res = &LaunchResult{SMs: make([]SMStat, s.cfg.NumSMs)}
 	rs.occ = 0
 	rs.wpb = l.Kernel.WarpsPerBlock()
@@ -424,7 +424,7 @@ func (ar *runArena) runLaunch(s *Simulator, l *kernel.Launch, opts RunOptions) *
 	rs.opts = RunOptions{}
 	rs.mc = nil
 	rs.done = nil
-	rs.mem.setMetrics(nil)
+	rs.mem.dram.mc = nil
 	return res
 }
 
@@ -554,7 +554,6 @@ func (rs *runState) flushMetrics(res *LaunchResult) {
 	mc.Add(metrics.MemL2Hits, uint64(res.L2Hits))
 	mc.Add(metrics.MemL2Misses, uint64(res.L2Misses))
 	mc.Add(metrics.MemMSHRMerges, uint64(res.MSHRMerges))
-	mc.Add(metrics.MemMSHRPrunes, uint64(rs.mem.prunes))
 	mc.Add(metrics.MemWritebacks, uint64(res.Writebacks))
 	mc.Add(metrics.MemDRAMAccesses, uint64(res.DRAMAccesses))
 	mc.Add(metrics.MemDRAMRowHits, uint64(res.DRAMRowHits))

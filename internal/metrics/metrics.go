@@ -88,7 +88,6 @@ const (
 	MemL2Hits
 	MemL2Misses
 	MemMSHRMerges
-	MemMSHRPrunes // MSHR table compactions to the outstanding fills
 	MemWritebacks
 	MemDRAMAccesses
 	MemDRAMRowHits
@@ -113,39 +112,29 @@ const (
 	ParExtraWorkers
 	ParAcquireDenied
 
-	// Experiment-grid durability (internal/experiments): how each grid
-	// cell was satisfied. Executed + resumed + failed accounts for every
-	// cell of a completed grid, which is how the crash-recovery suite
+	// Experiment grids (internal/experiments). A cell composed wholly from
+	// the store is neither executed nor failed: how the crash-recovery suite
 	// proves a resumed run re-executed nothing.
-	ExpCellsExecuted   // cells actually simulated to completion
-	ExpCellsResumed    // cells restored from the checkpoint journal
-	ExpCellsFailed     // cells that exhausted retries into a CellError
-	ExpCellRetries     // retry attempts beyond each cell's first
-	ExpCheckpointsSave // successful checkpoint journal writes
+	ExpCellsExecuted // cells that simulated a reference or estimated a strategy
+	ExpCellsFailed   // cells that exhausted retries into a CellError
+	ExpCellRetries   // retry attempts beyond each cell's first
 	// Reference-run launches not simulated because an earlier launch of the
 	// run had identical simulation input (trace.SameInput); their sim.*,
 	// sched.* and mem.* content is still counted, from that launch.
 	ExpLaunchesReused
 
-	// Sub-cell artifact cache (internal/experiments): each benchmark's full
-	// reference run is keyed by its own result-determining option hash and
-	// shared through the same durable store as the cell checkpoints, so two
-	// jobs whose grids overlap without being cell-identical still reuse the
-	// dominant simulation. One hit or miss is counted per cell: whether its
-	// reference came from the store (header or artifact) or was simulated.
-	// Outcome hits/misses count the per-strategy outcome lookups of the same
-	// cache, one per selected strategy per cell.
+	// Sub-cell store (internal/experiments), counted only when a run has
+	// one: per cell, whether its reference came from the store (header or
+	// artifact) or was simulated; per selected strategy per cell, whether
+	// its outcome came from the store or was estimated.
 	SubcellHits
 	SubcellMisses
 	OutcomeHits
 	OutcomeMisses
 
-	// Job server (internal/server). Cache hits/misses count grid cells a
-	// job satisfied from / published into the shared artifact cache, so a
-	// second client requesting an overlapping grid shows up as hits.
-	// Subcell and outcome hits/misses aggregate the per-job sub-cell lookups
-	// the same way, and evictions counts entries the bounded cache dropped
-	// to stay under its byte budget.
+	// Job server (internal/server). Cache misses, subcell and outcome
+	// hits/misses sum the jobs' exp.cells_executed, subcell.* and outcome.*;
+	// evictions counts entries the bounded cache dropped for its budget.
 	// The supervision counters (jobs_panicked/stuck/quarantined,
 	// admission_rejects, dispatcher_restarts) observe the containment
 	// layer: a panicking job is recovered and its dispatcher slot
@@ -162,7 +151,6 @@ const (
 	ServerJobsQuarantined // jobs dead-lettered by the requeue cap at replay
 	ServerAdmissionRejects
 	ServerDispatcherRestarts // dispatcher slots restarted after a contained panic
-	ServerCacheHits
 	ServerCacheMisses
 	ServerSubcellHits
 	ServerSubcellMisses
@@ -205,7 +193,6 @@ var counterNames = [NumCounters]string{
 	MemL2Hits:       "mem.l2_hits",
 	MemL2Misses:     "mem.l2_misses",
 	MemMSHRMerges:   "mem.mshr_merges",
-	MemMSHRPrunes:   "mem.mshr_prunes",
 	MemWritebacks:   "mem.writebacks",
 	MemDRAMAccesses: "mem.dram_accesses",
 	MemDRAMRowHits:  "mem.dram_row_hits",
@@ -225,12 +212,10 @@ var counterNames = [NumCounters]string{
 	ParExtraWorkers:  "par.extra_workers",
 	ParAcquireDenied: "par.acquire_denied",
 
-	ExpCellsExecuted:   "exp.cells_executed",
-	ExpCellsResumed:    "exp.cells_resumed",
-	ExpCellsFailed:     "exp.cells_failed",
-	ExpCellRetries:     "exp.cell_retries",
-	ExpCheckpointsSave: "exp.checkpoint_writes",
-	ExpLaunchesReused:  "exp.launches_reused",
+	ExpCellsExecuted:  "exp.cells_executed",
+	ExpCellsFailed:    "exp.cells_failed",
+	ExpCellRetries:    "exp.cell_retries",
+	ExpLaunchesReused: "exp.launches_reused",
 
 	SubcellHits:   "subcell.hits",
 	SubcellMisses: "subcell.misses",
@@ -247,7 +232,6 @@ var counterNames = [NumCounters]string{
 	ServerJobsQuarantined:    "server.jobs_quarantined",
 	ServerAdmissionRejects:   "server.admission_rejects",
 	ServerDispatcherRestarts: "server.dispatcher_restarts",
-	ServerCacheHits:          "server.cache_hits",
 	ServerCacheMisses:        "server.cache_misses",
 	ServerSubcellHits:        "server.subcell_hits",
 	ServerSubcellMisses:      "server.subcell_misses",
@@ -268,8 +252,7 @@ func (c Counter) Name() string { return counterNames[c] }
 type Dist int
 
 const (
-	DistMSHROccupancy  Dist = iota // MSHR entries since the last prune, per access
-	DistDRAMQueueWait              // cycles a DRAM access waited, per access
+	DistDRAMQueueWait  Dist = iota // cycles a DRAM access waited, per access
 	DistSMWarpInsts                // per-SM issued instructions, per launch
 	DistSMActiveCycles             // per-SM last-issue cycle, per launch
 
@@ -277,7 +260,6 @@ const (
 )
 
 var distNames = [NumDists]string{
-	DistMSHROccupancy:  "mem.mshr_occupancy",
 	DistDRAMQueueWait:  "mem.dram_queue_wait",
 	DistSMWarpInsts:    "sim.sm_warp_insts",
 	DistSMActiveCycles: "sim.sm_active_cycles",

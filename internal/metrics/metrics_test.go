@@ -54,10 +54,10 @@ func TestEveryCounterAndDistNamed(t *testing.T) {
 func TestDistSemantics(t *testing.T) {
 	c := New()
 	for _, v := range []uint64{5, 2, 9, 2} {
-		c.Observe(DistMSHROccupancy, v)
+		c.Observe(DistDRAMQueueWait, v)
 	}
 	s := c.Snapshot()
-	d, ok := s.Dists[DistMSHROccupancy.Name()]
+	d, ok := s.Dists[DistDRAMQueueWait.Name()]
 	if !ok {
 		t.Fatal("observed dist missing from snapshot")
 	}
@@ -67,7 +67,7 @@ func TestDistSemantics(t *testing.T) {
 	if got := d.Mean(); got != 4.5 {
 		t.Errorf("mean = %g, want 4.5", got)
 	}
-	if _, ok := s.Dists[DistDRAMQueueWait.Name()]; ok {
+	if _, ok := s.Dists[DistSMWarpInsts.Name()]; ok {
 		t.Error("unobserved dist present in snapshot")
 	}
 }
@@ -79,7 +79,7 @@ func TestNilCollectorNoOp(t *testing.T) {
 	c.Inc(SimCycles)
 	c.Add(SimCycles, 5)
 	c.AtomicAdd(SimCycles, 5)
-	c.Observe(DistMSHROccupancy, 1)
+	c.Observe(DistDRAMQueueWait, 1)
 	c.AddPhase("x", time.Second)
 	sw := c.StartPhase("z")
 	sw.Stop()
@@ -211,12 +211,12 @@ func TestWriteText(t *testing.T) {
 	c := New()
 	c.Add(MemL1Hits, 5)
 	c.Add(SimCycles, 2)
-	c.Observe(DistMSHROccupancy, 3)
+	c.Observe(DistDRAMQueueWait, 3)
 	c.AddPhase("run", time.Second)
 	var buf bytes.Buffer
 	c.Snapshot().WriteText(&buf)
 	out := buf.String()
-	for _, want := range []string{"[mem]", "[sim]", "mem.l1_hits", "mem.mshr_occupancy", "run", "100.0%"} {
+	for _, want := range []string{"[mem]", "[sim]", "mem.l1_hits", "mem.dram_queue_wait", "run", "100.0%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
@@ -242,7 +242,7 @@ func BenchmarkEnabledInc(b *testing.B) {
 func BenchmarkEnabledObserve(b *testing.B) {
 	c := New()
 	for i := 0; i < b.N; i++ {
-		c.Observe(DistMSHROccupancy, uint64(i&1023))
+		c.Observe(DistDRAMQueueWait, uint64(i&1023))
 	}
 }
 
@@ -269,7 +269,7 @@ func TestLiveSnapshotRaceFree(t *testing.T) {
 				agg.AtomicAdd(ExpCellsExecuted, 1)
 				src := New()
 				src.Add(SimCycles, uint64(w+i))
-				src.Observe(DistMSHROccupancy, uint64(i%7))
+				src.Observe(DistDRAMQueueWait, uint64(i%7))
 				src.AddPhase("work", time.Microsecond)
 				agg.Merge(src)
 			}

@@ -17,7 +17,7 @@
 // Randomized strategies derive all randomness from Params.Seed via
 // internal/stats RNGs (SplitMix64), never from global state or time. This
 // is what lets experiment grids checkpoint/resume and the job server cache
-// cells across processes: the cell key folds in the selected sampler names
+// outcomes across processes: an outcome's key folds in the strategy's name
 // and every Params-determining option, and a hit must be byte-identical to
 // a recompute.
 //
@@ -25,7 +25,7 @@
 //
 // The default set (see DefaultSet) is the paper's Random/Ideal-Simpoint/
 // TBPoint comparison. An empty selection normalizes to it, so selecting
-// nothing and naming the trio explicitly are the same run: same cell keys,
+// nothing and naming the trio explicitly are the same run: same store keys,
 // same results, same report.
 package sampler
 

@@ -124,7 +124,6 @@ func (d *Driver) runJob(j *Job) {
 	opts.Metrics = jmc
 	opts.Checkpoint = d.cache
 	opts.Resume = !spec.NoCache
-	opts.Subcell = true
 	opts.Verbose = true
 	opts.Out = report
 
@@ -149,7 +148,6 @@ func (d *Driver) runJob(j *Job) {
 	j.rec.WallSeconds = wall.Seconds()
 	j.rec.Aborted = bundle.Aborted
 	j.rec.readCounters(jmc) // and on into the server-wide counters /metrics exposes
-	d.mc.AtomicAdd(metrics.ServerCacheHits, j.rec.CacheHits)
 	d.mc.AtomicAdd(metrics.ServerCacheMisses, j.rec.CacheMisses)
 	d.mc.AtomicAdd(metrics.ServerSubcellHits, j.rec.SubcellHits)
 	d.mc.AtomicAdd(metrics.ServerSubcellMisses, j.rec.SubcellMisses)

@@ -59,7 +59,8 @@ const admissionRetryAfter = time.Second
 // jobKeyPrefix namespaces job records inside the journal store.
 const jobKeyPrefix = "job/"
 
-// Config configures a Driver.
+// Config configures a Driver. Open rejects a negative value in any numeric
+// field but MaxRequeues.
 type Config struct {
 	// StateDir holds the server's durable state: the job journal
 	// (StateDir/jobs), the artifact cache (StateDir/cache) and completed
@@ -102,8 +103,9 @@ type Config struct {
 	// the cache unbounded.
 	CacheMaxBytes int64
 	// Metrics receives the server-wide counters (server.jobs_*,
-	// server.cache_hits/misses, server.subcell_hits/misses,
-	// server.cache_evictions). Nil disables them.
+	// server.cache_misses, server.subcell_hits/misses,
+	// server.outcome_hits/misses, server.cache_evictions). Nil disables
+	// them.
 	Metrics *metrics.Collector
 	// Logf receives operational log lines (nil discards them).
 	Logf func(format string, args ...interface{})
@@ -156,6 +158,15 @@ type Driver struct {
 func Open(cfg Config) (*Driver, error) {
 	if cfg.StateDir == "" {
 		return nil, errors.New("server: Config.StateDir is required")
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"Dispatchers", int64(cfg.Dispatchers)}, {"StuckAfter", int64(cfg.StuckAfter)}, {"MaxQueued", int64(cfg.MaxQueued)},
+		{"MaxQueuedPerClient", int64(cfg.MaxQueuedPerClient)}, {"CacheMaxBytes", cfg.CacheMaxBytes}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("server: Config.%s must not be negative, got %d", f.name, f.v)
+		}
 	}
 	journal, err := durable.Open(filepath.Join(cfg.StateDir, "jobs"))
 	if err != nil {
@@ -227,7 +238,7 @@ func Open(cfg Config) (*Driver, error) {
 	}
 
 	n := cfg.Dispatchers
-	if n <= 0 {
+	if n == 0 {
 		n = 2
 	}
 	for i := 0; i < n; i++ {
@@ -337,7 +348,6 @@ func (d *Driver) statusLocked(j *Job) JobStatus {
 // readCounters copies the job collector's cache accounting into the status
 // (the one place the cell, sub-cell and outcome counters are read).
 func (st *JobStatus) readCounters(mc *metrics.Collector) {
-	st.CacheHits = mc.Count(metrics.ExpCellsResumed)
 	st.CacheMisses = mc.Count(metrics.ExpCellsExecuted)
 	st.SubcellHits = mc.Count(metrics.SubcellHits)
 	st.SubcellMisses = mc.Count(metrics.SubcellMisses)

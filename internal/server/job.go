@@ -16,10 +16,10 @@
 //
 //   - the job journal records every job's spec and state transition, so a
 //     killed daemon re-queues its unfinished jobs on restart;
-//   - the artifact cache journals every completed grid cell under the same
-//     result-determining key hash the -checkpoint-dir CLI flow uses, so a
-//     second job requesting an overlapping grid resumes those cells
-//     byte-identically instead of re-simulating them.
+//   - the artifact cache holds what grid cells are composed from under the
+//     keys the -checkpoint-dir CLI flow uses, so a second job requesting an
+//     overlapping grid composes its cells byte-identically instead of
+//     re-simulating them.
 package server
 
 import (
@@ -92,9 +92,9 @@ type JobSpec struct {
 	// context: a blown deadline aborts in-flight cells at their next
 	// boundary and fails the job (0 = no limit).
 	Deadline Duration `json:"deadline,omitempty"`
-	// NoCache makes the job compute every cell fresh instead of resuming
-	// from the artifact cache. Completed cells are still published to the
-	// cache for later jobs.
+	// NoCache makes the job compute every cell fresh instead of composing
+	// it from the artifact cache. What it computes is still published to
+	// the cache for later jobs.
 	NoCache bool `json:"no_cache,omitempty"`
 	// Client names the submitting tenant for fair-share scheduling: each
 	// client owns a FIFO queue and the dispatchers round-robin across
@@ -249,14 +249,14 @@ type JobStatus struct {
 	// daemon died while it held a dispatcher: the crash-loop signal the
 	// quarantine policy acts on.
 	RunRequeues int `json:"run_requeues,omitempty"`
-	// CacheHits / CacheMisses count grid cells satisfied from vs published
-	// into the shared artifact cache (exp.cells_resumed / exp.cells_executed
-	// of the job's collector).
+	// CacheMisses counts the cells the job computed something for
+	// (exp.cells_executed); a job composed wholly from the cache reports 0.
+	// CacheHits is always 0 (no cell is stored whole); bench/ reads it.
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
-	// SubcellHits / SubcellMisses count, per executed cell, whether its full
+	// SubcellHits / SubcellMisses count, per cell, whether its full
 	// reference came from the sub-cell cache (header or artifact) or had to
-	// be simulated — these hit even when whole cells differ, e.g. two jobs
+	// be simulated — these hit whenever the workload matches, e.g. two jobs
 	// over the same workload with different sampler sets. OutcomeHits /
 	// OutcomeMisses count the per-strategy outcome lookups of those cells:
 	// a miss is one strategy estimated (and published) by this job.

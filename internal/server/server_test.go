@@ -107,8 +107,8 @@ func TestServerEndToEnd(t *testing.T) {
 	if final.State != server.StateDone {
 		t.Fatalf("job finished %s (error %q), want done", final.State, final.Error)
 	}
-	if final.CacheMisses == 0 || final.CacheHits != 0 {
-		t.Errorf("first job hits=%d misses=%d, want fresh compute", final.CacheHits, final.CacheMisses)
+	if final.CacheMisses == 0 || final.SubcellHits != 0 {
+		t.Errorf("first job computed %d cells with %d sub-cell hits, want fresh compute", final.CacheMisses, final.SubcellHits)
 	}
 	if final.WallSeconds <= 0 {
 		t.Error("done job has no wall time")
@@ -139,8 +139,8 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Errorf("report text missing benchmark name:\n%s", report)
 	}
 
-	// Second identical job: every grid cell must come from the artifact
-	// cache, and the bytes must still match.
+	// Second identical job: every grid cell must be composed from the
+	// artifact cache, and the bytes must still match.
 	st2, err := c.Submit(ctx, smallSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +152,9 @@ func TestServerEndToEnd(t *testing.T) {
 	if final2.State != server.StateDone {
 		t.Fatalf("second job finished %s (error %q)", final2.State, final2.Error)
 	}
-	if final2.CacheHits == 0 || final2.CacheMisses != 0 {
-		t.Errorf("second job hits=%d misses=%d, want pure cache", final2.CacheHits, final2.CacheMisses)
+	if final2.CacheMisses != 0 || final2.SubcellHits == 0 || final2.SubcellMisses != 0 || final2.OutcomeMisses != 0 {
+		t.Errorf("second job computed %d cells, sub-cell hits=%d misses=%d, outcome misses=%d; want pure composition",
+			final2.CacheMisses, final2.SubcellHits, final2.SubcellMisses, final2.OutcomeMisses)
 	}
 	got2, err := c.Result(ctx, st2.ID)
 	if err != nil {
@@ -163,8 +164,8 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Error("cached job's results.json differs from the computed job's")
 	}
 
-	if n := mc.Count(metrics.ServerCacheHits); n == 0 {
-		t.Error("server.cache_hits counter is zero after a cache-served job")
+	if n := mc.Count(metrics.ServerSubcellHits); n == 0 {
+		t.Error("server.subcell_hits counter is zero after a cache-served job")
 	}
 	if n := mc.Count(metrics.ServerJobsDone); n != 2 {
 		t.Errorf("server.jobs_done = %d, want 2", n)
@@ -412,4 +413,31 @@ func TestDefaultsNormalized(t *testing.T) {
 	if got := strings.Join(st2.Spec.Samplers, ","); got != "random,simpoint,tbpoint" {
 		t.Errorf("samplers normalized to %q, want canonical order", got)
 	}
+}
+
+// TestOpenRejectsNegativeSettings: a negative count, byte budget or duration
+// is refused with an error naming the field, never read as "default" or
+// "unbounded". A negative MaxRequeues keeps its documented meaning, "never
+// quarantine".
+func TestOpenRejectsNegativeSettings(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*server.Config)
+	}{
+		{"Dispatchers", func(c *server.Config) { c.Dispatchers = -1 }},
+		{"StuckAfter", func(c *server.Config) { c.StuckAfter = -time.Second }},
+		{"MaxQueued", func(c *server.Config) { c.MaxQueued = -1 }},
+		{"MaxQueuedPerClient", func(c *server.Config) { c.MaxQueuedPerClient = -2 }},
+		{"CacheMaxBytes", func(c *server.Config) { c.CacheMaxBytes = -1 }},
+	} {
+		cfg := server.Config{StateDir: t.TempDir(), Paused: true}
+		c.set(&cfg)
+		if d, err := server.Open(cfg); err == nil {
+			d.Close()
+			t.Errorf("negative %s accepted", c.field)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("negative %s: error %q does not name the field", c.field, err)
+		}
+	}
+	openDriver(t, server.Config{StateDir: t.TempDir(), Paused: true, MaxRequeues: -1})
 }

@@ -31,8 +31,10 @@
 #              race detector (launch fan-out, per-launch collectors merged
 #              in launch order)
 #   e2e        internal/e2e on its own, under -race: cmd/experiments dying at
-#              a store write and resuming to byte-identical results, a fatal
-#              target error still flushing its JSON outputs, tbpointd
+#              a store write and resuming to byte-identical results (a
+#              second resume composing every cell and computing none), a
+#              fatal target error still flushing its JSON outputs, negative
+#              counts and byte budgets refused by both CLIs, tbpointd
 #              surviving a hard death with a journaled job, a crash-looping
 #              job quarantined after exactly four daemon deaths (each death
 #              armed by the store's TBPOINT_CRASH_AFTER_CHECKPOINTS hook, the
