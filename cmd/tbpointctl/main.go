@@ -160,8 +160,6 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 	cellDeadline := fs.Duration("cell-deadline", 0, "wall-time budget per grid cell")
 	deadline := fs.Duration("deadline", 0, "wall-time budget for the whole job")
 	noCache := fs.Bool("no-cache", false, "compute every cell fresh, ignoring the artifact cache")
-	clientName := fs.String("client", "", "tenant name for fair-share scheduling (empty = the shared anon queue)")
-	priority := fs.Int("priority", 0, "job priority 0..9: widens this client's dispatcher share, never starves others")
 	wait := fs.Bool("wait", false, "block until the job is terminal; print its status line")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
@@ -176,8 +174,6 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 		CellDeadline: server.Duration(*cellDeadline),
 		Deadline:     server.Duration(*deadline),
 		NoCache:      *noCache,
-		Client:       *clientName,
-		Priority:     *priority,
 	}
 	if *bench != "" {
 		spec.Benchmarks = strings.Split(*bench, ",")

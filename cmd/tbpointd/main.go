@@ -37,7 +37,6 @@ func configFlags(fs *flag.FlagSet) *server.Config {
 	fs.IntVar(&cfg.MaxRequeues, "max-requeues", server.DefaultMaxRequeues, "quarantine a job after this many requeues-while-running across restarts (-1 = never)")
 	fs.DurationVar(&cfg.StuckAfter, "stuck-after", 0, "fail a running job as stuck when its progress stalls this long (0 = watchdog off)")
 	fs.IntVar(&cfg.MaxQueued, "max-queued", 0, "reject submissions with 429 past this many queued jobs (0 = unbounded)")
-	fs.IntVar(&cfg.MaxQueuedPerClient, "max-queued-client", 0, "per-client queued-job bound, rejected with 429 (0 = unbounded)")
 	return cfg
 }
 

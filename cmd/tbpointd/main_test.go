@@ -18,12 +18,12 @@ func TestFlagsReachConfig(t *testing.T) {
 	cfg := configFlags(fs)
 	if err := fs.Parse([]string{
 		"-state-dir", "/var/lib/tbpoint", "-dispatchers", "3", "-cache-max-bytes", "5000", "-paused",
-		"-max-requeues", "-1", "-stuck-after", "90s", "-max-queued", "7", "-max-queued-client", "2",
+		"-max-requeues", "-1", "-stuck-after", "90s", "-max-queued", "7",
 	}); err != nil {
 		t.Fatal(err)
 	}
 	want := server.Config{StateDir: "/var/lib/tbpoint", Dispatchers: 3, CacheMaxBytes: 5000, Paused: true,
-		MaxRequeues: -1, StuckAfter: 90 * time.Second, MaxQueued: 7, MaxQueuedPerClient: 2}
+		MaxRequeues: -1, StuckAfter: 90 * time.Second, MaxQueued: 7}
 	if !reflect.DeepEqual(*cfg, want) {
 		t.Errorf("server.Config = %+v, want %+v", *cfg, want)
 	}

@@ -259,7 +259,6 @@ func TestDaemonRefusesNegativeSettings(t *testing.T) {
 		{"-dispatchers", "-1", "Dispatchers"},
 		{"-cache-max-bytes", "-1", "CacheMaxBytes"},
 		{"-max-queued", "-1", "MaxQueued"},
-		{"-max-queued-client", "-1", "MaxQueuedPerClient"},
 		{"-stuck-after", "-1s", "StuckAfter"},
 	} {
 		d := bootDaemon(t, "serve_negative", filepath.Join(t.TempDir(), "state"), nil, c.flag, c.value)

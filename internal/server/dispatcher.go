@@ -57,18 +57,18 @@ func (d *Driver) runContained(j *Job) (ok bool) {
 	return true
 }
 
-// nextJob blocks until the scheduler releases a job or the driver closes
-// (nil). A job cancelled between its release and its dispatch is rejected
+// nextJob blocks until it can pop the queue's head or the driver closes
+// (nil). A job cancelled between its pop and its dispatch is rejected
 // by the table, and the loop comes straight back, re-checking closed and
 // paused, so it never absorbs the wakeup meant for a live job behind it.
 func (d *Driver) nextJob() *Job {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for !d.closed {
-		if !d.paused {
-			if id, ok := d.sched.pop(); ok {
-				return d.jobs[id]
-			}
+		if !d.paused && len(d.queue) > 0 {
+			id := d.queue[0]
+			d.queue = d.queue[1:]
+			return d.jobs[id]
 		}
 		d.cond.Wait()
 	}

@@ -23,38 +23,16 @@ var ErrNotFound = errors.New("server: no such job")
 // ErrShutdown reports an operation on a closed driver.
 var ErrShutdown = errors.New("server: driver is shut down")
 
-// ErrOverloaded reports an admission-control rejection: the queue bound
-// (global or per-client) is reached and the submission was refused rather
-// than accepted into an unbounded backlog. The HTTP layer maps it to
-// 429 + Retry-After; the client retries it inside its backoff.
+// ErrOverloaded reports an admission-control rejection: the queue bound is
+// reached and the submission was refused rather than accepted into an
+// unbounded backlog. The HTTP layer maps it to 429 + Retry-After: 1; the
+// client retries it inside its backoff.
 var ErrOverloaded = errors.New("server: job queue is full")
-
-// OverloadError carries the admission-rejection details: which bound was
-// hit and how long the submitter should wait before retrying. It wraps
-// ErrOverloaded.
-type OverloadError struct {
-	// Scope is "global" or the client name whose per-client bound was hit.
-	Scope string
-	// Queued and Limit are the bound's observed occupancy and cap.
-	Queued, Limit int
-	// RetryAfter is the server's backoff hint (the Retry-After header).
-	RetryAfter time.Duration
-}
-
-func (e *OverloadError) Error() string {
-	return fmt.Sprintf("server: job queue is full (%s: %d queued >= limit %d), retry after %s",
-		e.Scope, e.Queued, e.Limit, e.RetryAfter)
-}
-
-func (e *OverloadError) Unwrap() error { return ErrOverloaded }
 
 // DefaultMaxRequeues is the poison-job quarantine cap: a job observed
 // running across more than this many daemon deaths is dead-lettered at
 // replay instead of requeued.
 const DefaultMaxRequeues = 3
-
-// admissionRetryAfter is the backoff hint attached to 429 rejections.
-const admissionRetryAfter = time.Second
 
 // jobKeyPrefix namespaces job records inside the journal store.
 const jobKeyPrefix = "job/"
@@ -88,14 +66,11 @@ type Config struct {
 	// no more often than every 10ms), so a stuck job is detected within
 	// StuckAfter plus one sample. 0 (the default) disables the watchdog.
 	StuckAfter time.Duration
-	// MaxQueued bounds the number of queued jobs across all clients:
-	// submissions past it are rejected with ErrOverloaded (HTTP 429 +
-	// Retry-After) instead of growing the backlog without bound. 0 keeps
-	// the queue unbounded. Running jobs do not count against the bound.
+	// MaxQueued bounds the number of queued jobs: submissions past it are
+	// rejected with ErrOverloaded (HTTP 429 + Retry-After) instead of
+	// growing the backlog without bound. 0 keeps the queue unbounded.
+	// Running jobs do not count against the bound.
 	MaxQueued int
-	// MaxQueuedPerClient bounds each tenant's own queue the same way, so
-	// one client cannot consume the whole global budget. 0 = unbounded.
-	MaxQueuedPerClient int
 	// CacheMaxBytes bounds the artifact cache's on-disk footprint: writes
 	// over the budget evict least-recently-used entries (counted as
 	// server.cache_evictions). Evicted cells and artifacts recompute on
@@ -123,7 +98,7 @@ type Job struct {
 	progress   progressMark  // the watchdog's last fingerprint observation
 }
 
-// Driver owns job lifecycle: submission, validation, the fair-share queue,
+// Driver owns job lifecycle: submission, validation, the FIFO queue,
 // per-job deadlines and cancellation, durable journaling, and restart
 // recovery. Execution itself belongs to the dispatchers (dispatcher.go).
 type Driver struct {
@@ -139,8 +114,8 @@ type Driver struct {
 	mu     sync.Mutex
 	cond   *sync.Cond // wakes idle dispatchers on submit/close
 	jobs   map[string]*Job
-	order  []string  // all known job IDs, submission order
-	sched  *drrSched // queued job IDs, per-client DRR (see sched.go)
+	order  []string // all known job IDs, submission order
+	queue  []string // queued job IDs, dispatch (= submission) order
 	nextID int
 	paused bool // runtime dispatch gate, seeded from Config.Paused
 	closed bool
@@ -163,7 +138,7 @@ func Open(cfg Config) (*Driver, error) {
 		name string
 		v    int64
 	}{{"Dispatchers", int64(cfg.Dispatchers)}, {"StuckAfter", int64(cfg.StuckAfter)}, {"MaxQueued", int64(cfg.MaxQueued)},
-		{"MaxQueuedPerClient", int64(cfg.MaxQueuedPerClient)}, {"CacheMaxBytes", cfg.CacheMaxBytes}} {
+		{"CacheMaxBytes", cfg.CacheMaxBytes}} {
 		if f.v < 0 {
 			return nil, fmt.Errorf("server: Config.%s must not be negative, got %d", f.name, f.v)
 		}
@@ -187,7 +162,6 @@ func Open(cfg Config) (*Driver, error) {
 		cache:      cache,
 		resultsDir: resultsDir,
 		jobs:       map[string]*Job{},
-		sched:      newDRRSched(),
 		paused:     cfg.Paused,
 	}
 	d.cond = sync.NewCond(&d.mu)
@@ -268,10 +242,10 @@ func (d *Driver) persistLocked(j *Job) error {
 }
 
 // Submit validates, journals and enqueues a job; a journal that cannot be
-// written fails the submission. A submission past the queue bounds
-// (Config.MaxQueued / MaxQueuedPerClient) is rejected with an *OverloadError
-// instead of queued: under overload the server sheds load at admission,
-// where the client can back off, rather than inside an unbounded backlog.
+// written fails the submission. A submission past Config.MaxQueued is
+// rejected with ErrOverloaded instead of queued: under overload the server
+// sheds load at admission, where the client can back off, rather than
+// inside an unbounded backlog.
 func (d *Driver) Submit(spec JobSpec) (JobStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
@@ -281,19 +255,9 @@ func (d *Driver) Submit(spec JobSpec) (JobStatus, error) {
 	if d.closed {
 		return JobStatus{}, ErrShutdown
 	}
-	if d.cfg.MaxQueued > 0 && d.sched.len() >= d.cfg.MaxQueued {
+	if d.cfg.MaxQueued > 0 && len(d.queue) >= d.cfg.MaxQueued {
 		d.mc.AtomicAdd(metrics.ServerAdmissionRejects, 1)
-		return JobStatus{}, &OverloadError{
-			Scope: "global", Queued: d.sched.len(),
-			Limit: d.cfg.MaxQueued, RetryAfter: admissionRetryAfter,
-		}
-	}
-	if n := d.sched.clientLen(spec.clientKey()); d.cfg.MaxQueuedPerClient > 0 && n >= d.cfg.MaxQueuedPerClient {
-		d.mc.AtomicAdd(metrics.ServerAdmissionRejects, 1)
-		return JobStatus{}, &OverloadError{
-			Scope: spec.clientKey(), Queued: n,
-			Limit: d.cfg.MaxQueuedPerClient, RetryAfter: admissionRetryAfter,
-		}
+		return JobStatus{}, fmt.Errorf("%w (%d queued, limit %d)", ErrOverloaded, len(d.queue), d.cfg.MaxQueued)
 	}
 	id := fmt.Sprintf("j%06d", d.nextID+1)
 	job := &Job{
@@ -322,8 +286,10 @@ func (d *Driver) Cancel(id string) (JobStatus, error) {
 		return JobStatus{}, ErrNotFound
 	}
 	if j.rec.State == StateRunning {
-		j.userCancel = true // the aborted run names evCancel
-		j.cancel(nil)
+		j.userCancel = true  // the aborted run names evCancel
+		if j.cancel != nil { // nil while a panic in the dispatch's journal write unwinds
+			j.cancel(nil)
+		}
 	} else {
 		_ = d.applyLocked(j, evCancel, "") // a terminal job rejects the event: nothing to cancel
 	}
@@ -411,8 +377,8 @@ func (d *Driver) Ready() (bool, string) {
 		return false, "draining"
 	case d.paused:
 		return false, "paused"
-	case d.cfg.MaxQueued > 0 && d.sched.len() >= d.cfg.MaxQueued:
-		return false, fmt.Sprintf("queue full (%d/%d)", d.sched.len(), d.cfg.MaxQueued)
+	case d.cfg.MaxQueued > 0 && len(d.queue) >= d.cfg.MaxQueued:
+		return false, fmt.Sprintf("queue full (%d/%d)", len(d.queue), d.cfg.MaxQueued)
 	}
 	return true, ""
 }

@@ -20,7 +20,7 @@ import (
 // was accepted.
 func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"targets":["accuracy"],"scale":0.02,"seed":7,"benchmarks":["stream"]}`))
-	f.Add([]byte(`{"targets":["all"],"samplers":["all","TBPoint"],"deadline":"90s","cell_deadline":1000,"client":"a","priority":9}`))
+	f.Add([]byte(`{"targets":["all"],"samplers":["all","TBPoint"],"deadline":"90s","cell_deadline":1000,"client":"a"}`))
 	f.Add([]byte(`{"targets":["fig5"],"samples":-3,"retries":2,"no_cache":true,"scale":-0}`))
 	f.Add([]byte(`{"targets":["accuracy"],"parallel_sm":2}`))
 	f.Add([]byte(`{"targets":["accuracy"],"fault":"panic"}`))

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"strconv"
 	"time"
 )
 
@@ -21,7 +20,7 @@ const eventInterval = 500 * time.Millisecond
 //	                           or queue-saturated, 200 otherwise
 //	GET  /metrics              server-wide metrics snapshot (JSON)
 //	POST /jobs                 submit a JobSpec, returns 202 + JobStatus
-//	                           (429 + Retry-After past the queue bounds)
+//	                           (429 + Retry-After past the queue bound)
 //	GET  /jobs                 list all known jobs (history survives
 //	                           restarts); ?state= filters (unknown: 400)
 //	GET  /jobs/{id}            one job's status (live progress while running)
@@ -168,21 +167,18 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 }
 
 // writeError maps driver errors onto HTTP status codes: unknown job → 404,
-// driver shut down → 503, admission rejection → 429 with a Retry-After
-// header (whole seconds, rounded up, at least 1), everything else
-// (validation, bad state) → 400.
+// driver shut down → 503, admission rejection → 429 with Retry-After: 1,
+// everything else (validation, bad state) → 400.
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
-	var over *OverloadError
 	switch {
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrShutdown):
 		code = http.StatusServiceUnavailable
-	case errors.As(err, &over):
+	case errors.Is(err, ErrOverloaded):
 		code = http.StatusTooManyRequests
-		secs := max(1, int((over.RetryAfter+time.Second-1)/time.Second))
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -1,7 +1,7 @@
 // Package server is TBPoint's simulation-as-a-service layer: a job server
-// that accepts experiment-grid jobs over HTTP, queues them, runs them on
-// the shared worker budget, caches shareable artifacts across jobs, and
-// survives restarts.
+// that accepts experiment-grid jobs over HTTP, queues them in one FIFO,
+// runs them in submission order on the shared worker budget, caches
+// shareable artifacts across jobs, and survives restarts.
 //
 // The decomposition follows the driver/dispatcher split of production GPU
 // simulators (mgpusim's client → driver → command processor → dispatcher
@@ -96,24 +96,10 @@ type JobSpec struct {
 	// it from the artifact cache. What it computes is still published to
 	// the cache for later jobs.
 	NoCache bool `json:"no_cache,omitempty"`
-	// Client names the submitting tenant for fair-share scheduling: each
-	// client owns a FIFO queue and the dispatchers round-robin across
-	// clients, so one tenant flooding the daemon cannot starve another.
-	// Empty selects the shared "anon" queue.
+	// Client is an accepted, ignored label: jobs run in submission order
+	// whoever sent them. It stays so that senders still setting it are not
+	// refused as carrying an unknown field.
 	Client string `json:"client,omitempty"`
-	// Priority widens this job's share of dispatcher visits (0 = normal ..
-	// MaxPriority = 10x). It never reorders jobs within a client — FIFO per
-	// client is part of the restart contract — and never starves other
-	// clients (see sched.go).
-	Priority int `json:"priority,omitempty"`
-}
-
-// clientKey is the fair-share queue this spec's jobs land on.
-func (s JobSpec) clientKey() string {
-	if s.Client == "" {
-		return "anon"
-	}
-	return s.Client
 }
 
 // Validate normalizes defaults in place and rejects specs that could never
@@ -158,9 +144,6 @@ func (s *JobSpec) Validate() error {
 	}
 	if len(s.Client) > 64 {
 		return fmt.Errorf("server: client name longer than 64 bytes")
-	}
-	if s.Priority < 0 || s.Priority > MaxPriority {
-		return fmt.Errorf("server: priority must be in [0, %d], got %d", MaxPriority, s.Priority)
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ package server
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"tbpoint/internal/metrics"
@@ -55,8 +56,8 @@ type transition struct {
 	failure             string   // JobFailure.Kind to record
 	errText             string   // Error to record; the event's detail is appended
 	fatal               bool     // a failed journal write fails the caller; otherwise it is logged
-	push                bool     // enqueue on the fair-share scheduler
-	pull                bool     // drop from the scheduler: the job leaves the queue undispatched
+	push                bool     // append to the FIFO queue
+	pull                bool     // drop from the queue: the job leaves it undispatched
 	count               ctrs     // server.jobs_* counters to bump
 }
 
@@ -164,10 +165,10 @@ func (d *Driver) applyLocked(j *Job, e event, detail string) error {
 	}
 	d.logf("job %s: %s->%s (%s) error=%q", rec.ID, from, t.to, e, t.errText+detail)
 	if t.push {
-		d.sched.push(rec.Spec.clientKey(), rec.ID, rec.Spec.Priority)
+		d.queue = append(d.queue, rec.ID)
 	}
 	if t.pull {
-		d.sched.remove(rec.Spec.clientKey(), rec.ID)
+		d.queue = slices.DeleteFunc(d.queue, func(id string) bool { return id == rec.ID })
 	}
 	if t.to.Terminal() {
 		close(j.done)

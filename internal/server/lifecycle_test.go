@@ -329,6 +329,45 @@ func TestLifecyclePanicInDispatchWriteFailsJob(t *testing.T) {
 	r.within("Close", func() { r.d.Close() })
 }
 
+// TestLifecycleCancelRunningWithoutRunContext: between a dispatch whose
+// journal write panicked and the recovery that fails the job, the job is
+// running with no run context. A Cancel landing there is recorded, not a
+// nil-func call.
+func TestLifecycleCancelRunningWithoutRunContext(t *testing.T) {
+	d, err := Open(Config{StateDir: t.TempDir(), Paused: true, Metrics: metrics.New(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	st, err := d.Submit(cheapSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	j := d.jobs[st.ID]
+	d.queue = d.queue[1:]
+	err = d.applyLocked(j, evDispatch, "")
+	d.mu.Unlock()
+	if err != nil || j.cancel != nil {
+		t.Fatalf("dispatch: %v, cancel func set %v", err, j.cancel != nil)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("Cancel of a running job with no run context panicked: %v", r)
+			}
+		}()
+		if got, err := d.Cancel(st.ID); err != nil || got.State != StateRunning {
+			t.Fatalf("cancel = %s (%v), want still running", got.State, err)
+		}
+	}()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !j.userCancel {
+		t.Error("the cancel was not recorded for the run to name")
+	}
+}
+
 // TestPanicContainment: a job that panics inside the dispatcher is recovered
 // as a structured failure carrying the panic value and the recovering stack,
 // counted once in jobs_panicked, and the daemon stays live and ready. One
@@ -359,8 +398,9 @@ func TestPanicContainment(t *testing.T) {
 
 // parentJournal is four records exactly as the parent commit's separate
 // journal-record type marshalled them (times as values, zero counters
-// omitted), the first still carrying the event-loop fields retired before that
-// and the second the chaos "fault" field retired since.
+// omitted), the first still carrying the event-loop fields retired before that,
+// the second the chaos "fault" field and the third the fair-share "priority"
+// field retired since.
 var parentJournal = map[string]string{
 	"j000001": `{"id":"j000001","spec":{"targets":["accuracy"],"scale":0.02,"seed":7,"benchmarks":["stream"],"retries":1,"parallel_sm":2,"quantum":128,"max_divergence":0.1},"state":"done","submitted_at":"2026-01-02T03:04:05.000000006Z","started_at":"2026-01-02T03:04:06Z","finished_at":"2026-01-02T03:04:07.5Z","requeues":1,"cache_misses":1,"subcell_misses":1,"outcome_misses":3,"wall_seconds":1.25}`,
 	"j000002": `{"id":"j000002","spec":{"targets":["accuracy"],"scale":1,"retries":1,"client":"b","fault":"panic"},"state":"failed","submitted_at":"2026-01-02T03:05:00Z","started_at":"2026-01-02T03:05:01Z","finished_at":"2026-01-02T03:05:02Z","error":"panic: boom","failure":{"kind":"panic","panic":"boom","stack":"goroutine 7 [running]:"}}`,
@@ -371,8 +411,8 @@ var parentJournal = map[string]string{
 // TestLifecycleReplaysParentJournal: a journal written in the parent's
 // record format replays unchanged now that the record is the JobStatus —
 // finished jobs serve the same status, unfinished ones are requeued. A
-// retired spec field (the event-loop knobs, the chaos "fault") is dropped
-// on decode.
+// retired spec field (the event-loop knobs, the chaos "fault", the
+// fair-share "priority") is dropped on decode.
 func TestLifecycleReplaysParentJournal(t *testing.T) {
 	dir := t.TempDir()
 	journal, err := durable.Open(dir + "/jobs")
@@ -413,7 +453,7 @@ func TestLifecycleReplaysParentJournal(t *testing.T) {
 			t.Errorf("round %d: failed job replayed as %+v", round, failed)
 		}
 		if queued.State != StateQueued || queued.Requeues != 2+round || queued.RunRequeues != 0 ||
-			queued.Spec.Client != "b" || queued.Spec.Priority != 2 || queued.StartedAt != nil {
+			queued.Spec.Client != "b" || queued.StartedAt != nil {
 			t.Errorf("round %d: queued job replayed as %+v", round, queued)
 		}
 		if crashed.State != StateQueued || crashed.Requeues != 1+round || crashed.RunRequeues != 2 ||

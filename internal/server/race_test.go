@@ -8,8 +8,8 @@ import (
 )
 
 // TestCancelAtDispatchPickup pins the cancel-vs-pickup race at its worst
-// interleaving, deterministically: the scheduler has released the job
-// (it is no longer queued anywhere) but the dispatcher has not yet flipped
+// interleaving, deterministically: the dispatcher has popped the job off
+// the queue (it is no longer queued anywhere) but has not yet flipped
 // it to running when Cancel lands. The dispatcher's state re-check must win
 // — the job terminates StateCancelled with zero cells executed and no
 // results file, rather than running to completion after the user was told
@@ -31,11 +31,12 @@ func TestCancelAtDispatchPickup(t *testing.T) {
 	// Step 1: the dispatcher pops the job (exactly nextJob's critical
 	// section).
 	d.mu.Lock()
-	id, ok := d.sched.pop()
+	id := d.queue[0]
+	d.queue = d.queue[1:]
 	j := d.jobs[id]
 	d.mu.Unlock()
-	if !ok || id != st.ID || j == nil {
-		t.Fatalf("pop = (%q, %v), want job %s", id, ok, st.ID)
+	if id != st.ID || j == nil {
+		t.Fatalf("pop = %q, want job %s", id, st.ID)
 	}
 
 	// Step 2: the cancel lands between pop and runJob.

@@ -306,18 +306,18 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 
-	// The retired event-loop fields are unknown fields now: a client still
-	// sending them is told so instead of silently getting a serial run.
-	for _, field := range []string{`"parallel_sm":2`, `"quantum":128`, `"max_divergence":0.1`} {
-		body := `{"targets":["accuracy"],` + field + `}`
-		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+	// The retired event-loop and fair-share fields are unknown fields now: a
+	// client still sending them is told which instead of silently getting a
+	// serial run or no priority.
+	for _, field := range []string{"parallel_sm", "quantum", "max_divergence", "priority"} {
+		body := `{"targets":["accuracy"],"` + field + `":2}`
+		if code, msg := postJobs(t, srv.URL, strings.NewReader(body)); code != http.StatusBadRequest || !strings.Contains(msg, field) {
+			t.Errorf("body %s: HTTP %d %s, want 400 naming the field", body, code, msg)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %s: HTTP %d, want 400", body, resp.StatusCode)
-		}
+	}
+	// The client label is still accepted (and ignored).
+	if code, msg := postJobs(t, srv.URL, strings.NewReader(`{"targets":["accuracy"],"scale":0.02,"benchmarks":["stream"],"client":"x"}`)); code != http.StatusAccepted {
+		t.Errorf("body with a client label: HTTP %d %s, want 202", code, msg)
 	}
 
 	// The state filter's vocabulary is the lifecycle's: a typo is told so,
@@ -427,7 +427,6 @@ func TestOpenRejectsNegativeSettings(t *testing.T) {
 		{"Dispatchers", func(c *server.Config) { c.Dispatchers = -1 }},
 		{"StuckAfter", func(c *server.Config) { c.StuckAfter = -time.Second }},
 		{"MaxQueued", func(c *server.Config) { c.MaxQueued = -1 }},
-		{"MaxQueuedPerClient", func(c *server.Config) { c.MaxQueuedPerClient = -2 }},
 		{"CacheMaxBytes", func(c *server.Config) { c.CacheMaxBytes = -1 }},
 	} {
 		cfg := server.Config{StateDir: t.TempDir(), Paused: true}

@@ -95,10 +95,10 @@ func TestQuarantineAfterCrashLoop(t *testing.T) {
 	}
 	// Dead-lettered means dead: nothing queued, nothing schedulable.
 	d.mu.Lock()
-	pending := d.sched.len()
+	pending := len(d.queue)
 	d.mu.Unlock()
 	if pending != 0 {
-		t.Errorf("scheduler holds %d jobs, want 0 — quarantined jobs must never be dispatched", pending)
+		t.Errorf("queue holds %d jobs, want 0 — quarantined jobs must never be dispatched", pending)
 	}
 
 	// Replay is deterministic and terminal states are stable: another

@@ -1,7 +1,7 @@
 package server_test
 
 // End-to-end supervision tests over real HTTP: admission control (429 +
-// Retry-After past the queue bounds, /readyz flips) and the dispatcher's
+// Retry-After past the queue bound, /readyz flips) and the dispatcher's
 // cancelled-job skip under pause/unpause flips. Panic containment is
 // TestPanicContainment, in-package, where the panic is armed on the journal.
 
@@ -11,6 +11,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -19,48 +20,34 @@ import (
 	"tbpoint/internal/server/client"
 )
 
-// TestAdmissionControl: past the queue bounds the daemon rejects with
+// TestAdmissionControl: past the queue bound the daemon rejects with
 // 429 + Retry-After instead of queueing without bound, counts the
 // rejections, and /readyz tells load balancers to back off before
 // requests start bouncing.
 func TestAdmissionControl(t *testing.T) {
 	mc := metrics.New()
-	// Paused: jobs queue and stay queued, so the bounds are deterministic.
+	// Paused: jobs queue and stay queued, so the bound is deterministic.
 	d := openDriver(t, server.Config{
 		StateDir: t.TempDir(), Dispatchers: 1, Paused: true,
-		MaxQueued: 2, MaxQueuedPerClient: 1, Metrics: mc, Logf: t.Logf,
+		MaxQueued: 2, Metrics: mc, Logf: t.Logf,
 	})
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 	c := client.New(srv.URL)
 	ctx := context.Background()
 
-	specFor := func(tenant string) server.JobSpec {
-		s := smallSpec()
-		s.Client = tenant
-		return s
+	for i := 0; i < 2; i++ {
+		if _, err := d.Submit(smallSpec()); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
 	}
-	if _, err := d.Submit(specFor("a")); err != nil {
-		t.Fatalf("first submit: %v", err)
+	// The bound is reached: the driver rejects with ErrOverloaded.
+	if _, err := d.Submit(smallSpec()); !errors.Is(err, server.ErrOverloaded) {
+		t.Fatalf("over-bound submit err = %v, want ErrOverloaded", err)
 	}
-	// Tenant a is at its per-client bound: the driver rejects with an
-	// OverloadError naming the client.
-	_, err := d.Submit(specFor("a"))
-	var over *server.OverloadError
-	if !errors.As(err, &over) || !errors.Is(err, server.ErrOverloaded) {
-		t.Fatalf("per-client overflow err = %v, want OverloadError", err)
-	}
-	if over.Scope != "a" || over.RetryAfter <= 0 {
-		t.Errorf("overload = %+v, want scope a with a positive retry hint", over)
-	}
-	// Tenant b still fits (global bound is 2).
-	if _, err := d.Submit(specFor("b")); err != nil {
-		t.Fatalf("second tenant submit: %v", err)
-	}
-	// Global bound reached: even a fresh tenant bounces, over HTTP as
-	// 429 + Retry-After.
+	// Over HTTP the rejection is 429 + Retry-After.
 	resp, err := http.Post(srv.URL+"/jobs", "application/json",
-		bytes.NewReader([]byte(`{"targets":["accuracy"],"scale":0.02,"benchmarks":["stream"],"client":"c"}`)))
+		bytes.NewReader([]byte(`{"targets":["accuracy"],"scale":0.02,"benchmarks":["stream"]}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +55,8 @@ func TestAdmissionControl(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-bound POST /jobs = HTTP %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
-		t.Errorf("Retry-After = %q, want a positive whole-second hint", ra)
+	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra <= 0 {
+		t.Errorf("Retry-After = %q, want a positive whole-second hint", resp.Header.Get("Retry-After"))
 	}
 	if n := mc.Count(metrics.ServerAdmissionRejects); n != 2 {
 		t.Errorf("server.admission_rejects = %d, want 2", n)
@@ -85,13 +72,13 @@ func TestAdmissionControl(t *testing.T) {
 	}
 
 	// Drain: cancelling the backlog frees its slots at once, even while
-	// paused — tenant a fits again — and readiness recovers on unpause.
+	// paused — a new job fits again — and readiness recovers on unpause.
 	for _, st := range d.Jobs() {
 		if _, err := c.Cancel(ctx, st.ID); err != nil {
 			t.Fatalf("cancel %s: %v", st.ID, err)
 		}
 	}
-	st, err := d.Submit(specFor("a"))
+	st, err := d.Submit(smallSpec())
 	if err != nil {
 		t.Fatalf("submit after cancelling the backlog: %v", err)
 	}

@@ -42,7 +42,7 @@
 #              one-shot CLI bytes, daemon flag wiring, and every tbpointctl
 #              subcommand. A cache hit after `race` in a full run; the stage
 #              exists to be run by name
-#   fuzz       10s fuzz smoke over each of the eleven fuzz targets: the
+#   fuzz       10s fuzz smoke over each of the twelve fuzz targets: the
 #              instruction cursor (the flat µop walk yields the block walk's
 #              instructions, blocks and loop iterations on random programs
 #              and trip counts), the wake heap (the bottom-up pop leaves the
@@ -59,7 +59,10 @@
 #              through the region sampler's one log reader, observe (an
 #              arbitrary block order and unit list is refused or finished,
 #              never a panic or an out-of-range block), the
-#              checkpoint reader, the stratified allocator, and POST /jobs
+#              checkpoint reader, the durable store's LRU (arbitrary put,
+#              get, budget and reopen sequences keep the keys, accounted and
+#              on-disk bytes and evictions of a recency-list model), the
+#              stratified allocator, and POST /jobs
 #              (arbitrary bodies get 400 or 202, never a panic, and an
 #              accepted spec is a fixed point of decode + Validate)
 #
@@ -108,6 +111,7 @@ stage_fuzz() {
     fuzz FuzzReadProfiles ./internal/core/ &&
     fuzz FuzzReplayOrder ./internal/core/ &&
     fuzz FuzzReadCheckpoint ./internal/durable/ &&
+    fuzz FuzzStoreLRU ./internal/durable/ &&
     fuzz FuzzStratifiedAllocate ./internal/sampler/ &&
     fuzz FuzzJobSpec ./internal/server/
 }
