@@ -12,9 +12,9 @@
 // Long grids are restartable: -checkpoint-dir stores what each cell is made
 // of (reference run, per-strategy outcomes) as soon as it is computed;
 // -resume composes every cell from it, computing only what is missing, and
-// reproduces an uninterrupted run's -json output byte for byte. -retries and
-// -cell-deadline bound how hard a failing cell is pushed before it is
-// recorded in the results' errors section.
+// reproduces an uninterrupted run's -json output byte for byte. Every grid
+// cell runs once: one that fails, panics or outlives -cell-deadline is
+// recorded in the results' errors section while the others complete.
 //
 // The target engine itself lives in internal/experiments (RunTargets) and
 // is shared with the tbpointd job server, so a served job with the same
@@ -55,8 +55,7 @@ func main() {
 	checkpointDir := flag.String("checkpoint-dir", "", "store what each cell is made of (reference run, per-strategy outcomes) in this directory as it is computed (atomic, checksummed)")
 	resume := flag.Bool("resume", false, "compose cells from what -checkpoint-dir holds, computing only what is missing")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "byte budget for -checkpoint-dir; LRU entries are evicted over it (0 = unbounded)")
-	retries := flag.Int("retries", 1, "attempts per grid cell before its failure is recorded (exponential backoff with seeded jitter)")
-	cellDeadline := flag.Duration("cell-deadline", 0, "wall-time budget per grid cell, all attempts together (0 = no limit)")
+	cellDeadline := flag.Duration("cell-deadline", 0, "wall-time budget per grid cell (0 = no limit)")
 	flag.Parse()
 	experiments.Parallelism = *parN
 
@@ -68,9 +67,16 @@ func main() {
 	if *scale <= 0 {
 		fail(fmt.Errorf("-scale must be positive, got %g", *scale))
 	}
-	if *cacheMax < 0 {
-		fail(fmt.Errorf("-cache-max-bytes must not be negative, got %d", *cacheMax))
-	}
+	// A negative budget or count would read as "no limit" or "default";
+	// tbpointd refuses the same values in a job spec.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "cache-max-bytes", "cell-deadline", "timeout", "samples":
+			if strings.HasPrefix(f.Value.String(), "-") {
+				fail(fmt.Errorf("-%s must not be negative, got %s", f.Name, f.Value))
+			}
+		}
+	})
 
 	// exitCode is applied by the first registered defer, so it runs after
 	// the profile defers: profiles and JSON outputs flush, then the process
@@ -174,7 +180,6 @@ func main() {
 	} else if *cacheMax > 0 {
 		fail(errors.New("-cache-max-bytes requires -checkpoint-dir"))
 	}
-	opts.Retry = experiments.RetryPolicy{Attempts: *retries, Seed: opts.Seed}
 	opts.CellDeadline = *cellDeadline
 
 	spec := experiments.RunSpec{Targets: targets, Samples: *samples}

@@ -53,6 +53,9 @@ func main() {
 	showMetrics := flag.Bool("metrics", false, "collect observability metrics and print the summary table")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	flag.Parse()
+	if *timeout < 0 {
+		log.Fatalf("-timeout must not be negative, got %v", *timeout)
+	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()

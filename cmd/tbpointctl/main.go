@@ -156,7 +156,6 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 	bench := fs.String("bench", "", "comma-separated benchmark subset")
 	samplers := fs.String("samplers", "", "comma-separated estimation strategies (also 'default', 'all')")
 	samples := fs.Int("samples", 0, "Monte-Carlo samples for fig5 (0 = default)")
-	retries := fs.Int("retries", 0, "attempts per grid cell (0 = default 1)")
 	cellDeadline := fs.Duration("cell-deadline", 0, "wall-time budget per grid cell")
 	deadline := fs.Duration("deadline", 0, "wall-time budget for the whole job")
 	noCache := fs.Bool("no-cache", false, "compute every cell fresh, ignoring the artifact cache")
@@ -165,12 +164,15 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("submit: no targets given")
 	}
+	// The daemon reads a scale of 0 as 1.0, a Table-VI-size job.
+	if *scale <= 0 {
+		return fmt.Errorf("submit: -scale must be positive, got %g", *scale)
+	}
 	spec := server.JobSpec{
 		Targets:      fs.Args(),
 		Scale:        *scale,
 		Seed:         *seed,
 		Samples:      *samples,
-		Retries:      *retries,
 		CellDeadline: server.Duration(*cellDeadline),
 		Deadline:     server.Duration(*deadline),
 		NoCache:      *noCache,

@@ -130,14 +130,17 @@ func TestUnknownSamplerFailsBeforeSimulating(t *testing.T) {
 }
 
 // TestNonPositiveScaleFailsBeforeSimulating: workloads.Spec.Build runs a
-// scale <= 0 at Table VI size, so both commands refuse one as a usage error
-// naming -scale before building anything.
+// scale <= 0 at Table VI size, and tbpointd reads a job's scale of 0 as 1.0,
+// so every command refuses one as a usage error naming -scale before
+// building anything or sending a request. tbpointctl points at a closed
+// port: the refusal needs no daemon.
 func TestNonPositiveScaleFailsBeforeSimulating(t *testing.T) {
 	for _, scale := range []string{"-1", "0"} {
 		jsonPath := filepath.Join(t.TempDir(), "x.json")
 		for _, r := range []result{
 			run(nil, "experiments", "-scale", scale, "-bench", "stream,black", "-json", jsonPath, "table6"),
 			run(nil, "tbpoint", "-scale", scale, "-bench", "stream"),
+			run(nil, "tbpointctl", "-addr", "http://127.0.0.1:1", "submit", "-scale", scale, "accuracy"),
 		} {
 			if r.code == 0 || !strings.Contains(r.stderr, "-scale") {
 				t.Fatalf("scale %s: exit %d, want non-zero naming -scale:\n%s", scale, r.code, r.stderr)
@@ -152,16 +155,31 @@ func TestNonPositiveScaleFailsBeforeSimulating(t *testing.T) {
 	}
 }
 
-// TestNegativeCacheBudgetFailsBeforeSimulating: -cache-max-bytes -1 is a
-// usage error naming the flag, not an unbounded store.
+// TestNegativeCacheBudgetFailsBeforeSimulating: a negative -cache-max-bytes,
+// -cell-deadline, -timeout or -samples is a usage error naming the flag, not
+// an unbounded store, no limit or the default; tbpointd answers the same
+// values in a job spec with a 400.
 func TestNegativeCacheBudgetFailsBeforeSimulating(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	r := run(nil, "experiments", "-scale", "0.02", "-bench", "stream", "-checkpoint-dir", dir, "-cache-max-bytes", "-1", "accuracy")
-	if r.code == 0 || !strings.Contains(r.stderr, "-cache-max-bytes") {
-		t.Fatalf("exit %d, want non-zero naming -cache-max-bytes:\n%s", r.code, r.stderr)
+	experiments := func(args ...string) result {
+		return run(nil, "experiments", append([]string{"-scale", "0.02", "-bench", "stream", "-checkpoint-dir", dir}, args...)...)
 	}
-	if r.stdout != "" {
-		t.Fatalf("output before the rejection:\n%s", r.stdout)
+	for _, c := range []struct {
+		flag string
+		r    result
+	}{
+		{"-cache-max-bytes", experiments("-cache-max-bytes", "-1", "accuracy")},
+		{"-cell-deadline", experiments("-cell-deadline", "-1s", "accuracy")},
+		{"-timeout", experiments("-timeout", "-1s", "accuracy")},
+		{"-samples", experiments("-samples", "-1", "fig5")},
+		{"-timeout", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-timeout", "-1s")},
+	} {
+		if c.r.code == 0 || !strings.Contains(c.r.stderr, c.flag) {
+			t.Fatalf("%s: exit %d, want non-zero naming the flag:\n%s", c.flag, c.r.code, c.r.stderr)
+		}
+		if c.r.stdout != "" {
+			t.Fatalf("%s: output before the rejection:\n%s", c.flag, c.r.stdout)
+		}
 	}
 	if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("the store directory was created (stat: %v)", err)

@@ -14,6 +14,7 @@ import (
 	"tbpoint/internal/faultcheck"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/kernel"
+	"tbpoint/internal/metrics"
 	"tbpoint/internal/sampler"
 	"tbpoint/internal/sampling"
 	"tbpoint/internal/workloads"
@@ -37,7 +38,7 @@ func faultAtWrite(t *testing.T, opts *Options, n int64, mode faultcheck.Mode) {
 var perCell = int64(2 + len(sampler.DefaultSet()))
 
 // faultyAccuracyGrid is RunAccuracy's grid over benches, handed to runGrid
-// with fault fired at the start of every attempt of cell bad.
+// with fault fired at the start of cell bad.
 func faultyAccuracyGrid(opts Options, benches []string, bad int, fault *faultcheck.Injector) ([]*BenchResult, []CellError, error) {
 	cells := make([]gridCell[*BenchResult], len(benches))
 	for i, name := range benches {
@@ -211,16 +212,19 @@ func TestChaosLaunchPanicNamesThePanic(t *testing.T) {
 	}
 }
 
-// TestChaosErrorCellDegrades is the ordinary-error sibling: an injected
-// error in the first cell becomes a stack-less CellError while the rest of
-// the grid completes.
+// TestChaosErrorCellDegrades is the ordinary-error sibling: an error the
+// first cell hits every time it runs becomes a stack-less CellError, after
+// exactly one try, while the rest of the grid completes.
 func TestChaosErrorCellDegrades(t *testing.T) {
 	old := Parallelism
 	Parallelism = 1
 	defer func() { Parallelism = old }()
 
+	mc := metrics.New()
 	opts := fastOpts()
-	results, cellErrs, err := faultyAccuracyGrid(opts, []string{"stream", "black"}, 0, faultcheck.OnNth(1, faultcheck.Error))
+	opts.Metrics = mc
+	fault := faultcheck.Always(faultcheck.Error)
+	results, cellErrs, err := faultyAccuracyGrid(opts, []string{"stream", "black"}, 0, fault)
 	if err != nil {
 		t.Fatalf("grid with one faulty cell must still complete, got %v", err)
 	}
@@ -235,6 +239,15 @@ func TestChaosErrorCellDegrades(t *testing.T) {
 	}
 	if cellErrs[0].Stack != "" {
 		t.Errorf("ordinary error grew a stack: %q", cellErrs[0].Stack)
+	}
+	if n := fault.Calls(); n != 1 {
+		t.Errorf("the failing cell ran %d times, want 1", n)
+	}
+	if cellErrs[0].TotalDuration <= 0 {
+		t.Errorf("TotalDuration = %v, want > 0", cellErrs[0].TotalDuration)
+	}
+	if got := mc.Count(metrics.ExpCellsFailed); got != 1 {
+		t.Errorf("exp.cells_failed = %d, want 1", got)
 	}
 }
 

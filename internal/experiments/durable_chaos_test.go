@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,9 +41,9 @@ func encodeResults(t *testing.T, r *Results) []byte {
 
 // TestChaosCrashResumeAccuracyGrid is the kill-and-resume acceptance test:
 // a grid whose store fails at a sub-cell write of its second cell must stop
-// with that fault, under any retry policy and never as a CellError, and a
-// resume over what the store kept must produce a results bundle
-// byte-identical to an uninterrupted run while computing only what was lost.
+// with that fault, never as a CellError, and a resume over what the store
+// kept must produce a results bundle byte-identical to an uninterrupted run
+// while computing only what was lost.
 func TestChaosCrashResumeAccuracyGrid(t *testing.T) {
 	old := Parallelism
 	Parallelism = 1 // sequential: cell order = benchmark order
@@ -61,74 +60,66 @@ func TestChaosCrashResumeAccuracyGrid(t *testing.T) {
 	}
 	goldenJSON := encodeResults(t, &Results{Scale: golden.Scale, Seed: golden.Seed, Accuracy: goldenResults})
 
-	for _, attempts := range []int{1, 3} {
-		t.Run(fmt.Sprintf("attempts=%d", attempts), func(t *testing.T) {
-			// Crashed run: the write after the second cell's full reference
-			// (its reference header) faults. The grid still finishes the
-			// cells it has started or not yet claimed, as it does on any
-			// error, so only the second cell's header and outcomes are lost.
-			dir := t.TempDir()
-			store := openStore(t, dir)
-			store.Fault = faultcheck.OnNth(perCell+2, faultcheck.Error)
-			crashMC := metrics.New()
-			crashed := fastOpts()
-			crashed.Benchmarks = benches
-			crashed.Checkpoint = store
-			crashed.Metrics = crashMC
-			crashed.Retry = RetryPolicy{Attempts: attempts, BaseDelay: time.Millisecond}
-			_, cellErrs, err := RunAccuracy(crashed)
-			if !errors.Is(err, faultcheck.ErrInjected) {
-				t.Fatalf("crashed run: err = %v, want the injected store fault", err)
-			}
-			if len(cellErrs) != 0 {
-				t.Fatalf("a store fault degraded to cell errors: %+v", cellErrs)
-			}
-			if n := crashMC.Count(metrics.ExpCellRetries); n != 0 {
-				t.Errorf("a store fault was retried %d times", n)
-			}
-			if store.Writes() != 2*perCell+1 {
-				t.Fatalf("crashed run stored %d entries, want %d", store.Writes(), 2*perCell+1)
-			}
+	t.Run("attempts=1", func(t *testing.T) { // one attempt per cell, the only mode
+		// Crashed run: the write after the second cell's full reference
+		// (its reference header) faults. The grid still finishes the
+		// cells it has started or not yet claimed, as it does on any
+		// error, so only the second cell's header and outcomes are lost.
+		dir := t.TempDir()
+		store := openStore(t, dir)
+		store.Fault = faultcheck.OnNth(perCell+2, faultcheck.Error)
+		crashed := fastOpts()
+		crashed.Benchmarks = benches
+		crashed.Checkpoint = store
+		_, cellErrs, err := RunAccuracy(crashed)
+		if !errors.Is(err, faultcheck.ErrInjected) {
+			t.Fatalf("crashed run: err = %v, want the injected store fault", err)
+		}
+		if len(cellErrs) != 0 {
+			t.Fatalf("a store fault degraded to cell errors: %+v", cellErrs)
+		}
+		if store.Writes() != 2*perCell+1 {
+			t.Fatalf("crashed run stored %d entries, want %d", store.Writes(), 2*perCell+1)
+		}
 
-			// Resume: a fresh process opens the store; the first and third
-			// cells compose wholly, and the second decodes its reference and
-			// estimates its strategies again.
-			store2 := openStore(t, dir)
-			if store2.Len() != int(2*perCell+1) || store2.Quarantined() != 0 {
-				t.Fatalf("reopened store: len %d quarantined %d, want %d 0", store2.Len(), store2.Quarantined(), 2*perCell+1)
-			}
-			mc := metrics.New()
-			resumeOpts := fastOpts()
-			resumeOpts.Benchmarks = benches
-			resumeOpts.Checkpoint = store2
-			resumeOpts.Resume = true
-			resumeOpts.Metrics = mc
-			resumedResults, resumedErrs, err := RunAccuracy(resumeOpts)
-			if err != nil || len(resumedErrs) != 0 {
-				t.Fatalf("resumed run: err %v, cell errors %+v", err, resumedErrs)
-			}
-			if got := mc.Count(metrics.ExpCellsExecuted); got != 1 {
-				t.Errorf("exp.cells_executed = %d, want 1 (composed cells must not re-run)", got)
-			}
-			if got := mc.Count(metrics.SamplerEstimates); got != uint64(perCell-2) {
-				t.Errorf("sampler.estimates = %d, want %d (the lost cell's strategies)", got, perCell-2)
-			}
-			if got := mc.Count(metrics.SubcellHits); got != 3 {
-				t.Errorf("subcell.hits = %d, want 3", got)
-			}
-			if got := phaseCount(mc, "experiments.full_ref"); got != 0 {
-				t.Errorf("resume simulated %d reference runs; every one was stored", got)
-			}
-			if store2.Len() != int(3*perCell) {
-				t.Errorf("store holds %d entries after resume, want %d", store2.Len(), 3*perCell)
-			}
-			resumedJSON := encodeResults(t, &Results{Scale: resumeOpts.Scale, Seed: resumeOpts.Seed, Accuracy: resumedResults})
-			if !bytes.Equal(goldenJSON, resumedJSON) {
-				t.Errorf("resumed results.json differs from the uninterrupted run:\n--- golden\n%s\n--- resumed\n%s",
-					goldenJSON, resumedJSON)
-			}
-		})
-	}
+		// Resume: a fresh process opens the store; the first and third
+		// cells compose wholly, and the second decodes its reference and
+		// estimates its strategies again.
+		store2 := openStore(t, dir)
+		if store2.Len() != int(2*perCell+1) || store2.Quarantined() != 0 {
+			t.Fatalf("reopened store: len %d quarantined %d, want %d 0", store2.Len(), store2.Quarantined(), 2*perCell+1)
+		}
+		mc := metrics.New()
+		resumeOpts := fastOpts()
+		resumeOpts.Benchmarks = benches
+		resumeOpts.Checkpoint = store2
+		resumeOpts.Resume = true
+		resumeOpts.Metrics = mc
+		resumedResults, resumedErrs, err := RunAccuracy(resumeOpts)
+		if err != nil || len(resumedErrs) != 0 {
+			t.Fatalf("resumed run: err %v, cell errors %+v", err, resumedErrs)
+		}
+		if got := mc.Count(metrics.ExpCellsExecuted); got != 1 {
+			t.Errorf("exp.cells_executed = %d, want 1 (composed cells must not re-run)", got)
+		}
+		if got := mc.Count(metrics.SamplerEstimates); got != uint64(perCell-2) {
+			t.Errorf("sampler.estimates = %d, want %d (the lost cell's strategies)", got, perCell-2)
+		}
+		if got := mc.Count(metrics.SubcellHits); got != 3 {
+			t.Errorf("subcell.hits = %d, want 3", got)
+		}
+		if got := phaseCount(mc, "experiments.full_ref"); got != 0 {
+			t.Errorf("resume simulated %d reference runs; every one was stored", got)
+		}
+		if store2.Len() != int(3*perCell) {
+			t.Errorf("store holds %d entries after resume, want %d", store2.Len(), 3*perCell)
+		}
+		resumedJSON := encodeResults(t, &Results{Scale: resumeOpts.Scale, Seed: resumeOpts.Seed, Accuracy: resumedResults})
+		if !bytes.Equal(goldenJSON, resumedJSON) {
+			t.Errorf("resumed results.json differs from the uninterrupted run:\n--- golden\n%s\n--- resumed\n%s",
+				goldenJSON, resumedJSON)
+		}
+	})
 }
 
 // TestChaosSensitivityResumeSkipsFinishedGrid stores a full sensitivity
@@ -258,115 +249,6 @@ func TestChaosCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 	}
 }
 
-// TestChaosRetryTransientCellRecovers injects a one-shot error into the
-// first cell: with two attempts allowed the cell must recover on retry and
-// the grid finish clean, with the retry visible only in the metrics.
-func TestChaosRetryTransientCellRecovers(t *testing.T) {
-	old := Parallelism
-	Parallelism = 1
-	defer func() { Parallelism = old }()
-
-	mc := metrics.New()
-	opts := fastOpts()
-	opts.Retry = RetryPolicy{Attempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-	opts.Metrics = mc
-	results, cellErrs, err := faultyAccuracyGrid(opts, []string{"stream", "black"}, 0, faultcheck.OnNth(1, faultcheck.Error))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cellErrs) != 0 {
-		t.Fatalf("transient fault leaked into cell errors: %+v", cellErrs)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results, want 2", len(results))
-	}
-	if got := mc.Count(metrics.ExpCellRetries); got != 1 {
-		t.Errorf("exp.cell_retries = %d, want 1", got)
-	}
-	if got := mc.Count(metrics.ExpCellsExecuted); got != 2 {
-		t.Errorf("exp.cells_executed = %d, want 2", got)
-	}
-}
-
-// TestChaosRetryExhaustionRecordsMetadata makes a cell fail every attempt:
-// the CellError must carry the attempt count, the final backoff, and the
-// cell's total wall time so results.json tells the whole story.
-func TestChaosRetryExhaustionRecordsMetadata(t *testing.T) {
-	old := Parallelism
-	Parallelism = 1
-	defer func() { Parallelism = old }()
-
-	mc := metrics.New()
-	opts := fastOpts()
-	opts.Retry = RetryPolicy{Attempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond, Seed: 7}
-	opts.Metrics = mc
-	results, cellErrs, err := faultyAccuracyGrid(opts, []string{"stream"}, 0, faultcheck.Always(faultcheck.Error))
-	if err != nil {
-		t.Fatalf("an exhausted cell must degrade, not abort the grid: %v", err)
-	}
-	if len(results) != 0 {
-		t.Fatalf("failed cell produced %d results", len(results))
-	}
-	if len(cellErrs) != 1 {
-		t.Fatalf("got %d cell errors, want 1: %+v", len(cellErrs), cellErrs)
-	}
-	ce := cellErrs[0]
-	if ce.Attempts != 3 {
-		t.Errorf("Attempts = %d, want 3", ce.Attempts)
-	}
-	if ce.LastDelay <= 0 {
-		t.Errorf("LastDelay = %v, want > 0 after retries", ce.LastDelay)
-	}
-	if ce.TotalDuration <= 0 {
-		t.Errorf("TotalDuration = %v, want > 0", ce.TotalDuration)
-	}
-	if !strings.Contains(ce.Err, faultcheck.ErrInjected.Error()) {
-		t.Errorf("cell error %q does not carry the injected fault", ce.Err)
-	}
-	if got := mc.Count(metrics.ExpCellRetries); got != 2 {
-		t.Errorf("exp.cell_retries = %d, want 2 (attempts beyond the first)", got)
-	}
-	if got := mc.Count(metrics.ExpCellsFailed); got != 1 {
-		t.Errorf("exp.cells_failed = %d, want 1", got)
-	}
-}
-
-// TestChaosRetryDelayIsDeterministic pins the reproducibility contract: the
-// backoff for a given (seed, cell, attempt) never varies, and different
-// cells decorrelate.
-func TestChaosRetryDelayIsDeterministic(t *testing.T) {
-	p := RetryPolicy{Attempts: 3, BaseDelay: 100 * time.Millisecond, Seed: 42}
-	for cell := 0; cell < 4; cell++ {
-		for attempt := 1; attempt <= 3; attempt++ {
-			d1, d2 := p.delay(cell, attempt), p.delay(cell, attempt)
-			if d1 != d2 {
-				t.Fatalf("delay(%d,%d) varies: %v vs %v", cell, attempt, d1, d2)
-			}
-			base := p.BaseDelay << (attempt - 1)
-			if d1 < base/2 || d1 > base {
-				t.Errorf("delay(%d,%d) = %v outside [%v, %v]", cell, attempt, d1, base/2, base)
-			}
-		}
-	}
-	if p.delay(0, 1) == p.delay(1, 1) && p.delay(0, 2) == p.delay(1, 2) {
-		t.Error("cells 0 and 1 share the whole backoff sequence; jitter is not decorrelating")
-	}
-	// The jitter is one stats.RNG (SplitMix64) draw; these values predate
-	// that and pin CellError.LastDelay across the change of helper.
-	q := RetryPolicy{BaseDelay: 80 * time.Millisecond, MaxDelay: time.Second, Seed: 7}
-	for _, c := range []struct {
-		cell, attempt int
-		want          time.Duration
-	}{{0, 1, 43740992}, {1, 1, 55871772}, {3, 2, 148329388}, {11, 3, 233292213}} {
-		if got := q.delay(c.cell, c.attempt); got != c.want {
-			t.Errorf("delay(%d,%d) = %d, want the recorded %d", c.cell, c.attempt, got, c.want)
-		}
-	}
-	if got := (RetryPolicy{}).delay(5, 2); got != 142128953 {
-		t.Errorf("zero-policy delay(5,2) = %d, want the recorded 142128953", got)
-	}
-}
-
 // TestChaosCellDeadlineDegradesNotCancels gives every cell an impossible
 // deadline while the grid itself has no context: blown deadlines must
 // degrade to CellErrors, never masquerade as grid cancellation.
@@ -438,7 +320,7 @@ func TestResultsFileDamageDetected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.json")
 	in := &Results{
 		Scale: 0.02, Seed: 7,
-		Errors: []CellError{{Grid: "accuracy", Cell: "black", Err: "boom", Attempts: 2}},
+		Errors: []CellError{{Grid: "accuracy", Cell: "black", Err: "boom", TotalDuration: 2}},
 	}
 	if err := WriteResultsFile(path, in); err != nil {
 		t.Fatal(err)

@@ -23,25 +23,28 @@ type CellError struct {
 	// Stack is the panicking goroutine's stack when the failure was a panic
 	// (empty for ordinary errors).
 	Stack string `json:"stack,omitempty"`
-	// Attempts is how many times the cell was tried before giving up, so a
-	// transient fault (succeeds on retry, never lands here) is
-	// distinguishable from a deterministic one (fails every attempt).
-	Attempts int `json:"attempts,omitempty"`
-	// LastDelay is the final backoff slept between attempts, in
-	// nanoseconds (zero when the cell never retried).
-	LastDelay time.Duration `json:"lastDelayNs,omitempty"`
-	// TotalDuration is the cell's wall time across all attempts, in
-	// nanoseconds.
+	// TotalDuration is the cell's wall time, in nanoseconds.
 	TotalDuration time.Duration `json:"totalDurationNs,omitempty"`
 }
 
-// runCell executes one grid cell with panic isolation: a panic becomes a
-// *par.PanicError return. par's own worker-level recovery would only
-// surface the lowest-index panic of a loop; recovering per cell lets every
-// faulty cell be recorded individually. A *par.PanicError re-raised from a
-// nested fan-out (FullAppCtx, funcsim.ProfileApp) is kept as is: its stack
-// is the goroutine that actually panicked.
-func runCell(fn func() error) (err error) {
+// runCell executes one grid cell exactly once (a cell is deterministic, so a
+// second attempt could only repeat its failure) under its CellDeadline, with
+// panic isolation. A panic becomes a *par.PanicError return, so every faulty
+// cell is recorded, not only par's lowest-index one; one re-raised from a
+// nested fan-out (FullAppCtx, funcsim.ProfileApp) keeps the stack of the
+// goroutine that panicked. A positive CellDeadline gives fn a per-cell
+// context derived from the grid's; the caller tells a blown deadline (a
+// cell fault) from the grid's cancellation by the grid context.
+func (o Options) runCell(fn func(Options) error) (err error) {
+	if o.CellDeadline > 0 {
+		base := o.Ctx
+		if base == nil {
+			base = context.Background()
+		}
+		var cancel context.CancelFunc
+		o.Ctx, cancel = context.WithTimeout(base, o.CellDeadline)
+		defer cancel()
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			pe, ok := r.(*par.PanicError)
@@ -51,7 +54,7 @@ func runCell(fn func() error) (err error) {
 			err = pe
 		}
 	}()
-	return fn()
+	return fn(o)
 }
 
 // ctxErr is ctx.Err for possibly-nil contexts.
@@ -69,10 +72,10 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// failed completes the CellError of a cell that failed for good with err:
-// its text, and the panicking goroutine's stack when it was a panic.
-func (ce CellError) failed(grid, cell string, err error) *CellError {
-	ce.Grid, ce.Cell, ce.Err = grid, cell, err.Error()
+// cellError records a cell that failed with err after running for took: its
+// text, and the panicking goroutine's stack when it was a panic.
+func cellError(grid, cell string, err error, took time.Duration) *CellError {
+	ce := CellError{Grid: grid, Cell: cell, Err: err.Error(), TotalDuration: took}
 	var pe *par.PanicError
 	if errors.As(err, &pe) {
 		ce.Stack = string(pe.Stack)

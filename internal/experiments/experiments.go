@@ -77,12 +77,12 @@ type Options struct {
 	// Subcell is ignored: the store is on whenever Checkpoint is set. It is
 	// kept only because bench/ still assigns it.
 	Subcell bool
-	// Retry governs per-cell retries before a failure degrades to a
-	// CellError; the zero value means a single attempt (no retries).
+	// Retry is ignored: every grid cell runs exactly once. It is kept only
+	// because bench/ still assigns it.
 	Retry RetryPolicy
-	// CellDeadline, when positive, bounds each cell's wall time (all retry
-	// attempts together) via a per-cell context. A blown deadline is a
-	// cell fault — recorded, the grid continues — not a grid cancellation.
+	// CellDeadline, when positive, bounds each cell's wall time via a
+	// per-cell context. A blown deadline is a cell fault — recorded, the
+	// grid continues — not a grid cancellation.
 	CellDeadline time.Duration
 	// Verbose emits progress lines to Out as benchmarks complete.
 	Verbose bool
@@ -95,6 +95,13 @@ type Options struct {
 	// collector that is merged into this one when the benchmark finishes,
 	// so parallel grids stay race-free.
 	Metrics *metrics.Collector
+}
+
+// RetryPolicy is the type of the ignored Options.Retry, kept only because
+// bench/ still assigns it.
+type RetryPolicy struct {
+	Attempts int
+	Seed     uint64
 }
 
 // DefaultOptions returns paper-faithful settings at the given scale.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/metrics"
@@ -39,8 +40,8 @@ type gridCell[T any] struct {
 // runGrid is the one way a grid of independent cells runs: the cells fan out
 // over the Parallelism worker budget with per-cell failure isolation — a
 // cell that errors or panics becomes a CellError while the others complete,
-// so one rotten cell does not take down the grid. Failed cells are retried
-// under opts.Retry before they degrade; resuming is each cell's own business
+// so one rotten cell does not take down the grid. Each cell runs exactly once
+// (runCell), under its own CellDeadline; resuming is each cell's own business
 // (RunBenchmark composes from the store). Results come back compacted in
 // cell order and — on a fault-free run — do not depend on the worker count:
 // every stochastic component is seeded per cell, never shared. The returned
@@ -55,10 +56,9 @@ func runGrid[T any](opts Options, grid string, cells []gridCell[T]) ([]T, []Cell
 	failed := make([]*CellError, len(cells))
 	err := forEachIndexed(opts.Ctx, len(cells), func(i int) error {
 		c := cells[i]
-		ce, cellErr := opts.runCellWithRetry(i, func(ctx context.Context) error {
-			cellOpts := opts
-			cellOpts.Ctx = ctx
-			v, err := c.run(cellOpts)
+		start := time.Now()
+		cellErr := opts.runCell(func(o Options) error {
+			v, err := c.run(o)
 			if err == nil {
 				out[i], done[i] = v, true
 			}
@@ -75,7 +75,7 @@ func runGrid[T any](opts Options, grid string, cells []gridCell[T]) ([]T, []Cell
 			return cellErr
 		}
 		opts.Metrics.AtomicAdd(metrics.ExpCellsFailed, 1)
-		failed[i] = ce.failed(grid, c.name, cellErr)
+		failed[i] = cellError(grid, c.name, cellErr, time.Since(start))
 		return nil
 	})
 	var results []T

@@ -93,8 +93,9 @@ func Seeded(seed uint64, span int64, mode Mode) *Injector {
 }
 
 // Always returns an injector that faults on every Fire call — a
-// deterministically *persistent* failure, for testing retry exhaustion
-// (where OnNth's fire-exactly-once models a transient one).
+// deterministically *persistent* failure (where OnNth's fire-exactly-once
+// models a transient one); its Calls count shows how often a failing call
+// site was tried.
 func Always(mode Mode) *Injector {
 	return &Injector{mode: mode, nth: everyCall}
 }

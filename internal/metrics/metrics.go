@@ -116,8 +116,7 @@ const (
 	// the store is neither executed nor failed: how the crash-recovery suite
 	// proves a resumed run re-executed nothing.
 	ExpCellsExecuted // cells that simulated a reference or estimated a strategy
-	ExpCellsFailed   // cells that exhausted retries into a CellError
-	ExpCellRetries   // retry attempts beyond each cell's first
+	ExpCellsFailed   // cells that degraded to a CellError (each runs once)
 	// Reference-run launches not simulated because an earlier launch of the
 	// run had identical simulation input (trace.SameInput); their sim.*,
 	// sched.* and mem.* content is still counted, from that launch.
@@ -214,7 +213,6 @@ var counterNames = [NumCounters]string{
 
 	ExpCellsExecuted:  "exp.cells_executed",
 	ExpCellsFailed:    "exp.cells_failed",
-	ExpCellRetries:    "exp.cell_retries",
 	ExpLaunchesReused: "exp.launches_reused",
 
 	SubcellHits:   "subcell.hits",

@@ -83,9 +83,6 @@ type JobSpec struct {
 	Samplers []string `json:"samplers,omitempty"`
 	// Samples is the fig5 Monte-Carlo sample count (0 = 10000).
 	Samples int `json:"samples,omitempty"`
-	// Retries is the attempts per grid cell before its failure is recorded
-	// (0 selects 1, the CLI default).
-	Retries int `json:"retries,omitempty"`
 	// CellDeadline bounds each grid cell's wall time (0 = no limit).
 	CellDeadline Duration `json:"cell_deadline,omitempty"`
 	// Deadline bounds the whole job's wall time, mapped onto the run's
@@ -133,12 +130,6 @@ func (s *JobSpec) Validate() error {
 		}
 		s.Samplers = names
 	}
-	if s.Retries < 0 {
-		return fmt.Errorf("server: negative retries %d", s.Retries)
-	}
-	if s.Retries == 0 {
-		s.Retries = 1
-	}
 	if s.Deadline < 0 || s.CellDeadline < 0 {
 		return fmt.Errorf("server: negative deadline")
 	}
@@ -156,7 +147,6 @@ func (s JobSpec) options() experiments.Options {
 	opts.Seed = s.Seed
 	opts.Benchmarks = s.Benchmarks
 	opts.Samplers = s.Samplers
-	opts.Retry = experiments.RetryPolicy{Attempts: s.Retries, Seed: s.Seed}
 	opts.CellDeadline = time.Duration(s.CellDeadline)
 	return opts
 }

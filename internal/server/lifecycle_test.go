@@ -412,7 +412,7 @@ var parentJournal = map[string]string{
 // record format replays unchanged now that the record is the JobStatus —
 // finished jobs serve the same status, unfinished ones are requeued. A
 // retired spec field (the event-loop knobs, the chaos "fault", the
-// fair-share "priority") is dropped on decode.
+// fair-share "priority", the per-cell "retries") is dropped on decode.
 func TestLifecycleReplaysParentJournal(t *testing.T) {
 	dir := t.TempDir()
 	journal, err := durable.Open(dir + "/jobs")

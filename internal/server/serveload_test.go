@@ -26,7 +26,6 @@ func refResults(t *testing.T, seed uint64, samplers []string) []byte {
 	opts.Seed = seed
 	opts.Benchmarks = []string{"stream"}
 	opts.Samplers = samplers
-	opts.Retry = experiments.RetryPolicy{Attempts: 1, Seed: seed}
 	bundle, err := experiments.RunTargets(opts, experiments.RunSpec{Targets: []string{"accuracy"}}, nil)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)

@@ -36,7 +36,6 @@ func referenceResults(t *testing.T) []byte {
 	opts := experiments.DefaultOptions(0.02)
 	opts.Seed = 7
 	opts.Benchmarks = []string{"stream"}
-	opts.Retry = experiments.RetryPolicy{Attempts: 1, Seed: 7}
 	bundle, err := experiments.RunTargets(opts, experiments.RunSpec{Targets: []string{"accuracy"}}, nil)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
@@ -292,7 +291,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Targets: []string{"bogus"}},
 		{},
 		{Targets: []string{"accuracy"}, Scale: -1},
-		{Targets: []string{"accuracy"}, Retries: -2},
 		{Targets: []string{"accuracy"}, Samplers: []string{"nope"}},
 		{Targets: []string{"accuracy"}, Benchmarks: []string{"nosuch"}},
 		{Targets: []string{"accuracy"}, Benchmarks: []string{"stream", ""}},
@@ -306,10 +304,10 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 
-	// The retired event-loop and fair-share fields are unknown fields now: a
-	// client still sending them is told which instead of silently getting a
-	// serial run or no priority.
-	for _, field := range []string{"parallel_sm", "quantum", "max_divergence", "priority"} {
+	// The retired event-loop, fair-share and retry fields are unknown fields
+	// now: a client still sending them is told which instead of silently
+	// getting a serial run, no priority or one attempt per cell.
+	for _, field := range []string{"parallel_sm", "quantum", "max_divergence", "priority", "retries"} {
 		body := `{"targets":["accuracy"],"` + field + `":2}`
 		if code, msg := postJobs(t, srv.URL, strings.NewReader(body)); code != http.StatusBadRequest || !strings.Contains(msg, field) {
 			t.Errorf("body %s: HTTP %d %s, want 400 naming the field", body, code, msg)
@@ -398,8 +396,8 @@ func TestDefaultsNormalized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Spec.Scale != 1.0 || st.Spec.Retries != 1 {
-		t.Errorf("normalized spec = %+v, want scale 1.0 retries 1", st.Spec)
+	if st.Spec.Scale != 1.0 {
+		t.Errorf("normalized spec = %+v, want scale 1.0", st.Spec)
 	}
 
 	// Sampler lists are canonicalized at the boundary too, so equivalent

@@ -34,7 +34,11 @@
 #              a store write and resuming to byte-identical results (a
 #              second resume composing every cell and computing none), a
 #              fatal target error still flushing its JSON outputs, negative
-#              counts and byte budgets refused by both CLIs, tbpointd
+#              counts and byte budgets refused by both CLIs, negative
+#              -cell-deadline/-timeout/-samples refused by experiments and
+#              -timeout by tbpoint, a non-positive -scale refused by
+#              experiments, tbpoint and tbpointctl submit (before any
+#              request is sent), tbpointd
 #              surviving a hard death with a journaled job, a crash-looping
 #              job quarantined after exactly four daemon deaths (each death
 #              armed by the store's TBPOINT_CRASH_AFTER_CHECKPOINTS hook, the
