@@ -12,9 +12,10 @@
 // Long grids are restartable: -checkpoint-dir stores what each cell is made
 // of (reference run, per-strategy outcomes) as soon as it is computed;
 // -resume composes every cell from it, computing only what is missing, and
-// reproduces an uninterrupted run's -json output byte for byte. Every grid
-// cell runs once: one that fails, panics or outlives -cell-deadline is
-// recorded in the results' errors section while the others complete.
+// reproduces an uninterrupted run's -json output byte for byte, so it also
+// finishes a run that -timeout, the one wall-time bound, cut off. Every grid
+// cell runs once: one that fails or panics is recorded in the results'
+// errors section while the others complete.
 //
 // The target engine itself lives in internal/experiments (RunTargets) and
 // is shared with the tbpointd job server, so a served job with the same
@@ -55,7 +56,6 @@ func main() {
 	checkpointDir := flag.String("checkpoint-dir", "", "store what each cell is made of (reference run, per-strategy outcomes) in this directory as it is computed (atomic, checksummed)")
 	resume := flag.Bool("resume", false, "compose cells from what -checkpoint-dir holds, computing only what is missing")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "byte budget for -checkpoint-dir; LRU entries are evicted over it (0 = unbounded)")
-	cellDeadline := flag.Duration("cell-deadline", 0, "wall-time budget per grid cell (0 = no limit)")
 	flag.Parse()
 	experiments.Parallelism = *parN
 
@@ -67,11 +67,11 @@ func main() {
 	if *scale <= 0 {
 		fail(fmt.Errorf("-scale must be positive, got %g", *scale))
 	}
-	// A negative budget or count would read as "no limit" or "default";
-	// tbpointd refuses the same values in a job spec.
+	// A negative budget, count or duration would read as "no limit",
+	// "default" or (-par) "sequential"; tbpointd refuses them too.
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "cache-max-bytes", "cell-deadline", "timeout", "samples":
+		case "cache-max-bytes", "timeout", "samples", "par":
 			if strings.HasPrefix(f.Value.String(), "-") {
 				fail(fmt.Errorf("-%s must not be negative, got %s", f.Name, f.Value))
 			}
@@ -180,7 +180,6 @@ func main() {
 	} else if *cacheMax > 0 {
 		fail(errors.New("-cache-max-bytes requires -checkpoint-dir"))
 	}
-	opts.CellDeadline = *cellDeadline
 
 	spec := experiments.RunSpec{Targets: targets, Samples: *samples}
 	bundle, runErr := experiments.RunTargets(opts, spec, os.Stdout)

@@ -123,7 +123,7 @@ func withJob(args []string, f func(id string) error) error {
 }
 
 // statusLine renders a job as one parseable key=value line. failure_kind is
-// empty for healthy jobs and error|panic|stuck|quarantined for failed ones,
+// empty for healthy jobs and error|panic|quarantined for failed ones,
 // which tells a supervision verdict from an ordinary run error.
 func statusLine(st server.JobStatus) string {
 	return fmt.Sprintf("id=%s state=%s wall_seconds=%.3f cache_misses=%d subcell_hits=%d subcell_misses=%d outcome_hits=%d outcome_misses=%d cells_failed=%d requeues=%d run_requeues=%d failure_kind=%s error=%q",
@@ -156,7 +156,6 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 	bench := fs.String("bench", "", "comma-separated benchmark subset")
 	samplers := fs.String("samplers", "", "comma-separated estimation strategies (also 'default', 'all')")
 	samples := fs.Int("samples", 0, "Monte-Carlo samples for fig5 (0 = default)")
-	cellDeadline := fs.Duration("cell-deadline", 0, "wall-time budget per grid cell")
 	deadline := fs.Duration("deadline", 0, "wall-time budget for the whole job")
 	noCache := fs.Bool("no-cache", false, "compute every cell fresh, ignoring the artifact cache")
 	wait := fs.Bool("wait", false, "block until the job is terminal; print its status line")
@@ -169,13 +168,12 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 		return fmt.Errorf("submit: -scale must be positive, got %g", *scale)
 	}
 	spec := server.JobSpec{
-		Targets:      fs.Args(),
-		Scale:        *scale,
-		Seed:         *seed,
-		Samples:      *samples,
-		CellDeadline: server.Duration(*cellDeadline),
-		Deadline:     server.Duration(*deadline),
-		NoCache:      *noCache,
+		Targets:  fs.Args(),
+		Scale:    *scale,
+		Seed:     *seed,
+		Samples:  *samples,
+		Deadline: server.Duration(*deadline),
+		NoCache:  *noCache,
 	}
 	if *bench != "" {
 		spec.Benchmarks = strings.Split(*bench, ",")

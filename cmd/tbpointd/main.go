@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -35,7 +36,6 @@ func configFlags(fs *flag.FlagSet) *server.Config {
 	fs.Int64Var(&cfg.CacheMaxBytes, "cache-max-bytes", 0, "artifact cache byte budget; LRU entries are evicted over it (0 = unbounded)")
 	fs.BoolVar(&cfg.Paused, "paused", false, "accept and journal jobs without dispatching any (drain mode; a restart without -paused runs them)")
 	fs.IntVar(&cfg.MaxRequeues, "max-requeues", server.DefaultMaxRequeues, "quarantine a job after this many requeues-while-running across restarts (-1 = never)")
-	fs.DurationVar(&cfg.StuckAfter, "stuck-after", 0, "fail a running job as stuck when its progress stalls this long (0 = watchdog off)")
 	fs.IntVar(&cfg.MaxQueued, "max-queued", 0, "reject submissions with 429 past this many queued jobs (0 = unbounded)")
 	return cfg
 }
@@ -50,6 +50,13 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "tbpointd: ", log.LstdFlags)
+	// Negative Config fields are refused by server.Open; these two would
+	// read as "sequential" and "wait forever".
+	flag.Visit(func(f *flag.Flag) {
+		if (f.Name == "par" || f.Name == "drain-timeout") && strings.HasPrefix(f.Value.String(), "-") {
+			logger.Fatalf("-%s must not be negative, got %s", f.Name, f.Value)
+		}
+	})
 	if cfg.StateDir == "" {
 		fmt.Fprintln(os.Stderr, "tbpointd: -state-dir is required")
 		flag.PrintDefaults()

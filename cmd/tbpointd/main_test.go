@@ -5,7 +5,6 @@ import (
 	"io"
 	"reflect"
 	"testing"
-	"time"
 
 	"tbpoint/internal/server"
 )
@@ -18,12 +17,12 @@ func TestFlagsReachConfig(t *testing.T) {
 	cfg := configFlags(fs)
 	if err := fs.Parse([]string{
 		"-state-dir", "/var/lib/tbpoint", "-dispatchers", "3", "-cache-max-bytes", "5000", "-paused",
-		"-max-requeues", "-1", "-stuck-after", "90s", "-max-queued", "7",
+		"-max-requeues", "-1", "-max-queued", "7",
 	}); err != nil {
 		t.Fatal(err)
 	}
 	want := server.Config{StateDir: "/var/lib/tbpoint", Dispatchers: 3, CacheMaxBytes: 5000, Paused: true,
-		MaxRequeues: -1, StuckAfter: 90 * time.Second, MaxQueued: 7}
+		MaxRequeues: -1, MaxQueued: 7}
 	if !reflect.DeepEqual(*cfg, want) {
 		t.Errorf("server.Config = %+v, want %+v", *cfg, want)
 	}
@@ -34,13 +33,17 @@ func TestFlagsReachConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := (server.Config{StateDir: "s", Dispatchers: 2, MaxRequeues: server.DefaultMaxRequeues}); !reflect.DeepEqual(*cfg, want) {
-		t.Errorf("defaults: server.Config = %+v, want %+v (watchdog off, default requeue cap)", *cfg, want)
+		t.Errorf("defaults: server.Config = %+v, want %+v (default requeue cap)", *cfg, want)
 	}
 
-	fs = flag.NewFlagSet("tbpointd", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	configFlags(fs)
-	if err := fs.Parse([]string{"-state-dir", "s", "-chaos"}); err == nil {
-		t.Error("the retired -chaos flag is accepted")
+	// Retired flags are unknown: the chaos fault and the stuck watchdog's
+	// window.
+	for _, retired := range []string{"-chaos", "-stuck-after=1m"} {
+		fs = flag.NewFlagSet("tbpointd", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		configFlags(fs)
+		if err := fs.Parse([]string{"-state-dir", "s", retired}); err == nil {
+			t.Errorf("the retired %s flag is accepted", retired)
+		}
 	}
 }

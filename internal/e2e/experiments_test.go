@@ -156,9 +156,9 @@ func TestNonPositiveScaleFailsBeforeSimulating(t *testing.T) {
 }
 
 // TestNegativeCacheBudgetFailsBeforeSimulating: a negative -cache-max-bytes,
-// -cell-deadline, -timeout or -samples is a usage error naming the flag, not
-// an unbounded store, no limit or the default; tbpointd answers the same
-// values in a job spec with a 400.
+// -timeout, -samples or -par is a usage error naming the flag, not an
+// unbounded store, no limit, the default or a sequential run; tbpointd
+// answers a negative deadline or samples in a job spec with a 400.
 func TestNegativeCacheBudgetFailsBeforeSimulating(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	experiments := func(args ...string) result {
@@ -169,9 +169,9 @@ func TestNegativeCacheBudgetFailsBeforeSimulating(t *testing.T) {
 		r    result
 	}{
 		{"-cache-max-bytes", experiments("-cache-max-bytes", "-1", "accuracy")},
-		{"-cell-deadline", experiments("-cell-deadline", "-1s", "accuracy")},
 		{"-timeout", experiments("-timeout", "-1s", "accuracy")},
 		{"-samples", experiments("-samples", "-1", "fig5")},
+		{"-par", experiments("-par", "-1", "accuracy")},
 		{"-timeout", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-timeout", "-1s")},
 	} {
 		if c.r.code == 0 || !strings.Contains(c.r.stderr, c.flag) {
@@ -183,5 +183,23 @@ func TestNegativeCacheBudgetFailsBeforeSimulating(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("the store directory was created (stat: %v)", err)
+	}
+}
+
+// TestRetiredDeadlineFlagsRefused: the run's -timeout (a job's deadline) is
+// the one wall-time bound, so -cell-deadline is an unknown flag on both
+// commands that had it, a usage error rather than a bound silently ignored
+// (tbpointd's -stuck-after is TestFlagsReachConfig's).
+func TestRetiredDeadlineFlagsRefused(t *testing.T) {
+	for _, c := range []struct {
+		flag string
+		r    result
+	}{
+		{"-cell-deadline", run(nil, "experiments", "-scale", "0.02", "-bench", "stream", "-cell-deadline", "1s", "accuracy")},
+		{"-cell-deadline", run(nil, "tbpointctl", "-addr", "http://127.0.0.1:1", "submit", "-scale", "0.02", "-cell-deadline", "1s", "accuracy")},
+	} {
+		if c.r.code != 2 || !strings.Contains(c.r.stderr, "flag provided but not defined: "+c.flag) || c.r.stdout != "" {
+			t.Errorf("%s: exit %d, want the usage error naming the flag:\n%s%s", c.flag, c.r.code, c.r.stdout, c.r.stderr)
+		}
 	}
 }

@@ -253,13 +253,15 @@ func TestBoundedCacheStillComposesIdenticalBytes(t *testing.T) {
 
 // TestDaemonRefusesNegativeSettings: tbpointd exits before serving when a
 // flag that sets a count, byte budget or duration is negative, naming the
-// setting, instead of running it as the default or unbounded.
+// setting, instead of running it as the default, sequential, unbounded or
+// without end.
 func TestDaemonRefusesNegativeSettings(t *testing.T) {
 	for _, c := range []struct{ flag, value, field string }{
 		{"-dispatchers", "-1", "Dispatchers"},
 		{"-cache-max-bytes", "-1", "CacheMaxBytes"},
 		{"-max-queued", "-1", "MaxQueued"},
-		{"-stuck-after", "-1s", "StuckAfter"},
+		{"-par", "-1", "-par"},
+		{"-drain-timeout", "-1s", "-drain-timeout"},
 	} {
 		d := bootDaemon(t, "serve_negative", filepath.Join(t.TempDir(), "state"), nil, c.flag, c.value)
 		if !d.dead() {

@@ -78,7 +78,8 @@ func (c *cancelOnFirstWrite) Write(p []byte) (int, error) {
 // TestChaosCancelMidGridRun cancels a multi-benchmark accuracy grid the
 // moment its first cell completes: the run must return within bounded time
 // with the partial results produced before the cut-off, a cancellation
-// error, and no leaked goroutines.
+// error, and no leaked goroutines. Resuming from the run's store then
+// finishes the grid the way an uninterrupted run would.
 func TestChaosCancelMidGridRun(t *testing.T) {
 	old := Parallelism
 	Parallelism = 2
@@ -93,6 +94,11 @@ func TestChaosCancelMidGridRun(t *testing.T) {
 	opts.Ctx = ctx
 	opts.Verbose = true
 	opts.Out = &cancelOnFirstWrite{cancel: cancel}
+	store, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Checkpoint = store
 
 	start := time.Now()
 	results, cellErrs, err := RunAccuracy(opts)
@@ -127,6 +133,33 @@ func TestChaosCancelMidGridRun(t *testing.T) {
 	}
 	if g := runtime.NumGoroutine(); g > before {
 		t.Errorf("goroutines leaked: %d before, %d after cancel", before, g)
+	}
+
+	// The run's deadline is the one wall-time bound; what a cell cut off by
+	// it leaves is finished by a resume. The finished cells are composed,
+	// only the others simulate, and the bundle is an uninterrupted run's
+	// byte for byte, so a cancelled cell published nothing partial.
+	mc := metrics.New()
+	resume := fastOpts()
+	resume.Benchmarks = opts.Benchmarks
+	resume.Checkpoint, resume.Resume, resume.Metrics = store, true, mc
+	resumed, cellErrs, err := RunAccuracy(resume)
+	if err != nil || len(cellErrs) != 0 {
+		t.Fatalf("resumed run: err %v, cell errors %+v", err, cellErrs)
+	}
+	if n, want := mc.Count(metrics.ExpCellsExecuted), uint64(len(opts.Benchmarks)-len(results)); n != want {
+		t.Errorf("resume executed %d cells, want %d (those the cancel cut off)", n, want)
+	}
+	whole := fastOpts()
+	whole.Benchmarks = opts.Benchmarks
+	uninterrupted, _, err := RunAccuracy(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := encodeResults(t, &Results{Scale: whole.Scale, Seed: whole.Seed, Accuracy: uninterrupted})
+	b := encodeResults(t, &Results{Scale: resume.Scale, Seed: resume.Seed, Accuracy: resumed})
+	if !bytes.Equal(a, b) {
+		t.Error("the resumed grid's bundle differs from an uninterrupted run's")
 	}
 }
 

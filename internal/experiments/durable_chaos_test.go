@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"tbpoint/internal/durable"
 	"tbpoint/internal/faultcheck"
@@ -246,34 +245,6 @@ func TestChaosCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 	b := encodeResults(t, &Results{Scale: resume.Scale, Seed: resume.Seed, Accuracy: results})
 	if !bytes.Equal(a, b) {
 		t.Error("recomputed-after-quarantine results differ from the golden run")
-	}
-}
-
-// TestChaosCellDeadlineDegradesNotCancels gives every cell an impossible
-// deadline while the grid itself has no context: blown deadlines must
-// degrade to CellErrors, never masquerade as grid cancellation.
-func TestChaosCellDeadlineDegradesNotCancels(t *testing.T) {
-	old := Parallelism
-	Parallelism = 1
-	defer func() { Parallelism = old }()
-
-	opts := fastOpts()
-	opts.Benchmarks = []string{"stream", "black"}
-	opts.CellDeadline = time.Nanosecond
-	results, cellErrs, err := RunAccuracy(opts)
-	if err != nil {
-		t.Fatalf("blown cell deadlines must not abort the grid: %v", err)
-	}
-	if len(results) != 0 {
-		t.Fatalf("%d cells beat a 1ns deadline", len(results))
-	}
-	if len(cellErrs) != len(opts.Benchmarks) {
-		t.Fatalf("got %d cell errors, want %d", len(cellErrs), len(opts.Benchmarks))
-	}
-	for _, ce := range cellErrs {
-		if !strings.Contains(ce.Err, "deadline") {
-			t.Errorf("cell %s error %q does not name the deadline", ce.Cell, ce.Err)
-		}
 	}
 }
 

@@ -28,23 +28,12 @@ type CellError struct {
 }
 
 // runCell executes one grid cell exactly once (a cell is deterministic, so a
-// second attempt could only repeat its failure) under its CellDeadline, with
-// panic isolation. A panic becomes a *par.PanicError return, so every faulty
-// cell is recorded, not only par's lowest-index one; one re-raised from a
-// nested fan-out (FullAppCtx, funcsim.ProfileApp) keeps the stack of the
-// goroutine that panicked. A positive CellDeadline gives fn a per-cell
-// context derived from the grid's; the caller tells a blown deadline (a
-// cell fault) from the grid's cancellation by the grid context.
+// second attempt could only repeat its failure) with panic isolation. A
+// panic becomes a *par.PanicError return, so every faulty cell is recorded,
+// not only par's lowest-index one; one re-raised from a nested fan-out
+// (FullAppCtx, funcsim.ProfileApp) keeps the stack of the goroutine that
+// panicked.
 func (o Options) runCell(fn func(Options) error) (err error) {
-	if o.CellDeadline > 0 {
-		base := o.Ctx
-		if base == nil {
-			base = context.Background()
-		}
-		var cancel context.CancelFunc
-		o.Ctx, cancel = context.WithTimeout(base, o.CellDeadline)
-		defer cancel()
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			pe, ok := r.(*par.PanicError)

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"tbpoint/internal/core"
 	"tbpoint/internal/durable"
@@ -80,10 +79,6 @@ type Options struct {
 	// Retry is ignored: every grid cell runs exactly once. It is kept only
 	// because bench/ still assigns it.
 	Retry RetryPolicy
-	// CellDeadline, when positive, bounds each cell's wall time via a
-	// per-cell context. A blown deadline is a cell fault — recorded, the
-	// grid continues — not a grid cancellation.
-	CellDeadline time.Duration
 	// Verbose emits progress lines to Out as benchmarks complete.
 	Verbose bool
 	// Out receives report text (required by the Print* helpers).

@@ -41,13 +41,13 @@ type gridCell[T any] struct {
 // over the Parallelism worker budget with per-cell failure isolation — a
 // cell that errors or panics becomes a CellError while the others complete,
 // so one rotten cell does not take down the grid. Each cell runs exactly once
-// (runCell), under its own CellDeadline; resuming is each cell's own business
-// (RunBenchmark composes from the store). Results come back compacted in
-// cell order and — on a fault-free run — do not depend on the worker count:
-// every stochastic component is seeded per cell, never shared. The returned
-// error is non-nil only for store-write failures (errStore) or cancellation
-// (opts.Ctx); even then, results completed before the cut-off and the cell
-// errors recorded so far are returned alongside it.
+// (runCell); resuming is each cell's own business (RunBenchmark composes
+// from the store). Results come back compacted in cell order and — on a
+// fault-free run — do not depend on the worker count: every stochastic
+// component is seeded per cell, never shared. The returned error is non-nil
+// only for store-write failures (errStore) or cancellation (opts.Ctx); even
+// then, results completed before the cut-off and the cell errors recorded so
+// far are returned alongside it.
 func runGrid[T any](opts Options, grid string, cells []gridCell[T]) ([]T, []CellError, error) {
 	// Every cell writes only its own index, so failures come back in cell
 	// order whatever the worker interleaving.
@@ -68,9 +68,8 @@ func runGrid[T any](opts Options, grid string, cells []gridCell[T]) ([]T, []Cell
 			return nil
 		}
 		// A broken store and the grid being torn down propagate; a fault local
-		// to the cell degrades. A cell can die of its own CellDeadline — a
-		// context error — while the grid context is alive, so the grid's
-		// state decides.
+		// to the cell degrades, a context error from inside it too while the
+		// grid's context is alive.
 		if errors.Is(cellErr, errStore) || isCancellation(cellErr) && ctxErr(opts.Ctx) != nil {
 			return cellErr
 		}

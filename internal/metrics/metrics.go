@@ -134,19 +134,17 @@ const (
 	// Job server (internal/server). Cache misses, subcell and outcome
 	// hits/misses sum the jobs' exp.cells_executed, subcell.* and outcome.*;
 	// evictions counts entries the bounded cache dropped for its budget.
-	// The supervision counters (jobs_panicked/stuck/quarantined,
+	// The supervision counters (jobs_panicked/quarantined,
 	// admission_rejects, dispatcher_restarts) observe the containment
 	// layer: a panicking job is recovered and its dispatcher slot
-	// restarted, a wedged job is cancelled by the stuck watchdog, a
-	// crash-looping job is quarantined at journal replay, and an
-	// over-limit submission is rejected with 429 rather than queued.
+	// restarted, a crash-looping job is quarantined at journal replay, and
+	// an over-limit submission is rejected with 429 rather than queued.
 	ServerJobsSubmitted
 	ServerJobsDone
 	ServerJobsFailed
 	ServerJobsCancelled
 	ServerJobsRequeued    // non-terminal jobs re-queued when the daemon restarted
 	ServerJobsPanicked    // jobs terminally failed by a recovered panic
-	ServerJobsStuck       // jobs terminally failed by the stuck watchdog
 	ServerJobsQuarantined // jobs dead-lettered by the requeue cap at replay
 	ServerAdmissionRejects
 	ServerDispatcherRestarts // dispatcher slots restarted after a contained panic
@@ -226,7 +224,6 @@ var counterNames = [NumCounters]string{
 	ServerJobsCancelled:      "server.jobs_cancelled",
 	ServerJobsRequeued:       "server.jobs_requeued",
 	ServerJobsPanicked:       "server.jobs_panicked",
-	ServerJobsStuck:          "server.jobs_stuck",
 	ServerJobsQuarantined:    "server.jobs_quarantined",
 	ServerAdmissionRejects:   "server.admission_rejects",
 	ServerDispatcherRestarts: "server.dispatcher_restarts",

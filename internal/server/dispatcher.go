@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -79,8 +78,8 @@ func (d *Driver) nextJob() *Job {
 // dispatcher's contract:
 //
 //   - the run's context is a child of the driver's, with the job deadline
-//     layered on, so Cancel, Close and the stuck watchdog (cause ErrStuck)
-//     all abort it at the next cell boundary, and the run then names which;
+//     layered on, so Cancel, Close and the deadline all abort it at the
+//     next cell boundary, and the run then names which;
 //   - the artifact cache is attached as the run's checkpoint store with
 //     Resume on (unless the spec opts out), so cells another job already
 //     computed are resumed, not re-simulated;
@@ -90,13 +89,11 @@ func (d *Driver) nextJob() *Job {
 //     only this job's phases.
 func (d *Driver) runJob(j *Job) {
 	spec := j.rec.Spec
-	runCtx, cancelRun := context.WithCancelCause(d.ctx)
-	defer cancelRun(nil)
-	ctx := context.Context(runCtx)
-	if spec.Deadline > 0 {
-		var cancelDeadline context.CancelFunc
-		ctx, cancelDeadline = context.WithTimeout(runCtx, time.Duration(spec.Deadline))
-		defer cancelDeadline()
+	ctx, cancelRun := context.WithCancel(d.ctx)
+	defer cancelRun()
+	if spec.Deadline > 0 { // the deadline's context is the run's: Cancel cancels it
+		ctx, cancelRun = context.WithTimeout(ctx, time.Duration(spec.Deadline))
+		defer cancelRun()
 	}
 	jmc := metrics.New()
 	report := &syncBuffer{}
@@ -112,7 +109,6 @@ func (d *Driver) runJob(j *Job) {
 		j.cancel = cancelRun
 		j.mc = jmc
 		j.report = report
-		j.progress = progressMark{} // fresh watchdog window for this run
 		return true
 	}()
 	if !dispatched {
@@ -163,8 +159,6 @@ func (d *Driver) runJob(j *Job) {
 	case !bundle.Aborted:
 	case j.userCancel:
 		ev = evCancel
-	case errors.Is(context.Cause(runCtx), ErrStuck):
-		ev = evStuck
 	case d.closed:
 		ev = evShutdown
 	case ctx.Err() == context.DeadlineExceeded:

@@ -29,6 +29,12 @@ var ErrShutdown = errors.New("server: driver is shut down")
 // client retries it inside its backoff.
 var ErrOverloaded = errors.New("server: job queue is full")
 
+// internalError marks a failure that is the daemon's, not the request's
+// (a journal write, a results file read): writeError answers it with 500.
+type internalError struct{ error }
+
+func (e internalError) Unwrap() error { return e.error }
+
 // DefaultMaxRequeues is the poison-job quarantine cap: a job observed
 // running across more than this many daemon deaths is dead-lettered at
 // replay instead of requeued.
@@ -58,14 +64,6 @@ type Config struct {
 	// deaths is moved to StateQuarantined at replay instead of requeued
 	// (0 selects DefaultMaxRequeues; negative disables quarantine).
 	MaxRequeues int
-	// StuckAfter arms the stuck-job watchdog: a running job whose
-	// progress fingerprint (per-phase timings + counters of its live
-	// collector) has not changed for at least this long has its run
-	// context cancelled with ErrStuck and fails terminally as stuck,
-	// freeing the dispatcher. The watchdog samples every StuckAfter/4 (but
-	// no more often than every 10ms), so a stuck job is detected within
-	// StuckAfter plus one sample. 0 (the default) disables the watchdog.
-	StuckAfter time.Duration
 	// MaxQueued bounds the number of queued jobs: submissions past it are
 	// rejected with ErrOverloaded (HTTP 429 + Retry-After) instead of
 	// growing the backlog without bound. 0 keeps the queue unbounded.
@@ -91,11 +89,10 @@ type Config struct {
 type Job struct {
 	rec        JobStatus // what the journal holds; only applyLocked changes its State
 	mc         *metrics.Collector
-	cancel     context.CancelCauseFunc // aborts the run: nil cause for a user cancel, ErrStuck from the watchdog
+	cancel     context.CancelFunc // aborts the run
 	userCancel bool
 	report     *syncBuffer
 	done       chan struct{} // closed when the job reaches a terminal state
-	progress   progressMark  // the watchdog's last fingerprint observation
 }
 
 // Driver owns job lifecycle: submission, validation, the FIFO queue,
@@ -137,8 +134,7 @@ func Open(cfg Config) (*Driver, error) {
 	for _, f := range []struct {
 		name string
 		v    int64
-	}{{"Dispatchers", int64(cfg.Dispatchers)}, {"StuckAfter", int64(cfg.StuckAfter)}, {"MaxQueued", int64(cfg.MaxQueued)},
-		{"CacheMaxBytes", cfg.CacheMaxBytes}} {
+	}{{"Dispatchers", int64(cfg.Dispatchers)}, {"MaxQueued", int64(cfg.MaxQueued)}, {"CacheMaxBytes", cfg.CacheMaxBytes}} {
 		if f.v < 0 {
 			return nil, fmt.Errorf("server: Config.%s must not be negative, got %d", f.name, f.v)
 		}
@@ -219,10 +215,6 @@ func Open(cfg Config) (*Driver, error) {
 		d.wg.Add(1)
 		go d.dispatcherLoop()
 	}
-	if cfg.StuckAfter > 0 {
-		d.wg.Add(1)
-		go d.watchdogLoop()
-	}
 	return d, nil
 }
 
@@ -265,7 +257,7 @@ func (d *Driver) Submit(spec JobSpec) (JobStatus, error) {
 		done: make(chan struct{}),
 	}
 	if err := d.applyLocked(job, evSubmit, ""); err != nil {
-		return JobStatus{}, fmt.Errorf("server: journaling job: %w", err)
+		return JobStatus{}, internalError{fmt.Errorf("server: journaling job: %w", err)}
 	}
 	d.nextID++
 	d.jobs[id] = job
@@ -288,7 +280,7 @@ func (d *Driver) Cancel(id string) (JobStatus, error) {
 	if j.rec.State == StateRunning {
 		j.userCancel = true  // the aborted run names evCancel
 		if j.cancel != nil { // nil while a panic in the dispatch's journal write unwinds
-			j.cancel(nil)
+			j.cancel()
 		}
 	} else {
 		_ = d.applyLocked(j, evCancel, "") // a terminal job rejects the event: nothing to cancel
@@ -414,7 +406,11 @@ func (d *Driver) Result(id string) ([]byte, error) {
 	if state != StateDone {
 		return nil, fmt.Errorf("server: job %s is %s, results exist only for %s jobs", id, state, StateDone)
 	}
-	return os.ReadFile(d.resultPath(id))
+	data, err := os.ReadFile(d.resultPath(id))
+	if err != nil {
+		return nil, internalError{err}
+	}
+	return data, nil
 }
 
 // Report returns the job's captured report/progress text (empty for jobs

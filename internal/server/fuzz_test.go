@@ -20,7 +20,8 @@ import (
 // was accepted.
 func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"targets":["accuracy"],"scale":0.02,"seed":7,"benchmarks":["stream"]}`))
-	f.Add([]byte(`{"targets":["all"],"samplers":["all","TBPoint"],"deadline":"90s","cell_deadline":1000,"client":"a"}`))
+	f.Add([]byte(`{"targets":["all"],"samplers":["all","TBPoint"],"deadline":"90s","client":"a"}`))
+	f.Add([]byte(`{"targets":["accuracy"],"cell_deadline":1000}`))
 	f.Add([]byte(`{"targets":["fig5"],"samples":-3,"no_cache":true,"scale":-0}`))
 	f.Add([]byte(`{"targets":["accuracy"],"parallel_sm":2}`))
 	f.Add([]byte(`{"targets":["accuracy"],"fault":"panic"}`))

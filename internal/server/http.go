@@ -168,10 +168,13 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 
 // writeError maps driver errors onto HTTP status codes: unknown job → 404,
 // driver shut down → 503, admission rejection → 429 with Retry-After: 1,
-// everything else (validation, bad state) → 400.
+// the daemon's own failure → 500, everything else (validation, bad state)
+// → 400.
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	switch {
+	case errors.As(err, new(internalError)):
+		code = http.StatusInternalServerError
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrShutdown):

@@ -83,8 +83,6 @@ type JobSpec struct {
 	Samplers []string `json:"samplers,omitempty"`
 	// Samples is the fig5 Monte-Carlo sample count (0 = 10000).
 	Samples int `json:"samples,omitempty"`
-	// CellDeadline bounds each grid cell's wall time (0 = no limit).
-	CellDeadline Duration `json:"cell_deadline,omitempty"`
 	// Deadline bounds the whole job's wall time, mapped onto the run's
 	// context: a blown deadline aborts in-flight cells at their next
 	// boundary and fails the job (0 = no limit).
@@ -130,7 +128,7 @@ func (s *JobSpec) Validate() error {
 		}
 		s.Samplers = names
 	}
-	if s.Deadline < 0 || s.CellDeadline < 0 {
+	if s.Deadline < 0 {
 		return fmt.Errorf("server: negative deadline")
 	}
 	if len(s.Client) > 64 {
@@ -147,7 +145,6 @@ func (s JobSpec) options() experiments.Options {
 	opts.Seed = s.Seed
 	opts.Benchmarks = s.Benchmarks
 	opts.Samplers = s.Samplers
-	opts.CellDeadline = time.Duration(s.CellDeadline)
 	return opts
 }
 
@@ -184,7 +181,6 @@ func (s JobState) Terminal() bool {
 const (
 	FailureError       = "error"
 	FailurePanic       = "panic"
-	FailureStuck       = "stuck"
 	FailureQuarantined = "quarantined"
 )
 
@@ -192,7 +188,8 @@ const (
 // failed (or quarantined) job: what class of failure it was, and — for a
 // contained panic — the panic value and captured stack.
 type JobFailure struct {
-	// Kind classifies the failure: error | panic | stuck | quarantined.
+	// Kind classifies the failure: error | panic | quarantined (records
+	// journaled by older daemons may also carry stuck).
 	Kind string `json:"kind"`
 	// Panic is the recovered panic value's string form (Kind "panic").
 	Panic string `json:"panic,omitempty"`
@@ -213,8 +210,8 @@ type JobStatus struct {
 	// Error is the failure reason for StateFailed (and the cancellation
 	// cause for StateCancelled, when one was recorded).
 	Error string `json:"error,omitempty"`
-	// Failure classifies a failed/quarantined job (error|panic|stuck|
-	// quarantined) and carries the contained panic's value and stack.
+	// Failure classifies a failed/quarantined job (error|panic|quarantined)
+	// and carries the contained panic's value and stack.
 	Failure *JobFailure `json:"failure,omitempty"`
 	// Requeues counts daemon restarts this job survived before running.
 	Requeues int `json:"requeues,omitempty"`
@@ -250,7 +247,8 @@ type JobStatus struct {
 }
 
 // FailureKind is the parseable failure classification for status lines:
-// empty for jobs that did not fail, otherwise error|panic|stuck|quarantined.
+// empty for jobs that did not fail, otherwise error|panic|quarantined (or
+// whatever kind an older daemon journaled).
 func (st JobStatus) FailureKind() string {
 	if st.Failure != nil {
 		return st.Failure.Kind

@@ -25,7 +25,6 @@ const (
 	evFinishOK                          // the run completed and its results file is written
 	evFinishError                       // the run, or writing its results, returned an error
 	evPanic                             // a panic unwound out of the run
-	evStuck                             // the run aborted: the watchdog cancelled it
 	evDeadline                          // the run aborted: the job deadline passed
 	evAborted                           // the run aborted and no supervisor claims it
 	evCancel                            // the user cancelled (a running job's aborted run names it)
@@ -37,7 +36,7 @@ const (
 )
 
 func (e event) String() string {
-	return [numEvents]string{"submit", "dispatch", "finish-ok", "finish-error", "panic", "stuck", "deadline",
+	return [numEvents]string{"submit", "dispatch", "finish-ok", "finish-error", "panic", "deadline",
 		"aborted", "cancel", "shutdown", "replay-queued", "replay-running", "replay-running-over-cap"}[e]
 }
 
@@ -65,9 +64,9 @@ type ctrs []metrics.Counter
 
 // table holds the defined transitions. The journal write is fatal where
 // losing it would lose the job: without it a submission is not accepted and
-// a daemon does not start. Stuck is terminal (re-queued, a wedged job would
-// wedge again); shutdown is no verdict, so the next process picks the job up
-// and this one does not push it; every crash loop passes through replay.
+// a daemon does not start. Shutdown is no verdict, so the next process picks
+// the job up and this one does not push it; every crash loop passes through
+// replay.
 var table = map[JobState]map[event]transition{
 	stateNone: {
 		evSubmit: {to: StateQueued, fatal: true, push: true, count: ctrs{metrics.ServerJobsSubmitted}},
@@ -81,7 +80,6 @@ var table = map[JobState]map[event]transition{
 		evFinishOK:             {to: StateDone, count: ctrs{metrics.ServerJobsDone}},
 		evFinishError:          {to: StateFailed, failure: FailureError, count: ctrs{metrics.ServerJobsFailed}},
 		evPanic:                {to: StateFailed, failure: FailurePanic, errText: "panic: ", count: ctrs{metrics.ServerJobsFailed, metrics.ServerJobsPanicked}},
-		evStuck:                {to: StateFailed, failure: FailureStuck, errText: ErrStuck.Error(), count: ctrs{metrics.ServerJobsFailed, metrics.ServerJobsStuck}},
 		evDeadline:             {to: StateFailed, failure: FailureError, errText: "job deadline exceeded", count: ctrs{metrics.ServerJobsFailed}},
 		evAborted:              {to: StateFailed, failure: FailureError, errText: "run aborted", count: ctrs{metrics.ServerJobsFailed}},
 		evCancel:               {to: StateCancelled, errText: "cancelled", count: ctrs{metrics.ServerJobsCancelled}},

@@ -24,14 +24,14 @@ import (
 // the events in declaration order. A state or event added without a row or
 // column here fails TestLifecycleTable.
 var lifecycleGrid = map[JobState]string{
-	//                submit dispatch ok err panic stuck deadline aborted cancel shutdown replay: queued running over-cap
-	stateNone:        "Q............",
-	StateQueued:      ".R......C.Q..",
-	StateRunning:     "..DFFFFFCQ.QX",
-	StateDone:        ".............",
-	StateFailed:      ".............",
-	StateCancelled:   ".............",
-	StateQuarantined: ".............",
+	//                submit dispatch ok err panic deadline aborted cancel shutdown replay: queued running over-cap
+	stateNone:        "Q...........",
+	StateQueued:      ".R.....C.Q..",
+	StateRunning:     "..DFFFFCQ.QX",
+	StateDone:        "............",
+	StateFailed:      "............",
+	StateCancelled:   "............",
+	StateQuarantined: "............",
 }
 
 var gridStates = map[byte]JobState{'Q': StateQueued, 'R': StateRunning, 'D': StateDone,
@@ -91,8 +91,8 @@ func TestLifecycleTable(t *testing.T) {
 			}
 		}
 	}
-	if defined != 14 {
-		t.Errorf("%d defined transitions, want 14", defined)
+	if defined != 13 {
+		t.Errorf("%d defined transitions, want 13", defined)
 	}
 
 	// What each transition counts and records, by name.
@@ -110,7 +110,6 @@ func TestLifecycleTable(t *testing.T) {
 		{StateRunning, evFinishOK, ctrs{metrics.ServerJobsDone}, "", ""},
 		{StateRunning, evFinishError, ctrs{metrics.ServerJobsFailed}, FailureError, ""},
 		{StateRunning, evPanic, ctrs{metrics.ServerJobsFailed, metrics.ServerJobsPanicked}, FailurePanic, "panic: "},
-		{StateRunning, evStuck, ctrs{metrics.ServerJobsFailed, metrics.ServerJobsStuck}, FailureStuck, ErrStuck.Error()},
 		{StateRunning, evDeadline, ctrs{metrics.ServerJobsFailed}, FailureError, "job deadline exceeded"},
 		{StateRunning, evAborted, ctrs{metrics.ServerJobsFailed}, FailureError, "run aborted"},
 		{StateRunning, evCancel, ctrs{metrics.ServerJobsCancelled}, "", "cancelled"},
@@ -396,23 +395,26 @@ func TestPanicContainment(t *testing.T) {
 	}
 }
 
-// parentJournal is four records exactly as the parent commit's separate
+// parentJournal is five records exactly as the parent commit's separate
 // journal-record type marshalled them (times as values, zero counters
 // omitted), the first still carrying the event-loop fields retired before that,
 // the second the chaos "fault" field and the third the fair-share "priority"
-// field retired since.
+// field retired since; the fifth is a job the retired stuck watchdog failed,
+// its spec carrying the retired per-cell "cell_deadline".
 var parentJournal = map[string]string{
 	"j000001": `{"id":"j000001","spec":{"targets":["accuracy"],"scale":0.02,"seed":7,"benchmarks":["stream"],"retries":1,"parallel_sm":2,"quantum":128,"max_divergence":0.1},"state":"done","submitted_at":"2026-01-02T03:04:05.000000006Z","started_at":"2026-01-02T03:04:06Z","finished_at":"2026-01-02T03:04:07.5Z","requeues":1,"cache_misses":1,"subcell_misses":1,"outcome_misses":3,"wall_seconds":1.25}`,
 	"j000002": `{"id":"j000002","spec":{"targets":["accuracy"],"scale":1,"retries":1,"client":"b","fault":"panic"},"state":"failed","submitted_at":"2026-01-02T03:05:00Z","started_at":"2026-01-02T03:05:01Z","finished_at":"2026-01-02T03:05:02Z","error":"panic: boom","failure":{"kind":"panic","panic":"boom","stack":"goroutine 7 [running]:"}}`,
 	"j000003": `{"id":"j000003","spec":{"targets":["table6"],"scale":0.01,"retries":1,"client":"b","priority":2},"state":"queued","submitted_at":"2026-01-02T03:06:00Z","requeues":2}`,
 	"j000004": `{"id":"j000004","spec":{"targets":["table6"],"scale":0.01,"retries":1,"deadline":"1m30s"},"state":"running","submitted_at":"2026-01-02T03:07:00Z","started_at":"2026-01-02T03:07:01Z","requeues":1,"run_requeues":1}`,
+	"j000005": `{"id":"j000005","spec":{"targets":["accuracy"],"scale":0.02,"cell_deadline":"10s","deadline":"1m"},"state":"failed","submitted_at":"2026-01-02T03:08:00Z","started_at":"2026-01-02T03:08:01Z","finished_at":"2026-01-02T03:09:01Z","error":"server: job made no progress within the stuck-after window","failure":{"kind":"stuck"}}`,
 }
 
 // TestLifecycleReplaysParentJournal: a journal written in the parent's
 // record format replays unchanged now that the record is the JobStatus —
 // finished jobs serve the same status, unfinished ones are requeued. A
 // retired spec field (the event-loop knobs, the chaos "fault", the
-// fair-share "priority", the per-cell "retries") is dropped on decode.
+// fair-share "priority", the per-cell "retries" and "cell_deadline") is
+// dropped on decode, and a retired failure kind ("stuck") is kept as written.
 func TestLifecycleReplaysParentJournal(t *testing.T) {
 	dir := t.TempDir()
 	journal, err := durable.Open(dir + "/jobs")
@@ -431,10 +433,10 @@ func TestLifecycleReplaysParentJournal(t *testing.T) {
 		}
 		jobs := d.Jobs()
 		d.Close()
-		if len(jobs) != 4 {
-			t.Fatalf("round %d: replayed %d jobs, want 4", round, len(jobs))
+		if len(jobs) != 5 {
+			t.Fatalf("round %d: replayed %d jobs, want 5", round, len(jobs))
 		}
-		done, failed, queued, crashed := jobs[0], jobs[1], jobs[2], jobs[3]
+		done, failed, queued, crashed, stuck := jobs[0], jobs[1], jobs[2], jobs[3], jobs[4]
 		at := func(s string) time.Time {
 			v, err := time.Parse(time.RFC3339Nano, s)
 			if err != nil {
@@ -459,6 +461,10 @@ func TestLifecycleReplaysParentJournal(t *testing.T) {
 		if crashed.State != StateQueued || crashed.Requeues != 1+round || crashed.RunRequeues != 2 ||
 			crashed.StartedAt != nil || crashed.Spec.Deadline != Duration(90*time.Second) {
 			t.Errorf("round %d: job found running replayed as %+v", round, crashed)
+		}
+		if stuck.State != StateFailed || stuck.FailureKind() != "stuck" || !strings.Contains(stuck.Error, "no progress") ||
+			stuck.Spec.Deadline != Duration(time.Minute) || !stuck.FinishedAt.Equal(at("2026-01-02T03:09:01Z")) {
+			t.Errorf("round %d: job failed as stuck replayed as %+v", round, stuck)
 		}
 	}
 }

@@ -304,10 +304,11 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 
-	// The retired event-loop, fair-share and retry fields are unknown fields
-	// now: a client still sending them is told which instead of silently
-	// getting a serial run, no priority or one attempt per cell.
-	for _, field := range []string{"parallel_sm", "quantum", "max_divergence", "priority", "retries"} {
+	// The retired event-loop, fair-share, retry and per-cell deadline fields
+	// are unknown fields now: a client still sending them is told which
+	// instead of silently getting a serial run, no priority, one attempt per
+	// cell or no per-cell bound.
+	for _, field := range []string{"parallel_sm", "quantum", "max_divergence", "priority", "retries", "cell_deadline"} {
 		body := `{"targets":["accuracy"],"` + field + `":2}`
 		if code, msg := postJobs(t, srv.URL, strings.NewReader(body)); code != http.StatusBadRequest || !strings.Contains(msg, field) {
 			t.Errorf("body %s: HTTP %d %s, want 400 naming the field", body, code, msg)
@@ -423,7 +424,6 @@ func TestOpenRejectsNegativeSettings(t *testing.T) {
 		set   func(*server.Config)
 	}{
 		{"Dispatchers", func(c *server.Config) { c.Dispatchers = -1 }},
-		{"StuckAfter", func(c *server.Config) { c.StuckAfter = -time.Second }},
 		{"MaxQueued", func(c *server.Config) { c.MaxQueued = -1 }},
 		{"CacheMaxBytes", func(c *server.Config) { c.CacheMaxBytes = -1 }},
 	} {

@@ -1,18 +1,20 @@
 package server
 
 // White-box tests for the supervision layer: the poison-job quarantine at
-// journal replay and the stuck-job watchdog's staleness logic. Both need
-// internals — the quarantine tests forge "daemon died mid-run" journal
-// states (os.Exit cannot run inside a test process), and the watchdog tests
-// wedge a job through the artifact cache's durable.WriteFault and drive
-// checkStuck against a fake clock.
+// journal replay, the wedge the lifecycle model parks jobs in, and the
+// daemon's own failures answered as 500. The quarantine tests forge "daemon
+// died mid-run" journal states (os.Exit cannot run inside a test process);
+// the 500s need a failing journal and a lost results file.
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
+	"tbpoint/internal/faultcheck"
 	"tbpoint/internal/metrics"
 )
 
@@ -164,8 +166,7 @@ func TestQuarantineSparesQueuedBystander(t *testing.T) {
 // cacheWedge is a durable.WriteFault for a driver's artifact cache: the
 // first cache write (and any made while it waits) parks until release is
 // called or the driver closes; later writes pass. The job making that write
-// stays running with a frozen progress fingerprint (a phase only counts
-// once it stops) — a wedged job.
+// stays running — a wedged job.
 type cacheWedge struct {
 	parked, released chan struct{}
 	closed           <-chan struct{}
@@ -211,16 +212,6 @@ func (w *cacheWedge) holding() bool {
 	}
 }
 
-// awaitParked waits until a job's write is parked in the wedge.
-func (w *cacheWedge) awaitParked(t *testing.T) {
-	t.Helper()
-	select {
-	case <-w.parked:
-	case <-time.After(20 * time.Second):
-		t.Fatal("no job ever wrote to the artifact cache")
-	}
-}
-
 // wedgeSpec is the cheapest job that writes to the artifact cache — its
 // first write is the full reference run it has just simulated — and NoCache
 // makes it write again however warm the cache is.
@@ -228,96 +219,46 @@ func wedgeSpec() JobSpec {
 	return JobSpec{Targets: []string{"accuracy"}, Scale: 0.001, Benchmarks: []string{"hotspot"}, NoCache: true}
 }
 
-// watchdogAfter is the tests' stuck-after window: the real watchdog ticks
-// every watchdogAfter/4 and so never runs; the tests are the clock.
-const watchdogAfter = 3 * time.Hour
-
-// TestWatchdogFakeClock drives checkStuck directly with a controlled clock:
-// a job wedged in its first cache write, whose progress fingerprint never
-// moves, is cancelled with the ErrStuck cause once — and exactly once —
-// after StuckAfter elapses, and terminally fails as stuck.
-func TestWatchdogFakeClock(t *testing.T) {
-	mc := metrics.New()
-	d, err := Open(Config{StateDir: t.TempDir(), Dispatchers: 1, StuckAfter: watchdogAfter, Metrics: mc, Logf: t.Logf})
+// TestServerFaultsAnswer500: a failure that is the daemon's — a submission
+// whose journal write fails, a done job whose results file is gone — is
+// answered 500, not a 400 that blames the request.
+func TestServerFaultsAnswer500(t *testing.T) {
+	d, err := Open(Config{StateDir: t.TempDir(), Dispatchers: 1, Metrics: metrics.New(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	w := wedgeCache(d)
-	st, err := d.Submit(wedgeSpec())
+	serve := func(method, path, body string) (int, string) {
+		w := httptest.NewRecorder()
+		d.Handler().ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return w.Code, w.Body.String()
+	}
+
+	st, err := d.Submit(cheapSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.awaitParked(t)
-
-	t0 := time.Now()
-	if stuck := d.checkStuck(t0); len(stuck) != 0 {
-		t.Fatalf("first pass cancelled %v, want none (it only records the mark)", stuck)
+	if final := waitTerminal(t, d, st.ID); final.State != StateDone {
+		t.Fatalf("job finished %s (%s)", final.State, final.Error)
 	}
-	if stuck := d.checkStuck(t0.Add(watchdogAfter - time.Millisecond)); len(stuck) != 0 {
-		t.Fatalf("pass inside the window cancelled %v, want none", stuck)
+	if code, _ := serve(http.MethodGet, "/jobs/"+st.ID+"/result", ""); code != http.StatusOK {
+		t.Fatalf("GET result of a done job = %d, want 200", code)
 	}
-	stuck := d.checkStuck(t0.Add(watchdogAfter))
-	if len(stuck) != 1 || stuck[0] != st.ID {
-		t.Fatalf("stale pass cancelled %v, want exactly [%s]", stuck, st.ID)
-	}
-	// The job is still parked; the next pass starts a new window instead of
-	// cancelling it again.
-	if stuck := d.checkStuck(t0.Add(watchdogAfter + time.Millisecond)); len(stuck) != 0 {
-		t.Fatalf("pass after the cancel cancelled %v again", stuck)
-	}
-
-	w.release()
-	final := waitTerminal(t, d, st.ID)
-	if final.State != StateFailed {
-		t.Fatalf("state = %s (error %q), want failed", final.State, final.Error)
-	}
-	if final.FailureKind() != FailureStuck {
-		t.Errorf("failure kind = %q, want %q", final.FailureKind(), FailureStuck)
-	}
-	if !strings.Contains(final.Error, "no progress") {
-		t.Errorf("error = %q, want the watchdog's verdict text", final.Error)
-	}
-	if n := mc.Count(metrics.ServerJobsStuck); n != 1 {
-		t.Errorf("server.jobs_stuck = %d, want 1", n)
-	}
-}
-
-// TestWatchdogIgnoresProgressingJobs: a fingerprint that moves between
-// passes resets the staleness window — real progress is never punished.
-func TestWatchdogIgnoresProgressingJobs(t *testing.T) {
-	d, err := Open(Config{StateDir: t.TempDir(), Dispatchers: 1, StuckAfter: watchdogAfter, Metrics: metrics.New(), Logf: t.Logf})
-	if err != nil {
+	if err := os.Remove(d.resultPath(st.ID)); err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	w := wedgeCache(d)
-	st, err := d.Submit(wedgeSpec())
-	if err != nil {
-		t.Fatal(err)
+	if code, body := serve(http.MethodGet, "/jobs/"+st.ID+"/result", ""); code != http.StatusInternalServerError {
+		t.Errorf("GET result whose file is gone = %d %s, want 500", code, body)
 	}
-	w.awaitParked(t)
 
-	t0 := time.Now()
-	d.checkStuck(t0)
-	// Simulate observable progress: bump the job's live collector between
-	// passes. The fingerprint moves, so the mark resets.
 	d.mu.Lock()
-	d.jobs[st.ID].mc.AtomicAdd(metrics.ExpCellsExecuted, 1)
+	d.journal.Fault = faultcheck.Always(faultcheck.Error)
 	d.mu.Unlock()
-	if stuck := d.checkStuck(t0.Add(watchdogAfter + time.Millisecond)); len(stuck) != 0 {
-		t.Fatalf("progressing job cancelled as stuck: %v", stuck)
+	code, body := serve(http.MethodPost, "/jobs", `{"targets":["table6"],"scale":0.01}`)
+	if code != http.StatusInternalServerError || !strings.Contains(body, "journaling job") {
+		t.Errorf("POST /jobs with a failing journal = %d %s, want 500 naming the journal write", code, body)
 	}
-	// Only once the *new* fingerprint goes stale for the full window does
-	// the watchdog fire.
-	if stuck := d.checkStuck(t0.Add(2 * watchdogAfter)); len(stuck) != 0 {
-		t.Fatalf("window not yet elapsed since progress, yet cancelled: %v", stuck)
-	}
-	if stuck := d.checkStuck(t0.Add(2*watchdogAfter + time.Millisecond)); len(stuck) != 1 {
-		t.Fatalf("stale-after-progress pass cancelled %v, want exactly one", stuck)
-	}
-	w.release()
-	if final := waitTerminal(t, d, st.ID); final.FailureKind() != FailureStuck {
-		t.Fatalf("job finished %s (%q), want failed as stuck", final.State, final.Error)
+	if jobs := d.Jobs(); len(jobs) != 1 {
+		t.Errorf("%d jobs known after the failed submission, want 1", len(jobs))
 	}
 }

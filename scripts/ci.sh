@@ -35,8 +35,10 @@
 #              second resume composing every cell and computing none), a
 #              fatal target error still flushing its JSON outputs, negative
 #              counts and byte budgets refused by both CLIs, negative
-#              -cell-deadline/-timeout/-samples refused by experiments and
-#              -timeout by tbpoint, a non-positive -scale refused by
+#              -timeout/-samples/-par refused by experiments, -timeout by
+#              tbpoint and -par/-drain-timeout by tbpointd, the retired
+#              -cell-deadline/-stuck-after flags refused as unknown, a
+#              non-positive -scale refused by
 #              experiments, tbpoint and tbpointctl submit (before any
 #              request is sent), tbpointd
 #              surviving a hard death with a journaled job, a crash-looping
