@@ -45,8 +45,6 @@ func main() {
 	vf := flag.Float64("vf", 0.3, "variation-factor threshold for outlier epochs")
 	samplersFlag := flag.String("samplers", "", "also run these registry strategies against the full run (comma-separated; also 'default', 'all')")
 	regions := flag.Bool("regions", false, "print homogeneous region tables")
-	saveProfile := flag.String("save-profile", "", "write the one-time profile to this file")
-	loadProfile := flag.String("load-profile", "", "reuse a one-time profile from this file instead of re-profiling")
 	dumpRegions := flag.String("dump-regions", "", "write each representative launch's region table (Table III) to <file>.<launch>.json")
 	list := flag.Bool("list", false, "list available benchmarks and exit")
 	metricsJSON := flag.String("metrics-json", "", "collect observability metrics and write the snapshot as JSON to this file ('-' = stdout)")
@@ -55,6 +53,13 @@ func main() {
 	flag.Parse()
 	if *timeout < 0 {
 		log.Fatalf("-timeout must not be negative, got %v", *timeout)
+	}
+	// A negative override would otherwise read as 0, the Table V default.
+	if *warps < 0 {
+		log.Fatalf("-warps must not be negative, got %d", *warps)
+	}
+	if *sms < 0 {
+		log.Fatalf("-sms must not be negative, got %d", *sms)
 	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -110,23 +115,7 @@ func main() {
 	fmt.Printf("%s @ scale %g on %s: %d launches, %d thread blocks, %d warp insts\n",
 		app.Name, *scale, cfg.Name(), len(app.Launches), app.TotalBlocks(), app.TotalWarpInsts())
 
-	var prof *tbpoint.AppProfile
-	if *loadProfile != "" {
-		var err error
-		prof, err = tbpoint.LoadProfileFile(*loadProfile, app)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("reusing one-time profile from %s\n", *loadProfile)
-	} else {
-		prof = tbpoint.ProfileMetrics(app, mc)
-	}
-	if *saveProfile != "" {
-		if err := tbpoint.SaveProfileFile(*saveProfile, prof); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("one-time profile saved to %s\n", *saveProfile)
-	}
+	prof := tbpoint.ProfileMetrics(app, mc)
 	res, err := tbpoint.Run(sim, prof, opts)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

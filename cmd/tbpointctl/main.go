@@ -204,6 +204,10 @@ func cmdWait(ctx context.Context, c *client.Client, args []string) error {
 	fs := flag.NewFlagSet("wait", flag.ExitOnError)
 	poll := fs.Duration("poll", 200*time.Millisecond, "status poll interval when the daemon's /events stream is unavailable")
 	fs.Parse(args)
+	// client.Wait reads a non-positive interval as its 200ms default.
+	if *poll < 0 {
+		return fmt.Errorf("wait: -poll must not be negative, got %v", *poll)
+	}
 	return withJob(fs.Args(), func(id string) error {
 		final, err := c.Wait(ctx, id, *poll)
 		if err != nil {

@@ -451,13 +451,16 @@ func TestSampleLaunchRepeatable(t *testing.T) {
 // 512 MB.
 func TestIdentifyRegionsMemoryLinearInEpochs(t *testing.T) {
 	const epochs, occ = 8192, 4
-	rows := make([]funcsim.TBProfile, epochs*occ)
-	for tb := range rows {
-		// Two phases of memory intensity with a slow drift inside each.
-		rows[tb] = funcsim.TBProfile{WarpInsts: 100, ThreadInsts: 3200,
-			MemRequests: int64(10 + 40*(tb*2/len(rows)) + tb/occ%7)}
+	// Two phases of memory intensity with a slow drift inside each: block tb
+	// has shape tb*2/(epochs*occ)*7 + tb/occ%7, one of 14 counter rows.
+	lp := &funcsim.LaunchProfile{ShapeOf: make([]uint32, epochs*occ)}
+	for s := range 14 {
+		lp.Shapes = append(lp.Shapes, funcsim.TBProfile{WarpInsts: 100, ThreadInsts: 3200,
+			MemRequests: int64(10 + 40*(s/7) + s%7)})
 	}
-	lp := internProfile(rows, nil)
+	for tb := range lp.ShapeOf {
+		lp.ShapeOf[tb] = uint32(tb*2/len(lp.ShapeOf)*7 + tb/occ%7)
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	rt := IdentifyRegions(lp, occ, 0.2, 0.3)

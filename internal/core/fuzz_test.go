@@ -1,9 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
-	"slices"
 	"strings"
 	"testing"
 
@@ -52,68 +49,6 @@ func FuzzReadRegionTable(f *testing.F) {
 		}
 		if rt.NumRegions != len(distinct) {
 			t.Fatalf("accepted table claims %d regions but carries %d", rt.NumRegions, len(distinct))
-		}
-	})
-}
-
-// FuzzReadProfiles checks the profile loader never panics, that every
-// accepted profile carries only non-negative counters — the invariant
-// SampleLaunch's skipped-instruction accounting relies on — and that its
-// interning is exact: every block indexes a stored row, and writing the
-// profile back out gives the file's per-block rows.
-func FuzzReadProfiles(f *testing.F) {
-	f.Add(`{"format":"tbpoint-profile-v1","app":"x","launches":[
-	        {"blocks":[{"ThreadInsts":64,"WarpInsts":2,"MemRequests":1}],"blockCounts":[2]}]}`)
-	f.Add(`{"format":"tbpoint-profile-v1","app":"x","launches":[]}`)
-	f.Add(`{"format":"tbpoint-profile-v1","app":"x","launches":[
-	        {"blocks":[{"ThreadInsts":64,"WarpInsts":-2,"MemRequests":1}],"blockCounts":[2]}]}`)
-	f.Add(`{"format":"tbpoint-profile-v1","app":"x","launches":[
-	        {"blocks":[{"ThreadInsts":64,"WarpInsts":2,"MemRequests":1}],"blockCounts":[-9]}]}`)
-	f.Add(`{"format":"tbpoint-profile-v1","app":"x","launches":[
-	        {"blocks":[{"ThreadInsts":64,"WarpInsts":2,"MemRequests":1},{"ThreadInsts":64,"WarpInsts":2,"MemRequests":0},
-	                   {"ThreadInsts":64,"WarpInsts":2,"MemRequests":1}],"blockCounts":[2,4]},
-	        {"blocks":[],"blockCounts":[]}]}`)
-	f.Add(`{}`)
-	f.Add(`not json`)
-
-	f.Fuzz(func(t *testing.T, data string) {
-		profiles, err := ReadProfiles(strings.NewReader(data), "")
-		if err != nil {
-			return
-		}
-		var in, out profileFile
-		var buf bytes.Buffer
-		if err := WriteProfiles(&buf, "", profiles); err != nil {
-			t.Fatalf("accepted profile does not write: %v", err)
-		}
-		if json.NewDecoder(strings.NewReader(data)).Decode(&in) != nil || json.Unmarshal(buf.Bytes(), &out) != nil ||
-			len(in.Launches) != len(out.Launches) {
-			t.Fatalf("accepted profile re-encodes to %d launches, file has %d", len(out.Launches), len(in.Launches))
-		}
-		for li, lp := range profiles {
-			for tb, s := range lp.ShapeOf {
-				if int(s) >= len(lp.Shapes) {
-					t.Fatalf("accepted profile launch %d block %d indexes row %d of %d", li, tb, s, len(lp.Shapes))
-				}
-			}
-			if !slices.Equal(out.Launches[li].Blocks, in.Launches[li].Blocks) {
-				t.Fatalf("accepted profile launch %d re-encodes to rows %v, file has %v", li, out.Launches[li].Blocks, in.Launches[li].Blocks)
-			}
-			for s, p := range lp.Shapes {
-				if p.WarpInsts < 0 || p.ThreadInsts < 0 || p.MemRequests < 0 {
-					t.Fatalf("accepted profile launch %d row %d has negative counters %+v", li, s, p)
-				}
-			}
-			for b, c := range lp.BlockCounts {
-				if c < 0 {
-					t.Fatalf("accepted profile launch %d basic block %d has negative count %d", li, b, c)
-				}
-			}
-			// The derived quantities the sampler consumes must be finite and
-			// non-negative on anything the loader accepts.
-			if lp.TotalWarpInsts() < 0 || lp.TotalThreadInsts() < 0 || lp.TotalMemRequests() < 0 {
-				t.Fatalf("accepted profile launch %d has negative totals", li)
-			}
 		}
 	})
 }

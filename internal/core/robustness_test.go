@@ -9,6 +9,7 @@ import (
 	"testing/iotest"
 
 	"tbpoint/internal/faultcheck"
+	"tbpoint/internal/funcsim"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/kernel"
 )
@@ -51,24 +52,6 @@ func TestReadRegionTableRejectsBadRegionIDs(t *testing.T) {
 	}
 	if rt.NumRegions != 2 {
 		t.Fatalf("NumRegions = %d, want 2", rt.NumRegions)
-	}
-}
-
-func TestReadProfilesRejectsNegativeCounters(t *testing.T) {
-	cases := map[string]string{
-		"negative WarpInsts": `{"format":"tbpoint-profile-v1","app":"x","launches":[
-		  {"blocks":[{"ThreadInsts":10,"WarpInsts":-5,"MemRequests":1}],"blockCounts":[1]}]}`,
-		"negative ThreadInsts": `{"format":"tbpoint-profile-v1","app":"x","launches":[
-		  {"blocks":[{"ThreadInsts":-1,"WarpInsts":5,"MemRequests":1}],"blockCounts":[1]}]}`,
-		"negative MemRequests": `{"format":"tbpoint-profile-v1","app":"x","launches":[
-		  {"blocks":[{"ThreadInsts":10,"WarpInsts":5,"MemRequests":-2}],"blockCounts":[1]}]}`,
-		"negative BlockCounts": `{"format":"tbpoint-profile-v1","app":"x","launches":[
-		  {"blocks":[{"ThreadInsts":10,"WarpInsts":5,"MemRequests":1}],"blockCounts":[3,-7]}]}`,
-	}
-	for name, data := range cases {
-		if _, err := ReadProfiles(strings.NewReader(data), "x"); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
 	}
 }
 
@@ -147,21 +130,16 @@ func TestRunUncancelledContextMatchesNoContext(t *testing.T) {
 	}
 }
 
-// TestChaosPersistReaderFaults streams valid persisted artefacts through a
-// fault-injecting reader and asserts the loaders degrade to an error — never
-// a panic, never a silently-truncated artefact — at every failure position.
+// TestChaosPersistReaderFaults streams a valid region table through a
+// fault-injecting reader and asserts the loader degrades to an error — never
+// a panic, never a silently-truncated table — at every failure position.
 func TestChaosPersistReaderFaults(t *testing.T) {
 	k := phasedKernel()
 	l := launchWithPhases(k, 120, [][2]int{{12, 1}, {2, 8}})
-	app := &kernel.App{Name: "chaos", Launches: []*kernel.Launch{l}}
-	prof := ProfileApp(app)
-	rt := IdentifyRegions(prof.Profiles[0], 12, 0.2, 0.3)
+	rt := IdentifyRegions(funcsim.ProfileLaunch(l), 12, 0.2, 0.3)
 
-	var table, profs bytes.Buffer
+	var table bytes.Buffer
 	if err := WriteRegionTable(&table, rt); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteProfiles(&profs, app.Name, prof.Profiles); err != nil {
 		t.Fatal(err)
 	}
 
@@ -169,19 +147,11 @@ func TestChaosPersistReaderFaults(t *testing.T) {
 	// fault inside the span always lands mid-stream regardless of how the
 	// JSON decoder buffers.
 	span := int64(len(table.Bytes()))
-	if p := int64(len(profs.Bytes())); p < span {
-		span = p
-	}
 	for seed := uint64(0); seed < 16; seed++ {
 		inj := faultcheck.Seeded(seed, span, faultcheck.Error)
 		r := iotest.OneByteReader(faultcheck.Reader(bytes.NewReader(table.Bytes()), inj))
 		if _, err := ReadRegionTable(r); err == nil {
 			t.Fatalf("seed %d: region table loaded through a failing reader", seed)
-		}
-		inj = faultcheck.Seeded(seed, span, faultcheck.Error)
-		r = iotest.OneByteReader(faultcheck.Reader(bytes.NewReader(profs.Bytes()), inj))
-		if _, err := ReadProfiles(r, app.Name); err == nil {
-			t.Fatalf("seed %d: profiles loaded through a failing reader", seed)
 		}
 	}
 }

@@ -185,8 +185,8 @@ func ReadEnvelope(data []byte) (kind string, payload []byte, err error) {
 }
 
 // ReadEnvelopeFile loads and verifies an enveloped file, additionally
-// checking that it holds the expected kind of payload (so a profile can
-// never be loaded where a checkpoint was expected).
+// checking that it holds the expected kind of payload (so a file of another
+// kind can never be loaded where a results bundle was expected).
 func ReadEnvelopeFile(path, kind string) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -156,9 +156,10 @@ func TestNonPositiveScaleFailsBeforeSimulating(t *testing.T) {
 }
 
 // TestNegativeCacheBudgetFailsBeforeSimulating: a negative -cache-max-bytes,
-// -timeout, -samples or -par is a usage error naming the flag, not an
-// unbounded store, no limit, the default or a sequential run; tbpointd
-// answers a negative deadline or samples in a job spec with a 400.
+// -timeout, -samples or -par, tbpoint -warps/-sms or tbpointctl wait -poll
+// is a usage error naming the flag, not an unbounded store, no limit, the
+// default or a sequential run; tbpointd answers a negative deadline or
+// samples in a job spec with a 400.
 func TestNegativeCacheBudgetFailsBeforeSimulating(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	experiments := func(args ...string) result {
@@ -173,6 +174,9 @@ func TestNegativeCacheBudgetFailsBeforeSimulating(t *testing.T) {
 		{"-samples", experiments("-samples", "-1", "fig5")},
 		{"-par", experiments("-par", "-1", "accuracy")},
 		{"-timeout", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-timeout", "-1s")},
+		{"-warps", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-warps", "-1")},
+		{"-sms", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-sms", "-3")},
+		{"-poll", run(nil, "tbpointctl", "-addr", "http://127.0.0.1:1", "wait", "-poll", "-5s", "j000001")},
 	} {
 		if c.r.code == 0 || !strings.Contains(c.r.stderr, c.flag) {
 			t.Fatalf("%s: exit %d, want non-zero naming the flag:\n%s", c.flag, c.r.code, c.r.stderr)
@@ -186,17 +190,21 @@ func TestNegativeCacheBudgetFailsBeforeSimulating(t *testing.T) {
 	}
 }
 
-// TestRetiredDeadlineFlagsRefused: the run's -timeout (a job's deadline) is
-// the one wall-time bound, so -cell-deadline is an unknown flag on both
-// commands that had it, a usage error rather than a bound silently ignored
-// (tbpointd's -stuck-after is TestFlagsReachConfig's).
-func TestRetiredDeadlineFlagsRefused(t *testing.T) {
+// TestRetiredFlagsRefused: a retired flag is an unknown flag, a usage error
+// rather than a setting silently ignored. The run's -timeout (a job's
+// deadline) is the one wall-time bound, so -cell-deadline is gone from both
+// commands that had it (tbpointd's -stuck-after is TestFlagsReachConfig's);
+// the one-time profile is recomputed on every run, so tbpoint has no
+// -save-profile or -load-profile.
+func TestRetiredFlagsRefused(t *testing.T) {
 	for _, c := range []struct {
 		flag string
 		r    result
 	}{
 		{"-cell-deadline", run(nil, "experiments", "-scale", "0.02", "-bench", "stream", "-cell-deadline", "1s", "accuracy")},
 		{"-cell-deadline", run(nil, "tbpointctl", "-addr", "http://127.0.0.1:1", "submit", "-scale", "0.02", "-cell-deadline", "1s", "accuracy")},
+		{"-save-profile", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-save-profile", "x")},
+		{"-load-profile", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-load-profile", "x")},
 	} {
 		if c.r.code != 2 || !strings.Contains(c.r.stderr, "flag provided but not defined: "+c.flag) || c.r.stdout != "" {
 			t.Errorf("%s: exit %d, want the usage error naming the flag:\n%s%s", c.flag, c.r.code, c.r.stdout, c.r.stderr)

@@ -32,11 +32,14 @@ func fakeDaemon(t *testing.T, polls *atomic.Int64, state func(n int64) server.Jo
 // TestWaitRidesEvents: Wait follows /events and returns the last status the
 // stream delivers without a single poll. A stream that is refused (404, a
 // daemon or proxy without the endpoint) or that ends before a terminal state
-// falls back to polling.
+// falls back to polling. A daemon that is gone once the stream ends (it
+// closed its listener: the poll's connection is refused) ends Wait at once
+// with that error; waiting again after the restart is the recovery.
 func TestWaitRidesEvents(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		events    func(w http.ResponseWriter) // nil: 404
+		gone      bool                        // the daemon stops listening once the stream starts
 		wantPolls int64
 	}{
 		{"terminal", func(w http.ResponseWriter) {
@@ -44,14 +47,18 @@ func TestWaitRidesEvents(t *testing.T) {
 			enc.Encode(server.JobStatus{ID: "j1", State: server.StateRunning})
 			w.(http.Flusher).Flush()
 			enc.Encode(server.JobStatus{ID: "j1", State: server.StateDone, CacheHits: 7})
-		}, 0},
-		{"not found", nil, 1},
+		}, false, 0},
+		{"not found", nil, false, 1},
 		{"ends early", func(w http.ResponseWriter) {
 			json.NewEncoder(w).Encode(server.JobStatus{ID: "j1", State: server.StateRunning})
-		}, 1},
+		}, false, 1},
+		{"daemon gone", func(w http.ResponseWriter) {
+			json.NewEncoder(w).Encode(server.JobStatus{ID: "j1", State: server.StateRunning})
+		}, true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var polls, streams atomic.Int64
+			var srv *httptest.Server
 			mux := http.NewServeMux()
 			mux.HandleFunc("GET /jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 				streams.Add(1)
@@ -59,19 +66,28 @@ func TestWaitRidesEvents(t *testing.T) {
 					http.NotFound(w, r)
 					return
 				}
+				if tc.gone {
+					// No keep-alive: the poll must dial the closed listener.
+					w.Header().Set("Connection", "close")
+					srv.Listener.Close()
+				}
 				tc.events(w)
 			})
 			mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 				polls.Add(1)
 				json.NewEncoder(w).Encode(server.JobStatus{ID: "j1", State: server.StateDone, CacheHits: 7})
 			})
-			srv := httptest.NewServer(mux)
+			srv = httptest.NewServer(mux)
 			defer srv.Close()
+			start := time.Now()
 			st, err := client.New(srv.URL).Wait(context.Background(), "j1", time.Millisecond)
-			if err != nil {
+			if tc.gone {
+				if err == nil || time.Since(start) > 500*time.Millisecond {
+					t.Fatalf("Wait returned %+v, %v after %v; want an error well inside 1s", st, err, time.Since(start))
+				}
+			} else if err != nil {
 				t.Fatal(err)
-			}
-			if st.State != server.StateDone || st.CacheHits != 7 {
+			} else if st.State != server.StateDone || st.CacheHits != 7 {
 				t.Fatalf("status = %+v, want the terminal one", st)
 			}
 			if streams.Load() != 1 || polls.Load() != tc.wantPolls {

@@ -35,10 +35,11 @@
 #              second resume composing every cell and computing none), a
 #              fatal target error still flushing its JSON outputs, negative
 #              counts and byte budgets refused by both CLIs, negative
-#              -timeout/-samples/-par refused by experiments, -timeout by
-#              tbpoint and -par/-drain-timeout by tbpointd, the retired
-#              -cell-deadline/-stuck-after flags refused as unknown, a
-#              non-positive -scale refused by
+#              -timeout/-samples/-par refused by experiments,
+#              -timeout/-warps/-sms by tbpoint, -par/-drain-timeout by
+#              tbpointd and wait -poll by tbpointctl, the retired
+#              -cell-deadline/-stuck-after and profile-file flags refused
+#              as unknown, a non-positive -scale refused by
 #              experiments, tbpoint and tbpointctl submit (before any
 #              request is sent), tbpointd
 #              surviving a hard death with a journaled job, a crash-looping
@@ -48,7 +49,9 @@
 #              one-shot CLI bytes, daemon flag wiring, and every tbpointctl
 #              subcommand. A cache hit after `race` in a full run; the stage
 #              exists to be run by name
-#   fuzz       10s fuzz smoke over each of the twelve fuzz targets: the
+#   fuzz       10s fuzz smoke over each fuzz target of the root module
+#              (TestCIFuzzStageRunsEveryFuzzTarget holds the list below to
+#              the declared targets): the
 #              instruction cursor (the flat µop walk yields the block walk's
 #              instructions, blocks and loop iterations on random programs
 #              and trip counts), the wake heap (the bottom-up pop leaves the
@@ -59,9 +62,7 @@
 #              bit-distinct shape, also with every shape in one bucket), the
 #              launch-equality predicate behind reference-run launch reuse
 #              (equal => same recorded streams),
-#              the region table reader, the profile reader (an accepted
-#              profile's interned rows re-encode to the file's per-block
-#              rows, every block indexing a stored row), the reference replay
+#              the region table reader, the reference replay
 #              through the region sampler's one log reader, observe (an
 #              arbitrary block order and unit list is refused or finished,
 #              never a panic or an out-of-range block), the
@@ -114,7 +115,6 @@ stage_fuzz() {
     fuzz FuzzLaunchBuilder ./internal/kernel/ &&
     fuzz FuzzSameInput ./internal/trace/ &&
     fuzz FuzzReadRegionTable ./internal/core/ &&
-    fuzz FuzzReadProfiles ./internal/core/ &&
     fuzz FuzzReplayOrder ./internal/core/ &&
     fuzz FuzzReadCheckpoint ./internal/durable/ &&
     fuzz FuzzStoreLRU ./internal/durable/ &&

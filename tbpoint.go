@@ -32,7 +32,6 @@ package tbpoint
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"tbpoint/internal/core"
@@ -251,62 +250,6 @@ func WriteRegionTable(w io.Writer, rt *RegionTable) error {
 // ReadRegionTable loads a Table III file written by WriteRegionTable.
 func ReadRegionTable(r io.Reader) (*RegionTable, error) {
 	return core.ReadRegionTable(r)
-}
-
-// SaveProfile persists an application's one-time functional profile so
-// later sessions (and other hardware configurations) can reuse it without
-// re-profiling.
-func SaveProfile(w io.Writer, prof *AppProfile) error {
-	return core.WriteProfiles(w, prof.App.Name, prof.Profiles)
-}
-
-// LoadProfile restores a saved profile for app (the launches themselves
-// are rebuilt from the workload definition; only the profiled counters are
-// stored).
-func LoadProfile(r io.Reader, app *App) (*AppProfile, error) {
-	profiles, err := core.ReadProfiles(r, app.Name)
-	if err != nil {
-		return nil, err
-	}
-	return checkProfile(profiles, app)
-}
-
-// SaveProfileFile persists a profile to path atomically, wrapped in the
-// checksummed durable envelope (see internal/durable): a crash mid-save
-// never tears the file, and later corruption is detected on load.
-func SaveProfileFile(path string, prof *AppProfile) error {
-	return core.WriteProfilesFile(path, prof.App.Name, prof.Profiles)
-}
-
-// LoadProfileFile restores a profile saved by SaveProfileFile, verifying
-// the envelope's length and checksum before trusting any counter.
-func LoadProfileFile(path string, app *App) (*AppProfile, error) {
-	profiles, err := core.ReadProfilesFile(path, app.Name)
-	if err != nil {
-		return nil, err
-	}
-	return checkProfile(profiles, app)
-}
-
-// checkProfile rejects a profile of another build of app (say, another
-// scale): each launch's block and basic-block counts must match app's.
-func checkProfile(profiles []*funcsim.LaunchProfile, app *App) (*AppProfile, error) {
-	if len(profiles) != len(app.Launches) {
-		return nil, fmt.Errorf("tbpoint: profile has %d launches, app has %d",
-			len(profiles), len(app.Launches))
-	}
-	for i, lp := range profiles {
-		l := app.Launches[i]
-		if lp.NumBlocks() != l.NumBlocks() {
-			return nil, fmt.Errorf("tbpoint: profile launch %d has %d thread blocks, app launch has %d",
-				i, lp.NumBlocks(), l.NumBlocks())
-		}
-		if n := len(l.Kernel.Program.Blocks); len(lp.BlockCounts) != n {
-			return nil, fmt.Errorf("tbpoint: profile launch %d has %d basic-block counts, kernel %s has %d basic blocks",
-				i, len(lp.BlockCounts), l.Kernel.Name, n)
-		}
-	}
-	return &AppProfile{App: app, Profiles: profiles}, nil
 }
 
 // SystematicBaseline applies systematic sampling (§VI related work) to a
