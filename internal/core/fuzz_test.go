@@ -1,57 +1,10 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"tbpoint/internal/gpusim"
 )
-
-// FuzzReadRegionTable checks the Table III loader never panics and that
-// everything it accepts satisfies the tiling invariant.
-func FuzzReadRegionTable(f *testing.F) {
-	f.Add(`{"format":"tbpoint-region-table-v1","occupancy":4,"numBlocks":6,
-	        "numRegions":2,"rows":[{"Start":0,"End":3,"ID":0},{"Start":3,"End":6,"ID":1}]}`)
-	f.Add(`{"format":"tbpoint-region-table-v1","occupancy":0,"numBlocks":0,"numRegions":0,"rows":[]}`)
-	f.Add(`{}`)
-	f.Add(`not json`)
-	// Corrupt region-ID shapes: negative IDs, and headers whose numRegions
-	// disagrees with the rows in both directions.
-	f.Add(`{"format":"tbpoint-region-table-v1","occupancy":2,"numBlocks":4,
-	        "numRegions":2,"rows":[{"Start":0,"End":2,"ID":-1},{"Start":2,"End":4,"ID":0}]}`)
-	f.Add(`{"format":"tbpoint-region-table-v1","occupancy":2,"numBlocks":4,
-	        "numRegions":7,"rows":[{"Start":0,"End":2,"ID":0},{"Start":2,"End":4,"ID":1}]}`)
-	f.Add(`{"format":"tbpoint-region-table-v1","occupancy":2,"numBlocks":4,
-	        "numRegions":1,"rows":[{"Start":0,"End":2,"ID":0},{"Start":2,"End":4,"ID":3}]}`)
-
-	f.Fuzz(func(t *testing.T, data string) {
-		rt, err := ReadRegionTable(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Accepted tables must tile [0, numBlocks) exactly; Regions() on
-		// them must reproduce contiguous runs with valid IDs, and the header
-		// region count must match the rows.
-		next := 0
-		distinct := map[int]bool{}
-		for _, run := range rt.Regions() {
-			if run.Start != next || run.End <= run.Start {
-				t.Fatalf("accepted table has non-tiling run %+v", run)
-			}
-			if run.ID < 0 {
-				t.Fatalf("accepted table has negative region ID %+v", run)
-			}
-			distinct[run.ID] = true
-			next = run.End
-		}
-		if next != len(rt.RegionOf) {
-			t.Fatalf("runs cover %d of %d blocks", next, len(rt.RegionOf))
-		}
-		if rt.NumRegions != len(distinct) {
-			t.Fatalf("accepted table claims %d regions but carries %d", rt.NumRegions, len(distinct))
-		}
-	})
-}
 
 // FuzzReplayOrder drives the reference replay with an arbitrary block order
 // and unit list against a six-block, two-region table: it must refuse or

@@ -1,15 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"strings"
 	"testing"
-	"testing/iotest"
 
-	"tbpoint/internal/faultcheck"
-	"tbpoint/internal/funcsim"
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/kernel"
 )
@@ -25,33 +20,6 @@ func TestRepLaunchesSorted(t *testing.T) {
 	got := r.RepLaunches()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("RepLaunches() = %v, want the sorted-unique set [1 2]", got)
-	}
-}
-
-func TestReadRegionTableRejectsBadRegionIDs(t *testing.T) {
-	cases := map[string]string{
-		"negative ID": `{"format":"tbpoint-region-table-v1","occupancy":1,"numBlocks":4,"numRegions":2,
-		  "rows":[{"Start":0,"End":2,"ID":0},{"Start":2,"End":4,"ID":-1}]}`,
-		"numRegions overcounts": `{"format":"tbpoint-region-table-v1","occupancy":1,"numBlocks":4,"numRegions":3,
-		  "rows":[{"Start":0,"End":2,"ID":0},{"Start":2,"End":4,"ID":1}]}`,
-		"numRegions undercounts": `{"format":"tbpoint-region-table-v1","occupancy":1,"numBlocks":4,"numRegions":1,
-		  "rows":[{"Start":0,"End":2,"ID":0},{"Start":2,"End":4,"ID":1}]}`,
-	}
-	for name, data := range cases {
-		if _, err := ReadRegionTable(strings.NewReader(data)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	// Gapped IDs (the outlier post-processing can vacate clusters) remain
-	// legal as long as numRegions counts the distinct IDs.
-	ok := `{"format":"tbpoint-region-table-v1","occupancy":1,"numBlocks":4,"numRegions":2,
-	  "rows":[{"Start":0,"End":2,"ID":0},{"Start":2,"End":4,"ID":5}]}`
-	rt, err := ReadRegionTable(strings.NewReader(ok))
-	if err != nil {
-		t.Fatalf("gapped-but-consistent IDs rejected: %v", err)
-	}
-	if rt.NumRegions != 2 {
-		t.Fatalf("NumRegions = %d, want 2", rt.NumRegions)
 	}
 }
 
@@ -127,31 +95,5 @@ func TestRunUncancelledContextMatchesNoContext(t *testing.T) {
 	if plain.Estimate != withCtx.Estimate {
 		t.Fatalf("estimates differ with a live context:\n%+v\n%+v",
 			plain.Estimate, withCtx.Estimate)
-	}
-}
-
-// TestChaosPersistReaderFaults streams a valid region table through a
-// fault-injecting reader and asserts the loader degrades to an error — never
-// a panic, never a silently-truncated table — at every failure position.
-func TestChaosPersistReaderFaults(t *testing.T) {
-	k := phasedKernel()
-	l := launchWithPhases(k, 120, [][2]int{{12, 1}, {2, 8}})
-	rt := IdentifyRegions(funcsim.ProfileLaunch(l), 12, 0.2, 0.3)
-
-	var table bytes.Buffer
-	if err := WriteRegionTable(&table, rt); err != nil {
-		t.Fatal(err)
-	}
-
-	// One-byte reads force one injector consultation per byte, so a seeded
-	// fault inside the span always lands mid-stream regardless of how the
-	// JSON decoder buffers.
-	span := int64(len(table.Bytes()))
-	for seed := uint64(0); seed < 16; seed++ {
-		inj := faultcheck.Seeded(seed, span, faultcheck.Error)
-		r := iotest.OneByteReader(faultcheck.Reader(bytes.NewReader(table.Bytes()), inj))
-		if _, err := ReadRegionTable(r); err == nil {
-			t.Fatalf("seed %d: region table loaded through a failing reader", seed)
-		}
 	}
 }

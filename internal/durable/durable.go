@@ -18,7 +18,10 @@
 // document — so enveloped artifacts stay greppable and diffable.
 //
 // On top of both, Store (store.go) is the checkpoint journal the
-// experiment grids use for -resume.
+// experiment grids use for -resume and the job server uses as its artifact
+// cache. The job server's journal is not a Store but a Log (log.go): one
+// append-only file, one fsync per record, where a Store write costs a temp
+// file, two fsyncs and a rename.
 package durable
 
 import (
@@ -66,11 +69,12 @@ func WriteFile(path string, write func(io.Writer) error) (err error) {
 	if err = bw.Flush(); err != nil {
 		return err
 	}
-	if err = f.Sync(); err != nil {
+	// CreateTemp opens 0600; match what os.Create would have produced,
+	// before the fsync, so the mode is as durable as the bytes.
+	if err = f.Chmod(0o644); err != nil {
 		return err
 	}
-	// CreateTemp opens 0600; match what os.Create would have produced.
-	if err = f.Chmod(0o644); err != nil {
+	if err = f.Sync(); err != nil {
 		return err
 	}
 	if err = f.Close(); err != nil {

@@ -31,6 +31,22 @@ func TestWriteFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteFileMode: the file WriteFile renames into place carries the mode
+// os.Create would have given it, not CreateTemp's 0600.
+func TestWriteFileMode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.json")
+	if err := WriteFileBytes(path, []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perm := info.Mode().Perm(); perm != 0o644 {
+		t.Fatalf("WriteFile produced mode %o, want 644", perm)
+	}
+}
+
 // TestWriteFileFailureLeavesNoTrace checks the atomicity contract: a write
 // that fails partway (here via a truncating/short-write injection) must
 // leave the previous file byte-identical and no temp litter in the

@@ -3,6 +3,10 @@ package durable
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
+	"os"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -43,6 +47,101 @@ func FuzzReadCheckpoint(f *testing.F) {
 			t.Fatalf("round trip drifted: kind %q->%q payload %q->%q", kind, kind2, payload, payload2)
 		}
 	})
+}
+
+// FuzzOpenLog writes three intact records followed by arbitrary bytes as a
+// log file. OpenLog must never panic or fail on it; each intact record
+// must replay unless a later record that checks out (one line of the tail,
+// judged by decodeRecord) replaces it, and everything else in the tail is
+// quarantined. A reopen must replay the same values and quarantine nothing.
+func FuzzOpenLog(f *testing.F) {
+	var valid []byte
+	for _, kv := range [][2]string{{"job/j000001", `{"state":"queued"}`}, {"job/j000001", `{"state":"done"}`}, {"a", `2`}} {
+		line, err := encodeRecord(kv[0], []byte(kv[1]))
+		if err != nil {
+			f.Fatal(err)
+		}
+		valid = append(valid, line...)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-4])
+	f.Add([]byte("3 00000000 abc\n"))
+	f.Add([]byte("\n\n\n"))
+	f.Add([]byte(""))
+
+	var intact []byte
+	want := map[string]string{"a": `1`, "b": `{"x":[2]}`, "c": `"3"`}
+	for _, k := range []string{"a", "b", "c"} {
+		line, err := encodeRecord(k, []byte(want[k]))
+		if err != nil {
+			f.Fatal(err)
+		}
+		intact = append(intact, line...)
+	}
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		want, damaged := maps.Clone(want), 0
+		for rest := tail; len(rest) > 0; {
+			line := rest
+			if n := bytes.IndexByte(rest, '\n'); n >= 0 {
+				line = rest[:n+1]
+			}
+			rest = rest[len(line):]
+			if rec, ok := decodeRecord(line); ok {
+				want[rec.Key] = string(rec.Data)
+			} else {
+				damaged++
+			}
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logName), append(intact, tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for _, k := range l.Keys() {
+			v, _ := l.Get(k)
+			got[k] = string(v)
+		}
+		l.Close()
+		if !maps.Equal(got, want) || l.Quarantined() != damaged {
+			t.Fatalf("replayed %v and quarantined %d, want %v and %d", got, l.Quarantined(), want, damaged)
+		}
+		again, q := openContents(t, dir)
+		if q != 0 || len(again) != len(got) {
+			t.Fatalf("reopen replayed %v and quarantined %d, want %v and 0", again, q, got)
+		}
+		for k, v := range got {
+			var val any
+			if json.Unmarshal([]byte(v), &val) != nil || !reflect.DeepEqual(again[k], val) {
+				t.Fatalf("reopen replayed %s as %v, the first Open as %s", k, again[k], v)
+			}
+		}
+	})
+}
+
+// openContents opens the log in dir and returns its records, each decoded
+// (a rewrite re-encodes a record's JSON, so only its value is kept), and
+// how many records Open quarantined.
+func openContents(t *testing.T, dir string) (map[string]any, int) {
+	t.Helper()
+	l, err := OpenLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	got := map[string]any{}
+	for _, k := range l.Keys() {
+		v, _ := l.Get(k)
+		var val any
+		if err := json.Unmarshal(v, &val); err != nil {
+			t.Fatalf("record %q holds invalid JSON %q", k, v)
+		}
+		got[k] = val
+	}
+	return got, l.Quarantined()
 }
 
 // lruModel is what a bounded Store promises, kept in plain data: the keys

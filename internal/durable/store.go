@@ -34,8 +34,9 @@ type WriteFault interface{ Fire() error }
 // CrashHookEnv names the environment variable ArmCrashHook reads.
 const CrashHookEnv = "TBPOINT_CRASH_AFTER_CHECKPOINTS"
 
-// cellRecord is a checkpoint file's payload: the entry's key in the clear
-// (so hash collisions and misfiled entries are detectable) plus its data.
+// cellRecord is a checkpoint file's (and a Log record's) payload: the key
+// in the clear (so hash collisions and misfiled entries are detectable)
+// plus its data.
 type cellRecord struct {
 	Key  string          `json:"key"`
 	Data json.RawMessage `json:"data"`
@@ -43,8 +44,10 @@ type cellRecord struct {
 
 // Store is a crash-safe checkpoint journal: one envelope file per entry,
 // written atomically, keyed by an arbitrary string (the experiments harness
-// uses the subcell/v1/... keys of what grid cells are composed from, the
-// job server job/<id>). Open scans the directory once;
+// and the job server's artifact cache use the subcell/v1/... keys of what
+// grid cells are composed from; the job server's job journal is a Log, and
+// OpenLog folds a journal an older daemon kept in a Store into one). Open
+// scans the directory once;
 // corrupted or truncated entries are quarantined — renamed aside, never
 // trusted — and simply count as missing.
 //
@@ -275,8 +278,8 @@ func (s *Store) SetMaxBytes(n int64) {
 	s.evictLocked()
 }
 
-// Keys returns every loadable entry's key, sorted, so journal scans (the
-// job server's restart recovery) are deterministic.
+// Keys returns every loadable entry's key, sorted, so journal scans
+// (OpenLog folding a per-file journal into a Log) are deterministic.
 func (s *Store) Keys() []string {
 	if s == nil {
 		return nil

@@ -101,7 +101,7 @@ type Job struct {
 type Driver struct {
 	cfg        Config
 	mc         *metrics.Collector
-	journal    *durable.Store // job records
+	journal    *durable.Log   // job records
 	cache      *durable.Store // artifact cache shared by all jobs
 	resultsDir string
 
@@ -127,7 +127,7 @@ type Driver struct {
 // journal — a job a killed daemon left queued or running is queued again,
 // and resumes from the artifact cache rather than re-simulating — and
 // starts the dispatchers.
-func Open(cfg Config) (*Driver, error) {
+func Open(cfg Config) (_ *Driver, err error) {
 	if cfg.StateDir == "" {
 		return nil, errors.New("server: Config.StateDir is required")
 	}
@@ -139,10 +139,15 @@ func Open(cfg Config) (*Driver, error) {
 			return nil, fmt.Errorf("server: Config.%s must not be negative, got %d", f.name, f.v)
 		}
 	}
-	journal, err := durable.Open(filepath.Join(cfg.StateDir, "jobs"))
+	journal, err := durable.OpenLog(filepath.Join(cfg.StateDir, "jobs"))
 	if err != nil {
 		return nil, fmt.Errorf("server: opening job journal: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			journal.Close()
+		}
+	}()
 	cache, err := durable.Open(filepath.Join(cfg.StateDir, "cache"))
 	if err != nil {
 		return nil, fmt.Errorf("server: opening artifact cache: %w", err)
@@ -163,7 +168,7 @@ func Open(cfg Config) (*Driver, error) {
 	d.cond = sync.NewCond(&d.mu)
 	d.ctx, d.cancel = context.WithCancel(context.Background())
 	if q := journal.Quarantined() + cache.Quarantined(); q > 0 {
-		d.logf("quarantined %d corrupted state file(s) in %s", q, cfg.StateDir)
+		d.logf("quarantined %d damaged journal record(s) and state file(s) in %s", q, cfg.StateDir)
 	}
 	if cfg.CacheMaxBytes > 0 {
 		// Bound the cache now: a directory inherited from an unbounded (or
@@ -455,7 +460,8 @@ func (d *Driver) CacheSizeBytes() int64 { return d.cache.SizeBytes() }
 
 // Close shuts the driver down: running jobs are aborted and re-queued in
 // the journal (a graceful stop leaves what a crash would: unfinished work is
-// never dropped) and Close blocks until every dispatcher has exited.
+// never dropped), Close blocks until every dispatcher has exited, and then
+// closes the journal.
 func (d *Driver) Close() error {
 	d.mu.Lock()
 	d.closed = true
@@ -463,7 +469,7 @@ func (d *Driver) Close() error {
 	d.cancel()
 	d.cond.Broadcast()
 	d.wg.Wait()
-	return nil
+	return d.journal.Close()
 }
 
 // syncBuffer is a concurrency-safe, bounded report buffer: grid cells

@@ -203,6 +203,26 @@ func TestServeLoadBoundedCache(t *testing.T) {
 	}
 }
 
+// journalRecords counts the records in stateDir's job journal, one a line.
+func journalRecords(t *testing.T, stateDir string) int {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(stateDir, "jobs", "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Count(b, []byte("\n"))
+}
+
+// dirEntries counts the entries of dir.
+func dirEntries(t *testing.T, dir string) int {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(entries)
+}
+
 // TestSubcellReuseAcrossJobs pins the sub-cell cache contract end-to-end:
 // a second job over the same workload but a different sampler set reuses
 // the full reference and the base job's three outcomes, estimating only the
@@ -212,7 +232,8 @@ func TestServeLoadBoundedCache(t *testing.T) {
 // anything.
 func TestSubcellReuseAcrossJobs(t *testing.T) {
 	mc := metrics.New()
-	d := openDriver(t, server.Config{StateDir: t.TempDir(), Dispatchers: 1, Metrics: mc, Logf: t.Logf})
+	stateDir := t.TempDir()
+	d := openDriver(t, server.Config{StateDir: stateDir, Dispatchers: 1, Metrics: mc, Logf: t.Logf})
 
 	submitWait := func(spec server.JobSpec) server.JobStatus {
 		t.Helper()
@@ -269,6 +290,7 @@ func TestSubcellReuseAcrossJobs(t *testing.T) {
 	specD := smallSpec()
 	specD.Samplers = []string{"tbpoint", "stratified"}
 	writes := d.Cache().Writes()
+	appends, results := journalRecords(t, stateDir), dirEntries(t, filepath.Join(stateDir, "results"))
 	dj := submitWait(specD)
 	if dj.CacheMisses != 0 || dj.SubcellHits != benches || dj.SubcellMisses != 0 ||
 		dj.OutcomeHits != 2*benches || dj.OutcomeMisses != 0 {
@@ -277,6 +299,17 @@ func TestSubcellReuseAcrossJobs(t *testing.T) {
 	}
 	if n := d.Cache().Writes() - writes; n != 0 {
 		t.Fatalf("job D wrote %d cache entries, want none", n)
+	}
+	// The durable work of a warm job is exactly three journal appends
+	// (queued, running, done) and its results file; the journal is one log.
+	if n := journalRecords(t, stateDir) - appends; n != 3 {
+		t.Errorf("job D appended %d journal records, want 3", n)
+	}
+	if n := dirEntries(t, filepath.Join(stateDir, "results")) - results; n != 1 {
+		t.Errorf("job D wrote %d results files, want 1", n)
+	}
+	if n := dirEntries(t, filepath.Join(stateDir, "jobs")); n != 1 {
+		t.Errorf("%s holds %d entries, want only the journal log", filepath.Join(stateDir, "jobs"), n)
 	}
 	for _, p := range dj.Phases {
 		if strings.HasPrefix(p.Name, "sampler.") || p.Name == "experiments.full_ref" {

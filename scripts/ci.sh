@@ -114,10 +114,10 @@ stage_fuzz() {
     fuzz FuzzMSHRTable ./internal/gpusim/ &&
     fuzz FuzzLaunchBuilder ./internal/kernel/ &&
     fuzz FuzzSameInput ./internal/trace/ &&
-    fuzz FuzzReadRegionTable ./internal/core/ &&
     fuzz FuzzReplayOrder ./internal/core/ &&
     fuzz FuzzReadCheckpoint ./internal/durable/ &&
     fuzz FuzzStoreLRU ./internal/durable/ &&
+    fuzz FuzzOpenLog ./internal/durable/ &&
     fuzz FuzzStratifiedAllocate ./internal/sampler/ &&
     fuzz FuzzJobSpec ./internal/server/
 }

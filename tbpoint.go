@@ -247,11 +247,6 @@ func WriteRegionTable(w io.Writer, rt *RegionTable) error {
 	return core.WriteRegionTable(w, rt)
 }
 
-// ReadRegionTable loads a Table III file written by WriteRegionTable.
-func ReadRegionTable(r io.Reader) (*RegionTable, error) {
-	return core.ReadRegionTable(r)
-}
-
 // SystematicBaseline applies systematic sampling (§VI related work) to a
 // full simulation: every k-th fixed-size unit from a random start, with
 // k = round(1/frac).
