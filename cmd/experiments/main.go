@@ -165,7 +165,7 @@ func main() {
 			fail(err)
 		}
 		if q := store.Quarantined(); q > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: quarantined %d corrupted checkpoint file(s) in %s\n",
+			fmt.Fprintf(os.Stderr, "experiments: quarantined %d corrupted checkpoint record(s) in %s\n",
 				q, *checkpointDir)
 		}
 		if err := store.ArmCrashHook(); err != nil {
@@ -183,6 +183,9 @@ func main() {
 
 	spec := experiments.RunSpec{Targets: targets, Samples: *samples}
 	bundle, runErr := experiments.RunTargets(opts, spec, os.Stdout)
+	if err := store.Close(); err != nil && runErr == nil {
+		runErr = err
+	}
 
 	if bundle.Aborted {
 		exitCode = 1

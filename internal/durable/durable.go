@@ -1,27 +1,13 @@
 // Package durable makes the harness's on-disk artifacts crash-safe.
 //
-// Two layers compose:
-//
-//   - WriteFile is atomic persistence: the payload is written to a
-//     temporary file in the destination directory, fsynced, and renamed
-//     over the target, so a reader never observes a torn or half-written
-//     file — it sees either the old content or the new, never a prefix.
-//
-//   - The envelope (WriteEnvelope/ReadEnvelope) is detection for the cases
-//     atomicity cannot cover — a file truncated by a dying filesystem, a
-//     flipped byte on a bad disk: a versioned JSON wrapper carrying the
-//     payload's length and CRC-32C. Loads classify damage as ErrTruncated
-//     (the file ends early) or ErrCorrupt (the bytes don't check out), so
-//     callers can quarantine rather than trust or crash.
-//
-// The envelope is itself valid JSON — `jq .payload` recovers the wrapped
-// document — so enveloped artifacts stay greppable and diffable.
-//
-// On top of both, Store (store.go) is the checkpoint journal the
-// experiment grids use for -resume and the job server uses as its artifact
-// cache. The job server's journal is not a Store but a Log (log.go): one
-// append-only file, one fsync per record, where a Store write costs a temp
-// file, two fsyncs and a rename.
+// WriteFile is atomic persistence: a reader sees the old file or the new
+// one, never a prefix. The envelope (WriteEnvelope/ReadEnvelope) detects
+// what atomicity cannot, a truncated file or a flipped byte: a versioned
+// JSON wrapper (`jq .payload` recovers the document) carrying the
+// payload's length and CRC-32C, whose loads classify damage as
+// ErrTruncated or ErrCorrupt. Store (store.go) is the one keyed-record
+// store: an append-only log of checksummed lines that holds the grids'
+// -resume checkpoints, the job server's artifact cache and its job journal.
 package durable
 
 import (

@@ -4,14 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// diskCkptBytes sums the on-disk sizes of the store's live .ckpt files —
-// the quantity -cache-max-bytes promises to bound.
-func diskCkptBytes(t *testing.T, dir string) int64 {
+// diskBytes stats the store directory: the bytes of every file in it but
+// the damaged ones kept aside — the quantity -cache-max-bytes promises to
+// bound.
+func diskBytes(t *testing.T, dir string) int64 {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -19,7 +19,7 @@ func diskCkptBytes(t *testing.T, dir string) int64 {
 	}
 	var total int64
 	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ckptExt) {
+		if e.IsDir() || strings.HasSuffix(e.Name(), quarantineExt) {
 			continue
 		}
 		info, err := e.Info()
@@ -38,6 +38,9 @@ func put(t *testing.T, s *Store, key string, n int) {
 	}
 }
 
+// TestStoreEvictsLRUUnderByteBudget: an append that would take the file
+// over the budget compacts it, evicting least-recently-used records until
+// the live ones fill at most half the budget; a Get refreshes recency.
 func TestStoreEvictsLRUUnderByteBudget(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -49,31 +52,34 @@ func TestStoreEvictsLRUUnderByteBudget(t *testing.T) {
 	if one <= 0 {
 		t.Fatalf("SizeBytes = %d after one put", one)
 	}
-	// Budget for three entries of this size; the fourth must evict.
-	s.SetMaxBytes(3 * one)
+	// Budget for four records of this size; the fifth compacts to two.
+	s.SetMaxBytes(4 * one)
 	put(t, s, "a", 100)
 	put(t, s, "b", 100)
+	put(t, s, "c", 100)
 	if got := s.Evictions(); got != 0 {
 		t.Fatalf("evictions before exceeding budget = %d", got)
 	}
-	// Refresh "warm" so "a" is now least recently used.
+	// Refresh "warm" so "a" and "b" are now least recently used.
 	if _, ok := s.Get("warm"); !ok {
 		t.Fatal("warm missing before eviction")
 	}
-	put(t, s, "c", 100)
-	if got := s.Evictions(); got != 1 {
-		t.Fatalf("evictions = %d, want 1", got)
+	put(t, s, "d", 100)
+	if got := s.Evictions(); got != 3 {
+		t.Fatalf("evictions = %d, want 3", got)
 	}
-	if _, ok := s.Get("a"); ok {
-		t.Fatal("LRU key a survived eviction")
+	for _, k := range []string{"a", "b", "c"} {
+		if _, ok := s.Get(k); ok {
+			t.Fatalf("LRU key %s survived eviction", k)
+		}
 	}
-	for _, k := range []string{"warm", "b", "c"} {
+	for _, k := range []string{"warm", "d"} {
 		if _, ok := s.Get(k); !ok {
 			t.Fatalf("recently used key %s was evicted", k)
 		}
 	}
-	if disk, acct := diskCkptBytes(t, dir), s.SizeBytes(); disk != acct || disk > 3*one {
-		t.Fatalf("disk=%d accounted=%d budget=%d", disk, acct, 3*one)
+	if disk, acct := diskBytes(t, dir), s.SizeBytes(); disk != acct || disk > 2*one {
+		t.Fatalf("disk=%d accounted=%d, want at most half the budget %d", disk, acct, 4*one)
 	}
 }
 
@@ -87,8 +93,8 @@ func TestStoreEvictedEntriesRecomputeNeverStale(t *testing.T) {
 	}
 	put(t, s, "k", 100)
 	size := s.SizeBytes()
-	s.SetMaxBytes(size) // exactly one entry fits
-	put(t, s, "other", 100)
+	s.SetMaxBytes(size) // exactly one entry of this size fits
+	put(t, s, "j", 100)
 	if _, ok := s.Get("k"); ok {
 		t.Fatal("evicted key k still readable")
 	}
@@ -100,40 +106,45 @@ func TestStoreEvictedEntriesRecomputeNeverStale(t *testing.T) {
 	if !ok || !bytes.Equal(got, fresh) {
 		t.Fatalf("re-published key k = %q ok=%v, want %q", got, ok, fresh)
 	}
-	// The re-Put evicted "other" in turn (budget fits one entry).
-	if _, ok := s.Get("other"); ok {
-		t.Fatal("other survived over-budget re-publish")
+	// The re-Put evicted "j" in turn (budget fits one entry).
+	if _, ok := s.Get("j"); ok {
+		t.Fatal("j survived over-budget re-publish")
 	}
 	// A reopen sees only what the bound kept — never a ghost of "k" v1.
+	s.Close()
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s2.Close()
 	got, ok = s2.Get("k")
-	if !ok || !bytes.Equal(got, fresh) {
-		t.Fatalf("reopened key k = %q ok=%v, want %q", got, ok, fresh)
+	if !ok || !bytes.Equal(got, fresh) || s2.Len() != 1 {
+		t.Fatalf("reopened key k = %q ok=%v among %d keys, want %q alone", got, ok, s2.Len(), fresh)
 	}
 	if s2.Quarantined() != 0 {
-		t.Fatalf("eviction produced %d quarantined files", s2.Quarantined())
+		t.Fatalf("eviction produced %d quarantined records", s2.Quarantined())
 	}
 }
 
 // SetMaxBytes on a freshly opened over-budget directory trims it
-// immediately, deterministically (sorted key order stands in for the
-// unknowable pre-restart recency), and leaves quarantined files alone.
+// immediately to half the budget. Recency after a restart is last-write
+// order, so the most recently written keys survive whatever was read
+// before the restart, and a damaged log kept aside is left alone.
 func TestStoreSetMaxBytesTrimsExistingDir(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		put(t, s, fmt.Sprintf("key%d", i), 100)
+	for _, k := range []string{"key4", "key0", "key3", "key1", "key2"} {
+		put(t, s, k, 100)
 	}
+	s.Get("key4") // recency the restart forgets
 	per := s.SizeBytes() / 5
+	s.Close()
 
 	// Plant a quarantined file; bounding must never delete it.
-	qpath := filepath.Join(dir, "deadbeef"+ckptExt+quarantineExt)
+	qpath := s.path() + quarantineExt
 	if err := os.WriteFile(qpath, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -142,21 +153,21 @@ func TestStoreSetMaxBytesTrimsExistingDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.SetMaxBytes(2 * per)
+	defer s2.Close()
+	s2.SetMaxBytes(4 * per)
 	if got := s2.Evictions(); got != 3 {
 		t.Fatalf("evictions = %d, want 3", got)
 	}
 	if got := s2.Len(); got != 2 {
 		t.Fatalf("Len = %d, want 2", got)
 	}
-	// Sorted order: key0..key2 evicted first.
-	for _, k := range []string{"key3", "key4"} {
+	for _, k := range []string{"key1", "key2"} {
 		if _, ok := s2.Get(k); !ok {
-			t.Fatalf("expected survivor %s missing", k)
+			t.Fatalf("last-written key %s missing", k)
 		}
 	}
-	if diskCkptBytes(t, dir) > 2*per {
-		t.Fatalf("disk %d over budget %d", diskCkptBytes(t, dir), 2*per)
+	if disk := diskBytes(t, dir); disk > 2*per || disk != s2.SizeBytes() {
+		t.Fatalf("disk %d, accounted %d, want at most %d", disk, s2.SizeBytes(), 2*per)
 	}
 	if _, err := os.Stat(qpath); err != nil {
 		t.Fatalf("quarantined file touched by eviction: %v", err)
@@ -178,9 +189,10 @@ func TestStoreUnboundedNeverEvicts(t *testing.T) {
 	}
 }
 
-// The accounted size is the bytes Put wrote, not a later stat of the file:
-// through overwrites that grow and shrink entries and through evictions,
-// SizeBytes stays equal to the sum of the live files' sizes.
+// SizeBytes is the file's length: through overwrites that grow and shrink
+// entries (leaving superseded records in the log), through compactions and
+// through evictions, it equals what a stat of the directory reads, and
+// under a budget it never exceeds that budget.
 func TestStoreSizeMatchesDiskAfterOverwritesAndEvictions(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -189,7 +201,7 @@ func TestStoreSizeMatchesDiskAfterOverwritesAndEvictions(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		if disk, acct := diskCkptBytes(t, dir), s.SizeBytes(); disk != acct {
+		if disk, acct := diskBytes(t, dir), s.SizeBytes(); disk != acct {
 			t.Fatalf("%s: disk=%d accounted=%d", when, disk, acct)
 		}
 	}

@@ -12,8 +12,8 @@ import (
 	"testing"
 )
 
-// FuzzReadCheckpoint drives ReadEnvelope — the parser every checkpoint,
-// profile, and results load goes through — with arbitrary bytes: it must
+// FuzzReadCheckpoint drives ReadEnvelope — the parser of every results
+// load and of the per-file entries Open folds in — with arbitrary bytes: it must
 // never panic, and anything it accepts must re-encode to an envelope it
 // accepts again with the identical payload (so quarantine decisions are
 // stable across rewrites).
@@ -49,12 +49,13 @@ func FuzzReadCheckpoint(f *testing.F) {
 	})
 }
 
-// FuzzOpenLog writes three intact records followed by arbitrary bytes as a
-// log file. OpenLog must never panic or fail on it; each intact record
+// FuzzStoreReplay writes three intact records followed by arbitrary bytes as a
+// store's log. Open must never panic or fail on it; each intact record
 // must replay unless a later record that checks out (one line of the tail,
 // judged by decodeRecord) replaces it, and everything else in the tail is
-// quarantined. A reopen must replay the same values and quarantine nothing.
-func FuzzOpenLog(f *testing.F) {
+// quarantined. SizeBytes must be the file's length, and a reopen must
+// replay the same values and quarantine nothing.
+func FuzzStoreReplay(f *testing.F) {
 	var valid []byte
 	for _, kv := range [][2]string{{"job/j000001", `{"state":"queued"}`}, {"job/j000001", `{"state":"done"}`}, {"a", `2`}} {
 		line, err := encodeRecord(kv[0], []byte(kv[1]))
@@ -96,19 +97,14 @@ func FuzzOpenLog(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, logName), append(intact, tail...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, err := OpenLog(dir)
-		if err != nil {
-			t.Fatal(err)
+		got, s := replay(t, dir)
+		if !maps.Equal(got, want) || s.Quarantined() != damaged {
+			t.Fatalf("replayed %v and quarantined %d, want %v and %d", got, s.Quarantined(), want, damaged)
 		}
-		got := map[string]string{}
-		for _, k := range l.Keys() {
-			v, _ := l.Get(k)
-			got[k] = string(v)
+		if disk := diskBytes(t, dir); s.SizeBytes() != disk {
+			t.Fatalf("SizeBytes() = %d, the log holds %d", s.SizeBytes(), disk)
 		}
-		l.Close()
-		if !maps.Equal(got, want) || l.Quarantined() != damaged {
-			t.Fatalf("replayed %v and quarantined %d, want %v and %d", got, l.Quarantined(), want, damaged)
-		}
+		s.Close()
 		again, q := openContents(t, dir)
 		if q != 0 || len(again) != len(got) {
 			t.Fatalf("reopen replayed %v and quarantined %d, want %v and 0", again, q, got)
@@ -122,77 +118,73 @@ func FuzzOpenLog(f *testing.F) {
 	})
 }
 
-// openContents opens the log in dir and returns its records, each decoded
-// (a rewrite re-encodes a record's JSON, so only its value is kept), and
-// how many records Open quarantined.
+// openContents opens the store in dir and returns its records, each
+// decoded (a compaction re-encodes a record's JSON, so only its value is
+// kept), and how many records Open quarantined.
 func openContents(t *testing.T, dir string) (map[string]any, int) {
 	t.Helper()
-	l, err := OpenLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
+	raw, s := replay(t, dir)
 	got := map[string]any{}
-	for _, k := range l.Keys() {
-		v, _ := l.Get(k)
+	for k, v := range raw {
 		var val any
-		if err := json.Unmarshal(v, &val); err != nil {
+		if err := json.Unmarshal([]byte(v), &val); err != nil {
 			t.Fatalf("record %q holds invalid JSON %q", k, v)
 		}
 		got[k] = val
 	}
-	return got, l.Quarantined()
+	return got, s.Quarantined()
 }
 
 // lruModel is what a bounded Store promises, kept in plain data: the keys
-// in recency order (front = least recently used), each entry's envelope
-// size, the accounted total, the budget (0 = unbounded) and the evictions
-// this session.
+// in recency order and in the order of their last line in the file (front
+// = least recent), each live key's line length, the file's length, the
+// budget (0 = unbounded) and the evictions this session.
 type lruModel struct {
 	order     []string
-	size      map[string]int64
+	file      []string
+	line      map[string]int64
 	bytes     int64
 	max       int64
 	evictions int64
 }
 
-func (m *lruModel) touch(key string) {
-	if i := slices.Index(m.order, key); i >= 0 {
-		m.order = append(slices.Delete(m.order, i, i+1), key)
+// toBack moves key to the back of keys, appending it if absent.
+func toBack(keys []string, key string) []string {
+	if i := slices.Index(keys, key); i >= 0 {
+		keys = slices.Delete(keys, i, i+1)
 	}
+	return append(keys, key)
 }
 
-func (m *lruModel) evict() {
-	for m.max > 0 && m.bytes > m.max && len(m.order) > 0 {
+// compact is Store.compact's rule: with add (if any) the most recent,
+// evict from the least recent end until the live lines fill at most half
+// the budget, unless only add is left and it fits the budget; the
+// survivors, in recency order, become the file.
+func (m *lruModel) compact(add string) {
+	var live int64
+	for _, k := range m.order {
+		live += m.line[k]
+	}
+	for m.max > 0 && len(m.order) > 0 && live > m.max/2 {
 		key := m.order[0]
+		if key == add && live <= m.max {
+			break
+		}
 		m.order = m.order[1:]
-		m.bytes -= m.size[key]
-		delete(m.size, key)
+		live -= m.line[key]
+		delete(m.line, key)
 		m.evictions++
 	}
-}
-
-// envelopeSize is the on-disk size of key's entry holding data.
-func envelopeSize(t *testing.T, key string, data []byte) int64 {
-	t.Helper()
-	rec, err := json.Marshal(cellRecord{Key: key, Data: json.RawMessage(data)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env bytes.Buffer
-	if err := WriteEnvelope(&env, KindCheckpoint, rec); err != nil {
-		t.Fatal(err)
-	}
-	return int64(env.Len())
+	m.file, m.bytes = slices.Clone(m.order), live
 }
 
 // FuzzStoreLRU runs a byte-encoded sequence of operations — put (one of six
 // keys, a payload size), get, SetMaxBytes and reopen — against a Store and
-// against lruModel. After every operation the store's keys, accounted
-// bytes, on-disk .ckpt bytes and eviction count must equal the model's. A
-// reopen forgets the budget and the eviction count and re-seeds recency in
-// sorted key order; an entry larger than the budget is evicted by its own
-// put.
+// against lruModel. After every operation the store's keys, its file's
+// length (accounted and on disk) and its eviction count must equal the
+// model's, and a bounded file must be within its budget. A reopen forgets
+// the budget and the eviction count, and recency becomes the order of the
+// keys' last writes in the file.
 func FuzzStoreLRU(f *testing.F) {
 	f.Add([]byte{0, 10, 4, 10, 8, 10, 2, 20, 3, 0, 12, 10, 6, 1})
 	f.Add([]byte{2, 3, 0, 200, 4, 5, 8, 5, 1, 0, 0, 5})
@@ -209,7 +201,8 @@ func FuzzStoreLRU(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := &lruModel{size: map[string]int64{}}
+		defer func() { s.Close() }()
+		m := &lruModel{line: map[string]int64{}}
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i], ops[i+1]
 			switch op % 4 {
@@ -219,39 +212,57 @@ func FuzzStoreLRU(f *testing.F) {
 				if err := s.Put(key, data); err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := m.size[key]; !ok {
-					m.order = append(m.order, key)
+				line, err := encodeRecord(key, data)
+				if err != nil {
+					t.Fatal(err)
 				}
-				size := envelopeSize(t, key, data)
-				m.bytes += size - m.size[key]
-				m.size[key] = size
-				m.touch(key)
-				m.evict()
+				size := int64(len(line))
+				over := m.max > 0 && m.bytes+size > m.max
+				m.line[key] = size
+				m.order = toBack(m.order, key)
+				if over {
+					m.compact(key)
+				} else {
+					m.file = toBack(m.file, key)
+					m.bytes += size
+				}
 			case 1:
 				key := keys[int(arg)%len(keys)]
-				_, held := m.size[key]
+				_, held := m.line[key]
 				if _, ok := s.Get(key); ok != held {
 					t.Fatalf("op %d: Get(%s) hit %v, model holds it %v", i/2, key, ok, held)
 				}
-				m.touch(key)
+				if held {
+					m.order = toBack(m.order, key)
+				}
 			case 2:
 				m.max = 64 * int64(arg)
 				s.SetMaxBytes(m.max)
-				m.evict()
+				if m.max > 0 && m.bytes > m.max {
+					m.compact("")
+				}
 			case 3:
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
 				if s, err = Open(dir); err != nil {
 					t.Fatal(err)
 				}
-				slices.Sort(m.order)
-				m.max, m.evictions = 0, 0
+				m.order, m.max, m.evictions, m.bytes = slices.Clone(m.file), 0, 0, 0
+				for _, k := range m.file {
+					m.bytes += m.line[k]
+				}
 			}
 			want := slices.Clone(m.order)
 			slices.Sort(want)
 			if got := s.Keys(); !slices.Equal(got, want) {
 				t.Fatalf("op %d (%d, %d): keys %q, model %q", i/2, op, arg, got, want)
 			}
-			if got, disk := s.SizeBytes(), diskCkptBytes(t, dir); got != m.bytes || disk != m.bytes {
+			if got, disk := s.SizeBytes(), diskBytes(t, dir); got != m.bytes || disk != m.bytes {
 				t.Fatalf("op %d (%d, %d): %d bytes accounted, %d on disk, model %d", i/2, op, arg, got, disk, m.bytes)
+			}
+			if m.max > 0 && m.bytes > m.max {
+				t.Fatalf("op %d (%d, %d): the file holds %d bytes, over its %d-byte budget", i/2, op, arg, m.bytes, m.max)
 			}
 			if got := s.Evictions(); got != m.evictions {
 				t.Fatalf("op %d (%d, %d): %d evictions, model %d", i/2, op, arg, got, m.evictions)

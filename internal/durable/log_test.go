@@ -12,37 +12,42 @@ import (
 	"tbpoint/internal/faultcheck"
 )
 
-// putAll opens the log in dir, puts each key/value pair in order and closes it.
+// These tests pin the store's log file: how a damaged, torn or superseded
+// record is replayed, how a failed append is rolled back, and how Open
+// folds in the per-file entries an older Store kept.
+
+// putAll opens the store in dir, puts each key/value pair in order and
+// closes it.
 func putAll(t *testing.T, dir string, kv ...string) {
 	t.Helper()
-	l, err := OpenLog(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(kv); i += 2 {
-		if err := l.Put(kv[i], []byte(kv[i+1])); err != nil {
+		if err := s.Put(kv[i], []byte(kv[i+1])); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// replay opens the log in dir and returns what it holds, with the log.
-func replay(t *testing.T, dir string) (map[string]string, *Log) {
+// replay opens the store in dir and returns what it holds, with the store.
+func replay(t *testing.T, dir string) (map[string]string, *Store) {
 	t.Helper()
-	l, err := OpenLog(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
+	t.Cleanup(func() { s.Close() })
 	got := map[string]string{}
-	for _, k := range l.Keys() {
-		v, _ := l.Get(k)
+	for _, k := range s.Keys() {
+		v, _ := s.Get(k)
 		got[k] = string(v)
 	}
-	return got, l
+	return got, s
 }
 
 func readFile(t *testing.T, path string) []byte {
@@ -70,6 +75,16 @@ func wantRecords(t *testing.T, got map[string]string, want ...string) {
 	}
 }
 
+// writeCkpt writes key's entry in the per-file format an older Store kept:
+// one enveloped cellRecord per *.ckpt file.
+func writeCkpt(t *testing.T, dir, name, key, data string) {
+	t.Helper()
+	rec := []byte(`{"key":"` + key + `","data":` + data + `}`)
+	if err := WriteEnvelopeFile(filepath.Join(dir, name+ckptExt), KindCheckpoint, rec); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLogTornTail: a last record cut short by a crash mid-append is lost,
 // counted and kept aside; every record before it replays, and the rewritten
 // log opens clean.
@@ -82,19 +97,19 @@ func TestLogTornTail(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, l := replay(t, dir)
+	got, s := replay(t, dir)
 	wantRecords(t, got, "a", `1`, "b", `{"x":2}`)
-	if l.Quarantined() != 1 {
-		t.Errorf("Quarantined() = %d, want 1", l.Quarantined())
+	if s.Quarantined() != 1 {
+		t.Errorf("Quarantined() = %d, want 1", s.Quarantined())
 	}
 	if aside := readFile(t, path+quarantineExt); !bytes.Equal(aside, torn) {
 		t.Errorf("%s holds %q, want the torn log", logName+quarantineExt, aside)
 	}
-	l.Close()
-	got, l = replay(t, dir)
+	s.Close()
+	got, s = replay(t, dir)
 	wantRecords(t, got, "a", `1`, "b", `{"x":2}`)
-	if l.Quarantined() != 0 {
-		t.Errorf("reopened rewritten log: Quarantined() = %d, want 0", l.Quarantined())
+	if s.Quarantined() != 0 {
+		t.Errorf("reopened rewritten log: Quarantined() = %d, want 0", s.Quarantined())
 	}
 }
 
@@ -110,10 +125,10 @@ func TestLogFlippedByteLosesOnlyThatRecord(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, l := replay(t, dir)
+	got, s := replay(t, dir)
 	wantRecords(t, got, "a", `1`, "c", `3`)
-	if l.Quarantined() != 1 {
-		t.Errorf("Quarantined() = %d, want 1", l.Quarantined())
+	if s.Quarantined() != 1 {
+		t.Errorf("Quarantined() = %d, want 1", s.Quarantined())
 	}
 	if aside := readFile(t, path+quarantineExt); !bytes.Equal(aside, raw) {
 		t.Errorf("%s holds %q, want the original bytes %q", logName+quarantineExt, aside, raw)
@@ -125,37 +140,37 @@ func TestLogFlippedByteLosesOnlyThatRecord(t *testing.T) {
 // quarantine.
 func TestLogFailedAppendReplaysCleanly(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Put("a", []byte(`1`)); err != nil {
+	if err := s.Put("a", []byte(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	size := len(readFile(t, l.path))
-	l.Fault = faultcheck.OnNth(1, faultcheck.Error)
-	if err := l.Put("b", []byte(`2`)); !errors.Is(err, faultcheck.ErrInjected) {
+	size := len(readFile(t, s.path()))
+	s.Fault = faultcheck.OnNth(1, faultcheck.Error)
+	if err := s.Put("b", []byte(`2`)); !errors.Is(err, faultcheck.ErrInjected) {
 		t.Fatalf("faulted Put = %v, want the injected error", err)
 	}
-	if n := len(readFile(t, l.path)); n != size {
+	if n := len(readFile(t, s.path())); n != size {
 		t.Fatalf("a faulted Put grew the log from %d to %d bytes", size, n)
 	}
-	if _, ok := l.Get("b"); ok {
+	if _, ok := s.Get("b"); ok {
 		t.Fatal("a faulted Put is visible")
 	}
-	if err := l.Put("c", []byte(`3`)); err != nil {
+	if err := s.Put("c", []byte(`3`)); err != nil {
 		t.Fatal(err)
 	}
-	if l.Writes() != 2 {
-		t.Errorf("Writes() = %d, want 2", l.Writes())
+	if s.Writes() != 2 {
+		t.Errorf("Writes() = %d, want 2", s.Writes())
 	}
-	l.Close()
-	got, l := replay(t, dir)
+	s.Close()
+	got, s := replay(t, dir)
 	wantRecords(t, got, "a", `1`, "c", `3`)
-	if l.Quarantined() != 0 {
-		t.Errorf("Quarantined() = %d, want 0", l.Quarantined())
+	if s.Quarantined() != 0 {
+		t.Errorf("Quarantined() = %d, want 0", s.Quarantined())
 	}
-	if _, err := os.Stat(l.path + quarantineExt); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(s.path() + quarantineExt); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("a clean log left %s: %v", logName+quarantineExt, err)
 	}
 }
@@ -165,39 +180,39 @@ func TestLogFailedAppendReplaysCleanly(t *testing.T) {
 // before.
 func TestLogAppendThatCannotRollBack(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLog(dir)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Put("a", []byte(`1`)); err != nil {
+	if err := s.Put("a", []byte(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	l.f.Close() // write, truncate and sync all fail from here on
-	if err := l.Put("b", []byte(`2`)); err == nil {
+	s.f.Close() // write, truncate and sync all fail from here on
+	if err := s.Put("b", []byte(`2`)); err == nil {
 		t.Fatal("Put on a dead file succeeded")
 	}
-	if err := l.Put("c", []byte(`3`)); err == nil || !strings.Contains(err.Error(), "unusable") {
-		t.Fatalf("Put after a failed rollback = %v, want the log unusable", err)
+	if err := s.Put("c", []byte(`3`)); err == nil || !strings.Contains(err.Error(), "unusable") {
+		t.Fatalf("Put after a failed rollback = %v, want the store unusable", err)
 	}
 	got, _ := replay(t, dir)
 	wantRecords(t, got, "a", `1`)
 }
 
 // TestLogCompactionKeepsLastRecordPerKey: Open rewrites a log holding
-// superseded records to exactly the last record of each key, and a log with
-// nothing dead is left as it is.
+// superseded records to exactly the last record of each key, in last-write
+// order, and a log with nothing dead is left as it is.
 func TestLogCompactionKeepsLastRecordPerKey(t *testing.T) {
 	dir := t.TempDir()
 	putAll(t, dir, "b", `1`, "a", `1`, "b", `2`, "c", `1`, "a", `2`, "a", `3`)
-	got, l := replay(t, dir)
+	got, s := replay(t, dir)
 	wantRecords(t, got, "a", `3`, "b", `2`, "c", `1`)
-	if l.Writes() != 0 || l.Quarantined() != 0 {
-		t.Errorf("Writes() = %d, Quarantined() = %d after a compaction, want 0 and 0", l.Writes(), l.Quarantined())
+	if s.Writes() != 0 || s.Quarantined() != 0 {
+		t.Errorf("Writes() = %d, Quarantined() = %d after a compaction, want 0 and 0", s.Writes(), s.Quarantined())
 	}
-	l.Close()
-	raw := readFile(t, l.path)
+	s.Close()
+	raw := readFile(t, s.path())
 	var want []byte
-	for _, kv := range [][2]string{{"a", `3`}, {"b", `2`}, {"c", `1`}} {
+	for _, kv := range [][2]string{{"b", `2`}, {"c", `1`}, {"a", `3`}} {
 		line, err := encodeRecord(kv[0], []byte(kv[1]))
 		if err != nil {
 			t.Fatal(err)
@@ -207,39 +222,38 @@ func TestLogCompactionKeepsLastRecordPerKey(t *testing.T) {
 	if !bytes.Equal(raw, want) {
 		t.Fatalf("compacted log:\n%s\nwant:\n%s", raw, want)
 	}
-	info, err := os.Stat(l.path)
+	if got := s.SizeBytes(); got != int64(len(raw)) {
+		t.Errorf("SizeBytes() = %d, the file holds %d", got, len(raw))
+	}
+	info, err := os.Stat(s.path())
 	if err != nil {
 		t.Fatal(err)
 	}
 	replay(t, dir)
-	if again, err := os.Stat(l.path); err != nil || !os.SameFile(info, again) {
+	if again, err := os.Stat(s.path()); err != nil || !os.SameFile(info, again) {
 		t.Errorf("a compact log was rewritten at Open (%v)", err)
 	}
 }
 
-// TestLogMigrationInterruptedByFault: a per-file journal is folded into the
-// log at Open. A fault between the quarantine copy and the rewrite fails
-// Open and leaves every .ckpt file and the log as they were; the next Open
-// completes the migration, the log's own key winning, and deletes the
-// folded files.
+// TestLogMigrationInterruptedByFault: the per-file entries an older Store
+// kept are folded into the log at Open. A fault before the rewrite (here a
+// directory where the quarantine copy must go) fails Open and leaves every
+// .ckpt file and the log as they were; the next Open completes the fold,
+// the log's own key winning, deletes the folded files and keeps a damaged
+// one aside. Files a crash leaves behind after the rewrite are folded again
+// and lose to the log.
 func TestLogMigrationInterruptedByFault(t *testing.T) {
 	dir := t.TempDir()
 	putAll(t, dir, "job/2", `"log"`, "job/4", `"four"`)
-	old, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kv := range [][2]string{{"job/1", `"one"`}, {"job/2", `"file"`}, {"job/3", `"three"`}} {
-		if err := old.Put(kv[0], []byte(kv[1])); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeCkpt(t, dir, "01", "job/1", `"one"`)
+	writeCkpt(t, dir, "02", "job/2", `"file"`)
+	writeCkpt(t, dir, "03", "job/3", `"three"`)
 	path := filepath.Join(dir, logName)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString("12 0000") // a torn append, so Open has two writes to make
+	f.WriteString("12 0000") // a torn append, so Open copies the log aside
 	f.Close()
 	before := readFile(t, path)
 	ckpts := func() []string {
@@ -254,8 +268,11 @@ func TestLogMigrationInterruptedByFault(t *testing.T) {
 		t.Fatalf("%d .ckpt files, want 3", len(files))
 	}
 
-	if _, err := openLog(dir, faultcheck.OnNth(2, faultcheck.Error)); !errors.Is(err, faultcheck.ErrInjected) {
-		t.Fatalf("openLog with a fault at its rewrite = %v, want the injected error", err)
+	if err := os.Mkdir(path+quarantineExt, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil {
+		t.Fatal("Open succeeded with its quarantine copy blocked")
 	}
 	if !slices.Equal(ckpts(), files) {
 		t.Fatalf("an interrupted migration left %v, want %v", ckpts(), files)
@@ -263,34 +280,46 @@ func TestLogMigrationInterruptedByFault(t *testing.T) {
 	if !bytes.Equal(readFile(t, path), before) {
 		t.Fatal("an interrupted migration changed the log")
 	}
+	if err := os.Remove(path + quarantineExt); err != nil {
+		t.Fatal(err)
+	}
 
-	got, l := replay(t, dir)
+	if err := os.WriteFile(filepath.Join(dir, "05"+ckptExt), []byte("not an envelope"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, s := replay(t, dir)
 	wantRecords(t, got, "job/1", `"one"`, "job/2", `"log"`, "job/3", `"three"`, "job/4", `"four"`)
-	if l.Quarantined() != 1 {
-		t.Errorf("Quarantined() = %d, want 1 (the torn append)", l.Quarantined())
+	if s.Quarantined() != 2 {
+		t.Errorf("Quarantined() = %d, want 2 (the torn append and the damaged file)", s.Quarantined())
 	}
 	if left := ckpts(); len(left) != 0 {
 		t.Errorf("migration left %v", left)
 	}
-	l.Close()
-	got, l = replay(t, dir)
+	if _, err := os.Stat(filepath.Join(dir, "05"+ckptExt+quarantineExt)); err != nil {
+		t.Errorf("the damaged entry was not kept aside: %v", err)
+	}
+	s.Close()
+
+	writeCkpt(t, dir, "02", "job/2", `"file"`)
+	got, s = replay(t, dir)
 	wantRecords(t, got, "job/1", `"one"`, "job/2", `"log"`, "job/3", `"three"`, "job/4", `"four"`)
-	if l.Quarantined() != 0 {
-		t.Errorf("reopened migrated log: Quarantined() = %d, want 0", l.Quarantined())
+	if s.Quarantined() != 0 || len(ckpts()) != 0 {
+		t.Errorf("refolded log: Quarantined() = %d, .ckpt files %v, want 0 and none", s.Quarantined(), ckpts())
 	}
 }
 
-// TestLogPutAfterClose: a closed log refuses writes instead of losing them.
+// TestLogPutAfterClose: a closed store refuses writes instead of losing
+// them.
 func TestLogPutAfterClose(t *testing.T) {
-	l, err := OpenLog(t.TempDir())
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
-	if err := l.Put("a", []byte(`1`)); !errors.Is(err, errLogClosed) {
-		t.Fatalf("Put after Close = %v, want %v", err, errLogClosed)
+	s.Close()
+	if err := s.Put("a", []byte(`1`)); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Put after Close = %v, want %v", err, os.ErrClosed)
 	}
-	if err := l.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatalf("second Close = %v", err)
 	}
 }

@@ -3,9 +3,10 @@ package durable
 import (
 	"bytes"
 	"container/list"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,137 +17,158 @@ import (
 	"tbpoint/internal/faultcheck"
 )
 
-// KindCheckpoint is the envelope kind of checkpoint-store entry files.
-const KindCheckpoint = "checkpoint-cell"
-
-// ckptExt is the checkpoint file suffix; quarantined files gain ".corrupt".
 const (
-	ckptExt       = ".ckpt"
-	quarantineExt = ".corrupt"
+	// KindCheckpoint is the envelope kind of the per-file entries (*.ckpt)
+	// an older Store kept, one per key; Open folds them into the log.
+	KindCheckpoint = "checkpoint-cell"
+	// CrashHookEnv names the environment variable ArmCrashHook reads.
+	CrashHookEnv = "TBPOINT_CRASH_AFTER_CHECKPOINTS"
+
+	// The log's file name in a store's directory, the suffix of an older
+	// Store's per-file entries, and the suffix of damaged bytes kept aside.
+	logName, ckptExt, quarantineExt = "journal.log", ".ckpt", ".corrupt"
 )
 
-// WriteFault is the fault-injection seam consulted before every journal
-// write; *faultcheck.Injector satisfies it. It is the repository's one way
-// to inject a failure: tests arm it in-process, ArmCrashHook from the
-// environment.
+// WriteFault is the repository's one fault-injection seam, fired before
+// every store write; *faultcheck.Injector satisfies it.
 type WriteFault interface{ Fire() error }
 
-// CrashHookEnv names the environment variable ArmCrashHook reads.
-const CrashHookEnv = "TBPOINT_CRASH_AFTER_CHECKPOINTS"
-
-// cellRecord is a checkpoint file's (and a Log record's) payload: the key
-// in the clear (so hash collisions and misfiled entries are detectable)
-// plus its data.
+// cellRecord is a record's payload, and a live record in the recency
+// list: the key in the clear, so a record is only ever read back under
+// its own key, and its data.
 type cellRecord struct {
 	Key  string          `json:"key"`
 	Data json.RawMessage `json:"data"`
+	line int64           // the length of its line in the log; writers own it
 }
 
-// Store is a crash-safe checkpoint journal: one envelope file per entry,
-// written atomically, keyed by an arbitrary string (the experiments harness
-// and the job server's artifact cache use the subcell/v1/... keys of what
-// grid cells are composed from; the job server's job journal is a Log, and
-// OpenLog folds a journal an older daemon kept in a Store into one). Open
-// scans the directory once;
-// corrupted or truncated entries are quarantined — renamed aside, never
-// trusted — and simply count as missing.
+// Store is a crash-safe keyed store kept as one append-only file,
+// <dir>/journal.log: the experiment grids' -resume checkpoints, the job
+// server's artifact cache and its job journal. A record is one line,
+// "<size> <crc32c> <payload>\n", where payload is the JSON cellRecord,
+// size its length and crc32c its CRC-32C in eight hex digits. Put appends
+// one record and fsyncs the file; Open replays it, the last record of a
+// key winning. SetMaxBytes bounds the file.
 //
-// A nil *Store is the disabled journal: Get always misses and Put is a
-// no-op, so callers thread a store through unconditionally. Get and Put are
-// safe for concurrent use by grid workers.
-//
-// SetMaxBytes turns the store into a bounded LRU cache: the on-disk bytes
-// of live entries are accounted per key, and writes that push the total
-// over the budget evict the least-recently-used entries (their files are
-// deleted). An evicted key simply misses again — callers recompute and
-// re-publish, which is exactly the checkpoint contract — so bounding the
-// store can cost work but never correctness.
+// One process owns a store directory. A nil *Store is the disabled store:
+// Get always misses and Put is a no-op. All methods are safe for
+// concurrent use, and a Get never waits on a Put's fsync.
 type Store struct {
 	dir string
 
-	// Fault, when non-nil, is fired before every journal write. The chaos
-	// suites set it directly and ArmCrashHook from the environment; always
-	// nil in normal operation.
+	// Fault, when non-nil, is fired before every Put writes anything;
+	// tests set it, ArmCrashHook arms it from the environment.
 	Fault WriteFault
 
-	mu          sync.Mutex
-	cells       map[string][]byte
-	writes      int64
-	quarantined int
+	// wmu serialises writers (appends, compactions, Close) and owns f,
+	// broken and maxBytes.
+	wmu      sync.Mutex
+	f        *os.File // the log, open for appending; nil once closed
+	broken   error    // a failed write that could not be rolled back
+	maxBytes int64    // the file's byte budget (0 = unbounded)
 
-	// Bounded-cache state: per-key on-disk size, total, budget (0 =
-	// unbounded), and the recency list (front = least recently used).
-	sizes     map[string]int64
-	curBytes  int64
-	maxBytes  int64
-	lru       *list.List               // of string keys
-	elems     map[string]*list.Element // key -> lru element
-	evictions int64
+	// mu guards what readers see; writers change it holding wmu too.
+	mu          sync.Mutex
+	lru         *list.List               // of *cellRecord, front = least recently used
+	elems       map[string]*list.Element // key -> its element in lru
+	size        int64                    // the file's length
+	writes      int64
+	evictions   int64
+	quarantined int
 }
 
-// Open creates (if needed) and scans a checkpoint directory. Unreadable
-// entries are quarantined in place; Open fails only when the directory
-// itself cannot be created or listed.
+// Open creates (if needed) the store in dir and replays its log. A torn
+// tail, or any line that fails its check, loses only that record: Open
+// counts it in Quarantined and keeps the raw file as journal.log.corrupt.
+// Open also folds in the per-file entries (*.ckpt) an older Store kept in
+// dir, the log's newer records winning. When the log holds superseded or
+// damaged records, or there was anything to fold, Open compacts it, then
+// deletes the folded files. Open fails only on I/O.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	entries, err := os.ReadDir(dir)
+	s := &Store{dir: dir, lru: list.New(), elems: map[string]*list.Element{}}
+	files, err := s.fold()
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		dir:   dir,
-		cells: map[string][]byte{},
-		sizes: map[string]int64{},
-		lru:   list.New(),
-		elems: map[string]*list.Element{},
+	raw, err := os.ReadFile(s.path())
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ckptExt) {
-			continue
+	good, bad := 0, 0
+	for off := 0; off < len(raw); {
+		line := raw[off:]
+		if n := bytes.IndexByte(line, '\n'); n >= 0 {
+			line = line[:n+1]
 		}
-		path := filepath.Join(dir, name)
-		payload, err := ReadEnvelopeFile(path, KindCheckpoint)
-		if err != nil {
-			s.quarantine(path)
-			continue
-		}
-		var rec cellRecord
-		if json.Unmarshal(payload, &rec) != nil || fileName(rec.Key) != name {
-			s.quarantine(path)
-			continue
-		}
-		s.cells[rec.Key] = rec.Data
-		if info, err := e.Info(); err == nil {
-			s.sizes[rec.Key] = info.Size()
-			s.curBytes += info.Size()
+		off += len(line)
+		if rec, ok := decodeRecord(line); ok {
+			rec.line = int64(len(line))
+			s.setLocked(&rec)
+			s.size += rec.line
+			good++
+		} else {
+			bad++
 		}
 	}
-	// Recency is unknowable across restarts; seed the LRU in sorted key
-	// order so eviction of pre-existing entries is deterministic.
-	for _, key := range sortedKeysLocked(s.cells) {
-		s.elems[key] = s.lru.PushBack(key)
+	s.quarantined += bad
+	if bad > 0 {
+		if err := WriteFileBytes(s.path()+quarantineExt, raw); err != nil {
+			return nil, err
+		}
+	}
+	if dead := good > len(s.elems); !dead && bad == 0 && len(files) == 0 {
+		if err := s.reopen(); err != nil {
+			return nil, err
+		}
+		syncDir(dir) // a log Open created must survive a crash too
+		return s, nil
+	}
+	if err := s.compact(nil); err != nil {
+		return nil, err
+	}
+	// Best-effort: a file left behind is folded again at the next Open,
+	// where the log's record wins.
+	for _, path := range files {
+		os.Remove(path)
 	}
 	return s, nil
 }
 
-func sortedKeysLocked(m map[string][]byte) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// fold loads the per-file entries an older Store left in the directory,
+// in file-name order, as the least recent records, and returns their
+// paths. A damaged one is counted and kept aside at once.
+func (s *Store) fold() (files []string, err error) {
+	dirents, err := os.ReadDir(s.dir)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(keys)
-	return keys
+	for _, e := range dirents {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ckptExt) {
+			continue
+		}
+		path := filepath.Join(s.dir, e.Name())
+		var rec cellRecord
+		payload, err := ReadEnvelopeFile(path, KindCheckpoint)
+		if err != nil || json.Unmarshal(payload, &rec) != nil || rec.Key == "" || len(rec.Data) == 0 {
+			s.quarantined++
+			os.Rename(path, path+quarantineExt) // best-effort: it is never read again
+			continue
+		}
+		files = append(files, path)
+		s.setLocked(&rec)
+	}
+	return files, nil
 }
 
-// ArmCrashHook is the binaries' crash hook: when TBPOINT_CRASH_AFTER_CHECKPOINTS
-// holds N, the Nth write to s makes the process exit with status 3 before
-// anything reaches disk, so exactly N-1 entries survive — a real process
-// death at a chosen point, for the crash-and-resume and crash-loop proofs.
-// Unset, the store stays unarmed; a value that is not an integer is an
-// error. Call it before anything else can write to s.
+func (s *Store) path() string { return filepath.Join(s.dir, logName) }
+
+// ArmCrashHook is the binaries' crash hook: when CrashHookEnv holds N, the
+// Nth Put to s exits the process with status 3 before anything reaches
+// disk, so exactly N-1 records survive — a real death at a chosen point.
+// Unset, s stays unarmed; a value that is not an integer is an error.
 func (s *Store) ArmCrashHook() error {
 	env := os.Getenv(CrashHookEnv)
 	if env == "" {
@@ -163,131 +185,222 @@ func (s *Store) ArmCrashHook() error {
 	return nil
 }
 
-// quarantine renames a damaged checkpoint aside so it is preserved for
-// inspection but never consulted again. Only a rename this process won is
-// counted: when several stores scan one directory concurrently (a restart
-// racing a still-dying predecessor), whoever loses the rename race finds
-// the file already set aside, and each damaged file is counted exactly
-// once across all of them.
-func (s *Store) quarantine(path string) {
-	if os.Rename(path, path+quarantineExt) == nil {
-		s.quarantined++
+// encodeRecord renders one log line.
+func encodeRecord(key string, data []byte) ([]byte, error) {
+	payload, err := json.Marshal(cellRecord{Key: key, Data: json.RawMessage(data)})
+	if err != nil {
+		return nil, err
 	}
+	return fmt.Appendf(nil, "%d %08x %s\n", len(payload), crc32.Checksum(payload, castagnoli), payload), nil
 }
 
-// fileName derives a checkpoint's file name from its key: keys carry
-// slashes and config hashes, so the name is a digest, with the key itself
-// recorded inside the envelope.
-func fileName(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return fmt.Sprintf("%x%s", sum[:16], ckptExt)
+// decodeRecord checks and parses one log line (with its newline): the
+// size and checksum must be exactly what encodeRecord wrote for the
+// payload, and the payload must name a key.
+func decodeRecord(line []byte) (cellRecord, bool) {
+	var rec cellRecord
+	body, ok := bytes.CutSuffix(line, []byte("\n")) // a torn line has none
+	size, rest, _ := bytes.Cut(body, []byte(" "))
+	sum, payload, _ := bytes.Cut(rest, []byte(" "))
+	ok = ok && string(size) == strconv.Itoa(len(payload)) &&
+		string(sum) == fmt.Sprintf("%08x", crc32.Checksum(payload, castagnoli)) &&
+		json.Unmarshal(payload, &rec) == nil && rec.Key != "" && len(rec.Data) > 0
+	return rec, ok
 }
 
-// Get returns the journaled data for key, if present. A hit refreshes the
-// key's recency, so a bounded store keeps its working set.
+// Get returns the data last put under key, if present. A hit refreshes
+// the key's recency, so a bounded store keeps its working set.
 func (s *Store) Get(key string) ([]byte, bool) {
 	if s == nil {
 		return nil, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data, ok := s.cells[key]
-	if e := s.elems[key]; ok && e != nil {
-		s.lru.MoveToBack(e)
+	el, ok := s.elems[key]
+	if !ok {
+		return nil, false
 	}
-	return data, ok
+	s.lru.MoveToBack(el)
+	return el.Value.(*cellRecord).Data, true
 }
 
-// Put journals data (which must be valid JSON) under key: one atomic,
-// enveloped file write. The injected Fault (if any) fires first, so a
-// die-at-Nth-write crash leaves exactly N-1 durable entries. A failed write
-// leaves neither a torn file nor a stale in-memory entry.
+// Put stores data (valid JSON) under key and fsyncs it before returning:
+// one appended record, or a compaction when the append would take the
+// file over its budget. The Fault fires first. A failed append is cut back
+// off the file; if even that fails, every later Put fails too.
 func (s *Store) Put(key string, data []byte) error {
 	if s == nil {
 		return nil
 	}
 	if s.Fault != nil {
 		if err := s.Fault.Fire(); err != nil {
-			return fmt.Errorf("durable: checkpoint %s: %w", fileName(key), err)
+			return fmt.Errorf("durable: %s: put %s: %w", s.path(), key, err)
 		}
 	}
-	rec, err := json.Marshal(cellRecord{Key: key, Data: json.RawMessage(data)})
+	line, err := encodeRecord(key, data)
 	if err != nil {
 		return err
 	}
-	// The entry weighs what the envelope writer produced: a stat after the
-	// rename could fail, and weighing the entry 0 would let the store
-	// outgrow its byte budget.
-	var env bytes.Buffer
-	if err := WriteEnvelope(&env, KindCheckpoint, rec); err != nil {
+	e := &cellRecord{Key: key, Data: append(json.RawMessage(nil), data...), line: int64(len(line))}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	switch {
+	case s.broken != nil:
+		return s.broken
+	case s.f == nil:
+		return os.ErrClosed
+	case s.maxBytes > 0 && s.size+e.line > s.maxBytes:
+		return s.compact(e)
+	}
+	if err := s.append(line); err != nil {
 		return err
 	}
-	if err := WriteFileBytes(filepath.Join(s.dir, fileName(key)), env.Bytes()); err != nil {
-		return err
-	}
-	size := int64(env.Len())
 	s.mu.Lock()
-	s.cells[key] = append([]byte(nil), data...)
+	defer s.mu.Unlock()
+	s.setLocked(e)
+	s.size += e.line
 	s.writes++
-	s.curBytes += size - s.sizes[key]
-	s.sizes[key] = size
-	if e := s.elems[key]; e != nil {
-		s.lru.MoveToBack(e)
-	} else {
-		s.elems[key] = s.lru.PushBack(key)
-	}
-	s.evictLocked()
-	s.mu.Unlock()
 	return nil
 }
 
-// evictLocked deletes least-recently-used entries until the store fits its
-// byte budget. Eviction only ever removes the live .ckpt file of an entry
-// this store owns — quarantined *.corrupt files are never touched, and a
-// concurrent Open that loses the race to a just-deleted file fails its
-// rename-aside, so an eviction can never masquerade as a quarantine.
-// Callers hold s.mu.
-func (s *Store) evictLocked() {
-	if s.maxBytes <= 0 {
-		return
+// append writes and fsyncs one line, or truncates the file back to its
+// last good record. Callers hold wmu.
+func (s *Store) append(line []byte) error {
+	_, err := s.f.Write(line)
+	if err == nil {
+		err = s.f.Sync()
 	}
-	for s.curBytes > s.maxBytes && s.lru.Len() > 0 {
-		key := s.lru.Remove(s.lru.Front()).(string)
-		// Best-effort file delete: WriteFile's rename made the entry a
-		// single file, so Remove is atomic; a missing file (a racing
-		// eviction or an external cleanup) leaves nothing to do.
-		os.Remove(filepath.Join(s.dir, fileName(key)))
-		s.curBytes -= s.sizes[key]
-		delete(s.cells, key)
-		delete(s.sizes, key)
+	if err == nil {
+		return nil
+	}
+	terr := s.f.Truncate(s.size)
+	if terr == nil {
+		terr = s.f.Sync()
+	}
+	if terr != nil {
+		s.broken = fmt.Errorf("durable: %s: unusable after a failed append (%v): %w", s.path(), err, terr)
+	}
+	return err
+}
+
+// compact is the store's only rewrite. With add (a Put's new record) as
+// the most recent, it evicts least-recently-used records until the live
+// ones fill at most half the byte budget — add stays if it alone fits the
+// budget — and rewrites the rest, least recent first, through WriteFile.
+// Memory changes only once the new file is in place. Callers hold wmu.
+func (s *Store) compact(add *cellRecord) error {
+	s.mu.Lock()
+	keep := make([]*cellRecord, 0, s.lru.Len()+1)
+	for el := s.lru.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*cellRecord); add == nil || e.Key != add.Key {
+			keep = append(keep, e)
+		}
+	}
+	s.mu.Unlock()
+	if add != nil {
+		keep = append(keep, add)
+	}
+	var live int64
+	for _, e := range keep {
+		live += e.line
+	}
+	evict := 0
+	for ; s.maxBytes > 0 && evict < len(keep) && live > s.maxBytes/2; evict++ {
+		if keep[evict] == add && live <= s.maxBytes {
+			break
+		}
+		live -= keep[evict].line
+	}
+	live = 0 // now what the rewrite writes, one record at a time
+	err := WriteFile(s.path(), func(w io.Writer) error {
+		for _, e := range keep[evict:] {
+			line, err := encodeRecord(e.Key, e.Data)
+			if err != nil {
+				return err
+			}
+			e.line = int64(len(line))
+			live += e.line
+			if _, err := w.Write(line); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	for _, e := range keep[:evict] {
+		s.dropLocked(e.Key)
+	}
+	if add != nil {
+		if evict < len(keep) {
+			s.setLocked(add)
+		}
+		s.writes++
+	}
+	s.evictions += int64(evict)
+	s.size = live
+	s.mu.Unlock()
+	return s.reopen()
+}
+
+// reopen points f at the log file, creating it if needed: a compaction
+// renamed a new file over the one f had open. Callers hold wmu.
+func (s *Store) reopen() error {
+	if s.f != nil {
+		s.f.Close() // only ever appended to, and every append was fsynced
+	}
+	var err error
+	if s.f, err = os.OpenFile(s.path(), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644); err != nil {
+		s.broken = fmt.Errorf("durable: %s: reopening after a compaction: %w", s.path(), err)
+	}
+	return err
+}
+
+// setLocked makes e the live, most recent record of its key. Callers hold
+// mu (or own s alone, as Open does).
+func (s *Store) setLocked(e *cellRecord) {
+	s.dropLocked(e.Key)
+	s.elems[e.Key] = s.lru.PushBack(e)
+}
+
+// dropLocked forgets key's record, if any. Callers hold mu.
+func (s *Store) dropLocked(key string) {
+	if el, ok := s.elems[key]; ok {
+		s.lru.Remove(el)
 		delete(s.elems, key)
-		s.evictions++
 	}
 }
 
-// SetMaxBytes bounds the store's on-disk footprint (0 restores the
-// unbounded default). Entries already over the budget — e.g. a directory
-// inherited from an unbounded run — are evicted immediately.
+// SetMaxBytes bounds the store's file (0 restores the unbounded default):
+// when an append would take the file over the budget, the store evicts
+// least-recently-used records until the live ones fill at most half the
+// budget and rewrites them, least recent first. An evicted key simply
+// misses again, so a budget costs work but never correctness. A file
+// already over the budget is compacted at once (if that fails, the next
+// Put compacts instead).
 func (s *Store) SetMaxBytes(n int64) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	s.maxBytes = n
-	s.evictLocked()
+	if n > 0 && s.SizeBytes() > n && s.f != nil && s.broken == nil {
+		s.compact(nil)
+	}
 }
 
-// Keys returns every loadable entry's key, sorted, so journal scans
-// (OpenLog folding a per-file journal into a Log) are deterministic.
+// Keys returns every live key, sorted, so replays are deterministic.
 func (s *Store) Keys() []string {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.cells))
-	for k := range s.cells {
+	keys := make([]string, 0, len(s.elems))
+	for k := range s.elems {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -302,50 +415,43 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
-// Len returns the number of loadable entries (journaled or loaded at Open).
-func (s *Store) Len() int {
+// read returns what field reads under mu; 0 for the disabled store.
+func (s *Store) read(field func() int64) int64 {
 	if s == nil {
 		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.cells)
+	return field()
 }
 
-// Writes returns the number of successful journal writes this session.
-func (s *Store) Writes() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writes
-}
+// Len returns the number of live records.
+func (s *Store) Len() int { return int(s.read(func() int64 { return int64(len(s.elems)) })) }
 
-// Quarantined returns how many damaged files Open renamed aside.
-func (s *Store) Quarantined() int {
-	if s == nil {
-		return 0
-	}
-	return s.quarantined
-}
+// Writes returns the number of successful Puts since Open.
+func (s *Store) Writes() int64 { return s.read(func() int64 { return s.writes }) }
 
-// SizeBytes returns the accounted on-disk bytes of the live entries.
-func (s *Store) SizeBytes() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.curBytes
-}
+// SizeBytes returns the length of the store's file: what the budget bounds.
+func (s *Store) SizeBytes() int64 { return s.read(func() int64 { return s.size }) }
 
-// Evictions returns how many entries the byte budget has evicted.
-func (s *Store) Evictions() int64 {
+// Evictions returns how many records the byte budget has evicted.
+func (s *Store) Evictions() int64 { return s.read(func() int64 { return s.evictions }) }
+
+// Quarantined returns how many damaged records (log lines and folded
+// per-file entries) Open dropped.
+func (s *Store) Quarantined() int { return int(s.read(func() int64 { return int64(s.quarantined) })) }
+
+// Close closes the log file; later Puts fail. Closing twice is a no-op.
+func (s *Store) Close() error {
 	if s == nil {
-		return 0
+		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evictions
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.f == nil {
+		return nil
+	}
+	err := s.f.Close()
+	s.f = nil
+	return err
 }

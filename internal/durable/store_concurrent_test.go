@@ -4,18 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
+	"maps"
 	"sync"
 	"testing"
 )
 
 // These tests pin the store's concurrency contract under -race: the job
 // server shares one artifact-cache Store between several dispatcher
-// goroutines (concurrent Get/Put, including the same key), and a second
-// process may Open the same directory while writes are in flight (the
-// kill-and-restart flow).
+// goroutines (concurrent Get/Put, including the same key, under a byte
+// budget that compacts the log).
 
 // TestStoreConcurrentPutGet hammers one Store from many goroutines mixing
 // same-key and distinct-key traffic. Every Get must observe either a miss
@@ -66,6 +63,9 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 		t.Errorf("Len = %d, want %d", got, want)
 	}
 	// Exactly one write per Put survived to the in-memory view and disk.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	reopened, err := Open(s.Dir())
 	if err != nil {
 		t.Fatal(err)
@@ -78,132 +78,58 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 	}
 }
 
-// TestStoreOpenDuringWrites re-opens the directory repeatedly while another
-// Store is writing into it — the restart scan must only ever see complete,
-// checksummed cells (the atomic temp+rename write is what guarantees this),
-// and a cell once observed must never be lost or quarantined.
-func TestStoreOpenDuringWrites(t *testing.T) {
-	dir := t.TempDir()
-	writer, err := Open(dir)
+// TestStorePutEvictRaceReopens races same-key and distinct-key Puts under
+// a budget so tight that most Puts compact. Whatever order they land in,
+// the file the live store leaves must replay to exactly what the live
+// store held, and stay within the budget.
+func TestStorePutEvictRaceReopens(t *testing.T) {
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
+	const budget = 512
+	s.SetMaxBytes(budget)
+	const workers = 6
+	const perWorker = 30
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			key := fmt.Sprintf("cell/%d", i)
-			if err := writer.Put(key, []byte(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
-				t.Errorf("put: %v", err)
-				return
-			}
-		}
-	}()
-	prev := 0
-	for round := 0; round < 20; round++ {
-		s, err := Open(dir)
-		if err != nil {
-			t.Fatalf("open during writes: %v", err)
-		}
-		if s.Quarantined() != 0 {
-			t.Fatalf("round %d: reader quarantined %d cells of a healthy writer", round, s.Quarantined())
-		}
-		if n := s.Len(); n < prev {
-			t.Fatalf("round %d: cells went backwards (%d -> %d)", round, prev, n)
-		} else {
-			prev = n
-		}
-		for _, key := range s.Keys() {
-			data, ok := s.Get(key)
-			var v struct{ I int }
-			if !ok || json.Unmarshal(data, &v) != nil {
-				t.Fatalf("round %d: key %s unreadable: %q", round, key, data)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
-}
-
-// TestStoreQuarantineConcurrent corrupts half the files in a directory and
-// opens it from several goroutines at once. Each Open quarantines
-// independently (renames are per-process idempotent: whoever loses the race
-// simply finds the file gone), every store agrees on the surviving cells,
-// and no goroutine double-counts or crashes.
-func TestStoreQuarantineConcurrent(t *testing.T) {
-	dir := t.TempDir()
-	seed, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cells = 20
-	for i := 0; i < cells; i++ {
-		if err := seed.Put(fmt.Sprintf("cell/%d", i), []byte(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Corrupt every other cell file on disk.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupted := 0
-	for i, e := range entries {
-		if !strings.HasSuffix(e.Name(), ckptExt) || i%2 != 0 {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		corrupted++
-	}
-	if corrupted == 0 {
-		t.Fatal("corrupted no files; test is vacuous")
-	}
-
-	const openers = 4
-	stores := make([]*Store, openers)
-	var wg sync.WaitGroup
-	for i := 0; i < openers; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(w int) {
 			defer wg.Done()
-			s, err := Open(dir)
-			if err != nil {
-				t.Errorf("concurrent open: %v", err)
-				return
+			for i := 0; i < perWorker; i++ {
+				key := fmt.Sprintf("w%d/%d", w, i)
+				if i%2 == 0 {
+					key = fmt.Sprintf("shared/%d", i%3)
+				}
+				if err := s.Put(key, []byte(fmt.Sprintf(`{"w":%d,"i":%d}`, w, i))); err != nil {
+					t.Errorf("put %s: %v", key, err)
+					return
+				}
+				s.Get(fmt.Sprintf("shared/%d", (i+1)%3))
 			}
-			stores[i] = s
-		}(i)
+		}(w)
 	}
 	wg.Wait()
-	want := cells - corrupted
-	totalQuarantined := 0
-	for i, s := range stores {
-		if s == nil {
-			t.Fatal("an Open failed")
-		}
-		if got := s.Len(); got != want {
-			t.Errorf("store %d loaded %d cells, want %d", i, got, want)
-		}
-		totalQuarantined += s.Quarantined()
+	if s.Evictions() == 0 {
+		t.Fatal("the budget never bound; the race is not exercised")
 	}
-	// The rename is the claim: each corrupt file is quarantined exactly once
-	// across all racing opens.
-	if totalQuarantined != corrupted {
-		t.Errorf("quarantined %d files across opens, want %d", totalQuarantined, corrupted)
+	live := map[string]string{}
+	for _, k := range s.Keys() {
+		v, _ := s.Get(k)
+		live[k] = string(v)
 	}
-	aside, _ := filepath.Glob(filepath.Join(dir, "*"+quarantineExt))
-	if len(aside) != corrupted {
-		t.Errorf("%d .corrupt files on disk, want %d", len(aside), corrupted)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := diskBytes(t, s.Dir()); n > budget {
+		t.Errorf("the log holds %d bytes, over the %d-byte budget", n, budget)
+	}
+	got, reopened := replay(t, s.Dir())
+	if !maps.Equal(got, live) {
+		t.Errorf("reopened store holds %v, the live store held %v", got, live)
+	}
+	if reopened.Quarantined() != 0 {
+		t.Errorf("racing puts left %d damaged records", reopened.Quarantined())
 	}
 }
 

@@ -1,11 +1,12 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 
@@ -32,6 +33,9 @@ func TestStoreRoundTripAcrossReopen(t *testing.T) {
 	}
 
 	// A fresh open (a resumed process) sees exactly the journaled cells.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -47,70 +51,32 @@ func TestStoreRoundTripAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestStoreQuarantinesCorruptCheckpoints damages journaled cells three ways
-// — byte flip, truncation, mismatched key — and checks that a reopening
-// store renames each aside and serves only the intact cells.
+// TestStoreQuarantinesCorruptCheckpoints damages the log three ways — a
+// flipped byte inside one record, a line of garbage, a torn last record —
+// and checks that a reopening store drops exactly those records, keeps the
+// damaged file aside as it was, and serves only the intact cells.
 func TestStoreQuarantinesCorruptCheckpoints(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := s.Put(fmt.Sprintf("cell-%d", i), []byte(fmt.Sprintf(`{"v":%d}`, i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	flip := filepath.Join(dir, fileName("cell-1"))
-	data, err := os.ReadFile(flip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(flip, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cut := filepath.Join(dir, fileName("cell-2"))
-	if err := os.Truncate(cut, 10); err != nil {
-		t.Fatal(err)
-	}
-	// A valid envelope filed under the wrong name (key/file mismatch).
-	misfiled, _ := os.ReadFile(filepath.Join(dir, fileName("cell-3")))
-	if err := os.WriteFile(filepath.Join(dir, "deadbeef"+ckptExt), misfiled, 0o644); err != nil {
+	putAll(t, dir, "cell-0", `{"v":0}`, "cell-1", `{"v":"one"}`, "cell-2", `{"v":2}`, "cell-3", `{"v":3}`)
+	path := filepath.Join(dir, logName)
+	raw := readFile(t, path)
+	raw[bytes.Index(raw, []byte("one"))] ^= 0xff
+	i := bytes.Index(raw, []byte(`"cell-2"`))
+	i = bytes.LastIndexByte(raw[:i], '\n') + 1
+	raw = slices.Insert(raw, i, []byte("garbage\n")...)
+	raw = raw[:len(raw)-3]
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("a damaged journal must not fail Open: %v", err)
+	got, s := replay(t, dir)
+	if s.Quarantined() != 3 {
+		t.Fatalf("quarantined %d, want 3", s.Quarantined())
 	}
-	if s2.Quarantined() != 3 {
-		t.Fatalf("quarantined %d, want 3", s2.Quarantined())
-	}
-	if s2.Len() != 2 {
-		t.Fatalf("intact cells %d, want 2 (cell-0, cell-3)", s2.Len())
-	}
-	for _, k := range []string{"cell-0", "cell-3"} {
-		if _, ok := s2.Get(k); !ok {
-			t.Errorf("intact cell %s lost", k)
-		}
-	}
-	for _, k := range []string{"cell-1", "cell-2"} {
-		if _, ok := s2.Get(k); ok {
-			t.Errorf("damaged cell %s served", k)
-		}
-	}
+	wantRecords(t, got, "cell-0", `{"v":0}`, "cell-2", `{"v":2}`)
 	// The damaged bytes are preserved aside, not destroyed.
-	entries, _ := os.ReadDir(dir)
-	var aside int
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), quarantineExt) {
-			aside++
-		}
-	}
-	if aside != 3 {
-		t.Errorf("%d .corrupt files, want 3", aside)
+	if aside := readFile(t, path+quarantineExt); !bytes.Equal(aside, raw) {
+		t.Errorf("%s holds %q, want the damaged log %q", logName+quarantineExt, aside, raw)
 	}
 }
 
@@ -136,6 +102,7 @@ func TestStorePutFaultInjection(t *testing.T) {
 	if s.Writes() != 2 {
 		t.Fatalf("writes = %d, want 2 (the faulted one must not count)", s.Writes())
 	}
+	s.Close()
 	s2, _ := Open(dir)
 	if s2.Len() != 2 {
 		t.Fatalf("durable cells = %d, want 2", s2.Len())

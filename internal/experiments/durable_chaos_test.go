@@ -13,13 +13,15 @@ import (
 	"tbpoint/internal/metrics"
 )
 
-// openStore is durable.Open with test plumbing.
+// openStore is durable.Open with test plumbing: the store is closed when
+// the test ends, if the test has not closed it before reopening dir.
 func openStore(t *testing.T, dir string) *durable.Store {
 	t.Helper()
 	s, err := durable.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() })
 	return s
 }
 
@@ -84,6 +86,7 @@ func TestChaosCrashResumeAccuracyGrid(t *testing.T) {
 		// Resume: a fresh process opens the store; the first and third
 		// cells compose wholly, and the second decodes its reference and
 		// estimates its strategies again.
+		store.Close()
 		store2 := openStore(t, dir)
 		if store2.Len() != int(2*perCell+1) || store2.Quarantined() != 0 {
 			t.Fatalf("reopened store: len %d quarantined %d, want %d 0", store2.Len(), store2.Quarantined(), 2*perCell+1)
@@ -144,6 +147,7 @@ func TestChaosSensitivityResumeSkipsFinishedGrid(t *testing.T) {
 	mc := metrics.New()
 	second := fastOpts()
 	second.Benchmarks = []string{"stream"}
+	first.Checkpoint.Close()
 	second.Checkpoint = openStore(t, dir)
 	second.Resume = true
 	second.Metrics = mc
@@ -188,27 +192,29 @@ func TestChaosCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if err != nil || len(files) != int(2*perCell) {
-		t.Fatalf("checkpoint files: %v, %v (want %d)", files, err, 2*perCell)
+	first.Checkpoint.Close()
+	path := filepath.Join(dir, "journal.log")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	if len(lines) != int(2*perCell)+1 { // the last is empty: every record ends in a newline
+		t.Fatalf("the log holds %d records, want %d", len(lines)-1, 2*perCell)
 	}
 	var damaged int
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Contains(data, []byte("/outcome/black/")) || !bytes.Contains(data, []byte(`/tbpoint"`)) {
+	for _, line := range lines {
+		if !bytes.Contains(line, []byte("/outcome/black/")) || !bytes.Contains(line, []byte(`/tbpoint"`)) {
 			continue
 		}
-		data[len(data)/2] ^= 0xff
-		if err := os.WriteFile(f, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		line[len(line)/2] ^= 0xff
 		damaged++
 	}
 	if damaged != 1 {
-		t.Fatalf("found %d files holding black's TBPoint outcome, want 1", damaged)
+		t.Fatalf("found %d records holding black's TBPoint outcome, want 1", damaged)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	store := openStore(t, dir)
@@ -267,6 +273,7 @@ func TestChaosStaleCheckpointIgnoredOnOptionChange(t *testing.T) {
 	second := fastOpts()
 	second.Benchmarks = []string{"stream"}
 	second.Seed = first.Seed + 1
+	first.Checkpoint.Close()
 	second.Checkpoint = openStore(t, dir)
 	second.Resume = true
 	second.Metrics = mc

@@ -155,28 +155,6 @@ func (in *Injector) Fired() bool {
 	return in.fired.Load() > 0
 }
 
-// faultyReader consults an injector before every Read, modelling a storage
-// layer that fails mid-stream.
-type faultyReader struct {
-	r  io.Reader
-	in *Injector
-}
-
-// Reader wraps r so that every Read first consults the injector: on the
-// faulting call an Error-mode injector fails the read and a Panic-mode one
-// panics. Used to chaos-test the persist readers against mid-stream I/O
-// failure.
-func Reader(r io.Reader, in *Injector) io.Reader {
-	return &faultyReader{r: r, in: in}
-}
-
-func (f *faultyReader) Read(p []byte) (int, error) {
-	if err := f.in.Fire(); err != nil {
-		return 0, err
-	}
-	return f.r.Read(p)
-}
-
 // faultyWriter consults an injector before every Write; the faulting write
 // is short — only half the buffer reaches the underlying writer before the
 // error — modelling the torn write a crashing process leaves behind.

@@ -2,7 +2,6 @@ package faultcheck
 
 import (
 	"errors"
-	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -116,26 +115,6 @@ func TestNilInjectorIsDisabled(t *testing.T) {
 	}
 	if in.Calls() != 0 || in.Fired() {
 		t.Fatal("nil injector reported activity")
-	}
-}
-
-func TestReaderFailsMidStream(t *testing.T) {
-	src := strings.Repeat("x", 4096)
-	r := Reader(strings.NewReader(src), OnNth(2, Error))
-	buf := make([]byte, 1024)
-	if _, err := r.Read(buf); err != nil {
-		t.Fatalf("first read failed early: %v", err)
-	}
-	if _, err := r.Read(buf); !errors.Is(err, ErrInjected) {
-		t.Fatalf("second read err = %v, want ErrInjected", err)
-	}
-}
-
-func TestReaderCleanWhenInjectorNil(t *testing.T) {
-	r := Reader(strings.NewReader("hello"), nil)
-	got, err := io.ReadAll(r)
-	if err != nil || string(got) != "hello" {
-		t.Fatalf("ReadAll = %q, %v", got, err)
 	}
 }
 

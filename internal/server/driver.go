@@ -101,7 +101,7 @@ type Job struct {
 type Driver struct {
 	cfg        Config
 	mc         *metrics.Collector
-	journal    *durable.Log   // job records
+	journal    *durable.Store // job records
 	cache      *durable.Store // artifact cache shared by all jobs
 	resultsDir string
 
@@ -139,16 +139,18 @@ func Open(cfg Config) (_ *Driver, err error) {
 			return nil, fmt.Errorf("server: Config.%s must not be negative, got %d", f.name, f.v)
 		}
 	}
-	journal, err := durable.OpenLog(filepath.Join(cfg.StateDir, "jobs"))
+	journal, err := durable.Open(filepath.Join(cfg.StateDir, "jobs"))
 	if err != nil {
 		return nil, fmt.Errorf("server: opening job journal: %w", err)
 	}
+	var cache *durable.Store // nil, the disabled store, until it opens
 	defer func() {
 		if err != nil {
 			journal.Close()
+			cache.Close()
 		}
 	}()
-	cache, err := durable.Open(filepath.Join(cfg.StateDir, "cache"))
+	cache, err = durable.Open(filepath.Join(cfg.StateDir, "cache"))
 	if err != nil {
 		return nil, fmt.Errorf("server: opening artifact cache: %w", err)
 	}
@@ -168,7 +170,7 @@ func Open(cfg Config) (_ *Driver, err error) {
 	d.cond = sync.NewCond(&d.mu)
 	d.ctx, d.cancel = context.WithCancel(context.Background())
 	if q := journal.Quarantined() + cache.Quarantined(); q > 0 {
-		d.logf("quarantined %d damaged journal record(s) and state file(s) in %s", q, cfg.StateDir)
+		d.logf("quarantined %d damaged journal and cache record(s) in %s", q, cfg.StateDir)
 	}
 	if cfg.CacheMaxBytes > 0 {
 		// Bound the cache now: a directory inherited from an unbounded (or
@@ -461,7 +463,7 @@ func (d *Driver) CacheSizeBytes() int64 { return d.cache.SizeBytes() }
 // Close shuts the driver down: running jobs are aborted and re-queued in
 // the journal (a graceful stop leaves what a crash would: unfinished work is
 // never dropped), Close blocks until every dispatcher has exited, and then
-// closes the journal.
+// closes the journal and the cache.
 func (d *Driver) Close() error {
 	d.mu.Lock()
 	d.closed = true
@@ -469,7 +471,7 @@ func (d *Driver) Close() error {
 	d.cancel()
 	d.cond.Broadcast()
 	d.wg.Wait()
-	return d.journal.Close()
+	return errors.Join(d.journal.Close(), d.cache.Close())
 }
 
 // syncBuffer is a concurrency-safe, bounded report buffer: grid cells

@@ -5,9 +5,13 @@ package server
 // The random-sequence check against the real Driver is model_test.go.
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -409,12 +413,22 @@ var parentJournal = map[string]string{
 	"j000005": `{"id":"j000005","spec":{"targets":["accuracy"],"scale":0.02,"cell_deadline":"10s","deadline":"1m"},"state":"failed","submitted_at":"2026-01-02T03:08:00Z","started_at":"2026-01-02T03:08:01Z","finished_at":"2026-01-02T03:09:01Z","error":"server: job made no progress within the stuck-after window","failure":{"kind":"stuck"}}`,
 }
 
-// TestLifecycleReplaysParentJournal: a journal written in the parent's
-// record format replays unchanged now that the record is the JobStatus —
+// parentCache is two artifact-cache entries as the parent commit kept
+// them: one enveloped file per entry, named by a digest of its key.
+var parentCache = map[string]string{
+	"subcell/v1/refhdr/stream/5f3a":          `{"cycles":1234,"insts":[1,2,3]}`,
+	"subcell/v1/outcome/stream/5f3a/tbpoint": `{"ipc":1.5,"sample_pct":3.25}`,
+}
+
+// TestLifecycleReplaysParentJournal: a state directory written by the
+// parent commit — its job journal (jobs/journal.log) and its artifact
+// cache (cache/*.ckpt) — opens with every job and every cache entry. The
+// journal replays unchanged now that the record is the JobStatus —
 // finished jobs serve the same status, unfinished ones are requeued. A
 // retired spec field (the event-loop knobs, the chaos "fault", the
 // fair-share "priority", the per-cell "retries" and "cell_deadline") is
 // dropped on decode, and a retired failure kind ("stuck") is kept as written.
+// The cache's files are folded into its log and deleted.
 func TestLifecycleReplaysParentJournal(t *testing.T) {
 	dir := t.TempDir()
 	journal, err := durable.Open(dir + "/jobs")
@@ -426,13 +440,44 @@ func TestLifecycleReplaysParentJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for key, data := range parentCache {
+		rec, err := json.Marshal(struct {
+			Key  string          `json:"key"`
+			Data json.RawMessage `json:"data"`
+		}{key, json.RawMessage(data)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256([]byte(key))
+		path := filepath.Join(dir, "cache", fmt.Sprintf("%x.ckpt", sum[:16]))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := durable.WriteEnvelopeFile(path, durable.KindCheckpoint, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for round := 1; round <= 2; round++ { // the second Open reads what the first re-journaled
 		d, err := Open(Config{StateDir: dir, Paused: true, Metrics: metrics.New(), Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
 		jobs := d.Jobs()
+		if n := d.Cache().Len(); n != len(parentCache) {
+			t.Errorf("round %d: the cache holds %d entries, want %d", round, n, len(parentCache))
+		}
+		for key, want := range parentCache {
+			if got, ok := d.Cache().Get(key); !ok || string(got) != want {
+				t.Errorf("round %d: cache entry %s = %q (%v), want %q", round, key, got, ok, want)
+			}
+		}
 		d.Close()
+		if left, _ := filepath.Glob(filepath.Join(dir, "cache", "*.ckpt")); len(left) != 0 {
+			t.Errorf("round %d: the cache directory still holds %v", round, left)
+		}
 		if len(jobs) != 5 {
 			t.Fatalf("round %d: replayed %d jobs, want 5", round, len(jobs))
 		}

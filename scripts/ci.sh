@@ -117,7 +117,7 @@ stage_fuzz() {
     fuzz FuzzReplayOrder ./internal/core/ &&
     fuzz FuzzReadCheckpoint ./internal/durable/ &&
     fuzz FuzzStoreLRU ./internal/durable/ &&
-    fuzz FuzzOpenLog ./internal/durable/ &&
+    fuzz FuzzStoreReplay ./internal/durable/ &&
     fuzz FuzzStratifiedAllocate ./internal/sampler/ &&
     fuzz FuzzJobSpec ./internal/server/
 }
