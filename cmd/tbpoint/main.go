@@ -61,6 +61,15 @@ func main() {
 	if *sms < 0 {
 		log.Fatalf("-sms must not be negative, got %d", *sms)
 	}
+	// A negative threshold would otherwise act as 0 and sample everything.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-sigma-inter", *sigmaInter}, {"-sigma-intra", *sigmaIntra}, {"-vf", *vf}} {
+		if f.v < 0 {
+			log.Fatalf("%s must not be negative, got %g", f.name, f.v)
+		}
+	}
 
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()

@@ -8,6 +8,9 @@
 // ErrTruncated or ErrCorrupt. Store (store.go) is the one keyed-record
 // store: an append-only log of checksummed lines that holds the grids'
 // -resume checkpoints, the job server's artifact cache and its job journal.
+// That log is the only store format Open reads; it refuses a directory
+// holding an older store's per-file *.ckpt entries and leaves them as
+// they are.
 package durable
 
 import (

@@ -12,15 +12,13 @@ import (
 	"testing"
 )
 
-// FuzzReadCheckpoint drives ReadEnvelope — the parser of every results
-// load and of the per-file entries Open folds in — with arbitrary bytes: it must
-// never panic, and anything it accepts must re-encode to an envelope it
-// accepts again with the identical payload (so quarantine decisions are
-// stable across rewrites).
-func FuzzReadCheckpoint(f *testing.F) {
+// FuzzReadEnvelope drives ReadEnvelope — the parser of every results-file
+// load — with arbitrary bytes: it must never panic, and anything it accepts
+// must re-encode to an envelope it accepts again with the identical
+// payload (so a file's verdict is stable across rewrites).
+func FuzzReadEnvelope(f *testing.F) {
 	var valid bytes.Buffer
-	rec, _ := json.Marshal(cellRecord{Key: "grid/cell/0123", Data: json.RawMessage(`{"ipc":1.5}`)})
-	if err := WriteEnvelope(&valid, KindCheckpoint, rec); err != nil {
+	if err := WriteEnvelope(&valid, "results/v2", []byte(`{"scale":0.02,"seed":7,"accuracy":[{"Name":"stream","FullIPC":0.433}]}`)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())

@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,8 +14,8 @@ import (
 )
 
 // These tests pin the store's log file: how a damaged, torn or superseded
-// record is replayed, how a failed append is rolled back, and how Open
-// folds in the per-file entries an older Store kept.
+// record is replayed, how a failed append is rolled back, and that Open
+// refuses the per-file entries an older Store kept.
 
 // putAll opens the store in dir, puts each key/value pair in order and
 // closes it.
@@ -72,16 +73,6 @@ func wantRecords(t *testing.T, got map[string]string, want ...string) {
 		if got[k] != v {
 			t.Fatalf("replayed %v, want %v", got, w)
 		}
-	}
-}
-
-// writeCkpt writes key's entry in the per-file format an older Store kept:
-// one enveloped cellRecord per *.ckpt file.
-func writeCkpt(t *testing.T, dir, name, key, data string) {
-	t.Helper()
-	rec := []byte(`{"key":"` + key + `","data":` + data + `}`)
-	if err := WriteEnvelopeFile(filepath.Join(dir, name+ckptExt), KindCheckpoint, rec); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -235,76 +226,81 @@ func TestLogCompactionKeepsLastRecordPerKey(t *testing.T) {
 	}
 }
 
-// TestLogMigrationInterruptedByFault: the per-file entries an older Store
-// kept are folded into the log at Open. A fault before the rewrite (here a
-// directory where the quarantine copy must go) fails Open and leaves every
-// .ckpt file and the log as they were; the next Open completes the fold,
-// the log's own key winning, deletes the folded files and keeps a damaged
-// one aside. Files a crash leaves behind after the rewrite are folded again
-// and lose to the log.
-func TestLogMigrationInterruptedByFault(t *testing.T) {
+// TestLogOpenInterruptedByFault: an Open that must rewrite the log (it
+// holds a superseded record and a damaged line) and is stopped by a fault
+// (a directory where the quarantine copy must go) fails and leaves the log
+// byte for byte as it was; the next Open rewrites it, the last record of
+// each key winning.
+func TestLogOpenInterruptedByFault(t *testing.T) {
 	dir := t.TempDir()
-	putAll(t, dir, "job/2", `"log"`, "job/4", `"four"`)
-	writeCkpt(t, dir, "01", "job/1", `"one"`)
-	writeCkpt(t, dir, "02", "job/2", `"file"`)
-	writeCkpt(t, dir, "03", "job/3", `"three"`)
-	path := filepath.Join(dir, logName)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString("12 0000") // a torn append, so Open copies the log aside
-	f.Close()
-	before := readFile(t, path)
-	ckpts := func() []string {
-		m, err := filepath.Glob(filepath.Join(dir, "*"+ckptExt))
+	record := func(key, data string) []byte {
+		line, err := encodeRecord(key, []byte(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
+		return line
 	}
-	files := ckpts()
-	if len(files) != 3 {
-		t.Fatalf("%d .ckpt files, want 3", len(files))
+	raw := slices.Concat(record("job/1", `"one"`), record("job/2", `"old"`),
+		[]byte("12 00000000 damaged\n"), record("job/2", `"new"`))
+	path := filepath.Join(dir, logName)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-
 	if err := os.Mkdir(path+quarantineExt, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir); err == nil {
 		t.Fatal("Open succeeded with its quarantine copy blocked")
 	}
-	if !slices.Equal(ckpts(), files) {
-		t.Fatalf("an interrupted migration left %v, want %v", ckpts(), files)
-	}
-	if !bytes.Equal(readFile(t, path), before) {
-		t.Fatal("an interrupted migration changed the log")
+	if !bytes.Equal(readFile(t, path), raw) {
+		t.Fatal("an interrupted Open changed the log")
 	}
 	if err := os.Remove(path + quarantineExt); err != nil {
 		t.Fatal(err)
 	}
-
-	if err := os.WriteFile(filepath.Join(dir, "05"+ckptExt), []byte("not an envelope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	got, s := replay(t, dir)
-	wantRecords(t, got, "job/1", `"one"`, "job/2", `"log"`, "job/3", `"three"`, "job/4", `"four"`)
-	if s.Quarantined() != 2 {
-		t.Errorf("Quarantined() = %d, want 2 (the torn append and the damaged file)", s.Quarantined())
+	wantRecords(t, got, "job/1", `"one"`, "job/2", `"new"`)
+	if s.Quarantined() != 1 {
+		t.Errorf("Quarantined() = %d, want 1", s.Quarantined())
 	}
-	if left := ckpts(); len(left) != 0 {
-		t.Errorf("migration left %v", left)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "05"+ckptExt+quarantineExt)); err != nil {
-		t.Errorf("the damaged entry was not kept aside: %v", err)
-	}
-	s.Close()
+}
 
-	writeCkpt(t, dir, "02", "job/2", `"file"`)
-	got, s = replay(t, dir)
-	wantRecords(t, got, "job/1", `"one"`, "job/2", `"log"`, "job/3", `"three"`, "job/4", `"four"`)
-	if s.Quarantined() != 0 || len(ckpts()) != 0 {
-		t.Errorf("refolded log: Quarantined() = %d, .ckpt files %v, want 0 and none", s.Quarantined(), ckpts())
+// TestOpenRefusesPerFileEntries: a directory holding a *.ckpt file, the
+// per-file format an older Store kept, fails Open with an error naming the
+// directory, and neither that file nor the log is touched.
+func TestOpenRefusesPerFileEntries(t *testing.T) {
+	snapshot := func(dir string) map[string][]byte {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		for _, e := range entries {
+			files[e.Name()] = readFile(t, filepath.Join(dir, e.Name()))
+		}
+		return files
+	}
+	for _, withLog := range []bool{false, true} {
+		dir := t.TempDir()
+		if withLog {
+			putAll(t, dir, "a", `1`, "a", `2`)
+		}
+		ckpt := filepath.Join(dir, "0123abcd.ckpt")
+		if err := os.WriteFile(ckpt, []byte(`{"format":"tbpoint-durable-v1"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := snapshot(dir)
+		s, err := Open(dir)
+		if err == nil {
+			s.Close()
+			t.Fatalf("log %v: Open accepted a directory holding %s", withLog, ckpt)
+		}
+		if !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "older store format") {
+			t.Errorf("log %v: error %q does not name %s as an older store format", withLog, err, dir)
+		}
+		if after := snapshot(dir); !maps.EqualFunc(after, before, bytes.Equal) {
+			t.Errorf("log %v: a refused Open changed the directory from %q to %q", withLog, before, after)
+		}
 	}
 }
 

@@ -7,26 +7,23 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"tbpoint/internal/faultcheck"
 )
 
 const (
-	// KindCheckpoint is the envelope kind of the per-file entries (*.ckpt)
-	// an older Store kept, one per key; Open folds them into the log.
-	KindCheckpoint = "checkpoint-cell"
 	// CrashHookEnv names the environment variable ArmCrashHook reads.
 	CrashHookEnv = "TBPOINT_CRASH_AFTER_CHECKPOINTS"
 
-	// The log's file name in a store's directory, the suffix of an older
-	// Store's per-file entries, and the suffix of damaged bytes kept aside.
-	logName, ckptExt, quarantineExt = "journal.log", ".ckpt", ".corrupt"
+	// The log's file name in a store's directory, and the suffix of
+	// damaged bytes kept aside.
+	logName, quarantineExt = "journal.log", ".corrupt"
 )
 
 // WriteFault is the repository's one fault-injection seam, fired before
@@ -80,24 +77,23 @@ type Store struct {
 // Open creates (if needed) the store in dir and replays its log. A torn
 // tail, or any line that fails its check, loses only that record: Open
 // counts it in Quarantined and keeps the raw file as journal.log.corrupt.
-// Open also folds in the per-file entries (*.ckpt) an older Store kept in
-// dir, the log's newer records winning. When the log holds superseded or
-// damaged records, or there was anything to fold, Open compacts it, then
-// deletes the folded files. Open fails only on I/O.
+// When the log holds superseded or damaged records, Open compacts it. A
+// directory holding *.ckpt files, an older store's per-file format, is
+// refused before anything in it is read or written. Otherwise Open fails
+// only on I/O.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, lru: list.New(), elems: map[string]*list.Element{}}
-	files, err := s.fold()
-	if err != nil {
-		return nil, err
+	if old, _ := fs.Glob(os.DirFS(dir), "*.ckpt"); len(old) > 0 { // the pattern is valid
+		return nil, fmt.Errorf("durable: %s holds %d *.ckpt file(s) such as %s: an older store format that this build does not read", dir, len(old), old[0])
 	}
+	s := &Store{dir: dir, lru: list.New(), elems: map[string]*list.Element{}}
 	raw, err := os.ReadFile(s.path())
 	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	good, bad := 0, 0
+	good := 0
 	for off := 0; off < len(raw); {
 		line := raw[off:]
 		if n := bytes.IndexByte(line, '\n'); n >= 0 {
@@ -110,16 +106,14 @@ func Open(dir string) (*Store, error) {
 			s.size += rec.line
 			good++
 		} else {
-			bad++
+			s.quarantined++
 		}
 	}
-	s.quarantined += bad
-	if bad > 0 {
+	if s.quarantined > 0 {
 		if err := WriteFileBytes(s.path()+quarantineExt, raw); err != nil {
 			return nil, err
 		}
-	}
-	if dead := good > len(s.elems); !dead && bad == 0 && len(files) == 0 {
+	} else if good == len(s.elems) {
 		if err := s.reopen(); err != nil {
 			return nil, err
 		}
@@ -129,38 +123,7 @@ func Open(dir string) (*Store, error) {
 	if err := s.compact(nil); err != nil {
 		return nil, err
 	}
-	// Best-effort: a file left behind is folded again at the next Open,
-	// where the log's record wins.
-	for _, path := range files {
-		os.Remove(path)
-	}
 	return s, nil
-}
-
-// fold loads the per-file entries an older Store left in the directory,
-// in file-name order, as the least recent records, and returns their
-// paths. A damaged one is counted and kept aside at once.
-func (s *Store) fold() (files []string, err error) {
-	dirents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range dirents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ckptExt) {
-			continue
-		}
-		path := filepath.Join(s.dir, e.Name())
-		var rec cellRecord
-		payload, err := ReadEnvelopeFile(path, KindCheckpoint)
-		if err != nil || json.Unmarshal(payload, &rec) != nil || rec.Key == "" || len(rec.Data) == 0 {
-			s.quarantined++
-			os.Rename(path, path+quarantineExt) // best-effort: it is never read again
-			continue
-		}
-		files = append(files, path)
-		s.setLocked(&rec)
-	}
-	return files, nil
 }
 
 func (s *Store) path() string { return filepath.Join(s.dir, logName) }
@@ -437,8 +400,7 @@ func (s *Store) SizeBytes() int64 { return s.read(func() int64 { return s.size }
 // Evictions returns how many records the byte budget has evicted.
 func (s *Store) Evictions() int64 { return s.read(func() int64 { return s.evictions }) }
 
-// Quarantined returns how many damaged records (log lines and folded
-// per-file entries) Open dropped.
+// Quarantined returns how many damaged log lines Open dropped.
 func (s *Store) Quarantined() int { return int(s.read(func() int64 { return int64(s.quarantined) })) }
 
 // Close closes the log file; later Puts fail. Closing twice is a no-op.

@@ -156,10 +156,11 @@ func TestNonPositiveScaleFailsBeforeSimulating(t *testing.T) {
 }
 
 // TestNegativeCacheBudgetFailsBeforeSimulating: a negative -cache-max-bytes,
-// -timeout, -samples or -par, tbpoint -warps/-sms or tbpointctl wait -poll
-// is a usage error naming the flag, not an unbounded store, no limit, the
-// default or a sequential run; tbpointd answers a negative deadline or
-// samples in a job spec with a 400.
+// -timeout, -samples or -par, tbpoint -warps/-sms/-sigma-inter/-sigma-intra/
+// -vf or tbpointctl wait -poll is a usage error naming the flag, not an
+// unbounded store, no limit, the default, a 100 % sample or a sequential
+// run; tbpointd answers a negative deadline or samples in a job spec with a
+// 400.
 func TestNegativeCacheBudgetFailsBeforeSimulating(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	experiments := func(args ...string) result {
@@ -176,6 +177,9 @@ func TestNegativeCacheBudgetFailsBeforeSimulating(t *testing.T) {
 		{"-timeout", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-timeout", "-1s")},
 		{"-warps", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-warps", "-1")},
 		{"-sms", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-sms", "-3")},
+		{"-sigma-inter", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-sigma-inter", "-1")},
+		{"-sigma-intra", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-sigma-intra", "-0.5")},
+		{"-vf", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-vf", "-1")},
 		{"-poll", run(nil, "tbpointctl", "-addr", "http://127.0.0.1:1", "wait", "-poll", "-5s", "j000001")},
 	} {
 		if c.r.code == 0 || !strings.Contains(c.r.stderr, c.flag) {

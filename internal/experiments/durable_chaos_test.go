@@ -338,10 +338,8 @@ func TestResultsFileDamageDetected(t *testing.T) {
 // whose every strategy column would render "-".
 func TestResultsFileOldKindRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.json")
-	old, err := os.ReadFile(filepath.Join("testdata", "results_v1.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	old := []byte(`{"scale":0.02,"seed":7,"accuracy":[{"Name":"stream","FullIPC":0.433,` +
+		`"TBPoint":{"Technique":"TBPoint","PredictedIPC":0.423},"TBPointErr":0.0227}]}`)
 	if err := durable.WriteEnvelopeFile(path, "results", old); err != nil {
 		t.Fatal(err)
 	}

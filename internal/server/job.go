@@ -188,8 +188,8 @@ const (
 // failed (or quarantined) job: what class of failure it was, and — for a
 // contained panic — the panic value and captured stack.
 type JobFailure struct {
-	// Kind classifies the failure: error | panic | quarantined (records
-	// journaled by older daemons may also carry stuck).
+	// Kind classifies the failure: error | panic | quarantined. A replayed
+	// record keeps whatever kind it was journaled with.
 	Kind string `json:"kind"`
 	// Panic is the recovered panic value's string form (Kind "panic").
 	Panic string `json:"panic,omitempty"`
@@ -197,9 +197,10 @@ type JobFailure struct {
 	Stack string `json:"stack,omitempty"`
 }
 
-// JobStatus is the wire representation of one job, returned by the status
-// and list endpoints and streamed by the events endpoint — and, with Phases
-// nil, the job's journal record: everything but Phases survives a restart.
+// JobStatus is one job on the wire (status, list and events endpoints) and,
+// with Phases nil, its journal record: all but Phases survives a restart.
+// A record decodes leniently (unknown fields are ignored), so retiring a
+// field never needs a journal migration.
 type JobStatus struct {
 	ID          string     `json:"id"`
 	State       JobState   `json:"state"`
@@ -247,8 +248,7 @@ type JobStatus struct {
 }
 
 // FailureKind is the parseable failure classification for status lines:
-// empty for jobs that did not fail, otherwise error|panic|quarantined (or
-// whatever kind an older daemon journaled).
+// "" unless the job failed, else Failure.Kind or, lacking one, its state's.
 func (st JobStatus) FailureKind() string {
 	if st.Failure != nil {
 		return st.Failure.Kind

@@ -5,9 +5,7 @@ package server
 // The random-sequence check against the real Driver is model_test.go.
 
 import (
-	"crypto/sha256"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -413,22 +411,14 @@ var parentJournal = map[string]string{
 	"j000005": `{"id":"j000005","spec":{"targets":["accuracy"],"scale":0.02,"cell_deadline":"10s","deadline":"1m"},"state":"failed","submitted_at":"2026-01-02T03:08:00Z","started_at":"2026-01-02T03:08:01Z","finished_at":"2026-01-02T03:09:01Z","error":"server: job made no progress within the stuck-after window","failure":{"kind":"stuck"}}`,
 }
 
-// parentCache is two artifact-cache entries as the parent commit kept
-// them: one enveloped file per entry, named by a digest of its key.
-var parentCache = map[string]string{
-	"subcell/v1/refhdr/stream/5f3a":          `{"cycles":1234,"insts":[1,2,3]}`,
-	"subcell/v1/outcome/stream/5f3a/tbpoint": `{"ipc":1.5,"sample_pct":3.25}`,
-}
-
-// TestLifecycleReplaysParentJournal: a state directory written by the
-// parent commit — its job journal (jobs/journal.log) and its artifact
-// cache (cache/*.ckpt) — opens with every job and every cache entry. The
-// journal replays unchanged now that the record is the JobStatus —
-// finished jobs serve the same status, unfinished ones are requeued. A
-// retired spec field (the event-loop knobs, the chaos "fault", the
-// fair-share "priority", the per-cell "retries" and "cell_deadline") is
-// dropped on decode, and a retired failure kind ("stuck") is kept as written.
-// The cache's files are folded into its log and deleted.
+// TestLifecycleReplaysParentJournal: a job journal written by the parent
+// commit (jobs/journal.log) opens with every job. The journal replays
+// unchanged now that the record is the JobStatus — finished jobs serve the
+// same status, unfinished ones are requeued. Records decode leniently, so
+// a spec field no longer known is dropped and a failure kind no longer
+// produced is kept as written. An artifact cache still holding an older
+// store's per-file *.ckpt entries fails Open, naming the cache directory,
+// and the journal it opened first is closed again.
 func TestLifecycleReplaysParentJournal(t *testing.T) {
 	dir := t.TempDir()
 	journal, err := durable.Open(dir + "/jobs")
@@ -443,22 +433,9 @@ func TestLifecycleReplaysParentJournal(t *testing.T) {
 	if err := journal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for key, data := range parentCache {
-		rec, err := json.Marshal(struct {
-			Key  string          `json:"key"`
-			Data json.RawMessage `json:"data"`
-		}{key, json.RawMessage(data)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256([]byte(key))
-		path := filepath.Join(dir, "cache", fmt.Sprintf("%x.ckpt", sum[:16]))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := durable.WriteEnvelopeFile(path, durable.KindCheckpoint, rec); err != nil {
-			t.Fatal(err)
-		}
+	journalPath, err := filepath.EvalSymlinks(filepath.Join(dir, "jobs", "journal.log"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	for round := 1; round <= 2; round++ { // the second Open reads what the first re-journaled
 		d, err := Open(Config{StateDir: dir, Paused: true, Metrics: metrics.New(), Logf: t.Logf})
@@ -466,18 +443,10 @@ func TestLifecycleReplaysParentJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 		jobs := d.Jobs()
-		if n := d.Cache().Len(); n != len(parentCache) {
-			t.Errorf("round %d: the cache holds %d entries, want %d", round, n, len(parentCache))
-		}
-		for key, want := range parentCache {
-			if got, ok := d.Cache().Get(key); !ok || string(got) != want {
-				t.Errorf("round %d: cache entry %s = %q (%v), want %q", round, key, got, ok, want)
-			}
+		if n := openDescriptors(journalPath); n == 0 {
+			t.Fatalf("round %d: no descriptor open on %s under a live driver", round, journalPath)
 		}
 		d.Close()
-		if left, _ := filepath.Glob(filepath.Join(dir, "cache", "*.ckpt")); len(left) != 0 {
-			t.Errorf("round %d: the cache directory still holds %v", round, left)
-		}
 		if len(jobs) != 5 {
 			t.Fatalf("round %d: replayed %d jobs, want 5", round, len(jobs))
 		}
@@ -512,4 +481,46 @@ func TestLifecycleReplaysParentJournal(t *testing.T) {
 			t.Errorf("round %d: job failed as stuck replayed as %+v", round, stuck)
 		}
 	}
+
+	cacheDir := filepath.Join(dir, "cache")
+	old := filepath.Join(cacheDir, "0123abcd.ckpt")
+	if err := os.WriteFile(old, []byte(`{"format":"tbpoint-durable-v1"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := Open(Config{StateDir: dir, Paused: true, Metrics: metrics.New(), Logf: t.Logf}); err == nil {
+		d.Close()
+		t.Fatalf("Open accepted an artifact cache holding %s", old)
+	} else if !strings.Contains(err.Error(), cacheDir) {
+		t.Errorf("Open's error %q does not name %s", err, cacheDir)
+	}
+	if n := openDescriptors(journalPath); n > 0 {
+		t.Errorf("the refused Open left %d descriptor(s) open on %s", n, journalPath)
+	}
+	if err := os.Remove(old); err != nil {
+		t.Fatalf("the refused Open touched %s: %v", old, err)
+	}
+	d, err := Open(Config{StateDir: dir, Paused: true, Metrics: metrics.New(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if n := len(d.Jobs()); n != 5 {
+		t.Errorf("after the refused Open, replayed %d jobs, want 5", n)
+	}
+}
+
+// openDescriptors counts this process's file descriptors open on path: -1
+// where /proc/self/fd cannot be read.
+func openDescriptors(path string) int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == path {
+			n++
+		}
+	}
+	return n
 }

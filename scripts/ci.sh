@@ -115,7 +115,7 @@ stage_fuzz() {
     fuzz FuzzLaunchBuilder ./internal/kernel/ &&
     fuzz FuzzSameInput ./internal/trace/ &&
     fuzz FuzzReplayOrder ./internal/core/ &&
-    fuzz FuzzReadCheckpoint ./internal/durable/ &&
+    fuzz FuzzReadEnvelope ./internal/durable/ &&
     fuzz FuzzStoreLRU ./internal/durable/ &&
     fuzz FuzzStoreReplay ./internal/durable/ &&
     fuzz FuzzStratifiedAllocate ./internal/sampler/ &&
