@@ -27,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -63,9 +64,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	// workloads.Spec.Build would run a non-positive scale at Table VI size.
-	if *scale <= 0 {
-		fail(fmt.Errorf("-scale must be positive, got %g", *scale))
+	// workloads.Spec.Build would run a scale <= 0 or NaN at Table VI size.
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fail(fmt.Errorf("-scale must be finite and positive, got %g", *scale))
 	}
 	// A negative budget, count or duration would read as "no limit",
 	// "default" or (-par) "sequential"; tbpointd refuses them too.

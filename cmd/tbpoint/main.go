@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 
@@ -61,13 +62,14 @@ func main() {
 	if *sms < 0 {
 		log.Fatalf("-sms must not be negative, got %d", *sms)
 	}
-	// A negative threshold would otherwise act as 0 and sample everything.
+	// A negative threshold would otherwise act as 0 and sample everything;
+	// NaN compares false with every distance.
 	for _, f := range []struct {
 		name string
 		v    float64
 	}{{"-sigma-inter", *sigmaInter}, {"-sigma-intra", *sigmaIntra}, {"-vf", *vf}} {
-		if f.v < 0 {
-			log.Fatalf("%s must not be negative, got %g", f.name, f.v)
+		if !(f.v >= 0) {
+			log.Fatalf("%s must not be negative or NaN, got %g", f.name, f.v)
 		}
 	}
 
@@ -85,9 +87,9 @@ func main() {
 		}
 		return
 	}
-	// workloads.Spec.Build would run a non-positive scale at Table VI size.
-	if *scale <= 0 {
-		log.Fatalf("-scale must be positive, got %g", *scale)
+	// workloads.Spec.Build would run a scale <= 0 or NaN at Table VI size.
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		log.Fatalf("-scale must be finite and positive, got %g", *scale)
 	}
 
 	app, err := tbpoint.Benchmark(*bench, *scale)

@@ -14,9 +14,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
-	"time"
 
 	"tbpoint/internal/durable"
 	"tbpoint/internal/server"
@@ -29,7 +29,7 @@ func usage() {
 commands:
   submit [flags] <target>...   submit a job, print its ID
   status <id>                  print one job's status line
-  wait [-poll d] <id>          block until terminal; exit 0 only for done
+  wait <id>                    block until terminal; exit 0 only for done
   events <id>                  stream status lines until terminal
   result [-o file] <id>        download the job's results.json
   report <id>                  print the job's report text
@@ -163,9 +163,9 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("submit: no targets given")
 	}
-	// The daemon reads a scale of 0 as 1.0, a Table-VI-size job.
-	if *scale <= 0 {
-		return fmt.Errorf("submit: -scale must be positive, got %g", *scale)
+	// The daemon reads scale 0 as 1.0 (Table VI size); JSON has no NaN or Inf.
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		return fmt.Errorf("submit: -scale must be finite and positive, got %g", *scale)
 	}
 	spec := server.JobSpec{
 		Targets:  fs.Args(),
@@ -201,15 +201,11 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) error {
 }
 
 func cmdWait(ctx context.Context, c *client.Client, args []string) error {
+	// No flags, but parsed: an unknown one is a usage error, not a job ID.
 	fs := flag.NewFlagSet("wait", flag.ExitOnError)
-	poll := fs.Duration("poll", 200*time.Millisecond, "status poll interval when the daemon's /events stream is unavailable")
 	fs.Parse(args)
-	// client.Wait reads a non-positive interval as its 200ms default.
-	if *poll < 0 {
-		return fmt.Errorf("wait: -poll must not be negative, got %v", *poll)
-	}
 	return withJob(fs.Args(), func(id string) error {
-		final, err := c.Wait(ctx, id, *poll)
+		final, err := c.Wait(ctx, id, 0)
 		if err != nil {
 			return err
 		}

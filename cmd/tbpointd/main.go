@@ -36,7 +36,6 @@ func configFlags(fs *flag.FlagSet) *server.Config {
 	fs.Int64Var(&cfg.CacheMaxBytes, "cache-max-bytes", 0, "artifact cache byte budget; LRU entries are evicted over it (0 = unbounded)")
 	fs.BoolVar(&cfg.Paused, "paused", false, "accept and journal jobs without dispatching any (drain mode; a restart without -paused runs them)")
 	fs.IntVar(&cfg.MaxRequeues, "max-requeues", server.DefaultMaxRequeues, "quarantine a job after this many requeues-while-running across restarts (-1 = never)")
-	fs.IntVar(&cfg.MaxQueued, "max-queued", 0, "reject submissions with 429 past this many queued jobs (0 = unbounded)")
 	return cfg
 }
 

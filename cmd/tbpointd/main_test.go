@@ -17,12 +17,12 @@ func TestFlagsReachConfig(t *testing.T) {
 	cfg := configFlags(fs)
 	if err := fs.Parse([]string{
 		"-state-dir", "/var/lib/tbpoint", "-dispatchers", "3", "-cache-max-bytes", "5000", "-paused",
-		"-max-requeues", "-1", "-max-queued", "7",
+		"-max-requeues", "-1",
 	}); err != nil {
 		t.Fatal(err)
 	}
 	want := server.Config{StateDir: "/var/lib/tbpoint", Dispatchers: 3, CacheMaxBytes: 5000, Paused: true,
-		MaxRequeues: -1, MaxQueued: 7}
+		MaxRequeues: -1}
 	if !reflect.DeepEqual(*cfg, want) {
 		t.Errorf("server.Config = %+v, want %+v", *cfg, want)
 	}

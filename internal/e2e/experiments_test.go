@@ -130,12 +130,12 @@ func TestUnknownSamplerFailsBeforeSimulating(t *testing.T) {
 }
 
 // TestNonPositiveScaleFailsBeforeSimulating: workloads.Spec.Build runs a
-// scale <= 0 at Table VI size, and tbpointd reads a job's scale of 0 as 1.0,
-// so every command refuses one as a usage error naming -scale before
-// building anything or sending a request. tbpointctl points at a closed
-// port: the refusal needs no daemon.
+// scale <= 0 or NaN at Table VI size, tbpointd reads a job's scale of 0 as
+// 1.0, and JSON has no NaN or Inf, so every command refuses such a scale as
+// a usage error naming -scale before building anything or sending a
+// request. tbpointctl points at a closed port: the refusal needs no daemon.
 func TestNonPositiveScaleFailsBeforeSimulating(t *testing.T) {
-	for _, scale := range []string{"-1", "0"} {
+	for _, scale := range []string{"-1", "0", "NaN", "+Inf"} {
 		jsonPath := filepath.Join(t.TempDir(), "x.json")
 		for _, r := range []result{
 			run(nil, "experiments", "-scale", scale, "-bench", "stream,black", "-json", jsonPath, "table6"),
@@ -156,11 +156,11 @@ func TestNonPositiveScaleFailsBeforeSimulating(t *testing.T) {
 }
 
 // TestNegativeCacheBudgetFailsBeforeSimulating: a negative -cache-max-bytes,
-// -timeout, -samples or -par, tbpoint -warps/-sms/-sigma-inter/-sigma-intra/
-// -vf or tbpointctl wait -poll is a usage error naming the flag, not an
-// unbounded store, no limit, the default, a 100 % sample or a sequential
-// run; tbpointd answers a negative deadline or samples in a job spec with a
-// 400.
+// -timeout, -samples or -par, or tbpoint -warps/-sms, or a negative or NaN
+// tbpoint -sigma-inter/-sigma-intra/-vf is a usage error naming the flag,
+// not an unbounded store, no limit, the default, a 100 % sample or a
+// sequential run; tbpointd answers a negative deadline or samples in a job
+// spec with a 400.
 func TestNegativeCacheBudgetFailsBeforeSimulating(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	experiments := func(args ...string) result {
@@ -180,7 +180,9 @@ func TestNegativeCacheBudgetFailsBeforeSimulating(t *testing.T) {
 		{"-sigma-inter", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-sigma-inter", "-1")},
 		{"-sigma-intra", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-sigma-intra", "-0.5")},
 		{"-vf", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-vf", "-1")},
-		{"-poll", run(nil, "tbpointctl", "-addr", "http://127.0.0.1:1", "wait", "-poll", "-5s", "j000001")},
+		{"-sigma-inter", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-sigma-inter", "NaN")},
+		{"-sigma-intra", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-sigma-intra", "NaN")},
+		{"-vf", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-vf", "NaN")},
 	} {
 		if c.r.code == 0 || !strings.Contains(c.r.stderr, c.flag) {
 			t.Fatalf("%s: exit %d, want non-zero naming the flag:\n%s", c.flag, c.r.code, c.r.stderr)
@@ -199,7 +201,9 @@ func TestNegativeCacheBudgetFailsBeforeSimulating(t *testing.T) {
 // deadline) is the one wall-time bound, so -cell-deadline is gone from both
 // commands that had it (tbpointd's -stuck-after is TestFlagsReachConfig's);
 // the one-time profile is recomputed on every run, so tbpoint has no
-// -save-profile or -load-profile.
+// -save-profile or -load-profile; tbpointd queues every job it accepts, so
+// it has no -max-queued; and tbpointctl wait only follows the event
+// stream, so it has no -poll.
 func TestRetiredFlagsRefused(t *testing.T) {
 	for _, c := range []struct {
 		flag string
@@ -209,6 +213,8 @@ func TestRetiredFlagsRefused(t *testing.T) {
 		{"-cell-deadline", run(nil, "tbpointctl", "-addr", "http://127.0.0.1:1", "submit", "-scale", "0.02", "-cell-deadline", "1s", "accuracy")},
 		{"-save-profile", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-save-profile", "x")},
 		{"-load-profile", run(nil, "tbpoint", "-scale", "0.02", "-bench", "stream", "-load-profile", "x")},
+		{"-max-queued", run(nil, "tbpointd", "-max-queued", "2")},
+		{"-poll", run(nil, "tbpointctl", "-addr", "http://127.0.0.1:1", "wait", "-poll", "1s", "j000001")},
 	} {
 		if c.r.code != 2 || !strings.Contains(c.r.stderr, "flag provided but not defined: "+c.flag) || c.r.stdout != "" {
 			t.Errorf("%s: exit %d, want the usage error naming the flag:\n%s%s", c.flag, c.r.code, c.r.stdout, c.r.stderr)

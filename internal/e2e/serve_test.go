@@ -83,36 +83,6 @@ func TestKilledDaemonRestartRunsJournaledJob(t *testing.T) {
 	}
 }
 
-// TestAdmissionBackoffThroughRealClient: -max-queued reaches server.Config,
-// and a tbpointctl submit launched against the full queue of a -paused
-// daemon keeps retrying through the 429s until room appears.
-func TestAdmissionBackoffThroughRealClient(t *testing.T) {
-	ctx := testContext(t)
-	d := startDaemon(t, "serve_admission", filepath.Join(t.TempDir(), "state"), "-paused", "-max-queued", "2")
-	blockers := []string{d.submit(ctx, streamJob()), d.submit(ctx, streamJob())}
-
-	retried := make(chan result, 1)
-	go func() { retried <- d.ctl("submit", "-scale", "0.02", "-seed", "7", "-bench", "stream", "accuracy") }()
-	waitFor(t, "the backing-off tbpointctl submit to take a 429", func() bool {
-		return d.counter(metrics.ServerAdmissionRejects) > 0
-	})
-	select {
-	case r := <-retried:
-		t.Fatalf("backing-off submit returned (exit %d) while the queue was full:\n%s%s", r.code, r.stdout, r.stderr)
-	default:
-	}
-	if _, err := d.c.Cancel(ctx, blockers[0]); err != nil {
-		t.Fatal(err)
-	}
-	r := <-retried
-	if r.code != 0 {
-		t.Fatalf("backing-off submit never got accepted (exit %d):\n%s", r.code, r.stderr)
-	}
-	if st, err := d.c.Status(ctx, strings.TrimSpace(r.stdout)); err != nil || st.State != server.StateQueued {
-		t.Fatalf("accepted submission is %+v (%v), want queued behind the paused gate", st, err)
-	}
-}
-
 // TestCrashLoopQuarantinesAfterFourDeaths: the store's crash hook
 // (TBPOINT_CRASH_AFTER_CHECKPOINTS, here one write past a cell's worth)
 // makes tbpointd os.Exit(3) at that artifact-cache write of every boot. A
@@ -273,7 +243,6 @@ func TestDaemonRefusesNegativeSettings(t *testing.T) {
 	for _, c := range []struct{ flag, value, field string }{
 		{"-dispatchers", "-1", "Dispatchers"},
 		{"-cache-max-bytes", "-1", "CacheMaxBytes"},
-		{"-max-queued", "-1", "MaxQueued"},
 		{"-par", "-1", "-par"},
 		{"-drain-timeout", "-1s", "-drain-timeout"},
 	} {

@@ -135,18 +135,16 @@ const (
 	// hits/misses sum the jobs' exp.cells_executed, subcell.* and outcome.*;
 	// evictions counts entries the bounded cache dropped for its budget.
 	// The supervision counters (jobs_panicked/quarantined,
-	// admission_rejects, dispatcher_restarts) observe the containment
-	// layer: a panicking job is recovered and its dispatcher slot
-	// restarted, a crash-looping job is quarantined at journal replay, and
-	// an over-limit submission is rejected with 429 rather than queued.
+	// dispatcher_restarts) observe the containment layer: a panicking job
+	// is recovered and its dispatcher slot restarted, and a crash-looping
+	// job is quarantined at journal replay.
 	ServerJobsSubmitted
 	ServerJobsDone
 	ServerJobsFailed
 	ServerJobsCancelled
-	ServerJobsRequeued    // non-terminal jobs re-queued when the daemon restarted
-	ServerJobsPanicked    // jobs terminally failed by a recovered panic
-	ServerJobsQuarantined // jobs dead-lettered by the requeue cap at replay
-	ServerAdmissionRejects
+	ServerJobsRequeued       // non-terminal jobs re-queued when the daemon restarted
+	ServerJobsPanicked       // jobs terminally failed by a recovered panic
+	ServerJobsQuarantined    // jobs dead-lettered by the requeue cap at replay
 	ServerDispatcherRestarts // dispatcher slots restarted after a contained panic
 	ServerCacheMisses
 	ServerSubcellHits
@@ -225,7 +223,6 @@ var counterNames = [NumCounters]string{
 	ServerJobsRequeued:       "server.jobs_requeued",
 	ServerJobsPanicked:       "server.jobs_panicked",
 	ServerJobsQuarantined:    "server.jobs_quarantined",
-	ServerAdmissionRejects:   "server.admission_rejects",
 	ServerDispatcherRestarts: "server.dispatcher_restarts",
 	ServerCacheMisses:        "server.cache_misses",
 	ServerSubcellHits:        "server.subcell_hits",

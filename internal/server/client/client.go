@@ -12,9 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -32,13 +30,11 @@ func New(base string) *Client {
 	return &Client{base: strings.TrimRight(base, "/"), hc: &http.Client{}}
 }
 
-// APIError is a non-2xx daemon response: the HTTP status, the decoded
-// {"error": ...} message, and — for 429 admission rejections — the server's
-// Retry-After hint, which Submit's backoff honors.
+// APIError is a non-2xx daemon response: the HTTP status and the decoded
+// {"error": ...} message.
 type APIError struct {
-	Status     int
-	Message    string
-	RetryAfter time.Duration
+	Status  int
+	Message string
 }
 
 func (e *APIError) Error() string {
@@ -47,9 +43,6 @@ func (e *APIError) Error() string {
 	}
 	return fmt.Sprintf("HTTP %d", e.Status)
 }
-
-// Overloaded reports whether the error is the daemon shedding load (429).
-func (e *APIError) Overloaded() bool { return e.Status == http.StatusTooManyRequests }
 
 // do issues one request and decodes the JSON response into out (unless out
 // is nil). Non-2xx responses come back as *APIError.
@@ -88,9 +81,6 @@ func (c *Client) do(ctx context.Context, method, path string, body, out interfac
 		} else {
 			ae.Message = fmt.Sprintf("%s %s", method, path)
 		}
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			ae.RetryAfter = time.Duration(secs) * time.Second
-		}
 		return ae
 	}
 	if out == nil {
@@ -108,60 +98,11 @@ func (c *Client) Health(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
 }
 
-// backoff is the sleep between retries that Submit and Wait share: the
-// nominal delay doubles from base up to 16x base, each sleep is drawn from
-// [3/4, 5/4] of it so many clients on a loaded daemon spread out instead of
-// retrying in lockstep, and the sleep is abandoned the moment ctx dies.
-type backoff struct {
-	delay, max time.Duration
-	rng        *rand.Rand
-}
-
-func newBackoff(base time.Duration) *backoff {
-	return &backoff{delay: base, max: 16 * base, rng: rand.New(rand.NewSource(time.Now().UnixNano()))}
-}
-
-// sleep waits out the next interval — stretched to atLeast when a server
-// hint asks for longer — and returns ctx's error if it dies first.
-func (b *backoff) sleep(ctx context.Context, atLeast time.Duration) error {
-	d := 3*b.delay/4 + time.Duration(b.rng.Int63n(int64(b.delay/2)+1))
-	if atLeast > d {
-		d = atLeast
-	}
-	if b.delay *= 2; b.delay > b.max {
-		b.delay = b.max
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-timer.C:
-		return nil
-	}
-}
-
-// submitBackoffBase seeds Submit's retry backoff when the daemon sheds load.
-const submitBackoffBase = 250 * time.Millisecond
-
-// Submit posts a job spec and returns the accepted job's status. A 429
-// admission rejection is not terminal: the daemon's queue is momentarily
-// full, so Submit sleeps — at least the server's Retry-After hint, at least
-// the jittered exponential backoff, whichever is longer — and retries until
-// the job is accepted or ctx dies. Every other error returns immediately.
+// Submit posts a job spec and returns the accepted job's status.
 func (c *Client) Submit(ctx context.Context, spec server.JobSpec) (server.JobStatus, error) {
-	bo := newBackoff(submitBackoffBase)
-	for {
-		var st server.JobStatus
-		err := c.do(ctx, http.MethodPost, "/jobs", spec, &st)
-		var ae *APIError
-		if err == nil || !errors.As(err, &ae) || !ae.Overloaded() {
-			return st, err
-		}
-		if err := bo.sleep(ctx, ae.RetryAfter); err != nil {
-			return st, fmt.Errorf("%w (last rejection: %w)", err, ae)
-		}
-	}
+	var st server.JobStatus
+	err := c.do(ctx, http.MethodPost, "/jobs", spec, &st)
+	return st, err
 }
 
 // Status fetches one job's status.
@@ -288,17 +229,13 @@ func (c *Client) Events(ctx context.Context, id string, fn func(server.JobStatus
 }
 
 // Wait blocks until the job reaches a terminal state (or ctx dies) and
-// returns the final status. It follows the job's /events stream, so it
-// returns as soon as the daemon emits the terminal status. Only when the
-// stream is unavailable or ends early (a proxy that does not stream or cuts
-// it) does it fall back to polling GET /jobs/{id}: poll <= 0 selects 200ms
-// as the starting interval, which then backs off exponentially to 16x the
-// base with +/-25% jitter, so many clients waiting on a loaded daemon
-// spread their polls instead of hammering it in lockstep. Any failed poll
-// ends Wait with its error, so a daemon that went away (a restart refuses
-// the connection) is not waited out: calling Wait again once the daemon is
-// back (tbpointctl wait <id>) is the recovery, since jobs survive restarts.
-// Cancellation is prompt on both paths.
+// returns the final status. It follows the job's /events stream, which the
+// daemon ends with the terminal status, so it returns as soon as the job
+// finishes. A stream that is refused, or that ends before a terminal state
+// (the daemon went away), is an error naming the job and its last state;
+// calling Wait again once the daemon is back (tbpointctl wait <id>) is the
+// recovery, since jobs survive restarts. poll is ignored, kept only because
+// bench/ passes it.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (server.JobStatus, error) {
 	var st server.JobStatus
 	err := c.Events(ctx, id, func(s server.JobStatus) error {
@@ -311,20 +248,8 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (serve
 	if err := ctx.Err(); err != nil {
 		return st, err
 	}
-	if poll <= 0 {
-		poll = 200 * time.Millisecond
+	if err == nil {
+		err = errors.New("event stream ended before a terminal state")
 	}
-	bo := newBackoff(poll)
-	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		if err := bo.sleep(ctx, 0); err != nil {
-			return st, err
-		}
-	}
+	return st, fmt.Errorf("waiting for job %s (last state %q): %w", id, st.State, err)
 }

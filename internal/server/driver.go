@@ -23,12 +23,6 @@ var ErrNotFound = errors.New("server: no such job")
 // ErrShutdown reports an operation on a closed driver.
 var ErrShutdown = errors.New("server: driver is shut down")
 
-// ErrOverloaded reports an admission-control rejection: the queue bound is
-// reached and the submission was refused rather than accepted into an
-// unbounded backlog. The HTTP layer maps it to 429 + Retry-After: 1; the
-// client retries it inside its backoff.
-var ErrOverloaded = errors.New("server: job queue is full")
-
 // internalError marks a failure that is the daemon's, not the request's
 // (a journal write, a results file read): writeError answers it with 500.
 type internalError struct{ error }
@@ -64,11 +58,6 @@ type Config struct {
 	// deaths is moved to StateQuarantined at replay instead of requeued
 	// (0 selects DefaultMaxRequeues; negative disables quarantine).
 	MaxRequeues int
-	// MaxQueued bounds the number of queued jobs: submissions past it are
-	// rejected with ErrOverloaded (HTTP 429 + Retry-After) instead of
-	// growing the backlog without bound. 0 keeps the queue unbounded.
-	// Running jobs do not count against the bound.
-	MaxQueued int
 	// CacheMaxBytes bounds the artifact cache's on-disk footprint: writes
 	// over the budget evict least-recently-used entries (counted as
 	// server.cache_evictions). Evicted cells and artifacts recompute on
@@ -134,25 +123,27 @@ func Open(cfg Config) (_ *Driver, err error) {
 	for _, f := range []struct {
 		name string
 		v    int64
-	}{{"Dispatchers", int64(cfg.Dispatchers)}, {"MaxQueued", int64(cfg.MaxQueued)}, {"CacheMaxBytes", cfg.CacheMaxBytes}} {
+	}{{"Dispatchers", int64(cfg.Dispatchers)}, {"CacheMaxBytes", cfg.CacheMaxBytes}} {
 		if f.v < 0 {
 			return nil, fmt.Errorf("server: Config.%s must not be negative, got %d", f.name, f.v)
 		}
 	}
-	journal, err := durable.Open(filepath.Join(cfg.StateDir, "jobs"))
-	if err != nil {
-		return nil, fmt.Errorf("server: opening job journal: %w", err)
-	}
-	var cache *durable.Store // nil, the disabled store, until it opens
-	defer func() {
-		if err != nil {
-			journal.Close()
-			cache.Close()
-		}
-	}()
-	cache, err = durable.Open(filepath.Join(cfg.StateDir, "cache"))
+	// The cache opens first: a start it refuses must leave the job journal,
+	// the record of every job, as it found it (Open may compact a log).
+	cache, err := durable.Open(filepath.Join(cfg.StateDir, "cache"))
 	if err != nil {
 		return nil, fmt.Errorf("server: opening artifact cache: %w", err)
+	}
+	var journal *durable.Store // nil, the disabled store, until it opens
+	defer func() {
+		if err != nil {
+			cache.Close()
+			journal.Close()
+		}
+	}()
+	journal, err = durable.Open(filepath.Join(cfg.StateDir, "jobs"))
+	if err != nil {
+		return nil, fmt.Errorf("server: opening job journal: %w", err)
 	}
 	resultsDir := filepath.Join(cfg.StateDir, "results")
 	if err := os.MkdirAll(resultsDir, 0o755); err != nil {
@@ -241,10 +232,8 @@ func (d *Driver) persistLocked(j *Job) error {
 }
 
 // Submit validates, journals and enqueues a job; a journal that cannot be
-// written fails the submission. A submission past Config.MaxQueued is
-// rejected with ErrOverloaded instead of queued: under overload the server
-// sheds load at admission, where the client can back off, rather than
-// inside an unbounded backlog.
+// written fails the submission. A driver that is not closed queues every
+// valid spec.
 func (d *Driver) Submit(spec JobSpec) (JobStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
@@ -253,10 +242,6 @@ func (d *Driver) Submit(spec JobSpec) (JobStatus, error) {
 	defer d.mu.Unlock()
 	if d.closed {
 		return JobStatus{}, ErrShutdown
-	}
-	if d.cfg.MaxQueued > 0 && len(d.queue) >= d.cfg.MaxQueued {
-		d.mc.AtomicAdd(metrics.ServerAdmissionRejects, 1)
-		return JobStatus{}, fmt.Errorf("%w (%d queued, limit %d)", ErrOverloaded, len(d.queue), d.cfg.MaxQueued)
 	}
 	id := fmt.Sprintf("j%06d", d.nextID+1)
 	job := &Job{
@@ -364,10 +349,8 @@ func (d *Driver) SetPaused(p bool) {
 }
 
 // Ready reports whether the server should receive new traffic — the
-// /readyz verdict, distinct from liveness: a paused, draining, or
-// queue-saturated daemon is alive (healthz 200) but not ready (readyz
-// 503), so load balancers stop routing to it before requests start
-// bouncing off admission control.
+// /readyz verdict, distinct from liveness: a paused or draining daemon is
+// alive (healthz 200) but not ready (readyz 503).
 func (d *Driver) Ready() (bool, string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -376,8 +359,6 @@ func (d *Driver) Ready() (bool, string) {
 		return false, "draining"
 	case d.paused:
 		return false, "paused"
-	case d.cfg.MaxQueued > 0 && len(d.queue) >= d.cfg.MaxQueued:
-		return false, fmt.Sprintf("queue full (%d/%d)", len(d.queue), d.cfg.MaxQueued)
 	}
 	return true, ""
 }

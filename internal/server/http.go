@@ -16,11 +16,10 @@ const eventInterval = 500 * time.Millisecond
 // Handler returns the daemon's HTTP API:
 //
 //	GET  /healthz              liveness probe (200 while the process serves)
-//	GET  /readyz               readiness probe: 503 while paused, draining
-//	                           or queue-saturated, 200 otherwise
+//	GET  /readyz               readiness probe: 503 while paused or
+//	                           draining, 200 otherwise
 //	GET  /metrics              server-wide metrics snapshot (JSON)
 //	POST /jobs                 submit a JobSpec, returns 202 + JobStatus
-//	                           (429 + Retry-After past the queue bound)
 //	GET  /jobs                 list all known jobs (history survives
 //	                           restarts); ?state= filters (unknown: 400)
 //	GET  /jobs/{id}            one job's status (live progress while running)
@@ -167,9 +166,8 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 }
 
 // writeError maps driver errors onto HTTP status codes: unknown job → 404,
-// driver shut down → 503, admission rejection → 429 with Retry-After: 1,
-// the daemon's own failure → 500, everything else (validation, bad state)
-// → 400.
+// driver shut down → 503, the daemon's own failure → 500, everything else
+// (validation, bad state) → 400.
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	switch {
@@ -179,9 +177,6 @@ func writeError(w http.ResponseWriter, err error) {
 		code = http.StatusNotFound
 	case errors.Is(err, ErrShutdown):
 		code = http.StatusServiceUnavailable
-	case errors.Is(err, ErrOverloaded):
-		code = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -5,7 +5,10 @@ package server
 // The random-sequence check against the real Driver is model_test.go.
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -418,7 +421,8 @@ var parentJournal = map[string]string{
 // a spec field no longer known is dropped and a failure kind no longer
 // produced is kept as written. An artifact cache still holding an older
 // store's per-file *.ckpt entries fails Open, naming the cache directory,
-// and the journal it opened first is closed again.
+// before the journal is opened: its bytes stay as they were, and a fresh
+// state directory gets none.
 func TestLifecycleReplaysParentJournal(t *testing.T) {
 	dir := t.TempDir()
 	journal, err := durable.Open(dir + "/jobs")
@@ -487,6 +491,10 @@ func TestLifecycleReplaysParentJournal(t *testing.T) {
 	if err := os.WriteFile(old, []byte(`{"format":"tbpoint-durable-v1"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	before, err := os.ReadFile(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d, err := Open(Config{StateDir: dir, Paused: true, Metrics: metrics.New(), Logf: t.Logf}); err == nil {
 		d.Close()
 		t.Fatalf("Open accepted an artifact cache holding %s", old)
@@ -495,6 +503,9 @@ func TestLifecycleReplaysParentJournal(t *testing.T) {
 	}
 	if n := openDescriptors(journalPath); n > 0 {
 		t.Errorf("the refused Open left %d descriptor(s) open on %s", n, journalPath)
+	}
+	if after, err := os.ReadFile(journalPath); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("the refused Open rewrote %s (%v)", journalPath, err)
 	}
 	if err := os.Remove(old); err != nil {
 		t.Fatalf("the refused Open touched %s: %v", old, err)
@@ -506,6 +517,22 @@ func TestLifecycleReplaysParentJournal(t *testing.T) {
 	defer d.Close()
 	if n := len(d.Jobs()); n != 5 {
 		t.Errorf("after the refused Open, replayed %d jobs, want 5", n)
+	}
+
+	// Refused in a fresh state directory, Open creates no journal.
+	fresh := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(fresh, "cache"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(fresh, "cache", "x.ckpt"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := Open(Config{StateDir: fresh, Paused: true, Metrics: metrics.New(), Logf: t.Logf}); err == nil {
+		d.Close()
+		t.Fatal("Open accepted a fresh state directory whose cache holds x.ckpt")
+	}
+	if _, err := os.Stat(filepath.Join(fresh, "jobs", "journal.log")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the refused Open created jobs/journal.log (stat: %v)", err)
 	}
 }
 

@@ -144,7 +144,7 @@ func TestServeLoadBoundedCache(t *testing.T) {
 	for _, id := range ids {
 		go func(id string) {
 			defer wg.Done()
-			st, err := c2.Wait(ctx, id, 50*time.Millisecond)
+			st, err := c2.Wait(ctx, id, 0)
 			if err != nil {
 				t.Errorf("wait %s: %v", id, err)
 				return

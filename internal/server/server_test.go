@@ -99,7 +99,7 @@ func TestServerEndToEnd(t *testing.T) {
 		})
 	}()
 
-	final, err := c.Wait(ctx, st.ID, 100*time.Millisecond)
+	final, err := c.Wait(ctx, st.ID, 0)
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final2, err := c.Wait(ctx, st2.ID, 50*time.Millisecond)
+	final2, err := c.Wait(ctx, st2.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,6 @@ func TestOpenRejectsNegativeSettings(t *testing.T) {
 		set   func(*server.Config)
 	}{
 		{"Dispatchers", func(c *server.Config) { c.Dispatchers = -1 }},
-		{"MaxQueued", func(c *server.Config) { c.MaxQueued = -1 }},
 		{"CacheMaxBytes", func(c *server.Config) { c.CacheMaxBytes = -1 }},
 	} {
 		cfg := server.Config{StateDir: t.TempDir(), Paused: true}

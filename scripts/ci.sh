@@ -37,9 +37,10 @@
 #              counts and byte budgets refused by both CLIs, negative
 #              -timeout/-samples/-par refused by experiments,
 #              -timeout/-warps/-sms by tbpoint, -par/-drain-timeout by
-#              tbpointd and wait -poll by tbpointctl, the retired
-#              -cell-deadline/-stuck-after and profile-file flags refused
-#              as unknown, a non-positive -scale refused by
+#              tbpointd, the retired -cell-deadline/-stuck-after,
+#              profile-file, tbpointd -max-queued and tbpointctl wait
+#              -poll flags refused as unknown, a -scale that is not finite
+#              and positive refused by
 #              experiments, tbpoint and tbpointctl submit (before any
 #              request is sent), tbpointd
 #              surviving a hard death with a journaled job, a crash-looping
