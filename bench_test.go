@@ -103,9 +103,9 @@ func BenchmarkFig5MonteCarlo(b *testing.B) {
 func BenchmarkFig8TBSizeProfile(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		series, err := experiments.RunFig8([]string{"conv", "mst"}, opts)
-		if err != nil || len(series) != 2 {
-			b.Fatal(err)
+		series, cellErrs, err := experiments.RunFig8([]string{"conv", "mst"}, opts)
+		if err != nil || len(cellErrs) != 0 || len(series) != 2 {
+			b.Fatal(err, cellErrs)
 		}
 	}
 }

@@ -62,59 +62,50 @@ func sigmaVariants() []struct {
 	}
 }
 
-// RunAblations evaluates the warming-criterion and sigma-intra ablations.
+// RunAblations evaluates the warming-criterion and sigma-intra ablations,
+// one runGrid cell per (study, variant, bench), results in that order.
 // The warming study uses drift-prone and irregular kernels; the sigma study
 // uses bfs, whose stall-probability phases the threshold must separate.
-func RunAblations(opts Options) ([]AblationResult, error) {
-	// Flatten the study grid into independent cells and fan them out over
-	// the shared worker budget; out keeps the sequential (study, variant,
-	// bench) order because each cell writes to its own index.
-	type cell struct {
-		study, variant, bench string
-		co                    core.Options
+func RunAblations(opts Options) ([]AblationResult, []CellError, error) {
+	var cells []gridCell[AblationResult]
+	add := func(study, variant, bench string, co core.Options) {
+		cells = append(cells, gridCell[AblationResult]{
+			name: study + "/" + variant + "/" + bench,
+			run: func(o Options) (AblationResult, error) {
+				spec, err := workloads.ByName(bench)
+				if err != nil {
+					return AblationResult{}, err
+				}
+				// The variants only change TBPoint options, so TBPoint is the
+				// one strategy a cell runs, whatever the harness selection.
+				o.TBPoint = &co
+				o.Samplers = []string{sampler.NameTBPoint}
+				r, err := RunBenchmark(spec, gpusim.DefaultConfig(), o)
+				if err != nil {
+					return AblationResult{}, err
+				}
+				tb := r.Samplers[sampler.NameTBPoint]
+				o.progress("# %-12s %-22s %-8s err %.2f%% size %.1f%%",
+					study, variant, bench, tb.Err*100, tb.Estimate.SampleSize*100)
+				return AblationResult{
+					Study:      study,
+					Variant:    variant,
+					Bench:      bench,
+					Err:        tb.Err,
+					SampleSize: tb.Estimate.SampleSize,
+				}, nil
+			},
+		})
 	}
-	var cells []cell
 	for _, v := range warmingVariants() {
 		for _, bench := range []string{"hotspot", "lbm", "bfs"} {
-			cells = append(cells, cell{"warming", v.name, bench, v.opts})
+			add("warming", v.name, bench, v.opts)
 		}
 	}
 	for _, v := range sigmaVariants() {
-		cells = append(cells, cell{"sigma-intra", v.name, "bfs", v.opts})
+		add("sigma-intra", v.name, "bfs", v.opts)
 	}
-	out := make([]AblationResult, len(cells))
-	err := forEachIndexed(opts.Ctx, len(cells), func(i int) error {
-		c := cells[i]
-		spec, err := workloads.ByName(c.bench)
-		if err != nil {
-			return err
-		}
-		// The variants only change TBPoint options, so TBPoint is the one
-		// strategy a cell runs, whatever the harness selection.
-		o := opts
-		co := c.co
-		o.TBPoint = &co
-		o.Samplers = []string{sampler.NameTBPoint}
-		r, err := RunBenchmark(spec, gpusim.DefaultConfig(), o)
-		if err != nil {
-			return err
-		}
-		tb := r.Samplers[sampler.NameTBPoint]
-		out[i] = AblationResult{
-			Study:      c.study,
-			Variant:    c.variant,
-			Bench:      c.bench,
-			Err:        tb.Err,
-			SampleSize: tb.Estimate.SampleSize,
-		}
-		opts.progress("# %-12s %-22s %-8s err %.2f%% size %.1f%%",
-			c.study, c.variant, c.bench, tb.Err*100, tb.Estimate.SampleSize*100)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return runGrid(opts, "ablations", cells)
 }
 
 // PrintAblations renders the ablation table (Err and sample are TBPoint's).

@@ -343,12 +343,12 @@ func TestChaosSensitivityCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestChaosMotivationCancelMidRun: the motivation study runs on the
-// cancellable reference path, so cancelling after its first benchmark stops
-// the run with the context's error instead of simulating the rest.
+// TestChaosMotivationCancelMidRun cancels the motivation grid after its
+// first cell: the run stops with the context's error and keeps the cells
+// that finished, as the other grids do.
 func TestChaosMotivationCancelMidRun(t *testing.T) {
 	old := Parallelism
-	Parallelism = 1
+	Parallelism = 2
 	defer func() { Parallelism = old }()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -359,12 +359,15 @@ func TestChaosMotivationCancelMidRun(t *testing.T) {
 	opts.Verbose = true
 	opts.Out = &cancelOnFirstWrite{cancel: cancel}
 
-	results, err := RunMotivation(opts)
+	results, cellErrs, err := RunMotivation(opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned err = %v, want context.Canceled", err)
 	}
-	if results != nil {
-		t.Errorf("cancelled run returned %d results", len(results))
+	if len(results) == 0 || len(results) >= len(opts.Benchmarks) {
+		t.Errorf("got %d results, want partial coverage of the %d-cell grid", len(results), len(opts.Benchmarks))
+	}
+	if len(cellErrs) != 0 {
+		t.Errorf("cancellation produced cell errors: %+v", cellErrs)
 	}
 }
 

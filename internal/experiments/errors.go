@@ -10,13 +10,15 @@ import (
 )
 
 // CellError records one failed cell of an experiments grid. A faulty cell —
-// an error or even a panic inside one benchmark/configuration — degrades to
-// an entry here while the rest of the grid completes; the harness surfaces
-// the list as the "errors" section of results.json.
+// an error or even a panic inside one cell — degrades to an entry here
+// while the rest of the grid completes; the harness surfaces the list as
+// the "errors" section of results.json.
 type CellError struct {
-	// Grid names the grid the cell belonged to ("accuracy", "sensitivity").
+	// Grid names the grid the cell belonged to: its target ("accuracy",
+	// "motivation", ...).
 	Grid string `json:"grid"`
-	// Cell identifies the cell (benchmark name, or benchmark/config).
+	// Cell identifies the cell: the benchmark name, benchmark/config
+	// (sensitivity), p=…/M=…/N=… (fig5) or study/variant/bench (ablations).
 	Cell string `json:"cell"`
 	// Err is the cell's error text.
 	Err string `json:"err"`

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -105,9 +104,11 @@ func TestUnitSizeClamps(t *testing.T) {
 }
 
 func TestRunFig5(t *testing.T) {
-	results := RunFig5(500, 3)
-	if len(results) != len(Fig5Configs()) {
-		t.Fatalf("got %d results", len(results))
+	opts := fastOpts()
+	opts.Seed = 3
+	results, cellErrs, err := RunFig5(opts, 500)
+	if err != nil || len(cellErrs) != 0 || len(results) != len(Fig5Configs()) {
+		t.Fatalf("got %d results, err %v, cell errors %+v", len(results), err, cellErrs)
 	}
 	for _, r := range results {
 		if r.Within10 < 0.95 {
@@ -125,9 +126,9 @@ func TestRunFig5(t *testing.T) {
 }
 
 func TestRunFig8(t *testing.T) {
-	series, err := RunFig8([]string{"conv", "mst"}, fastOpts())
-	if err != nil {
-		t.Fatal(err)
+	series, cellErrs, err := RunFig8([]string{"conv", "mst"}, fastOpts())
+	if err != nil || len(cellErrs) != 0 {
+		t.Fatalf("err %v, cell errors %+v", err, cellErrs)
 	}
 	if len(series) != 2 {
 		t.Fatalf("got %d series", len(series))
@@ -140,7 +141,7 @@ func TestRunFig8(t *testing.T) {
 	if !strings.Contains(buf.String(), "Figure 8") {
 		t.Error("fig8 report incomplete")
 	}
-	if _, err := RunFig8([]string{"nope"}, fastOpts()); err == nil {
+	if _, _, err := RunFig8([]string{"conv", "nope"}, fastOpts()); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
@@ -316,27 +317,6 @@ func TestSensitivityParallelMatches(t *testing.T) {
 	}
 }
 
-func TestForEachIndexedError(t *testing.T) {
-	err := forEachIndexed(nil, 10, func(i int) error {
-		if i == 7 {
-			return errBoom
-		}
-		return nil
-	})
-	if err == nil {
-		t.Error("error swallowed")
-	}
-	// Sequential path (single worker).
-	old := Parallelism
-	Parallelism = 1
-	defer func() { Parallelism = old }()
-	if err := forEachIndexed(nil, 3, func(i int) error { return nil }); err != nil {
-		t.Error(err)
-	}
-}
-
-var errBoom = fmt.Errorf("boom")
-
 func TestResultsJSONRoundTrip(t *testing.T) {
 	opts := fastOpts()
 	opts.Benchmarks = []string{"stream"}
@@ -347,8 +327,11 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 	bundle := &Results{
 		Scale:    opts.Scale,
 		Table1:   &Table1Result{SimWarpInstsPerSec: 1e6, Slowdown: 6250},
-		Fig5:     RunFig5(100, 1),
 		Accuracy: acc,
+	}
+	bundle.Fig5, _, err = RunFig5(opts, 100)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := bundle.WriteJSON(&buf); err != nil {
@@ -375,9 +358,9 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 func TestRunMotivation(t *testing.T) {
 	opts := fastOpts()
 	opts.Benchmarks = []string{"kmeans", "bfs"}
-	results, err := RunMotivation(opts)
-	if err != nil {
-		t.Fatal(err)
+	results, cellErrs, err := RunMotivation(opts)
+	if err != nil || len(cellErrs) != 0 {
+		t.Fatalf("err %v, cell errors %+v", err, cellErrs)
 	}
 	if len(results) != 2 {
 		t.Fatalf("got %d results", len(results))
@@ -395,7 +378,7 @@ func TestRunMotivation(t *testing.T) {
 	if !strings.Contains(buf.String(), "Motivation") {
 		t.Error("report incomplete")
 	}
-	if _, err := RunMotivation(Options{Benchmarks: []string{"nope"}}); err == nil {
+	if _, _, err := RunMotivation(Options{Benchmarks: []string{"nope"}}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
@@ -408,9 +391,9 @@ func TestMotivationBBVWeakOnIrregular(t *testing.T) {
 	opts := fastOpts()
 	opts.Scale = 0.1
 	opts.Benchmarks = []string{"bfs"}
-	results, err := RunMotivation(opts)
-	if err != nil {
-		t.Fatal(err)
+	results, _, err := RunMotivation(opts)
+	if err != nil || len(results) != 1 {
+		t.Fatalf("err %v, %d results", err, len(results))
 	}
 	if r := results[0]; r.BBVCorr > 0.8 {
 		t.Errorf("BBV corr %+.3f unexpectedly CPU-like on bfs", r.BBVCorr)
@@ -443,9 +426,9 @@ func TestRunTable1PerKernel(t *testing.T) {
 func TestRunAblationsSmall(t *testing.T) {
 	opts := fastOpts()
 	opts.Scale = 0.05
-	results, err := RunAblations(opts)
-	if err != nil {
-		t.Fatal(err)
+	results, cellErrs, err := RunAblations(opts)
+	if err != nil || len(cellErrs) != 0 {
+		t.Fatalf("err %v, cell errors %+v", err, cellErrs)
 	}
 	// 3 warming variants x 3 benches + 3 sigma variants x 1 bench.
 	if len(results) != 12 {

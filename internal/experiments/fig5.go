@@ -40,41 +40,41 @@ type Fig5Result struct {
 	CDF []stats.CDFPoint `json:"cdf,omitempty"`
 }
 
-// RunFig5 performs the Lemma 4.1 Monte-Carlo study (10,000 samples per
-// configuration, as in the paper).
-func RunFig5(samples int, seed uint64) []Fig5Result {
-	// Each configuration's Monte-Carlo study is independently seeded
-	// (seed+i), so the configs fan out over the shared worker budget with
-	// results identical to a sequential sweep.
-	configs := Fig5Configs()
-	out := make([]Fig5Result, len(configs))
-	forEachIndexed(nil, len(configs), func(i int) error {
-		c := configs[i]
-		mc := markov.MonteCarlo(c.P, c.M, c.N, samples, seed+uint64(i))
-		devs := make([]float64, len(mc.IPCs))
-		for j, ipc := range mc.IPCs {
-			d := (ipc - mc.MeanIPC) / mc.MeanIPC
-			if d < 0 {
-				d = -d
-			}
-			devs[j] = d
-		}
-		full := stats.CDF(devs)
-		ds := make([]stats.CDFPoint, 0, 50)
-		for k := 0; k < 50; k++ {
-			ds = append(ds, full[k*len(full)/50])
-		}
-		ds = append(ds, full[len(full)-1])
-		out[i] = Fig5Result{
-			Config:   c,
-			MeanIPC:  mc.MeanIPC,
-			Within10: mc.Within10,
-			P95Dev:   percentile(devs, 95),
-			CDF:      ds,
-		}
-		return nil
-	})
-	return out
+// RunFig5 performs the Lemma 4.1 Monte-Carlo study (samples per
+// configuration; the paper uses 10,000): one runGrid cell per configuration,
+// config i seeded with opts.Seed+5+i.
+func RunFig5(opts Options, samples int) ([]Fig5Result, []CellError, error) {
+	var cells []gridCell[Fig5Result]
+	for i, c := range Fig5Configs() {
+		cells = append(cells, gridCell[Fig5Result]{
+			name: fmt.Sprintf("p=%g/M=%g/N=%d", c.P, c.M, c.N),
+			run: func(o Options) (Fig5Result, error) {
+				mc := markov.MonteCarlo(c.P, c.M, c.N, samples, o.Seed+5+uint64(i))
+				devs := make([]float64, len(mc.IPCs))
+				for j, ipc := range mc.IPCs {
+					d := (ipc - mc.MeanIPC) / mc.MeanIPC
+					if d < 0 {
+						d = -d
+					}
+					devs[j] = d
+				}
+				full := stats.CDF(devs)
+				ds := make([]stats.CDFPoint, 0, 50)
+				for k := 0; k < 50; k++ {
+					ds = append(ds, full[k*len(full)/50])
+				}
+				ds = append(ds, full[len(full)-1])
+				return Fig5Result{
+					Config:   c,
+					MeanIPC:  mc.MeanIPC,
+					Within10: mc.Within10,
+					P95Dev:   percentile(devs, 95),
+					CDF:      ds,
+				}, nil
+			},
+		})
+	}
+	return runGrid(opts, "fig5", cells)
 }
 
 // PrintFig5 renders the study.

@@ -22,40 +22,40 @@ type Fig8Series struct {
 }
 
 // RunFig8 produces the size-ratio series of the given benchmarks (the
-// paper plots one regular and one irregular kernel).
-func RunFig8(names []string, opts Options) ([]Fig8Series, error) {
-	// Each series profiles its own freshly built app, so the names fan out
-	// over the shared worker budget; results keep the input order.
-	out := make([]Fig8Series, len(names))
-	err := forEachIndexed(opts.Ctx, len(names), func(i int) error {
-		name := names[i]
+// paper plots one regular and one irregular kernel): one runGrid cell per
+// benchmark, each profiling its own freshly built app. An unknown name is a
+// setup error, returned before any cell runs.
+func RunFig8(names []string, opts Options) ([]Fig8Series, []CellError, error) {
+	var cells []gridCell[Fig8Series]
+	for _, name := range names {
 		spec, err := workloads.ByName(name)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		app := spec.Build(workloads.Config{Scale: opts.Scale, Seed: opts.Seed})
-		// Use the largest launch, like picking the dominant kernel launch.
-		best := app.Launches[0]
-		for _, l := range app.Launches {
-			if l.NumBlocks() > best.NumBlocks() {
-				best = l
-			}
-		}
-		sizes := funcsim.ProfileLaunch(best).TBSizes()
-		mean := stats.Mean(sizes)
-		ratios := make([]float64, len(sizes))
-		for j, s := range sizes {
-			if mean > 0 {
-				ratios[j] = s / mean
-			}
-		}
-		out[i] = Fig8Series{Name: name, Type: spec.Type, Ratios: ratios}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		cells = append(cells, gridCell[Fig8Series]{
+			name: name,
+			run: func(o Options) (Fig8Series, error) {
+				app := spec.Build(workloads.Config{Scale: o.Scale, Seed: o.Seed})
+				// Use the largest launch, like picking the dominant kernel launch.
+				best := app.Launches[0]
+				for _, l := range app.Launches {
+					if l.NumBlocks() > best.NumBlocks() {
+						best = l
+					}
+				}
+				sizes := funcsim.ProfileLaunch(best).TBSizes()
+				mean := stats.Mean(sizes)
+				ratios := make([]float64, len(sizes))
+				for j, s := range sizes {
+					if mean > 0 {
+						ratios[j] = s / mean
+					}
+				}
+				return Fig8Series{Name: name, Type: spec.Type, Ratios: ratios}, nil
+			},
+		})
 	}
-	return out, nil
+	return runGrid(opts, "fig8", cells)
 }
 
 // PrintFig8 renders a textual summary plus a coarse ASCII scatter per

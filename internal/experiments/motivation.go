@@ -62,85 +62,92 @@ func unitBBVDistance(a, b []float64) float64 {
 // TBPoint feature distance predict performance difference across kernel
 // launches (the granularity inter-launch sampling works at). The per-launch
 // CPIs come from the accuracy cell's full reference run (fullReference).
-func RunMotivation(opts Options) ([]MotivationResult, error) {
+// One runGrid cell per benchmark, results in benchmark (table) order.
+func RunMotivation(opts Options) ([]MotivationResult, []CellError, error) {
 	specs, err := opts.specs()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg := gpusim.DefaultConfig()
 	sim, err := gpusim.New(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// Concurrent benchmarks share opts.Metrics: everything below records
-	// through Merge, AddPhase or AtomicAdd, which are safe on one collector.
-	mc := opts.Metrics
-	out := make([]MotivationResult, len(specs))
-	err = forEachIndexed(opts.Ctx, len(specs), func(i int) error {
-		spec := specs[i]
-		app := spec.Build(workloads.Config{Scale: opts.Scale, Seed: opts.Seed})
-		unit := opts.UnitSize(app.TotalWarpInsts())
-		full, _, err := opts.fullReference(opts.subcell(spec.Name, unit, cfg), sim, app, unit, mc)
-		if err != nil {
-			return err
+	cells := make([]gridCell[MotivationResult], len(specs))
+	for i, spec := range specs {
+		cells[i] = gridCell[MotivationResult]{
+			name: spec.Name,
+			run: func(o Options) (MotivationResult, error) {
+				return motivationCell(o, spec, sim, cfg)
+			},
 		}
-		prof := core.ProfileAppMetrics(app, mc)
+	}
+	return runGrid(opts, "motivation", cells)
+}
 
-		// Per-launch BBVs (normalised), per-instruction intensity features,
-		// and measured CPIs. The intensity features are the size-invariant
-		// content of the Eq. 2 vector — control-flow divergence
-		// (thread/warp instruction ratio), memory divergence (requests per
-		// instruction) and thread-block variation — i.e. what the features
-		// say about *how* a launch performs rather than how big it is.
-		nLaunches := len(app.Launches)
-		feats := make([][]float64, nLaunches)
-		bbvs := make([][]float64, nLaunches)
-		cpis := make([]float64, nLaunches)
-		for li, lp := range prof.Profiles {
-			warp := float64(lp.TotalWarpInsts())
-			f := make([]float64, 3)
-			bbv := make([]float64, len(lp.BlockCounts))
-			if warp > 0 {
-				f[0] = float64(lp.TotalThreadInsts()) / (warp * 32)
-				f[1] = float64(lp.TotalMemRequests()) / warp
-				for b, c := range lp.BlockCounts {
-					bbv[b] = float64(c) / warp
-				}
-			}
-			f[2] = lp.TBSizeCoV()
-			feats[li], bbvs[li] = f, bbv
-			if res := full.Launches[li]; res.SimulatedWarpInsts > 0 {
-				cpis[li] = float64(res.Cycles) / float64(res.SimulatedWarpInsts)
-			}
-		}
-
-		var bbvD, featD, cpiD []float64
-		for a := 0; a < nLaunches; a++ {
-			for b := a + 1; b < nLaunches; b++ {
-				bbvD = append(bbvD, unitBBVDistance(bbvs[a], bbvs[b]))
-				featD = append(featD, unitBBVDistance(feats[a], feats[b]))
-				d := cpis[a] - cpis[b]
-				if d < 0 {
-					d = -d
-				}
-				cpiD = append(cpiD, d)
-			}
-		}
-		out[i] = MotivationResult{
-			Bench:       spec.Name,
-			Type:        spec.Type,
-			Units:       nLaunches,
-			BBVCorr:     stats.Pearson(bbvD, cpiD),
-			FeatureCorr: stats.Pearson(featD, cpiD),
-		}
-		opts.progress("# %-8s bbv corr %+.3f, feature corr %+.3f",
-			spec.Name, out[i].BBVCorr, out[i].FeatureCorr)
-		return nil
-	})
+// motivationCell is one benchmark's correlation study. Concurrent cells
+// share o.Metrics: everything below records through Merge, AddPhase or
+// AtomicAdd, which are safe on one collector.
+func motivationCell(o Options, spec *workloads.Spec, sim *gpusim.Simulator, cfg gpusim.Config) (MotivationResult, error) {
+	mc := o.Metrics
+	app := spec.Build(workloads.Config{Scale: o.Scale, Seed: o.Seed})
+	unit := o.UnitSize(app.TotalWarpInsts())
+	full, _, err := o.fullReference(o.subcell(spec.Name, unit, cfg), sim, app, unit, mc)
 	if err != nil {
-		return nil, err
+		return MotivationResult{}, err
 	}
-	return out, nil
+	prof := core.ProfileAppMetrics(app, mc)
+
+	// Per-launch BBVs (normalised), per-instruction intensity features,
+	// and measured CPIs. The intensity features are the size-invariant
+	// content of the Eq. 2 vector — control-flow divergence
+	// (thread/warp instruction ratio), memory divergence (requests per
+	// instruction) and thread-block variation — i.e. what the features
+	// say about *how* a launch performs rather than how big it is.
+	nLaunches := len(app.Launches)
+	feats := make([][]float64, nLaunches)
+	bbvs := make([][]float64, nLaunches)
+	cpis := make([]float64, nLaunches)
+	for li, lp := range prof.Profiles {
+		warp := float64(lp.TotalWarpInsts())
+		f := make([]float64, 3)
+		bbv := make([]float64, len(lp.BlockCounts))
+		if warp > 0 {
+			f[0] = float64(lp.TotalThreadInsts()) / (warp * 32)
+			f[1] = float64(lp.TotalMemRequests()) / warp
+			for b, c := range lp.BlockCounts {
+				bbv[b] = float64(c) / warp
+			}
+		}
+		f[2] = lp.TBSizeCoV()
+		feats[li], bbvs[li] = f, bbv
+		if res := full.Launches[li]; res.SimulatedWarpInsts > 0 {
+			cpis[li] = float64(res.Cycles) / float64(res.SimulatedWarpInsts)
+		}
+	}
+
+	var bbvD, featD, cpiD []float64
+	for a := 0; a < nLaunches; a++ {
+		for b := a + 1; b < nLaunches; b++ {
+			bbvD = append(bbvD, unitBBVDistance(bbvs[a], bbvs[b]))
+			featD = append(featD, unitBBVDistance(feats[a], feats[b]))
+			d := cpis[a] - cpis[b]
+			if d < 0 {
+				d = -d
+			}
+			cpiD = append(cpiD, d)
+		}
+	}
+	r := MotivationResult{
+		Bench:       spec.Name,
+		Type:        spec.Type,
+		Units:       nLaunches,
+		BBVCorr:     stats.Pearson(bbvD, cpiD),
+		FeatureCorr: stats.Pearson(featD, cpiD),
+	}
+	o.progress("# %-8s bbv corr %+.3f, feature corr %+.3f",
+		spec.Name, r.BBVCorr, r.FeatureCorr)
+	return r, nil
 }
 
 // PrintMotivation renders the §III correlation study.

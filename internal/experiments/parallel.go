@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -17,17 +16,6 @@ import (
 // simulations inside core.Run all share this one budget (see internal/par).
 // Zero means GOMAXPROCS; one forces sequential runs.
 var Parallelism = 0
-
-// forEachIndexed runs fn(i) for i in [0, n) on the shared worker budget,
-// returning the error from the lowest failing index (deterministic
-// regardless of worker interleaving; all indices are attempted so no
-// goroutine leaks). A cancelled ctx stops new indices from being claimed
-// and is returned when no task error outranks it; nil ctx disables
-// cancellation.
-func forEachIndexed(ctx context.Context, n int, fn func(i int) error) error {
-	par.SetLimit(Parallelism)
-	return par.ForEachCtx(ctx, n, fn)
-}
 
 // gridCell is one cell of a grid: name identifies it in progress lines and
 // CellErrors, and run computes it under the Options it is handed (the
@@ -54,7 +42,8 @@ func runGrid[T any](opts Options, grid string, cells []gridCell[T]) ([]T, []Cell
 	out := make([]T, len(cells))
 	done := make([]bool, len(cells))
 	failed := make([]*CellError, len(cells))
-	err := forEachIndexed(opts.Ctx, len(cells), func(i int) error {
+	par.SetLimit(Parallelism)
+	err := par.ForEachCtx(opts.Ctx, len(cells), func(i int) error {
 		c := cells[i]
 		start := time.Now()
 		cellErr := opts.runCell(func(o Options) error {

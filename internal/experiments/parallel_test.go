@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -113,28 +112,6 @@ func TestRetargetParallelDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(got, ref) {
 			t.Errorf("workers=%d: result differs from sequential\n got: %+v\nwant: %+v",
 				workers, got, ref)
-		}
-	}
-}
-
-// TestForEachIndexedLowestIndexError verifies the deterministic-error
-// contract: with several failing indices, the lowest one's error is the
-// one returned, under both sequential and parallel execution.
-func TestForEachIndexedLowestIndexError(t *testing.T) {
-	old := Parallelism
-	defer func() { Parallelism = old }()
-	for _, workers := range []int{1, 4} {
-		Parallelism = workers
-		for trial := 0; trial < 10; trial++ {
-			err := forEachIndexed(nil, 16, func(i int) error {
-				if i%5 == 2 { // fails at 2, 7, 12
-					return fmt.Errorf("cell %d failed", i)
-				}
-				return nil
-			})
-			if err == nil || err.Error() != "cell 2 failed" {
-				t.Fatalf("workers=%d: got %v, want error from index 2", workers, err)
-			}
 		}
 	}
 }

@@ -18,57 +18,143 @@ import (
 	"tbpoint/internal/metrics"
 )
 
-// allTargets is what the "all" shorthand expands to (everything except
-// "ablations", which is an opt-in audit).
-var allTargets = []string{"table1", "table6", "fig5", "fig8", "motivation", "accuracy", "sensitivity"}
+// target is one entry of the target table: run computes the target under
+// opts and files its output into the report w and the bundle b.
+type target struct {
+	name string
+	// optIn keeps the target out of "all" (the ablations audit).
+	optIn bool
+	run   func(opts Options, spec RunSpec, w io.Writer, b *Results) error
+}
 
-// knownTargets is the full vocabulary accepted by ExpandTargets.
-var knownTargets = map[string]bool{
-	"all": true, "table1": true, "table6": true, "fig5": true, "fig8": true,
-	"fig9": true, "fig10": true, "fig11": true, "fig12": true, "fig13": true,
-	"motivation": true, "ablations": true, "accuracy": true, "sensitivity": true,
+// gridTarget makes a grid's target: its cell errors join the bundle's, and
+// whatever cells completed are printed and kept, even when the grid was cut
+// short.
+func gridTarget[T any](run func(Options, RunSpec) ([]T, []CellError, error), keep func(io.Writer, *Results, []T)) func(Options, RunSpec, io.Writer, *Results) error {
+	return func(opts Options, spec RunSpec, w io.Writer, b *Results) error {
+		results, cellErrs, err := run(opts, spec)
+		b.Errors = append(b.Errors, cellErrs...)
+		if err == nil || len(results) > 0 {
+			keep(w, b, results)
+		}
+		return err
+	}
+}
+
+// targets lists every target in the order RunTargets runs them.
+var targets = []target{
+	{name: "table6", run: func(opts Options, _ RunSpec, w io.Writer, b *Results) error {
+		rows, err := RunTable6(opts)
+		if err == nil {
+			PrintTable6(w, rows, opts.Scale)
+			b.Table6 = rows
+		}
+		return err
+	}},
+	{name: "table1", run: func(opts Options, _ RunSpec, w io.Writer, b *Results) error {
+		// Table I times the simulator, so it is one sequential measurement,
+		// into a private collector merged afterwards so the aggregate never
+		// sees hot-path writes — a live Snapshot of opts.Metrics (the
+		// server's progress endpoint) must only race against
+		// Merge/AtomicAdd, which are safe.
+		var mc *metrics.Collector
+		if opts.Metrics != nil {
+			mc = metrics.New()
+		}
+		b.Table1 = RunTable1PerKernelMetrics(clampScale(opts.Scale, 0.05), mc)
+		opts.Metrics.Merge(mc)
+		PrintTable1(w, b.Table1)
+		return nil
+	}},
+	{name: "fig5", run: gridTarget(func(opts Options, spec RunSpec) ([]Fig5Result, []CellError, error) {
+		return RunFig5(opts, spec.Samples)
+	}, func(w io.Writer, b *Results, r []Fig5Result) {
+		PrintFig5(w, r)
+		b.Fig5 = r
+	})},
+	{name: "fig8", run: gridTarget(func(opts Options, _ RunSpec) ([]Fig8Series, []CellError, error) {
+		return RunFig8([]string{"conv", "mst"}, opts)
+	}, func(w io.Writer, b *Results, r []Fig8Series) {
+		PrintFig8(w, r)
+		b.Fig8 = r
+	})},
+	{name: "ablations", optIn: true, run: gridTarget(func(opts Options, _ RunSpec) ([]AblationResult, []CellError, error) {
+		return RunAblations(opts)
+	}, func(w io.Writer, b *Results, r []AblationResult) {
+		PrintAblations(w, r)
+		b.Ablations = r
+	})},
+	{name: "motivation", run: gridTarget(func(opts Options, _ RunSpec) ([]MotivationResult, []CellError, error) {
+		return RunMotivation(opts)
+	}, func(w io.Writer, b *Results, r []MotivationResult) {
+		PrintMotivation(w, r)
+		b.Motivation = r
+	})},
+	{name: "accuracy", run: gridTarget(func(opts Options, _ RunSpec) ([]*BenchResult, []CellError, error) {
+		return RunAccuracy(opts)
+	}, func(w io.Writer, b *Results, r []*BenchResult) {
+		PrintFig9(w, r)
+		PrintFig10(w, r)
+		PrintFig11(w, r)
+		PrintSamplerDetail(w, r)
+		b.Accuracy = r
+		b.Pareto = ComputePareto(r)
+		PrintPareto(w, b.Pareto)
+	})},
+	{name: "sensitivity", run: gridTarget(func(opts Options, _ RunSpec) ([]SensResult, []CellError, error) {
+		return RunSensitivity(opts)
+	}, func(w io.Writer, b *Results, r []SensResult) {
+		PrintFig12(w, r)
+		PrintFig13(w, r)
+		PrintSensSamplers(w, r)
+		b.Sensitivity = r
+	})},
+}
+
+// aliases are the figure targets that name part of a grid's output: they
+// pull in the grid that produces it.
+var aliases = map[string]string{
+	"fig9": "accuracy", "fig10": "accuracy", "fig11": "accuracy",
+	"fig12": "sensitivity", "fig13": "sensitivity",
 }
 
 // TargetNames returns every accepted target name, sorted — for usage and
 // error messages.
 func TargetNames() []string {
-	names := make([]string, 0, len(knownTargets))
-	for n := range knownTargets {
-		names = append(names, n)
+	names := []string{"all"}
+	for _, t := range targets {
+		names = append(names, t.name)
+	}
+	for a := range aliases {
+		names = append(names, a)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// ExpandTargets resolves a target list into the set of work to run: "all"
-// expands, and the grouped figure targets (fig9/10/11 share the accuracy
-// run, fig12/13 the sensitivity run) pull in their umbrella target. An
-// unknown name is an error — a job naming a target that does not exist
-// should fail at submission, not silently run nothing.
-func ExpandTargets(targets []string) (map[string]bool, error) {
-	if len(targets) == 0 {
+// ExpandTargets resolves a target list into the set of targets to run: "all"
+// expands to every target but the opt-in ones, and a figure alias pulls in
+// the grid it shares. An unknown name is an error — a job naming a target
+// that does not exist should fail at submission, not silently run nothing.
+func ExpandTargets(names []string) (map[string]bool, error) {
+	if len(names) == 0 {
 		return nil, errors.New("experiments: no targets named")
 	}
 	want := map[string]bool{}
-	for _, t := range targets {
-		if !knownTargets[t] {
-			return nil, fmt.Errorf("experiments: unknown target %q (known: %s)",
-				t, strings.Join(TargetNames(), " "))
+	for _, n := range names {
+		if g, ok := aliases[n]; ok {
+			want[n], n = true, g
 		}
-		if t == "all" {
-			for _, x := range allTargets {
-				want[x] = true
+		known := n == "all"
+		for _, t := range targets {
+			if t.name == n || n == "all" && !t.optIn {
+				want[t.name], known = true, true
 			}
-			continue
 		}
-		want[t] = true
-	}
-	// Grouped targets share one expensive run.
-	if want["fig9"] || want["fig10"] || want["fig11"] {
-		want["accuracy"] = true
-	}
-	if want["fig12"] || want["fig13"] {
-		want["sensitivity"] = true
+		if !known {
+			return nil, fmt.Errorf("experiments: unknown target %q (known: %s)",
+				n, strings.Join(TargetNames(), " "))
+		}
 	}
 	return want, nil
 }
@@ -83,15 +169,16 @@ type RunSpec struct {
 	Samples int
 }
 
-// RunTargets executes the named targets under opts, writing report text to
-// w (nil discards it) and returning the assembled Results bundle. The
-// bundle is always non-nil and holds everything completed before any
-// cut-off, so callers can persist partial results.
+// RunTargets executes the named targets in target-table order under opts,
+// writing report text to w (nil discards it) and returning the assembled
+// Results bundle. The bundle is always non-nil and holds everything
+// completed before any cut-off, so callers can persist partial results.
 //
+// A grid cell that fails is one CellError in the bundle; the run goes on.
 // Cancellation (opts.Ctx) is not an error: remaining targets are skipped
 // and the bundle comes back with Aborted set. A fatal fault — setup
-// failure, checkpoint-write failure — stops the run and is returned
-// alongside the partial bundle.
+// failure, store-write failure — stops the run and is returned alongside
+// the partial bundle.
 func RunTargets(opts Options, spec RunSpec, w io.Writer) (*Results, error) {
 	bundle := &Results{Scale: opts.Scale, Seed: opts.Seed}
 	want, err := ExpandTargets(spec.Targets)
@@ -101,129 +188,21 @@ func RunTargets(opts Options, spec RunSpec, w io.Writer) (*Results, error) {
 	if w == nil {
 		w = io.Discard
 	}
-	samples := spec.Samples
-	if samples <= 0 {
-		samples = 10000
+	if spec.Samples <= 0 {
+		spec.Samples = 10000
 	}
-	mc := opts.Metrics
-
-	// aborted records a run cut short by cancellation; fatal an error that
-	// must stop the run. Either way the targets already completed stay in
-	// the bundle.
-	aborted := false
 	var fatal error
-	dead := func() bool {
-		if ctxErr(opts.Ctx) != nil {
-			aborted = true
+	for _, t := range targets {
+		if !want[t.name] || fatal != nil || ctxErr(opts.Ctx) != nil {
+			continue
 		}
-		return aborted
+		sw := opts.Metrics.StartPhase("target." + t.name)
+		if err := t.run(opts, spec, w, bundle); err != nil && !isCancellation(err) {
+			fatal = err
+		}
+		sw.Stop()
 	}
-	// handle classifies a target's error: cancellation marks the run
-	// aborted, anything else is fatal. It returns true when the target
-	// completed cleanly.
-	handle := func(err error) bool {
-		if err == nil {
-			return true
-		}
-		if isCancellation(err) {
-			aborted = true
-			return false
-		}
-		fatal = err
-		return false
-	}
-	run := func(name string, f func()) {
-		if want[name] && fatal == nil && !dead() {
-			f()
-		}
-	}
-
-	run("table6", func() {
-		sw := mc.StartPhase("target.table6")
-		rows, err := RunTable6(opts)
-		sw.Stop()
-		if handle(err) {
-			PrintTable6(w, rows, opts.Scale)
-			bundle.Table6 = rows
-		}
-	})
-	run("table1", func() {
-		sw := mc.StartPhase("target.table1")
-		// Table I measures into a private collector merged afterwards so the
-		// aggregate never sees hot-path writes — a live Snapshot of mc (the
-		// server's progress endpoint) must only race against Merge/AtomicAdd,
-		// which are safe.
-		var t1mc *metrics.Collector
-		if mc != nil {
-			t1mc = metrics.New()
-		}
-		t1 := RunTable1PerKernelMetrics(clampScale(opts.Scale, 0.05), t1mc)
-		mc.Merge(t1mc)
-		sw.Stop()
-		PrintTable1(w, t1)
-		bundle.Table1 = t1
-	})
-	run("fig5", func() {
-		f5 := RunFig5(samples, opts.Seed+5)
-		PrintFig5(w, f5)
-		bundle.Fig5 = f5
-	})
-	run("fig8", func() {
-		sw := mc.StartPhase("target.fig8")
-		series, err := RunFig8([]string{"conv", "mst"}, opts)
-		sw.Stop()
-		if handle(err) {
-			PrintFig8(w, series)
-			bundle.Fig8 = series
-		}
-	})
-	run("ablations", func() {
-		sw := mc.StartPhase("target.ablations")
-		results, err := RunAblations(opts)
-		sw.Stop()
-		if handle(err) {
-			PrintAblations(w, results)
-			bundle.Ablations = results
-		}
-	})
-	run("motivation", func() {
-		sw := mc.StartPhase("target.motivation")
-		results, err := RunMotivation(opts)
-		sw.Stop()
-		if handle(err) {
-			PrintMotivation(w, results)
-			bundle.Motivation = results
-		}
-	})
-	run("accuracy", func() {
-		sw := mc.StartPhase("target.accuracy")
-		results, cellErrs, err := RunAccuracy(opts)
-		sw.Stop()
-		bundle.Errors = append(bundle.Errors, cellErrs...)
-		if handle(err) || len(results) > 0 {
-			PrintFig9(w, results)
-			PrintFig10(w, results)
-			PrintFig11(w, results)
-			PrintSamplerDetail(w, results)
-			bundle.Accuracy = results
-			bundle.Pareto = ComputePareto(results)
-			PrintPareto(w, bundle.Pareto)
-		}
-	})
-	run("sensitivity", func() {
-		sw := mc.StartPhase("target.sensitivity")
-		results, cellErrs, err := RunSensitivity(opts)
-		sw.Stop()
-		bundle.Errors = append(bundle.Errors, cellErrs...)
-		if handle(err) || len(results) > 0 {
-			PrintFig12(w, results)
-			PrintFig13(w, results)
-			PrintSensSamplers(w, results)
-			bundle.Sensitivity = results
-		}
-	})
-
-	bundle.Aborted = dead()
+	bundle.Aborted = ctxErr(opts.Ctx) != nil
 	return bundle, fatal
 }
 

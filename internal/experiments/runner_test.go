@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"tbpoint/internal/faultcheck"
 	"tbpoint/internal/metrics"
 )
 
@@ -24,7 +25,7 @@ func TestExpandTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range allTargets {
+	for _, n := range []string{"table1", "table6", "fig5", "fig8", "motivation", "accuracy", "sensitivity"} {
 		if !want[n] {
 			t.Errorf("ExpandTargets(all): missing %q", n)
 		}
@@ -115,6 +116,48 @@ func TestRunTargetsFatalKeepsBundle(t *testing.T) {
 	}
 	if bundle.Aborted || len(bundle.Accuracy) != 0 {
 		t.Fatalf("fatal run: aborted=%v, %d accuracy rows; want neither", bundle.Aborted, len(bundle.Accuracy))
+	}
+}
+
+// TestRunTargetsCellFaultDegrades: a panic in one cell of any grid target
+// is one CellError in the bundle, with the panic and its stack; the target
+// keeps its other cells and the targets after it run. At Parallelism 1 the
+// first store write is the first cell's full reference.
+func TestRunTargetsCellFaultDegrades(t *testing.T) {
+	old := Parallelism
+	Parallelism = 1
+	defer func() { Parallelism = old }()
+	for _, tc := range []struct {
+		target, cell string
+		rows         func(*Results) int
+		want         int
+	}{
+		{"motivation", "stream", func(b *Results) int { return len(b.Motivation) }, 1},
+		{"ablations", "warming/paper(pairwise)/hotspot", func(b *Results) int { return len(b.Ablations) }, 11},
+	} {
+		t.Run(tc.target, func(t *testing.T) {
+			opts := fastOpts()
+			opts.Benchmarks = []string{"stream", "black"}
+			faultAtWrite(t, &opts, 1, faultcheck.Panic)
+			bundle, err := RunTargets(opts, RunSpec{Targets: []string{tc.target, "accuracy"}}, nil)
+			if err != nil {
+				t.Fatalf("a cell fault stopped the run: %v", err)
+			}
+			if len(bundle.Errors) != 1 {
+				t.Fatalf("got cell errors %+v, want one", bundle.Errors)
+			}
+			ce := bundle.Errors[0]
+			if ce.Grid != tc.target || ce.Cell != tc.cell || !strings.Contains(ce.Err, "injected panic") || ce.Stack == "" {
+				t.Errorf("cell error %s/%s %q (stack %d bytes), want %s/%s carrying the panic and its stack",
+					ce.Grid, ce.Cell, ce.Err, len(ce.Stack), tc.target, tc.cell)
+			}
+			if got := tc.rows(bundle); got != tc.want {
+				t.Errorf("%d %s rows, want %d", got, tc.target, tc.want)
+			}
+			if len(bundle.Accuracy) != 2 {
+				t.Errorf("%d accuracy rows, want 2", len(bundle.Accuracy))
+			}
+		})
 	}
 }
 

@@ -631,7 +631,7 @@ func TestMotivationSharesReferenceWithAccuracy(t *testing.T) {
 	benches := []string{"kmeans", "stream"}
 	plain := subcellOpts(t, nil, nil)
 	plain.Benchmarks = benches
-	wantMot, err := RunMotivation(plain)
+	wantMot, _, err := RunMotivation(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,9 +644,9 @@ func TestMotivationSharesReferenceWithAccuracy(t *testing.T) {
 	motMC, accMC := metrics.New(), metrics.New()
 	opts := subcellOpts(t, store, motMC)
 	opts.Benchmarks = benches
-	gotMot, err := RunMotivation(opts)
-	if err != nil {
-		t.Fatal(err)
+	gotMot, cellErrs, err := RunMotivation(opts)
+	if err != nil || len(cellErrs) != 0 {
+		t.Fatalf("motivation: err %v, cell errors %+v", err, cellErrs)
 	}
 	opts.Metrics = accMC
 	gotAcc, cellErrs, err := RunAccuracy(opts)

@@ -62,7 +62,7 @@ type Table1Result struct {
 type Table1Row struct {
 	Kernel Table1Kernel
 	// WarpInstsPerSec is the measured throughput on the row's proxy
-	// benchmark (0 in bundles recorded before rows were measured one by one).
+	// benchmark.
 	WarpInstsPerSec float64
 	SimTime         time.Duration
 }
@@ -136,11 +136,8 @@ func PrintTable1(w io.Writer, r *Table1Result) {
 		r.SimWarpInstsPerSec, r.SimWarpInstsPerSec*32, r.Slowdown)
 	t := &table{header: []string{"kernel", "GPU (msec)", "sim insts/s", "Simulation"}}
 	for _, row := range r.Rows {
-		thr := "-"
-		if row.WarpInstsPerSec > 0 {
-			thr = fmt.Sprintf("%.2e", row.WarpInstsPerSec)
-		}
-		t.addRow(row.Kernel.Name, fmt.Sprintf("%.0f", row.Kernel.GPUms), thr, humanDuration(row.SimTime))
+		t.addRow(row.Kernel.Name, fmt.Sprintf("%.0f", row.Kernel.GPUms),
+			fmt.Sprintf("%.2e", row.WarpInstsPerSec), humanDuration(row.SimTime))
 	}
 	t.write(w)
 	fmt.Fprintln(w, "paper: NB 3.78 weeks, SP 2.48 weeks, SSSP 6.54 days, PTA 4.15 days,")

@@ -45,52 +45,56 @@ func (e *APIError) Error() string {
 }
 
 // do issues one request and decodes the JSON response into out (unless out
-// is nil). Non-2xx responses come back as *APIError.
+// is nil; a *[]byte out receives the raw body).
 func (c *Client) do(ctx context.Context, method, path string, body, out interface{}) error {
-	var rd io.Reader
-	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(data)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, method, path, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if err != nil || out == nil {
 		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		ae := &APIError{Status: resp.StatusCode}
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			ae.Message = fmt.Sprintf("%s %s: %s", method, path, e.Error)
-		} else {
-			ae.Message = fmt.Sprintf("%s %s", method, path)
-		}
-		return ae
-	}
-	if out == nil {
-		return nil
 	}
 	if raw, ok := out.(*[]byte); ok {
 		*raw = data
 		return nil
 	}
 	return json.Unmarshal(data, out)
+}
+
+// send issues one request and returns the response, whose body the caller
+// closes. A non-2xx response comes back as *APIError carrying the daemon's
+// {"error": ...} message.
+func (c *Client) send(ctx context.Context, method, path string, body interface{}) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return nil, err
+		}
+		rd = bytes.NewReader(data)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil || resp.StatusCode/100 == 2 {
+		return resp, err
+	}
+	defer resp.Body.Close()
+	ae := &APIError{Status: resp.StatusCode, Message: method + " " + path}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
+		ae.Message += ": " + e.Error
+	}
+	return nil, ae
 }
 
 // Health probes GET /healthz.
@@ -168,23 +172,9 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 
 // Report fetches the job's captured report text.
 func (c *Client) Report(ctx context.Context, id string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/jobs/"+id+"/report", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET /jobs/%s/report: HTTP %d", id, resp.StatusCode)
-	}
-	return string(data), nil
+	var data []byte
+	err := c.do(ctx, http.MethodGet, "/jobs/"+id+"/report", nil, &data)
+	return string(data), err
 }
 
 // Metrics fetches the server-wide metrics snapshot as raw JSON.
@@ -198,18 +188,11 @@ func (c *Client) Metrics(ctx context.Context) ([]byte, error) {
 // until the stream ends (terminal state) or fn returns an error, which is
 // propagated.
 func (c *Client) Events(ctx context.Context, id string, fn func(server.JobStatus) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/jobs/"+id+"/events", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/jobs/"+id+"/events", nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /jobs/%s/events: HTTP %d", id, resp.StatusCode)
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {

@@ -17,14 +17,15 @@ import (
 
 // TestWaitRidesEvents: Wait follows /events and returns the last status the
 // stream delivers. A stream that is refused (404) or that ends before a
-// terminal state is an error naming the job, and Wait never falls back to
+// terminal state is an error naming the job, a refusal also carrying the
+// daemon's status and error text, and Wait never falls back to
 // GET /jobs/{id}. A daemon that is gone once the stream ends (it closed its
 // listener) ends Wait at once with that error; waiting again after the
 // restart is the recovery.
 func TestWaitRidesEvents(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		events  func(w http.ResponseWriter) // nil: 404
+		events  func(w http.ResponseWriter) // nil: the daemon's 404 for an unknown job
 		gone    bool                        // the daemon stops listening once the stream starts
 		wantErr bool
 	}{
@@ -49,7 +50,8 @@ func TestWaitRidesEvents(t *testing.T) {
 			mux.HandleFunc("GET /jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 				streams.Add(1)
 				if tc.events == nil {
-					http.NotFound(w, r)
+					w.WriteHeader(http.StatusNotFound)
+					json.NewEncoder(w).Encode(map[string]string{"error": server.ErrNotFound.Error()})
 					return
 				}
 				if tc.gone {
@@ -71,6 +73,10 @@ func TestWaitRidesEvents(t *testing.T) {
 				if err == nil || !strings.Contains(err.Error(), "j1") || !strings.Contains(err.Error(), string(st.State)) ||
 					time.Since(start) > 500*time.Millisecond {
 					t.Fatalf("Wait returned %+v, %v after %v; want an error naming j1 and its last state well inside 1s", st, err, time.Since(start))
+				}
+				var ae *client.APIError
+				if tc.events == nil && (!errors.As(err, &ae) || ae.Status != http.StatusNotFound || !strings.Contains(err.Error(), "no such job")) {
+					t.Fatalf("Wait on an unknown job returned %v, want the daemon's 404 saying \"no such job\"", err)
 				}
 			} else if err != nil {
 				t.Fatal(err)

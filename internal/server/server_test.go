@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -329,8 +330,17 @@ func TestSubmitValidation(t *testing.T) {
 		t.Errorf("GET /jobs?state=quarantined: %v, %v, want an empty list", jobs, err)
 	}
 
-	if _, err := c.Status(ctx, "j999999"); err == nil || !strings.Contains(err.Error(), "HTTP 404") {
-		t.Errorf("unknown job status: %v, want HTTP 404", err)
+	// Every per-job call on an unknown job is the daemon's 404 with its
+	// error text.
+	for _, err := range []error{
+		func() error { _, err := c.Status(ctx, "j999999"); return err }(),
+		func() error { _, err := c.Report(ctx, "j999999"); return err }(),
+		c.Events(ctx, "j999999", func(server.JobStatus) error { return nil }),
+	} {
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusNotFound || !strings.Contains(err.Error(), "no such job") {
+			t.Errorf("unknown job: %v, want HTTP 404 saying \"no such job\"", err)
+		}
 	}
 	st, err := c.Submit(ctx, smallSpec())
 	if err != nil {

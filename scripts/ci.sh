@@ -50,9 +50,9 @@
 #              one-shot CLI bytes, daemon flag wiring, and every tbpointctl
 #              subcommand. A cache hit after `race` in a full run; the stage
 #              exists to be run by name
-#   fuzz       10s fuzz smoke over each fuzz target of the root module
-#              (TestCIFuzzStageRunsEveryFuzzTarget holds the list below to
-#              the declared targets): the
+#   fuzz       10s fuzz smoke over each of the 11 fuzz targets of the root
+#              module (TestCIFuzzStageRunsEveryFuzzTarget holds the list
+#              below to the declared targets), in list order: the
 #              instruction cursor (the flat µop walk yields the block walk's
 #              instructions, blocks and loop iterations on random programs
 #              and trip counts), the wake heap (the bottom-up pop leaves the
@@ -62,17 +62,21 @@
 #              builder (blocks read back bit for bit, one table entry per
 #              bit-distinct shape, also with every shape in one bucket), the
 #              launch-equality predicate behind reference-run launch reuse
-#              (equal => same recorded streams),
-#              the region table reader, the reference replay
+#              (equal => same recorded streams), the reference replay
 #              through the region sampler's one log reader, observe (an
 #              arbitrary block order and unit list is refused or finished,
-#              never a panic or an out-of-range block), the
-#              checkpoint reader, the durable store's LRU (arbitrary put,
-#              get, budget and reopen sequences keep the keys, accounted and
-#              on-disk bytes and evictions of a recency-list model), the
-#              stratified allocator, and POST /jobs
-#              (arbitrary bodies get 400 or 202, never a panic, and an
-#              accepted spec is a fixed point of decode + Validate)
+#              never a panic or an out-of-range block), the results-file
+#              envelope reader (arbitrary bytes never panic it, and what it
+#              accepts re-encodes to the same kind and payload), the durable
+#              store's LRU (arbitrary put, get, budget and reopen sequences
+#              keep the keys, accounted and on-disk bytes and evictions of a
+#              recency-list model), the durable store's log replay (intact
+#              records followed by arbitrary bytes: Open never fails, a
+#              record replays unless a later intact line replaces it, the
+#              rest is quarantined, and a reopen replays the same values),
+#              the stratified allocator, and POST /jobs (arbitrary bodies
+#              get 400 or 202, never a panic, and an accepted spec is a
+#              fixed point of decode + Validate)
 #
 # Usage: scripts/ci.sh [fast | stage...]
 #   (no args)       run every stage
