@@ -84,11 +84,11 @@ type Options struct {
 	// Out receives report text (required by the Print* helpers).
 	Out io.Writer
 	// Metrics, when non-nil, accumulates the harness's observability data:
-	// per-phase wall time (experiments.full_ref, one sampler.<name> phase
-	// per estimation strategy, plus the core.* phases) and every
-	// simulation's counters. Each benchmark records into a private
-	// collector that is merged into this one when the benchmark finishes,
-	// so parallel grids stay race-free.
+	// per-phase wall time (experiments.build, experiments.full_ref, one
+	// sampler.<name> phase per estimation strategy, plus the core.* phases)
+	// and every simulation's counters. Each benchmark records into a
+	// private collector that is merged into this one when the benchmark
+	// finishes, so parallel grids stay race-free.
 	Metrics *metrics.Collector
 }
 
@@ -131,21 +131,41 @@ func (o Options) specs() ([]*workloads.Spec, error) {
 // golden counters — sizes its units here, at DefaultOptions unless a sweep
 // says otherwise.
 func (o Options) UnitSize(totalInsts int64) int64 {
-	div := o.UnitDivisor
-	if div < 1 {
-		div = 400
+	div, lo, hi := o.unitRule()
+	u := totalInsts / div
+	if u < lo {
+		u = lo
 	}
-	u := totalInsts / int64(div)
-	if u < o.MinUnitInsts {
-		u = o.MinUnitInsts
-	}
-	if o.MaxUnitInsts > 0 && u > o.MaxUnitInsts {
-		u = o.MaxUnitInsts
+	if hi > 0 && u > hi {
+		u = hi
 	}
 	if u < 1 {
 		u = 1
 	}
 	return u
+}
+
+// unitRule is UnitSize's rule in normal form: a divisor below 1 is the
+// default 400 and a maximum of 0 or less is none (0). With the benchmark,
+// scale and seed it determines every unit size, so store keys carry the rule
+// and a cell whose entries all hit never builds its workload to derive one.
+func (o Options) unitRule() (div, lo, hi int64) {
+	div, lo, hi = int64(o.UnitDivisor), o.MinUnitInsts, o.MaxUnitInsts
+	if div < 1 {
+		div = 400
+	}
+	if hi < 0 {
+		hi = 0
+	}
+	return div, lo, hi
+}
+
+// buildApp builds spec's workload at o's scale and seed and sizes its
+// sampling units, timed as the experiments.build phase.
+func (o Options) buildApp(spec *workloads.Spec, mc *metrics.Collector) (*kernel.App, int64) {
+	defer mc.StartPhase("experiments.build").Stop()
+	app := spec.Build(workloads.Config{Scale: o.Scale, Seed: o.Seed})
+	return app, o.UnitSize(app.TotalWarpInsts())
 }
 
 func (o Options) tbpointOptions() core.Options {
@@ -373,8 +393,6 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 		mc = metrics.New()
 		defer opts.Metrics.Merge(mc)
 	}
-	app := spec.Build(workloads.Config{Scale: opts.Scale, Seed: opts.Seed})
-	unit := opts.UnitSize(app.TotalWarpInsts())
 	r := &BenchResult{
 		Name:     spec.Name,
 		Type:     spec.Type,
@@ -383,8 +401,9 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 
 	// The cell is composed from the sub-cell cache (see subcell): reference
 	// header, then each selected outcome. Without a store sc is nil, nothing
-	// hits and everything below runs.
-	sc := opts.subcell(spec.Name, unit, cfg)
+	// hits and everything below runs. Only a cell that misses something
+	// builds its workload.
+	sc := opts.subcell(spec.Name, cfg)
 	var hdr refHeader
 	haveHdr := sc.load("refhdr", "", &hdr)
 	var missing []sampler.Sampler
@@ -398,6 +417,7 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 	if haveHdr && len(missing) == 0 {
 		mc.AtomicAdd(metrics.SubcellHits, 1)
 	} else {
+		app, unit := opts.buildApp(spec, mc)
 		full, simulated, err := opts.fullReference(sc, sim, app, unit, mc)
 		if err != nil {
 			return nil, err

@@ -90,9 +90,8 @@ func RunMotivation(opts Options) ([]MotivationResult, []CellError, error) {
 // AtomicAdd, which are safe on one collector.
 func motivationCell(o Options, spec *workloads.Spec, sim *gpusim.Simulator, cfg gpusim.Config) (MotivationResult, error) {
 	mc := o.Metrics
-	app := spec.Build(workloads.Config{Scale: o.Scale, Seed: o.Seed})
-	unit := o.UnitSize(app.TotalWarpInsts())
-	full, _, err := o.fullReference(o.subcell(spec.Name, unit, cfg), sim, app, unit, mc)
+	app, unit := o.buildApp(spec, mc)
+	full, _, err := o.fullReference(o.subcell(spec.Name, cfg), sim, app, unit, mc)
 	if err != nil {
 		return MotivationResult{}, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -28,26 +29,28 @@ const outcomeSchema = "outcome/v2"
 // (another sampler set or budget). A cell is a composition of three kinds
 // of entry and is never stored whole:
 //
-//	subcell/v1/fullref/<bench>/<hash(scale, seed)>/<hash(unit, hw config)>
-//	subcell/v1/refhdr/<bench>/<hash(scale, seed)>/<hash(unit, hw config)>
-//	subcell/v1/outcome/<bench>/<hash(scale, seed)>/<hash(outcomeSchema, unit,
-//	    hw config, sampler params, TBPoint options)>/<sampler>
+//	subcell/v1/fullref/<bench>/<hash(scale, seed)>/<hash(unit rule, hw config)>
+//	subcell/v1/refhdr/<bench>/<hash(scale, seed)>/<hash(unit rule, hw config)>
+//	subcell/v1/outcome/<bench>/<hash(scale, seed)>/<hash(outcomeSchema,
+//	    unit rule, hw config, sampler params, TBPoint options)>/<sampler>
 //
 // fullref is the full reference run (13-100 KB of units and BBVs), refhdr
 // the two IPCs a result takes from it, and outcome one strategy's
-// sampler.Outcome. RunBenchmark reads the header, then each selected
-// outcome, and only when something is missing fetches and decodes the heavy
-// artifact (or simulates) and runs just the missing strategies. The cheaper
-// intermediates (profile, features, clustering) cost more to store than to
-// recompute and are not cached.
+// sampler.Outcome. The unit rule (Options.unitRule), not the unit it
+// derives, is in the keys, so RunBenchmark reads the header, then each
+// selected outcome, and only when something is missing builds the workload,
+// fetches and decodes the heavy artifact (or simulates) and runs just the
+// missing strategies. The cheaper intermediates (profile, features,
+// clustering) cost more to store than to recompute and are not cached.
 //
 // The benchmark name and the strategy are in the clear for debuggability;
 // the hashes cover everything else that changes the entry's bytes. Header
 // and outcome entries also carry their un-hashed key material and a hit
-// requires it to match, and a decoded run must have the live workload's
-// shape, so a colliding, stale or damaged entry degrades to work, never to a
-// wrong number. LaunchResult is all integer counters and Go's float
-// formatting round-trips, so a hit is byte-identical to a recompute.
+// requires it to match, and a decoded run must account for every block and
+// instruction of the live workload (completeRun), so a colliding, stale or
+// damaged entry degrades to work, never to a wrong number. LaunchResult is
+// all integer counters and Go's float formatting round-trips, so a hit is
+// byte-identical to a recompute.
 //
 // Lookups obey Resume; a miss is counted wherever the value is computed
 // instead. An entry is published only where its value was just computed,
@@ -62,16 +65,17 @@ type subcell struct {
 	outMat string // ... every strategy's outcome on that run
 }
 
-func (o Options) subcell(bench string, unit int64, cfg gpusim.Config) *subcell {
+func (o Options) subcell(bench string, cfg gpusim.Config) *subcell {
 	if o.Checkpoint == nil {
 		return nil
 	}
+	div, lo, hi := o.unitRule()
 	c := &subcell{
 		store:  o.Checkpoint,
 		resume: o.Resume,
 		bench:  bench,
 		appMat: fmt.Sprintf("scale=%g seed=%d", o.Scale, o.Seed),
-		runMat: fmt.Sprintf("unit=%d cfg=%+v", unit, cfg),
+		runMat: fmt.Sprintf("unit=total/%d in [%d,%d] cfg=%+v", div, lo, hi, cfg),
 	}
 	c.outMat = fmt.Sprintf("%s %s params=%+v tb=%+v", outcomeSchema, c.runMat, o.samplerParams(), o.tbpointKeyOptions())
 	return c
@@ -174,11 +178,11 @@ func (c *subcell) loadOutcome(name string, mc *metrics.Collector) (sampler.Outco
 func (o Options) fullReference(c *subcell, sim *gpusim.Simulator, app *kernel.App,
 	unit int64, mc *metrics.Collector) (*sampling.AppRun, bool, error) {
 	if c != nil && c.resume {
-		var run sampling.AppRun
-		data, ok := c.store.Get(c.key("fullref", ""))
-		if ok && json.Unmarshal(data, &run) == nil && completeRun(&run, app) {
-			mc.AtomicAdd(metrics.SubcellHits, 1)
-			return &run, false, nil
+		if data, ok := c.store.Get(c.key("fullref", "")); ok {
+			if run := decodeRun(data); run != nil && completeRun(run, app) {
+				mc.AtomicAdd(metrics.SubcellHits, 1)
+				return run, false, nil
+			}
 		}
 	}
 	if c != nil {
@@ -213,14 +217,80 @@ func (o Options) tbpointKeyOptions() core.Options {
 	return tb
 }
 
-// completeRun reports whether a decoded reference run covers every launch
-// of app.
+// decodeRun decodes a stored reference run, json.Marshal of a whole run
+// from fullApp, or returns nil. Launches whose encodings are equal decode
+// once and share one *LaunchResult, as fullApp left launches with equal
+// input, so a run of 100 identical launches costs one launch decode, not
+// 100. The launches are split without a JSON scan of the whole run: each is
+// validated when it is decoded, and anything but the written layout misses.
+func decodeRun(data []byte) *sampling.AppRun {
+	const head, tail = `{"Launches":[`, `],"Aborted":false}`
+	if !bytes.HasPrefix(data, []byte(head)) || !bytes.HasSuffix(data, []byte(tail)) {
+		return nil
+	}
+	rest := data[len(head) : len(data)-len(tail)]
+	run := &sampling.AppRun{}
+	seen := make(map[string]*gpusim.LaunchResult)
+	for len(rest) > 0 {
+		n := objectLen(rest)
+		if n == 0 {
+			return nil
+		}
+		e := rest[:n]
+		l, ok := seen[string(e)]
+		if !ok {
+			if json.Unmarshal(e, &l) != nil {
+				return nil
+			}
+			seen[string(e)] = l
+		}
+		run.Launches = append(run.Launches, l)
+		if rest = rest[n:]; len(rest) > 0 {
+			if rest[0] != ',' || len(rest) == 1 {
+				return nil
+			}
+			rest = rest[1:]
+		}
+	}
+	return run
+}
+
+// objectLen is the length of the JSON object data starts with, found by
+// bracket depth outside strings, or 0 if data does not start with one.
+func objectLen(data []byte) int {
+	if len(data) == 0 || data[0] != '{' {
+		return 0
+	}
+	depth, inString := 0, false
+	for i := 0; i < len(data); i++ {
+		switch c := data[i]; {
+		case inString && c == '\\':
+			i++
+		case c == '"':
+			inString = !inString
+		case inString:
+		case c == '{' || c == '[':
+			depth++
+		case c == '}' || c == ']':
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		}
+	}
+	return 0
+}
+
+// completeRun reports whether a decoded reference run is a whole run of app:
+// each launch simulated to the end, every thread block and every warp
+// instruction of its app launch, and nothing skipped. A run stored for
+// another workload (a different seed's, under a colliding key) fails it.
 func completeRun(run *sampling.AppRun, app *kernel.App) bool {
 	if run.Aborted || len(run.Launches) != len(app.Launches) {
 		return false
 	}
-	for _, l := range run.Launches {
-		if l == nil {
+	for i, l := range run.Launches {
+		if l == nil || l.Aborted || l.SkippedTBs != 0 || l.SimulatedTBs != app.Launches[i].NumBlocks() ||
+			l.SimulatedWarpInsts != app.Launches[i].TotalWarpInsts() {
 			return false
 		}
 	}

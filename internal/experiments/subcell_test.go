@@ -15,6 +15,7 @@ import (
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/metrics"
 	"tbpoint/internal/sampler"
+	"tbpoint/internal/sampling"
 	"tbpoint/internal/workloads"
 )
 
@@ -118,12 +119,12 @@ func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 	}
 }
 
-// assertComposed fails unless mc saw a pure composition: no reference run,
-// no strategy estimate, no simulation at all.
+// assertComposed fails unless mc saw a pure composition: no workload build,
+// no reference run, no strategy estimate, no simulation at all.
 func assertComposed(t *testing.T, what string, mc *metrics.Collector) {
 	t.Helper()
 	for _, p := range mc.Snapshot().Phases {
-		if p.Name == "experiments.full_ref" || strings.HasPrefix(p.Name, "sampler.") {
+		if p.Name == "experiments.build" || p.Name == "experiments.full_ref" || strings.HasPrefix(p.Name, "sampler.") {
 			t.Fatalf("%s ran phase %s", what, p.Name)
 		}
 	}
@@ -285,15 +286,15 @@ func TestSubcellComposesWithoutFullReference(t *testing.T) {
 }
 
 // TestOutcomeKeyCompleteness: every input an outcome depends on moves its
-// key, and nothing else does.
+// key, and nothing else does. The key carries the unit rule, so a rule
+// written two ways is one key.
 func TestOutcomeKeyCompleteness(t *testing.T) {
 	store, err := durable.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const totalInsts = 3_000_000
 	key := func(o Options, cfg gpusim.Config, name string) string {
-		return o.subcell("stream", o.UnitSize(totalInsts), cfg).key("outcome", name)
+		return o.subcell("stream", cfg).key("outcome", name)
 	}
 	base := subcellOpts(t, store, nil)
 	baseKey := key(base, gpusim.DefaultConfig(), "tbpoint")
@@ -347,7 +348,8 @@ func TestOutcomeKeyCompleteness(t *testing.T) {
 	}
 
 	// What does not determine the outcome must not move the key: explicit
-	// defaults, the live context and collector, the sampler selection.
+	// defaults, the live context and collector, the sampler selection, and
+	// the spellings of one unit rule.
 	same := base
 	tb := core.DefaultOptions()
 	tb.Ctx, tb.Metrics = context.Background(), metrics.New()
@@ -356,6 +358,20 @@ func TestOutcomeKeyCompleteness(t *testing.T) {
 	same.Ctx, same.Metrics, same.Resume = context.Background(), metrics.New(), false
 	if key(same, gpusim.DefaultConfig(), "tbpoint") != baseKey {
 		t.Error("an input that does not determine the outcome moved its key")
+	}
+	for _, pair := range []struct {
+		name string
+		a, b func(*Options)
+	}{
+		{"UnitDivisor 0 vs 400", func(o *Options) { o.UnitDivisor = 0 }, func(o *Options) { o.UnitDivisor = 400 }},
+		{"MaxUnitInsts 0 vs -1", func(o *Options) { o.MaxUnitInsts = 0 }, func(o *Options) { o.MaxUnitInsts = -1 }},
+	} {
+		a, b := base, base
+		pair.a(&a)
+		pair.b(&b)
+		if key(a, gpusim.DefaultConfig(), "tbpoint") != key(b, gpusim.DefaultConfig(), "tbpoint") {
+			t.Errorf("%s: one unit rule gives two keys", pair.name)
+		}
 	}
 }
 
@@ -582,6 +598,18 @@ func TestSensitivityComposesFromStore(t *testing.T) {
 	if n := phaseCount(mc, "experiments.full_ref"); n != 0 {
 		t.Errorf("warm run simulated %d reference runs", n)
 	}
+	// Each cell misses two outcomes, so it builds its workload once to
+	// profile it; the trio-only rerun, whose entries all hit, builds none.
+	if n := phaseCount(mc, "experiments.build"); n != int64(cells) {
+		t.Errorf("warm run built %d workloads, want one per cell (%d)", n, cells)
+	}
+	rerun := metrics.New()
+	if _, _, err := RunSensitivity(subcellOpts(t, store, rerun)); err != nil {
+		t.Fatal(err)
+	}
+	if n := phaseCount(rerun, "experiments.build"); n != 0 {
+		t.Errorf("all-hit rerun built %d workloads, want 0", n)
+	}
 }
 
 // TestSensitivityRecordsMetrics: a sensitivity cell meters what an accuracy
@@ -671,4 +699,223 @@ func TestMotivationSharesReferenceWithAccuracy(t *testing.T) {
 	if hits, misses := accMC.Count(metrics.SubcellHits), accMC.Count(metrics.SubcellMisses); hits != uint64(len(benches)) || misses != 0 {
 		t.Errorf("accuracy subcell hits=%d misses=%d, want %d and 0", hits, misses, len(benches))
 	}
+}
+
+// storeKey is the one key of store under the given sub-cell kind.
+func storeKey(t *testing.T, store *durable.Store, kind string) string {
+	t.Helper()
+	var keys []string
+	for _, k := range store.Keys() {
+		if strings.HasPrefix(k, "subcell/v1/"+kind+"/") {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) != 1 {
+		t.Fatalf("store holds %d %s entries, want 1", len(keys), kind)
+	}
+	return keys[0]
+}
+
+// TestSubcellForeignReferenceRecomputes: a reference run of another workload
+// filed under this cell's fullref key — what an FNV collision would look
+// like — has one complete result per launch, and numbers plausible enough to
+// serve. It must be a miss that simulates the right reference instead.
+func TestSubcellForeignReferenceRecomputes(t *testing.T) {
+	spec, err := workloads.ByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := func(seed uint64, store *durable.Store, mc *metrics.Collector) Options {
+		o := subcellOpts(t, store, mc)
+		o.Scale, o.Seed = 0.03, seed
+		return o
+	}
+	// Seed 1000's reference, and the key seed 1001's lives under.
+	donor := openStore(t, t.TempDir())
+	if _, err := RunBenchmark(spec, gpusim.DefaultConfig(), opts(1000, donor, nil)); err != nil {
+		t.Fatal(err)
+	}
+	foreign, _ := donor.Get(storeKey(t, donor, "fullref"))
+	own := openStore(t, t.TempDir())
+	if _, err := RunBenchmark(spec, gpusim.DefaultConfig(), opts(1001, own, nil)); err != nil {
+		t.Fatal(err)
+	}
+	key := storeKey(t, own, "fullref")
+	good, _ := own.Get(key)
+	if bytes.Equal(foreign, good) {
+		t.Fatal("seeds 1000 and 1001 stored the same reference; nothing to forge")
+	}
+
+	want, err := RunBenchmark(spec, gpusim.DefaultConfig(), opts(1001, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := openStore(t, t.TempDir())
+	if err := forged.Put(key, foreign); err != nil {
+		t.Fatal(err)
+	}
+	mc := metrics.New()
+	got, err := RunBenchmark(spec, gpusim.DefaultConfig(), opts(1001, forged, mc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(benchJSON(t, got), benchJSON(t, want)) {
+		t.Errorf("cell over a foreign reference: FullIPC %.4f, want %.4f", got.FullIPC, want.FullIPC)
+	}
+	if hits, misses := mc.Count(metrics.SubcellHits), mc.Count(metrics.SubcellMisses); hits != 0 || misses != 1 {
+		t.Errorf("subcell hits=%d misses=%d, want the foreign reference a miss", hits, misses)
+	}
+	if data, _ := forged.Get(key); !bytes.Equal(data, good) {
+		t.Error("the simulated reference did not replace the foreign one")
+	}
+}
+
+// TestStoredReferenceSharesLaunches: cfd's 100 launches have one input, so
+// fullApp simulates one and shares its result; the decoded run shares one
+// result again, equal to the computed one, and a cell estimated on it is the
+// computed cell's bytes. A damaged launch is still a miss that recomputes.
+func TestStoredReferenceSharesLaunches(t *testing.T) {
+	spec, err := workloads.ByName("cfd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := subcellOpts(t, nil, nil)
+	base.Scale, base.Benchmarks = 0.03, nil
+	want, err := RunBenchmark(spec, gpusim.DefaultConfig(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, unit := base.buildApp(spec, nil)
+	sim, err := gpusim.New(gpusim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := FullApp(sim, app, unit)
+
+	filled := base
+	filled.Checkpoint = openStore(t, t.TempDir())
+	if _, err := RunBenchmark(spec, gpusim.DefaultConfig(), filled); err != nil {
+		t.Fatal(err)
+	}
+	key := storeKey(t, filled.Checkpoint, "fullref")
+	data, _ := filled.Checkpoint.Get(key)
+	if stored, _ := json.Marshal(full); !bytes.Equal(data, stored) {
+		t.Fatal("the stored reference is not json.Marshal of the computed run")
+	}
+	run := decodeRun(data)
+	if run == nil || !completeRun(run, app) {
+		t.Fatal("the stored reference does not decode to a complete run")
+	}
+	distinct := map[*gpusim.LaunchResult]bool{}
+	for _, l := range run.Launches {
+		distinct[l] = true
+	}
+	if len(run.Launches) != 100 || len(distinct) != 1 {
+		t.Fatalf("decoded %d launches into %d results, want 100 into 1", len(run.Launches), len(distinct))
+	}
+	computed := *full.Launches[0]
+	computed.TBOrder = nil // never stored
+	if !reflect.DeepEqual(run.Launches[0], &computed) {
+		t.Error("the decoded launch differs from the computed one")
+	}
+
+	// Cells over a store holding only the reference: each estimates the
+	// default trio on whatever the reference decodes to.
+	last := bytes.LastIndex(data, []byte(`,{"Cycles":`))
+	end := bytes.LastIndex(data, []byte(`],"Aborted"`))
+	counter := bytes.LastIndex(data, []byte(`"SimulatedTBs":`)) + len(`"SimulatedTBs":`)
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, tc := range []struct {
+		name     string
+		payload  []byte
+		simulate bool
+	}{
+		{"intact", data, false},
+		{"one launch's counter changed", join(data[:counter], []byte("9"), data[counter:]), true},
+		{"one launch null", join(data[:last], []byte(",null"), data[end:]), true},
+		{"one launch undecodable", join(data[:last], []byte(`,{"Cycles":"damaged"}`), data[end:]), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			payload := tc.payload
+			o := base
+			o.Checkpoint = openStore(t, t.TempDir())
+			o.Metrics = metrics.New()
+			if err := o.Checkpoint.Put(key, payload); err != nil {
+				t.Fatal(err)
+			}
+			got, err := RunBenchmark(spec, gpusim.DefaultConfig(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(benchJSON(t, got), benchJSON(t, want)) {
+				t.Error("cell over the stored reference differs from the computed cell")
+			}
+			wantMiss := uint64(0)
+			if tc.simulate {
+				wantMiss = 1
+			}
+			if n := o.Metrics.Count(metrics.SubcellMisses); n != wantMiss {
+				t.Errorf("%d reference simulations, want %d", n, wantMiss)
+			}
+			if stored, _ := o.Checkpoint.Get(key); !bytes.Equal(stored, data) {
+				t.Error("the store does not hold the good reference after the cell")
+			}
+		})
+	}
+}
+
+// TestComposedCellAllocs: a cell whose header and outcome all hit reads two
+// small entries and builds nothing, so what it allocates does not grow with
+// its workload (building cfd's alone allocates ~800 times). The count is
+// deterministic.
+func TestComposedCellAllocs(t *testing.T) {
+	for _, bench := range []string{"cfd", "spmv", "black", "bfs"} {
+		spec, err := workloads.ByName(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := subcellOpts(t, openStore(t, t.TempDir()), nil)
+		opts.Scale = 0.03
+		opts.Samplers = []string{sampler.NameTBPoint}
+		if _, err := RunBenchmark(spec, gpusim.DefaultConfig(), opts); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := RunBenchmark(spec, gpusim.DefaultConfig(), opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 90 {
+			t.Errorf("%s: an all-hit cell allocates %.0f times, want at most 90", bench, allocs)
+		}
+	}
+}
+
+// FuzzDecodeRun: decodeRun splits a stored run by hand, so whatever bytes it
+// accepts must be bytes json.Unmarshal accepts too, decoding to the same
+// launches; anything else (and nothing may panic) is a miss.
+func FuzzDecodeRun(f *testing.F) {
+	launch := `{"Cycles":7,"SMs":[{"WarpInsts":3,"Cycles":7}],"Units":null,"FixedUnits":[{"WarpInsts":3,"Cycles":7,"BBV":[1,2]}],"SimulatedTBs":1,"SkippedTBs":0,"SimulatedWarpInsts":3,"Aborted":false}`
+	f.Add([]byte(`{"Launches":[` + launch + `,` + launch + `],"Aborted":false}`))
+	f.Add([]byte(`{"Launches":[` + launch + `,{"Cycles":"x"}],"Aborted":false}`))
+	f.Add([]byte(`{"Launches":[{"a":"}\"{"},null],"Aborted":false}`))
+	f.Add([]byte(`{"Launches":[],"Aborted":false}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		run := decodeRun(data)
+		if run == nil {
+			return
+		}
+		var want sampling.AppRun
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatalf("decodeRun accepted what json.Unmarshal refuses (%v): %q", err, data)
+		}
+		if run.Aborted != want.Aborted || len(run.Launches) != len(want.Launches) {
+			t.Fatalf("decoded %d launches (aborted %v), json.Unmarshal %d (%v)", len(run.Launches), run.Aborted, len(want.Launches), want.Aborted)
+		}
+		for i := range run.Launches {
+			if !reflect.DeepEqual(run.Launches[i], want.Launches[i]) {
+				t.Fatalf("launch %d decoded to %+v, json.Unmarshal to %+v", i, run.Launches[i], want.Launches[i])
+			}
+		}
+	})
 }

@@ -313,7 +313,7 @@ func TestSubcellReuseAcrossJobs(t *testing.T) {
 		t.Errorf("%s holds %d entries, want only the journal log", filepath.Join(stateDir, "jobs"), n)
 	}
 	for _, p := range dj.Phases {
-		if strings.HasPrefix(p.Name, "sampler.") || p.Name == "experiments.full_ref" {
+		if strings.HasPrefix(p.Name, "sampler.") || p.Name == "experiments.full_ref" || p.Name == "experiments.build" {
 			t.Fatalf("job D ran phase %s, want a pure composition", p.Name)
 		}
 	}

@@ -50,7 +50,7 @@
 #              one-shot CLI bytes, daemon flag wiring, and every tbpointctl
 #              subcommand. A cache hit after `race` in a full run; the stage
 #              exists to be run by name
-#   fuzz       10s fuzz smoke over each of the 11 fuzz targets of the root
+#   fuzz       10s fuzz smoke over each of the 12 fuzz targets of the root
 #              module (TestCIFuzzStageRunsEveryFuzzTarget holds the list
 #              below to the declared targets), in list order: the
 #              instruction cursor (the flat µop walk yields the block walk's
@@ -74,6 +74,8 @@
 #              records followed by arbitrary bytes: Open never fails, a
 #              record replays unless a later intact line replaces it, the
 #              rest is quarantined, and a reopen replays the same values),
+#              the stored reference run's launch split (what it accepts,
+#              json.Unmarshal accepts and decodes to the same launches),
 #              the stratified allocator, and POST /jobs (arbitrary bodies
 #              get 400 or 202, never a panic, and an accepted spec is a
 #              fixed point of decode + Validate)
@@ -123,6 +125,7 @@ stage_fuzz() {
     fuzz FuzzReadEnvelope ./internal/durable/ &&
     fuzz FuzzStoreLRU ./internal/durable/ &&
     fuzz FuzzStoreReplay ./internal/durable/ &&
+    fuzz FuzzDecodeRun ./internal/experiments/ &&
     fuzz FuzzStratifiedAllocate ./internal/sampler/ &&
     fuzz FuzzJobSpec ./internal/server/
 }
