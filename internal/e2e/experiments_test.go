@@ -29,11 +29,10 @@ func TestCrashThenResumeIsByteIdentical(t *testing.T) {
 	}
 	golden := oneShot(t, "-bench", "stream,black,hotspot")
 
-	// At -par 1 a cell's store writes are its full reference, the reference
-	// header and one outcome per strategy. Dying at the second cell's header
-	// leaves the first cell whole and, beside it, the second cell's
-	// reference.
-	perCell := 2 + len(sampler.DefaultSet())
+	// At -par 1 a cell's store writes are its full reference, then one
+	// outcome per strategy. Dying at the second cell's first outcome leaves
+	// the first cell whole and, beside it, the second cell's reference.
+	perCell := 1 + len(sampler.DefaultSet())
 	crashed := filepath.Join(tmp, "crashed.json")
 	r := grid([]string{fmt.Sprintf("TBPOINT_CRASH_AFTER_CHECKPOINTS=%d", perCell+2)}, "-json", crashed)
 	if r.code != 3 || !strings.Contains(r.stderr, "injected crash") {

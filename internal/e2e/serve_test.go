@@ -72,8 +72,8 @@ func TestKilledDaemonRestartRunsJournaledJob(t *testing.T) {
 	if got, err := d.c.Result(ctx, again); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("cache-served results.json differs from the one-shot output (%v)", err)
 	}
-	if n := d.counter(metrics.ServerSubcellHits); n != 3 {
-		t.Errorf("server.subcell_hits = %d on /metrics, want 3", n)
+	if n := d.counter(metrics.SubcellHits); n != 3 {
+		t.Errorf("subcell.hits = %d on /metrics, want 3", n)
 	}
 
 	d.cmd.Process.Signal(syscall.SIGTERM)
@@ -95,7 +95,7 @@ func TestKilledDaemonRestartRunsJournaledJob(t *testing.T) {
 func TestCrashLoopQuarantinesAfterFourDeaths(t *testing.T) {
 	ctx := testContext(t)
 	state := filepath.Join(t.TempDir(), "state")
-	perCell := 2 + len(sampler.DefaultSet()) // reference, header, outcomes
+	perCell := 1 + len(sampler.DefaultSet()) // the reference, then one outcome per strategy
 	crashHook := []string{fmt.Sprintf("%s=%d", durable.CrashHookEnv, perCell+1)}
 
 	// Seed the journal on a paused daemon: poison first (head of the single

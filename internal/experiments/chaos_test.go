@@ -22,8 +22,8 @@ import (
 
 // faultAtWrite attaches a store to opts whose nth write fires fault. At
 // Parallelism 1 a default-trio accuracy cell makes perCell writes in order,
-// all inside the cell's run: its full reference, the reference header and
-// one outcome per strategy — so a fault at write k*perCell+1 hits cell k+1.
+// all inside the cell's run: its full reference, then one outcome per
+// strategy — so a fault at write k*perCell+1 hits cell k+1.
 func faultAtWrite(t *testing.T, opts *Options, n int64, mode faultcheck.Mode) {
 	t.Helper()
 	store, err := durable.Open(t.TempDir())
@@ -35,7 +35,7 @@ func faultAtWrite(t *testing.T, opts *Options, n int64, mode faultcheck.Mode) {
 }
 
 // perCell is the store writes of one default-trio accuracy cell.
-var perCell = int64(2 + len(sampler.DefaultSet()))
+var perCell = int64(1 + len(sampler.DefaultSet()))
 
 // faultyAccuracyGrid is RunAccuracy's grid over benches, handed to runGrid
 // with fault fired at the start of cell bad.
@@ -227,7 +227,7 @@ func TestChaosLaunchPanicNamesThePanic(t *testing.T) {
 			_, cellErrs, err := runGrid(fastOpts(), "accuracy", []gridCell[*sampling.AppRun]{{
 				name: app.Name,
 				run: func(o Options) (*sampling.AppRun, error) {
-					full, _, err := o.fullReference(nil, sim, app, 2000, nil)
+					full, err := o.fullReference(nil, sim, app, 2000, nil)
 					return full, err
 				},
 			}})

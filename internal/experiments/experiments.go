@@ -65,12 +65,12 @@ type Options struct {
 	Ctx context.Context
 	// Checkpoint, when non-nil, stores what every benchmark cell is made of
 	// as soon as it is computed, each at its own key (see subcell): the full
-	// reference run, its two-IPC header, and every strategy's outcome. With
-	// Resume a cell — accuracy, sensitivity or ablation — is composed from
-	// those entries and computes only what is missing, so a crashed run
-	// resumes and a repeated one does no work; the motivation study reads
-	// the accuracy cell's reference run. Never changes results. A failed
-	// write is fatal to the run.
+	// reference run, and every strategy's outcome with the reference's two
+	// IPCs. With Resume a cell — accuracy, sensitivity or ablation — is
+	// composed from those entries and computes only what is missing, so a
+	// crashed run resumes and a repeated one does no work; the motivation
+	// study reads the accuracy cell's reference run. Never changes results.
+	// A failed write is fatal to the run.
 	Checkpoint *durable.Store
 	Resume     bool
 	// Subcell is ignored: the store is on whenever Checkpoint is set. It is
@@ -399,46 +399,36 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 		Samplers: make(map[string]sampler.Outcome, len(set)),
 	}
 
-	// The cell is composed from the sub-cell cache (see subcell): reference
-	// header, then each selected outcome. Without a store sc is nil, nothing
-	// hits and everything below runs. Only a cell that misses something
-	// builds its workload.
+	// The cell is composed from the sub-cell cache (see subcell): each
+	// selected outcome, which carries the reference IPCs too. Without a store
+	// sc is nil, nothing hits and everything below runs. Only a cell that
+	// misses something builds its workload.
 	sc := opts.subcell(spec.Name, cfg)
-	var hdr refHeader
-	haveHdr := sc.load("refhdr", "", &hdr)
 	var missing []sampler.Sampler
 	for _, s := range set {
-		if out, ok := sc.loadOutcome(s.Name, mc); ok {
-			r.Samplers[s.Name] = out
+		if e, ok := sc.loadOutcome(s.Name, mc); ok {
+			r.Samplers[s.Name] = e.Outcome
+			r.FullIPC, r.FullOverallIPC = e.FullIPC, e.FullOverallIPC
 		} else {
 			missing = append(missing, s)
 		}
 	}
-	if haveHdr && len(missing) == 0 {
+	if len(missing) == 0 {
 		mc.AtomicAdd(metrics.SubcellHits, 1)
 	} else {
 		app, unit := opts.buildApp(spec, mc)
-		full, simulated, err := opts.fullReference(sc, sim, app, unit, mc)
+		full, err := opts.fullReference(sc, sim, app, unit, mc)
 		if err != nil {
 			return nil, err
 		}
-		if !haveHdr {
-			hdr = refHeader{FullIPC: full.IPC(), FullOverallIPC: full.OverallIPC()}
-			if err := sc.publish("refhdr", "", hdr); err != nil {
-				return nil, err
-			}
-		}
+		r.FullIPC, r.FullOverallIPC = full.IPC(), full.OverallIPC()
 		if err := opts.estimate(missing, sim, app, full, sc, mc, r); err != nil {
 			return nil, err
 		}
-		// Composed wholly from the store, a cell is not executed.
-		if simulated || len(missing) > 0 {
-			mc.Inc(metrics.ExpCellsExecuted)
-		}
+		mc.Inc(metrics.ExpCellsExecuted)
 	}
-	r.FullIPC, r.FullOverallIPC = hdr.FullIPC, hdr.FullOverallIPC
-	// Err is derived from the header on every path, so a composed result and
-	// a computed one are the same bytes.
+	// Err is derived from the reference IPC on every path, so a composed
+	// result and a computed one are the same bytes.
 	for _, s := range set {
 		out := r.Samplers[s.Name]
 		out.Err = stats.RelErr(out.Estimate.PredictedIPC, r.FullIPC)
@@ -448,12 +438,9 @@ func RunBenchmark(spec *workloads.Spec, cfg gpusim.Config, opts Options) (*Bench
 }
 
 // estimate runs the given strategies against full, records their outcomes
-// in r and publishes each to sc.
+// in r and publishes each to sc with r's reference IPCs.
 func (o Options) estimate(set []sampler.Sampler, sim *gpusim.Simulator, app *kernel.App,
 	full *sampling.AppRun, sc *subcell, mc *metrics.Collector, r *BenchResult) error {
-	if len(set) == 0 {
-		return nil
-	}
 	tbopts := o.tbpointOptions()
 	tbopts.Metrics = mc
 	tbopts.Ctx = o.Ctx
@@ -479,7 +466,7 @@ func (o Options) estimate(set []sampler.Sampler, sim *gpusim.Simulator, app *ker
 		mc.Add(metrics.SamplerStrata, uint64(out.Strata))
 		mc.Add(metrics.SamplerPilotUnits, uint64(out.PilotUnits))
 		mc.Add(metrics.SamplerPhase2Units, uint64(out.Phase2Units))
-		if err := sc.publish("outcome", s.Name, out); err != nil {
+		if err := sc.publishOutcome(s.Name, out, r); err != nil {
 			return err
 		}
 		r.Samplers[s.Name] = out

@@ -91,7 +91,7 @@ func RunMotivation(opts Options) ([]MotivationResult, []CellError, error) {
 func motivationCell(o Options, spec *workloads.Spec, sim *gpusim.Simulator, cfg gpusim.Config) (MotivationResult, error) {
 	mc := o.Metrics
 	app, unit := o.buildApp(spec, mc)
-	full, _, err := o.fullReference(o.subcell(spec.Name, cfg), sim, app, unit, mc)
+	full, err := o.fullReference(o.subcell(spec.Name, cfg), sim, app, unit, mc)
 	if err != nil {
 		return MotivationResult{}, err
 	}

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 
 	"tbpoint/internal/core"
 	"tbpoint/internal/durable"
@@ -20,33 +18,33 @@ import (
 
 // outcomeSchema versions the stored per-strategy outcomes. It is part of
 // every outcome's key material, so a change to any estimator's arithmetic
-// must bump it: entries written by the old arithmetic then miss instead of
-// being served. v2: Random's CI counts the units it selected.
-const outcomeSchema = "outcome/v2"
+// or to the entry's layout must bump it: entries written by the old code
+// then miss instead of being served. v2: Random's CI counts the units it
+// selected. v3: an entry carries its reference run's two IPCs.
+const outcomeSchema = "outcome/v3"
 
 // subcell addresses one benchmark cell's entries in Options.Checkpoint, the
 // store every run over it shares — repeated, resumed or merely overlapping
-// (another sampler set or budget). A cell is a composition of three kinds
-// of entry and is never stored whole:
+// (another sampler set or budget). A cell is a composition of two kinds of
+// entry and is never stored whole:
 //
 //	subcell/v1/fullref/<bench>/<hash(scale, seed)>/<hash(unit rule, hw config)>
-//	subcell/v1/refhdr/<bench>/<hash(scale, seed)>/<hash(unit rule, hw config)>
 //	subcell/v1/outcome/<bench>/<hash(scale, seed)>/<hash(outcomeSchema,
 //	    unit rule, hw config, sampler params, TBPoint options)>/<sampler>
 //
-// fullref is the full reference run (13-100 KB of units and BBVs), refhdr
-// the two IPCs a result takes from it, and outcome one strategy's
-// sampler.Outcome. The unit rule (Options.unitRule), not the unit it
-// derives, is in the keys, so RunBenchmark reads the header, then each
-// selected outcome, and only when something is missing builds the workload,
-// fetches and decodes the heavy artifact (or simulates) and runs just the
-// missing strategies. The cheaper intermediates (profile, features,
-// clustering) cost more to store than to recompute and are not cached.
+// fullref is the full reference run (13-100 KB of units and BBVs), and
+// outcome one strategy's sampler.Outcome with the two IPCs of the reference
+// run its Err is measured against. The unit rule (Options.unitRule), not the
+// unit it derives, is in the keys, so RunBenchmark reads each selected
+// outcome, and only when one is missing builds the workload, fetches and
+// decodes the heavy artifact (or simulates) and runs just the missing
+// strategies. The cheaper intermediates (profile, features, clustering) cost
+// more to store than to recompute and are not cached.
 //
 // The benchmark name and the strategy are in the clear for debuggability;
-// the hashes cover everything else that changes the entry's bytes. Header
-// and outcome entries also carry their un-hashed key material and a hit
-// requires it to match, and a decoded run must account for every block and
+// the hashes cover everything else that changes the entry's bytes. An
+// outcome entry also carries its un-hashed key material and a hit requires
+// it to match, and a decoded run must account for every block and
 // instruction of the live workload (completeRun), so a colliding, stale or
 // damaged entry degrades to work, never to a wrong number. LaunchResult is
 // all integer counters and Go's float formatting round-trips, so a hit is
@@ -55,14 +53,13 @@ const outcomeSchema = "outcome/v2"
 // Lookups obey Resume; a miss is counted wherever the value is computed
 // instead. An entry is published only where its value was just computed,
 // and a failed write is returned wrapping errStore. A nil *subcell is the
-// disabled store: every load misses, nothing is published or counted.
+// disabled store: every lookup misses, nothing is published or counted.
 type subcell struct {
-	store  *durable.Store
-	resume bool
-	bench  string
-	appMat string // what determines the built workload
-	runMat string // ... the full reference run on it
-	outMat string // ... every strategy's outcome on that run
+	store    *durable.Store
+	resume   bool
+	refKey   string // the fullref entry's key
+	outKey   string // the outcome entries' key, less the strategy name
+	material string // what determines every outcome, stored in each entry
 }
 
 func (o Options) subcell(bench string, cfg gpusim.Config) *subcell {
@@ -70,75 +67,46 @@ func (o Options) subcell(bench string, cfg gpusim.Config) *subcell {
 		return nil
 	}
 	div, lo, hi := o.unitRule()
-	c := &subcell{
-		store:  o.Checkpoint,
-		resume: o.Resume,
-		bench:  bench,
-		appMat: fmt.Sprintf("scale=%g seed=%d", o.Scale, o.Seed),
-		runMat: fmt.Sprintf("unit=total/%d in [%d,%d] cfg=%+v", div, lo, hi, cfg),
+	app := fmt.Sprintf("scale=%g seed=%d", o.Scale, o.Seed)
+	run := fmt.Sprintf("unit=total/%d in [%d,%d] cfg=%+v", div, lo, hi, cfg)
+	out := fmt.Sprintf("%s %s params=%+v tb=%+v", outcomeSchema, run, o.samplerParams(), o.tbpointKeyOptions())
+	// subcell/v1/<kind>/<bench>/<fnv64(app) %016x>/<fnv64(mat) %016x><end>,
+	// written by hand: through fmt every hash would be boxed.
+	key := func(kind, mat, end string) string {
+		b := append(make([]byte, 0, 96), "subcell/v1/"+kind+"/"+bench...)
+		for _, h := range [2]uint64{fnv64(app), fnv64(mat)} {
+			b = append(b, '/')
+			for shift := 60; shift >= 0; shift -= 4 {
+				b = append(b, "0123456789abcdef"[h>>shift&15])
+			}
+		}
+		return string(append(b, end...))
 	}
-	c.outMat = fmt.Sprintf("%s %s params=%+v tb=%+v", outcomeSchema, c.runMat, o.samplerParams(), o.tbpointKeyOptions())
-	return c
+	return &subcell{
+		store:    o.Checkpoint,
+		resume:   o.Resume,
+		refKey:   key("fullref", run, ""),
+		outKey:   key("outcome", out, "/"),
+		material: app + " " + out,
+	}
 }
 
-// key names c's entry of the given kind (and strategy, for an outcome).
-func (c *subcell) key(kind, name string) string {
-	k := fmt.Sprintf("subcell/v1/%s/%s/%016x/%016x", kind, c.bench, fnv64(c.appMat), fnv64(c.material(kind)))
-	if name != "" {
-		k += "/" + name
-	}
-	return k
-}
-
-func (c *subcell) material(kind string) string {
-	if kind == "outcome" {
-		return c.outMat
-	}
-	return c.runMat
-}
-
+// fnv64 is 64-bit FNV-1a, computed in place: hash/fnv would allocate a
+// hasher and a copy of s on every call.
 func fnv64(s string) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, s)
-	return h.Sum64()
-}
-
-// subcellEntry is the stored form of a header or an outcome.
-type subcellEntry struct {
-	Material string          `json:"material"`
-	Value    json.RawMessage `json:"value"`
-}
-
-// refHeader is what a BenchResult takes from its full reference run.
-type refHeader struct {
-	FullIPC        float64 `json:"full_ipc"`
-	FullOverallIPC float64 `json:"full_overall_ipc"`
-}
-
-// load decodes c's header or outcome entry into v; v may be left half-filled
-// on a miss.
-func (c *subcell) load(kind, name string, v interface{}) bool {
-	if c == nil || !c.resume {
-		return false
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
 	}
-	var e subcellEntry
-	data, ok := c.store.Get(c.key(kind, name))
-	return ok && json.Unmarshal(data, &e) == nil &&
-		e.Material == c.appMat+" "+c.material(kind) && json.Unmarshal(e.Value, v) == nil
+	return h
 }
 
-// publish stores v as c's header or outcome entry. A value JSON cannot
-// encode (a NaN) is not shared; a failed write is returned.
-func (c *subcell) publish(kind, name string, v interface{}) error {
-	if c == nil {
-		return nil
-	}
-	value, err := json.Marshal(v)
-	if err != nil {
-		return nil
-	}
-	data, _ := json.Marshal(subcellEntry{c.appMat + " " + c.material(kind), value}) // valid JSON in, so no error
-	return c.put(c.key(kind, name), data)
+// outcomeEntry is the stored form of one strategy's outcome.
+type outcomeEntry struct {
+	Material       string          `json:"material"`
+	Outcome        sampler.Outcome `json:"outcome"`
+	FullIPC        float64         `json:"full_ipc"`
+	FullOverallIPC float64         `json:"full_overall_ipc"`
 }
 
 // errStore marks a failed write to Options.Checkpoint. It is fatal to the
@@ -155,33 +123,49 @@ func (c *subcell) put(key string, data []byte) error {
 	return nil
 }
 
-// loadOutcome is load for one strategy's outcome, counting outcome.hits or
+// loadOutcome reads one strategy's outcome entry, counting outcome.hits or
 // outcome.misses (the strategy will be estimated) into mc.
-func (c *subcell) loadOutcome(name string, mc *metrics.Collector) (sampler.Outcome, bool) {
+func (c *subcell) loadOutcome(name string, mc *metrics.Collector) (outcomeEntry, bool) {
+	var e outcomeEntry
 	if c == nil {
-		return sampler.Outcome{}, false
+		return e, false
 	}
-	var out sampler.Outcome
-	if c.load("outcome", name, &out) {
-		mc.AtomicAdd(metrics.OutcomeHits, 1)
-		return out, true
+	if c.resume {
+		if data, ok := c.store.Get(c.outKey + name); ok && json.Unmarshal(data, &e) == nil && e.Material == c.material {
+			mc.AtomicAdd(metrics.OutcomeHits, 1)
+			return e, true
+		}
 	}
 	mc.AtomicAdd(metrics.OutcomeMisses, 1)
-	return sampler.Outcome{}, false
+	return outcomeEntry{}, false
+}
+
+// publishOutcome stores one strategy's outcome with r's reference IPCs. An
+// entry JSON cannot encode (a NaN) is not shared; a failed write is
+// returned.
+func (c *subcell) publishOutcome(name string, out sampler.Outcome, r *BenchResult) error {
+	if c == nil {
+		return nil
+	}
+	data, err := json.Marshal(outcomeEntry{c.material, out, r.FullIPC, r.FullOverallIPC})
+	if err != nil {
+		return nil
+	}
+	return c.put(c.outKey+name, data)
 }
 
 // fullReference is the harness's one producer of a reference run: fullApp
 // with the run shared through c's fullref entry. It counts the cell's one
 // subcell.hits (run decoded from the store) or subcell.misses (simulated)
-// into mc; the bool reports whether it simulated. A run cut short by o.Ctx
-// is returned as the context's error, never as a partial run.
+// into mc. A run cut short by o.Ctx is returned as the context's error,
+// never as a partial run.
 func (o Options) fullReference(c *subcell, sim *gpusim.Simulator, app *kernel.App,
-	unit int64, mc *metrics.Collector) (*sampling.AppRun, bool, error) {
+	unit int64, mc *metrics.Collector) (*sampling.AppRun, error) {
 	if c != nil && c.resume {
-		if data, ok := c.store.Get(c.key("fullref", "")); ok {
+		if data, ok := c.store.Get(c.refKey); ok {
 			if run := decodeRun(data); run != nil && completeRun(run, app) {
 				mc.AtomicAdd(metrics.SubcellHits, 1)
-				return run, false, nil
+				return run, nil
 			}
 		}
 	}
@@ -192,18 +176,18 @@ func (o Options) fullReference(c *subcell, sim *gpusim.Simulator, app *kernel.Ap
 	o.progress("# %-8s full reference: simulated %d of %d launches", app.Name, launches, len(app.Launches))
 	if full.Aborted {
 		if err := ctxErr(o.Ctx); err != nil {
-			return nil, true, err
+			return nil, err
 		}
-		return nil, true, context.Canceled
+		return nil, context.Canceled
 	}
 	if c != nil {
 		if data, err := json.Marshal(full); err == nil {
-			if err := c.put(c.key("fullref", ""), data); err != nil {
-				return nil, true, err
+			if err := c.put(c.refKey, data); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return full, true, nil
+	return full, nil
 }
 
 // tbpointKeyOptions is tbpointOptions as store keys may see it. The options
@@ -223,6 +207,8 @@ func (o Options) tbpointKeyOptions() core.Options {
 // input, so a run of 100 identical launches costs one launch decode, not
 // 100. The launches are split without a JSON scan of the whole run: each is
 // validated when it is decoded, and anything but the written layout misses.
+// Decoding the array into []json.RawMessage instead measured 3.6-4.1x
+// slower on spmv's and cfd's stored runs.
 func decodeRun(data []byte) *sampling.AppRun {
 	const head, tail = `{"Launches":[`, `],"Aborted":false}`
 	if !bytes.HasPrefix(data, []byte(head)) || !bytes.HasSuffix(data, []byte(tail)) {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -42,10 +45,10 @@ func benchJSON(t *testing.T, r interface{}) []byte {
 }
 
 // TestSubcellCacheByteIdenticalReuse is the sub-cell cache's core contract:
-// a warm run over the same workload composes its result from the store — the
-// reference header and one outcome per strategy hit, nothing is simulated or
-// estimated — and still produces a byte-identical BenchResult, both to its
-// own cold run and to a run with no cache at all.
+// a warm run over the same workload composes its result from the store — one
+// outcome per strategy hits, each carrying the reference IPCs, and nothing
+// is simulated or estimated — and still produces a byte-identical
+// BenchResult, both to its own cold run and to a run with no cache at all.
 func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 	spec, err := workloads.ByName("stream")
 	if err != nil {
@@ -76,6 +79,9 @@ func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 	if !hasPhase(coldMC, "experiments.full_ref") {
 		t.Fatal("cold run has no experiments.full_ref phase")
 	}
+	if n := store.Writes(); n != perCell {
+		t.Fatalf("cold run wrote %d entries, want %d (the reference, then one outcome per strategy)", n, perCell)
+	}
 
 	warmMC := metrics.New()
 	warm, err := RunBenchmark(spec, gpusim.DefaultConfig(), subcellOpts(t, store, warmMC))
@@ -83,7 +89,7 @@ func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if hits := warmMC.Count(metrics.SubcellHits); hits != 1 {
-		t.Fatalf("warm run recorded %d subcell hits, want 1 (the reference header)", hits)
+		t.Fatalf("warm run recorded %d subcell hits, want 1 (the cell composed from its outcomes)", hits)
 	}
 	if misses := warmMC.Count(metrics.SubcellMisses); misses != 0 {
 		t.Fatalf("warm run missed %d artifacts", misses)
@@ -95,6 +101,9 @@ func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 		t.Fatalf("cold run recorded %d outcome misses, want 3", misses)
 	}
 	assertComposed(t, "warm run", warmMC)
+	if n := store.Writes(); n != perCell {
+		t.Fatalf("warm run wrote %d entries", n-perCell)
+	}
 
 	baseJSON, coldJSON, warmJSON := benchJSON(t, base), benchJSON(t, cold), benchJSON(t, warm)
 	if !bytes.Equal(coldJSON, baseJSON) {
@@ -105,7 +114,7 @@ func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 	}
 
 	// The entries live under the subcell/ namespace and are the only keys:
-	// the full reference, its header, and one outcome per default strategy.
+	// the full reference and one outcome per default strategy.
 	var kinds []string
 	for _, k := range store.Keys() {
 		parts := strings.Split(k, "/")
@@ -114,7 +123,7 @@ func TestSubcellCacheByteIdenticalReuse(t *testing.T) {
 		}
 		kinds = append(kinds, strings.Join(append(parts[2:3], parts[6:]...), "/"))
 	}
-	if got, want := strings.Join(kinds, " "), "fullref outcome/random outcome/simpoint outcome/tbpoint refhdr"; got != want {
+	if got, want := strings.Join(kinds, " "), "fullref outcome/random outcome/simpoint outcome/tbpoint"; got != want {
 		t.Fatalf("store entries = %q, want %q", got, want)
 	}
 }
@@ -294,7 +303,7 @@ func TestOutcomeKeyCompleteness(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := func(o Options, cfg gpusim.Config, name string) string {
-		return o.subcell("stream", cfg).key("outcome", name)
+		return o.subcell("stream", cfg).outKey + name
 	}
 	base := subcellOpts(t, store, nil)
 	baseKey := key(base, gpusim.DefaultConfig(), "tbpoint")
@@ -375,10 +384,35 @@ func TestOutcomeKeyCompleteness(t *testing.T) {
 	}
 }
 
+// TestSubcellKeyEncoding: the keys are written by hand, so pin what fmt and
+// hash/fnv would have written: FNV-1a 64 as 16 zero-padded hex digits, the
+// app hash shared by both keys. Stores written before keep their fullref
+// entries only while this holds.
+func TestSubcellKeyEncoding(t *testing.T) {
+	for _, s := range []string{"", "a", "scale=0.02 seed=7", strings.Repeat("unit=total/400 ", 40)} {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := fnv64(s), h.Sum64(); got != want {
+			t.Errorf("fnv64(%q) = %016x, hash/fnv gives %016x", s, got, want)
+		}
+	}
+	c := subcellOpts(t, openStore(t, t.TempDir()), nil).subcell("stream", gpusim.DefaultConfig())
+	ref := regexp.MustCompile(`^subcell/v1/fullref/stream/([0-9a-f]{16})/[0-9a-f]{16}$`).FindStringSubmatch(c.refKey)
+	out := regexp.MustCompile(`^subcell/v1/outcome/stream/([0-9a-f]{16})/[0-9a-f]{16}/$`).FindStringSubmatch(c.outKey)
+	if ref == nil || out == nil || ref[1] != out[1] {
+		t.Errorf("keys %q and %q are not the written layout", c.refKey, c.outKey)
+	}
+	if want := fmt.Sprintf("%016x", fnv64("scale=0.02 seed=7")); ref != nil && ref[1] != want {
+		t.Errorf("app hash %s, want %s", ref[1], want)
+	}
+}
+
 // TestSubcellDamagedEntriesRecompute: an entry that does not decode, an
-// entry whose embedded key material is another key's, and a run told not to
-// resume (which misses everything) all count as misses, recompute, and
-// republish a good entry.
+// entry whose embedded key material is another key's, an entry in an older
+// layout, and a run told not to resume (which misses everything) all count
+// as misses, recompute, and republish a good entry. An outcome entry carries
+// the reference IPCs its cell's Err is measured against, so a served wrong
+// entry would show in FullIPC as well as in the estimate.
 func TestSubcellDamagedEntriesRecompute(t *testing.T) {
 	spec, err := workloads.ByName("stream")
 	if err != nil {
@@ -393,55 +427,58 @@ func TestSubcellDamagedEntriesRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := benchJSON(t, cold)
-	var tbKey, hdrKey string
-	for _, k := range store.Keys() {
-		switch {
-		case strings.HasSuffix(k, "/tbpoint"):
-			tbKey = k
-		case strings.HasPrefix(k, "subcell/v1/refhdr/"):
-			hdrKey = k
-		}
+	tbKey := subcellOpts(t, store, nil).subcell("stream", gpusim.DefaultConfig()).outKey + sampler.NameTBPoint
+	good, ok := store.Get(tbKey)
+	if !ok {
+		t.Fatalf("the cold run stored no %s", tbKey)
 	}
-	good, _ := store.Get(tbKey)
-	goodHdr, _ := store.Get(hdrKey)
 
 	// A different seed's entry filed under this key: what an FNV collision
-	// would look like. Its numbers are plausible and wrong.
+	// would look like. Its estimate and reference IPCs are plausible and
+	// wrong.
 	other := subcellOpts(t, store, nil)
 	other.Seed++
 	if _, err := RunBenchmark(spec, gpusim.DefaultConfig(), other); err != nil {
 		t.Fatal(err)
 	}
-	var foreign, foreignHdr []byte
+	var foreign []byte
 	for _, k := range store.Keys() {
 		if k != tbKey && strings.HasSuffix(k, "/tbpoint") {
 			foreign, _ = store.Get(k)
 		}
-		if k != hdrKey && strings.HasPrefix(k, "subcell/v1/refhdr/") {
-			foreignHdr, _ = store.Get(k)
-		}
 	}
-	if foreign == nil || foreignHdr == nil || bytes.Equal(foreign, good) {
-		t.Fatal("no foreign entries to plant")
+	if foreign == nil || bytes.Equal(foreign, good) {
+		t.Fatal("no foreign entry to plant")
+	}
+	// This cell's outcome as the outcome/v2 layout stored it: the outcome
+	// alone, with no reference IPCs to measure its Err against.
+	var e outcomeEntry
+	if err := json.Unmarshal(good, &e); err != nil || e.FullIPC == 0 {
+		t.Fatalf("the stored outcome does not decode with its reference IPCs (%v): %s", err, good)
+	}
+	parent, err := json.Marshal(map[string]interface{}{
+		"material": strings.Replace(e.Material, outcomeSchema, "outcome/v2", 1),
+		"value":    e.Outcome,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	for _, tc := range []struct {
 		name            string
-		key             string
 		payload         []byte
 		resume          bool
 		wantOutcomeMiss uint64
 		wantSubcellMiss uint64
 	}{
-		{"corrupt outcome", tbKey, []byte(`{"material":17}`), true, 1, 0},
-		{"unknown material", tbKey, []byte(`{"material":"x","value":"half"}`), true, 1, 0},
-		{"foreign outcome", tbKey, foreign, true, 1, 0},
-		{"corrupt header", hdrKey, []byte(`[]`), true, 0, 0},
-		{"foreign header", hdrKey, foreignHdr, true, 0, 0},
-		{"no resume", tbKey, good, false, 3, 1},
+		{"corrupt outcome", []byte(`{"material":17}`), true, 1, 0},
+		{"unknown material", []byte(`{"material":"x","outcome":"half"}`), true, 1, 0},
+		{"foreign outcome", foreign, true, 1, 0},
+		{"outcome v2 layout", parent, true, 1, 0},
+		{"no resume", good, false, 3, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := store.Put(tc.key, tc.payload); err != nil {
+			if err := store.Put(tbKey, tc.payload); err != nil {
 				t.Fatal(err)
 			}
 			writes := store.Writes()
@@ -451,6 +488,9 @@ func TestSubcellDamagedEntriesRecompute(t *testing.T) {
 			r, err := RunBenchmark(spec, gpusim.DefaultConfig(), opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if r.FullIPC != cold.FullIPC {
+				t.Errorf("served against FullIPC %v, want %v", r.FullIPC, cold.FullIPC)
 			}
 			if !bytes.Equal(benchJSON(t, r), want) {
 				t.Error("result differs from the cold run")
@@ -465,16 +505,14 @@ func TestSubcellDamagedEntriesRecompute(t *testing.T) {
 				if n := mc.Count(metrics.OutcomeHits) + mc.Count(metrics.SubcellHits); n != 0 {
 					t.Errorf("a run that does not resume recorded %d hits", n)
 				}
-				if n := store.Writes() - writes; n != 5 {
-					t.Errorf("a run that does not resume republished %d entries, want all 5", n)
+				if n := store.Writes() - writes; n != perCell {
+					t.Errorf("a run that does not resume republished %d entries, want all %d", n, perCell)
 				}
 			} else if n := store.Writes() - writes; n != 1 {
 				t.Errorf("republished %d entries, want the damaged one", n)
 			}
-			for k, wantData := range map[string][]byte{tbKey: good, hdrKey: goodHdr} {
-				if got, _ := store.Get(k); !bytes.Equal(got, wantData) {
-					t.Errorf("%s holds %s after the run, want the good entry back", k, got)
-				}
+			if got, _ := store.Get(tbKey); !bytes.Equal(got, good) {
+				t.Errorf("%s holds %s after the run, want the good entry back", tbKey, got)
 			}
 		})
 	}
@@ -864,10 +902,11 @@ func TestStoredReferenceSharesLaunches(t *testing.T) {
 	}
 }
 
-// TestComposedCellAllocs: a cell whose header and outcome all hit reads two
-// small entries and builds nothing, so what it allocates does not grow with
-// its workload (building cfd's alone allocates ~800 times). The count is
-// deterministic.
+// TestComposedCellAllocs: a cell whose one outcome hits reads one small
+// entry and builds nothing, so what it allocates does not grow with its
+// workload (building cfd's alone allocates ~800 times). The count is
+// deterministic (38) except under the race detector, whose sync.Pool drops
+// items at random (39-47 seen); the bound leaves room for that.
 func TestComposedCellAllocs(t *testing.T) {
 	for _, bench := range []string{"cfd", "spmv", "black", "bfs"} {
 		spec, err := workloads.ByName(bench)
@@ -885,8 +924,8 @@ func TestComposedCellAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 90 {
-			t.Errorf("%s: an all-hit cell allocates %.0f times, want at most 90", bench, allocs)
+		if allocs > 60 {
+			t.Errorf("%s: an all-hit cell allocates %.0f times, want at most 60", bench, allocs)
 		}
 	}
 }

@@ -123,16 +123,17 @@ const (
 	ExpLaunchesReused
 
 	// Sub-cell store (internal/experiments), counted only when a run has
-	// one: per cell, whether its reference came from the store (header or
-	// artifact) or was simulated; per selected strategy per cell, whether
-	// its outcome came from the store or was estimated.
+	// one: per cell, whether its reference came from the store (the stored
+	// run, or the IPCs every selected outcome carries) or was simulated;
+	// per selected strategy per cell, whether its outcome came from the
+	// store or was estimated.
 	SubcellHits
 	SubcellMisses
 	OutcomeHits
 	OutcomeMisses
 
-	// Job server (internal/server). Cache misses, subcell and outcome
-	// hits/misses sum the jobs' exp.cells_executed, subcell.* and outcome.*;
+	// Job server (internal/server). Its collector also sums the jobs'
+	// exp.cells_executed, subcell.* and outcome.* under those IDs;
 	// evictions counts entries the bounded cache dropped for its budget.
 	// The supervision counters (jobs_panicked/quarantined,
 	// dispatcher_restarts) observe the containment layer: a panicking job
@@ -146,11 +147,6 @@ const (
 	ServerJobsPanicked       // jobs terminally failed by a recovered panic
 	ServerJobsQuarantined    // jobs dead-lettered by the requeue cap at replay
 	ServerDispatcherRestarts // dispatcher slots restarted after a contained panic
-	ServerCacheMisses
-	ServerSubcellHits
-	ServerSubcellMisses
-	ServerOutcomeHits
-	ServerOutcomeMisses
 	ServerCacheEvictions
 
 	// Estimation-strategy subsystem (internal/sampler, recorded by the
@@ -224,11 +220,6 @@ var counterNames = [NumCounters]string{
 	ServerJobsPanicked:       "server.jobs_panicked",
 	ServerJobsQuarantined:    "server.jobs_quarantined",
 	ServerDispatcherRestarts: "server.dispatcher_restarts",
-	ServerCacheMisses:        "server.cache_misses",
-	ServerSubcellHits:        "server.subcell_hits",
-	ServerSubcellMisses:      "server.subcell_misses",
-	ServerOutcomeHits:        "server.outcome_hits",
-	ServerOutcomeMisses:      "server.outcome_misses",
 	ServerCacheEvictions:     "server.cache_evictions",
 
 	SamplerEstimates:   "sampler.estimates",

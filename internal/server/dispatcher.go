@@ -143,12 +143,12 @@ func (d *Driver) runJob(j *Job) {
 	j.cancel = nil
 	j.rec.WallSeconds = wall.Seconds()
 	j.rec.Aborted = bundle.Aborted
-	j.rec.readCounters(jmc) // and on into the server-wide counters /metrics exposes
-	d.mc.AtomicAdd(metrics.ServerCacheMisses, j.rec.CacheMisses)
-	d.mc.AtomicAdd(metrics.ServerSubcellHits, j.rec.SubcellHits)
-	d.mc.AtomicAdd(metrics.ServerSubcellMisses, j.rec.SubcellMisses)
-	d.mc.AtomicAdd(metrics.ServerOutcomeHits, j.rec.OutcomeHits)
-	d.mc.AtomicAdd(metrics.ServerOutcomeMisses, j.rec.OutcomeMisses)
+	j.rec.readCounters(jmc)
+	// The server-wide collector sums the jobs' store events under their own IDs.
+	for _, c := range []metrics.Counter{metrics.ExpCellsExecuted, metrics.SubcellHits,
+		metrics.SubcellMisses, metrics.OutcomeHits, metrics.OutcomeMisses} {
+		d.mc.AtomicAdd(c, jmc.Count(c))
+	}
 
 	// Name what happened; the lifecycle table decides what it means. An
 	// aborted run is claimed by whoever cancelled it, in this order.

@@ -65,9 +65,9 @@ type Config struct {
 	// the cache unbounded.
 	CacheMaxBytes int64
 	// Metrics receives the server-wide counters (server.jobs_*,
-	// server.cache_misses, server.subcell_hits/misses,
-	// server.outcome_hits/misses, server.cache_evictions). Nil disables
-	// them.
+	// server.cache_evictions) and the sum of every finished job's
+	// exp.cells_executed, subcell.hits/misses and outcome.hits/misses. Nil
+	// disables them.
 	Metrics *metrics.Collector
 	// Logf receives operational log lines (nil discards them).
 	Logf func(format string, args ...interface{})
@@ -295,8 +295,7 @@ func (d *Driver) statusLocked(j *Job) JobStatus {
 	return st
 }
 
-// readCounters copies the job collector's cache accounting into the status
-// (the one place the cell, sub-cell and outcome counters are read).
+// readCounters copies the job collector's cache accounting into the status.
 func (st *JobStatus) readCounters(mc *metrics.Collector) {
 	st.CacheMisses = mc.Count(metrics.ExpCellsExecuted)
 	st.SubcellHits = mc.Count(metrics.SubcellHits)

@@ -355,11 +355,11 @@ func TestSubcellReuseAcrossJobs(t *testing.T) {
 		t.Error("served results.json differs from one-shot engine output")
 	}
 
-	if n := mc.Count(metrics.ServerSubcellHits); n == 0 {
-		t.Error("server.subcell_hits counter is zero after artifact reuse")
+	if n := mc.Count(metrics.SubcellHits); n == 0 {
+		t.Error("subcell.hits counter is zero after artifact reuse")
 	}
-	if hits, misses := mc.Count(metrics.ServerOutcomeHits), mc.Count(metrics.ServerOutcomeMisses); hits != 5*benches || misses != 10*benches {
-		t.Errorf("server.outcome_hits=%d outcome_misses=%d, want %d and %d (A misses 3, B hits 3 misses 2, D hits 2, C misses 5)",
+	if hits, misses := mc.Count(metrics.OutcomeHits), mc.Count(metrics.OutcomeMisses); hits != 5*benches || misses != 10*benches {
+		t.Errorf("outcome.hits=%d outcome.misses=%d, want %d and %d (A misses 3, B hits 3 misses 2, D hits 2, C misses 5)",
 			hits, misses, 5*benches, 10*benches)
 	}
 }

@@ -164,8 +164,8 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Error("cached job's results.json differs from the computed job's")
 	}
 
-	if n := mc.Count(metrics.ServerSubcellHits); n == 0 {
-		t.Error("server.subcell_hits counter is zero after a cache-served job")
+	if n := mc.Count(metrics.SubcellHits); n == 0 {
+		t.Error("subcell.hits counter is zero after a cache-served job")
 	}
 	if n := mc.Count(metrics.ServerJobsDone); n != 2 {
 		t.Errorf("server.jobs_done = %d, want 2", n)
