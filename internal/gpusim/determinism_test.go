@@ -2,11 +2,15 @@ package gpusim_test
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,97 +18,64 @@ import (
 	"tbpoint/internal/gpusim"
 	"tbpoint/internal/kernel"
 	"tbpoint/internal/metrics"
+	"tbpoint/internal/sampling"
 	"tbpoint/internal/trace"
 	"tbpoint/internal/workloads"
 )
 
-// goldenRow is the aggregate counter signature of one benchmark under one
-// configuration: every counter the simulator exposes, summed over the app's
-// launches. Any scheduler or memory-system change that alters simulated
-// behaviour — even a reordering of same-cycle issue — shifts at least one
-// of these.
-type goldenRow struct {
-	config, bench string
+// goldenCases are the sweep's "config/bench" names: five benchmarks
+// spanning regular, irregular, launch-heavy and memory-bound shapes, under
+// the default and a retargeted occupancy configuration, at workload scale
+// 0.05, seed 7. What each case simulated is recorded in goldenMetricsPath.
+var goldenCases = []string{"default/cfd", "default/mst", "default/stream", "default/lbm", "default/kmeans",
+	"occ16x8/cfd", "occ16x8/mst", "occ16x8/stream", "occ16x8/lbm", "occ16x8/kmeans"}
 
-	cycles, insts, l1m, l2m, dram, rowh, wb, merges int64
-	units, fixed, tbs                               int
-}
-
-// goldenRows pins the simulator's observable behaviour at workload scale
-// 0.05, seed 7. The values were recorded from the original per-cycle
-// scan-all-SMs scheduler (runScan keeps that loop as a test-only
-// reference); the next-event scheduler (and every optimisation since)
-// must reproduce them bit-identically. Do NOT update
-// these numbers to make a failing test pass unless the change is an
-// intentional, documented behaviour change.
-var goldenRows = []goldenRow{
-	{"default", "cfd", 805900, 1680000, 380000, 380000, 380000, 24500, 91600, 0, 100, 400, 2500},
-	{"default", "mst", 145644, 32208, 46018, 45886, 45886, 455, 60, 2, 24, 31, 173},
-	{"default", "stream", 1844203, 798560, 451260, 450493, 450493, 1168, 61, 12, 217, 434, 868},
-	{"default", "lbm", 1421960, 3110400, 1296960, 1296940, 1678740, 15580, 800180, 0, 100, 400, 5400},
-	{"default", "kmeans", 393150, 2653920, 302640, 302640, 302670, 950, 13640, 0, 50, 410, 2910},
-	{"occ16x8", "cfd", 1349200, 1680000, 380000, 380000, 380000, 47300, 129500, 0, 200, 400, 2500},
-	{"occ16x8", "mst", 147475, 32208, 46018, 45885, 45886, 461, 143, 2, 24, 31, 173},
-	{"occ16x8", "stream", 1844203, 798560, 451260, 450493, 450493, 1168, 61, 12, 217, 434, 868},
-	{"occ16x8", "lbm", 3235320, 3110400, 1296000, 1296000, 1683540, 24120, 811580, 0, 340, 400, 5400},
-	{"occ16x8", "kmeans", 1076640, 2653920, 302640, 302640, 306910, 120550, 23600, 0, 180, 410, 2910},
-}
-
-func goldenConfig(name string) gpusim.Config {
-	if name == "occ16x8" {
-		return gpusim.DefaultConfig().WithOccupancy(16, 8)
-	}
-	return gpusim.DefaultConfig()
-}
-
-func runGolden(t *testing.T, row goldenRow) goldenRow {
-	return runGoldenMetrics(t, row, nil)
-}
-
-// runGoldenMetrics runs row's reference simulation the way every cell of the
-// harness does — experiments.FullAppMetrics at the default unit-size rule —
-// so the goldens pin the launch fan-out and the launch-order collector merge
-// together with the simulator.
-func runGoldenMetrics(t *testing.T, row goldenRow, mc *metrics.Collector) goldenRow {
+// goldenCase builds a simulator of the named case's configuration, its
+// application, and the sampling-unit size of the default unit-size rule.
+func goldenCase(t *testing.T, name string) (*gpusim.Simulator, *kernel.App, int64) {
 	t.Helper()
-	spec, err := workloads.ByName(row.bench)
+	config, bench, _ := strings.Cut(name, "/")
+	spec, err := workloads.ByName(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
 	app := spec.Build(workloads.Config{Scale: 0.05, Seed: 7})
-	sim := gpusim.MustNew(goldenConfig(row.config))
-	got := goldenRow{config: row.config, bench: row.bench}
-	unit := experiments.DefaultOptions(0.05).UnitSize(app.TotalWarpInsts())
-	for _, r := range experiments.FullAppMetrics(sim, app, unit, mc).Launches {
-		got.cycles += r.Cycles
-		got.insts += r.SimulatedWarpInsts
-		got.l1m += r.L1Misses
-		got.l2m += r.L2Misses
-		got.dram += r.DRAMAccesses
-		got.rowh += r.DRAMRowHits
-		got.wb += r.Writebacks
-		got.merges += r.MSHRMerges
-		got.units += len(r.Units)
-		got.fixed += len(r.FixedUnits)
-		got.tbs += r.SimulatedTBs
+	cfg := gpusim.DefaultConfig()
+	if config == "occ16x8" {
+		cfg = cfg.WithOccupancy(16, 8)
 	}
-	return got
+	return gpusim.MustNew(cfg), app, experiments.DefaultOptions(0.05).UnitSize(app.TotalWarpInsts())
 }
 
-// goldenMetricsPath holds, per config/bench case, the deterministic part of
-// the sweep's metrics snapshot: every counter and distribution, no wall-clock
-// phases. goldenRows pins the LaunchResult aggregates; this file pins the
-// whole internal/metrics counter set (issue breakdown, scheduler events,
-// MSHR/DRAM distributions), so an instrumentation bug that double-counts
-// without shifting IPC still fails.
+// runGolden runs the named case's reference simulation the way every cell
+// of the harness does, through experiments.FullAppMetrics, so the goldens
+// pin the launch fan-out and the launch-order collector merge together with
+// the simulator.
+func runGolden(t *testing.T, name string, mc *metrics.Collector) *sampling.AppRun {
+	t.Helper()
+	sim, app, unit := goldenCase(t, name)
+	return experiments.FullAppMetrics(sim, app, unit, mc)
+}
+
+// goldenRecord is one case of goldenMetricsPath: every counter and
+// distribution of the sweep's metrics snapshot (no wall-clock phases), so an
+// instrumentation bug that double-counts without shifting IPC still fails,
+// and the two LaunchResult aggregates no counter holds.
+type goldenRecord struct {
+	metrics.Snapshot
+	Units      int `json:"units"`
+	FixedUnits int `json:"fixed_units"`
+}
+
 const goldenMetricsPath = "testdata/golden_metrics.json"
 
 var update = flag.Bool("update", false, "rewrite "+goldenMetricsPath+" from this run instead of checking it")
 
 // diffGoldenMetrics names every divergence between the golden file's cases
 // and a run's: a case only one side has, and per case each counter and
-// distribution whose values differ (absent reads as zero).
-func diffGoldenMetrics(want, got map[string]metrics.Snapshot) []string {
+// distribution whose values differ (absent reads as zero) and each unit
+// count that differs.
+func diffGoldenMetrics(want, got map[string]*goldenRecord) []string {
 	var diffs []string
 	for _, name := range unionKeys(want, got) {
 		w, inGolden := want[name]
@@ -127,6 +98,9 @@ func diffGoldenMetrics(want, got map[string]metrics.Snapshot) []string {
 				diffs = append(diffs, fmt.Sprintf("%s: dist %s = %+v, golden %+v", name, k, g.Dists[k], w.Dists[k]))
 			}
 		}
+		if w.Units != g.Units || w.FixedUnits != g.FixedUnits {
+			diffs = append(diffs, fmt.Sprintf("%s: units = %d, fixed_units = %d, golden %d, %d", name, g.Units, g.FixedUnits, w.Units, w.FixedUnits))
+		}
 	}
 	return diffs
 }
@@ -145,37 +119,54 @@ func unionKeys[V any](a, b map[string]V) []string {
 	return keys
 }
 
-// TestGoldenCounters locks the simulator to the recorded pre-event-loop
-// behaviour: five benchmarks spanning regular, irregular, launch-heavy and
-// memory-bound shapes, under the default and a retargeted occupancy
-// configuration. Each case runs once, with a live collector, and is held to
-// both goldenRows and goldenMetricsPath.
+// TestGoldenCounters locks the simulator to its recorded behaviour. The
+// values were first recorded from the original per-cycle scan-all-SMs
+// scheduler (runScan keeps that loop as a test-only reference); the
+// next-event scheduler and every optimisation since reproduce them
+// bit-identically. Each case runs once, with a live collector: every
+// counter that repeats a LaunchResult aggregate must equal it, and the case
+// is held to its record in goldenMetricsPath.
 //
-//	go test ./internal/gpusim -run TestGoldenCounters -update
+//	go test ./internal/gpusim ./internal/experiments -run 'TestGoldenCounters|TestDefaultReportGolden' -update
 //
-// rewrites the file; do that only for an intentional, documented behaviour
-// change.
+// re-records this file and the experiments package's default report; do
+// that only for an intentional, documented behaviour change.
 func TestGoldenCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep is a few seconds; skipped in -short")
 	}
 	var mu sync.Mutex
-	got := map[string]metrics.Snapshot{}
+	got := map[string]*goldenRecord{}
 	// A parent's cleanup runs once its parallel subtests have all finished.
 	t.Cleanup(func() { checkGoldenMetrics(t, got) })
-	for _, row := range goldenRows {
-		row := row
-		name := row.config + "/" + row.bench
+	for _, name := range goldenCases {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			mc := metrics.New()
-			if got := runGoldenMetrics(t, row, mc); got != row {
-				t.Errorf("counters diverged from golden\n got: %+v\nwant: %+v", got, row)
+			run := runGolden(t, name, mc)
+			rec := &goldenRecord{Snapshot: mc.Snapshot()}
+			rec.Phases = nil
+			sum := map[metrics.Counter]int64{}
+			for _, r := range run.Launches {
+				sum[metrics.SimCycles] += r.Cycles
+				sum[metrics.SimWarpInsts] += r.SimulatedWarpInsts
+				sum[metrics.MemL1Misses] += r.L1Misses
+				sum[metrics.MemL2Misses] += r.L2Misses
+				sum[metrics.MemDRAMAccesses] += r.DRAMAccesses
+				sum[metrics.MemDRAMRowHits] += r.DRAMRowHits
+				sum[metrics.MemWritebacks] += r.Writebacks
+				sum[metrics.MemMSHRMerges] += r.MSHRMerges
+				sum[metrics.SchedTBDispatch] += int64(r.SimulatedTBs)
+				rec.Units += len(r.Units)
+				rec.FixedUnits += len(r.FixedUnits)
 			}
-			snap := mc.Snapshot()
-			snap.Phases = nil
+			for id := range metrics.Counter(metrics.NumCounters) {
+				if want, tied := sum[id]; tied && mc.Count(id) != uint64(want) {
+					t.Errorf("counter %s = %d, LaunchResult says %d", id.Name(), mc.Count(id), want)
+				}
+			}
 			mu.Lock()
-			got[name] = snap
+			got[name] = rec
 			mu.Unlock()
 		})
 	}
@@ -184,23 +175,14 @@ func TestGoldenCounters(t *testing.T) {
 // checkGoldenMetrics holds the cases that ran to goldenMetricsPath, or under
 // -update rewrites it from them. It runs as a cleanup, where FailNow's output
 // is lost, so failures are Errorf + return.
-func checkGoldenMetrics(t *testing.T, got map[string]metrics.Snapshot) {
-	filtered := len(got) != len(goldenRows) // -run selected some subtests
+func checkGoldenMetrics(t *testing.T, got map[string]*goldenRecord) {
 	if *update {
-		if filtered {
-			t.Errorf("-update needs the whole sweep, ran %d of %d cases", len(got), len(goldenRows))
-			return
-		}
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err == nil {
-			err = os.WriteFile(goldenMetricsPath, append(data, '\n'), 0o644)
-		}
-		if err != nil {
+		if err := writeGoldenMetrics(goldenMetricsPath, got, t.Failed()); err != nil {
 			t.Error(err)
 		}
 		return
 	}
-	var want map[string]metrics.Snapshot
+	var want map[string]*goldenRecord
 	data, err := os.ReadFile(goldenMetricsPath)
 	if err == nil {
 		err = json.Unmarshal(data, &want)
@@ -209,7 +191,7 @@ func checkGoldenMetrics(t *testing.T, got map[string]metrics.Snapshot) {
 		t.Errorf("%s: %v (record it with -update)", goldenMetricsPath, err)
 		return
 	}
-	if filtered {
+	if len(got) != len(goldenCases) { // -run selected some subtests
 		for name := range want {
 			if _, ran := got[name]; !ran {
 				delete(want, name)
@@ -221,35 +203,53 @@ func checkGoldenMetrics(t *testing.T, got map[string]metrics.Snapshot) {
 	}
 }
 
+// writeGoldenMetrics records got at path, unless the sweep ran only some
+// cases or a case failed: then it writes nothing and says why.
+func writeGoldenMetrics(path string, got map[string]*goldenRecord, failed bool) error {
+	switch {
+	case failed:
+		return fmt.Errorf("-update: a case failed, %s not written", path)
+	case len(got) != len(goldenCases):
+		return fmt.Errorf("-update needs the whole sweep, ran %d of %d cases", len(got), len(goldenCases))
+	}
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
 // TestDiffGoldenMetrics pins what the golden gate reports: each kind of
-// divergence, by case and by counter or distribution name.
+// divergence, by case and by counter, distribution or unit count.
 func TestDiffGoldenMetrics(t *testing.T) {
-	base := func() map[string]metrics.Snapshot {
-		return map[string]metrics.Snapshot{
-			"default/cfd": {
+	base := func() map[string]*goldenRecord {
+		return map[string]*goldenRecord{
+			"default/cfd": {Snapshot: metrics.Snapshot{
 				Counters: map[string]uint64{"sim.cycles": 10, "sim.warp_insts": 20},
 				Dists:    map[string]metrics.DistSnapshot{"mem.dram_queue_wait": {Count: 2, Sum: 6, Min: 1, Max: 5}},
-			},
-			"occ16x8/mst": {Counters: map[string]uint64{"sim.cycles": 7}},
+			}, Units: 4, FixedUnits: 8},
+			"occ16x8/mst": {Snapshot: metrics.Snapshot{Counters: map[string]uint64{"sim.cycles": 7}}},
 		}
 	}
 	cases := []struct {
 		name   string
-		mutate func(want, got map[string]metrics.Snapshot)
+		mutate func(want, got map[string]*goldenRecord)
 		diff   string
 	}{
-		{"identical", func(want, got map[string]metrics.Snapshot) {}, ""},
-		{"case missing from file", func(want, got map[string]metrics.Snapshot) { delete(want, "occ16x8/mst") },
+		{"identical", func(want, got map[string]*goldenRecord) {}, ""},
+		{"case missing from file", func(want, got map[string]*goldenRecord) { delete(want, "occ16x8/mst") },
 			"occ16x8/mst: present in run, missing from golden"},
-		{"case missing from run", func(want, got map[string]metrics.Snapshot) { delete(got, "default/cfd") },
+		{"case missing from run", func(want, got map[string]*goldenRecord) { delete(got, "default/cfd") },
 			"default/cfd: present in golden, missing from run"},
-		{"one counter off", func(want, got map[string]metrics.Snapshot) { got["default/cfd"].Counters["sim.warp_insts"] = 21 },
+		{"one counter off", func(want, got map[string]*goldenRecord) { got["default/cfd"].Counters["sim.warp_insts"] = 21 },
 			"default/cfd: counter sim.warp_insts = 21, golden 20"},
-		{"counter only in run", func(want, got map[string]metrics.Snapshot) { got["occ16x8/mst"].Counters["mem.l1_misses"] = 3 },
+		{"counter only in run", func(want, got map[string]*goldenRecord) { got["occ16x8/mst"].Counters["mem.l1_misses"] = 3 },
 			"occ16x8/mst: counter mem.l1_misses = 3, golden 0"},
-		{"one dist off", func(want, got map[string]metrics.Snapshot) {
+		{"one dist off", func(want, got map[string]*goldenRecord) {
 			got["default/cfd"].Dists["mem.dram_queue_wait"] = metrics.DistSnapshot{Count: 2, Sum: 6, Min: 1, Max: 4}
 		}, "default/cfd: dist mem.dram_queue_wait = {Count:2 Sum:6 Min:1 Max:4}, golden {Count:2 Sum:6 Min:1 Max:5}"},
+		{"one unit count off", func(want, got map[string]*goldenRecord) { got["default/cfd"].FixedUnits = 7 },
+			"default/cfd: units = 4, fixed_units = 7, golden 4, 8"},
 	}
 	for _, c := range cases {
 		want, got := base(), base()
@@ -264,58 +264,46 @@ func TestDiffGoldenMetrics(t *testing.T) {
 	}
 }
 
+// TestGoldenUpdateWritesNothingOnFailure: -update records only a whole
+// sweep in which every case passed.
+func TestGoldenUpdateWritesNothingOnFailure(t *testing.T) {
+	whole := map[string]*goldenRecord{}
+	for _, name := range goldenCases {
+		whole[name] = &goldenRecord{}
+	}
+	path := filepath.Join(t.TempDir(), "golden.json")
+	failed, partial := writeGoldenMetrics(path, whole, true), writeGoldenMetrics(path, map[string]*goldenRecord{}, false)
+	if _, err := os.Stat(path); failed == nil || partial == nil || !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-update after a failed case (%v) or a partial sweep (%v) wrote %s (stat: %v)", failed, partial, path, err)
+	}
+}
+
 // TestRunLaunchRepeatable pins run-to-run determinism on one simulator
-// instance (arena reuse across RunLaunch calls must not leak state).
+// instance (arena reuse across RunLaunch calls must not leak state). mst is
+// irregular and exercises MSHR merges.
 func TestRunLaunchRepeatable(t *testing.T) {
-	row := goldenRows[1] // mst: irregular, exercises MSHR merges
-	a := runGolden(t, row)
-	b := runGolden(t, row)
-	if a != b {
-		t.Errorf("two identical runs diverged:\n  %+v\n  %+v", a, b)
+	sim, app, unit := goldenCase(t, "default/mst")
+	if a, b := experiments.FullApp(sim, app, unit), experiments.FullApp(sim, app, unit); !reflect.DeepEqual(a, b) {
+		t.Error("two identical runs on one simulator diverged")
 	}
 }
 
 // TestMetricsCollectionIsObservationOnly pins the metrics layer's core
-// contract: a run with a live collector produces bit-identical simulation
-// results to one without, and the collector's counters agree with the
-// LaunchResult aggregates the goldens pin. mst exercises MSHR merges and
-// long idle jumps; lbm is memory-bound (DRAM queueing, writebacks).
+// contract: a run with a live collector produces the same AppRun as one
+// without, and the issue breakdown partitions the issued instructions.
+// mst exercises MSHR merges and long idle jumps; lbm is memory-bound (DRAM
+// queueing, writebacks).
 func TestMetricsCollectionIsObservationOnly(t *testing.T) {
-	for _, row := range []goldenRow{goldenRows[1], goldenRows[3]} {
+	for _, name := range []string{"default/mst", "default/lbm"} {
 		mc := metrics.New()
-		on := runGoldenMetrics(t, row, mc)
-		off := runGolden(t, row)
-		if on != off {
-			t.Errorf("%s/%s: metrics collection changed simulation results\n  on: %+v\n off: %+v",
-				row.config, row.bench, on, off)
+		on := runGolden(t, name, mc)
+		if off := runGolden(t, name, nil); !reflect.DeepEqual(on, off) {
+			t.Errorf("%s: metrics collection changed simulation results", name)
 		}
-		checks := []struct {
-			name string
-			id   metrics.Counter
-			want int64
-		}{
-			{"sim.cycles", metrics.SimCycles, on.cycles},
-			{"sim.warp_insts", metrics.SimWarpInsts, on.insts},
-			{"mem.l1_misses", metrics.MemL1Misses, on.l1m},
-			{"mem.l2_misses", metrics.MemL2Misses, on.l2m},
-			{"mem.dram_accesses", metrics.MemDRAMAccesses, on.dram},
-			{"mem.dram_row_hits", metrics.MemDRAMRowHits, on.rowh},
-			{"mem.writebacks", metrics.MemWritebacks, on.wb},
-			{"mem.mshr_merges", metrics.MemMSHRMerges, on.merges},
-			{"sched.tb_dispatch", metrics.SchedTBDispatch, int64(on.tbs)},
-		}
-		for _, c := range checks {
-			if got := mc.Count(c.id); got != uint64(c.want) {
-				t.Errorf("%s/%s: counter %s = %d, LaunchResult says %d",
-					row.config, row.bench, c.name, got, c.want)
-			}
-		}
-		// The issue breakdown must partition the issued instructions.
 		sum := mc.Count(metrics.SimIssueALU) + mc.Count(metrics.SimIssueMem) +
 			mc.Count(metrics.SimIssueBar) + mc.Count(metrics.SimIssueExit)
-		if sum != uint64(on.insts) {
-			t.Errorf("%s/%s: issue breakdown sums to %d, want %d insts",
-				row.config, row.bench, sum, on.insts)
+		if sum != uint64(on.TotalInsts()) {
+			t.Errorf("%s: issue breakdown sums to %d, want %d insts", name, sum, on.TotalInsts())
 		}
 	}
 }
@@ -329,23 +317,16 @@ func TestMSHRTableSizedByOutstanding(t *testing.T) {
 		t.Skip("golden sweep is a few seconds; skipped in -short")
 	}
 	const limit = 16 << 10
-	for _, row := range goldenRows {
-		row := row
-		t.Run(row.config+"/"+row.bench, func(t *testing.T) {
+	for _, name := range goldenCases {
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			spec, err := workloads.ByName(row.bench)
-			if err != nil {
-				t.Fatal(err)
-			}
-			app := spec.Build(workloads.Config{Scale: 0.05, Seed: 7})
-			unit := experiments.DefaultOptions(0.05).UnitSize(app.TotalWarpInsts())
+			sim, app, unit := goldenCase(t, name)
 			var distinct []*kernel.Launch
 			for _, l := range app.Launches {
 				if !slices.ContainsFunc(distinct, func(d *kernel.Launch) bool { return trace.SameInput(d, l) }) {
 					distinct = append(distinct, l)
 				}
 			}
-			sim := gpusim.MustNew(goldenConfig(row.config))
 			for i, b := range gpusim.MSHRFootprints(sim, gpusim.RunOptions{FixedUnitInsts: unit}, distinct) {
 				if b > limit {
 					t.Errorf("distinct launch %d: an SM's MSHR table holds %d bytes, want at most %d", i, b, limit)
